@@ -457,7 +457,7 @@ impl<'c, 'p> Exec<'c, 'p> {
                                 );
                                 self.outstanding.push(h);
                             } else {
-                                let _ = self.ctx.recv(
+                                self.ctx.recv_ignore(
                                     Src::Rank(s),
                                     TagSel::Is(*tag),
                                     nbytes,
@@ -486,14 +486,15 @@ impl<'c, 'p> Exec<'c, 'p> {
                         let h = self.ctx.irecv(from, TagSel::Is(*tag), nbytes, &self.world);
                         self.outstanding.push(h);
                     } else {
-                        let _ = self.ctx.recv(from, TagSel::Is(*tag), nbytes, &self.world);
+                        self.ctx
+                            .recv_ignore(from, TagSel::Is(*tag), nbytes, &self.world);
                     }
                 }
             }
             Stmt::Await { tasks } => {
                 if !self.outstanding.is_empty() && self.is_member(tasks, env, me) {
                     let hs = std::mem::take(&mut self.outstanding);
-                    self.ctx.waitall(&hs);
+                    self.ctx.waitall_ignore(&hs);
                 }
             }
             Stmt::Sync { tasks } => {

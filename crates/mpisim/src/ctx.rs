@@ -24,6 +24,11 @@ use std::sync::mpsc::{Receiver, Sender};
 /// side of the channel simply disappeared.
 pub struct SimAbort(pub Option<SimError>);
 
+/// Deferred-queue length at which a batch ships even though no call needs a
+/// reply yet: bounds per-rank deferred state (and the engine's queued ops
+/// and buffered replies) however long a run of deferrable calls is.
+const WINDOW: usize = 128;
+
 /// A hook event deferred until its operation's reply arrives (op batching).
 /// The stack signature is captured at call time — the region stack may have
 /// changed by the time the batch is flushed.
@@ -44,14 +49,15 @@ pub struct Ctx {
     n: usize,
     world: Comm,
     req_tx: Sender<Request>,
-    reply_rx: Receiver<Reply>,
+    reply_rx: Receiver<Vec<Reply>>,
     clock: SimTime,
     hook: Option<Box<dyn Hook>>,
     regions: Vec<&'static str>,
     /// Client-side op batching: defer every op whose reply carries nothing
-    /// the caller observes (nonblocking ops, computes, blocking sends, void
-    /// collectives) and ship them together with the next value-returning op
-    /// in a single channel handoff.
+    /// the caller observes (nonblocking ops, computes, blocking sends,
+    /// status-ignoring receives and waits, void collectives) and ship them
+    /// together with the next value-returning op — or when [`WINDOW`]
+    /// entries have piled up — in a single channel handoff.
     batching: bool,
     /// Deferred ops (batching mode) with their pending hook events.
     queue: Vec<(Op, Option<PendingEv>)>,
@@ -70,7 +76,7 @@ impl Ctx {
         rank: Rank,
         n: usize,
         req_tx: Sender<Request>,
-        reply_rx: Receiver<Reply>,
+        reply_rx: Receiver<Vec<Reply>>,
         hook: Option<Box<dyn Hook>>,
         batching: bool,
     ) -> Ctx {
@@ -121,6 +127,7 @@ impl Ctx {
         }
         if self.batching {
             self.queue.push((Op::Compute(d), None));
+            self.close_window();
             return;
         }
         match self.call(Op::Compute(d)) {
@@ -230,78 +237,44 @@ impl Ctx {
     /// Blocking receive; returns the resolved status (absolute source rank).
     #[track_caller]
     pub fn recv(&mut self, from: Src, tag: TagSel, bytes: u64, comm: &Comm) -> MsgInfo {
-        let site = caller();
-        let abs_from = self.translate_src(from, comm);
-        let kind = EventKind::Recv {
-            from: abs_from,
-            tag,
-            bytes,
-            comm: comm.id,
-            blocking: true,
-        };
-        if self.batching {
-            let h = self.predict_handle();
-            self.queue.push((
-                Op::IRecv {
-                    from: abs_from,
-                    tag,
-                    bytes,
-                    comm: comm.id,
-                },
-                None,
-            ));
-            let ev = self.mk_ev(kind, site, 1);
-            let (reply, _) = self.submit(Op::Wait { reqs: vec![h.0] }, ev);
-            match reply {
-                Reply::Infos { infos, .. } => {
-                    return infos[0].expect("receive completes with a status")
-                }
-                other => self.protocol_error("recv", &other),
-            }
-        }
-        let t_enter = self.clock;
-        let h = self.raw_irecv(abs_from, tag, bytes, comm.id);
-        let infos = self.raw_wait(vec![h.0]);
-        self.emit(kind, site, t_enter);
+        let infos = self.recv_at(from, tag, bytes, comm, caller(), true);
         infos[0].expect("receive completes with a status")
+    }
+
+    /// Blocking receive whose status the caller does not need (the
+    /// `MPI_STATUS_IGNORE` analogue). Same operation, event and virtual
+    /// time as [`Ctx::recv`]; with op batching on it is deferred exactly
+    /// as a blocking [`Ctx::send`] is, instead of ending the batch.
+    #[track_caller]
+    pub fn recv_ignore(&mut self, from: Src, tag: TagSel, bytes: u64, comm: &Comm) {
+        self.recv_at(from, tag, bytes, comm, caller(), false);
     }
 
     /// Wait for one request; `Some(status)` if it was a receive.
     #[track_caller]
     pub fn wait(&mut self, h: ReqHandle) -> Option<MsgInfo> {
-        let site = caller();
-        if self.batching {
-            let ev = self.mk_ev(EventKind::Wait { count: 1 }, site, 0);
-            let (reply, _) = self.submit(Op::Wait { reqs: vec![h.0] }, ev);
-            match reply {
-                Reply::Infos { infos, .. } => return infos[0],
-                other => self.protocol_error("wait", &other),
-            }
-        }
-        let t_enter = self.clock;
-        let infos = self.raw_wait(vec![h.0]);
-        self.emit(EventKind::Wait { count: 1 }, site, t_enter);
-        infos[0]
+        self.wait_at(vec![h.0], caller(), true)[0]
     }
 
     /// Wait for all listed requests; statuses are returned in request order
     /// (`Some` for receives).
     #[track_caller]
     pub fn waitall(&mut self, hs: &[ReqHandle]) -> Vec<Option<MsgInfo>> {
-        let site = caller();
-        if self.batching {
-            let ev = self.mk_ev(EventKind::Wait { count: hs.len() }, site, 0);
-            let reqs = hs.iter().map(|h| h.0).collect();
-            let (reply, _) = self.submit(Op::Wait { reqs }, ev);
-            match reply {
-                Reply::Infos { infos, .. } => return infos,
-                other => self.protocol_error("waitall", &other),
-            }
-        }
-        let t_enter = self.clock;
-        let infos = self.raw_wait(hs.iter().map(|h| h.0).collect());
-        self.emit(EventKind::Wait { count: hs.len() }, site, t_enter);
-        infos
+        self.wait_at(hs.iter().map(|h| h.0).collect(), caller(), true)
+    }
+
+    /// [`Ctx::wait`] without the status (`MPI_STATUS_IGNORE`): deferred
+    /// under op batching.
+    #[track_caller]
+    pub fn wait_ignore(&mut self, h: ReqHandle) {
+        self.wait_at(vec![h.0], caller(), false);
+    }
+
+    /// [`Ctx::waitall`] without the statuses (`MPI_STATUSES_IGNORE`):
+    /// deferred under op batching.
+    #[track_caller]
+    pub fn waitall_ignore(&mut self, hs: &[ReqHandle]) {
+        self.wait_at(hs.iter().map(|h| h.0).collect(), caller(), false);
     }
 
     // -- collectives ----------------------------------------------------------
@@ -481,6 +454,83 @@ impl Ctx {
         }
     }
 
+    /// Blocking receive (irecv + wait, reported as one `MPI_Recv`). Returns
+    /// the statuses if `want_status`, else nothing: then the wait rides the
+    /// batch like a blocking send's.
+    fn recv_at(
+        &mut self,
+        from: Src,
+        tag: TagSel,
+        bytes: u64,
+        comm: &Comm,
+        site: CallSite,
+        want_status: bool,
+    ) -> Vec<Option<MsgInfo>> {
+        let abs_from = self.translate_src(from, comm);
+        let kind = EventKind::Recv {
+            from: abs_from,
+            tag,
+            bytes,
+            comm: comm.id,
+            blocking: true,
+        };
+        if self.batching {
+            let h = self.predict_handle();
+            self.queue.push((
+                Op::IRecv {
+                    from: abs_from,
+                    tag,
+                    bytes,
+                    comm: comm.id,
+                },
+                None,
+            ));
+            return self.batched_wait(vec![h.0], kind, site, 1, want_status);
+        }
+        let t_enter = self.clock;
+        let h = self.raw_irecv(abs_from, tag, bytes, comm.id);
+        let infos = self.raw_wait(vec![h.0]);
+        self.emit(kind, site, t_enter);
+        infos
+    }
+
+    fn wait_at(
+        &mut self,
+        reqs: Vec<u64>,
+        site: CallSite,
+        want_status: bool,
+    ) -> Vec<Option<MsgInfo>> {
+        let kind = EventKind::Wait { count: reqs.len() };
+        if self.batching {
+            return self.batched_wait(reqs, kind, site, 0, want_status);
+        }
+        let t_enter = self.clock;
+        let infos = self.raw_wait(reqs);
+        self.emit(kind, site, t_enter);
+        infos
+    }
+
+    /// Batching-mode wait: shipped now when the caller wants the statuses,
+    /// deferred when it does not.
+    fn batched_wait(
+        &mut self,
+        reqs: Vec<u64>,
+        kind: EventKind,
+        site: CallSite,
+        span: usize,
+        want_status: bool,
+    ) -> Vec<Option<MsgInfo>> {
+        if !want_status {
+            self.defer(Op::Wait { reqs }, kind, site, span);
+            return Vec::new();
+        }
+        let ev = self.mk_ev(kind, site, span);
+        match self.submit(Op::Wait { reqs }, ev) {
+            (Reply::Infos { infos, .. }, _) => infos,
+            (other, _) => self.protocol_error("wait", &other),
+        }
+    }
+
     fn collective(
         &mut self,
         kind: CollKind,
@@ -570,6 +620,16 @@ impl Ctx {
     fn defer(&mut self, op: Op, kind: EventKind, callsite: CallSite, span: usize) {
         let ev = self.mk_ev(kind, callsite, span);
         self.queue.push((op, ev));
+        self.close_window();
+    }
+
+    /// Ship the deferred queue once it holds [`WINDOW`] entries. Called only
+    /// after a call's last entry is queued, so an isend/irecv entry and the
+    /// wait entry whose event spans it always travel together.
+    fn close_window(&mut self) {
+        if self.queue.len() >= WINDOW {
+            let _ = self.flush();
+        }
     }
 
     /// Build the deferred event record for an op being queued (`None` when
@@ -592,53 +652,69 @@ impl Ctx {
         self.flush().expect("queue is non-empty")
     }
 
-    /// Ship the deferred queue, if any, and drain one reply per op —
-    /// updating the clock and emitting deferred hook events with exactly
-    /// the clocks an unbatched run would have observed.
+    /// Ship the deferred queue, if any, and drain one reply per op. Returns
+    /// the last reply and the virtual time at which its op began.
     fn flush(&mut self) -> Option<(Reply, SimTime)> {
         if self.queue.is_empty() {
             return None;
         }
-        let mut ops = Vec::with_capacity(self.queue.len());
+        match self.ship(false) {
+            Ok(out) => out,
+            Err(abort) => std::panic::panic_any(abort),
+        }
+    }
+
+    /// Send the deferred queue (plus a trailing `Op::Exited` if asked) as
+    /// one request and drain one reply per deferred op — updating the clock
+    /// and emitting the deferred hook events with exactly the clocks an
+    /// unbatched run would have observed. The engine hands the replies over
+    /// as one message; only a dying run splits them (replies to the ops that
+    /// completed, then `Fatal`), which ends the drain with `Err` after the
+    /// completed ops' events are emitted.
+    fn ship(&mut self, trailing_exit: bool) -> Result<Option<(Reply, SimTime)>, SimAbort> {
+        let mut ops = Vec::with_capacity(self.queue.len() + 1);
         let mut evs = Vec::with_capacity(self.queue.len());
         for (op, ev) in self.queue.drain(..) {
             ops.push(op);
             evs.push(ev);
+        }
+        if trailing_exit {
+            ops.push(Op::Exited);
         }
         let op = if ops.len() == 1 {
             ops.pop().expect("one op")
         } else {
             Op::Batch(ops)
         };
-        if self
-            .req_tx
-            .send(Request {
-                rank: self.rank,
-                op,
-            })
-            .is_err()
-        {
-            std::panic::panic_any(SimAbort(None));
-        }
+        let request = Request {
+            rank: self.rank,
+            op,
+        };
+        self.req_tx.send(request).map_err(|_| SimAbort(None))?;
         let mut t_befores = std::mem::take(&mut self.drain_t);
         t_befores.clear();
+        let mut evs = evs.into_iter();
         let mut out = None;
-        for ev in evs {
-            t_befores.push(self.clock);
-            let reply = match self.reply_rx.recv() {
-                Ok(Reply::Fatal(err)) => std::panic::panic_any(SimAbort(Some(err))),
-                Err(_) => std::panic::panic_any(SimAbort(None)),
-                Ok(reply) => reply,
-            };
-            self.apply_clock(&reply);
-            if let Some(ev) = ev {
-                let t_enter = t_befores[t_befores.len() - 1 - ev.span];
-                self.emit_raw(ev.kind, ev.callsite, ev.stack_sig, t_enter);
+        while evs.len() > 0 {
+            for reply in self.reply_rx.recv().map_err(|_| SimAbort(None))? {
+                if let Reply::Fatal(err) = reply {
+                    return Err(SimAbort(Some(err)));
+                }
+                let ev = evs.next().expect("the engine replies once per op");
+                let t_before = self.clock;
+                t_befores.push(t_before);
+                self.apply_clock(&reply);
+                if let Some(ev) = ev {
+                    // A blocking send/recv anchors to its isend/irecv one
+                    // slot back (span 1), everything else to itself.
+                    let t_enter = t_befores[t_befores.len() - 1 - ev.span];
+                    self.emit_raw(ev.kind, ev.callsite, ev.stack_sig, t_enter);
+                }
+                out = Some((reply, t_before));
             }
-            out = Some((reply, *t_befores.last().expect("pushed above")));
         }
         self.drain_t = t_befores;
-        out
+        Ok(out)
     }
 
     /// Update the local clock from an engine reply (batched drain path).
@@ -670,10 +746,12 @@ impl Ctx {
         {
             std::panic::panic_any(SimAbort(None));
         }
-        match self.reply_rx.recv() {
-            Ok(Reply::Fatal(err)) => std::panic::panic_any(SimAbort(Some(err))),
-            Err(_) => std::panic::panic_any(SimAbort(None)),
-            Ok(reply) => reply,
+        // One op shipped, nothing queued behind it: the message holds
+        // exactly its reply (or the `Fatal` that ends the run).
+        match self.reply_rx.recv().map(|mut replies| replies.pop()) {
+            Ok(Some(Reply::Fatal(err))) => std::panic::panic_any(SimAbort(Some(err))),
+            Ok(Some(reply)) => reply,
+            Ok(None) | Err(_) => std::panic::panic_any(SimAbort(None)),
         }
     }
 
@@ -718,66 +796,20 @@ impl Ctx {
         hook.on_event(&event);
     }
 
-    /// Teardown-mode flush for the exit paths: ship the deferred queue
-    /// (optionally with a trailing `Op::Exited` riding the same batch) and
-    /// drain the deferred ops' replies without ever panicking — a `Fatal`
-    /// reply or a closed channel just ends the drain. This runs outside the
-    /// body's `catch_unwind`, so it must not unwind; hook events for the
-    /// deferred ops are still emitted so partial traces stay complete.
-    fn flush_teardown(&mut self, trailing_exit: bool) {
-        let mut ops = Vec::with_capacity(self.queue.len() + 1);
-        let mut evs = Vec::with_capacity(self.queue.len());
-        for (op, ev) in self.queue.drain(..) {
-            ops.push(op);
-            evs.push(ev);
-        }
-        if trailing_exit {
-            ops.push(Op::Exited);
-        }
-        if self
-            .req_tx
-            .send(Request {
-                rank: self.rank,
-                op: Op::Batch(ops),
-            })
-            .is_err()
-        {
-            return;
-        }
-        let mut t_befores = Vec::with_capacity(evs.len());
-        for ev in evs {
-            t_befores.push(self.clock);
-            match self.reply_rx.recv() {
-                Ok(Reply::Fatal(_)) | Err(_) => return,
-                Ok(reply) => {
-                    self.apply_clock(&reply);
-                    if let Some(ev) = ev {
-                        // Deferred blocking sends anchor to their isend one
-                        // slot back (span 1), everything else to itself.
-                        let t_enter = t_befores[t_befores.len() - 1 - ev.span];
-                        self.emit_raw(ev.kind, ev.callsite, ev.stack_sig, t_enter);
-                    }
-                }
-            }
-        }
-    }
-
+    /// The exit paths run outside the body's `catch_unwind`, so they must
+    /// not unwind: a `Fatal` reply or a closed channel just ends the drain.
+    /// Hook events for the deferred ops are still emitted, so partial traces
+    /// stay complete.
     pub(crate) fn send_exited(&mut self) {
-        if self.queue.is_empty() {
-            let _ = self.req_tx.send(Request {
-                rank: self.rank,
-                op: Op::Exited,
-            });
-        } else {
-            self.flush_teardown(true);
-        }
+        // Deferred ops and the exit ride one batch.
+        let _ = self.ship(true);
     }
 
     pub(crate) fn send_panicked(&mut self, message: String) {
         // Deliver any ops deferred before the panic first, so the partial
         // trace matches what an unbatched run would have recorded.
         if !self.queue.is_empty() {
-            self.flush_teardown(false);
+            let _ = self.ship(false);
         }
         let _ = self.req_tx.send(Request {
             rank: self.rank,

@@ -206,6 +206,19 @@ struct CollSlot {
 
 struct CommData {
     members: Arc<Vec<Rank>>,
+    /// `is_member[abs]`: membership by absolute rank, so the per-op peer
+    /// check does not scan `members`.
+    is_member: Vec<bool>,
+}
+
+impl CommData {
+    fn new(n: usize, members: Arc<Vec<Rank>>) -> CommData {
+        let mut is_member = vec![false; n];
+        for &m in members.iter() {
+            is_member[m] = true;
+        }
+        CommData { members, is_member }
+    }
 }
 
 struct Pending {
@@ -219,7 +232,13 @@ pub(crate) struct Engine {
     n: usize,
 
     req_rx: Receiver<Request>,
-    reply_tx: Vec<Sender<Reply>>,
+    reply_tx: Vec<Sender<Vec<Reply>>>,
+    /// Per rank: replies held back while the rank still has queued ops, so a
+    /// batch of k ops wakes the rank thread once, not k times. Handed over
+    /// as one message by [`Engine::hand_over`].
+    reply_buf: Vec<Vec<Reply>>,
+    /// Request messages received — the rank→engine baton crossings.
+    pub(crate) crossings: u64,
 
     clocks: Vec<SimTime>,
     pending: Vec<Option<Pending>>,
@@ -286,7 +305,7 @@ impl Engine {
         model: Arc<dyn NetworkModel>,
         policy: MatchPolicy,
         req_rx: Receiver<Request>,
-        reply_tx: Vec<Sender<Reply>>,
+        reply_tx: Vec<Sender<Vec<Reply>>>,
     ) -> Engine {
         Engine {
             model,
@@ -294,6 +313,8 @@ impl Engine {
             n,
             req_rx,
             reply_tx,
+            reply_buf: (0..n).map(|_| Vec::new()).collect(),
+            crossings: 0,
             clocks: vec![SimTime::ZERO; n],
             pending: (0..n).map(|_| None).collect(),
             queued: (0..n).map(|_| VecDeque::new()).collect(),
@@ -311,9 +332,7 @@ impl Engine {
             rndv: (0..n).map(|_| Vec::new()).collect(),
             stalled: (0..n).map(|_| VecDeque::new()).collect(),
             unexp_bytes: vec![0; n],
-            comms: vec![CommData {
-                members: Arc::new((0..n).collect()),
-            }],
+            comms: vec![CommData::new(n, Arc::new((0..n).collect()))],
             coll_slots: HashMap::new(),
             coll_seq: (0..n).map(|_| HashMap::new()).collect(),
             stats: EngineStats::default(),
@@ -351,6 +370,7 @@ impl Engine {
                     .recv()
                     .map_err(|_| SimError::InvalidHandle("request channel closed".into()))?;
                 self.running -= 1;
+                self.crossings += 1;
                 if let Op::Panicked(msg) = req.op {
                     let err = SimError::RankPanicked {
                         rank: req.rank,
@@ -361,6 +381,7 @@ impl Engine {
                 }
                 match req.op {
                     Op::Batch(ops) => {
+                        self.reply_buf[req.rank].reserve(ops.len());
                         let mut it = ops.into_iter();
                         let first = it.next().expect("batches are non-empty");
                         self.pending[req.rank] = Some(Pending {
@@ -554,6 +575,11 @@ impl Engine {
                 self.live -= 1;
                 self.pending[rank] = None;
                 self.progressed = true;
+                // A batch that ended in `Exited`: the rank thread is still
+                // draining the replies of the ops before it.
+                if !self.reply_buf[rank].is_empty() {
+                    self.hand_over(rank);
+                }
             }
             Op::Panicked(_) | Op::Batch(_) => unreachable!("handled at receive"),
         }
@@ -561,9 +587,10 @@ impl Engine {
     }
 
     /// Kill `rank` per the fault plan: it dies *before* the operation it was
-    /// about to issue takes effect. The reply bypasses [`Engine::reply`] —
+    /// about to issue takes effect. The `Fatal` bypasses [`Engine::reply`] —
     /// the rank will never run user code again, so it must not be counted as
-    /// running — and the thread unwinds via `SimAbort`, letting the world
+    /// running — and follows the replies still buffered for the ops the rank
+    /// did complete; the thread unwinds via `SimAbort`, letting the world
     /// recover its hooks (partial trace) after `catch_unwind`.
     fn crash_rank(&mut self, rank: Rank, after_ops: u64) {
         let err = SimError::RankFailed {
@@ -571,7 +598,8 @@ impl Engine {
             after_ops,
             blocked: Vec::new(),
         };
-        let _ = self.reply_tx[rank].send(Reply::Fatal(err));
+        self.reply_buf[rank].push(Reply::Fatal(err));
+        self.hand_over(rank);
         self.finished[rank] = true;
         self.live -= 1;
         self.pending[rank] = None;
@@ -584,7 +612,7 @@ impl Engine {
 
     fn check_member(&self, abs: Rank, comm: CommId) -> Result<(), SimError> {
         let data = &self.comms[comm as usize];
-        if data.members.contains(&abs) {
+        if data.is_member.get(abs).copied().unwrap_or(false) {
             Ok(())
         } else {
             Err(SimError::InvalidRank {
@@ -1017,9 +1045,7 @@ impl Engine {
             for (_color, group) in groups {
                 let id = self.comms.len() as CommId;
                 let members = Arc::new(group.clone());
-                self.comms.push(CommData {
-                    members: Arc::clone(&members),
-                });
+                self.comms.push(CommData::new(self.n, Arc::clone(&members)));
                 for (idx, &r) in group.iter().enumerate() {
                     new_comm_of.insert(
                         r,
@@ -1078,24 +1104,37 @@ impl Engine {
 
     fn reply(&mut self, rank: Rank, reply: Reply) {
         self.progressed = true;
-        // A send failure means the rank thread died; the subsequent request
-        // drain will surface the problem.
-        let _ = self.reply_tx[rank].send(reply);
+        self.reply_buf[rank].push(reply);
         match self.queued[rank].pop_front() {
             // The rank pre-submitted its next op in a batch: promote it so
             // the next round issues it — exactly when an individually
             // submitted op would have been issued (it would arrive during
             // the next quiescence phase). The rank thread is not running
-            // user code for it, so `running` stays untouched.
+            // user code for it, so `running` stays untouched and its thread
+            // stays parked: the reply waits in `reply_buf`.
             Some(op) => self.pending[rank] = Some(Pending { op, issued: false }),
-            None => self.running += 1,
+            None => {
+                self.running += 1;
+                self.hand_over(rank);
+            }
         }
     }
 
+    /// Send `rank` everything buffered for it as one message — one wake-up
+    /// of its thread. A send failure means the rank thread died; the
+    /// subsequent request drain will surface the problem.
+    fn hand_over(&mut self, rank: Rank) {
+        let _ = self.reply_tx[rank].send(std::mem::take(&mut self.reply_buf[rank]));
+    }
+
+    /// End the run for every live rank. Replies to ops that did complete go
+    /// first, `Fatal` last, so each rank records the same events as a run
+    /// that received its replies one by one.
     fn broadcast_fatal(&mut self, err: &SimError) {
         for r in 0..self.n {
             if !self.finished[r] {
-                let _ = self.reply_tx[r].send(Reply::Fatal(err.clone()));
+                self.reply_buf[r].push(Reply::Fatal(err.clone()));
+                self.hand_over(r);
             }
         }
     }

@@ -25,8 +25,9 @@ pub struct RoutineStats {
 #[derive(Clone, Debug, Default)]
 pub struct MpiP {
     by_routine: BTreeMap<&'static str, RoutineStats>,
-    /// `(call site "file:line", routine) -> stats`
-    by_callsite: BTreeMap<(String, &'static str), RoutineStats>,
+    /// `(file, line, routine) -> stats`; rendered as `"file:line"` on read,
+    /// so recording an event allocates nothing.
+    by_callsite: BTreeMap<(&'static str, u32, &'static str), RoutineStats>,
 }
 
 impl MpiP {
@@ -43,7 +44,7 @@ impl MpiP {
             e.bytes += stats.bytes;
         }
         for (key, stats) in &other.by_callsite {
-            let e = self.by_callsite.entry(key.clone()).or_default();
+            let e = self.by_callsite.entry(*key).or_default();
             e.calls += stats.calls;
             e.bytes += stats.bytes;
         }
@@ -73,18 +74,21 @@ impl MpiP {
         self.by_routine.iter().map(|(&n, &s)| (n, s))
     }
 
-    /// Per-call-site statistics: `(("file:line", routine), stats)`.
-    pub fn callsites(&self) -> impl Iterator<Item = (&(String, &'static str), &RoutineStats)> {
-        self.by_callsite.iter()
+    /// Per-call-site statistics: `(("file:line", routine), stats)`, in
+    /// `"file:line"` string order.
+    pub fn callsites(&self) -> impl Iterator<Item = ((String, &'static str), RoutineStats)> {
+        let mut v: Vec<_> = self
+            .by_callsite
+            .iter()
+            .map(|(&(file, line, name), &s)| ((format!("{file}:{line}"), name), s))
+            .collect();
+        v.sort_by(|a, b| a.0.cmp(&b.0));
+        v.into_iter()
     }
 
     /// The `top` call sites by byte volume, mpiP-report style.
     pub fn top_callsites(&self, top: usize) -> Vec<((String, &'static str), RoutineStats)> {
-        let mut v: Vec<_> = self
-            .by_callsite
-            .iter()
-            .map(|(k, &s)| (k.clone(), s))
-            .collect();
+        let mut v: Vec<_> = self.callsites().collect();
         v.sort_by_key(|e| std::cmp::Reverse((e.1.bytes, e.1.calls)));
         v.truncate(top);
         v
@@ -136,8 +140,8 @@ impl Hook for MpiP {
         let e = self.by_routine.entry(name).or_default();
         e.calls += 1;
         e.bytes += bytes;
-        let site = format!("{}:{}", event.callsite.file, event.callsite.line);
-        let c = self.by_callsite.entry((site, name)).or_default();
+        let site = (event.callsite.file, event.callsite.line, name);
+        let c = self.by_callsite.entry(site).or_default();
         c.calls += 1;
         c.bytes += bytes;
     }

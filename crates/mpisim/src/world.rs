@@ -25,6 +25,11 @@ pub struct RunReport {
     pub per_rank_time: Vec<SimTime>,
     /// Engine counters (messages, stalls, collectives, …).
     pub stats: EngineStats,
+    /// Request messages the engine received: how often a rank thread and
+    /// the engine handed the baton over. Repeats exactly for a given
+    /// program and batching mode. Kept out of `stats` because it is the one
+    /// number op batching is *meant* to change.
+    pub crossings: u64,
     /// Name of the network model the run used.
     pub network: String,
 }
@@ -102,11 +107,13 @@ impl World {
 
     /// Enable or disable client-side op batching (on by default). When on,
     /// every call whose reply the rank cannot observe — nonblocking ops,
-    /// computes, blocking sends, void collectives — is deferred and crosses
-    /// the rank→engine channel as one batch at the next value-returning
-    /// call, instead of one handoff per op. Virtual times, schedules, hook
-    /// events, and reports are identical either way; only host-side
-    /// synchronisation overhead changes.
+    /// computes, blocking sends, status-ignoring receives and waits, void
+    /// collectives — is deferred and crosses the rank→engine channel as one
+    /// batch at the next value-returning call (or when a fixed window of
+    /// deferred ops fills), and the replies come back as one message,
+    /// instead of one handoff per op each way. Virtual times, schedules,
+    /// hook events, and reports are identical either way; only host-side
+    /// synchronisation overhead (and [`RunReport::crossings`]) changes.
     pub fn op_batching(mut self, enabled: bool) -> World {
         self.op_batching = enabled;
         self
@@ -190,7 +197,7 @@ impl World {
         let mut reply_txs = Vec::with_capacity(n);
         let mut threads = Vec::with_capacity(n);
         for rank in 0..n {
-            let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
+            let (reply_tx, reply_rx) = mpsc::channel::<Vec<Reply>>();
             reply_txs.push(reply_tx);
             let hook = mk(rank);
             let body = Arc::clone(&body);
@@ -238,6 +245,7 @@ impl World {
             total_time: engine.max_clock(),
             per_rank_time: engine.clocks().to_vec(),
             stats: engine.stats.clone(),
+            crossings: engine.crossings,
             network: model.name().to_string(),
         });
         (result, hooks)

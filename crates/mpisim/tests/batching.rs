@@ -11,12 +11,16 @@
 //! byte-identical to the unbatched seed path, including under seeded fault
 //! perturbation.
 
+use mpisim::engine::{EngineStats, MatchPolicy};
+use mpisim::error::SimError;
 use mpisim::faults::FaultPlan;
+use mpisim::hooks::RecordingHook;
 use mpisim::network;
 use mpisim::profile::MpiP;
-use mpisim::time::SimDuration;
-use mpisim::types::{MsgInfo, Src, TagSel};
+use mpisim::time::{SimDuration, SimTime};
+use mpisim::types::{MsgInfo, ReqHandle, Src, TagSel};
 use mpisim::world::{RunReport, World};
+use mpisim::Ctx;
 use std::sync::{Arc, Mutex};
 
 /// An ISend/IRecv burst workload: every iteration posts `width` receives
@@ -157,4 +161,331 @@ fn batching_is_invisible_under_faulted_bursts() {
     assert_eq!(batched.total_time, unbatched.total_time);
     assert_eq!(batched.stats, unbatched.stats);
     assert_eq!(prof_b.diff(&prof_u), Vec::<String>::new());
+}
+
+// -- windows, status-ignoring calls, failure paths ---------------------------
+//
+// From here on the comparison is the strongest one available: every field of
+// every hook event on every rank (kind, call site, stack signature, enter and
+// exit times, order), plus the whole report.
+
+/// `Ctx`'s private deferred-window bound; the bodies below are sized around it.
+const WINDOW: usize = 128;
+
+/// How a body issues its blocking receives and waits, and whether the world
+/// batches: the three legs every differential below compares.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Leg {
+    /// `op_batching(false)`: one op per crossing, the reference.
+    Unbatched,
+    /// Batching on, status-returning `recv`/`wait`/`waitall` (end the batch).
+    Status,
+    /// Batching on, `recv_ignore`/`wait_ignore`/`waitall_ignore` (deferred).
+    Ignore,
+}
+
+const LEGS: [Leg; 3] = [Leg::Unbatched, Leg::Status, Leg::Ignore];
+
+// `#[track_caller]` makes both forms report the helper's caller, so the legs
+// record the same call site and stack signature.
+#[track_caller]
+fn recv_on(ctx: &mut Ctx, leg: Leg, from: Src, tag: TagSel, bytes: u64) -> Option<MsgInfo> {
+    let w = ctx.world();
+    match leg {
+        Leg::Ignore => {
+            ctx.recv_ignore(from, tag, bytes, &w);
+            None
+        }
+        _ => Some(ctx.recv(from, tag, bytes, &w)),
+    }
+}
+
+#[track_caller]
+fn waitall_on(ctx: &mut Ctx, leg: Leg, hs: &[ReqHandle]) {
+    match (leg, hs) {
+        (Leg::Ignore, [h]) => ctx.wait_ignore(*h),
+        (Leg::Ignore, _) => ctx.waitall_ignore(hs),
+        (_, [h]) => drop(ctx.wait(*h)),
+        _ => drop(ctx.waitall(hs)),
+    }
+}
+
+/// Everything a run lets its caller observe: the report or the error, and
+/// each rank's recorded events rendered field by field.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    outcome: Result<(SimTime, Vec<SimTime>, EngineStats), SimError>,
+    events: Vec<Vec<String>>,
+}
+
+fn observe(
+    leg: Leg,
+    configure: impl Fn(World) -> World,
+    body: impl Fn(&mut Ctx) + Send + Sync + 'static,
+) -> (Observed, Option<RunReport>) {
+    let world = configure(World::new(4).network(network::ethernet_cluster()))
+        .op_batching(leg != Leg::Unbatched);
+    let (result, hooks) = world.run_hooked_partial(|_| RecordingHook::default(), body);
+    let events = hooks
+        .iter()
+        .map(|h| h.events.iter().map(|e| format!("{e:?}")).collect())
+        .collect();
+    let report = result.as_ref().ok().cloned();
+    let outcome = result.map(|r| (r.total_time, r.per_rank_time, r.stats));
+    (Observed { outcome, events }, report)
+}
+
+/// Run `body` on all three legs and require them to be indistinguishable.
+/// Returns the legs' reports (`None` where the run failed).
+fn assert_legs_agree<B>(
+    what: &str,
+    configure: impl Fn(World) -> World,
+    body: impl Fn(Leg) -> B,
+) -> Vec<Option<RunReport>>
+where
+    B: Fn(&mut Ctx) + Send + Sync + 'static,
+{
+    let runs: Vec<_> = LEGS
+        .iter()
+        .map(|&leg| observe(leg, &configure, body(leg)))
+        .collect();
+    for (leg, (observed, _)) in LEGS.iter().zip(&runs).skip(1) {
+        assert_eq!(
+            observed, &runs[0].0,
+            "{what}: {leg:?} differs from Unbatched"
+        );
+    }
+    runs.into_iter().map(|(_, report)| report).collect()
+}
+
+/// A ring step whose *last* deferrable entry is entry number `len` of the
+/// rank's run: `len - 2` computes, then a blocking send and a blocking
+/// receive (two queue entries each: isend/irecv + wait). Even ranks send
+/// first, odd ranks receive first, so at `len == WINDOW + 1` the pair that
+/// straddles the bound is a send on some ranks and a receive on the others.
+/// Nothing value-returning follows: on the `Ignore` leg the rank exits with
+/// its tail still deferred.
+fn straddle(len: usize, leg: Leg) -> impl Fn(&mut Ctx) + Send + Sync + 'static {
+    move |ctx| {
+        let w = ctx.world();
+        let right = (ctx.rank() + 1) % ctx.size();
+        let left = (ctx.rank() + ctx.size() - 1) % ctx.size();
+        for k in 0..len - 2 {
+            ctx.compute(SimDuration::from_nanos(100 + k as u64));
+        }
+        if ctx.rank() % 2 == 0 {
+            ctx.send(right, 3, 700, &w);
+            recv_on(ctx, leg, Src::Rank(left), TagSel::Is(3), 700);
+        } else {
+            recv_on(ctx, leg, Src::Rank(left), TagSel::Is(3), 700);
+            ctx.send(right, 3, 700, &w);
+        }
+    }
+}
+
+#[test]
+fn deferred_runs_around_the_window_bound_match_unbatched() {
+    for len in [WINDOW - 1, WINDOW, WINDOW + 1, 3 * WINDOW + 1] {
+        let reports = assert_legs_agree(&format!("len {len}"), |w| w, |leg| straddle(len, leg));
+        let [unbatched, _, ignore] = &reports[..] else {
+            unreachable!()
+        };
+        let (unbatched, ignore) = (unbatched.as_ref().unwrap(), ignore.as_ref().unwrap());
+        // One op per crossing without batching (the exit is an op too) ...
+        assert_eq!(unbatched.crossings, unbatched.stats.operations);
+        // ... and with it: one per full window, one for what is left (the
+        // exit rides that batch, or goes alone when nothing is left).
+        let entries = len + 2;
+        assert_eq!(
+            ignore.crossings,
+            4 * (entries / WINDOW + 1) as u64,
+            "len {len}"
+        );
+    }
+}
+
+/// Mixed traffic on every leg: nonblocking bursts closed by a wait or a
+/// waitall, blocking pairs, a collective per round — several windows long.
+fn mixed(rounds: usize, leg: Leg) -> impl Fn(&mut Ctx) + Send + Sync + 'static {
+    move |ctx| {
+        let w = ctx.world();
+        let right = (ctx.rank() + 1) % ctx.size();
+        let left = (ctx.rank() + ctx.size() - 1) % ctx.size();
+        for it in 0..rounds {
+            let bytes = 300 + 40 * (it as u64 % 7);
+            let r = ctx.irecv(Src::Rank(left), TagSel::Is(1), bytes, &w);
+            let s = ctx.isend(right, 1, bytes, &w);
+            ctx.compute(SimDuration::from_usecs(2 + it as u64 % 3));
+            waitall_on(ctx, leg, &[r, s]);
+            let s = ctx.isend(left, 2, 64, &w);
+            recv_on(ctx, leg, Src::Rank(right), TagSel::Is(2), 64);
+            waitall_on(ctx, leg, &[s]);
+            ctx.region("reduce", |ctx| ctx.allreduce(8, &ctx.world()));
+        }
+    }
+}
+
+#[test]
+fn status_ignoring_calls_match_status_returning_calls_and_unbatched() {
+    let reports = assert_legs_agree("mixed", |w| w, |leg| mixed(60, leg));
+    let crossings: Vec<u64> = reports
+        .iter()
+        .map(|r| r.as_ref().unwrap().crossings)
+        .collect();
+    let ops = reports[0].as_ref().unwrap().stats.operations;
+    assert_eq!(crossings[0], ops, "unbatched: one op per crossing");
+    assert!(crossings[1] < crossings[0], "{crossings:?}");
+    assert!(
+        crossings[2] * 32 <= ops,
+        "ignoring leg crossed {} times for {ops} ops",
+        crossings[2]
+    );
+}
+
+/// The wildcard funnel of `wildcard_funnel`, long enough to cross the window
+/// bound, with the sink's receives issued per leg. Returns what the
+/// status-returning legs saw, for comparing match outcomes directly.
+fn funnel(leg: Leg, seen: Arc<Mutex<Vec<MsgInfo>>>) -> impl Fn(&mut Ctx) + Send + Sync + 'static {
+    move |ctx| {
+        let w = ctx.world();
+        let rounds = WINDOW;
+        if ctx.rank() == 0 {
+            for _ in 0..rounds * (ctx.size() - 1) {
+                if let Some(info) = recv_on(ctx, leg, Src::Any, TagSel::Any, 8 << 10) {
+                    seen.lock().unwrap().push(info);
+                }
+            }
+        } else {
+            for round in 0..rounds {
+                ctx.compute(SimDuration::from_usecs(3 * ctx.rank() as u64));
+                ctx.send(0, round as i32, 512 + ctx.rank() as u64, &w);
+            }
+        }
+        ctx.barrier(&w);
+    }
+}
+
+#[test]
+fn wildcard_matches_are_unchanged_by_run_ahead() {
+    type Configure = Box<dyn Fn(World) -> World>;
+    let mut worlds: Vec<(String, Configure)> = Vec::new();
+    for seed in 0..3u64 {
+        worlds.push((
+            format!("MatchPolicy::Seeded({seed})"),
+            Box::new(move |w: World| w.match_policy(MatchPolicy::Seeded(seed))),
+        ));
+        worlds.push((
+            format!("reorder+jitter plan {seed}"),
+            Box::new(move |w: World| {
+                w.faults(
+                    FaultPlan::seeded(seed)
+                        .with_latency_jitter(0.4)
+                        .with_reorder(),
+                )
+            }),
+        ));
+    }
+    for (what, configure) in &worlds {
+        let seen: Vec<_> = LEGS
+            .iter()
+            .map(|_| Arc::new(Mutex::new(Vec::new())))
+            .collect();
+        assert_legs_agree(what, configure, |leg| {
+            funnel(leg, Arc::clone(&seen[leg as usize]))
+        });
+        let unbatched = seen[0].lock().unwrap();
+        assert_eq!(unbatched.len(), WINDOW * 3);
+        assert_eq!(*unbatched, *seen[1].lock().unwrap(), "{what}: match order");
+    }
+}
+
+// -- failure paths -----------------------------------------------------------
+
+#[test]
+fn injected_crashes_and_budgets_fail_identically_on_every_leg() {
+    type Configure = Box<dyn Fn(World) -> World>;
+    let scenarios: Vec<(&str, Configure)> = vec![
+        (
+            "crash_after mid-window",
+            Box::new(|w: World| w.faults(FaultPlan::seeded(1).crash_rank(2, 200))),
+        ),
+        (
+            "crash_after on a window edge",
+            Box::new(|w: World| w.faults(FaultPlan::seeded(1).crash_rank(1, WINDOW as u64))),
+        ),
+        (
+            "crash_in_collective",
+            Box::new(|w: World| w.faults(FaultPlan::seeded(2).crash_in_collective(3, 17))),
+        ),
+        ("op budget", Box::new(|w: World| w.op_budget(1_000))),
+        (
+            "time budget",
+            Box::new(|w: World| w.time_budget(SimTime::ZERO + SimDuration::from_usecs(400))),
+        ),
+    ];
+    for (what, configure) in &scenarios {
+        let reports = assert_legs_agree(what, configure, |leg| mixed(60, leg));
+        assert!(
+            reports.iter().all(Option::is_none),
+            "{what} must fail the run"
+        );
+    }
+}
+
+#[test]
+fn receive_receive_deadlock_reports_the_same_edges_on_every_leg() {
+    let body = |leg: Leg| {
+        move |ctx: &mut Ctx| {
+            let w = ctx.world();
+            let peer = ctx.rank() ^ 1;
+            ctx.compute(SimDuration::from_usecs(1 + ctx.rank() as u64));
+            ctx.isend(peer, 9, 16, &w);
+            // Both sides of each pair receive a tag nobody sends.
+            recv_on(ctx, leg, Src::Rank(peer), TagSel::Is(0), 64);
+            ctx.send(peer, 0, 64, &w);
+        }
+    };
+    let (observed, _) = observe(Leg::Ignore, |w| w, body(Leg::Ignore));
+    match &observed.outcome {
+        Err(SimError::Deadlock(blocked)) => {
+            assert_eq!(blocked.len(), 4);
+            assert!(
+                blocked[0].what.contains("recv pending"),
+                "{}",
+                blocked[0].what
+            );
+            assert_eq!(blocked[0].waiting_on, vec![1]);
+        }
+        other => panic!("expected a deadlock, got {other:?}"),
+    }
+    assert_legs_agree("recv/recv deadlock", |w| w, body);
+}
+
+#[test]
+fn a_body_that_panics_after_deferring_delivers_its_ops_first() {
+    let body = |leg: Leg| {
+        move |ctx: &mut Ctx| {
+            let w = ctx.world();
+            let right = (ctx.rank() + 1) % ctx.size();
+            let left = (ctx.rank() + ctx.size() - 1) % ctx.size();
+            for _ in 0..WINDOW + 20 {
+                ctx.send(right, 5, 128, &w);
+                recv_on(ctx, leg, Src::Rank(left), TagSel::Is(5), 128);
+            }
+            if ctx.rank() == 1 {
+                panic!("rank body gave up");
+            }
+            ctx.barrier(&w);
+        }
+    };
+    let (observed, _) = observe(Leg::Ignore, |w| w, body(Leg::Ignore));
+    assert_eq!(
+        observed.outcome,
+        Err(SimError::RankPanicked {
+            rank: 1,
+            message: "rank body gave up".into()
+        })
+    );
+    assert_eq!(observed.events[1].len(), 2 * (WINDOW + 20));
+    assert_legs_agree("panic after deferring", |w| w, body);
 }

@@ -303,7 +303,10 @@ fn main() -> ExitCode {
     // 5. Optionally execute the generated benchmark.
     if args.run {
         match conceptual::interp::run_program(&generated.program, trace.nranks, machine) {
-            Ok(outcome) => eprintln!("T_gen = {}", outcome.total_time),
+            Ok(outcome) => eprintln!(
+                "T_gen = {} ({} simulated ops in {} rank/engine crossings)",
+                outcome.total_time, outcome.report.stats.operations, outcome.report.crossings
+            ),
             Err(e) => {
                 eprintln!("generated benchmark failed: {e}");
                 return ExitCode::FAILURE;

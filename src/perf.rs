@@ -249,6 +249,19 @@ pub struct Suite {
     /// merge memory tracks behavior classes rather than P is part of the
     /// committed record and gated by `--check`.
     pub peak_rss_kb: Option<u64>,
+    /// Simulator counts of the `current` leg's generated-program run —
+    /// pipeline suites only. Both repeat exactly from run to run, so
+    /// `--check` gates `crossings` where wall time is too noisy to.
+    pub sim: Option<SimCounts>,
+}
+
+/// What one simulated run cost in engine work and in thread handoffs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SimCounts {
+    /// MPI-level operations the engine issued.
+    pub ops: u64,
+    /// Request messages the engine received (rank-engine baton crossings).
+    pub crossings: u64,
 }
 
 /// Capture counters of the streaming suite, pooled over all ranks.
@@ -637,6 +650,7 @@ fn merge_suite_over(
         merge_stats,
         stream_stats: None,
         peak_rss_kb,
+        sim: None,
     }
 }
 
@@ -683,6 +697,7 @@ fn compression_suite(cfg: &PerfConfig, nranks: usize, variants: &[Variant]) -> S
         merge_stats: None,
         stream_stats: None,
         peak_rss_kb: None,
+        sim: None,
     }
 }
 
@@ -708,14 +723,15 @@ fn ratio(baseline_ns: u64, current_ns: u64) -> f64 {
 }
 
 /// One full pipeline pass: trace (or cache load) → generate → execute
-/// under an mpiP hook. The cache key decides cold vs warm.
+/// under an mpiP hook. The cache key decides cold vs warm. Returns the
+/// counts of the generated program's run.
 fn pipeline_once(
     app: &'static App,
     params: AppParams,
     variant: Variant,
     cache: &TraceCache,
     key: u64,
-) -> Result<usize, String> {
+) -> Result<SimCounts, String> {
     let n = PIPELINE_RANKS;
     let trace = match cache.load(key) {
         Some(hit) => hit.trace,
@@ -739,14 +755,16 @@ fn pipeline_once(
         .map_err(|e| format!("{}: generation failed: {e}", app.name))?;
     let prog = Arc::new(generated.program);
     let p = Arc::clone(&prog);
-    let (_, hooks) = World::new(n)
+    let (report, hooks) = World::new(n)
         .network(network::ideal())
         .op_batching(variant.batching())
         .run_hooked(|_| MpiP::new(), move |ctx| run_rank(ctx, &p))
         .map_err(|e| format!("{}: execution failed: {e}", app.name))?;
-    Ok(black_box(
-        MpiP::merge_all(hooks.iter()).total_calls() as usize
-    ))
+    black_box(MpiP::merge_all(hooks.iter()).total_calls());
+    Ok(SimCounts {
+        ops: report.stats.operations,
+        crossings: report.crossings,
+    })
 }
 
 fn pipeline_key(app: &str, variant: Variant, phase: &str, rep: usize) -> u64 {
@@ -762,13 +780,14 @@ fn pipeline_key(app: &str, variant: Variant, phase: &str, rep: usize) -> u64 {
 
 /// Cold and warm medians for one (app, variant): each rep uses a distinct
 /// cache key, so the first pass is a guaranteed miss (trace + store) and
-/// the second a guaranteed hit (load).
+/// the second a guaranteed hit (load). The counts are the last pass's
+/// (they do not vary from pass to pass).
 fn pipeline_medians(
     cfg: &PerfConfig,
     app: &'static App,
     variant: Variant,
     cache: &TraceCache,
-) -> Result<(u64, u64), String> {
+) -> Result<(u64, u64, Option<SimCounts>), String> {
     let params = AppParams {
         class: Class::S,
         iterations: Some(cfg.pipeline_iters()),
@@ -781,16 +800,17 @@ fn pipeline_medians(
     }
     let mut cold = Vec::with_capacity(cfg.reps());
     let mut warm = Vec::with_capacity(cfg.reps());
+    let mut counts = None;
     for rep in 0..cfg.reps() {
         let key = pipeline_key(app.name, variant, "rep", rep);
         let t0 = Instant::now();
         pipeline_once(app, params, variant, cache, key)?;
         cold.push(t0.elapsed().as_nanos() as u64);
         let t1 = Instant::now();
-        pipeline_once(app, params, variant, cache, key)?;
+        counts = Some(pipeline_once(app, params, variant, cache, key)?);
         warm.push(t1.elapsed().as_nanos() as u64);
     }
-    Ok((median(cold), median(warm)))
+    Ok((median(cold), median(warm), counts))
 }
 
 fn pipeline_suite(
@@ -801,10 +821,14 @@ fn pipeline_suite(
 ) -> Result<Suite, String> {
     let mut cold = [0u64; 2];
     let mut warm = [0u64; 2];
+    let mut sim = None;
     for &v in variants {
-        let (c, w) = pipeline_medians(cfg, app, v, cache)?;
+        let (c, w, counts) = pipeline_medians(cfg, app, v, cache)?;
         cold[(v == Variant::Baseline) as usize] = c;
         warm[(v == Variant::Baseline) as usize] = w;
+        if v == Variant::Current {
+            sim = counts;
+        }
     }
     let (current_ns, baseline_ns) = fill_missing(cold, variants);
     let (warm_ns, baseline_warm_ns) = fill_missing(warm, variants);
@@ -821,6 +845,7 @@ fn pipeline_suite(
         merge_stats: None,
         stream_stats: None,
         peak_rss_kb: None,
+        sim,
     })
 }
 
@@ -910,6 +935,7 @@ fn stream_suite(cfg: &PerfConfig, variants: &[Variant]) -> Result<Suite, String>
         merge_stats: None,
         stream_stats,
         peak_rss_kb: None,
+        sim: None,
     })
 }
 
@@ -1050,6 +1076,7 @@ pub fn run(cfg: &PerfConfig) -> Result<PerfReport, String> {
         merge_stats: None,
         stream_stats: None,
         peak_rss_kb: None,
+        sim: None,
     });
 
     Ok(PerfReport {
@@ -1105,6 +1132,12 @@ impl Suite {
             // Additive field (schema stays commspec-perf/v2): the merge's
             // peak-resident delta, so the memory-vs-P claim is committed.
             obj.push(("peak_rss_kb".into(), Json::Num(kb as f64)));
+        }
+        if let Some(sim) = self.sim {
+            // Additive fields (schema stays commspec-perf/v2): exact counts
+            // of the generated program's run.
+            obj.push(("sim_ops".into(), Json::Num(sim.ops as f64)));
+            obj.push(("crossings".into(), Json::Num(sim.crossings as f64)));
         }
         if let Some(st) = &self.stream_stats {
             // Additive fields (schema stays commspec-perf/v2): the capture
@@ -1162,13 +1195,20 @@ impl PerfReport {
     /// Human-readable summary table.
     pub fn table(&self) -> String {
         let mut out = format!(
-            "{:<24} {:>6} {:>4} {:>13} {:>13} {:>13} {:>8}\n",
-            "suite", "ranks", "thr", "current(ms)", "baseline(ms)", "warm(ms)", "speedup"
+            "{:<24} {:>6} {:>4} {:>13} {:>13} {:>13} {:>8} {:>14}\n",
+            "suite",
+            "ranks",
+            "thr",
+            "current(ms)",
+            "baseline(ms)",
+            "warm(ms)",
+            "speedup",
+            "crossings/ops"
         );
         for s in &self.suites {
             let ms = |ns: u64| ns as f64 / 1e6;
             out.push_str(&format!(
-                "{:<24} {:>6} {:>4} {:>13.2} {:>13.2} {:>13} {:>7.2}x\n",
+                "{:<24} {:>6} {:>4} {:>13.2} {:>13.2} {:>13} {:>7.2}x {:>14}\n",
                 s.name,
                 s.ranks,
                 match s.threads {
@@ -1182,6 +1222,10 @@ impl PerfReport {
                     None => "-".into(),
                 },
                 s.speedup,
+                match s.sim {
+                    Some(sim) => format!("{}/{}", sim.crossings, sim.ops),
+                    None => "-".into(),
+                },
             ));
         }
         out
@@ -1226,6 +1270,17 @@ pub fn check_regressions(new: &PerfReport, committed: &Json) -> Vec<String> {
         if let Some(committed_threads) = suite.get("threads").and_then(Json::as_num) {
             if fresh.threads.map(|t| t as f64) != Some(committed_threads) {
                 continue;
+            }
+        }
+        // The crossing count repeats exactly, so any rise is a change in how
+        // often rank threads and the engine synchronise, not noise.
+        let old_crossings = suite.get("crossings").and_then(Json::as_num);
+        if let (Some(old), Some(sim)) = (old_crossings, fresh.sim) {
+            if sim.crossings as f64 > old {
+                errors.push(format!(
+                    "suite {name}: {} rank/engine crossings, committed {old}",
+                    sim.crossings
+                ));
             }
         }
         let floor = old_speedup * (1.0 - CHECK_TOLERANCE);
@@ -1350,6 +1405,7 @@ mod tests {
             merge_stats: None,
             stream_stats: None,
             peak_rss_kb: None,
+            sim: None,
         }
     }
 
@@ -1431,6 +1487,32 @@ mod tests {
         );
         let same_width_ok = report(vec![suite("merge_r256", "merge", 3.9, Some(8))]);
         assert!(check_regressions(&same_width_ok, &committed).is_empty());
+    }
+
+    #[test]
+    fn check_gates_the_crossing_count_exactly() {
+        let row = |crossings| {
+            let mut s = suite("pipeline_lu_r4", "pipeline", 3.0, None);
+            s.sim = Some(SimCounts {
+                ops: 1204,
+                crossings,
+            });
+            s
+        };
+        let committed = parse_json(&report(vec![row(12)]).to_json().to_string()).unwrap();
+        assert!(check_regressions(&report(vec![row(12)]), &committed).is_empty());
+        assert!(check_regressions(&report(vec![row(8)]), &committed).is_empty());
+        let errors = check_regressions(&report(vec![row(13)]), &committed);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(
+            errors[0].contains("13 rank/engine crossings"),
+            "{}",
+            errors[0]
+        );
+        // A baseline committed before the counter existed gates nothing.
+        let old = report(vec![suite("pipeline_lu_r4", "pipeline", 3.0, None)]);
+        let old = parse_json(&old.to_json().to_string()).unwrap();
+        assert!(check_regressions(&report(vec![row(999)]), &old).is_empty());
     }
 
     #[test]
