@@ -22,6 +22,28 @@
 //! statements auto-post the matching receives on the destination tasks
 //! (the convenient coNCePTuaL default, §3.2); generated benchmarks always
 //! carry explicit receives for precise posting-order control.
+//!
+//! ## Per-rank projection of loops
+//!
+//! A program describes every task, but a rank executes only its own part.
+//! Statements outside loops run once, so a rank just tests its membership
+//! as it reaches them. A loop body runs many times: when a rank reaches an
+//! outermost loop that repeats, it first *projects* the body (nested loops
+//! included) onto itself in one pass over its statements ([`project`]) and
+//! iterates over the projection. In it, statements over a task set that
+//! provably excludes the rank are gone, and so are inner loops whose
+//! projected body is empty; the rank's own point-to-point statements have
+//! shrunk to `TASK <rank>` with loop-invariant operands folded to
+//! literals; an `IF` with a loop-invariant condition is replaced by the
+//! taken branch. Whatever cannot be decided before the first iteration
+//! stays as written: task sets or operands that mention a `FOR EACH`
+//! variable, `GROUP` subjects (the group table is run-time state), `SEND`s
+//! while receives are auto-posted (any rank may be a destination), a
+//! `MULTICAST` whose root is not known to be another task, and the
+//! statements that concern every rank (`GROUP … IS`, `PARTITION`, `RESET`,
+//! `LOG`). The projection is executed by the same statement walker as the
+//! rest of the program, so it issues exactly the operations the loop as
+//! written would.
 
 use crate::analyze::{expand_runs, validate};
 use crate::ast::*;
@@ -103,10 +125,7 @@ pub fn run_program_on(program: &Program, world: World, n: usize) -> Result<RunOu
     let logs: Arc<Mutex<Vec<LogEntry>>> = Arc::new(Mutex::new(Vec::new()));
     let logs_in = Arc::clone(&logs);
     let report = world
-        .run(move |ctx| {
-            let mut exec = Exec::new(ctx, &program, logs_in.clone());
-            exec.run();
-        })
+        .run(move |ctx| Exec::execute(ctx, &program, logs_in.clone(), true))
         .map_err(RunError::Sim)?;
     let mut logs = Arc::try_unwrap(logs)
         .map(|m| m.into_inner().expect("log mutex poisoned"))
@@ -130,9 +149,15 @@ pub fn eval_const(e: &Expr) -> i64 {
 /// [`World`] — e.g. tracing or profiling the generated benchmark by running
 /// it under interposition hooks.
 pub fn run_rank(ctx: &mut Ctx, program: &Program) {
-    let logs = Arc::new(Mutex::new(Vec::new()));
-    let mut exec = Exec::new(ctx, program, logs);
-    exec.run();
+    Exec::execute(ctx, program, Arc::default(), true);
+}
+
+/// [`run_rank`] without projecting loops: the rank walks every statement of
+/// every iteration and tests its membership each time. The oracle that
+/// tests compare the projection against.
+#[doc(hidden)]
+pub fn run_rank_unprojected(ctx: &mut Ctx, program: &Program) {
+    Exec::execute(ctx, program, Arc::default(), false);
 }
 
 /// Variable bindings during execution. Binding pushes a borrowed stack
@@ -168,34 +193,60 @@ impl<'a> Env<'a> {
     }
 }
 
-fn eval(e: &Expr, env: &Env) -> i64 {
-    match e {
-        Expr::Num(v) => *v,
-        Expr::NumTasks => env.num_tasks,
-        Expr::Var(v) => env
-            .get(v)
-            .unwrap_or_else(|| panic!("unbound variable {v} (validation gap)")),
-        Expr::Add(a, b) => eval(a, env) + eval(b, env),
-        Expr::Sub(a, b) => eval(a, env) - eval(b, env),
-        Expr::Mul(a, b) => eval(a, env) * eval(b, env),
-        Expr::Div(a, b) => {
-            let d = eval(b, env);
-            assert!(d != 0, "division by zero");
-            eval(a, env) / d
+/// Why an expression has no value.
+enum EvalError<'e> {
+    Unbound(&'e str),
+    DivByZero,
+    ModByZero,
+}
+
+impl std::fmt::Display for EvalError<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EvalError::Unbound(v) => write!(f, "unbound variable {v} (validation gap)"),
+            EvalError::DivByZero => f.write_str("division by zero"),
+            EvalError::ModByZero => f.write_str("MOD by zero"),
         }
-        Expr::Mod(a, b) => {
-            let d = eval(b, env);
-            assert!(d != 0, "MOD by zero");
-            eval(a, env).rem_euclid(d)
-        }
-        Expr::Xor(a, b) => eval(a, env) ^ eval(b, env),
     }
 }
 
-fn eval_cond(c: &Cond, env: &Env) -> bool {
-    match c {
+/// Evaluate `e` with variables resolved by `var`: the run-time [`Env`], or
+/// the projection's static scope, where a variable may have no value yet.
+fn try_eval<'e>(
+    e: &'e Expr,
+    num_tasks: i64,
+    var: &impl Fn(&str) -> Option<i64>,
+) -> Result<i64, EvalError<'e>> {
+    let ev = |e| try_eval(e, num_tasks, var);
+    Ok(match e {
+        Expr::Num(v) => *v,
+        Expr::NumTasks => num_tasks,
+        Expr::Var(v) => var(v).ok_or(EvalError::Unbound(v))?,
+        Expr::Add(a, b) => ev(a)? + ev(b)?,
+        Expr::Sub(a, b) => ev(a)? - ev(b)?,
+        Expr::Mul(a, b) => ev(a)? * ev(b)?,
+        Expr::Div(a, b) => match ev(b)? {
+            0 => return Err(EvalError::DivByZero),
+            d => ev(a)? / d,
+        },
+        Expr::Mod(a, b) => match ev(b)? {
+            0 => return Err(EvalError::ModByZero),
+            d => ev(a)?.rem_euclid(d),
+        },
+        Expr::Xor(a, b) => ev(a)? ^ ev(b)?,
+    })
+}
+
+fn try_eval_cond<'e>(
+    c: &'e Cond,
+    num_tasks: i64,
+    var: &impl Fn(&str) -> Option<i64>,
+) -> Result<bool, EvalError<'e>> {
+    let ev = |e| try_eval(e, num_tasks, var);
+    let evc = |c| try_eval_cond(c, num_tasks, var);
+    Ok(match c {
         Cond::Cmp(a, op, b) => {
-            let (x, y) = (eval(a, env), eval(b, env));
+            let (x, y) = (ev(a)?, ev(b)?);
             match op {
                 CmpOp::Eq => x == y,
                 CmpOp::Ne => x != y,
@@ -206,21 +257,277 @@ fn eval_cond(c: &Cond, env: &Env) -> bool {
             }
         }
         Cond::Divides(a, b) => {
-            let d = eval(a, env);
-            d != 0 && eval(b, env).rem_euclid(d) == 0
+            let d = ev(a)?;
+            d != 0 && ev(b)?.rem_euclid(d) == 0
         }
-        Cond::And(a, b) => eval_cond(a, env) && eval_cond(b, env),
-        Cond::Or(a, b) => eval_cond(a, env) || eval_cond(b, env),
-        Cond::Not(a) => !eval_cond(a, env),
+        Cond::And(a, b) => evc(a)? && evc(b)?,
+        Cond::Or(a, b) => evc(a)? || evc(b)?,
+        Cond::Not(a) => !evc(a)?,
+    })
+}
+
+fn eval(e: &Expr, env: &Env) -> i64 {
+    try_eval(e, env.num_tasks, &|v| env.get(v)).unwrap_or_else(|err| panic!("{err}"))
+}
+
+fn eval_cond(c: &Cond, env: &Env) -> bool {
+    try_eval_cond(c, env.num_tasks, &|v| env.get(v)).unwrap_or_else(|err| panic!("{err}"))
+}
+
+/// Is `task` in the set `runs` describe?
+fn in_runs(runs: &[TaskRun], task: usize) -> bool {
+    runs.iter().any(|r| r.count > 0 && r.contains(task))
+}
+
+/// The part of a loop body that task `me` of `n` can take part in (see the
+/// module docs), given the bindings in force where the loop starts and its
+/// own variable (`FOR EACH` only). `explicit_receives` is the whole
+/// program's property.
+fn project(
+    body: &[Stmt],
+    env: &Env,
+    loop_var: Option<&str>,
+    me: usize,
+    explicit_receives: bool,
+) -> Vec<Stmt> {
+    let mut scope: Vec<_> = std::iter::successors(Some(env), |e| e.parent)
+        .filter_map(|e| e.binding)
+        .map(|(name, value)| (name, Some(value)))
+        .collect();
+    scope.reverse();
+    scope.extend(loop_var.map(|v| (v, None)));
+    let mut p = Projector {
+        me,
+        n: env.num_tasks as usize,
+        explicit_receives,
+        scope,
+    };
+    p.block(body)
+}
+
+struct Projector<'p> {
+    me: usize,
+    n: usize,
+    explicit_receives: bool,
+    /// Variables in scope, innermost last: `t`, task binders, and `FOR EACH`
+    /// variables (`None`: the value differs from iteration to iteration).
+    scope: Vec<(&'p str, Option<i64>)>,
+}
+
+impl<'p> Projector<'p> {
+    fn eval<'e>(&self, e: &'e Expr) -> Result<i64, EvalError<'e>> {
+        try_eval(e, self.n as i64, &|v| self.lookup(v))
+    }
+
+    fn lookup(&self, name: &str) -> Option<i64> {
+        let (_, value) = self.scope.iter().rev().find(|(n, _)| *n == name)?;
+        *value
+    }
+
+    /// `e` as a literal if it has a value now, else as written.
+    fn fold(&self, e: &Expr) -> Expr {
+        self.eval(e).map_or_else(|_| e.clone(), Expr::Num)
+    }
+
+    /// Does `ts` select this rank? `None`: not decidable before execution.
+    fn selects_me(&self, ts: &TaskSet) -> Option<bool> {
+        match &ts.sel {
+            TaskSel::All => Some(true),
+            TaskSel::Single(e) => {
+                let task = self.eval(e).ok()?;
+                Some(task.rem_euclid(self.n as i64) as usize == self.me)
+            }
+            TaskSel::Runs(runs) => Some(in_runs(runs, self.me)),
+            TaskSel::Group(_) => None,
+        }
+    }
+
+    /// This rank's own instance of a statement over `ts`: `operands` folds
+    /// what the statement evaluates under the set's binder, and the set
+    /// becomes `TASK me` — keeping the binder only for operands that are
+    /// still expressions.
+    fn own<const N: usize>(
+        &mut self,
+        ts: &'p TaskSet,
+        operands: [Option<&Expr>; N],
+    ) -> (TaskSet, [Option<Expr>; N]) {
+        if let Some(v) = &ts.var {
+            self.scope.push((v, Some(self.me as i64)));
+        }
+        let folded = operands.map(|e| e.map(|e| self.fold(e)));
+        if ts.var.is_some() {
+            self.scope.pop();
+        }
+        let all_literal = folded
+            .iter()
+            .all(|e| matches!(e, None | Some(Expr::Num(_))));
+        let own = TaskSet {
+            var: ts.var.clone().filter(|_| !all_literal),
+            sel: TaskSel::Single(Expr::Num(self.me as i64)),
+        };
+        (own, folded)
+    }
+
+    fn block(&mut self, stmts: &'p [Stmt]) -> Vec<Stmt> {
+        let mut out = Vec::new();
+        for s in stmts {
+            self.stmt(s, &mut out);
+        }
+        out
+    }
+
+    fn stmt(&mut self, s: &'p Stmt, out: &mut Vec<Stmt>) {
+        // Loops and conditionals first; what is left has one subject set.
+        let selected = match s {
+            Stmt::Comment(_) => return,
+            Stmt::For { count, body } => {
+                let (count, body) = (self.fold(count), self.block(body));
+                // Bounds without a value yet stay even around an empty
+                // body: evaluating them is the loop's only effect.
+                if !(body.is_empty() && matches!(count, Expr::Num(_))) {
+                    out.push(Stmt::For { count, body });
+                }
+                return;
+            }
+            Stmt::ForEach {
+                var,
+                from,
+                to,
+                body,
+            } => {
+                let (from, to) = (self.fold(from), self.fold(to));
+                self.scope.push((var, None));
+                let body = self.block(body);
+                self.scope.pop();
+                if !(body.is_empty() && matches!((&from, &to), (Expr::Num(_), Expr::Num(_)))) {
+                    out.push(Stmt::ForEach {
+                        var: var.clone(),
+                        from,
+                        to,
+                        body,
+                    });
+                }
+                return;
+            }
+            Stmt::If { cond, then_, else_ } => {
+                match try_eval_cond(cond, self.n as i64, &|v| self.lookup(v)) {
+                    Ok(taken) => {
+                        for s in if taken { then_ } else { else_ } {
+                            self.stmt(s, out);
+                        }
+                    }
+                    Err(_) => out.push(Stmt::If {
+                        cond: cond.clone(),
+                        then_: self.block(then_),
+                        else_: self.block(else_),
+                    }),
+                }
+                return;
+            }
+            // The group table, communicator creation and the counters
+            // concern every rank.
+            Stmt::DeclareGroup { .. }
+            | Stmt::Partition { .. }
+            | Stmt::ResetCounters
+            | Stmt::Log { .. } => None,
+            // With auto-posted receives any rank may be a destination.
+            Stmt::Send { .. } if !self.explicit_receives => None,
+            Stmt::Send { src: tasks, .. }
+            | Stmt::Receive { dst: tasks, .. }
+            | Stmt::Compute { tasks, .. }
+            | Stmt::Await { tasks }
+            | Stmt::Sync { tasks }
+            | Stmt::Reduce { tasks, .. }
+            | Stmt::Multicast {
+                root: None, tasks, ..
+            } => self.selects_me(tasks),
+            // The root takes part even from outside the set.
+            Stmt::Multicast {
+                root: Some(root),
+                tasks,
+                ..
+            } => match (self.selects_me(tasks), self.eval(root)) {
+                (Some(false), Ok(r)) if r.rem_euclid(self.n as i64) as usize != self.me => {
+                    Some(false)
+                }
+                (Some(true), _) => Some(true),
+                _ => None,
+            },
+        };
+        let kept = |e: Option<Expr>| e.expect("folded operand");
+        match (selected, s) {
+            (Some(false), _) => {}
+            (
+                Some(true),
+                Stmt::Compute {
+                    tasks,
+                    amount,
+                    unit,
+                },
+            ) => {
+                let (tasks, [amount]) = self.own(tasks, [Some(amount)]);
+                out.push(Stmt::Compute {
+                    tasks,
+                    amount: kept(amount),
+                    unit: *unit,
+                });
+            }
+            (
+                Some(true),
+                Stmt::Send {
+                    src,
+                    dst,
+                    bytes,
+                    tag,
+                    is_async,
+                },
+            ) => {
+                let (src, [dst, bytes]) = self.own(src, [Some(dst), Some(bytes)]);
+                out.push(Stmt::Send {
+                    src,
+                    dst: kept(dst),
+                    bytes: kept(bytes),
+                    tag: *tag,
+                    is_async: *is_async,
+                });
+            }
+            (
+                Some(true),
+                Stmt::Receive {
+                    dst,
+                    src,
+                    bytes,
+                    tag,
+                    is_async,
+                },
+            ) => {
+                let (dst, [src, bytes]) = self.own(dst, [src.as_ref(), Some(bytes)]);
+                out.push(Stmt::Receive {
+                    dst,
+                    src,
+                    bytes: kept(bytes),
+                    tag: *tag,
+                    is_async: *is_async,
+                });
+            }
+            (Some(true), Stmt::Await { tasks }) => {
+                let (tasks, []) = self.own(tasks, []);
+                out.push(Stmt::Await { tasks });
+            }
+            // Collectives keep their subject: it names the communicator.
+            _ => out.push(s.clone()),
+        }
     }
 }
 
-struct Exec<'c, 'p> {
+struct Exec<'c> {
     ctx: &'c mut Ctx,
-    program: &'p Program,
     /// Cached world communicator (avoids a clone per statement).
     world: Comm,
     explicit_receives: bool,
+    /// Project the body of the next repeating loop. Off inside a projection
+    /// (inner loops were projected with it) and for the oracle.
+    project_loops: bool,
     /// group name → members (absolute task ids)
     groups: HashMap<String, Vec<usize>>,
     /// group name → live communicator (only for partition-created groups
@@ -234,15 +541,22 @@ struct Exec<'c, 'p> {
     n: usize,
 }
 
-impl<'c, 'p> Exec<'c, 'p> {
-    fn new(ctx: &'c mut Ctx, program: &'p Program, logs: Arc<Mutex<Vec<LogEntry>>>) -> Self {
+impl<'c> Exec<'c> {
+    /// Execute `program` on this rank; `project_loops` is off only for the
+    /// test oracle.
+    fn execute(
+        ctx: &'c mut Ctx,
+        program: &Program,
+        logs: Arc<Mutex<Vec<LogEntry>>>,
+        project_loops: bool,
+    ) {
         let n = ctx.size();
         let world = ctx.world();
-        Exec {
+        let mut exec = Exec {
             ctx,
-            program,
             world,
             explicit_receives: program.has_explicit_receives(),
+            project_loops,
             groups: HashMap::new(),
             group_comms: HashMap::new(),
             adhoc_comms: HashMap::new(),
@@ -250,18 +564,34 @@ impl<'c, 'p> Exec<'c, 'p> {
             t0: SimTime::ZERO,
             logs,
             n,
-        }
-    }
-
-    fn run(&mut self) {
+        };
         let env = Env {
             parent: None,
-            binding: Some(("t", self.ctx.rank() as i64)),
-            num_tasks: self.n as i64,
+            binding: Some(("t", exec.ctx.rank() as i64)),
+            num_tasks: n as i64,
         };
-        self.prepass();
-        let stmts = &self.program.stmts;
-        self.block(stmts, &env);
+        exec.prepass(program);
+        exec.block(&program.stmts, &env);
+    }
+
+    /// Run `iterate` over a loop body: over this rank's projection of it
+    /// if the loop repeats and is not already part of a projection.
+    fn with_own_body(
+        &mut self,
+        body: &[Stmt],
+        env: &Env,
+        loop_var: Option<&str>,
+        repeats: bool,
+        iterate: impl FnOnce(&mut Self, &[Stmt]),
+    ) {
+        if !(self.project_loops && repeats) {
+            return iterate(self, body);
+        }
+        let me = self.ctx.rank();
+        let own = project(body, env, loop_var, me, self.explicit_receives);
+        self.project_loops = false;
+        iterate(self, &own);
+        self.project_loops = true;
     }
 
     /// Create communicators for every ad-hoc collective subject up front.
@@ -269,9 +599,9 @@ impl<'c, 'p> Exec<'c, 'p> {
     /// participate — including those outside the subset. Generated
     /// benchmarks carry explicit PARTITION statements instead and never
     /// reach this path.
-    fn prepass(&mut self) {
+    fn prepass(&mut self, program: &Program) {
         let me = self.ctx.rank();
-        for members in collect_adhoc_sets(self.program, self.n) {
+        for members in collect_adhoc_sets(program, self.n) {
             let (color, key) = match members.iter().position(|&m| m == me) {
                 Some(idx) => (1, idx as i64),
                 None => (0, me as i64),
@@ -283,7 +613,7 @@ impl<'c, 'p> Exec<'c, 'p> {
         }
     }
 
-    fn block(&mut self, stmts: &'p [Stmt], env: &Env) {
+    fn block(&mut self, stmts: &[Stmt], env: &Env) {
         for s in stmts {
             self.stmt(s, env);
         }
@@ -307,7 +637,7 @@ impl<'c, 'p> Exec<'c, 'p> {
         match &ts.sel {
             TaskSel::All => task < self.n,
             TaskSel::Single(e) => eval(e, env).rem_euclid(self.n as i64) as usize == task,
-            TaskSel::Runs(runs) => expand_runs(runs).contains(&task),
+            TaskSel::Runs(runs) => in_runs(runs, task),
             TaskSel::Group(g) => self.groups.get(g).is_some_and(|m| m.contains(&task)),
         }
     }
@@ -316,10 +646,14 @@ impl<'c, 'p> Exec<'c, 'p> {
     /// [`Exec::prepass`]; PARTITION groups get theirs when the partition
     /// executes.
     fn comm_for(&mut self, ts: &TaskSet, env: &Env) -> Comm {
-        if let TaskSel::Group(g) = &ts.sel {
-            if let Some(c) = self.group_comms.get(g) {
-                return c.clone();
+        match &ts.sel {
+            TaskSel::All => return self.world.clone(),
+            TaskSel::Group(g) => {
+                if let Some(c) = self.group_comms.get(g) {
+                    return c.clone();
+                }
             }
+            _ => {}
         }
         let members = self.members(ts, env);
         self.comm_for_members(&members)
@@ -336,7 +670,7 @@ impl<'c, 'p> Exec<'c, 'p> {
         })
     }
 
-    fn stmt(&mut self, s: &'p Stmt, env: &Env) {
+    fn stmt(&mut self, s: &Stmt, env: &Env) {
         let me = self.ctx.rank();
         match s {
             Stmt::Comment(_) => {}
@@ -388,9 +722,11 @@ impl<'c, 'p> Exec<'c, 'p> {
             }
             Stmt::For { count, body } => {
                 let count = eval(count, env).max(0);
-                for _ in 0..count {
-                    self.block(body, env);
-                }
+                self.with_own_body(body, env, None, count > 1, |exec, body| {
+                    for _ in 0..count {
+                        exec.block(body, env);
+                    }
+                });
             }
             Stmt::ForEach {
                 var,
@@ -399,10 +735,12 @@ impl<'c, 'p> Exec<'c, 'p> {
                 body,
             } => {
                 let (from, to) = (eval(from, env), eval(to, env));
-                for i in from..=to {
-                    let env = env.bind(var, i);
-                    self.block(body, &env);
-                }
+                self.with_own_body(body, env, Some(var), to > from, |exec, body| {
+                    for i in from..=to {
+                        let env = env.bind(var, i);
+                        exec.block(body, &env);
+                    }
+                });
             }
             Stmt::If { cond, then_, else_ } => {
                 if eval_cond(cond, env) {
@@ -685,4 +1023,143 @@ fn collect_adhoc_sets(program: &Program, n: usize) -> Vec<Vec<usize>> {
     };
     scan.block(&program.stmts);
     scan.sets
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parser::parse;
+    use crate::printer::print;
+
+    /// Project the body of the loop `src` consists of for task `me` of `n`,
+    /// printed back as text.
+    fn projected(src: &str, me: usize, n: usize) -> String {
+        let program = parse(src).unwrap();
+        let env = Env {
+            parent: None,
+            binding: Some(("t", me as i64)),
+            num_tasks: n as i64,
+        };
+        let (body, var) = match &program.stmts[..] {
+            [Stmt::For { body, .. }] => (body, None),
+            [Stmt::ForEach { body, var, .. }] => (body, Some(var.as_str())),
+            other => panic!("not a single loop: {other:?}"),
+        };
+        let own = project(body, &env, var, me, program.has_explicit_receives());
+        print(&Program::new(own))
+    }
+
+    const EXCHANGE: &str = r#"
+FOR 10 REPETITIONS {
+  TASKS t SUCH THAT t IS IN {0-3} COMPUTE FOR 100 + t NANOSECONDS
+  TASKS t SUCH THAT t IS IN {0-3} ASYNCHRONOUSLY RECEIVE A 64 BYTE MESSAGE FROM TASK t XOR 1
+  TASKS t SUCH THAT t IS IN {0-3} ASYNCHRONOUSLY SEND A 64 BYTE MESSAGE TO TASK t XOR 1
+  TASKS t SUCH THAT t IS IN {0-3} AWAIT COMPLETION
+  FOR 3 REPETITIONS {
+    TASKS t SUCH THAT t IS IN {4-7} COMPUTE FOR 5 NANOSECONDS
+  }
+  IF t < 4 THEN {
+    TASKS t SUCH THAT t IS IN {0-6:2} SYNCHRONIZE
+  } OTHERWISE {
+    TASK 5 SEND A 8 BYTE MESSAGE TO TASK 6
+    TASK 6 RECEIVE A 8 BYTE MESSAGE FROM TASK 5
+  }
+}
+"#;
+
+    #[test]
+    fn own_statements_shrink_to_the_rank_and_foreign_ones_disappear() {
+        assert_eq!(
+            projected(EXCHANGE, 2, 8),
+            "TASK 2 COMPUTES FOR 102 NANOSECONDS\n\
+             TASK 2 ASYNCHRONOUSLY RECEIVES A 64 BYTE MESSAGE FROM TASK 3\n\
+             TASK 2 ASYNCHRONOUSLY SENDS A 64 BYTE MESSAGE TO TASK 3\n\
+             TASK 2 AWAITS COMPLETION\n\
+             TASKS t SUCH THAT t IS IN {0-6:2} SYNCHRONIZE\n"
+        );
+        assert_eq!(
+            projected(EXCHANGE, 5, 8),
+            "FOR 3 REPETITIONS {\n  TASK 5 COMPUTES FOR 5 NANOSECONDS\n}\n\
+             TASK 5 SENDS A 8 BYTE MESSAGE TO TASK 6\n"
+        );
+        // Task 3 takes the IF's first branch and is not in its set.
+        assert_eq!(
+            projected(EXCHANGE, 3, 8),
+            "TASK 3 COMPUTES FOR 103 NANOSECONDS\n\
+             TASK 3 ASYNCHRONOUSLY RECEIVES A 64 BYTE MESSAGE FROM TASK 2\n\
+             TASK 3 ASYNCHRONOUSLY SENDS A 64 BYTE MESSAGE TO TASK 2\n\
+             TASK 3 AWAITS COMPLETION\n"
+        );
+    }
+
+    #[test]
+    fn what_depends_on_a_loop_variable_or_on_run_time_state_stays_as_written() {
+        let src = r#"
+FOR EACH i IN {0, ..., 3} {
+  TASK i COMPUTE FOR 1 MICROSECONDS
+  TASK 1 SEND A 8 * i BYTE MESSAGE TO TASK 0
+  TASK 0 RECEIVE A 8 * i BYTE MESSAGE FROM TASK 1
+  GROUP g SYNCHRONIZE
+  GROUP g IS TASKS t SUCH THAT t IS IN {2-3}
+  PARTITION ALL TASKS INTO GROUP a = {2-3}
+  TASK 0 MULTICASTS A 8 BYTE MESSAGE TO TASKS t SUCH THAT t IS IN {2-3}
+  TASK i MULTICASTS A 8 BYTE MESSAGE TO TASKS t SUCH THAT t IS IN {2-3}
+  FOR i REPETITIONS {
+    TASK 3 COMPUTE FOR 1 MICROSECONDS
+  }
+  IF i > t THEN {
+    TASK 3 COMPUTE FOR 2 MICROSECONDS
+  }
+  ALL TASKS RESET THEIR COUNTERS
+  ALL TASKS LOG "x"
+}
+"#;
+        // Task 1 owns the SEND (its size still an expression) and is
+        // provably outside everything else that is decidable.
+        assert_eq!(
+            projected(src, 1, 4),
+            "TASK i COMPUTES FOR 1 MICROSECONDS\n\
+             TASK 1 SENDS A 8 * i BYTE MESSAGE TO TASK 0\n\
+             GROUP g SYNCHRONIZE\n\
+             GROUP g IS TASKS t SUCH THAT t IS IN {2-3}\n\
+             PARTITION ALL TASKS INTO GROUP a = {2-3}\n\
+             TASK i MULTICASTS A 8 BYTE MESSAGE TO TASKS t SUCH THAT t IS IN {2-3}\n\
+             FOR i REPETITIONS {\n}\n\
+             IF i > t THEN {\n}\n\
+             ALL TASKS RESET THEIR COUNTERS\n\
+             ALL TASKS LOG \"x\"\n"
+        );
+    }
+
+    #[test]
+    fn sends_stay_whole_while_receives_are_auto_posted() {
+        let src = "FOR 2 REPETITIONS {\n  TASK 0 SEND A 8 BYTE MESSAGE TO TASK 1\n}\n";
+        assert_eq!(
+            projected(src, 3, 4),
+            "TASK 0 SENDS A 8 BYTE MESSAGE TO TASK 1\n"
+        );
+    }
+
+    #[test]
+    fn bindings_in_force_at_the_loop_are_known_values() {
+        // An enclosing, non-repeating FOR EACH shadowed `t` with 1: inside,
+        // `TASK t` is task 1 whatever rank projects.
+        let program =
+            parse("FOR 4 REPETITIONS {\n  TASK t COMPUTE FOR t MICROSECONDS\n}\n").unwrap();
+        let Stmt::For { body, .. } = &program.stmts[0] else {
+            unreachable!()
+        };
+        let top = Env {
+            parent: None,
+            binding: Some(("t", 2)),
+            num_tasks: 4,
+        };
+        let shadowed = top.bind("t", 1);
+        assert_eq!(project(body, &shadowed, None, 2, true), vec![]);
+        assert_eq!(
+            print(&Program::new(project(body, &shadowed, None, 1, true))),
+            "TASK 1 COMPUTES FOR 1 MICROSECONDS\n"
+        );
+        assert_eq!(project(body, &top, None, 2, true).len(), 1);
+    }
 }

@@ -76,7 +76,7 @@ pub(crate) fn pipelined_sweep(
     let mut sends = Vec::new();
     for blk in 0..blocks {
         if let Some(src) = up {
-            let _ = ctx.recv(Src::Rank(src), TagSel::Is(tag), face, &w);
+            ctx.recv_ignore(Src::Rank(src), TagSel::Is(tag), face, &w);
         }
         compute_phase(ctx, params, block_work, salt, step_base + blk as u64);
         if let Some(dst) = down {
@@ -114,7 +114,7 @@ pub fn run(ctx: &mut Ctx, params: &AppParams) {
             reqs.push(ctx.irecv(Src::Rank(prev), TagSel::Is(20 + d as i32), dims.face, &w));
             reqs.push(ctx.isend(next, 20 + d as i32, dims.face, &w));
         }
-        ctx.waitall(&reqs);
+        ctx.waitall_ignore(&reqs);
 
         // three pipelined solve sweeps: west→east, north→south, east→west
         let dirs: [(Option<usize>, Option<usize>); 3] = [
@@ -136,7 +136,7 @@ pub fn run(ctx: &mut Ctx, params: &AppParams) {
                 (iter * dims.blocks) as u64,
             );
             if !sends.is_empty() {
-                ctx.waitall(&sends);
+                ctx.waitall_ignore(&sends);
             }
         }
     }

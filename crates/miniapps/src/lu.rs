@@ -58,7 +58,7 @@ pub fn run(ctx: &mut Ctx, params: &AppParams) {
         let upstream_lower =
             usize::from(grid.north(me).is_some()) + usize::from(grid.west(me).is_some());
         for _ in 0..upstream_lower {
-            let _ = ctx.recv(Src::Any, TagSel::Is(10), face, &w);
+            ctx.recv_ignore(Src::Any, TagSel::Is(10), face, &w);
         }
         compute_phase(ctx, params, cell_work, 0x1a00, iter as u64);
         if let Some(s) = grid.south(me) {
@@ -72,7 +72,7 @@ pub fn run(ctx: &mut Ctx, params: &AppParams) {
         let upstream_upper =
             usize::from(grid.south(me).is_some()) + usize::from(grid.east(me).is_some());
         for _ in 0..upstream_upper {
-            let _ = ctx.recv(Src::Any, TagSel::Is(11), face, &w);
+            ctx.recv_ignore(Src::Any, TagSel::Is(11), face, &w);
         }
         compute_phase(ctx, params, cell_work, 0x1a01, iter as u64);
         if let Some(n) = grid.north(me) {

@@ -29,7 +29,7 @@ pub fn run(ctx: &mut Ctx, params: &AppParams) {
         let r = ctx.irecv(Src::Rank(left), TagSel::Is(0), bytes, &w);
         let s = ctx.isend(right, 0, bytes, &w);
         compute_phase(ctx, params, SimDuration::from_usecs(50), 0x1107, i as u64);
-        ctx.waitall(&[r, s]);
+        ctx.waitall_ignore(&[r, s]);
     }
     ctx.finalize();
 }

@@ -101,10 +101,10 @@ pub fn run(ctx: &mut Ctx, params: &AppParams) {
             let tag_j = (o * 2 + 1) as i32;
             for kb in 0..kblocks {
                 if let Some(src) = up_i {
-                    let _ = ctx.recv(Src::Rank(src), TagSel::Is(tag_i), face_i, &w);
+                    ctx.recv_ignore(Src::Rank(src), TagSel::Is(tag_i), face_i, &w);
                 }
                 if let Some(src) = up_j {
-                    let _ = ctx.recv(Src::Rank(src), TagSel::Is(tag_j), face_j, &w);
+                    ctx.recv_ignore(Src::Rank(src), TagSel::Is(tag_j), face_j, &w);
                 }
                 compute_phase(
                     ctx,

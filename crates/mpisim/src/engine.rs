@@ -254,6 +254,8 @@ pub(crate) struct Engine {
 
     reqs: Vec<HashMap<u64, ReqState>>,
     next_req: Vec<u64>,
+    /// Ranks parked in an issued `Op::Wait`, ascending.
+    waiting: Vec<Rank>,
 
     msgs: HashMap<u64, Message>,
     next_msg: u64,
@@ -324,6 +326,7 @@ impl Engine {
             running: n,
             reqs: (0..n).map(|_| HashMap::new()).collect(),
             next_req: vec![1; n],
+            waiting: Vec::new(),
             msgs: HashMap::new(),
             next_msg: 1,
             next_dst_seq: vec![0; n],
@@ -550,6 +553,8 @@ impl Engine {
                 }
                 self.pending[rank].as_mut().unwrap().op = Op::Wait { reqs };
                 // Completion handled by `complete_ready_waits`.
+                let pos = self.waiting.partition_point(|&r| r < rank);
+                self.waiting.insert(pos, rank);
             }
             Op::Coll {
                 kind,
@@ -899,44 +904,46 @@ impl Engine {
 
     // -- waits ----------------------------------------------------------------
 
+    /// One ascending pass over the parked waiters. Completing a wait only
+    /// promotes an un-issued op and sets no request's `complete`, so it can
+    /// never make another wait ready: nothing is left for a second pass.
     fn complete_ready_waits(&mut self) {
-        loop {
-            let mut completed_any = false;
-            for rank in 0..self.n {
-                let ready = match &self.pending[rank] {
-                    Some(Pending {
-                        op: Op::Wait { reqs },
-                        issued: true,
-                    }) => reqs
-                        .iter()
-                        .all(|h| self.reqs[rank].get(h).and_then(|r| r.complete).is_some()),
-                    _ => false,
-                };
-                if !ready {
-                    continue;
-                }
-                let Some(Pending {
-                    op: Op::Wait { reqs },
-                    ..
-                }) = self.pending[rank].take()
-                else {
-                    unreachable!()
-                };
-                let mut t = self.clocks[rank];
-                let mut infos = Vec::with_capacity(reqs.len());
-                for h in reqs {
-                    let rs = self.reqs[rank].remove(&h).expect("validated at issue");
-                    t = t.max(rs.complete.expect("checked complete"));
-                    infos.push(rs.info);
-                }
-                self.clocks[rank] = t;
-                self.reply(rank, Reply::Infos { clock: t, infos });
-                completed_any = true;
-            }
-            if !completed_any {
-                break;
-            }
+        let mut waiting = std::mem::take(&mut self.waiting);
+        waiting.retain(|&rank| !self.complete_wait_if_ready(rank));
+        self.waiting = waiting;
+    }
+
+    fn complete_wait_if_ready(&mut self, rank: Rank) -> bool {
+        let Some(Pending {
+            op: Op::Wait { reqs },
+            issued: true,
+        }) = &self.pending[rank]
+        else {
+            unreachable!("rank {rank} is listed as waiting")
+        };
+        if !reqs
+            .iter()
+            .all(|h| self.reqs[rank].get(h).and_then(|r| r.complete).is_some())
+        {
+            return false;
         }
+        let Some(Pending {
+            op: Op::Wait { reqs },
+            ..
+        }) = self.pending[rank].take()
+        else {
+            unreachable!()
+        };
+        let mut t = self.clocks[rank];
+        let mut infos = Vec::with_capacity(reqs.len());
+        for h in reqs {
+            let rs = self.reqs[rank].remove(&h).expect("validated at issue");
+            t = t.max(rs.complete.expect("checked complete"));
+            infos.push(rs.info);
+        }
+        self.clocks[rank] = t;
+        self.reply(rank, Reply::Infos { clock: t, infos });
+        true
     }
 
     // -- collectives ----------------------------------------------------------

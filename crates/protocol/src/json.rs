@@ -277,16 +277,15 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are valid).
-                let s = &bytes[*pos..];
-                let ch = std::str::from_utf8(s)
-                    .map_err(|e| e.to_string())?
-                    .chars()
-                    .next()
-                    .unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run up to the next quote or escape in one piece
+                // (both are ASCII, so the run ends on a char boundary).
+                let run = &bytes[*pos..];
+                let len = run
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(run.len());
+                out.push_str(std::str::from_utf8(&run[..len]).map_err(|e| e.to_string())?);
+                *pos += len;
             }
         }
     }
@@ -368,6 +367,32 @@ mod tests {
     fn escapes_survive_a_roundtrip() {
         let v = Json::Str("a \"quoted\" \\ line\nbreak".into());
         assert_eq!(parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn string_decoding_is_linear_in_the_input() {
+        // ~1 MiB of text with escapes and 2-, 3- and 4-byte characters.
+        let unit = "plain ascii run, \"quoted\" back\\slash\nnew\tline é ✓ 🦀 \u{1} ";
+        let text = |bytes: usize| unit.repeat(bytes / unit.len() + 1);
+        let decode_secs = |s: &str| {
+            let doc = Json::Str(s.to_string()).to_compact();
+            (0..3)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    let v = parse(std::hint::black_box(&doc)).unwrap();
+                    let secs = t.elapsed().as_secs_f64();
+                    assert_eq!(v.as_str().map(String::as_str), Some(s));
+                    secs
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let (small, large) = (text(1 << 18), text(1 << 20));
+        let (t_small, t_large) = (decode_secs(&small), decode_secs(&large));
+        assert!(
+            t_large < 8.0 * t_small,
+            "4x the input took {:.1}x the time ({t_small:.4}s -> {t_large:.4}s)",
+            t_large / t_small
+        );
     }
 
     #[test]

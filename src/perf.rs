@@ -45,12 +45,13 @@
 
 use campaign::hash;
 use campaign::TraceCache;
+use conceptual::ast::Program;
 use conceptual::interp::run_rank;
 use miniapps::{registry, App, AppParams, Class};
 use mpisim::network;
 use mpisim::profile::MpiP;
 use mpisim::time::SimDuration;
-use mpisim::world::World;
+use mpisim::world::{RunReport, World};
 use scalatrace::compress::DEFAULT_MAX_WINDOW;
 use scalatrace::merge::merge_sequences_stats;
 use scalatrace::params::{CommParam, RankParam, ValParam};
@@ -253,6 +254,11 @@ pub struct Suite {
     /// pipeline suites only. Both repeat exactly from run to run, so
     /// `--check` gates `crossings` where wall time is too noisy to.
     pub sim: Option<SimCounts>,
+    /// Host time of the generated program's run under the mpiP hook over
+    /// that of a plain run of the application it stands for — pipeline
+    /// suites only. What interpreting the specification costs on top of
+    /// the simulator; `--check` gates it against the committed ratio.
+    pub interp_ratio: Option<f64>,
 }
 
 /// What one simulated run cost in engine work and in thread handoffs.
@@ -651,6 +657,7 @@ fn merge_suite_over(
         stream_stats: None,
         peak_rss_kb,
         sim: None,
+        interp_ratio: None,
     }
 }
 
@@ -698,6 +705,7 @@ fn compression_suite(cfg: &PerfConfig, nranks: usize, variants: &[Variant]) -> S
         stream_stats: None,
         peak_rss_kb: None,
         sim: None,
+        interp_ratio: None,
     }
 }
 
@@ -753,18 +761,62 @@ fn pipeline_once(
     };
     let generated = benchgen::generate(&trace, &benchgen::GenOptions::default())
         .map_err(|e| format!("{}: generation failed: {e}", app.name))?;
-    let prog = Arc::new(generated.program);
-    let p = Arc::clone(&prog);
-    let (report, hooks) = World::new(n)
+    let report = execute_profiled(app, &Arc::new(generated.program), variant)?;
+    Ok(SimCounts {
+        ops: report.stats.operations,
+        crossings: report.crossings,
+    })
+}
+
+/// Execute a generated program under an mpiP hook, as the pipeline's last
+/// stage does.
+fn execute_profiled(app: &App, prog: &Arc<Program>, variant: Variant) -> Result<RunReport, String> {
+    let p = Arc::clone(prog);
+    let (report, hooks) = World::new(PIPELINE_RANKS)
         .network(network::ideal())
         .op_batching(variant.batching())
         .run_hooked(|_| MpiP::new(), move |ctx| run_rank(ctx, &p))
         .map_err(|e| format!("{}: execution failed: {e}", app.name))?;
     black_box(MpiP::merge_all(hooks.iter()).total_calls());
-    Ok(SimCounts {
-        ops: report.stats.operations,
-        crossings: report.crossings,
-    })
+    Ok(report)
+}
+
+fn pipeline_params(cfg: &PerfConfig) -> AppParams {
+    AppParams {
+        class: Class::S,
+        iterations: Some(cfg.pipeline_iters()),
+        compute_scale: 1.0,
+    }
+}
+
+/// Host time of the generated program's run under the mpiP hook over that
+/// of a plain run of the application. The two legs alternate rep by rep so
+/// that both see the same machine speed.
+fn interp_ratio(cfg: &PerfConfig, app: &'static App) -> Result<f64, String> {
+    let n = PIPELINE_RANKS;
+    let params = pipeline_params(cfg);
+    let run = app.run;
+    let world = || World::new(n).network(network::ideal());
+    let traced = scalatrace::trace_world(world(), n, move |ctx| run(ctx, &params))
+        .map_err(|e| format!("{}: trace failed: {e}", app.name))?;
+    let generated = benchgen::generate(&traced.trace, &benchgen::GenOptions::default())
+        .map_err(|e| format!("{}: generation failed: {e}", app.name))?;
+    let prog = Arc::new(generated.program);
+    let (mut app_ns, mut interp_ns) = (Vec::new(), Vec::new());
+    for rep in 0..cfg.warmup() + 3 * cfg.reps() {
+        let t0 = Instant::now();
+        let report = world()
+            .run(move |ctx| run(ctx, &params))
+            .map_err(|e| format!("{}: plain run failed: {e}", app.name))?;
+        black_box(report.total_time);
+        let t1 = Instant::now();
+        execute_profiled(app, &prog, Variant::Current)?;
+        if rep >= cfg.warmup() {
+            app_ns.push((t1 - t0).as_nanos() as u64);
+            interp_ns.push(t1.elapsed().as_nanos() as u64);
+        }
+    }
+    Ok(ratio(median(interp_ns), median(app_ns)))
 }
 
 fn pipeline_key(app: &str, variant: Variant, phase: &str, rep: usize) -> u64 {
@@ -788,11 +840,7 @@ fn pipeline_medians(
     variant: Variant,
     cache: &TraceCache,
 ) -> Result<(u64, u64, Option<SimCounts>), String> {
-    let params = AppParams {
-        class: Class::S,
-        iterations: Some(cfg.pipeline_iters()),
-        compute_scale: 1.0,
-    };
+    let params = pipeline_params(cfg);
     for w in 0..cfg.warmup() {
         let key = pipeline_key(app.name, variant, "warmup", w);
         pipeline_once(app, params, variant, cache, key)?;
@@ -832,6 +880,10 @@ fn pipeline_suite(
     }
     let (current_ns, baseline_ns) = fill_missing(cold, variants);
     let (warm_ns, baseline_warm_ns) = fill_missing(warm, variants);
+    let interp_ratio = variants
+        .contains(&Variant::Current)
+        .then(|| interp_ratio(cfg, app))
+        .transpose()?;
     Ok(Suite {
         name: format!("pipeline_{}_r{PIPELINE_RANKS}", app.name),
         kind: "pipeline",
@@ -846,6 +898,7 @@ fn pipeline_suite(
         stream_stats: None,
         peak_rss_kb: None,
         sim,
+        interp_ratio,
     })
 }
 
@@ -936,6 +989,7 @@ fn stream_suite(cfg: &PerfConfig, variants: &[Variant]) -> Result<Suite, String>
         stream_stats,
         peak_rss_kb: None,
         sim: None,
+        interp_ratio: None,
     })
 }
 
@@ -1077,6 +1131,7 @@ pub fn run(cfg: &PerfConfig) -> Result<PerfReport, String> {
         stream_stats: None,
         peak_rss_kb: None,
         sim: None,
+        interp_ratio: None,
     });
 
     Ok(PerfReport {
@@ -1139,6 +1194,9 @@ impl Suite {
             obj.push(("sim_ops".into(), Json::Num(sim.ops as f64)));
             obj.push(("crossings".into(), Json::Num(sim.crossings as f64)));
         }
+        if let Some(r) = self.interp_ratio {
+            obj.push(("interp_ratio".into(), Json::Num(round3(r))));
+        }
         if let Some(st) = &self.stream_stats {
             // Additive fields (schema stays commspec-perf/v2): the capture
             // counters, so the committed row shows the memory bound held
@@ -1195,7 +1253,7 @@ impl PerfReport {
     /// Human-readable summary table.
     pub fn table(&self) -> String {
         let mut out = format!(
-            "{:<24} {:>6} {:>4} {:>13} {:>13} {:>13} {:>8} {:>14}\n",
+            "{:<24} {:>6} {:>4} {:>13} {:>13} {:>13} {:>8} {:>14} {:>10}\n",
             "suite",
             "ranks",
             "thr",
@@ -1203,12 +1261,13 @@ impl PerfReport {
             "baseline(ms)",
             "warm(ms)",
             "speedup",
-            "crossings/ops"
+            "crossings/ops",
+            "interp/app"
         );
         for s in &self.suites {
             let ms = |ns: u64| ns as f64 / 1e6;
             out.push_str(&format!(
-                "{:<24} {:>6} {:>4} {:>13.2} {:>13.2} {:>13} {:>7.2}x {:>14}\n",
+                "{:<24} {:>6} {:>4} {:>13.2} {:>13.2} {:>13} {:>7.2}x {:>14} {:>10}\n",
                 s.name,
                 s.ranks,
                 match s.threads {
@@ -1224,6 +1283,10 @@ impl PerfReport {
                 s.speedup,
                 match s.sim {
                     Some(sim) => format!("{}/{}", sim.crossings, sim.ops),
+                    None => "-".into(),
+                },
+                match s.interp_ratio {
+                    Some(r) => format!("{r:.2}x"),
                     None => "-".into(),
                 },
             ));
@@ -1280,6 +1343,18 @@ pub fn check_regressions(new: &PerfReport, committed: &Json) -> Vec<String> {
                 errors.push(format!(
                     "suite {name}: {} rank/engine crossings, committed {old}",
                     sim.crossings
+                ));
+            }
+        }
+        // Both legs of the ratio come from the same run on the same host,
+        // so it transfers across machines like a speedup does.
+        let old_ratio = suite.get("interp_ratio").and_then(Json::as_num);
+        if let (Some(old), Some(new)) = (old_ratio, fresh.interp_ratio) {
+            if new > old * (1.0 + CHECK_TOLERANCE) {
+                errors.push(format!(
+                    "suite {name}: the generated program costs {new:.2}x its application's \
+                     run, more than {:.0}% above the committed {old:.2}x",
+                    CHECK_TOLERANCE * 100.0,
                 ));
             }
         }
@@ -1406,6 +1481,7 @@ mod tests {
             stream_stats: None,
             peak_rss_kb: None,
             sim: None,
+            interp_ratio: None,
         }
     }
 
@@ -1513,6 +1589,26 @@ mod tests {
         let old = report(vec![suite("pipeline_lu_r4", "pipeline", 3.0, None)]);
         let old = parse_json(&old.to_json().to_string()).unwrap();
         assert!(check_regressions(&report(vec![row(999)]), &old).is_empty());
+    }
+
+    #[test]
+    fn check_gates_the_interpreter_ratio_within_tolerance() {
+        let row = |ratio| {
+            let mut s = suite("pipeline_lu_r4", "pipeline", 3.0, None);
+            s.interp_ratio = Some(ratio);
+            s
+        };
+        let committed = parse_json(&report(vec![row(1.2)]).to_json().to_string()).unwrap();
+        assert!(check_regressions(&report(vec![row(1.2)]), &committed).is_empty());
+        assert!(check_regressions(&report(vec![row(0.9)]), &committed).is_empty());
+        assert!(check_regressions(&report(vec![row(1.49)]), &committed).is_empty());
+        let errors = check_regressions(&report(vec![row(1.51)]), &committed);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("1.51x its application"), "{}", errors[0]);
+        // A baseline committed before the ratio existed gates nothing.
+        let old = report(vec![suite("pipeline_lu_r4", "pipeline", 3.0, None)]);
+        let old = parse_json(&old.to_json().to_string()).unwrap();
+        assert!(check_regressions(&report(vec![row(9.0)]), &old).is_empty());
     }
 
     #[test]

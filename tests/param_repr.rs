@@ -96,8 +96,7 @@ fn symbolic_and_dense_reprs_agree_on_crashed_partial_traces() {
         let observed = |repr| {
             with_param_repr(repr, || {
                 let plan = FaultPlan::seeded(i as u64).crash_rank(crash_rank, after_ops as u64);
-                let partial =
-                    trace_world_partial(World::new(ranks).faults(plan), ranks, body);
+                let partial = trace_world_partial(World::new(ranks).faults(plan), ranks, body);
                 let vt = partial.report.as_ref().map(|r| r.total_time.as_nanos());
                 observe(&partial.trace, vt)
             })

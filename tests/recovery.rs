@@ -138,7 +138,9 @@ fn kill9_mid_campaign_then_resume_converges_to_uninterrupted_outcomes() {
             break;
         }
         assert!(Instant::now() < deadline, "victim made no progress");
-        std::thread::sleep(Duration::from_millis(20));
+        // The whole campaign takes ~40 ms in a debug build: poll well
+        // inside one job's time.
+        std::thread::sleep(Duration::from_millis(2));
     }
     // SIGKILL: no atexit handlers, no flushes, no goodbye.
     let _ = child.kill();
