@@ -451,6 +451,34 @@ mod tests {
     }
 
     #[test]
+    fn histograms_wider_than_any_registry_trace_roundtrip_exactly() {
+        // No registry trace has a histogram with more than three non-empty
+        // bins, the most `TimeStats` holds inline; force the spilled form.
+        let cache = TraceCache::open(temp_dir("spilled")).unwrap();
+        let (mut trace, t_app) = sample_trace();
+        fn first_event(nodes: &mut [scalatrace::TraceNode]) -> &mut scalatrace::Rsd {
+            match &mut nodes[0] {
+                scalatrace::TraceNode::Event(r) => r,
+                scalatrace::TraceNode::Loop(p) => first_event(&mut p.body),
+            }
+        }
+        let wide = first_event(&mut trace.nodes);
+        for k in 0..6 {
+            wide.compute
+                .record_n(k + 1, mpisim::time::SimDuration::from_nanos(5 << (k * 10)));
+        }
+        assert!(wide.compute.non_empty_bins().count() > 3);
+        cache.store(9, &trace, t_app, &[]).unwrap();
+        let hit = cache.load(9).expect("entry just stored");
+        assert_eq!(hit.trace, trace);
+        assert_eq!(
+            scalatrace::stream::trace_to_bytes(&hit.trace),
+            std::fs::read(cache.stbs_path(9)).unwrap()
+        );
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
     fn corrupt_entries_are_misses() {
         let cache = TraceCache::open(temp_dir("corrupt")).unwrap();
         let (trace, t_app) = sample_trace();

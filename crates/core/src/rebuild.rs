@@ -18,7 +18,7 @@
 use mpisim::types::Src;
 use scalatrace::compress::{append_compressed, DEFAULT_MAX_WINDOW};
 use scalatrace::cursor::{ConcreteEvent, ConcreteOp};
-use scalatrace::merge::{merge_rsds, merge_sequences};
+use scalatrace::merge::{collapse_rsds, merge_sequences};
 use scalatrace::params::{CommParam, RankParam, SrcParam, ValParam};
 use scalatrace::rankset::RankSet;
 use scalatrace::timestats::TimeStats;
@@ -131,36 +131,27 @@ impl SegmentedRebuilder {
 
         if let ConcreteOp::CommSplit { .. } = events[0].1.op {
             // One RSD per result communicator, in ascending result order.
-            let mut by_result: std::collections::BTreeMap<u32, Vec<&(usize, ConcreteEvent)>> =
+            let mut by_result: std::collections::BTreeMap<u32, Vec<Rsd>> =
                 std::collections::BTreeMap::new();
-            for e in events {
-                let ConcreteOp::CommSplit { result, .. } = e.1.op else {
+            for (rank, ev) in events {
+                let ConcreteOp::CommSplit { result, .. } = ev.op else {
                     panic!("mixed split/non-split collective completion")
                 };
-                by_result.entry(result).or_default().push(e);
+                by_result.entry(result).or_default().push(rsd_of(*rank, ev));
             }
             for (_, group) in by_result {
-                self.emit_merged_rsd(&group.into_iter().cloned().collect::<Vec<_>>());
+                self.emit_merged_rsd(group);
             }
         } else {
-            self.emit_merged_rsd(events);
+            self.emit_merged_rsd(events.iter().map(|(r, ev)| rsd_of(*r, ev)).collect());
         }
     }
 
-    fn emit_merged_rsd(&mut self, events: &[(usize, ConcreteEvent)]) {
-        let mut merged: Option<Rsd> = None;
-        for (rank, ev) in events {
-            let rsd = rsd_of(*rank, ev);
-            merged = Some(match merged {
-                None => rsd,
-                Some(acc) => merge_rsds(acc, rsd, self.nranks),
-            });
-        }
-        append_compressed(
-            &mut self.out,
-            TraceNode::Event(merged.expect("nonempty")),
-            GLOBAL_WINDOW,
-        );
+    /// Emit one collective's members as a single RSD, unified in one flat
+    /// pass (a pairwise fold re-unifies a growing rank set per member).
+    fn emit_merged_rsd(&mut self, members: Vec<Rsd>) {
+        let merged = collapse_rsds(members, self.nranks);
+        append_compressed(&mut self.out, TraceNode::Event(merged), GLOBAL_WINDOW);
     }
 
     /// Merge the listed ranks' buffers structurally and flush them to the
@@ -236,6 +227,7 @@ mod tests {
     use mpisim::time::SimDuration;
     use mpisim::types::CollKind;
     use scalatrace::cursor::events_for_rank;
+    use scalatrace::merge::merge_rsds;
 
     fn send_ev(to: usize) -> ConcreteEvent {
         ConcreteEvent {
@@ -315,6 +307,64 @@ mod tests {
             trace.concrete_event_count(),
             10 * (4 + 3) // 4 sends + 3 barrier participants per epoch
         );
+    }
+
+    /// The pairwise reference: `merge_rsds` folded over the members in
+    /// completion order.
+    fn folded(events: &[(usize, ConcreteEvent)], n: usize) -> TraceNode {
+        let mut members = events.iter().map(|(r, ev)| rsd_of(*r, ev));
+        let first = members.next().unwrap();
+        TraceNode::Event(members.fold(first, |acc, m| merge_rsds(acc, m, n)))
+    }
+
+    #[test]
+    fn flat_collective_emit_equals_the_pairwise_fold() {
+        // a 1024-member barrier, completion order scrambled, compute times
+        // spread over more bins than a histogram holds inline
+        let n = 1024;
+        let barrier: Vec<(usize, ConcreteEvent)> = (0..n)
+            .map(|i| {
+                let mut ev = barrier_ev();
+                ev.compute = SimDuration::from_nanos(3 << (i % 7 * 4));
+                ((i * 389) % n, ev)
+            })
+            .collect();
+        let mut rb = SegmentedRebuilder::new(n);
+        rb.collective(&barrier);
+        let trace = rb.finish(CommTable::world(n));
+        assert_eq!(trace.nodes, [folded(&barrier, n)]);
+
+        // a split into three result groups of different sizes
+        let n = 12;
+        let split: Vec<(usize, ConcreteEvent)> = (0..n)
+            .rev()
+            .map(|r| {
+                let ev = ConcreteEvent {
+                    op: ConcreteOp::CommSplit {
+                        parent: 0,
+                        result: [3, 1, 2, 1, 1, 3][r % 6],
+                    },
+                    sig: 9,
+                    compute: SimDuration::from_usecs(r as u64),
+                };
+                (r, ev)
+            })
+            .collect();
+        let mut rb = SegmentedRebuilder::new(n);
+        rb.collective(&split);
+        let trace = rb.finish(CommTable::world(n));
+        let groups: Vec<TraceNode> = [1, 2, 3]
+            .iter()
+            .map(|g| {
+                let members: Vec<_> = split
+                    .iter()
+                    .filter(|(_, ev)| matches!(ev.op, ConcreteOp::CommSplit { result, .. } if result == *g))
+                    .cloned()
+                    .collect();
+                folded(&members, n)
+            })
+            .collect();
+        assert_eq!(trace.nodes, groups);
     }
 
     #[test]

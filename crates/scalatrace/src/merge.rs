@@ -347,9 +347,15 @@ fn collapse_nodes(column: Vec<TraceNode>, world: usize) -> TraceNode {
     }
 }
 
-/// Collapse one same-shape column of RSDs — the many-way [`merge_rsds`].
-fn collapse_rsds(rsds: Vec<Rsd>, world: usize) -> Rsd {
-    debug_assert!(rsds.len() >= 2);
+/// Collapse one same-shape column of RSDs over pairwise disjoint rank sets —
+/// the many-way [`merge_rsds`], equal to folding it over the column.
+///
+/// # Panics
+/// If `rsds` is empty.
+pub fn collapse_rsds(mut rsds: Vec<Rsd>, world: usize) -> Rsd {
+    if rsds.len() == 1 {
+        return rsds.pop().expect("one member");
+    }
     let op = match &rsds[0].op {
         OpTemplate::Send { tag, blocking, .. } => OpTemplate::Send {
             to: RankParam::unify_many(

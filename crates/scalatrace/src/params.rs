@@ -62,13 +62,18 @@ pub fn set_param_repr(repr: ParamRepr) {
     REPR.with(|c| c.set(repr));
 }
 
-/// Run `f` with `repr` active on this thread, restoring the previous value.
+/// Run `f` with `repr` active on this thread, restoring the previous value
+/// when `f` returns or panics.
 pub fn with_param_repr<T>(repr: ParamRepr, f: impl FnOnce() -> T) -> T {
-    let prev = param_repr();
+    struct Restore(ParamRepr);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_param_repr(self.0);
+        }
+    }
+    let _restore = Restore(param_repr());
     set_param_repr(repr);
-    let out = f();
-    set_param_repr(prev);
-    out
+    f()
 }
 
 /// One closed-form peer function — the value half of a piecewise piece.
@@ -1168,6 +1173,19 @@ mod tests {
 
     fn rs(v: &[usize]) -> RankSet {
         RankSet::from_ranks(v.iter().copied())
+    }
+
+    #[test]
+    fn with_param_repr_restores_the_previous_repr_when_f_panics() {
+        assert_eq!(param_repr(), ParamRepr::Symbolic);
+        let unwound = std::panic::catch_unwind(|| {
+            with_param_repr(ParamRepr::Dense, || {
+                assert_eq!(param_repr(), ParamRepr::Dense);
+                panic!("f fails under the dense representation");
+            })
+        });
+        assert!(unwound.is_err());
+        assert_eq!(param_repr(), ParamRepr::Symbolic);
     }
 
     #[test]

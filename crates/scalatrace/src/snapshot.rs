@@ -165,14 +165,20 @@ impl<'a> Dec<'a> {
     }
 }
 
+/// Bytes of the 64 fixed-width bin counts in the v1 statistics layout.
+const BIN_BYTES: usize = 64 * 8;
+
 fn enc_stats(e: &mut Enc, s: &TimeStats) {
     let (count, sum_ns, min_ns, max_ns, bins) = s.raw();
+    e.0.reserve(8 + 16 + 8 + 8 + BIN_BYTES);
     e.u64(count);
     e.u128(sum_ns);
     e.u64(min_ns);
     e.u64(max_ns);
-    for &b in bins {
-        e.u64(b);
+    let base = e.0.len();
+    e.0.resize(base + BIN_BYTES, 0);
+    for (bin, n) in bins {
+        e.0[base + bin * 8..][..8].copy_from_slice(&n.to_le_bytes());
     }
 }
 
@@ -181,10 +187,11 @@ fn dec_stats(d: &mut Dec) -> Result<TimeStats, SnapshotError> {
     let sum_ns = d.u128()?;
     let min_ns = d.u64()?;
     let max_ns = d.u64()?;
-    let mut bins = [0u64; 64];
-    for b in &mut bins {
-        *b = d.u64()?;
-    }
+    let bins = d
+        .take(BIN_BYTES)?
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+        .enumerate();
     Ok(TimeStats::from_raw(count, sum_ns, min_ns, max_ns, bins))
 }
 
@@ -936,6 +943,20 @@ mod tests {
     #[test]
     fn round_trip_is_exact() {
         let t = sample_tracer();
+        // the folded loop bodies pool enough distinct times to hold both
+        // histogram forms: a few bins inline, and the boxed dense spill
+        fn occupancy(nodes: &[TraceNode], out: &mut Vec<usize>) {
+            for n in nodes {
+                match n {
+                    TraceNode::Event(r) => out.push(r.compute.non_empty_bins().count()),
+                    TraceNode::Loop(p) => occupancy(&p.body, out),
+                }
+            }
+        }
+        let mut bins = Vec::new();
+        occupancy(t.nodes(), &mut bins);
+        assert!(bins.iter().any(|&b| b > 3), "no spilled histogram");
+        assert!(bins.iter().any(|&b| b <= 3), "no inline histogram");
         let bytes = checkpoint_bytes(&t);
         let back = tracer_from_checkpoint(&bytes).expect("decodes");
         assert_eq!(back.rank(), t.rank());

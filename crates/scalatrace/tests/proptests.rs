@@ -900,3 +900,248 @@ proptest! {
         prop_assert_eq!(sa.bins(), pooled.bins());
     }
 }
+
+/// The dense reference histogram — 64 bins inline — the oracle the sparse
+/// [`TimeStats`] must be indistinguishable from.
+#[derive(Clone, PartialEq, Debug)]
+struct DenseStats {
+    count: u64,
+    sum_ns: u128,
+    min_ns: u64,
+    max_ns: u64,
+    bins: [u64; 64],
+}
+
+impl DenseStats {
+    fn new() -> DenseStats {
+        DenseStats {
+            count: 0,
+            sum_ns: 0,
+            min_ns: u64::MAX,
+            max_ns: 0,
+            bins: [0; 64],
+        }
+    }
+
+    fn record_n(&mut self, n: u64, ns: u64) {
+        if n == 0 {
+            return;
+        }
+        let bin = if ns == 0 {
+            0
+        } else {
+            (64 - ns.leading_zeros() as usize).min(63)
+        };
+        self.count += n;
+        self.sum_ns += ns as u128 * n as u128;
+        self.min_ns = self.min_ns.min(ns);
+        self.max_ns = self.max_ns.max(ns);
+        self.bins[bin] += n;
+    }
+
+    fn merge(&mut self, other: &DenseStats) {
+        if other.count == 0 {
+            return;
+        }
+        self.count += other.count;
+        self.sum_ns += other.sum_ns;
+        self.min_ns = self.min_ns.min(other.min_ns);
+        self.max_ns = self.max_ns.max(other.max_ns);
+        for (a, b) in self.bins.iter_mut().zip(other.bins.iter()) {
+            *a += b;
+        }
+    }
+
+    fn min(&self) -> u64 {
+        if self.count == 0 {
+            0
+        } else {
+            self.min_ns
+        }
+    }
+
+    fn mean(&self) -> u64 {
+        if self.count == 0 {
+            0
+        } else {
+            (self.sum_ns / self.count as u128) as u64
+        }
+    }
+
+    fn median_approx(&self) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let mut seen = 0;
+        for (i, &c) in self.bins.iter().enumerate() {
+            seen += c;
+            if seen * 2 >= self.count {
+                let lo = if i == 0 { 0 } else { 1u64 << (i - 1) };
+                let hi = if i == 0 {
+                    1
+                } else {
+                    (1u64 << i).saturating_sub(1)
+                };
+                return lo + (hi - lo) / 2;
+            }
+        }
+        self.max_ns
+    }
+
+    fn sample_at(&self, u: u64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let mut ordinal = u % self.count;
+        for (i, &c) in self.bins.iter().enumerate() {
+            if ordinal < c {
+                let lo = if i == 0 { 0u64 } else { 1u64 << (i - 1) };
+                let hi = if i == 0 { 0 } else { (1u64 << i) - 1 };
+                return lo + (hi - lo) / 2;
+            }
+            ordinal -= c;
+        }
+        self.mean()
+    }
+
+    /// The v1 on-disk statistics record: four scalars, then 64 fixed-width
+    /// bins.
+    fn encoded(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&self.count.to_le_bytes());
+        out.extend_from_slice(&self.sum_ns.to_le_bytes());
+        out.extend_from_slice(&self.min_ns.to_le_bytes());
+        out.extend_from_slice(&self.max_ns.to_le_bytes());
+        for b in self.bins {
+            out.extend_from_slice(&b.to_le_bytes());
+        }
+        out
+    }
+}
+
+#[derive(Clone, Debug)]
+enum StatsOp {
+    Record(u64),
+    RecordN(u64, u64),
+    /// Pool in a second histogram holding these samples.
+    Merge(Vec<u64>),
+    /// Replace the histogram by `from_raw(raw())`.
+    Rebuild,
+}
+
+/// Durations over nine bins (0, 63 and seven in between), so a handful of
+/// operations crosses the three-bin inline capacity in either direction of
+/// a merge.
+fn stats_sample() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        (0u32..7, 0u64..3).prop_map(|(k, jitter)| (3u64 << (k * 8)) + jitter),
+        Just(0u64),
+        Just(u64::MAX),
+    ]
+}
+
+fn stats_op() -> impl Strategy<Value = StatsOp> {
+    prop_oneof![
+        stats_sample().prop_map(StatsOp::Record),
+        stats_sample().prop_map(StatsOp::Record),
+        (0u64..5, stats_sample()).prop_map(|(n, ns)| StatsOp::RecordN(n, ns)),
+        proptest::collection::vec(stats_sample(), 0..6).prop_map(StatsOp::Merge),
+        Just(StatsOp::Rebuild),
+    ]
+}
+
+fn rebuilt(t: &TimeStats) -> TimeStats {
+    let (count, sum_ns, min_ns, max_ns, bins) = t.raw();
+    TimeStats::from_raw(count, sum_ns, min_ns, max_ns, bins)
+}
+
+fn stats_of(samples: &[u64]) -> (TimeStats, DenseStats) {
+    let (mut t, mut d) = (TimeStats::new(), DenseStats::new());
+    for &ns in samples {
+        t.record(SimDuration::from_nanos(ns));
+        d.record_n(1, ns);
+    }
+    (t, d)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn sparse_timestats_is_indistinguishable_from_the_dense_histogram(
+        ops in proptest::collection::vec(stats_op(), 0..14),
+        us in proptest::collection::vec(any::<u64>(), 1..6),
+    ) {
+        let (mut t, mut d) = (TimeStats::new(), DenseStats::new());
+        for op in &ops {
+            match op {
+                StatsOp::Record(ns) => {
+                    t.record(SimDuration::from_nanos(*ns));
+                    d.record_n(1, *ns);
+                }
+                StatsOp::RecordN(n, ns) => {
+                    t.record_n(*n, SimDuration::from_nanos(*ns));
+                    d.record_n(*n, *ns);
+                }
+                StatsOp::Merge(samples) => {
+                    let (ot, od) = stats_of(samples);
+                    t.merge(&ot);
+                    d.merge(&od);
+                }
+                StatsOp::Rebuild => t = rebuilt(&t),
+            }
+            // every observable, after every step
+            prop_assert_eq!(t.count(), d.count);
+            prop_assert_eq!(t.total().as_nanos(), d.sum_ns.min(u64::MAX as u128) as u64);
+            prop_assert_eq!(t.min().as_nanos(), d.min());
+            prop_assert_eq!(t.max().as_nanos(), d.max_ns);
+            prop_assert_eq!(t.mean().as_nanos(), d.mean());
+            prop_assert_eq!(t.median_approx().as_nanos(), d.median_approx());
+            prop_assert_eq!(t.is_constant(), d.count == 0 || d.min_ns == d.max_ns);
+            for &u in &us {
+                prop_assert_eq!(t.sample_at(u).as_nanos(), d.sample_at(u));
+            }
+            prop_assert_eq!(t.bins(), d.bins);
+            let dense_pairs = d.bins.iter().copied().enumerate().filter(|&(_, c)| c != 0);
+            prop_assert!(t.non_empty_bins().eq(dense_pairs));
+        }
+
+        // the same samples through another history: operations in reverse
+        // order, every merge taken from the other side
+        let mut back = TimeStats::new();
+        for op in ops.iter().rev() {
+            match op {
+                StatsOp::Record(ns) => back.record(SimDuration::from_nanos(*ns)),
+                StatsOp::RecordN(n, ns) => back.record_n(*n, SimDuration::from_nanos(*ns)),
+                StatsOp::Merge(samples) => {
+                    let (mut ot, _) = stats_of(samples);
+                    ot.merge(&back);
+                    back = ot;
+                }
+                StatsOp::Rebuild => back = rebuilt(&back),
+            }
+        }
+        prop_assert_eq!(&back, &t);
+        // ... and with no history at all, straight from the dense fields
+        let direct = TimeStats::from_raw(
+            d.count, d.sum_ns, d.min_ns, d.max_ns, d.bins.iter().copied().enumerate(),
+        );
+        prop_assert_eq!(&direct, &t);
+
+        // on disk it is the v1 record of the dense histogram, byte for byte
+        let trace = Trace {
+            nranks: 1,
+            nodes: vec![TraceNode::Event(Rsd {
+                ranks: RankSet::single(0),
+                sig: 1,
+                op: OpTemplate::Wait { count: ValParam::Const(1) },
+                compute: t.clone(),
+            })],
+            comms: CommTable::world(1),
+        };
+        let bytes = scalatrace::stream::trace_to_bytes(&trace);
+        let record = d.encoded();
+        prop_assert_eq!(&bytes[bytes.len() - 8 - record.len()..bytes.len() - 8], &record[..]);
+        prop_assert_eq!(scalatrace::stream::trace_from_bytes(&bytes).unwrap(), trace);
+    }
+}
