@@ -8,19 +8,13 @@
 //! decimal strings makes it independent of platform endianness and
 //! pointer width. The same scheme keys the on-disk trace cache.
 
-/// 64-bit FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// 64-bit FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+use mpisim::types::Fnv1a;
 
 /// FNV-1a over a byte slice.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Hash a set of `key=value` pairs order-independently: pairs are sorted

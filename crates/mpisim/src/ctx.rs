@@ -8,7 +8,7 @@
 //! application source line — the analogue of the ScalaTrace stack signature
 //! that the benchmark generator uses to distinguish call sites.
 
-use crate::comm::{Comm, CommId};
+use crate::comm::Comm;
 use crate::engine::{Op, Reply, Request};
 use crate::error::SimError;
 use crate::hooks::{Event, EventKind, Hook};
@@ -27,9 +27,9 @@ pub struct SimAbort(pub Option<SimError>);
 /// Deferred-queue length at which a batch ships even though no call needs a
 /// reply yet: bounds per-rank deferred state (and the engine's queued ops
 /// and buffered replies) however long a run of deferrable calls is.
-const WINDOW: usize = 128;
+pub(crate) const WINDOW: usize = 128;
 
-/// A hook event deferred until its operation's reply arrives (op batching).
+/// A hook event deferred until its operation's reply arrives.
 /// The stack signature is captured at call time — the region stack may have
 /// changed by the time the batch is flushed.
 struct PendingEv {
@@ -53,14 +53,15 @@ pub struct Ctx {
     clock: SimTime,
     hook: Option<Box<dyn Hook>>,
     regions: Vec<&'static str>,
-    /// Client-side op batching: defer every op whose reply carries nothing
-    /// the caller observes (nonblocking ops, computes, blocking sends,
-    /// status-ignoring receives and waits, void collectives) and ship them
-    /// together with the next value-returning op — or when [`WINDOW`]
-    /// entries have piled up — in a single channel handoff.
-    batching: bool,
-    /// Deferred ops (batching mode) with their pending hook events.
+    /// Every op whose reply carries nothing the caller observes
+    /// (nonblocking ops, computes, blocking sends, status-ignoring receives
+    /// and waits, void collectives) is deferred here with its pending hook
+    /// event, and ships together with the next value-returning op — or
+    /// once `window` entries have piled up — in a single channel handoff.
     queue: Vec<(Op, Option<PendingEv>)>,
+    /// Queue length at which a call's last entry ships the batch:
+    /// [`WINDOW`], or 1 for a world that crosses after every call.
+    window: usize,
     /// Mirror of the engine's per-rank request-handle counter (last handle
     /// handed out): the engine allocates handles sequentially per rank, so
     /// deferred isend/irecv handles can be predicted without a round trip.
@@ -78,7 +79,7 @@ impl Ctx {
         req_tx: Sender<Request>,
         reply_rx: Receiver<Vec<Reply>>,
         hook: Option<Box<dyn Hook>>,
-        batching: bool,
+        window: usize,
     ) -> Ctx {
         Ctx {
             rank,
@@ -89,8 +90,8 @@ impl Ctx {
             clock: SimTime::ZERO,
             hook,
             regions: Vec::new(),
-            batching,
             queue: Vec::new(),
+            window,
             next_handle: 0,
             confirmed_handle: 0,
             drain_t: Vec::new(),
@@ -125,15 +126,8 @@ impl Ctx {
         if d == SimDuration::ZERO {
             return;
         }
-        if self.batching {
-            self.queue.push((Op::Compute(d), None));
-            self.close_window();
-            return;
-        }
-        match self.call(Op::Compute(d)) {
-            Reply::Time(t) => self.clock = t,
-            other => self.protocol_error("compute", &other),
-        }
+        self.queue.push((Op::Compute(d), None));
+        self.close_window();
     }
 
     // -- point-to-point -----------------------------------------------------
@@ -156,14 +150,8 @@ impl Ctx {
             bytes,
             comm: comm.id,
         };
-        if self.batching {
-            let h = self.predict_handle();
-            self.defer(op, kind, site, 0);
-            return h;
-        }
-        let t_enter = self.clock;
-        let h = self.raw_isend(abs, tag, bytes, comm.id);
-        self.emit(kind, site, t_enter);
+        let h = self.predict_handle();
+        self.defer(op, kind, site, 0);
         h
     }
 
@@ -186,14 +174,8 @@ impl Ctx {
             bytes,
             comm: comm.id,
         };
-        if self.batching {
-            let h = self.predict_handle();
-            self.defer(op, kind, site, 0);
-            return h;
-        }
-        let t_enter = self.clock;
-        let h = self.raw_irecv(abs_from, tag, bytes, comm.id);
-        self.emit(kind, site, t_enter);
+        let h = self.predict_handle();
+        self.defer(op, kind, site, 0);
         h
     }
 
@@ -209,29 +191,22 @@ impl Ctx {
             comm: comm.id,
             blocking: true,
         };
-        if self.batching {
-            let h = self.predict_handle();
-            self.queue.push((
-                Op::ISend {
-                    to: abs,
-                    tag,
-                    bytes,
-                    comm: comm.id,
-                },
-                None,
-            ));
-            // The wait returns nothing the caller can observe, so it rides
-            // the batch too: a run of blocking sends crosses the baton once,
-            // at the next value-returning call. The engine replays the batch
-            // sequentially, so rendezvous blocking happens at the same
-            // virtual time as an unbatched run.
-            self.defer(Op::Wait { reqs: vec![h.0] }, kind, site, 1);
-            return;
-        }
-        let t_enter = self.clock;
-        let h = self.raw_isend(abs, tag, bytes, comm.id);
-        self.raw_wait(vec![h.0]);
-        self.emit(kind, site, t_enter);
+        let h = self.predict_handle();
+        self.queue.push((
+            Op::ISend {
+                to: abs,
+                tag,
+                bytes,
+                comm: comm.id,
+            },
+            None,
+        ));
+        // The wait returns nothing the caller can observe, so it rides the
+        // batch too: a run of blocking sends crosses the baton once, at the
+        // next value-returning call. The engine replays the batch
+        // sequentially, so rendezvous blocking happens at the same virtual
+        // time whenever the batch ships.
+        self.defer(Op::Wait { reqs: vec![h.0] }, kind, site, 1);
     }
 
     /// Blocking receive; returns the resolved status (absolute source rank).
@@ -243,8 +218,8 @@ impl Ctx {
 
     /// Blocking receive whose status the caller does not need (the
     /// `MPI_STATUS_IGNORE` analogue). Same operation, event and virtual
-    /// time as [`Ctx::recv`]; with op batching on it is deferred exactly
-    /// as a blocking [`Ctx::send`] is, instead of ending the batch.
+    /// time as [`Ctx::recv`], but deferred exactly as a blocking
+    /// [`Ctx::send`] is, instead of ending the batch.
     #[track_caller]
     pub fn recv_ignore(&mut self, from: Src, tag: TagSel, bytes: u64, comm: &Comm) {
         self.recv_at(from, tag, bytes, comm, caller(), false);
@@ -263,15 +238,14 @@ impl Ctx {
         self.wait_at(hs.iter().map(|h| h.0).collect(), caller(), true)
     }
 
-    /// [`Ctx::wait`] without the status (`MPI_STATUS_IGNORE`): deferred
-    /// under op batching.
+    /// [`Ctx::wait`] without the status (`MPI_STATUS_IGNORE`): deferred.
     #[track_caller]
     pub fn wait_ignore(&mut self, h: ReqHandle) {
         self.wait_at(vec![h.0], caller(), false);
     }
 
     /// [`Ctx::waitall`] without the statuses (`MPI_STATUSES_IGNORE`):
-    /// deferred under op batching.
+    /// deferred.
     #[track_caller]
     pub fn waitall_ignore(&mut self, hs: &[ReqHandle]) {
         self.wait_at(hs.iter().map(|h| h.0).collect(), caller(), false);
@@ -393,40 +367,18 @@ impl Ctx {
             bytes: 0,
             split: Some((color, key)),
         };
-        if self.batching {
-            // The event needs the reply's member list, so it cannot be
-            // deferred; `submit` hands back the op's own enter time.
-            let (reply, t_enter) = self.submit(op, None);
-            match reply {
-                Reply::CommCreated { comm: new, .. } => {
-                    self.emit(
-                        EventKind::CommSplit {
-                            parent: comm.id,
-                            result: new.id,
-                            members: new.members.clone(),
-                        },
-                        site,
-                        t_enter,
-                    );
-                    return new;
-                }
-                other => self.protocol_error("comm_split", &other),
-            }
-        }
-        let t_enter = self.clock;
-        let reply = self.call(op);
+        // The event needs the reply's member list, so it cannot be
+        // deferred; `submit` hands back the op's own enter time.
+        let (reply, t_enter) = self.submit(op, None);
         match reply {
-            Reply::CommCreated { clock, comm: new } => {
-                self.clock = clock;
-                self.emit(
-                    EventKind::CommSplit {
-                        parent: comm.id,
-                        result: new.id,
-                        members: new.members.clone(),
-                    },
-                    site,
-                    t_enter,
-                );
+            Reply::CommCreated { comm: new, .. } => {
+                let kind = EventKind::CommSplit {
+                    parent: comm.id,
+                    result: new.id,
+                    members: new.members.clone(),
+                };
+                let stack_sig = self.stack_sig_of(&site);
+                self.emit_raw(kind, site, stack_sig, t_enter);
                 new
             }
             other => self.protocol_error("comm_split", &other),
@@ -474,24 +426,17 @@ impl Ctx {
             comm: comm.id,
             blocking: true,
         };
-        if self.batching {
-            let h = self.predict_handle();
-            self.queue.push((
-                Op::IRecv {
-                    from: abs_from,
-                    tag,
-                    bytes,
-                    comm: comm.id,
-                },
-                None,
-            ));
-            return self.batched_wait(vec![h.0], kind, site, 1, want_status);
-        }
-        let t_enter = self.clock;
-        let h = self.raw_irecv(abs_from, tag, bytes, comm.id);
-        let infos = self.raw_wait(vec![h.0]);
-        self.emit(kind, site, t_enter);
-        infos
+        let h = self.predict_handle();
+        self.queue.push((
+            Op::IRecv {
+                from: abs_from,
+                tag,
+                bytes,
+                comm: comm.id,
+            },
+            None,
+        ));
+        self.wait_entry(vec![h.0], kind, site, 1, want_status)
     }
 
     fn wait_at(
@@ -501,18 +446,12 @@ impl Ctx {
         want_status: bool,
     ) -> Vec<Option<MsgInfo>> {
         let kind = EventKind::Wait { count: reqs.len() };
-        if self.batching {
-            return self.batched_wait(reqs, kind, site, 0, want_status);
-        }
-        let t_enter = self.clock;
-        let infos = self.raw_wait(reqs);
-        self.emit(kind, site, t_enter);
-        infos
+        self.wait_entry(reqs, kind, site, 0, want_status)
     }
 
-    /// Batching-mode wait: shipped now when the caller wants the statuses,
+    /// Queue a wait: shipped now when the caller wants the statuses,
     /// deferred when it does not.
-    fn batched_wait(
+    fn wait_entry(
         &mut self,
         reqs: Vec<u64>,
         kind: EventKind,
@@ -552,60 +491,10 @@ impl Ctx {
             bytes,
             split: None,
         };
-        if self.batching {
-            // Collectives reply with nothing but a clock, so they defer like
-            // blocking sends: rank synchronisation is a virtual-time affair
-            // the engine enforces whenever the op ships.
-            self.defer(op, ev_kind, site, 0);
-            return;
-        }
-        let t_enter = self.clock;
-        let reply = self.call(op);
-        match reply {
-            Reply::Time(t) => self.clock = t,
-            other => self.protocol_error("collective", &other),
-        }
-        self.emit(ev_kind, site, t_enter);
-    }
-
-    fn raw_isend(&mut self, to: Rank, tag: Tag, bytes: u64, comm: CommId) -> ReqHandle {
-        match self.call(Op::ISend {
-            to,
-            tag,
-            bytes,
-            comm,
-        }) {
-            Reply::Handle { clock, handle } => {
-                self.clock = clock;
-                ReqHandle(handle)
-            }
-            other => self.protocol_error("isend", &other),
-        }
-    }
-
-    fn raw_irecv(&mut self, from: Src, tag: TagSel, bytes: u64, comm: CommId) -> ReqHandle {
-        match self.call(Op::IRecv {
-            from,
-            tag,
-            bytes,
-            comm,
-        }) {
-            Reply::Handle { clock, handle } => {
-                self.clock = clock;
-                ReqHandle(handle)
-            }
-            other => self.protocol_error("irecv", &other),
-        }
-    }
-
-    fn raw_wait(&mut self, reqs: Vec<u64>) -> Vec<Option<MsgInfo>> {
-        match self.call(Op::Wait { reqs }) {
-            Reply::Infos { clock, infos } => {
-                self.clock = clock;
-                infos
-            }
-            other => self.protocol_error("wait", &other),
-        }
+        // Collectives reply with nothing but a clock, so they defer like
+        // blocking sends: rank synchronisation is a virtual-time affair the
+        // engine enforces whenever the op ships.
+        self.defer(op, ev_kind, site, 0);
     }
 
     /// Predict the handle the engine will allocate for the next deferred
@@ -623,11 +512,11 @@ impl Ctx {
         self.close_window();
     }
 
-    /// Ship the deferred queue once it holds [`WINDOW`] entries. Called only
+    /// Ship the deferred queue once it holds `window` entries. Called only
     /// after a call's last entry is queued, so an isend/irecv entry and the
     /// wait entry whose event spans it always travel together.
     fn close_window(&mut self) {
-        if self.queue.len() >= WINDOW {
+        if self.queue.len() >= self.window {
             let _ = self.flush();
         }
     }
@@ -666,11 +555,11 @@ impl Ctx {
 
     /// Send the deferred queue (plus a trailing `Op::Exited` if asked) as
     /// one request and drain one reply per deferred op — updating the clock
-    /// and emitting the deferred hook events with exactly the clocks an
-    /// unbatched run would have observed. The engine hands the replies over
-    /// as one message; only a dying run splits them (replies to the ops that
-    /// completed, then `Fatal`), which ends the drain with `Err` after the
-    /// completed ops' events are emitted.
+    /// and emitting each deferred hook event with the clocks before and
+    /// after its own op, whatever else rode the batch. The engine hands the
+    /// replies over as one message; only a dying run splits them (replies to
+    /// the ops that completed, then `Fatal`), which ends the drain with
+    /// `Err` after the completed ops' events are emitted.
     fn ship(&mut self, trailing_exit: bool) -> Result<Option<(Reply, SimTime)>, SimAbort> {
         let mut ops = Vec::with_capacity(self.queue.len() + 1);
         let mut evs = Vec::with_capacity(self.queue.len());
@@ -717,7 +606,7 @@ impl Ctx {
         Ok(out)
     }
 
-    /// Update the local clock from an engine reply (batched drain path).
+    /// Update the local clock from an engine reply.
     fn apply_clock(&mut self, reply: &Reply) {
         match reply {
             Reply::Time(t) => self.clock = *t,
@@ -732,26 +621,6 @@ impl Ctx {
             Reply::Infos { clock, .. } => self.clock = *clock,
             Reply::CommCreated { clock, .. } => self.clock = *clock,
             Reply::Fatal(_) => {}
-        }
-    }
-
-    fn call(&mut self, op: Op) -> Reply {
-        if self
-            .req_tx
-            .send(Request {
-                rank: self.rank,
-                op,
-            })
-            .is_err()
-        {
-            std::panic::panic_any(SimAbort(None));
-        }
-        // One op shipped, nothing queued behind it: the message holds
-        // exactly its reply (or the `Fatal` that ends the run).
-        match self.reply_rx.recv().map(|mut replies| replies.pop()) {
-            Ok(Some(Reply::Fatal(err))) => std::panic::panic_any(SimAbort(Some(err))),
-            Ok(Some(reply)) => reply,
-            Ok(None) | Err(_) => std::panic::panic_any(SimAbort(None)),
         }
     }
 
@@ -771,14 +640,6 @@ impl Ctx {
         h.write_u64(callsite.line as u64);
         h.write_u64(callsite.column as u64);
         h.finish()
-    }
-
-    fn emit(&mut self, kind: EventKind, callsite: CallSite, t_enter: SimTime) {
-        if self.hook.is_none() {
-            return;
-        }
-        let stack_sig = self.stack_sig_of(&callsite);
-        self.emit_raw(kind, callsite, stack_sig, t_enter);
     }
 
     fn emit_raw(&mut self, kind: EventKind, callsite: CallSite, stack_sig: u64, t_enter: SimTime) {
@@ -807,7 +668,7 @@ impl Ctx {
 
     pub(crate) fn send_panicked(&mut self, message: String) {
         // Deliver any ops deferred before the panic first, so the partial
-        // trace matches what an unbatched run would have recorded.
+        // trace holds every call the body completed.
         if !self.queue.is_empty() {
             let _ = self.ship(false);
         }

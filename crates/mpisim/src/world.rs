@@ -1,6 +1,6 @@
 //! `World`: configures and launches a simulated run.
 
-use crate::ctx::{Ctx, SimAbort};
+use crate::ctx::{Ctx, SimAbort, WINDOW};
 use crate::engine::{Engine, EngineStats, MatchPolicy, Reply, Request};
 use crate::error::SimError;
 use crate::faults::FaultPlan;
@@ -26,9 +26,11 @@ pub struct RunReport {
     /// Engine counters (messages, stalls, collectives, …).
     pub stats: EngineStats,
     /// Request messages the engine received: how often a rank thread and
-    /// the engine handed the baton over. Repeats exactly for a given
-    /// program and batching mode. Kept out of `stats` because it is the one
-    /// number op batching is *meant* to change.
+    /// the engine handed the baton over: one per call under
+    /// `op_batching(false)` (not one per op — a blocking send is two ops),
+    /// about one per window otherwise. Repeats exactly for a given program
+    /// and window. Kept out of `stats` because it is the one number the
+    /// window is *meant* to change.
     pub crossings: u64,
     /// Name of the network model the run used.
     pub network: String,
@@ -51,7 +53,8 @@ pub struct World {
     faults: Option<FaultPlan>,
     op_budget: Option<u64>,
     time_budget: Option<SimTime>,
-    op_batching: bool,
+    /// Deferred-queue bound handed to every rank's [`Ctx`].
+    window: usize,
 }
 
 impl World {
@@ -65,7 +68,7 @@ impl World {
             faults: None,
             op_budget: None,
             time_budget: None,
-            op_batching: true,
+            window: WINDOW,
         }
     }
 
@@ -105,17 +108,20 @@ impl World {
         self
     }
 
-    /// Enable or disable client-side op batching (on by default). When on,
-    /// every call whose reply the rank cannot observe — nonblocking ops,
+    /// Choose how far a rank may run ahead of the engine (on by default).
+    /// Every call whose reply the rank cannot observe — nonblocking ops,
     /// computes, blocking sends, status-ignoring receives and waits, void
     /// collectives — is deferred and crosses the rank→engine channel as one
-    /// batch at the next value-returning call (or when a fixed window of
-    /// deferred ops fills), and the replies come back as one message,
-    /// instead of one handoff per op each way. Virtual times, schedules,
-    /// hook events, and reports are identical either way; only host-side
-    /// synchronisation overhead (and [`RunReport::crossings`]) changes.
+    /// batch at the next value-returning call or when the window of
+    /// deferred ops fills, and the replies come back as one message. `true`
+    /// is the production window of 128 entries; `false` is the same code
+    /// with a window of one call, so a rank crosses after *every* call (a
+    /// blocking send or receive still ships its two ops together). Virtual
+    /// times, schedules, hook events, and reports are identical either way
+    /// — the differential tests' reference; only host-side synchronisation
+    /// overhead (and [`RunReport::crossings`]) changes.
     pub fn op_batching(mut self, enabled: bool) -> World {
-        self.op_batching = enabled;
+        self.window = if enabled { WINDOW } else { 1 };
         self
     }
 
@@ -192,7 +198,7 @@ impl World {
             _ => self.model,
         };
         let body = Arc::new(body);
-        let batching = self.op_batching;
+        let window = self.window;
         let (req_tx, req_rx) = mpsc::channel::<Request>();
         let mut reply_txs = Vec::with_capacity(n);
         let mut threads = Vec::with_capacity(n);
@@ -207,7 +213,7 @@ impl World {
                 .stack_size(512 * 1024);
             let handle = builder
                 .spawn(move || {
-                    let mut ctx = Ctx::new(rank, n, req_tx, reply_rx, hook, batching);
+                    let mut ctx = Ctx::new(rank, n, req_tx, reply_rx, hook, window);
                     let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
                     match result {
                         Ok(()) => ctx.send_exited(),

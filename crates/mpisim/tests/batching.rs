@@ -3,13 +3,15 @@
 //! `World::op_batching(true)` (the default) lets a rank defer every call
 //! whose reply it cannot observe — nonblocking ops, computes, blocking
 //! sends, void collectives — and hand the run to the engine in one baton
-//! crossing at the next value-returning call instead of one crossing per
-//! op. These tests pin down the contract: batching may only change *how
-//! often* the rank thread and the
-//! engine synchronise, never *what* the engine observes — reports, mpiP
-//! profiles, per-channel message order, and wildcard match outcomes are all
-//! byte-identical to the unbatched seed path, including under seeded fault
-//! perturbation.
+//! crossing at the next value-returning call or full window;
+//! `op_batching(false)` is the same client with a window of one call, so a
+//! rank crosses after every call. These tests pin down the contract: the
+//! window may only change *how often* the rank thread and the engine
+//! synchronise, never *what* the engine observes — reports, mpiP profiles,
+//! per-channel message order, and wildcard match outcomes are all
+//! byte-identical to the window-of-one reference, including under seeded
+//! fault perturbation. (That reference in turn reproduces the deleted
+//! one-op-per-crossing client: `tests/seed_legs_golden.rs` at the root.)
 
 use mpisim::engine::{EngineStats, MatchPolicy};
 use mpisim::error::SimError;
@@ -176,7 +178,7 @@ const WINDOW: usize = 128;
 /// batches: the three legs every differential below compares.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Leg {
-    /// `op_batching(false)`: one op per crossing, the reference.
+    /// `op_batching(false)`: one call per crossing, the reference.
     Unbatched,
     /// Batching on, status-returning `recv`/`wait`/`waitall` (end the batch).
     Status,
@@ -291,9 +293,11 @@ fn deferred_runs_around_the_window_bound_match_unbatched() {
             unreachable!()
         };
         let (unbatched, ignore) = (unbatched.as_ref().unwrap(), ignore.as_ref().unwrap());
-        // One op per crossing without batching (the exit is an op too) ...
-        assert_eq!(unbatched.crossings, unbatched.stats.operations);
-        // ... and with it: one per full window, one for what is left (the
+        // One crossing per call at a window of one — the computes, the send,
+        // the receive, the exit — though send and receive are two ops each ...
+        assert_eq!(unbatched.crossings, 4 * (len as u64 + 1));
+        assert_eq!(unbatched.stats.operations, 4 * (len as u64 + 3));
+        // ... and at the production window: one per full window, one for what is left (the
         // exit rides that batch, or goes alone when nothing is left).
         let entries = len + 2;
         assert_eq!(
@@ -333,7 +337,10 @@ fn status_ignoring_calls_match_status_returning_calls_and_unbatched() {
         .map(|r| r.as_ref().unwrap().crossings)
         .collect();
     let ops = reports[0].as_ref().unwrap().stats.operations;
-    assert_eq!(crossings[0], ops, "unbatched: one op per crossing");
+    assert!(
+        crossings[0] <= ops,
+        "unbatched: at most one crossing per op"
+    );
     assert!(crossings[1] < crossings[0], "{crossings:?}");
     assert!(
         crossings[2] * 32 <= ops,

@@ -1,7 +1,7 @@
 //! Trace collection: the per-rank [`Tracer`] hook (the PMPI interposition
 //! layer of ScalaTrace) and the [`trace_app`]/[`trace_world`] entry points.
 
-use crate::compress::{FoldStrategy, TailCompressor, DEFAULT_MAX_WINDOW};
+use crate::compress::{TailCompressor, DEFAULT_MAX_WINDOW};
 use crate::merge::merge_tracers;
 use crate::params::{CommParam, RankParam, SrcParam, ValParam};
 use crate::rankset::RankSet;
@@ -43,25 +43,10 @@ impl Tracer {
     /// A tracer with an explicit tail-compression window (see
     /// [`crate::compress`]).
     pub fn with_window(rank: usize, nranks: usize, max_window: usize) -> Tracer {
-        Tracer::with_compressor(rank, nranks, TailCompressor::new(max_window))
-    }
-
-    /// A tracer with an explicit fold strategy and the default window —
-    /// [`FoldStrategy::Structural`] selects the seed baseline algorithm.
-    pub fn with_strategy(rank: usize, nranks: usize, strategy: FoldStrategy) -> Tracer {
-        Tracer::with_compressor(
-            rank,
-            nranks,
-            TailCompressor::with_strategy(DEFAULT_MAX_WINDOW, strategy),
-        )
-    }
-
-    /// A tracer around a fully configured [`TailCompressor`].
-    pub fn with_compressor(rank: usize, nranks: usize, seq: TailCompressor) -> Tracer {
         Tracer {
             rank,
             nranks,
-            seq,
+            seq: TailCompressor::new(max_window),
             comms: CommTable::world(nranks),
             last_exit: SimTime::ZERO,
             events_seen: 0,
@@ -263,36 +248,7 @@ pub fn trace_world<F>(world: World, n: usize, body: F) -> Result<TracedRun, SimE
 where
     F: Fn(&mut Ctx) + Send + Sync + 'static,
 {
-    trace_world_with_strategy(world, n, FoldStrategy::default(), body)
-}
-
-/// As [`trace_app`], but with an explicit fold strategy —
-/// [`FoldStrategy::Structural`] reproduces the seed compression algorithm
-/// (the `commbench perf --baseline` path and the differential tests).
-pub fn trace_app_with_strategy<F>(
-    n: usize,
-    model: Arc<dyn NetworkModel>,
-    strategy: FoldStrategy,
-    body: F,
-) -> Result<TracedRun, SimError>
-where
-    F: Fn(&mut Ctx) + Send + Sync + 'static,
-{
-    trace_world_with_strategy(World::new(n).network(model), n, strategy, body)
-}
-
-/// As [`trace_world`], but with an explicit fold strategy.
-pub fn trace_world_with_strategy<F>(
-    world: World,
-    n: usize,
-    strategy: FoldStrategy,
-    body: F,
-) -> Result<TracedRun, SimError>
-where
-    F: Fn(&mut Ctx) + Send + Sync + 'static,
-{
-    let (report, tracers) =
-        world.run_hooked(move |r| Tracer::with_strategy(r, n, strategy), body)?;
+    let (report, tracers) = world.run_hooked(move |r| Tracer::new(r, n), body)?;
     let trace = merge_tracers(tracers);
     Ok(TracedRun { trace, report })
 }

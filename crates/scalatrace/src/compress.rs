@@ -12,6 +12,14 @@
 //! Folding equivalence ignores timing histograms (they are merged), so
 //! iterations with different computation times still fold — the histogram
 //! absorbs the variation.
+//!
+//! Two implementations of the one algorithm live here, and both are
+//! production code. [`append_compressed`] / [`compress_tail`] compare
+//! windows structurally; `core::rebuild` folds through them, and they are
+//! the reference every differential test compares against.
+//! [`TailCompressor`] is what capture runs: the same fold decisions found
+//! through rolling fingerprints, with the incremental state streaming
+//! capture and checkpoints need.
 
 use crate::fingerprint::{self, POLY_BASE};
 use crate::trace::{Prsd, TraceNode};
@@ -20,23 +28,8 @@ use crate::trace::{Prsd, TraceNode};
 /// discover. Exposed for the compression ablation bench.
 pub const DEFAULT_MAX_WINDOW: usize = 32;
 
-/// Which fold-candidate search the compressor uses.
-///
-/// `Fingerprint` is the production path: O(1) rolling-hash window compares
-/// with a structural confirm only on hash hit. `Structural` is the seed
-/// algorithm (O(W) structural compares per window), retained as the
-/// baseline for `commbench perf --baseline` and the differential tests —
-/// both strategies produce byte-identical traces.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum FoldStrategy {
-    /// Fingerprint-indexed folding (default).
-    #[default]
-    Fingerprint,
-    /// The original structural-comparison folding.
-    Structural,
-}
-
-/// Append `node` and re-establish maximal tail compression.
+/// Append `node` and re-establish maximal tail compression by structural
+/// comparison (O(W) node compares per window) — see the module docs.
 pub fn append_compressed(seq: &mut Vec<TraceNode>, node: TraceNode, max_window: usize) {
     seq.push(node);
     compress_tail(seq, max_window);
@@ -102,12 +95,12 @@ struct NodeRec {
 
 /// Incremental tail compressor with fingerprint-indexed fold search.
 ///
-/// Owns the growing node sequence and, in fingerprint mode, a parallel
-/// record array plus polynomial prefix hashes over the node fingerprints,
-/// so "do these two length-`w` tail windows match?" is a subtraction and a
-/// multiply instead of `w` recursive structural comparisons. Every hash hit
-/// is confirmed structurally before folding, so the output is byte-identical
-/// to the structural strategy regardless of collisions.
+/// Owns the growing node sequence and a parallel record array plus
+/// polynomial prefix hashes over the node fingerprints, so "do these two
+/// length-`w` tail windows match?" is a subtraction and a multiply instead
+/// of `w` recursive structural comparisons. Every hash hit is confirmed
+/// structurally before folding, so the output is byte-identical to
+/// [`append_compressed`] regardless of collisions.
 pub struct TailCompressor {
     seq: Vec<TraceNode>,
     recs: Vec<NodeRec>,
@@ -116,20 +109,14 @@ pub struct TailCompressor {
     /// `pow[k]` = `POLY_BASE^k`, precomputed up to `max_window`.
     pow: Vec<u64>,
     max_window: usize,
-    strategy: FoldStrategy,
     /// Test hook: fingerprint every node as 0, forcing every window compare
     /// through the structural confirm (exercises the collision path).
     degraded: bool,
 }
 
 impl TailCompressor {
-    /// A compressor with the default strategy (fingerprint-indexed).
+    /// An empty compressor folding loop bodies of up to `max_window` nodes.
     pub fn new(max_window: usize) -> TailCompressor {
-        TailCompressor::with_strategy(max_window, FoldStrategy::default())
-    }
-
-    /// A compressor with an explicit fold strategy.
-    pub fn with_strategy(max_window: usize, strategy: FoldStrategy) -> TailCompressor {
         let mut pow = Vec::with_capacity(max_window + 1);
         let mut p = 1u64;
         for _ in 0..=max_window {
@@ -142,24 +129,18 @@ impl TailCompressor {
             pref: vec![0],
             pow,
             max_window,
-            strategy,
             degraded: false,
         }
     }
 
-    /// A fingerprint-mode compressor whose fingerprints all collide (every
-    /// node hashes to 0). Used by the differential tests to prove that hash
+    /// A compressor whose fingerprints all collide (every node hashes to
+    /// 0). Used by the differential tests to prove that hash
     /// collisions never fold unequal nodes.
     #[doc(hidden)]
     pub fn degraded(max_window: usize) -> TailCompressor {
-        let mut c = TailCompressor::with_strategy(max_window, FoldStrategy::Fingerprint);
+        let mut c = TailCompressor::new(max_window);
         c.degraded = true;
         c
-    }
-
-    /// The configured fold strategy.
-    pub fn strategy(&self) -> FoldStrategy {
-        self.strategy
     }
 
     /// The configured fold window.
@@ -179,22 +160,10 @@ impl TailCompressor {
     /// Case-A-bumped loop's fingerprint is re-derived from its count and
     /// body hash via the same [`fingerprint::loop_fp`] identity the
     /// incremental path uses.
-    pub fn from_nodes(
-        max_window: usize,
-        strategy: FoldStrategy,
-        nodes: Vec<TraceNode>,
-    ) -> TailCompressor {
-        let mut c = TailCompressor::with_strategy(max_window, strategy);
-        if strategy == FoldStrategy::Structural {
-            c.seq = nodes;
-            return c;
-        }
-        for node in nodes {
-            let rec = c.record_of(&node);
-            c.seq.push(node);
-            c.recs.push(rec);
-            c.push_pref(rec.fp);
-        }
+    pub fn from_nodes(max_window: usize, nodes: Vec<TraceNode>) -> TailCompressor {
+        let mut c = TailCompressor::new(max_window);
+        c.seq = nodes;
+        c.rebuild_index();
         c
     }
 
@@ -210,15 +179,8 @@ impl TailCompressor {
 
     /// Append `node` and re-establish maximal tail compression.
     pub fn push(&mut self, node: TraceNode) {
-        if self.strategy == FoldStrategy::Structural {
-            append_compressed(&mut self.seq, node, self.max_window);
-            return;
-        }
-        let rec = self.record_of(&node);
-        self.seq.push(node);
-        self.recs.push(rec);
-        self.push_pref(rec.fp);
-        while self.try_fold() {}
+        self.push_raw(node);
+        while self.try_fold_once() {}
     }
 
     fn record_of(&self, node: &TraceNode) -> NodeRec {
@@ -267,7 +229,8 @@ impl TailCompressor {
         self.pref[j].wrapping_sub(self.pref[i].wrapping_mul(self.pow[j - i]))
     }
 
-    fn try_fold(&mut self) -> bool {
+    /// Attempt exactly one tail fold; `true` if a fold was applied.
+    pub(crate) fn try_fold_once(&mut self) -> bool {
         let len = self.seq.len();
         for w in 1..=self.max_window {
             // Case A: the `w` tail nodes repeat the body of the loop that
@@ -364,22 +327,10 @@ impl TailCompressor {
 
     /// Append `node` without attempting any fold.
     pub(crate) fn push_raw(&mut self, node: TraceNode) {
-        if self.strategy == FoldStrategy::Structural {
-            self.seq.push(node);
-            return;
-        }
         let rec = self.record_of(&node);
         self.seq.push(node);
         self.recs.push(rec);
         self.push_pref(rec.fp);
-    }
-
-    /// Attempt exactly one tail fold; `true` if a fold was applied.
-    pub(crate) fn try_fold_once(&mut self) -> bool {
-        if self.strategy == FoldStrategy::Structural {
-            return try_fold_tail(&mut self.seq, self.max_window);
-        }
-        self.try_fold()
     }
 
     /// Drop the first `k` nodes (sealed to disk by the streaming capture)
@@ -396,14 +347,9 @@ impl TailCompressor {
         self.rebuild_index();
     }
 
-    /// Recompute `recs`/`pref` from the node structure, exactly as
-    /// [`TailCompressor::from_nodes`] does on a checkpoint restore (and with
-    /// the same byte-exactness argument: fingerprints are timing-blind and
-    /// loop fingerprints are re-derived from count and body hash).
+    /// Recompute `recs`/`pref` from the node structure (the byte-exactness
+    /// argument is on [`TailCompressor::from_nodes`]).
     fn rebuild_index(&mut self) {
-        if self.strategy == FoldStrategy::Structural {
-            return;
-        }
         let recs: Vec<NodeRec> = self.seq.iter().map(|n| self.record_of(n)).collect();
         self.recs.clear();
         self.pref.clear();
@@ -554,11 +500,11 @@ mod tests {
         assert_eq!(total, pushed, "compression must be lossless in event count");
     }
 
-    /// Feed the same node stream to the structural baseline and a
+    /// Feed the same node stream to [`append_compressed`] and a
     /// [`TailCompressor`], asserting identical output.
-    fn assert_strategies_agree(stream: impl Iterator<Item = TraceNode> + Clone, window: usize) {
+    fn assert_matches_structural(stream: impl Iterator<Item = TraceNode>, window: usize) {
         let mut baseline = Vec::new();
-        let mut fp = TailCompressor::with_strategy(window, FoldStrategy::Fingerprint);
+        let mut fp = TailCompressor::new(window);
         let mut degraded = TailCompressor::degraded(window);
         for n in stream {
             append_compressed(&mut baseline, n.clone(), window);
@@ -572,12 +518,12 @@ mod tests {
     #[test]
     fn fingerprint_folding_matches_structural() {
         // single repeated event
-        assert_strategies_agree(
+        assert_matches_structural(
             (0..1000).map(|i| ev(1, 64, 10 + (i % 3))),
             DEFAULT_MAX_WINDOW,
         );
         // figure-2 style 3-event body
-        assert_strategies_agree(
+        assert_matches_structural(
             (0..3000).map(|i| ev(1 + (i % 3), 1024, 5)),
             DEFAULT_MAX_WINDOW,
         );
@@ -588,11 +534,11 @@ mod tests {
                 .chain(std::iter::once(ev(2, 8, 1)))
                 .collect::<Vec<_>>()
         });
-        assert_strategies_agree(nested.clone(), DEFAULT_MAX_WINDOW);
+        assert_matches_structural(nested.clone(), DEFAULT_MAX_WINDOW);
         // tight window
-        assert_strategies_agree(nested, 2);
+        assert_matches_structural(nested, 2);
         // aperiodic with a break
-        assert_strategies_agree(
+        assert_matches_structural(
             (0..500).map(|i| ev(if i == 250 { 99 } else { 1 + (i % 4) }, 64, 1)),
             DEFAULT_MAX_WINDOW,
         );
@@ -617,41 +563,37 @@ mod tests {
         let stream: Vec<TraceNode> = (0..120)
             .map(|i| ev(if i == 60 { 99 } else { 1 + (i % 4) }, 64, 1 + (i % 3)))
             .collect();
-        for strategy in [FoldStrategy::Fingerprint, FoldStrategy::Structural] {
-            let mut whole = TailCompressor::with_strategy(DEFAULT_MAX_WINDOW, strategy);
-            for n in &stream {
-                whole.push(n.clone());
+        let mut whole = Vec::new();
+        for n in &stream {
+            push(&mut whole, n.clone());
+        }
+        for cut in 0..stream.len() {
+            let mut first = TailCompressor::new(DEFAULT_MAX_WINDOW);
+            for n in &stream[..cut] {
+                first.push(n.clone());
             }
-            for cut in 0..stream.len() {
-                let mut first = TailCompressor::with_strategy(DEFAULT_MAX_WINDOW, strategy);
-                for n in &stream[..cut] {
-                    first.push(n.clone());
-                }
-                let snapshot = first.into_nodes();
-                let mut second = TailCompressor::from_nodes(DEFAULT_MAX_WINDOW, strategy, snapshot);
-                for n in &stream[cut..] {
-                    second.push(n.clone());
-                }
-                assert_eq!(second.nodes(), whole.nodes(), "cut at {cut}");
+            let snapshot = first.into_nodes();
+            let mut second = TailCompressor::from_nodes(DEFAULT_MAX_WINDOW, snapshot);
+            for n in &stream[cut..] {
+                second.push(n.clone());
             }
+            assert_eq!(second.nodes(), whole.as_slice(), "cut at {cut}");
         }
     }
 
     #[test]
     fn piecewise_push_matches_push() {
-        // push == push_raw + fold-to-fixpoint, under both strategies.
+        // push_raw + fold-to-fixpoint == append_compressed after every node.
         let stream: Vec<TraceNode> = (0..200)
             .map(|i| ev(if i == 100 { 99 } else { 1 + (i % 3) }, 64, 1))
             .collect();
-        for strategy in [FoldStrategy::Fingerprint, FoldStrategy::Structural] {
-            let mut whole = TailCompressor::with_strategy(DEFAULT_MAX_WINDOW, strategy);
-            let mut piecewise = TailCompressor::with_strategy(DEFAULT_MAX_WINDOW, strategy);
-            for n in &stream {
-                whole.push(n.clone());
-                piecewise.push_raw(n.clone());
-                while piecewise.try_fold_once() {}
-                assert_eq!(piecewise.nodes(), whole.nodes());
-            }
+        let mut whole = Vec::new();
+        let mut piecewise = TailCompressor::new(DEFAULT_MAX_WINDOW);
+        for n in &stream {
+            push(&mut whole, n.clone());
+            piecewise.push_raw(n.clone());
+            while piecewise.try_fold_once() {}
+            assert_eq!(piecewise.nodes(), whole.as_slice());
         }
     }
 
@@ -661,7 +603,7 @@ mod tests {
         // freely, but reload them before any fold whenever fewer than
         // `2 * max_window + 1` nodes are resident. Then the concatenation
         // of evicted prefix and resident tail is byte-identical to the
-        // unbounded compressor after every single push.
+        // unbounded structural fold after every single push.
         let window = 4usize;
         let min_resident = 2 * window + 1;
         let stream: Vec<TraceNode> = (0..400)
@@ -673,44 +615,42 @@ mod tests {
                 )
             })
             .collect();
-        for strategy in [FoldStrategy::Fingerprint, FoldStrategy::Structural] {
-            let mut whole = TailCompressor::with_strategy(window, strategy);
-            let mut churned = TailCompressor::with_strategy(window, strategy);
-            let mut evicted: Vec<TraceNode> = Vec::new();
-            for (i, n) in stream.iter().enumerate() {
-                whole.push(n.clone());
-                churned.push_raw(n.clone());
-                loop {
-                    if churned.len() < min_resident && !evicted.is_empty() {
-                        churned.prepend_nodes(std::mem::take(&mut evicted));
-                    }
-                    if !churned.try_fold_once() {
-                        break;
-                    }
+        let mut whole = Vec::new();
+        let mut churned = TailCompressor::new(window);
+        let mut evicted: Vec<TraceNode> = Vec::new();
+        for (i, n) in stream.iter().enumerate() {
+            append_compressed(&mut whole, n.clone(), window);
+            churned.push_raw(n.clone());
+            loop {
+                if churned.len() < min_resident && !evicted.is_empty() {
+                    churned.prepend_nodes(std::mem::take(&mut evicted));
                 }
-                if churned.len() > 2 * min_resident {
-                    let k = churned.len() - min_resident;
-                    evicted.extend_from_slice(&churned.nodes()[..k]);
-                    churned.drop_prefix(k);
+                if !churned.try_fold_once() {
+                    break;
                 }
-                let mut joined = evicted.clone();
-                joined.extend_from_slice(churned.nodes());
-                assert_eq!(joined.as_slice(), whole.nodes(), "after push {i}");
             }
+            if churned.len() > 2 * min_resident {
+                let k = churned.len() - min_resident;
+                evicted.extend_from_slice(&churned.nodes()[..k]);
+                churned.drop_prefix(k);
+            }
+            let mut joined = evicted.clone();
+            joined.extend_from_slice(churned.nodes());
+            assert_eq!(joined.as_slice(), whole.as_slice(), "after push {i}");
         }
     }
 
     #[test]
     fn compressor_accepts_preformed_loops() {
         // Pushing Loop nodes directly (as the differential tests do) folds
-        // identically under both strategies.
+        // like the structural reference.
         let mk = || {
             TraceNode::Loop(Prsd {
                 count: 4,
                 body: vec![ev(1, 64, 1), ev(2, 64, 1)],
             })
         };
-        assert_strategies_agree((0..6).map(|_| mk()), DEFAULT_MAX_WINDOW);
+        assert_matches_structural((0..6).map(|_| mk()), DEFAULT_MAX_WINDOW);
         let mut c = TailCompressor::new(DEFAULT_MAX_WINDOW);
         for _ in 0..6 {
             c.push(mk());

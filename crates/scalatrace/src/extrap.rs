@@ -175,7 +175,7 @@ fn extrapolate_rank_param(
         }
         RankParam::PerRank(_) => {
             // the dense escape hatch may still hide a stride-expressible
-            // pattern (e.g. produced under ParamRepr::Dense): re-fit it
+            // pattern (e.g. decoded from a legacy file): re-fit it
             // before refusing
             match p.canonical() {
                 RankParam::PerRank(_) => Err(ExtrapError(

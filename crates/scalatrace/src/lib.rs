@@ -54,10 +54,9 @@ pub mod timestats;
 pub mod trace;
 
 pub use collect::{
-    trace_app, trace_app_with_strategy, trace_world, trace_world_partial,
-    trace_world_with_strategy, PartialTracedRun, TracedRun, Tracer,
+    trace_app, trace_world, trace_world_partial, PartialTracedRun, TracedRun, Tracer,
 };
-pub use compress::{FoldStrategy, TailCompressor};
+pub use compress::TailCompressor;
 pub use cursor::{events_for_rank, semantically_equal, ConcreteEvent, ConcreteOp, Cursor};
 pub use merge::{MergeStats, MergeStrategy};
 pub use rankset::RankSet;

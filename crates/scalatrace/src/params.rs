@@ -10,7 +10,7 @@
 //! parameters" property the paper contrasts with call-graph compression
 //! (§2), kept independent of the rank count:
 //!
-//! * Unification never materializes dense tables on the symbolic path: the
+//! * Unification never materializes dense tables: the
 //!   candidate closed forms are checked piece-against-piece over rank-set
 //!   runs ([`RankSet::runs`]), and the piecewise fallback groups runs by
 //!   the offset `value - rank`, so unifying k distinct behaviors costs
@@ -19,62 +19,19 @@
 //!   rank→value map, never on how the input was cut into parts. That makes
 //!   flat many-way unification ([`RankParam::unify_many`]) equal to any
 //!   fold of the pairwise [`RankParam::unify`] — the associativity the
-//!   class-collapsed merge relies on — and makes the dense and symbolic
-//!   representations encode byte-identically (see [`ParamRepr`]).
+//!   class-collapsed merge relies on.
 //!
-//! The legacy dense behavior survives behind the [`ParamRepr::Dense`]
-//! escape hatch: under it, unification expands and recompresses explicit
-//! tables exactly as the seed implementation did. Differential tests pin
-//! the two representations to byte-identical text/STBS encodings, virtual
-//! times, and profiles.
+//! The pointwise table is therefore the oracle for every unification:
+//! expanding the parts through the public `eval` and fitting the union with
+//! [`compress_rank_table`] must give the same parameter, and the tests here
+//! and in `tests/proptests.rs` check exactly that. Dense `PerRank` tables
+//! still *decode* from legacy trace files; [`RankParam::canonical`] re-fits
+//! them so they compare and re-encode like what unification produces now.
 
 use crate::rankset::{RankSet, Run};
 use mpisim::types::Rank;
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// Which parameter representation unification produces for irregular
-/// tables: the seed dense `PerRank` maps, or the piecewise-symbolic form.
-///
-/// The setting is per-thread (merges that must honor a non-default value
-/// should run with `threads = 1` so all work stays on the calling thread).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ParamRepr {
-    /// Seed behavior: expand to dense rank tables and recompress.
-    Dense,
-    /// Run-wise piecewise-symbolic unification (the default).
-    #[default]
-    Symbolic,
-}
-
-thread_local! {
-    static REPR: Cell<ParamRepr> = const { Cell::new(ParamRepr::Symbolic) };
-}
-
-/// The active [`ParamRepr`] on this thread.
-pub fn param_repr() -> ParamRepr {
-    REPR.with(Cell::get)
-}
-
-/// Set the active [`ParamRepr`] on this thread.
-pub fn set_param_repr(repr: ParamRepr) {
-    REPR.with(|c| c.set(repr));
-}
-
-/// Run `f` with `repr` active on this thread, restoring the previous value
-/// when `f` returns or panics.
-pub fn with_param_repr<T>(repr: ParamRepr, f: impl FnOnce() -> T) -> T {
-    struct Restore(ParamRepr);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_param_repr(self.0);
-        }
-    }
-    let _restore = Restore(param_repr());
-    set_param_repr(repr);
-    f()
-}
 
 /// One closed-form peer function — the value half of a piecewise piece.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -185,11 +142,6 @@ impl RankParam {
         }
     }
 
-    /// Expand to an explicit map over `ranks`.
-    fn table(&self, ranks: &RankSet) -> BTreeMap<Rank, Rank> {
-        ranks.iter().map(|r| (r, self.eval(r))).collect()
-    }
-
     /// Unify two parameters over disjoint rank sets, producing the most
     /// compact representation that is exact for the union.
     pub fn unify(
@@ -199,20 +151,13 @@ impl RankParam {
         b_ranks: &RankSet,
         world: usize,
     ) -> RankParam {
-        match param_repr() {
-            ParamRepr::Dense => {
-                let mut table = a.table(a_ranks);
-                table.extend(b.table(b_ranks));
-                compress_rank_table(table, world)
-            }
-            ParamRepr::Symbolic => unify_rank_symbolic(&[(a, a_ranks), (b, b_ranks)], world),
-        }
+        unify_rank_symbolic(&[(a, a_ranks), (b, b_ranks)], world)
     }
 
     /// Unify parameters over many disjoint rank sets at once. Because the
     /// fit is canonical in the pointwise union map, folding the pairwise
     /// [`RankParam::unify`] in *any* association yields the same result —
-    /// which this computes directly, run-wise on the symbolic path.
+    /// which this computes directly, run-wise.
     pub fn unify_many<'a, I>(parts: I, world: usize) -> RankParam
     where
         I: IntoIterator<Item = (&'a RankParam, &'a RankSet)>,
@@ -228,18 +173,7 @@ impl RankParam {
                 return RankParam::Const(*v);
             }
         }
-        match param_repr() {
-            ParamRepr::Dense => {
-                let mut table = BTreeMap::new();
-                for (p, ranks) in parts {
-                    for r in ranks.iter() {
-                        table.insert(r, p.eval(r));
-                    }
-                }
-                compress_rank_table(table, world)
-            }
-            ParamRepr::Symbolic => unify_rank_symbolic(&parts, world),
-        }
+        unify_rank_symbolic(&parts, world)
     }
 
     /// Is this a compressed (non-table) form?
@@ -247,10 +181,11 @@ impl RankParam {
         !matches!(self, RankParam::PerRank(_))
     }
 
-    /// The canonical encoding form: dense tables re-fit to the piecewise
-    /// form they would have taken on the symbolic path (or stay dense past
-    /// the threshold); everything else is already canonical. Encoders call
-    /// this so both [`ParamRepr`]s serialize byte-identically.
+    /// The canonical encoding form: dense tables (decoded from legacy
+    /// files) re-fit to the piecewise form unification would have produced
+    /// (or stay dense past the threshold); everything else is already
+    /// canonical. Encoders call this so a legacy table re-encodes
+    /// byte-identically to its symbolic equal.
     pub fn canonical(&self) -> RankParam {
         match self {
             RankParam::PerRank(t) => fit_rank_table(t),
@@ -289,9 +224,10 @@ impl PartialEq for RankParam {
     }
 }
 
-/// Find the most compact exact representation of a rank→peer table. The
-/// fallback representation for irregular tables follows the active
-/// [`ParamRepr`]: dense `PerRank`, or the canonical piecewise fit.
+/// Find the most compact exact representation of a rank→peer table;
+/// irregular tables take the canonical piecewise fit. Unification never
+/// builds the table — this is the pointwise oracle its tests compare
+/// against (see the module docs).
 pub fn compress_rank_table(table: BTreeMap<Rank, Rank>, world: usize) -> RankParam {
     debug_assert!(!table.is_empty());
     let mut values = table.values();
@@ -321,10 +257,7 @@ pub fn compress_rank_table(table: BTreeMap<Rank, Rank>, world: usize) -> RankPar
             };
         }
     }
-    match param_repr() {
-        ParamRepr::Dense => RankParam::PerRank(table),
-        ParamRepr::Symbolic => fit_rank_table(&table),
-    }
+    fit_rank_table(&table)
 }
 
 /// Canonical piecewise fit of an irregular table: group ranks by the
@@ -373,8 +306,8 @@ fn fit_rank_groups(groups: BTreeMap<i64, Vec<Run>>, total: usize) -> Option<Rank
 }
 
 /// Run-wise symbolic unification: candidate closed forms are checked
-/// piece-against-piece (exactly — including the dense parts, which are
-/// scanned as the seed would), then the offset partition builds the
+/// piece-against-piece (exactly — including dense `PerRank` parts, which
+/// are scanned rank by rank), then the offset partition builds the
 /// canonical piecewise form without ever materializing a union table
 /// unless the threshold forces the dense escape hatch.
 fn unify_rank_symbolic(parts: &[(&RankParam, &RankSet)], world: usize) -> RankParam {
@@ -492,7 +425,7 @@ fn rank_fn_order(f: &RankFn) -> u8 {
 /// pieces contribute whole runs; modular pieces split at wrap boundaries;
 /// constants and xors (which have rank-varying offsets) expand — they are
 /// only reached when the single-form candidates already failed, so the
-/// cost is bounded by what the dense path would pay anyway.
+/// cost is bounded by what materializing the table would pay anyway.
 fn rank_diff_fragments(p: &RankParam, dom: &RankSet, groups: &mut BTreeMap<i64, Vec<Run>>) {
     match p {
         RankParam::Piecewise(ps) => {
@@ -691,53 +624,34 @@ impl CommParam {
                 return CommParam::Const(*v);
             }
         }
-        match param_repr() {
-            ParamRepr::Dense => {
+        let total: usize = parts.iter().map(|(_, s)| s.len()).sum();
+        let mut groups: BTreeMap<u32, Vec<Run>> = BTreeMap::new();
+        for (p, s) in &parts {
+            match p {
+                CommParam::Const(c) => groups.entry(*c).or_default().extend_from_slice(s.runs()),
+                CommParam::Piecewise(ps) => {
+                    for (set, c) in ps {
+                        groups.entry(*c).or_default().extend_from_slice(set.runs());
+                    }
+                }
+                CommParam::PerRank(_) => {
+                    for r in s.iter() {
+                        push_single(&mut groups, p.eval(r), r);
+                    }
+                }
+            }
+        }
+        fit_value_groups(groups, total, CommParam::Const, CommParam::Piecewise).unwrap_or_else(
+            || {
                 let mut table = BTreeMap::new();
-                for (p, ranks) in parts {
-                    for r in ranks.iter() {
+                for (p, s) in parts {
+                    for r in s.iter() {
                         table.insert(r, p.eval(r));
                     }
                 }
-                let first = *table.values().next().expect("unify_many over no ranks");
-                if table.values().all(|&v| v == first) {
-                    CommParam::Const(first)
-                } else {
-                    CommParam::PerRank(table)
-                }
-            }
-            ParamRepr::Symbolic => {
-                let total: usize = parts.iter().map(|(_, s)| s.len()).sum();
-                let mut groups: BTreeMap<u32, Vec<Run>> = BTreeMap::new();
-                for (p, s) in &parts {
-                    match p {
-                        CommParam::Const(c) => {
-                            groups.entry(*c).or_default().extend_from_slice(s.runs())
-                        }
-                        CommParam::Piecewise(ps) => {
-                            for (set, c) in ps {
-                                groups.entry(*c).or_default().extend_from_slice(set.runs());
-                            }
-                        }
-                        CommParam::PerRank(_) => {
-                            for r in s.iter() {
-                                push_single(&mut groups, p.eval(r), r);
-                            }
-                        }
-                    }
-                }
-                fit_value_groups(groups, total, CommParam::Const, CommParam::Piecewise)
-                    .unwrap_or_else(|| {
-                        let mut table = BTreeMap::new();
-                        for (p, s) in parts {
-                            for r in s.iter() {
-                                table.insert(r, p.eval(r));
-                            }
-                        }
-                        CommParam::PerRank(table)
-                    })
-            }
-        }
+                CommParam::PerRank(table)
+            },
+        )
     }
 
     /// Distinct communicator ids with the sub-rank-set using each, in
@@ -919,23 +833,7 @@ impl ValParam {
                 return ValParam::Const(*v);
             }
         }
-        match param_repr() {
-            ParamRepr::Dense => {
-                let mut table = BTreeMap::new();
-                for (p, ranks) in parts {
-                    for r in ranks.iter() {
-                        table.insert(r, p.eval(r));
-                    }
-                }
-                let first = *table.values().next().expect("unify_many over no ranks");
-                if table.values().all(|&v| v == first) {
-                    ValParam::Const(first)
-                } else {
-                    ValParam::PerRank(table)
-                }
-            }
-            ParamRepr::Symbolic => unify_val_symbolic(&parts),
-        }
+        unify_val_symbolic(&parts)
     }
 
     /// Sum across a rank set. Closed-form and run-weighted on the symbolic
@@ -1176,19 +1074,6 @@ mod tests {
     }
 
     #[test]
-    fn with_param_repr_restores_the_previous_repr_when_f_panics() {
-        assert_eq!(param_repr(), ParamRepr::Symbolic);
-        let unwound = std::panic::catch_unwind(|| {
-            with_param_repr(ParamRepr::Dense, || {
-                assert_eq!(param_repr(), ParamRepr::Dense);
-                panic!("f fails under the dense representation");
-            })
-        });
-        assert!(unwound.is_err());
-        assert_eq!(param_repr(), ParamRepr::Symbolic);
-    }
-
-    #[test]
     fn unify_equal_constants() {
         let p = RankParam::unify(
             &RankParam::Const(0),
@@ -1389,10 +1274,10 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_matches_dense_on_random_maps() {
-        // Pseudo-random rank maps, several worlds: the symbolic unify of
-        // singleton parts must equal the dense compression pointwise, and
-        // canonical() must reconcile the two representations.
+    fn unify_matches_the_pointwise_table_on_random_maps() {
+        // Pseudo-random rank maps, several worlds: the run-wise unify of
+        // singleton parts must equal the fit of the pointwise table, and
+        // Eq / canonical() must reconcile both with the legacy dense table.
         let mut seed = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             seed ^= seed << 13;
@@ -1405,18 +1290,22 @@ mod tests {
                 let table: BTreeMap<Rank, Rank> = (0..n)
                     .map(|r| (r, (next() % (2 * n as u64)) as usize))
                     .collect();
-                let dense =
-                    with_param_repr(ParamRepr::Dense, || compress_rank_table(table.clone(), n));
+                let fit = compress_rank_table(table.clone(), n);
+                let dense = RankParam::PerRank(table.clone());
                 let parts: Vec<(RankParam, RankSet)> = table
                     .iter()
                     .map(|(&r, &v)| (RankParam::Const(v), RankSet::single(r)))
                     .collect();
                 let sym = RankParam::unify_many(parts.iter().map(|(p, s)| (p, s)), n);
-                for &r in table.keys() {
-                    assert_eq!(sym.eval(r), dense.eval(r), "n={n} r={r}");
+                for (&r, &v) in &table {
+                    assert_eq!(sym.eval(r), v, "n={n} r={r}");
                 }
-                assert_eq!(sym.canonical(), dense.canonical(), "n={n}");
-                assert_eq!(sym, dense, "Eq must reconcile representations");
+                assert_eq!(sym, fit, "n={n}");
+                if sym.as_fn().is_none() {
+                    // No closed form: the legacy dense table is the same value.
+                    assert_eq!(sym.canonical(), dense.canonical(), "n={n}");
+                    assert_eq!(sym, dense, "Eq must reconcile representations");
+                }
             }
         }
     }

@@ -29,7 +29,7 @@
 //! this differentially across random programs and seeded fault plans).
 
 use crate::collect::{PartialTracedRun, Tracer};
-use crate::compress::{FoldStrategy, TailCompressor};
+use crate::compress::TailCompressor;
 use crate::merge::merge_tracers;
 use crate::params::{CommParam, RankFn, RankParam, SrcParam, ValParam};
 use crate::rankset::{RankSet, Run};
@@ -622,10 +622,8 @@ pub fn checkpoint_bytes(t: &Tracer) -> Vec<u8> {
     e.u64(t.last_exit().as_nanos());
     let seq = t.compressor();
     e.usize(seq.max_window());
-    e.u8(match seq.strategy() {
-        FoldStrategy::Fingerprint => 0,
-        FoldStrategy::Structural => 1,
-    });
+    // The v1 layout's fold-strategy byte: 0 = fingerprint, the one compressor.
+    e.u8(0);
     let comms = t.comms_ref();
     let ids: Vec<u32> = comms.ids().collect();
     e.usize(ids.len());
@@ -684,11 +682,12 @@ pub fn tracer_from_checkpoint(bytes: &[u8]) -> Result<Tracer, SnapshotError> {
     if max_window == 0 {
         return Err(corrupt("zero fold window"));
     }
-    let strategy = match d.u8()? {
-        0 => FoldStrategy::Fingerprint,
-        1 => FoldStrategy::Structural,
+    // Both v1 tags restore into the one compressor: the structural-era
+    // fold (`1`) produced the same nodes byte for byte.
+    match d.u8()? {
+        0 | 1 => {}
         t => return Err(corrupt(format!("bad strategy tag {t}"))),
-    };
+    }
     let mut comms = CommTable::world(nranks);
     let ncomms = d.len()?;
     for _ in 0..ncomms {
@@ -708,7 +707,7 @@ pub fn tracer_from_checkpoint(bytes: &[u8]) -> Result<Tracer, SnapshotError> {
     if d.pos != d.buf.len() {
         return Err(corrupt("trailing bytes after payload"));
     }
-    let seq = TailCompressor::from_nodes(max_window, strategy, nodes);
+    let seq = TailCompressor::from_nodes(max_window, nodes);
     Ok(Tracer::restore(
         rank,
         nranks,

@@ -52,7 +52,7 @@
 //! unreadable one means the disk is lying and no exact continuation exists.
 
 use crate::collect::{PartialTracedRun, Tracer};
-use crate::compress::{FoldStrategy, TailCompressor, DEFAULT_MAX_WINDOW};
+use crate::compress::DEFAULT_MAX_WINDOW;
 use crate::merge::merge_sequences;
 use crate::snapshot::{corrupt, dec_node, enc_node, Dec, Enc, SnapshotError};
 use crate::trace::{CommTable, Trace, TraceNode};
@@ -293,7 +293,6 @@ pub struct StreamConfig {
     dir: PathBuf,
     budget: usize,
     max_window: usize,
-    strategy: FoldStrategy,
     event_delay: Option<Duration>,
 }
 
@@ -308,7 +307,6 @@ impl StreamConfig {
             dir: dir.into(),
             budget,
             max_window: DEFAULT_MAX_WINDOW,
-            strategy: FoldStrategy::default(),
             event_delay: None,
         }
     }
@@ -316,12 +314,6 @@ impl StreamConfig {
     /// Use an explicit tail-compression window (clamped to at least 1).
     pub fn with_max_window(mut self, w: usize) -> StreamConfig {
         self.max_window = w.max(1);
-        self
-    }
-
-    /// Use an explicit fold strategy.
-    pub fn with_strategy(mut self, strategy: FoldStrategy) -> StreamConfig {
-        self.strategy = strategy;
         self
     }
 
@@ -346,11 +338,6 @@ impl StreamConfig {
     /// The configured fold window.
     pub fn max_window(&self) -> usize {
         self.max_window
-    }
-
-    /// The configured fold strategy.
-    pub fn strategy(&self) -> FoldStrategy {
-        self.strategy
     }
 
     /// Fewest resident nodes folding may ever see while sealed segments
@@ -420,11 +407,7 @@ impl StreamingTracer {
     pub fn new(rank: usize, nranks: usize, cfg: StreamConfig) -> StreamingTracer {
         let budget = cfg.budget();
         let min_resident = cfg.min_resident();
-        let inner = Tracer::with_compressor(
-            rank,
-            nranks,
-            TailCompressor::with_strategy(cfg.max_window(), cfg.strategy()),
-        );
+        let inner = Tracer::with_window(rank, nranks, cfg.max_window());
         StreamingTracer {
             inner,
             cfg,
@@ -1083,16 +1066,7 @@ mod tests {
     fn unbounded(n: usize, iters: usize, w: usize) -> (Trace, RunReport) {
         let (report, tracers) = World::new(n)
             .network(network::ideal())
-            .run_hooked(
-                move |r| {
-                    Tracer::with_compressor(
-                        r,
-                        n,
-                        TailCompressor::with_strategy(w, FoldStrategy::default()),
-                    )
-                },
-                app(iters),
-            )
+            .run_hooked(move |r| Tracer::with_window(r, n, w), app(iters))
             .expect("unbounded run");
         (merge_tracers(tracers), report)
     }

@@ -257,3 +257,59 @@ fn checkpoints_are_written_atomically_no_tmp_left_behind() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Overwrite the v1 fold-strategy byte of every rank's checkpoint and fix
+/// up the trailing FNV-1a checksum, so only the tag differs.
+fn patch_strategy_tag(cfg: &CheckpointConfig, n: usize, tag: u8) {
+    // magic · version u32 · rank · nranks · events_seen · last_exit ·
+    // max_window (u64 each), then the tag.
+    const TAG_AT: usize = 4 + 4 + 5 * 8;
+    for r in 0..n {
+        let path = cfg.rank_path(r);
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[TAG_AT], 0, "the writer emits the fingerprint tag");
+        bytes[TAG_AT] = tag;
+        let body_len = bytes.len() - 8;
+        let mut h = mpisim::types::Fnv1a::new();
+        h.write(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&h.finish().to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+    }
+}
+
+#[test]
+fn structural_era_checkpoints_resume_and_unknown_tags_are_refused() {
+    const N: usize = 4;
+    let full = trace_world(World::new(N), N, app(7, 256)).unwrap();
+
+    let dir = temp_dir("tag");
+    let cfg = CheckpointConfig::new(&dir, 3);
+    let crashed = trace_world_checkpointed(
+        World::new(N).faults(FaultPlan::seeded(5).crash_rank(2, 11)),
+        N,
+        &cfg,
+        app(7, 256),
+    )
+    .unwrap();
+    assert!(!crashed.completed());
+
+    // Tag 1 was the compressor's structural-fold mode: it restores into the
+    // one compressor and finishes with the uninterrupted run's bytes.
+    patch_strategy_tag(&cfg, N, 1);
+    let resumed = trace_world_resumed(World::new(N), N, &cfg, app(7, 256)).unwrap();
+    assert!(resumed.completed());
+    assert_eq!(
+        scalatrace::stream::trace_to_bytes(&resumed.trace),
+        scalatrace::stream::trace_to_bytes(&full.trace)
+    );
+    assert_eq!(text::to_text(&resumed.trace), text::to_text(&full.trace));
+
+    // The completed resume rewrote the checkpoints with tag 0; anything
+    // past 1 is a structured error, not a panic.
+    patch_strategy_tag(&cfg, N, 2);
+    let err = trace_world_resumed(World::new(N), N, &cfg, app(7, 256))
+        .expect_err("an unknown strategy tag must be rejected");
+    assert!(err.to_string().contains("bad strategy tag 2"), "{err}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -190,17 +190,16 @@ proptest! {
         }
     }
 
-    /// Dense and symbolic unification must agree pointwise on arbitrary
-    /// irregular rank tables, however the table is cut into parts, and
-    /// their canonical forms must coincide (the byte-identity the encoders
-    /// rely on).
+    /// Unification must equal the fit of the pointwise table on arbitrary
+    /// irregular rank tables, however the table is cut into parts, and the
+    /// legacy dense table must compare and canonicalise to the same value
+    /// (the byte-identity the encoders rely on).
     #[test]
-    fn symbolic_unify_matches_dense_on_arbitrary_tables(
+    fn unify_matches_the_pointwise_table_on_arbitrary_tables(
         vals in proptest::collection::vec(0usize..48, 2..48),
         cuts in proptest::collection::vec(0usize..48, 0..6),
         world in 0usize..2,
     ) {
-        use scalatrace::params::{with_param_repr, ParamRepr};
         let n = vals.len();
         let world = world * n; // 0 (no modulus) or the world size
         let table: BTreeMap<usize, usize> = vals.iter().copied().enumerate().collect();
@@ -220,33 +219,34 @@ proptest! {
             })
             .collect();
         let sym = RankParam::unify_many(parts.iter().map(|(p, s)| (p, s)), world);
-        let dense = with_param_repr(ParamRepr::Dense, || {
-            RankParam::unify_many(parts.iter().map(|(p, s)| (p, s)), world)
-        });
         for (&r, &v) in &table {
-            prop_assert_eq!(sym.eval(r), v, "symbolic wrong at rank {}", r);
-            prop_assert_eq!(dense.eval(r), v, "dense wrong at rank {}", r);
+            prop_assert_eq!(sym.eval(r), v, "wrong at rank {}", r);
         }
-        prop_assert_eq!(sym.canonical(), dense.canonical());
-        prop_assert_eq!(&sym, &dense, "Eq must reconcile the representations");
+        prop_assert_eq!(&sym, &compress_rank_table(table.clone(), world));
+        if sym.as_fn().is_none() {
+            let dense = RankParam::PerRank(table);
+            prop_assert_eq!(sym.canonical(), dense.canonical());
+            prop_assert_eq!(&sym, &dense, "Eq must reconcile the representations");
+        }
     }
 
     /// Same differential for value parameters (sizes), including the
     /// closed-form mean used by v-variant collectives.
     #[test]
-    fn symbolic_val_unify_matches_dense(
+    fn val_unify_matches_the_pointwise_table(
         vals in proptest::collection::vec(0u64..64, 1..40),
     ) {
-        use scalatrace::params::{with_param_repr, ParamRepr};
         let parts: Vec<(ValParam, RankSet)> = vals
             .iter()
             .enumerate()
             .map(|(r, &v)| (ValParam::Const(v), RankSet::single(r)))
             .collect();
         let sym = ValParam::unify_many(parts.iter().map(|(p, s)| (p, s)));
-        let dense = with_param_repr(ParamRepr::Dense, || {
-            ValParam::unify_many(parts.iter().map(|(p, s)| (p, s)))
-        });
+        let dense = if vals.iter().all(|&v| v == vals[0]) {
+            ValParam::Const(vals[0])
+        } else {
+            ValParam::PerRank(vals.iter().copied().enumerate().collect())
+        };
         let dom = RankSet::from_ranks(0..vals.len());
         for (r, &v) in vals.iter().enumerate() {
             prop_assert_eq!(sym.eval(r), v);
@@ -347,21 +347,26 @@ fn alpha_ev(sig: u64, bytes: u64) -> TraceNode {
     })
 }
 
-fn fold_with(
-    stream: &[TraceNode],
-    window: usize,
-    strategy: scalatrace::FoldStrategy,
-) -> Vec<TraceNode> {
-    let mut c = scalatrace::TailCompressor::with_strategy(window, strategy);
+fn fold_fingerprint(stream: &[TraceNode], window: usize) -> Vec<TraceNode> {
+    let mut c = scalatrace::TailCompressor::new(window);
     for n in stream {
         c.push(n.clone());
     }
     c.into_nodes()
 }
 
+/// The reference: `compress::append_compressed`, the structural fold.
+fn fold_structural(stream: &[TraceNode], window: usize) -> Vec<TraceNode> {
+    let mut seq = Vec::new();
+    for n in stream {
+        scalatrace::compress::append_compressed(&mut seq, n.clone(), window);
+    }
+    seq
+}
+
 proptest! {
-    /// The fingerprint-indexed fast path must produce byte-identical traces
-    /// to the seed structural scan on arbitrary event sequences, and stay
+    /// The fingerprint-indexed compressor must produce byte-identical traces
+    /// to the structural scan on arbitrary event sequences, and stay
     /// lossless.
     #[test]
     fn fingerprint_folding_matches_structural(
@@ -370,8 +375,8 @@ proptest! {
     ) {
         let nodes: Vec<TraceNode> =
             stream.iter().map(|&(s, b)| alpha_ev(s, b)).collect();
-        let fp = fold_with(&nodes, window, scalatrace::FoldStrategy::Fingerprint);
-        let st = fold_with(&nodes, window, scalatrace::FoldStrategy::Structural);
+        let fp = fold_fingerprint(&nodes, window);
+        let st = fold_structural(&nodes, window);
         prop_assert_eq!(&fp, &st);
         let expanded: Vec<u64> = Cursor::over(&fp, 0)
             .collect_all()
@@ -399,8 +404,8 @@ proptest! {
             let bytes = if p % drift_every == 0 { 1_000 + p as u64 } else { 2 };
             nodes.push(alpha_ev(period as u64, bytes));
         }
-        let fp = fold_with(&nodes, 32, scalatrace::FoldStrategy::Fingerprint);
-        let st = fold_with(&nodes, 32, scalatrace::FoldStrategy::Structural);
+        let fp = fold_fingerprint(&nodes, 32);
+        let st = fold_structural(&nodes, 32);
         prop_assert_eq!(fp, st);
     }
 
@@ -420,7 +425,7 @@ proptest! {
         for n in &nodes {
             degraded.push(n.clone());
         }
-        let st = fold_with(&nodes, window, scalatrace::FoldStrategy::Structural);
+        let st = fold_structural(&nodes, window);
         prop_assert_eq!(degraded.into_nodes(), st);
     }
 }

@@ -13,9 +13,7 @@ use mpisim::types::{Src, TagSel};
 use mpisim::world::World;
 use proptest::prelude::*;
 use scalatrace::stream::trace_to_bytes;
-use scalatrace::{
-    text, trace_world_streamed, FoldStrategy, StreamConfig, TailCompressor, Trace, Tracer,
-};
+use scalatrace::{text, trace_world_streamed, StreamConfig, Trace, Tracer};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -62,16 +60,8 @@ fn unbounded_reference(
     window: usize,
     body: impl Fn(&mut mpisim::Ctx) + Send + Sync + 'static,
 ) -> (Result<mpisim::world::RunReport, SimError>, Trace) {
-    let (result, tracers) = world.run_hooked_partial(
-        move |r| {
-            Tracer::with_compressor(
-                r,
-                n,
-                TailCompressor::with_strategy(window, FoldStrategy::default()),
-            )
-        },
-        body,
-    );
+    let (result, tracers) =
+        world.run_hooked_partial(move |r| Tracer::with_window(r, n, window), body);
     (result, scalatrace::merge::merge_tracers(tracers))
 }
 

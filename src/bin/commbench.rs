@@ -23,11 +23,12 @@
 //! commbench chaos --apps lu,cg --ranks 4 --network bgl
 //! ```
 //!
-//! The `perf` subcommand runs the standing performance suite (compression
-//! microbench at 8/32/64 ranks plus the cache-routed trace → generate →
-//! execute pipeline over the registry) with warmup + median-of-N timing,
-//! and writes `BENCH_pipeline.json`; every suite embeds its seed-algorithm
-//! baseline so the speedups transfer across machines:
+//! The `perf` subcommand runs the standing micro suite (compression, merge
+//! and streaming-capture microbenches plus the cache-routed trace →
+//! generate → execute pipeline over the registry) with warmup + median-of-N
+//! timing, and writes `BENCH_pipeline.json`; `--check` gates the exact
+//! counters and same-run ratios of a committed report, which transfer
+//! across machines, and no wall time:
 //!
 //! ```text
 //! commbench perf                                    # full suite
@@ -745,7 +746,7 @@ fn parse_matrix(argv: &[String]) -> Result<Args, String> {
                             # restart an interrupted campaign from its log\n\
                      or:    commbench chaos [--seeds N] [--apps A,B] [--ranks N] \
                             [--network ideal|bgl|ethernet] [--iterations N] [common flags]\n\
-                     or:    commbench perf [--smoke] [--baseline] [--reps N] [--warmup N] \
+                     or:    commbench perf [--smoke] [--reps N] [--warmup N] \
                             [--cache DIR] [--out FILE.json] [--check BASELINE.json] \
                             [--threads N] [--parallel-suites]\n\
                      or:    commbench fsck [--cache DIR]   \
@@ -895,7 +896,6 @@ fn parse_perf(argv: &[String]) -> Result<PerfConfig, String> {
     while i < argv.len() {
         match argv[i].as_str() {
             "--smoke" => cfg.smoke = true,
-            "--baseline" => cfg.baseline_only = true,
             "--reps" => {
                 cfg.reps = Some(
                     value(&mut i)?
@@ -922,12 +922,10 @@ fn parse_perf(argv: &[String]) -> Result<PerfConfig, String> {
             }
             "--parallel-suites" => cfg.parallel_suites = true,
             "--help" | "-h" => {
-                return Err(
-                    "usage: commbench perf [--smoke] [--baseline] [--reps N] [--warmup N] \
+                return Err("usage: commbench perf [--smoke] [--reps N] [--warmup N] \
                             [--cache DIR] [--out FILE.json] [--check BASELINE.json] \
                             [--threads N] [--parallel-suites]"
-                        .to_string(),
-                )
+                    .to_string())
             }
             other => return Err(format!("unknown argument {other} (try --help)")),
         }
@@ -980,7 +978,7 @@ fn main_perf(cfg: PerfConfig) -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!(
-            "perf: no suite regressed >{:.0}% vs {}",
+            "perf: no counter rose and no ratio rose >{:.0}% vs {}",
             perf::CHECK_TOLERANCE * 100.0,
             baseline_path.display()
         );
@@ -1813,15 +1811,15 @@ mod tests {
             _ => panic!("expected perf mode"),
         };
         let cfg = perf("perf");
-        assert!(!cfg.smoke && !cfg.baseline_only);
+        assert!(!cfg.smoke);
         assert_eq!(cfg.out, PathBuf::from("BENCH_pipeline.json"));
         assert!(cfg.check.is_none());
 
         let cfg = perf(
-            "perf --smoke --baseline --reps 7 --warmup 3 --cache /tmp/c \
+            "perf --smoke --reps 7 --warmup 3 --cache /tmp/c \
              --out o.json --check BENCH_pipeline.json --threads 4 --parallel-suites",
         );
-        assert!(cfg.smoke && cfg.baseline_only);
+        assert!(cfg.smoke);
         assert_eq!(cfg.reps, Some(7));
         assert_eq!(cfg.warmup, Some(3));
         assert_eq!(cfg.cache_dir, PathBuf::from("/tmp/c"));
@@ -1834,6 +1832,7 @@ mod tests {
         assert!(parse_argv(argv("perf --reps lots")).is_err());
         assert!(parse_argv(argv("perf --threads 0")).is_err());
         assert!(parse_argv(argv("perf --threads many")).is_err());
+        assert!(parse_argv(argv("perf --baseline")).is_err());
         assert!(parse_argv(argv("perf --matrix m.txt")).is_err());
         assert!(parse_argv(argv("perf --help")).is_err());
     }

@@ -1,47 +1,56 @@
-//! `commbench perf` — the standing performance gate.
+//! `commbench perf` — the standing micro gate.
 //!
 //! Runs a fixed, std-only benchmark suite with warmup + median-of-N timing
-//! and writes `BENCH_pipeline.json` at the repo root in a stable schema, so
-//! successive PRs append to a measured performance trajectory instead of
-//! trading anecdotes. Two suite families:
+//! and writes `BENCH_pipeline.json` at the repo root in a stable schema
+//! (`commspec-perf/v3`). Every row is `name, kind, ranks, median_ns` plus
+//! the counters and same-run ratios of its family:
 //!
 //! * **compression** — the ScalaTrace tail-folding microbench at 8/32/64
 //!   ranks: synthetic per-rank event streams (nested loops, flat bursts,
-//!   periodic breaks) pushed through [`TailCompressor`] under the
-//!   production fingerprint strategy and the seed structural strategy.
-//! * **pipeline** — the full trace → generate → execute pipeline over
-//!   miniapp registry entries, routed through [`campaign::TraceCache`] so
-//!   every suite reports both a *cold* timing (trace, store, generate,
-//!   execute) and a *warm* timing (cache load, generate, execute). The
-//!   baseline leg re-runs the seed algorithms: structural folding and
-//!   unbatched rank→engine handoffs.
-//!
+//!   periodic breaks) pushed through [`TailCompressor`], what capture runs.
+//!   `fold_ratio` is its time over that of `compress::append_compressed`,
+//!   the structural fold `core::rebuild` runs, on the same streams.
 //! * **merge** — the inter-rank reduction at 64–1024 ranks: per-rank
 //!   streams with identical call-site structure (the SPMD common case)
-//!   merged under the class-collapsed strategy (`current`) and the seed
-//!   pairwise LCS tree (`baseline`), both at the configured pool width, so
-//!   the speedup isolates the algorithm rather than thread scaling. A
-//!   `merge_distinct_r64` suite runs the all-distinct worst case, where
-//!   collapse degenerates to the pairwise tree plus digest overhead and
-//!   must stay within noise of the seed path. Merge suites embed the
-//!   collapse phase counters (classes, representative merges, LCS cells,
-//!   anchor-trim rate) as additive JSON fields, and record the pool width
-//!   they measured under: the pairwise baseline parallelises on real
-//!   multicore hosts while collapse is mostly width-insensitive, so the
-//!   ratio depends on the width and the `--check` gate only compares a
-//!   merge suite when the fresh run used the *same* width.
-//!
+//!   under the class-collapsed merge, plus `merge_distinct_r64`, the
+//!   all-distinct worst case, and two large-P interior rows. Merge rows
+//!   carry the collapse phase counters (classes, representative merges,
+//!   LCS cells, anchor-trim rate), the merge's peak-resident delta, and
+//!   the pool width they ran under.
 //! * **stream** — bounded-memory streaming capture (`scalatrace::stream`)
-//!   of the ring app versus the seed unbounded in-memory capture. The
-//!   speedup here is the streaming overhead ratio, and the row embeds the
-//!   capture counters (peak resident nodes vs budget, segments sealed,
-//!   reloads, seal errors) as additive JSON fields, so the memory bound is
-//!   part of the committed record.
+//!   of the ring app. `stream_ratio` is its time over the unbounded
+//!   in-memory capture's; the row carries the capture counters (peak
+//!   resident nodes vs budget, segments sealed, reloads, seal errors).
+//! * **pipeline** — the full trace → generate → execute pipeline over
+//!   miniapp registry entries, routed through [`campaign::TraceCache`] so
+//!   every row has a *cold* median (trace, store, generate, execute) and a
+//!   *warm* one (cache load, generate, execute), the generated program's
+//!   op and rank/engine crossing counts, and `interp_ratio`: its run under
+//!   the mpiP hook over a plain run of the application it stands for.
 //!
-//! Every suite therefore embeds its own `--baseline` comparison; `speedup`
-//! is `baseline_ns / current_ns` on the primary metric (median compression
-//! time, or median cold pipeline time). Speedups — not absolute
-//! nanoseconds — are what the CI smoke gate compares across machines.
+//! # What `--check` gates, and why wall time is not among it
+//!
+//! Only what transfers across machines ([`check_regressions`]):
+//!
+//! 1. **Exact counters may not rise** — they repeat run to run, so any
+//!    rise is a change in the algorithm, not noise: `crossings`; merge
+//!    `classes` / `rep_merges` / `lcs_cells` (at the committed pool width
+//!    only); stream `segments_sealed` / `segments_reloaded`; and the fresh
+//!    stream row must hold `peak_resident <= budget`.
+//! 2. **Same-run ratios between two production paths may not rise more
+//!    than [`CHECK_TOLERANCE`]** — both legs alternate rep by rep in one
+//!    process, so the machine's speed cancels: `fold_ratio`,
+//!    `stream_ratio`, `interp_ratio`.
+//! 3. **Cross-suite scaling of the fresh run** — the large-P merge rows
+//!    against `merge_r256` in wall time and against each other in peak
+//!    resident memory.
+//!
+//! No wall-time median is compared with a committed one: nanoseconds do not
+//! transfer across hosts (this box alone runs at two speeds), and absolute
+//! time end to end is `examples/e2e_bench compare`'s job. The medians are
+//! recorded so a row explains itself, not to be gated.
+//!
+//! [`TailCompressor`]: scalatrace::TailCompressor
 
 use campaign::hash;
 use campaign::TraceCache;
@@ -52,12 +61,12 @@ use mpisim::network;
 use mpisim::profile::MpiP;
 use mpisim::time::SimDuration;
 use mpisim::world::{RunReport, World};
-use scalatrace::compress::DEFAULT_MAX_WINDOW;
+use scalatrace::compress::{append_compressed, DEFAULT_MAX_WINDOW};
 use scalatrace::merge::merge_sequences_stats;
 use scalatrace::params::{CommParam, RankParam, ValParam};
 use scalatrace::timestats::TimeStats;
 use scalatrace::trace::{OpTemplate, Rsd, TraceNode};
-use scalatrace::{FoldStrategy, MergeStats, MergeStrategy, RankSet, StreamConfig, StreamCounters};
+use scalatrace::{MergeStats, MergeStrategy, RankSet, StreamConfig, StreamCounters};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -125,19 +134,29 @@ const STREAM_BUDGET: usize = 48;
 /// Smoke-mode pipeline apps (a wildcard-heavy app plus the simplest one).
 const SMOKE_APPS: [&str; 2] = ["ring", "lu"];
 
-/// Maximum tolerated regression of a suite's speedup vs the committed
-/// baseline in `--check` mode (25%).
+/// Maximum tolerated rise of a same-run ratio over the committed one in
+/// `--check` mode (25%).
 pub const CHECK_TOLERANCE: f64 = 0.25;
+
+/// The on-disk schema this module writes and `--check` reads.
+pub const SCHEMA: &str = "commspec-perf/v3";
+
+/// Outer iterations of the synthetic compression stream. Identical in
+/// smoke and full mode: ratios are only comparable across runs when the
+/// workload shape is fixed (the structural scan's cost is not linear in
+/// the stream length), and smoke mode saves its time by cutting the
+/// pipeline app set instead.
+const COMPRESS_ITERS: usize = 150;
+
+/// Per-app iteration override for the pipeline and stream suites. Same in
+/// both modes, for the same comparability reason as [`COMPRESS_ITERS`].
+const PIPELINE_ITERS: usize = 30;
 
 /// Configuration of one `commbench perf` invocation.
 #[derive(Clone, Debug)]
 pub struct PerfConfig {
     /// Smoke mode: two registry apps instead of the full set.
     pub smoke: bool,
-    /// Measure only the seed algorithms (structural folding, unbatched
-    /// handoffs) — the manual A/B leg. The default run already embeds the
-    /// baseline comparison in every suite.
-    pub baseline_only: bool,
     /// Median-of-N repetition count (`None` = mode default).
     pub reps: Option<usize>,
     /// Warmup iterations before timing (`None` = mode default).
@@ -146,7 +165,7 @@ pub struct PerfConfig {
     pub cache_dir: PathBuf,
     /// Output path for the JSON report.
     pub out: PathBuf,
-    /// Committed baseline to compare speedups against (CI gate).
+    /// Committed report to gate counters and ratios against (CI gate).
     pub check: Option<PathBuf>,
     /// Pool width for the parallel legs (`None` = [`par::threads`], i.e.
     /// `COMMSPEC_THREADS` or the core count).
@@ -154,7 +173,7 @@ pub struct PerfConfig {
     /// Run independent pipeline suites concurrently on the pool. Off by
     /// default: concurrent suites contend for cores and perturb each
     /// other's timings, so this is for quick exploratory runs, not for
-    /// regenerating the committed baseline.
+    /// regenerating the committed report.
     pub parallel_suites: bool,
 }
 
@@ -163,7 +182,6 @@ impl PerfConfig {
     pub fn new() -> PerfConfig {
         PerfConfig {
             smoke: false,
-            baseline_only: false,
             reps: None,
             warmup: None,
             cache_dir: PathBuf::from(".commbench-cache"),
@@ -180,7 +198,7 @@ impl PerfConfig {
     }
 
     /// Median-of-N count. Identical in smoke and full mode: a median of 3
-    /// is too noisy to hold the `--check` tolerance on the cheapest suites
+    /// is too noisy to hold the `--check` tolerance on the cheapest ratios
     /// (one cold-start outlier per leg skews it), so smoke saves its time
     /// through the smaller pipeline app set only.
     fn reps(&self) -> usize {
@@ -190,21 +208,6 @@ impl PerfConfig {
     fn warmup(&self) -> usize {
         self.warmup.unwrap_or(2)
     }
-
-    /// Outer iterations of the synthetic compression stream. Identical in
-    /// smoke and full mode: speedups are only comparable across runs when
-    /// the workload shape is fixed (the seed structural scan's cost is not
-    /// linear in the stream length), and smoke mode saves its time by
-    /// cutting the pipeline app set instead.
-    fn compress_iters(&self) -> usize {
-        150
-    }
-
-    /// Per-app iteration override for the pipeline suite. Same in both
-    /// modes, for the same comparability reason as [`Self::compress_iters`].
-    fn pipeline_iters(&self) -> usize {
-        30
-    }
 }
 
 impl Default for PerfConfig {
@@ -213,52 +216,76 @@ impl Default for PerfConfig {
     }
 }
 
-/// One benchmark suite's result. `current_ns` / `baseline_ns` hold the
-/// primary metric (compression: median fold time; pipeline: median cold
-/// time); pipeline suites add the warm (cache-hit) medians.
+/// One benchmark suite's result.
 #[derive(Clone, Debug)]
 pub struct Suite {
     /// Stable suite name (e.g. `compress_r64`, `pipeline_lu_r4`).
     pub name: String,
-    /// `compression`, `pipeline`, or `aggregate`.
+    /// `compression`, `merge`, `stream`, `pipeline`, or `aggregate`.
     pub kind: &'static str,
-    /// World size (0 for aggregates).
+    /// World size.
     pub ranks: usize,
-    /// Median of the primary metric with the current algorithms, in ns.
-    pub current_ns: u64,
-    /// Median of the primary metric with the seed algorithms, in ns.
-    pub baseline_ns: u64,
-    /// `baseline_ns / current_ns`.
-    pub speedup: f64,
-    /// Median warm (cache-hit) pipeline time, current algorithms.
+    /// Median wall time of the row's production path, in ns (pipeline: the
+    /// cold pass). Recorded, never gated.
+    pub median_ns: u64,
+    /// Median warm (cache-hit) pipeline time — pipeline suites only.
     pub warm_ns: Option<u64>,
-    /// Median warm (cache-hit) pipeline time, seed algorithms.
-    pub baseline_warm_ns: Option<u64>,
-    /// Pool width the `current` leg ran under (merge/scaling suites only;
-    /// `None` for single-threaded workloads). The `--check` gate only
-    /// compares suites measured under the same width.
+    /// Same-run time ratio of the row's path over its production reference
+    /// (see the module docs), stored under [`ratio_key`]'s name: the
+    /// fingerprint compressor over the structural fold, streamed over
+    /// unbounded capture, the generated program under the mpiP hook over a
+    /// plain run of its application. `--check` gates it against the
+    /// committed ratio.
+    pub ratio: Option<f64>,
+    /// Pool width the merge ran under (merge suites only). The `--check`
+    /// gate only compares a merge row's counters at the same width.
     pub threads: Option<usize>,
-    /// Merge phase counters from the `current` (class-collapsed) leg, so
-    /// regressions are diagnosable from the committed JSON alone.
+    /// Merge phase counters (merge suites only); `--check` gates the
+    /// deterministic ones, so regressions are diagnosable from the
+    /// committed JSON alone.
     pub merge_stats: Option<MergeStats>,
-    /// Streaming-capture counters from the `current` (streamed) leg plus
-    /// the budget it ran under (stream suites only).
+    /// Streaming-capture counters plus the budget the capture ran under
+    /// (stream suites only).
     pub stream_stats: Option<StreamSuiteStats>,
     /// Peak-resident delta (kB, `VmHWM` above the pre-merge resident set)
-    /// of the `current` leg's merge — merge suites only, `None` where the
-    /// proc interface is unavailable. Additive v2 field: the claim that
-    /// merge memory tracks behavior classes rather than P is part of the
-    /// committed record and gated by `--check`.
+    /// of the merge — merge suites only, `None` where the proc interface is
+    /// unavailable. The claim that merge memory tracks behavior classes
+    /// rather than P is part of the committed record and gated by
+    /// `--check`.
     pub peak_rss_kb: Option<u64>,
-    /// Simulator counts of the `current` leg's generated-program run —
-    /// pipeline suites only. Both repeat exactly from run to run, so
-    /// `--check` gates `crossings` where wall time is too noisy to.
+    /// Simulator counts of the generated program's run — pipeline suites
+    /// only. Both repeat exactly from run to run; `--check` gates
+    /// `crossings`.
     pub sim: Option<SimCounts>,
-    /// Host time of the generated program's run under the mpiP hook over
-    /// that of a plain run of the application it stands for — pipeline
-    /// suites only. What interpreting the specification costs on top of
-    /// the simulator; `--check` gates it against the committed ratio.
-    pub interp_ratio: Option<f64>,
+}
+
+impl Suite {
+    /// A row with its timing and none of the per-family fields.
+    fn new(name: String, kind: &'static str, ranks: usize, median_ns: u64) -> Suite {
+        Suite {
+            name,
+            kind,
+            ranks,
+            median_ns,
+            warm_ns: None,
+            ratio: None,
+            threads: None,
+            merge_stats: None,
+            stream_stats: None,
+            peak_rss_kb: None,
+            sim: None,
+        }
+    }
+}
+
+/// The JSON field a suite kind stores [`Suite::ratio`] under.
+fn ratio_key(kind: &str) -> Option<&'static str> {
+    match kind {
+        "compression" => Some("fold_ratio"),
+        "stream" => Some("stream_ratio"),
+        "pipeline" => Some("interp_ratio"),
+        _ => None,
+    }
 }
 
 /// What one simulated run cost in engine work and in thread handoffs.
@@ -282,7 +309,7 @@ pub struct StreamSuiteStats {
 /// A completed perf run.
 #[derive(Clone, Debug)]
 pub struct PerfReport {
-    /// `full`, `smoke`, or `baseline-only`.
+    /// `full` or `smoke`.
     pub mode: String,
     /// Median-of-N repetition count.
     pub reps: usize,
@@ -296,35 +323,6 @@ pub struct PerfReport {
     pub suites: Vec<Suite>,
 }
 
-/// The two algorithm generations each suite compares.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Variant {
-    /// Fingerprint folding + batched op submission.
-    Current,
-    /// Seed algorithms: structural folding + per-op handoffs.
-    Baseline,
-}
-
-impl Variant {
-    fn strategy(self) -> FoldStrategy {
-        match self {
-            Variant::Current => FoldStrategy::Fingerprint,
-            Variant::Baseline => FoldStrategy::Structural,
-        }
-    }
-
-    fn batching(self) -> bool {
-        self == Variant::Current
-    }
-
-    fn label(self) -> &'static str {
-        match self {
-            Variant::Current => "current",
-            Variant::Baseline => "baseline",
-        }
-    }
-}
-
 fn median(mut samples: Vec<u64>) -> u64 {
     samples.sort_unstable();
     let n = samples.len();
@@ -335,24 +333,33 @@ fn median(mut samples: Vec<u64>) -> u64 {
     }
 }
 
-/// Warmup + median-of-N wall-clock timing of `f` (ns).
-fn time_median<T>(warmup: usize, reps: usize, mut f: impl FnMut() -> T) -> u64 {
-    for _ in 0..warmup {
-        black_box(f());
-    }
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
+/// Warmup + median-of-N wall-clock timing (ns) of the two legs of a
+/// same-run ratio. The legs alternate rep by rep so that both see the same
+/// machine speed.
+fn time_median_pair<A, B>(
+    warmup: usize,
+    reps: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> (u64, u64) {
+    let (mut a_ns, mut b_ns) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for rep in 0..warmup + reps {
         let t0 = Instant::now();
-        black_box(f());
-        samples.push(t0.elapsed().as_nanos() as u64);
+        black_box(a());
+        let t1 = Instant::now();
+        black_box(b());
+        if rep >= warmup {
+            a_ns.push((t1 - t0).as_nanos() as u64);
+            b_ns.push(t1.elapsed().as_nanos() as u64);
+        }
     }
-    median(samples)
+    (median(a_ns), median(b_ns))
 }
 
-/// [`time_median`] with a per-iteration `setup` whose cost stays outside
-/// the timed region — used where the measured function consumes its input
-/// (e.g. the merge takes the streams by value) and the rebuild would
-/// otherwise dominate the measurement.
+/// Warmup + median-of-N wall-clock timing of `f` (ns), with a per-iteration
+/// `setup` whose cost stays outside the timed region — the measured
+/// function consumes its input (the merge takes the streams by value) and
+/// the rebuild would otherwise dominate the measurement.
 fn time_median_setup<S, T>(
     warmup: usize,
     reps: usize,
@@ -424,7 +431,7 @@ fn synth_event(rank: usize, nranks: usize, sig: u64, bytes: u64, us: u64) -> Tra
 /// 1. A quasi-periodic 16-event exchange pattern whose last slot's byte
 ///    count *drifts* every fourth period (the shape rank-dependent or
 ///    adaptive volumes produce, e.g. IS's `MPI_Alltoallv`). Drift breaks
-///    folding at the drift slot, so the seed algorithm re-walks long
+///    folding at the drift slot, so the structural fold re-walks long
 ///    almost-equal tail windows on every append — the O(W²) structural
 ///    near-miss case the fingerprint index reduces to O(1) hash compares.
 /// 2. The fold-friendly case: nested loops (8 × a 4-event inner loop plus
@@ -570,15 +577,15 @@ fn block_stream(block: usize, nranks: usize) -> Vec<TraceNode> {
 }
 
 /// Timesteps of the all-distinct worst-case stream. Much shorter than the
-/// SPMD stream: nothing merges, so the pairwise baseline's sequence length
-/// — and its quadratic LCS cost — grows linearly with P.
+/// SPMD stream: nothing merges, so the merged sequence's length — and the
+/// quadratic LCS cost of each representative merge — grows linearly with P.
 const DISTINCT_TIMESTEPS: usize = 8;
 
 /// The class-collapse worst case: the same step structure as
 /// [`merge_stream`], but every call-site signature embeds the rank, so
 /// every rank is its own class, no anchors form, and the representative
-/// reduce degenerates to the seed pairwise tree plus digest/bucketing
-/// overhead — which is what this suite bounds.
+/// reduce degenerates to the pairwise tree plus digest/bucketing overhead —
+/// which is what this suite records (`lcs_cells` is gated).
 fn distinct_stream(rank: usize, nranks: usize) -> Vec<TraceNode> {
     let mut out = Vec::with_capacity(DISTINCT_TIMESTEPS * 4);
     for t in 0..DISTINCT_TIMESTEPS as u64 {
@@ -596,80 +603,46 @@ fn distinct_stream(rank: usize, nranks: usize) -> Vec<TraceNode> {
     out
 }
 
-/// One merge suite: `current` is the class-collapsed strategy, `baseline`
-/// the seed pairwise LCS tree, both at `cfg.threads()` over the same
-/// streams — the speedup isolates the algorithm, not thread scaling.
-/// Stream construction and per-rep cloning stay outside the timed region.
+/// One merge suite: the class-collapsed merge at `cfg.threads()`. Stream
+/// construction and per-rep cloning stay outside the timed region.
 fn merge_suite_over(
     cfg: &PerfConfig,
     name: String,
     nranks: usize,
-    variants: &[Variant],
     streams: Vec<Vec<TraceNode>>,
 ) -> Suite {
     let threads = cfg.threads();
+    let merge = |input| merge_sequences_stats(input, nranks, threads, MergeStrategy::default());
     // The counters are deterministic, so one untimed pass captures them —
     // and doubles as the peak-resident probe. It must run *before* the
-    // timed legs: the probe's delta is only meaningful on the first touch
+    // timed reps: the probe's delta is only meaningful on the first touch
     // of the workload, before the allocator retains enough freed pages for
     // later passes to reuse without raising the high-water mark. The
     // cloned input is resident before the mark resets, so the delta is
     // the merge's own allocation, not the input.
-    let (merge_stats, peak_rss_kb) = if variants.contains(&Variant::Current) {
-        let input = streams.clone();
-        let (stats, peak) = measure_peak_rss(|| {
-            merge_sequences_stats(input, nranks, threads, MergeStrategy::ClassCollapsed).1
-        });
-        (Some(stats), peak)
-    } else {
-        (None, None)
-    };
-    let mut times = [0u64; 2];
-    for &v in variants {
-        let strategy = match v {
-            Variant::Current => MergeStrategy::ClassCollapsed,
-            Variant::Baseline => MergeStrategy::Pairwise,
-        };
-        let t = time_median_setup(
-            cfg.warmup(),
-            cfg.reps(),
-            || streams.clone(),
-            |input| {
-                merge_sequences_stats(input, nranks, threads, strategy)
-                    .0
-                    .len()
-            },
-        );
-        times[(v == Variant::Baseline) as usize] = t;
-    }
-    let (current_ns, baseline_ns) = fill_missing(times, variants);
+    let input = streams.clone();
+    let (merge_stats, peak_rss_kb) = measure_peak_rss(|| merge(input).1);
+    let median_ns = time_median_setup(
+        cfg.warmup(),
+        cfg.reps(),
+        || streams.clone(),
+        |input| merge(input).0.len(),
+    );
     Suite {
-        name,
-        kind: "merge",
-        ranks: nranks,
-        current_ns,
-        baseline_ns,
-        speedup: ratio(baseline_ns, current_ns),
-        warm_ns: None,
-        baseline_warm_ns: None,
         threads: Some(threads),
-        merge_stats,
-        stream_stats: None,
+        merge_stats: Some(merge_stats),
         peak_rss_kb,
-        sim: None,
-        interp_ratio: None,
+        ..Suite::new(name, "merge", nranks, median_ns)
     }
 }
 
-/// Run the compression microbench for one rank count: push every rank's
-/// stream through a fresh [`TailCompressor`] under `strategy`, returning
-/// the median wall time over `reps`.
+/// Push every rank's stream through a fresh [`TailCompressor`].
 ///
 /// [`TailCompressor`]: scalatrace::TailCompressor
-fn compress_once(streams: &[Vec<TraceNode>], strategy: FoldStrategy) -> usize {
+fn compress_fingerprint(streams: &[Vec<TraceNode>]) -> usize {
     let mut sink = 0usize;
     for stream in streams {
-        let mut c = scalatrace::TailCompressor::with_strategy(DEFAULT_MAX_WINDOW, strategy);
+        let mut c = scalatrace::TailCompressor::new(DEFAULT_MAX_WINDOW);
         for node in stream {
             c.push(node.clone());
         }
@@ -678,55 +651,46 @@ fn compress_once(streams: &[Vec<TraceNode>], strategy: FoldStrategy) -> usize {
     sink
 }
 
-fn compression_suite(cfg: &PerfConfig, nranks: usize, variants: &[Variant]) -> Suite {
-    let iters = cfg.compress_iters();
+/// The same streams through [`append_compressed`], the structural fold.
+fn compress_structural(streams: &[Vec<TraceNode>]) -> usize {
+    let mut sink = 0usize;
+    for stream in streams {
+        let mut seq = Vec::new();
+        for node in stream {
+            append_compressed(&mut seq, node.clone(), DEFAULT_MAX_WINDOW);
+        }
+        sink += seq.len();
+    }
+    sink
+}
+
+fn compression_suite(cfg: &PerfConfig, nranks: usize) -> Suite {
     let streams: Vec<Vec<TraceNode>> = (0..nranks)
-        .map(|r| synth_stream(r, nranks, iters))
+        .map(|r| synth_stream(r, nranks, COMPRESS_ITERS))
         .collect();
-    let mut times = [0u64; 2];
-    for &v in variants {
-        let t = time_median(cfg.warmup(), cfg.reps(), || {
-            compress_once(&streams, v.strategy())
-        });
-        times[(v == Variant::Baseline) as usize] = t;
-    }
-    let (current_ns, baseline_ns) = fill_missing(times, variants);
+    let (fingerprint_ns, structural_ns) = time_median_pair(
+        cfg.warmup(),
+        cfg.reps(),
+        || compress_fingerprint(&streams),
+        || compress_structural(&streams),
+    );
     Suite {
-        name: format!("compress_r{nranks}"),
-        kind: "compression",
-        ranks: nranks,
-        current_ns,
-        baseline_ns,
-        speedup: ratio(baseline_ns, current_ns),
-        warm_ns: None,
-        baseline_warm_ns: None,
-        threads: None,
-        merge_stats: None,
-        stream_stats: None,
-        peak_rss_kb: None,
-        sim: None,
-        interp_ratio: None,
+        ratio: Some(ratio(fingerprint_ns, structural_ns)),
+        ..Suite::new(
+            format!("compress_r{nranks}"),
+            "compression",
+            nranks,
+            fingerprint_ns,
+        )
     }
 }
 
-/// In `--baseline` mode only one leg is measured; mirror it into both
-/// fields so the schema stays stable (speedup degenerates to 1.0).
-fn fill_missing(times: [u64; 2], variants: &[Variant]) -> (u64, u64) {
-    let (mut current, mut baseline) = (times[0], times[1]);
-    if !variants.contains(&Variant::Current) {
-        current = baseline;
-    }
-    if !variants.contains(&Variant::Baseline) {
-        baseline = current;
-    }
-    (current, baseline)
-}
-
-fn ratio(baseline_ns: u64, current_ns: u64) -> f64 {
-    if current_ns == 0 {
+/// `num_ns / den_ns`, the way every same-run ratio is formed.
+fn ratio(num_ns: u64, den_ns: u64) -> f64 {
+    if den_ns == 0 {
         1.0
     } else {
-        baseline_ns as f64 / current_ns as f64
+        num_ns as f64 / den_ns as f64
     }
 }
 
@@ -736,7 +700,6 @@ fn ratio(baseline_ns: u64, current_ns: u64) -> f64 {
 fn pipeline_once(
     app: &'static App,
     params: AppParams,
-    variant: Variant,
     cache: &TraceCache,
     key: u64,
 ) -> Result<SimCounts, String> {
@@ -745,13 +708,7 @@ fn pipeline_once(
         Some(hit) => hit.trace,
         None => {
             let run = app.run;
-            let world = World::new(n)
-                .network(network::ideal())
-                .op_batching(variant.batching());
-            let traced =
-                scalatrace::trace_world_with_strategy(world, n, variant.strategy(), move |ctx| {
-                    run(ctx, &params)
-                })
+            let traced = scalatrace::trace_app(n, network::ideal(), move |ctx| run(ctx, &params))
                 .map_err(|e| format!("{}: trace failed: {e}", app.name))?;
             cache
                 .store(key, &traced.trace, traced.report.total_time, &[])
@@ -761,7 +718,7 @@ fn pipeline_once(
     };
     let generated = benchgen::generate(&trace, &benchgen::GenOptions::default())
         .map_err(|e| format!("{}: generation failed: {e}", app.name))?;
-    let report = execute_profiled(app, &Arc::new(generated.program), variant)?;
+    let report = execute_profiled(app, &Arc::new(generated.program))?;
     Ok(SimCounts {
         ops: report.stats.operations,
         crossings: report.crossings,
@@ -770,226 +727,144 @@ fn pipeline_once(
 
 /// Execute a generated program under an mpiP hook, as the pipeline's last
 /// stage does.
-fn execute_profiled(app: &App, prog: &Arc<Program>, variant: Variant) -> Result<RunReport, String> {
+fn execute_profiled(app: &App, prog: &Arc<Program>) -> Result<RunReport, String> {
     let p = Arc::clone(prog);
     let (report, hooks) = World::new(PIPELINE_RANKS)
         .network(network::ideal())
-        .op_batching(variant.batching())
         .run_hooked(|_| MpiP::new(), move |ctx| run_rank(ctx, &p))
         .map_err(|e| format!("{}: execution failed: {e}", app.name))?;
     black_box(MpiP::merge_all(hooks.iter()).total_calls());
     Ok(report)
 }
 
-fn pipeline_params(cfg: &PerfConfig) -> AppParams {
-    AppParams {
-        class: Class::S,
-        iterations: Some(cfg.pipeline_iters()),
-        compute_scale: 1.0,
-    }
-}
+const PIPELINE_PARAMS: AppParams = AppParams {
+    class: Class::S,
+    iterations: Some(PIPELINE_ITERS),
+    compute_scale: 1.0,
+};
 
 /// Host time of the generated program's run under the mpiP hook over that
-/// of a plain run of the application. The two legs alternate rep by rep so
-/// that both see the same machine speed.
+/// of a plain run of the application.
 fn interp_ratio(cfg: &PerfConfig, app: &'static App) -> Result<f64, String> {
     let n = PIPELINE_RANKS;
-    let params = pipeline_params(cfg);
     let run = app.run;
-    let world = || World::new(n).network(network::ideal());
-    let traced = scalatrace::trace_world(world(), n, move |ctx| run(ctx, &params))
+    let traced = scalatrace::trace_app(n, network::ideal(), move |ctx| run(ctx, &PIPELINE_PARAMS))
         .map_err(|e| format!("{}: trace failed: {e}", app.name))?;
     let generated = benchgen::generate(&traced.trace, &benchgen::GenOptions::default())
         .map_err(|e| format!("{}: generation failed: {e}", app.name))?;
     let prog = Arc::new(generated.program);
-    let (mut app_ns, mut interp_ns) = (Vec::new(), Vec::new());
-    for rep in 0..cfg.warmup() + 3 * cfg.reps() {
-        let t0 = Instant::now();
-        let report = world()
-            .run(move |ctx| run(ctx, &params))
-            .map_err(|e| format!("{}: plain run failed: {e}", app.name))?;
-        black_box(report.total_time);
-        let t1 = Instant::now();
-        execute_profiled(app, &prog, Variant::Current)?;
-        if rep >= cfg.warmup() {
-            app_ns.push((t1 - t0).as_nanos() as u64);
-            interp_ns.push(t1.elapsed().as_nanos() as u64);
-        }
-    }
-    Ok(ratio(median(interp_ns), median(app_ns)))
+    // Both legs just ran once to get here, so a failure now is a bug.
+    let (app_ns, interp_ns) = time_median_pair(
+        cfg.warmup(),
+        3 * cfg.reps(),
+        || {
+            World::new(n)
+                .network(network::ideal())
+                .run(move |ctx| run(ctx, &PIPELINE_PARAMS))
+                .expect("the application ran when it was traced")
+                .total_time
+        },
+        || execute_profiled(app, &prog).expect("the generated program runs"),
+    );
+    Ok(ratio(interp_ns, app_ns))
 }
 
-fn pipeline_key(app: &str, variant: Variant, phase: &str, rep: usize) -> u64 {
+fn pipeline_key(app: &str, phase: &str, rep: usize) -> u64 {
     hash::hash_pairs(&[
         ("suite".into(), "perf-pipeline".into()),
         ("app".into(), app.into()),
         ("ranks".into(), PIPELINE_RANKS.to_string()),
-        ("variant".into(), variant.label().into()),
         ("phase".into(), phase.into()),
         ("rep".into(), rep.to_string()),
     ])
 }
 
-/// Cold and warm medians for one (app, variant): each rep uses a distinct
-/// cache key, so the first pass is a guaranteed miss (trace + store) and
-/// the second a guaranteed hit (load). The counts are the last pass's
-/// (they do not vary from pass to pass).
-fn pipeline_medians(
-    cfg: &PerfConfig,
-    app: &'static App,
-    variant: Variant,
-    cache: &TraceCache,
-) -> Result<(u64, u64, Option<SimCounts>), String> {
-    let params = pipeline_params(cfg);
-    for w in 0..cfg.warmup() {
-        let key = pipeline_key(app.name, variant, "warmup", w);
-        pipeline_once(app, params, variant, cache, key)?;
-        pipeline_once(app, params, variant, cache, key)?;
-    }
-    let mut cold = Vec::with_capacity(cfg.reps());
-    let mut warm = Vec::with_capacity(cfg.reps());
-    let mut counts = None;
-    for rep in 0..cfg.reps() {
-        let key = pipeline_key(app.name, variant, "rep", rep);
-        let t0 = Instant::now();
-        pipeline_once(app, params, variant, cache, key)?;
-        cold.push(t0.elapsed().as_nanos() as u64);
-        let t1 = Instant::now();
-        counts = Some(pipeline_once(app, params, variant, cache, key)?);
-        warm.push(t1.elapsed().as_nanos() as u64);
-    }
-    Ok((median(cold), median(warm), counts))
-}
-
+/// Cold and warm medians for one app: each rep uses a distinct cache key,
+/// so the first pass is a guaranteed miss (trace + store) and the second a
+/// guaranteed hit (load). The counts are the last pass's (they do not vary
+/// from pass to pass).
 fn pipeline_suite(
     cfg: &PerfConfig,
     app: &'static App,
-    variants: &[Variant],
     cache: &TraceCache,
 ) -> Result<Suite, String> {
-    let mut cold = [0u64; 2];
-    let mut warm = [0u64; 2];
-    let mut sim = None;
-    for &v in variants {
-        let (c, w, counts) = pipeline_medians(cfg, app, v, cache)?;
-        cold[(v == Variant::Baseline) as usize] = c;
-        warm[(v == Variant::Baseline) as usize] = w;
-        if v == Variant::Current {
-            sim = counts;
-        }
+    for w in 0..cfg.warmup() {
+        let key = pipeline_key(app.name, "warmup", w);
+        pipeline_once(app, PIPELINE_PARAMS, cache, key)?;
+        pipeline_once(app, PIPELINE_PARAMS, cache, key)?;
     }
-    let (current_ns, baseline_ns) = fill_missing(cold, variants);
-    let (warm_ns, baseline_warm_ns) = fill_missing(warm, variants);
-    let interp_ratio = variants
-        .contains(&Variant::Current)
-        .then(|| interp_ratio(cfg, app))
-        .transpose()?;
+    let mut cold = Vec::with_capacity(cfg.reps());
+    let mut warm = Vec::with_capacity(cfg.reps());
+    let mut sim = None;
+    for rep in 0..cfg.reps() {
+        let key = pipeline_key(app.name, "rep", rep);
+        let t0 = Instant::now();
+        pipeline_once(app, PIPELINE_PARAMS, cache, key)?;
+        cold.push(t0.elapsed().as_nanos() as u64);
+        let t1 = Instant::now();
+        sim = Some(pipeline_once(app, PIPELINE_PARAMS, cache, key)?);
+        warm.push(t1.elapsed().as_nanos() as u64);
+    }
     Ok(Suite {
-        name: format!("pipeline_{}_r{PIPELINE_RANKS}", app.name),
-        kind: "pipeline",
-        ranks: PIPELINE_RANKS,
-        current_ns,
-        baseline_ns,
-        speedup: ratio(baseline_ns, current_ns),
-        warm_ns: Some(warm_ns),
-        baseline_warm_ns: Some(baseline_warm_ns),
-        threads: None,
-        merge_stats: None,
-        stream_stats: None,
-        peak_rss_kb: None,
+        warm_ns: Some(median(warm)),
+        ratio: Some(interp_ratio(cfg, app)?),
         sim,
-        interp_ratio,
+        ..Suite::new(
+            format!("pipeline_{}_r{PIPELINE_RANKS}", app.name),
+            "pipeline",
+            PIPELINE_RANKS,
+            median(cold),
+        )
     })
 }
 
 /// Streaming-capture suite: trace the ring app under a bounded resident
-/// budget (`current`: segments sealed to disk mid-run) versus the seed
-/// unbounded in-memory capture (`baseline`). The speedup is the streaming
-/// overhead ratio (expected near or below 1.0 — the suite exists to keep
-/// that overhead, and the capture counters, on the measured record).
-fn stream_suite(cfg: &PerfConfig, variants: &[Variant]) -> Result<Suite, String> {
+/// budget (segments sealed to disk mid-run) and, as the ratio's reference,
+/// unbounded in memory. The suite exists to keep the streaming overhead,
+/// and the capture counters, on the measured record.
+fn stream_suite(cfg: &PerfConfig) -> Result<Suite, String> {
     let app = registry::lookup("ring").expect("ring is registered");
-    let params = AppParams {
-        class: Class::S,
-        iterations: Some(cfg.pipeline_iters()),
-        compute_scale: 1.0,
-    };
     let run_fn = app.run;
-    let body = move |ctx: &mut mpisim::Ctx| run_fn(ctx, &params);
+    let body = move |ctx: &mut mpisim::Ctx| run_fn(ctx, &PIPELINE_PARAMS);
+    let world = || World::new(STREAM_RANKS).network(network::ideal());
     let dir = cfg.cache_dir.join("perf-stream");
     let stream_cfg = StreamConfig::new(&dir, STREAM_BUDGET).with_max_window(1);
-    let mut times = [0u64; 2];
-    for &v in variants {
-        let t = match v {
-            Variant::Current => time_median(cfg.warmup(), cfg.reps(), || {
-                let _ = std::fs::remove_dir_all(&dir);
-                let streamed = scalatrace::trace_world_streamed(
-                    World::new(STREAM_RANKS).network(network::ideal()),
-                    STREAM_RANKS,
-                    &stream_cfg,
-                    body,
-                )
-                .expect("streamed capture");
-                streamed.run.trace.node_count()
-            }),
-            Variant::Baseline => time_median(cfg.warmup(), cfg.reps(), || {
-                let traced = scalatrace::trace_world_with_strategy(
-                    World::new(STREAM_RANKS).network(network::ideal()),
-                    STREAM_RANKS,
-                    FoldStrategy::default(),
-                    body,
-                )
-                .expect("unbounded capture");
-                traced.trace.node_count()
-            }),
-        };
-        times[(v == Variant::Baseline) as usize] = t;
-    }
-    // The counters are deterministic; one untimed pass records them.
-    let stream_stats = if variants.contains(&Variant::Current) {
+    let streamed = || {
         let _ = std::fs::remove_dir_all(&dir);
-        let streamed = scalatrace::trace_world_streamed(
-            World::new(STREAM_RANKS).network(network::ideal()),
-            STREAM_RANKS,
-            &stream_cfg,
-            body,
-        )
-        .map_err(|e| format!("stream suite capture failed: {e}"))?;
-        let mut counters = StreamCounters::default();
-        for c in &streamed.counters {
-            counters.absorb(c);
-        }
-        if counters.peak_resident > stream_cfg.budget() {
-            return Err(format!(
-                "stream suite broke its memory bound: peak {} resident nodes under budget {}",
-                counters.peak_resident,
-                stream_cfg.budget()
-            ));
-        }
-        Some(StreamSuiteStats {
+        scalatrace::trace_world_streamed(world(), STREAM_RANKS, &stream_cfg, body)
+            .map_err(|e| format!("stream suite capture failed: {e}"))
+    };
+    // The counters are deterministic; one untimed pass records them.
+    let mut counters = StreamCounters::default();
+    for c in &streamed()?.counters {
+        counters.absorb(c);
+    }
+    let (streamed_ns, unbounded_ns) = time_median_pair(
+        cfg.warmup(),
+        cfg.reps(),
+        || {
+            let run = streamed().expect("the capture just succeeded").run;
+            run.trace.node_count()
+        },
+        || {
+            let traced =
+                scalatrace::trace_world(world(), STREAM_RANKS, body).expect("unbounded capture");
+            traced.trace.node_count()
+        },
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(Suite {
+        ratio: Some(ratio(streamed_ns, unbounded_ns)),
+        stream_stats: Some(StreamSuiteStats {
             budget: stream_cfg.budget(),
             counters,
-        })
-    } else {
-        None
-    };
-    let _ = std::fs::remove_dir_all(&dir);
-    let (current_ns, baseline_ns) = fill_missing(times, variants);
-    Ok(Suite {
-        name: format!("stream_capture_r{STREAM_RANKS}"),
-        kind: "stream",
-        ranks: STREAM_RANKS,
-        current_ns,
-        baseline_ns,
-        speedup: ratio(baseline_ns, current_ns),
-        warm_ns: None,
-        baseline_warm_ns: None,
-        threads: None,
-        merge_stats: None,
-        stream_stats,
-        peak_rss_kb: None,
-        sim: None,
-        interp_ratio: None,
+        }),
+        ..Suite::new(
+            format!("stream_capture_r{STREAM_RANKS}"),
+            "stream",
+            STREAM_RANKS,
+            streamed_ns,
+        )
     })
 }
 
@@ -1011,16 +886,11 @@ fn pipeline_apps(cfg: &PerfConfig) -> Vec<&'static App> {
 /// Run the whole suite. Progress goes to stderr; the caller renders the
 /// returned report and writes the JSON.
 pub fn run(cfg: &PerfConfig) -> Result<PerfReport, String> {
-    let variants: &[Variant] = if cfg.baseline_only {
-        &[Variant::Baseline]
-    } else {
-        &[Variant::Current, Variant::Baseline]
-    };
     let mut suites = Vec::new();
 
     for &n in &COMPRESS_RANKS {
         eprintln!("perf: compression microbench at {n} ranks ...");
-        suites.push(compression_suite(cfg, n, variants));
+        suites.push(compression_suite(cfg, n));
     }
 
     for &n in &MERGE_RANKS {
@@ -1029,40 +899,24 @@ pub fn run(cfg: &PerfConfig) -> Result<PerfReport, String> {
             cfg.threads()
         );
         let streams = (0..n).map(|r| merge_stream(r, n)).collect();
-        suites.push(merge_suite_over(
-            cfg,
-            format!("merge_r{n}"),
-            n,
-            variants,
-            streams,
-        ));
+        suites.push(merge_suite_over(cfg, format!("merge_r{n}"), n, streams));
     }
 
-    if !cfg.baseline_only {
-        // The large-P rows measure the current algorithm only — the seed
-        // pairwise strategy has no notion of pre-collapsed multi-rank
-        // streams — and the interior reduction level only: a fixed number
-        // of block streams whose symbolic parameters cover the whole
-        // world, so the scaling gates (wall and peak resident vs the
-        // small-P rows) isolate the merge's own cost from the Ω(P) leaf
-        // read that [`MERGE_RANKS`] already tracks.
-        for &n in &MERGE_LARGE_RANKS {
-            eprintln!(
-                "perf: large-P interior merge at {n} ranks ({MERGE_LARGE_BLOCKS} blocks, \
-                 class-collapsed only, threads {}) ...",
-                cfg.threads()
-            );
-            let streams = (0..MERGE_LARGE_BLOCKS)
-                .map(|b| block_stream(b, n))
-                .collect();
-            suites.push(merge_suite_over(
-                cfg,
-                format!("merge_r{n}"),
-                n,
-                &[Variant::Current],
-                streams,
-            ));
-        }
+    // The large-P rows measure the interior reduction level only: a fixed
+    // number of block streams whose symbolic parameters cover the whole
+    // world, so the scaling gates (wall and peak resident vs the small-P
+    // rows) isolate the merge's own cost from the Ω(P) leaf read that
+    // [`MERGE_RANKS`] already tracks.
+    for &n in &MERGE_LARGE_RANKS {
+        eprintln!(
+            "perf: large-P interior merge at {n} ranks ({MERGE_LARGE_BLOCKS} blocks, \
+             threads {}) ...",
+            cfg.threads()
+        );
+        let streams = (0..MERGE_LARGE_BLOCKS)
+            .map(|b| block_stream(b, n))
+            .collect();
+        suites.push(merge_suite_over(cfg, format!("merge_r{n}"), n, streams));
     }
 
     {
@@ -1076,13 +930,12 @@ pub fn run(cfg: &PerfConfig) -> Result<PerfReport, String> {
             cfg,
             format!("merge_distinct_r{n}"),
             n,
-            variants,
             streams,
         ));
     }
 
     eprintln!("perf: streaming capture at {STREAM_RANKS} ranks (budget {STREAM_BUDGET} nodes) ...");
-    suites.push(stream_suite(cfg, variants)?);
+    suites.push(stream_suite(cfg)?);
 
     // A dedicated subdirectory keeps perf entries (whose keys embed rep
     // indices) out of the campaign's cache namespace; wiping it guarantees
@@ -1099,49 +952,30 @@ pub fn run(cfg: &PerfConfig) -> Result<PerfReport, String> {
             apps.len(),
             cfg.threads()
         );
-        par::par_map(cfg.threads(), apps, |app| {
-            pipeline_suite(cfg, app, variants, &cache)
-        })
+        par::par_map(cfg.threads(), apps, |app| pipeline_suite(cfg, app, &cache))
     } else {
         apps.into_iter()
             .map(|app| {
                 eprintln!("perf: pipeline {} at {PIPELINE_RANKS} ranks ...", app.name);
-                pipeline_suite(cfg, app, variants, &cache)
+                pipeline_suite(cfg, app, &cache)
             })
             .collect()
     };
-    let mut total = [0u64; 2];
+    let mut total = 0u64;
     for suite in results {
         let suite = suite?;
-        total[0] += suite.current_ns;
-        total[1] += suite.baseline_ns;
+        total += suite.median_ns;
         suites.push(suite);
     }
-    suites.push(Suite {
-        name: "pipeline_registry".into(),
-        kind: "aggregate",
-        ranks: PIPELINE_RANKS,
-        current_ns: total[0],
-        baseline_ns: total[1],
-        speedup: ratio(total[1], total[0]),
-        warm_ns: None,
-        baseline_warm_ns: None,
-        threads: None,
-        merge_stats: None,
-        stream_stats: None,
-        peak_rss_kb: None,
-        sim: None,
-        interp_ratio: None,
-    });
+    suites.push(Suite::new(
+        "pipeline_registry".into(),
+        "aggregate",
+        PIPELINE_RANKS,
+        total,
+    ));
 
     Ok(PerfReport {
-        mode: if cfg.baseline_only {
-            "baseline-only".into()
-        } else if cfg.smoke {
-            "smoke".into()
-        } else {
-            "full".into()
-        },
+        mode: if cfg.smoke { "smoke" } else { "full" }.into(),
         reps: cfg.reps(),
         warmup: cfg.warmup(),
         threads: cfg.threads(),
@@ -1152,30 +986,27 @@ pub fn run(cfg: &PerfConfig) -> Result<PerfReport, String> {
 
 impl Suite {
     fn to_json(&self) -> Json {
+        let num = |v: u64| Json::Num(v as f64);
         let mut obj = vec![
             ("name".into(), Json::Str(self.name.clone())),
             ("kind".into(), Json::Str(self.kind.into())),
-            ("ranks".into(), Json::Num(self.ranks as f64)),
-            ("current_ns".into(), Json::Num(self.current_ns as f64)),
-            ("baseline_ns".into(), Json::Num(self.baseline_ns as f64)),
-            ("speedup".into(), Json::Num(round3(self.speedup))),
+            ("ranks".into(), num(self.ranks as u64)),
+            ("median_ns".into(), num(self.median_ns)),
         ];
         if let Some(w) = self.warm_ns {
-            obj.push(("warm_ns".into(), Json::Num(w as f64)));
+            obj.push(("warm_ns".into(), num(w)));
         }
-        if let Some(w) = self.baseline_warm_ns {
-            obj.push(("baseline_warm_ns".into(), Json::Num(w as f64)));
+        if let (Some(key), Some(r)) = (ratio_key(self.kind), self.ratio) {
+            obj.push((key.into(), Json::Num(round3(r))));
         }
         if let Some(t) = self.threads {
-            obj.push(("threads".into(), Json::Num(t as f64)));
+            obj.push(("threads".into(), num(t as u64)));
         }
         if let Some(st) = &self.merge_stats {
-            // Additive fields (schema stays commspec-perf/v2): the collapse
-            // phase counters, so a committed merge row explains itself.
-            obj.push(("classes".into(), Json::Num(st.classes as f64)));
-            obj.push(("rep_merges".into(), Json::Num(st.rep_merges as f64)));
-            obj.push(("lcs_cells".into(), Json::Num(st.lcs_cells as f64)));
-            obj.push(("zip_merges".into(), Json::Num(st.zip_merges as f64)));
+            obj.push(("classes".into(), num(st.classes)));
+            obj.push(("rep_merges".into(), num(st.rep_merges)));
+            obj.push(("lcs_cells".into(), num(st.lcs_cells)));
+            obj.push(("zip_merges".into(), num(st.zip_merges)));
             let trim_rate = if st.pair_nodes == 0 {
                 0.0
             } else {
@@ -1184,43 +1015,41 @@ impl Suite {
             obj.push(("anchor_trim_rate".into(), Json::Num(round3(trim_rate))));
         }
         if let Some(kb) = self.peak_rss_kb {
-            // Additive field (schema stays commspec-perf/v2): the merge's
-            // peak-resident delta, so the memory-vs-P claim is committed.
-            obj.push(("peak_rss_kb".into(), Json::Num(kb as f64)));
+            obj.push(("peak_rss_kb".into(), num(kb)));
         }
         if let Some(sim) = self.sim {
-            // Additive fields (schema stays commspec-perf/v2): exact counts
-            // of the generated program's run.
-            obj.push(("sim_ops".into(), Json::Num(sim.ops as f64)));
-            obj.push(("crossings".into(), Json::Num(sim.crossings as f64)));
-        }
-        if let Some(r) = self.interp_ratio {
-            obj.push(("interp_ratio".into(), Json::Num(round3(r))));
+            obj.push(("sim_ops".into(), num(sim.ops)));
+            obj.push(("crossings".into(), num(sim.crossings)));
         }
         if let Some(st) = &self.stream_stats {
-            // Additive fields (schema stays commspec-perf/v2): the capture
-            // counters, so the committed row shows the memory bound held
-            // (`peak_resident <= budget`) and at what seal/reload cost.
-            obj.push(("budget".into(), Json::Num(st.budget as f64)));
-            obj.push((
-                "peak_resident".into(),
-                Json::Num(st.counters.peak_resident as f64),
-            ));
-            obj.push((
-                "segments_sealed".into(),
-                Json::Num(st.counters.segments_sealed as f64),
-            ));
-            obj.push((
-                "segments_reloaded".into(),
-                Json::Num(st.counters.segments_reloaded as f64),
-            ));
-            obj.push(("stream_events".into(), Json::Num(st.counters.events as f64)));
-            obj.push((
-                "seal_errors".into(),
-                Json::Num(st.counters.seal_errors as f64),
-            ));
+            let c = &st.counters;
+            obj.push(("budget".into(), num(st.budget as u64)));
+            obj.push(("peak_resident".into(), num(c.peak_resident as u64)));
+            obj.push(("segments_sealed".into(), num(c.segments_sealed)));
+            obj.push(("segments_reloaded".into(), num(c.segments_reloaded)));
+            obj.push(("stream_events".into(), num(c.events)));
+            obj.push(("seal_errors".into(), num(c.seal_errors)));
         }
         Json::Obj(obj)
+    }
+
+    /// The deterministic counters `--check` forbids to rise, by the name
+    /// the JSON row stores them under.
+    fn exact_counters(&self) -> Vec<(&'static str, u64)> {
+        let mut out = Vec::new();
+        if let Some(sim) = self.sim {
+            out.push(("crossings", sim.crossings));
+        }
+        if let Some(st) = &self.merge_stats {
+            out.push(("classes", st.classes));
+            out.push(("rep_merges", st.rep_merges));
+            out.push(("lcs_cells", st.lcs_cells));
+        }
+        if let Some(st) = &self.stream_stats {
+            out.push(("segments_sealed", st.counters.segments_sealed));
+            out.push(("segments_reloaded", st.counters.segments_reloaded));
+        }
+        out
     }
 }
 
@@ -1229,15 +1058,10 @@ fn round3(x: f64) -> f64 {
 }
 
 impl PerfReport {
-    /// The stable on-disk schema (`commspec-perf/v2`). v2 adds the
-    /// top-level `threads` (pool width of the run) and `cores` (hardware
-    /// threads of the measuring host), plus a per-suite `threads` field on
-    /// scaling suites; everything a v1 reader consumed is unchanged, and
-    /// the `--check` gate still reads committed v1 files (absent `threads`
-    /// simply means "no width constraint").
+    /// The stable on-disk schema ([`SCHEMA`]).
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
-            ("schema".into(), Json::Str("commspec-perf/v2".into())),
+            ("schema".into(), Json::Str(SCHEMA.into())),
             ("mode".into(), Json::Str(self.mode.clone())),
             ("reps".into(), Json::Num(self.reps as f64)),
             ("warmup".into(), Json::Num(self.warmup as f64)),
@@ -1253,124 +1077,113 @@ impl PerfReport {
     /// Human-readable summary table.
     pub fn table(&self) -> String {
         let mut out = format!(
-            "{:<24} {:>6} {:>4} {:>13} {:>13} {:>13} {:>8} {:>14} {:>10}\n",
-            "suite",
-            "ranks",
-            "thr",
-            "current(ms)",
-            "baseline(ms)",
-            "warm(ms)",
-            "speedup",
-            "crossings/ops",
-            "interp/app"
+            "{:<24} {:>6} {:>4} {:>12} {:>12} {:>19} {:>14}\n",
+            "suite", "ranks", "thr", "median(ms)", "warm(ms)", "ratio", "crossings/ops"
         );
+        let dash = || "-".to_string();
         for s in &self.suites {
-            let ms = |ns: u64| ns as f64 / 1e6;
+            let ms = |ns: u64| format!("{:.2}", ns as f64 / 1e6);
+            let ratio = match (ratio_key(s.kind), s.ratio) {
+                (Some(key), Some(r)) => format!("{key} {r:.2}x"),
+                _ => dash(),
+            };
             out.push_str(&format!(
-                "{:<24} {:>6} {:>4} {:>13.2} {:>13.2} {:>13} {:>7.2}x {:>14} {:>10}\n",
+                "{:<24} {:>6} {:>4} {:>12} {:>12} {:>19} {:>14}\n",
                 s.name,
                 s.ranks,
-                match s.threads {
-                    Some(t) => t.to_string(),
-                    None => "-".into(),
-                },
-                ms(s.current_ns),
-                ms(s.baseline_ns),
-                match s.warm_ns {
-                    Some(w) => format!("{:.2}", ms(w)),
-                    None => "-".into(),
-                },
-                s.speedup,
-                match s.sim {
-                    Some(sim) => format!("{}/{}", sim.crossings, sim.ops),
-                    None => "-".into(),
-                },
-                match s.interp_ratio {
-                    Some(r) => format!("{r:.2}x"),
-                    None => "-".into(),
-                },
+                s.threads.map_or_else(dash, |t| t.to_string()),
+                ms(s.median_ns),
+                s.warm_ns.map_or_else(dash, ms),
+                ratio,
+                s.sim
+                    .map_or_else(dash, |sim| format!("{}/{}", sim.crossings, sim.ops)),
             ));
         }
         out
     }
 }
 
-/// Compare a fresh report against a committed baseline JSON: every suite
-/// present in both must keep its speedup within [`CHECK_TOLERANCE`] of the
-/// committed value. Speedups are ratios of two timings from the same
-/// machine and run, so — unlike absolute nanoseconds — they transfer
-/// across hosts.
+/// Compare a fresh report against a committed one (see the module docs for
+/// the three kinds of gate). Returns one message per violation.
 pub fn check_regressions(new: &PerfReport, committed: &Json) -> Vec<String> {
-    let mut errors = Vec::new();
+    let schema = committed.get("schema").and_then(Json::as_str);
+    if schema.map(String::as_str) != Some(SCHEMA) {
+        return vec![format!(
+            "committed report has schema {}, this build gates {SCHEMA} only: regenerate it \
+             with a full `commbench perf` run",
+            schema.map_or("<none>".into(), |s| format!("`{s}`")),
+        )];
+    }
     let Some(suites) = committed.get("suites").and_then(Json::as_arr) else {
-        return vec!["committed baseline has no `suites` array".into()];
+        return vec!["committed report has no `suites` array".into()];
     };
+    let mut errors = Vec::new();
     for suite in suites {
         let Some(name) = suite.get("name").and_then(Json::as_str) else {
             errors.push("committed suite without a name".into());
             continue;
         };
-        let Some(old_speedup) = suite.get("speedup").and_then(Json::as_num) else {
-            errors.push(format!("committed suite {name} has no speedup"));
-            continue;
-        };
-        if suite.get("kind").and_then(Json::as_str).map(String::as_str) == Some("aggregate") {
-            // Aggregates sum over whatever suites the mode ran; a smoke
-            // run's aggregate covers a different app set than the committed
-            // full run's, so only the per-suite rows are gated.
-            continue;
-        }
         let Some(fresh) = new.suites.iter().find(|s| s.name == *name) else {
-            // Smoke mode runs a subset of the committed full suite.
+            // Smoke mode runs a subset of the committed full suite; a full
+            // run that lost a row renamed or dropped it, and with it a gate.
+            if new.mode == "full" {
+                errors.push(format!(
+                    "committed suite {name} is missing from this full run"
+                ));
+            }
             continue;
         };
-        // A scaling suite's speedup is only reproducible at the pool width
-        // it was committed under: a run at a different `--threads` (or on a
-        // host with fewer cores than the committed width) measures a
-        // different quantity, so width-mismatched suites are skipped, not
-        // compared. Committed v1 files carry no `threads` field and are
-        // gated unconditionally, as before.
+        // The merge counters were measured at the committed pool width and
+        // their width-invariance is unverified: a run at a different
+        // `--threads` (or on a host with fewer cores) skips them.
         if let Some(committed_threads) = suite.get("threads").and_then(Json::as_num) {
             if fresh.threads.map(|t| t as f64) != Some(committed_threads) {
                 continue;
             }
         }
-        // The crossing count repeats exactly, so any rise is a change in how
-        // often rank threads and the engine synchronise, not noise.
-        let old_crossings = suite.get("crossings").and_then(Json::as_num);
-        if let (Some(old), Some(sim)) = (old_crossings, fresh.sim) {
-            if sim.crossings as f64 > old {
-                errors.push(format!(
-                    "suite {name}: {} rank/engine crossings, committed {old}",
-                    sim.crossings
-                ));
-            }
-        }
-        // Both legs of the ratio come from the same run on the same host,
-        // so it transfers across machines like a speedup does.
-        let old_ratio = suite.get("interp_ratio").and_then(Json::as_num);
-        if let (Some(old), Some(new)) = (old_ratio, fresh.interp_ratio) {
+        // Both legs of a ratio come from the same run on the same host, so
+        // it transfers across machines.
+        let old_ratio =
+            ratio_key(fresh.kind).and_then(|key| Some((key, suite.get(key)?.as_num()?)));
+        if let (Some((key, old)), Some(new)) = (old_ratio, fresh.ratio) {
             if new > old * (1.0 + CHECK_TOLERANCE) {
                 errors.push(format!(
-                    "suite {name}: the generated program costs {new:.2}x its application's \
-                     run, more than {:.0}% above the committed {old:.2}x",
+                    "suite {name}: {key} {new:.3} is more than {:.0}% above the committed {old:.3}",
                     CHECK_TOLERANCE * 100.0,
                 ));
             }
         }
-        let floor = old_speedup * (1.0 - CHECK_TOLERANCE);
-        if fresh.speedup < floor {
-            errors.push(format!(
-                "suite {name} regressed: speedup {:.2}x is more than {:.0}% below the \
-                 committed {:.2}x",
-                fresh.speedup,
-                CHECK_TOLERANCE * 100.0,
-                old_speedup,
-            ));
+        // These repeat exactly, so any rise is a change in how much work the
+        // algorithm does — or how often rank threads and the engine
+        // synchronise — not noise.
+        for (key, now) in fresh.exact_counters() {
+            let Some(old) = suite.get(key).and_then(Json::as_num) else {
+                continue;
+            };
+            if now as f64 > old {
+                errors.push(format!(
+                    "suite {name}: {key} rose to {now}, committed {old}"
+                ));
+            }
         }
     }
+    errors.extend(check_stream_bound(new));
     errors.extend(check_merge_scaling(new));
     errors
+}
+
+/// The memory bound of streaming capture, on the *fresh* run: no rank may
+/// ever have held more nodes than its budget.
+fn check_stream_bound(new: &PerfReport) -> Vec<String> {
+    let rows = new.suites.iter().filter_map(|s| Some((s, s.stream_stats?)));
+    rows.filter(|(_, st)| st.counters.peak_resident > st.budget)
+        .map(|(s, st)| {
+            format!(
+                "suite {} broke its memory bound: peak {} resident nodes under budget {}",
+                s.name, st.counters.peak_resident, st.budget
+            )
+        })
+        .collect()
 }
 
 /// Cross-suite scaling gates over the *fresh* run: the large-P merge rows
@@ -1390,14 +1203,14 @@ fn check_merge_scaling(new: &PerfReport) -> Vec<String> {
         for &n in &MERGE_LARGE_RANKS {
             let name = format!("merge_r{n}");
             let Some(large) = find(&name) else { continue };
-            let limit = small.current_ns as f64 * LARGE_MERGE_WALL_RATIO;
-            if large.current_ns as f64 > limit {
+            let limit = small.median_ns as f64 * LARGE_MERGE_WALL_RATIO;
+            if large.median_ns as f64 > limit {
                 errors.push(format!(
                     "merge wall scales with P: {name} took {:.2}ms, more than {:.1}x \
                      merge_r256's {:.2}ms",
-                    large.current_ns as f64 / 1e6,
+                    large.median_ns as f64 / 1e6,
                     LARGE_MERGE_WALL_RATIO,
-                    small.current_ns as f64 / 1e6,
+                    small.median_ns as f64 / 1e6,
                 ));
             }
         }
@@ -1432,22 +1245,21 @@ mod tests {
 
     #[test]
     fn synth_stream_compresses_under_both_strategies_identically() {
+        // The premise of `fold_ratio`: both production folds turn the
+        // microbench stream into the same sequence.
         let stream = synth_stream(0, 8, 30);
-        let fold = |strategy| {
-            let mut c = scalatrace::TailCompressor::with_strategy(DEFAULT_MAX_WINDOW, strategy);
-            for n in &stream {
-                c.push(n.clone());
-            }
-            c.into_nodes()
-        };
-        let fp = fold(FoldStrategy::Fingerprint);
-        let st = fold(FoldStrategy::Structural);
-        assert_eq!(fp, st);
+        let mut fp = scalatrace::TailCompressor::new(DEFAULT_MAX_WINDOW);
+        let mut st = Vec::new();
+        for n in &stream {
+            fp.push(n.clone());
+            append_compressed(&mut st, n.clone(), DEFAULT_MAX_WINDOW);
+        }
+        assert_eq!(fp.nodes(), st.as_slice());
         assert!(
-            fp.len() < stream.len() / 10,
+            st.len() < stream.len() / 10,
             "stream must actually fold ({} -> {})",
             stream.len(),
-            fp.len()
+            st.len()
         );
     }
 
@@ -1458,30 +1270,18 @@ mod tests {
         let cache = TraceCache::open(&dir).unwrap();
         let app = registry::lookup("ring").unwrap();
         let params = AppParams::quick();
-        let key = pipeline_key("ring", Variant::Current, "test", 0);
+        let key = pipeline_key("ring", "test", 0);
         assert!(cache.load(key).is_none());
-        pipeline_once(app, params, Variant::Current, &cache, key).unwrap();
+        pipeline_once(app, params, &cache, key).unwrap();
         assert!(cache.load(key).is_some(), "cold pass fills the cache");
-        pipeline_once(app, params, Variant::Current, &cache, key).unwrap();
+        pipeline_once(app, params, &cache, key).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn suite(name: &str, kind: &'static str, speedup: f64, threads: Option<usize>) -> Suite {
+    fn suite(name: &str, kind: &'static str, threads: Option<usize>) -> Suite {
         Suite {
-            name: name.into(),
-            kind,
-            ranks: 64,
-            current_ns: 1_000,
-            baseline_ns: (1_000.0 * speedup) as u64,
-            speedup,
-            warm_ns: None,
-            baseline_warm_ns: None,
             threads,
-            merge_stats: None,
-            stream_stats: None,
-            peak_rss_kb: None,
-            sim: None,
-            interp_ratio: None,
+            ..Suite::new(name.into(), kind, 64, 1_000)
         }
     }
 
@@ -1496,126 +1296,226 @@ mod tests {
         }
     }
 
-    #[test]
-    fn report_json_roundtrips_and_checks() {
-        let report = report(vec![suite("compress_r64", "compression", 2.5, None)]);
-        let text = report.to_json().to_string();
-        let parsed = parse_json(&text).unwrap();
-        assert_eq!(
-            parsed.get("schema").and_then(Json::as_str),
-            Some(&"commspec-perf/v2".to_string())
-        );
-        assert_eq!(parsed.get("threads").and_then(Json::as_num), Some(8.0));
-        assert_eq!(parsed.get("cores").and_then(Json::as_num), Some(8.0));
-        assert!(check_regressions(&report, &parsed).is_empty());
+    fn committed(r: &PerfReport) -> Json {
+        parse_json(&r.to_json().to_string()).unwrap()
+    }
 
-        // A fresh run whose speedup collapsed must fail the check.
-        let mut bad = report.clone();
-        bad.suites[0].speedup = 1.2;
-        let errors = check_regressions(&bad, &parsed);
-        assert_eq!(errors.len(), 1);
-        assert!(errors[0].contains("compress_r64"), "{}", errors[0]);
-
-        // Suites missing from the fresh (smoke) run are not an error.
-        let subset = PerfReport {
-            suites: Vec::new(),
-            ..report.clone()
-        };
-        assert!(check_regressions(&subset, &parsed).is_empty());
+    fn with_ratio(name: &str, kind: &'static str, ratio: f64) -> Suite {
+        let mut s = suite(name, kind, None);
+        s.ratio = Some(ratio);
+        s
     }
 
     #[test]
-    fn check_still_reads_v1_baselines() {
-        // A committed v1 file: no schema bump, no threads fields anywhere.
-        let v1 = r#"{
-            "schema": "commspec-perf/v1",
-            "mode": "full", "reps": 5, "warmup": 2,
+    fn report_json_roundtrips_and_checks() {
+        let report = report(vec![with_ratio("compress_r64", "compression", 0.2)]);
+        let parsed = committed(&report);
+        assert_eq!(
+            parsed.get("schema").and_then(Json::as_str),
+            Some(&SCHEMA.to_string())
+        );
+        assert_eq!(parsed.get("threads").and_then(Json::as_num), Some(8.0));
+        assert_eq!(parsed.get("cores").and_then(Json::as_num), Some(8.0));
+        let row = &parsed.get("suites").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(row.get("median_ns").and_then(Json::as_num), Some(1000.0));
+        assert_eq!(row.get("fold_ratio").and_then(Json::as_num), Some(0.2));
+        assert!(check_regressions(&report, &parsed).is_empty());
+
+        // A fresh run whose wall time moved but whose ratio held passes: no
+        // median is gated.
+        let mut slower = report.clone();
+        slower.suites[0].median_ns *= 10;
+        assert!(check_regressions(&slower, &parsed).is_empty());
+    }
+
+    #[test]
+    fn check_gates_every_same_run_ratio_within_tolerance() {
+        for (name, kind, key) in [
+            ("compress_r64", "compression", "fold_ratio"),
+            ("stream_capture_r8", "stream", "stream_ratio"),
+        ] {
+            let old = committed(&report(vec![with_ratio(name, kind, 4.0)]));
+            for ok in [4.0, 0.5, 4.99] {
+                let fresh = report(vec![with_ratio(name, kind, ok)]);
+                assert!(check_regressions(&fresh, &old).is_empty(), "{name} {ok}");
+            }
+            let errors = check_regressions(&report(vec![with_ratio(name, kind, 5.01)]), &old);
+            assert_eq!(errors.len(), 1, "{errors:?}");
+            assert!(
+                errors[0].contains(name) && errors[0].contains(key),
+                "{}",
+                errors[0]
+            );
+        }
+    }
+
+    #[test]
+    fn check_reports_a_missing_suite_in_full_mode_only() {
+        let old = committed(&report(vec![with_ratio(
+            "compress_r64",
+            "compression",
+            0.2,
+        )]));
+        // Smoke runs a subset of the committed full suite.
+        let smoke = report(Vec::new());
+        assert!(check_regressions(&smoke, &old).is_empty());
+        // A full run that did not produce a committed row lost its gate.
+        let full = PerfReport {
+            mode: "full".into(),
+            ..smoke
+        };
+        let errors = check_regressions(&full, &old);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(
+            errors[0].contains("compress_r64 is missing"),
+            "{}",
+            errors[0]
+        );
+    }
+
+    #[test]
+    fn check_refuses_a_committed_file_of_another_schema() {
+        // What PR 15 committed: one error naming both schemas, not one per
+        // suite.
+        let v2 = r#"{
+            "schema": "commspec-perf/v2",
+            "mode": "full", "reps": 5, "warmup": 2, "threads": 1, "cores": 2,
             "suites": [
-                {"name": "compress_r64", "kind": "compression", "ranks": 64,
-                 "current_ns": 1000, "baseline_ns": 5500, "speedup": 5.5}
+                {"name": "compress_r64", "kind": "compression", "ranks": 64, "speedup": 5.5},
+                {"name": "compress_r32", "kind": "compression", "ranks": 32, "speedup": 5.5}
             ]
         }"#;
-        let parsed = parse_json(v1).unwrap();
-        let good = report(vec![suite("compress_r64", "compression", 5.4, None)]);
-        assert!(check_regressions(&good, &parsed).is_empty());
-        let bad = report(vec![suite("compress_r64", "compression", 1.0, None)]);
-        let errors = check_regressions(&bad, &parsed);
+        let fresh = report(vec![with_ratio("compress_r64", "compression", 0.2)]);
+        let errors = check_regressions(&fresh, &parse_json(v2).unwrap());
         assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(
+            errors[0].contains("commspec-perf/v2") && errors[0].contains(SCHEMA),
+            "{}",
+            errors[0]
+        );
+        let errors = check_regressions(&fresh, &parse_json(r#"{"suites": []}"#).unwrap());
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("<none>"), "{}", errors[0]);
+    }
+
+    fn merge_row(threads: usize, lcs_cells: u64) -> Suite {
+        let mut s = suite("merge_r256", "merge", Some(threads));
+        s.merge_stats = Some(MergeStats {
+            members: 256,
+            classes: 2,
+            collisions: 0,
+            rep_merges: 1,
+            zip_merges: 1,
+            lcs_cells,
+            anchor_trimmed: 12,
+            pair_nodes: 48,
+        });
+        s
     }
 
     #[test]
     fn check_skips_suites_measured_at_a_different_pool_width() {
         // Committed: merge_r256 measured at threads=8. A fresh run at
-        // threads=1 (or 4) measures a different quantity and is skipped; a
+        // threads=1 measures under an unverified width and is skipped; a
         // fresh run at the same width is gated.
-        let committed = parse_json(
-            &report(vec![suite("merge_r256", "merge", 4.0, Some(8))])
-                .to_json()
-                .to_string(),
-        )
-        .unwrap();
-        let narrower = report(vec![suite("merge_r256", "merge", 1.0, Some(1))]);
-        assert!(check_regressions(&narrower, &committed).is_empty());
-        let same_width_regressed = report(vec![suite("merge_r256", "merge", 1.0, Some(8))]);
+        let old = committed(&report(vec![merge_row(8, 100)]));
+        assert!(check_regressions(&report(vec![merge_row(1, 999)]), &old).is_empty());
         assert_eq!(
-            check_regressions(&same_width_regressed, &committed).len(),
+            check_regressions(&report(vec![merge_row(8, 999)]), &old).len(),
             1
         );
-        let same_width_ok = report(vec![suite("merge_r256", "merge", 3.9, Some(8))]);
-        assert!(check_regressions(&same_width_ok, &committed).is_empty());
+        assert!(check_regressions(&report(vec![merge_row(8, 100)]), &old).is_empty());
+    }
+
+    #[test]
+    fn check_gates_the_merge_counters_exactly() {
+        let old = committed(&report(vec![merge_row(1, 100)]));
+        assert!(check_regressions(&report(vec![merge_row(1, 99)]), &old).is_empty());
+        let errors = check_regressions(&report(vec![merge_row(1, 101)]), &old);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("lcs_cells rose to 101"), "{}", errors[0]);
+        // Each gated counter trips on its own.
+        let mut more_classes = merge_row(1, 100);
+        more_classes.merge_stats.as_mut().unwrap().classes = 3;
+        let mut more_merges = merge_row(1, 100);
+        more_merges.merge_stats.as_mut().unwrap().rep_merges = 2;
+        for (row, key) in [(more_classes, "classes"), (more_merges, "rep_merges")] {
+            let errors = check_regressions(&report(vec![row]), &old);
+            assert_eq!(errors.len(), 1, "{errors:?}");
+            assert!(errors[0].contains(key), "{}", errors[0]);
+        }
+        // Ungated diagnostics may move freely.
+        let mut trimmed = merge_row(1, 100);
+        trimmed.merge_stats.as_mut().unwrap().zip_merges = 50;
+        assert!(check_regressions(&report(vec![trimmed]), &old).is_empty());
     }
 
     #[test]
     fn check_gates_the_crossing_count_exactly() {
         let row = |crossings| {
-            let mut s = suite("pipeline_lu_r4", "pipeline", 3.0, None);
+            let mut s = suite("pipeline_lu_r4", "pipeline", None);
             s.sim = Some(SimCounts {
                 ops: 1204,
                 crossings,
             });
             s
         };
-        let committed = parse_json(&report(vec![row(12)]).to_json().to_string()).unwrap();
-        assert!(check_regressions(&report(vec![row(12)]), &committed).is_empty());
-        assert!(check_regressions(&report(vec![row(8)]), &committed).is_empty());
-        let errors = check_regressions(&report(vec![row(13)]), &committed);
+        let old = committed(&report(vec![row(12)]));
+        assert!(check_regressions(&report(vec![row(12)]), &old).is_empty());
+        assert!(check_regressions(&report(vec![row(8)]), &old).is_empty());
+        let errors = check_regressions(&report(vec![row(13)]), &old);
         assert_eq!(errors.len(), 1, "{errors:?}");
-        assert!(
-            errors[0].contains("13 rank/engine crossings"),
-            "{}",
-            errors[0]
-        );
-        // A baseline committed before the counter existed gates nothing.
-        let old = report(vec![suite("pipeline_lu_r4", "pipeline", 3.0, None)]);
-        let old = parse_json(&old.to_json().to_string()).unwrap();
-        assert!(check_regressions(&report(vec![row(999)]), &old).is_empty());
+        assert!(errors[0].contains("crossings rose to 13"), "{}", errors[0]);
     }
 
     #[test]
     fn check_gates_the_interpreter_ratio_within_tolerance() {
-        let row = |ratio| {
-            let mut s = suite("pipeline_lu_r4", "pipeline", 3.0, None);
-            s.interp_ratio = Some(ratio);
-            s
-        };
-        let committed = parse_json(&report(vec![row(1.2)]).to_json().to_string()).unwrap();
-        assert!(check_regressions(&report(vec![row(1.2)]), &committed).is_empty());
-        assert!(check_regressions(&report(vec![row(0.9)]), &committed).is_empty());
-        assert!(check_regressions(&report(vec![row(1.49)]), &committed).is_empty());
-        let errors = check_regressions(&report(vec![row(1.51)]), &committed);
+        let row = |ratio| with_ratio("pipeline_lu_r4", "pipeline", ratio);
+        let old = committed(&report(vec![row(1.2)]));
+        assert!(check_regressions(&report(vec![row(1.2)]), &old).is_empty());
+        assert!(check_regressions(&report(vec![row(0.9)]), &old).is_empty());
+        assert!(check_regressions(&report(vec![row(1.49)]), &old).is_empty());
+        let errors = check_regressions(&report(vec![row(1.51)]), &old);
         assert_eq!(errors.len(), 1, "{errors:?}");
-        assert!(errors[0].contains("1.51x its application"), "{}", errors[0]);
-        // A baseline committed before the ratio existed gates nothing.
-        let old = report(vec![suite("pipeline_lu_r4", "pipeline", 3.0, None)]);
-        let old = parse_json(&old.to_json().to_string()).unwrap();
-        assert!(check_regressions(&report(vec![row(9.0)]), &old).is_empty());
+        assert!(errors[0].contains("interp_ratio 1.510"), "{}", errors[0]);
+    }
+
+    fn stream_row(peak_resident: usize, sealed: u64, reloaded: u64) -> Suite {
+        let mut s = suite("stream_capture_r8", "stream", None);
+        s.stream_stats = Some(StreamSuiteStats {
+            budget: 192,
+            counters: StreamCounters {
+                events: 2408,
+                peak_resident,
+                segments_sealed: sealed,
+                segments_reloaded: reloaded,
+                seal_errors: 0,
+            },
+        });
+        s
+    }
+
+    #[test]
+    fn check_gates_the_stream_counters_and_the_memory_bound() {
+        let old = committed(&report(vec![stream_row(190, 72, 0)]));
+        assert!(check_regressions(&report(vec![stream_row(192, 72, 0)]), &old).is_empty());
+        assert!(check_regressions(&report(vec![stream_row(100, 70, 0)]), &old).is_empty());
+        for (row, what) in [
+            (stream_row(190, 73, 0), "segments_sealed rose to 73"),
+            (stream_row(190, 72, 1), "segments_reloaded rose to 1"),
+            (stream_row(193, 72, 0), "broke its memory bound"),
+        ] {
+            let errors = check_regressions(&report(vec![row]), &old);
+            assert_eq!(errors.len(), 1, "{errors:?}");
+            assert!(errors[0].contains(what), "{}", errors[0]);
+        }
     }
 
     #[test]
     fn merge_wall_scaling_gate_trips_on_p_dependent_cost() {
         let row = |name: &str, ns: u64| {
-            let mut s = suite(name, "merge", 4.0, Some(8));
-            s.current_ns = ns;
+            let mut s = suite(name, "merge", Some(8));
+            s.median_ns = ns;
             s
         };
         // Interior merges cheaper than the leaf row: pass.
@@ -1645,7 +1545,7 @@ mod tests {
     #[test]
     fn merge_peak_scaling_gate_floors_noise_and_trips_on_growth() {
         let row = |name: &str, peak: Option<u64>| {
-            let mut s = suite(name, "merge", 4.0, Some(8));
+            let mut s = suite(name, "merge", Some(8));
             s.peak_rss_kb = peak;
             s
         };
@@ -1698,82 +1598,31 @@ mod tests {
 
     #[test]
     fn merge_suite_json_carries_phase_counters() {
-        let mut s = suite("merge_r64", "merge", 4.0, Some(1));
-        s.merge_stats = Some(MergeStats {
-            members: 64,
-            classes: 1,
-            collisions: 0,
-            rep_merges: 0,
-            zip_merges: 0,
-            lcs_cells: 0,
-            anchor_trimmed: 12,
-            pair_nodes: 48,
-        });
-        let json = parse_json(&s.to_json().to_string()).unwrap();
-        assert_eq!(json.get("classes").and_then(Json::as_num), Some(1.0));
-        assert_eq!(json.get("rep_merges").and_then(Json::as_num), Some(0.0));
-        assert_eq!(json.get("lcs_cells").and_then(Json::as_num), Some(0.0));
+        let json = parse_json(&merge_row(1, 7).to_json().to_string()).unwrap();
+        assert_eq!(json.get("classes").and_then(Json::as_num), Some(2.0));
+        assert_eq!(json.get("rep_merges").and_then(Json::as_num), Some(1.0));
+        assert_eq!(json.get("lcs_cells").and_then(Json::as_num), Some(7.0));
+        assert_eq!(json.get("zip_merges").and_then(Json::as_num), Some(1.0));
         assert_eq!(
             json.get("anchor_trim_rate").and_then(Json::as_num),
             Some(0.25)
         );
-        // The counters are additive: a reader of the committed schema that
-        // only knows v2's original fields still parses the row.
-        assert_eq!(json.get("speedup").and_then(Json::as_num), Some(4.0));
-        // And the gate itself ignores them.
-        let committed = parse_json(
-            &report(vec![suite("merge_r64", "merge", 4.0, Some(1))])
-                .to_json()
-                .to_string(),
-        )
-        .unwrap();
-        let fresh = report(vec![s]);
-        assert!(check_regressions(&fresh, &committed).is_empty());
+        assert_eq!(json.get("threads").and_then(Json::as_num), Some(1.0));
     }
 
     #[test]
     fn stream_suite_json_carries_capture_counters() {
-        let mut s = suite("stream_capture_r8", "stream", 0.9, None);
-        s.stream_stats = Some(StreamSuiteStats {
-            budget: 192,
-            counters: StreamCounters {
-                events: 2408,
-                peak_resident: 190,
-                segments_sealed: 72,
-                segments_reloaded: 0,
-                seal_errors: 0,
-            },
-        });
-        let json = parse_json(&s.to_json().to_string()).unwrap();
-        assert_eq!(json.get("budget").and_then(Json::as_num), Some(192.0));
-        assert_eq!(
-            json.get("peak_resident").and_then(Json::as_num),
-            Some(190.0)
-        );
-        assert_eq!(
-            json.get("segments_sealed").and_then(Json::as_num),
-            Some(72.0)
-        );
-        assert_eq!(
-            json.get("segments_reloaded").and_then(Json::as_num),
-            Some(0.0)
-        );
-        assert_eq!(
-            json.get("stream_events").and_then(Json::as_num),
-            Some(2408.0)
-        );
-        assert_eq!(json.get("seal_errors").and_then(Json::as_num), Some(0.0));
-        // Additive: the original v2 fields are untouched and a committed
-        // baseline without the stream suite simply does not gate it.
-        assert_eq!(json.get("speedup").and_then(Json::as_num), Some(0.9));
-        let committed = parse_json(
-            &report(vec![suite("merge_r64", "merge", 4.0, Some(1))])
-                .to_json()
-                .to_string(),
-        )
-        .unwrap();
-        let fresh = report(vec![s]);
-        assert!(check_regressions(&fresh, &committed).is_empty());
+        let json = parse_json(&stream_row(190, 72, 0).to_json().to_string()).unwrap();
+        for (key, want) in [
+            ("budget", 192.0),
+            ("peak_resident", 190.0),
+            ("segments_sealed", 72.0),
+            ("segments_reloaded", 0.0),
+            ("stream_events", 2408.0),
+            ("seal_errors", 0.0),
+        ] {
+            assert_eq!(json.get(key).and_then(Json::as_num), Some(want), "{key}");
+        }
     }
 
     #[test]
@@ -1786,7 +1635,10 @@ mod tests {
         assert_eq!(stats.rep_merges, p as u64 - 1);
         let pairwise =
             scalatrace::merge::merge_sequences_strategy(streams, p, 1, MergeStrategy::Pairwise);
-        assert_eq!(merged, pairwise, "worst case still matches the seed path");
+        assert_eq!(
+            merged, pairwise,
+            "worst case still matches the pairwise tree"
+        );
         assert_eq!(merged.len(), p * DISTINCT_TIMESTEPS * 3);
     }
 
