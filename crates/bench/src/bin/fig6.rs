@@ -19,18 +19,12 @@ use mpisim::network;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let class = match args
+    let class = args
         .iter()
         .position(|a| a == "--class")
         .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        Some("S") => Class::S,
-        Some("W") => Class::W,
-        Some("B") => Class::B,
-        Some("C") => Class::C,
-        _ => Class::A,
-    };
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(Class::A);
     let max_ranks: usize = args
         .iter()
         .position(|a| a == "--max-ranks")

@@ -26,18 +26,12 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|s| s.parse().ok())
         .unwrap_or(64);
-    let class = match args
+    let class = args
         .iter()
         .position(|a| a == "--class")
         .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        Some("S") => Class::S,
-        Some("W") => Class::W,
-        Some("B") => Class::B,
-        Some("C") => Class::C,
-        _ => Class::C,
-    };
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(Class::C);
 
     println!("Figure 7 reproduction: BT what-if compute scaling on {ranks} ranks");
     println!(

@@ -9,24 +9,34 @@
 
 use bench_suite::{print_table, size_summary, trace_of};
 use benchgen::{generate, GenOptions};
-use miniapps::{registry, AppParams, Class};
+use miniapps::{registry, App, AppParams, Class};
 use mpisim::network;
 
-fn row(app_name: &str, ranks: usize, iterations: usize) -> Vec<String> {
-    let app = registry::lookup(app_name).expect("registered");
+const HEADER: [&str; 8] = [
+    "app",
+    "ranks",
+    "iters",
+    "MPI events",
+    "flat bytes",
+    "trace nodes",
+    "trace bytes",
+    "stmts",
+];
+
+/// Class W; `iterations: None` runs the class's own count.
+fn row(app: &'static App, ranks: usize, iterations: Option<usize>) -> Vec<String> {
     let params = AppParams {
-        class: Class::W,
-        iterations: Some(iterations),
-        compute_scale: 1.0,
+        iterations,
+        ..AppParams::class(Class::W)
     };
     let traced = trace_of(app, ranks, params, network::ideal()).expect("runs");
     let (nodes, events, bytes) = size_summary(&traced.trace);
     let flat = scalatrace::text::flat_size(&traced.trace);
     let generated = generate(&traced.trace, &GenOptions::default()).expect("generates");
     vec![
-        app_name.to_string(),
+        app.name.to_string(),
         ranks.to_string(),
-        iterations.to_string(),
+        iterations.map_or("-".to_string(), |i| i.to_string()),
         events.to_string(),
         flat.to_string(),
         nodes.to_string(),
@@ -37,79 +47,32 @@ fn row(app_name: &str, ranks: usize, iterations: usize) -> Vec<String> {
 
 fn main() {
     println!("E6: trace/benchmark size scalability (sublinear growth claim)\n");
+    let ring = registry::lookup("ring").expect("registered");
 
     println!("(a) rank sweep at fixed 200 iterations (ring):");
-    let mut rows = Vec::new();
-    for ranks in [8, 16, 32, 64, 128, 256] {
-        rows.push(row("ring", ranks, 200));
-    }
-    print_table(
-        &[
-            "app",
-            "ranks",
-            "iters",
-            "MPI events",
-            "flat bytes",
-            "trace nodes",
-            "trace bytes",
-            "stmts",
-        ],
-        &rows,
-    );
+    let rows: Vec<_> = [8, 16, 32, 64, 128, 256]
+        .into_iter()
+        .map(|ranks| row(ring, ranks, Some(200)))
+        .collect();
+    print_table(&HEADER, &rows);
 
     println!("\n(b) iteration sweep at fixed 32 ranks (ring):");
-    let mut rows = Vec::new();
-    for iters in [10, 100, 1_000, 10_000] {
-        rows.push(row("ring", 32, iters));
-    }
-    print_table(
-        &[
-            "app",
-            "ranks",
-            "iters",
-            "MPI events",
-            "flat bytes",
-            "trace nodes",
-            "trace bytes",
-            "stmts",
-        ],
-        &rows,
-    );
+    let rows: Vec<_> = [10, 100, 1_000, 10_000]
+        .into_iter()
+        .map(|iters| row(ring, 32, Some(iters)))
+        .collect();
+    print_table(&HEADER, &rows);
 
     println!("\n(c) the paper suite at 16 ranks, class W defaults:");
-    let mut rows = Vec::new();
-    for app in registry::paper_suite() {
-        let ranks = [16, 9, 8]
-            .into_iter()
-            .find(|&n| (app.valid_ranks)(n))
-            .unwrap();
-        let params = AppParams::class(Class::W);
-        let traced = trace_of(app, ranks, params, network::ideal()).expect("runs");
-        let (nodes, events, bytes) = size_summary(&traced.trace);
-        let flat = scalatrace::text::flat_size(&traced.trace);
-        let generated = generate(&traced.trace, &GenOptions::default()).expect("generates");
-        rows.push(vec![
-            app.name.to_string(),
-            ranks.to_string(),
-            "-".to_string(),
-            events.to_string(),
-            flat.to_string(),
-            nodes.to_string(),
-            bytes.to_string(),
-            generated.program.stmt_count().to_string(),
-        ]);
-    }
-    print_table(
-        &[
-            "app",
-            "ranks",
-            "iters",
-            "MPI events",
-            "flat bytes",
-            "trace nodes",
-            "trace bytes",
-            "stmts",
-        ],
-        &rows,
-    );
+    let rows: Vec<_> = registry::paper_suite()
+        .into_iter()
+        .map(|app| {
+            let ranks = [16, 9, 8]
+                .into_iter()
+                .find(|&n| (app.valid_ranks)(n))
+                .unwrap();
+            row(app, ranks, None)
+        })
+        .collect();
+    print_table(&HEADER, &rows);
 }

@@ -9,14 +9,12 @@
 //! ("results not presented"); this binary presents the table.
 
 use bench_suite::print_table;
-use benchgen::verify::{compare_profiles, expected_profile};
+use benchgen::verify::{compare_profiles, execute_profiled, expected_profile, run_profiled};
 use benchgen::{generate, GenOptions};
 use miniapps::{registry, AppParams, Class};
 use mpisim::network;
-use mpisim::profile::MpiP;
 use mpisim::types::CollKind;
-use mpisim::world::World;
-use scalatrace::{trace_app, ConcreteOp, Tracer};
+use scalatrace::{trace_app, ConcreteOp};
 use std::sync::Arc;
 
 fn main() {
@@ -28,45 +26,25 @@ fn main() {
             .into_iter()
             .find(|&n| (app.valid_ranks)(n))
             .unwrap();
-        let params = AppParams {
-            class: Class::W,
-            iterations: None,
-            compute_scale: 1.0,
-        };
+        let params = AppParams::class(Class::W);
+        let body = move |ctx: &mut mpisim::ctx::Ctx| (app.run)(ctx, &params);
 
-        let traced = trace_app(ranks, network::ideal(), move |ctx| (app.run)(ctx, &params))
-            .expect("app runs");
+        let traced = trace_app(ranks, network::ideal(), body).expect("app runs");
         let generated = generate(&traced.trace, &GenOptions::default()).expect("generates");
 
         // E1: mpiP profiles
-        let (_, orig_hooks) = World::new(ranks)
-            .network(network::ideal())
-            .run_hooked(|_| MpiP::new(), move |ctx| (app.run)(ctx, &params))
-            .unwrap();
-        let orig_prof = MpiP::merge_all(orig_hooks.iter());
-        let program = Arc::new(generated.program.clone());
-        let p2 = Arc::clone(&program);
-        let (_, gen_hooks) = World::new(ranks)
-            .network(network::ideal())
-            .run_hooked(
-                |_| MpiP::new(),
-                move |ctx| conceptual::interp::run_rank(ctx, &p2),
-            )
-            .unwrap();
-        let gen_prof = MpiP::merge_all(gen_hooks.iter());
+        let (_, orig_prof) = run_profiled(ranks, network::ideal(), body).unwrap();
+        let program = Arc::new(generated.program);
+        let (_, gen_prof) = execute_profiled(&program, ranks, network::ideal()).unwrap();
         let e1 = compare_profiles(&expected_profile(&orig_prof, ranks), &gen_prof, 0.02);
 
         // E2: trace the generated benchmark, compare normalised event
         // streams per rank
-        let p3 = Arc::clone(&program);
-        let (_, tracers) = World::new(ranks)
-            .network(network::ideal())
-            .run_hooked(
-                move |r| Tracer::new(r, ranks),
-                move |ctx| conceptual::interp::run_rank(ctx, &p3),
-            )
-            .unwrap();
-        let regen = scalatrace::merge::merge_tracers(tracers);
+        let regen = trace_app(ranks, network::ideal(), move |ctx| {
+            conceptual::interp::run_rank(ctx, &program)
+        })
+        .unwrap()
+        .trace;
         let mut e2_ok = true;
         let mut e2_detail = String::new();
         'outer: for r in 0..ranks {

@@ -7,15 +7,13 @@
 //! average for the v-variants).
 
 use bench_suite::print_table;
-use benchgen::verify::{compare_profiles, expected_profile};
+use benchgen::verify::{compare_profiles, execute_profiled, expected_profile, run_profiled};
 use benchgen::{generate, GenOptions};
 use conceptual::ast::Stmt;
 use miniapps::util::jittered;
 use mpisim::network;
-use mpisim::profile::MpiP;
 use mpisim::time::SimDuration;
 use mpisim::types::CollKind;
-use mpisim::world::World;
 use scalatrace::trace_app;
 use std::sync::Arc;
 
@@ -85,44 +83,25 @@ fn main() {
         if matches!(kind, CollKind::Finalize | CollKind::CommSplit) {
             continue;
         }
-        // trace a 3-iteration app issuing just this collective
-        let traced = trace_app(n, network::ideal(), move |ctx| {
+        // a 3-iteration app issuing just this collective
+        let app = move |ctx: &mut mpisim::ctx::Ctx| {
             for _ in 0..3 {
                 issue(ctx, kind);
             }
             ctx.finalize();
-        })
-        .expect("collective app runs");
+        };
+        let traced = trace_app(n, network::ideal(), app).expect("collective app runs");
         let generated = generate(&traced.trace, &GenOptions::default()).expect("generates");
 
         // profile original and generated
-        let (_, orig_hooks) = World::new(n)
-            .network(network::ideal())
-            .run_hooked(
-                |_| MpiP::new(),
-                move |ctx| {
-                    for _ in 0..3 {
-                        issue(ctx, kind);
-                    }
-                    ctx.finalize();
-                },
-            )
-            .unwrap();
-        let orig = MpiP::merge_all(orig_hooks.iter());
-        let program = Arc::new(generated.program.clone());
-        let (_, gen_hooks) = World::new(n)
-            .network(network::ideal())
-            .run_hooked(
-                |_| MpiP::new(),
-                move |ctx| conceptual::interp::run_rank(ctx, &program),
-            )
-            .unwrap();
-        let genp = MpiP::merge_all(gen_hooks.iter());
+        let (_, orig) = run_profiled(n, network::ideal(), app).unwrap();
+        let program = Arc::new(generated.program);
+        let (_, genp) = execute_profiled(&program, n, network::ideal()).unwrap();
         let errors = compare_profiles(&expected_profile(&orig, n), &genp, 0.02);
 
         rows.push(vec![
             kind.mpi_name().to_string(),
-            stmt_kinds(&generated.program.stmts).join(" + "),
+            stmt_kinds(&program.stmts).join(" + "),
             if errors.is_empty() {
                 "volume OK".to_string()
             } else {

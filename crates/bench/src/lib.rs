@@ -14,6 +14,7 @@
 //! Criterion benches (`cargo bench`) cover E7: O(p·e) scaling of
 //! Algorithms 1 and 2, compression-window cost, and engine throughput.
 
+use benchgen::verify::timing_error_pct;
 use benchgen::{generate, GenOptions, GeneratedBenchmark};
 use conceptual::interp::run_program;
 use miniapps::{App, AppParams};
@@ -38,13 +39,7 @@ pub struct AccuracyRow {
 impl AccuracyRow {
     /// The paper's error metric: `100% * |T_gen - T_app| / T_app`.
     pub fn err_pct(&self) -> f64 {
-        let a = self.t_app.as_secs_f64();
-        let g = self.t_gen.as_secs_f64();
-        if a == 0.0 {
-            0.0
-        } else {
-            100.0 * (g - a).abs() / a
-        }
+        timing_error_pct(self.t_app, self.t_gen)
     }
 }
 
@@ -55,10 +50,8 @@ pub fn measure_accuracy(
     params: AppParams,
     network: Arc<dyn NetworkModel>,
 ) -> Result<(AccuracyRow, GeneratedBenchmark), String> {
-    let traced = trace_app(ranks, Arc::clone(&network), move |ctx| {
-        (app.run)(ctx, &params)
-    })
-    .map_err(|e| format!("{}@{ranks}: trace failed: {e}", app.name))?;
+    let traced = trace_of(app, ranks, params, Arc::clone(&network))
+        .map_err(|e| format!("{}@{ranks}: trace failed: {e}", app.name))?;
     let generated = generate(&traced.trace, &GenOptions::default())
         .map_err(|e| format!("{}@{ranks}: generation failed: {e}", app.name))?;
     let outcome = run_program(&generated.program, ranks, network)

@@ -6,7 +6,10 @@
 //! into a declarative **job matrix** and executes it as a fleet:
 //!
 //! * [`matrix`] — the matrix format, its expansion into concrete
-//!   [`matrix::JobSpec`]s, and stable hashed job identities.
+//!   [`matrix::JobSpec`]s, stable hashed job identities, and the one
+//!   validator and set of conversions ([`matrix::JobSpec::validate`],
+//!   `params`, `gen_options`, `network_model`, `trace`) every front end
+//!   turns a job description into a pipeline run with.
 //! * [`hash`] — deterministic, order-independent FNV-1a config hashing.
 //! * [`cache`] — a disk trace cache keyed by trace-config hash, so reruns
 //!   skip the (expensive) traced application entirely.
@@ -34,7 +37,7 @@ pub mod telemetry;
 pub use cache::{CachedTrace, FsckReport, TraceCache};
 pub use executor::{FailureCause, FleetOptions, JobError, Outcome};
 pub use journal::{Journal, ResumeAction};
-pub use matrix::{CampaignSpec, JobSpec};
+pub use matrix::{CampaignSpec, JobSpec, SpecError};
 pub use runner::{
     resume_campaign, run_campaign, run_jobs, CampaignReport, ChaosSummary, JobOutput, JobRow,
 };

@@ -23,7 +23,14 @@
 //! (e.g. BT on a non-square rank count) and reporting them as skips.
 
 use crate::hash;
-use miniapps::{registry, Class};
+use benchgen::GenOptions;
+use miniapps::{registry, App, AppParams, Class};
+use mpisim::network::{self, NetworkModel};
+use mpisim::SimError;
+use scalatrace::TracedRun;
+use std::fmt;
+use std::str::FromStr;
+use std::sync::Arc;
 
 /// Fault-injection pseudo-apps resolved by the campaign runner itself
 /// rather than the miniapp registry.
@@ -35,7 +42,71 @@ pub fn is_injected(name: &str) -> bool {
 }
 
 /// Networks a job may select.
-pub const NETWORKS: &[&str] = &["ideal", "bgl", "ethernet"];
+pub const NETWORKS: &[&str] = network::NAMES;
+
+/// Why a [`JobSpec`] cannot run. `Display` is the one wording of each
+/// diagnostic: the matrix expander turns [`SpecError::InvalidRanks`] into a
+/// skip, every other front end prints the error as it is.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SpecError {
+    /// The registry has no application of that name.
+    UnknownApp(String),
+    /// The application's domain decomposition rejects the rank count.
+    InvalidRanks {
+        /// Application registry name.
+        app: String,
+        /// The rejected world size.
+        ranks: usize,
+    },
+    /// No network model of that name (see [`NETWORKS`]).
+    UnknownNetwork(String),
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpecError::UnknownApp(app) => {
+                let names: Vec<&str> = registry::all().iter().map(|a| a.name).collect();
+                write!(f, "unknown app {app}; available: {}", names.join(", "))
+            }
+            SpecError::InvalidRanks { app, ranks } => {
+                write!(f, "{app} cannot run on {ranks} ranks")
+            }
+            SpecError::UnknownNetwork(name) => write!(
+                f,
+                "unknown network {name} (expected one of {})",
+                NETWORKS.join("|")
+            ),
+        }
+    }
+}
+
+impl From<SpecError> for String {
+    fn from(e: SpecError) -> String {
+        e.to_string()
+    }
+}
+
+fn lookup_app(name: &str) -> Result<&'static App, SpecError> {
+    registry::lookup(name).ok_or_else(|| SpecError::UnknownApp(name.to_string()))
+}
+
+/// The registry entry for `name`, provided its decomposition accepts
+/// `ranks`.
+fn runnable_app(name: &str, ranks: usize) -> Result<&'static App, SpecError> {
+    let app = lookup_app(name)?;
+    if !(app.valid_ranks)(ranks) {
+        return Err(SpecError::InvalidRanks {
+            app: name.to_string(),
+            ranks,
+        });
+    }
+    Ok(app)
+}
+
+fn lookup_network(name: &str) -> Result<Arc<dyn NetworkModel>, SpecError> {
+    network::by_name(name).ok_or_else(|| SpecError::UnknownNetwork(name.to_string()))
+}
 
 /// One fully concrete experiment: everything needed to trace an
 /// application and generate + verify its benchmark.
@@ -69,6 +140,72 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
+    /// A job with the batch defaults for everything a front end may not
+    /// expose: both algorithms on, no comments, unscaled compute, class
+    /// iteration counts, no chaos step, sequential analysis stages.
+    pub fn new(app: &str, ranks: usize, class: Class, network: &str) -> JobSpec {
+        JobSpec {
+            app: app.to_string(),
+            ranks,
+            class,
+            network: network.to_string(),
+            align: true,
+            resolve: true,
+            comments: false,
+            compute_scale: 1.0,
+            iterations: None,
+            chaos_seeds: 0,
+            pipeline_threads: 1,
+        }
+    }
+
+    /// The application this job traces: a registry entry whose
+    /// decomposition accepts `ranks`. (The fault-injection pseudo-apps are
+    /// not applications; the campaign runner resolves those itself.)
+    pub fn app(&self) -> Result<&'static App, SpecError> {
+        runnable_app(&self.app, self.ranks)
+    }
+
+    /// The network model this job runs on.
+    pub fn network_model(&self) -> Result<Arc<dyn NetworkModel>, SpecError> {
+        lookup_network(&self.network)
+    }
+
+    /// Can this job run? Every front end asks here, once, before it traces
+    /// anything. The rank count is checked last, so a caller that turns
+    /// [`SpecError::InvalidRanks`] into a skip knows the rest is sound.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        self.network_model()?;
+        self.app()?;
+        Ok(())
+    }
+
+    /// The application run parameters.
+    pub fn params(&self) -> AppParams {
+        AppParams {
+            class: self.class,
+            iterations: self.iterations,
+            compute_scale: self.compute_scale,
+        }
+    }
+
+    /// The generator options.
+    pub fn gen_options(&self) -> GenOptions {
+        GenOptions {
+            align_collectives: self.align,
+            resolve_wildcards: self.resolve,
+            emit_comments: self.comments,
+            ..GenOptions::default()
+        }
+    }
+
+    /// Stage one of the pipeline: run `app` under the tracer. `app` and
+    /// `model` are what [`Self::app`] and [`Self::network_model`] resolved.
+    pub fn trace(&self, app: &App, model: Arc<dyn NetworkModel>) -> Result<TracedRun, SimError> {
+        let (run, params) = (app.run, self.params());
+        scalatrace::trace_app(self.ranks, model, move |ctx| run(ctx, &params))
+    }
+
     /// `key=value` pairs that determine the *trace* — the fields the traced
     /// application run depends on. Generation flags are deliberately
     /// excluded so jobs differing only in `GenOptions` share a cache entry.
@@ -183,18 +320,6 @@ impl Default for CampaignSpec {
     }
 }
 
-/// Parse a one-letter NPB class name.
-pub fn parse_class(s: &str) -> Result<Class, String> {
-    match s {
-        "S" => Ok(Class::S),
-        "W" => Ok(Class::W),
-        "A" => Ok(Class::A),
-        "B" => Ok(Class::B),
-        "C" => Ok(Class::C),
-        other => Err(format!("unknown class {other} (expected S|W|A|B|C)")),
-    }
-}
-
 fn parse_bool(key: &str, s: &str) -> Result<bool, String> {
     match s {
         "true" | "yes" | "on" => Ok(true),
@@ -207,6 +332,25 @@ fn split_list(v: &str) -> Vec<&str> {
     v.split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
+        .collect()
+}
+
+fn parsed<T>(key: &str, value: &str) -> Result<T, String>
+where
+    T: FromStr,
+    T::Err: fmt::Display,
+{
+    value.parse().map_err(|e| format!("bad {key}: {e}"))
+}
+
+fn parsed_list<T>(what: &str, value: &str) -> Result<Vec<T>, String>
+where
+    T: FromStr,
+    T::Err: fmt::Display,
+{
+    split_list(value)
+        .iter()
+        .map(|s| s.parse().map_err(|e| format!("bad {what} {s}: {e}")))
         .collect()
 }
 
@@ -227,77 +371,30 @@ impl CampaignSpec {
             let (key, value) = (key.trim(), value.trim());
             match key {
                 "apps" => spec.apps = split_list(value).iter().map(|s| s.to_string()).collect(),
-                "ranks" => {
-                    spec.ranks = split_list(value)
-                        .iter()
-                        .map(|s| {
-                            s.parse::<usize>()
-                                .map_err(|e| at(format!("bad rank {s}: {e}")))
-                        })
-                        .collect::<Result<_, _>>()?
-                }
+                "ranks" => spec.ranks = parsed_list("rank", value).map_err(&at)?,
                 "classes" => {
                     spec.classes = split_list(value)
                         .iter()
-                        .map(|s| parse_class(s).map_err(&at))
+                        .map(|s| s.parse::<Class>().map_err(&at))
                         .collect::<Result<_, _>>()?
                 }
                 "networks" => {
                     let nets = split_list(value);
                     for n in &nets {
-                        if !NETWORKS.contains(n) {
-                            return Err(at(format!(
-                                "unknown network {n} (expected one of {})",
-                                NETWORKS.join("|")
-                            )));
-                        }
+                        lookup_network(n).map_err(|e| at(e.into()))?;
                     }
                     spec.networks = nets.iter().map(|s| s.to_string()).collect();
                 }
                 "align" => spec.align = parse_bool(key, value).map_err(&at)?,
                 "resolve" => spec.resolve = parse_bool(key, value).map_err(&at)?,
                 "comments" => spec.comments = parse_bool(key, value).map_err(&at)?,
-                "compute_scale" => {
-                    spec.compute_scale = value
-                        .parse::<f64>()
-                        .map_err(|e| at(format!("bad compute_scale: {e}")))?
-                }
-                "iterations" => {
-                    spec.iterations = Some(
-                        value
-                            .parse::<usize>()
-                            .map_err(|e| at(format!("bad iterations: {e}")))?,
-                    )
-                }
-                "chaos_seeds" => {
-                    spec.chaos_seeds = split_list(value)
-                        .iter()
-                        .map(|s| {
-                            s.parse::<usize>()
-                                .map_err(|e| at(format!("bad chaos_seeds {s}: {e}")))
-                        })
-                        .collect::<Result<_, _>>()?
-                }
-                "pipeline_threads" => {
-                    spec.pipeline_threads = value
-                        .parse::<usize>()
-                        .map_err(|e| at(format!("bad pipeline_threads: {e}")))?
-                }
-                "workers" => {
-                    spec.workers = value
-                        .parse::<usize>()
-                        .map_err(|e| at(format!("bad workers: {e}")))?
-                }
-                "timeout_secs" => {
-                    spec.timeout_secs = value
-                        .parse::<u64>()
-                        .map_err(|e| at(format!("bad timeout_secs: {e}")))?
-                }
-                "retries" => {
-                    spec.retries = value
-                        .parse::<u32>()
-                        .map_err(|e| at(format!("bad retries: {e}")))?
-                }
+                "compute_scale" => spec.compute_scale = parsed(key, value).map_err(&at)?,
+                "iterations" => spec.iterations = Some(parsed(key, value).map_err(&at)?),
+                "chaos_seeds" => spec.chaos_seeds = parsed_list(key, value).map_err(&at)?,
+                "pipeline_threads" => spec.pipeline_threads = parsed(key, value).map_err(&at)?,
+                "workers" => spec.workers = parsed(key, value).map_err(&at)?,
+                "timeout_secs" => spec.timeout_secs = parsed(key, value).map_err(&at)?,
+                "retries" => spec.retries = parsed(key, value).map_err(&at)?,
                 other => return Err(at(format!("unknown key {other}"))),
             }
         }
@@ -325,12 +422,8 @@ impl CampaignSpec {
             return Err("pipeline_threads must be at least 1".to_string());
         }
         for app in &self.apps {
-            if !is_injected(app) && registry::lookup(app).is_none() {
-                let names: Vec<&str> = registry::all().iter().map(|a| a.name).collect();
-                return Err(format!(
-                    "unknown app {app}; available: {}",
-                    names.join(", ")
-                ));
+            if !is_injected(app) {
+                lookup_app(app)?;
             }
         }
         Ok(())
@@ -344,13 +437,11 @@ impl CampaignSpec {
         let mut skipped = Vec::new();
         for app in &self.apps {
             for &ranks in &self.ranks {
-                let valid = match registry::lookup(app) {
-                    Some(a) => (a.valid_ranks)(ranks),
-                    None => is_injected(app),
-                };
-                if !valid {
-                    skipped.push(format!("{app} cannot run on {ranks} ranks"));
-                    continue;
+                if !is_injected(app) {
+                    if let Err(e) = runnable_app(app, ranks) {
+                        skipped.push(e.into());
+                        continue;
+                    }
                 }
                 for &class in &self.classes {
                     for network in &self.networks {
@@ -430,6 +521,53 @@ mod tests {
         assert!(CampaignSpec::parse("just some text").is_err());
         let err = CampaignSpec::parse("apps = ring\nranks = x").unwrap_err();
         assert!(err.contains("line 2"), "{err}");
+    }
+
+    #[test]
+    fn job_validation_names_what_is_wrong() {
+        let job = JobSpec::new("bt", 4, Class::S, "bgl");
+        assert_eq!(job.validate(), Ok(()));
+        assert_eq!(job.app().unwrap().name, "bt");
+        let bad = |job: JobSpec| job.validate().unwrap_err();
+        assert_eq!(
+            bad(JobSpec::new("nosuch", 4, Class::S, "bgl")),
+            SpecError::UnknownApp("nosuch".into())
+        );
+        assert_eq!(
+            bad(JobSpec {
+                ranks: 7,
+                ..job.clone()
+            })
+            .to_string(),
+            "bt cannot run on 7 ranks"
+        );
+        assert_eq!(
+            bad(JobSpec::new("bt", 4, Class::S, "etherent")).to_string(),
+            "unknown network etherent (expected one of ideal|bgl|ethernet)"
+        );
+        // The pseudo-apps are the runner's business, not applications.
+        assert!(JobSpec::new("__panic__", 4, Class::S, "bgl").app().is_err());
+    }
+
+    #[test]
+    fn job_conversions_carry_every_field() {
+        let job = JobSpec {
+            align: false,
+            comments: true,
+            compute_scale: 0.5,
+            iterations: Some(7),
+            ..JobSpec::new("ring", 4, Class::W, "ideal")
+        };
+        let params = job.params();
+        assert_eq!(params.class, Class::W);
+        assert_eq!(params.iterations, Some(7));
+        assert_eq!(params.compute_scale, 0.5);
+        let opts = job.gen_options();
+        assert!(!opts.align_collectives && opts.resolve_wildcards && opts.emit_comments);
+        let traced = job
+            .trace(job.app().unwrap(), job.network_model().unwrap())
+            .unwrap();
+        assert_eq!(traced.trace.nranks, 4);
     }
 
     #[test]

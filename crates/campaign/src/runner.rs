@@ -6,18 +6,16 @@ use crate::cache::TraceCache;
 use crate::executor::{self, ExecEvent, FailureCause, FleetOptions, JobError, Outcome};
 use crate::hash;
 use crate::journal::{JobRecord, Journal, ResumeAction};
-use crate::matrix::{CampaignSpec, JobSpec};
+use crate::matrix::{CampaignSpec, JobSpec, SpecError};
 use crate::telemetry::{Telemetry, Value};
 use benchgen::chaos;
-use benchgen::verify::{compare_profiles, expected_profile, profile_of_trace};
-use benchgen::{generate, GenOptions};
-use conceptual::interp::run_rank;
-use miniapps::{registry, App, AppParams};
-use mpisim::network::NetworkModel;
-use mpisim::profile::MpiP;
+use benchgen::generate;
+use benchgen::verify::{
+    compare_profiles, execute_profiled, expected_profile, profile_of_trace, timing_error_pct,
+};
+use miniapps::App;
 use mpisim::time::SimTime;
-use mpisim::world::World;
-use mpisim::{network, SimError};
+use mpisim::SimError;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -215,24 +213,12 @@ impl std::fmt::Display for CampaignReport {
     }
 }
 
-fn model_of(name: &str) -> Arc<dyn NetworkModel> {
-    match name {
-        "bgl" => network::blue_gene_l(),
-        "ethernet" => network::ethernet_cluster(),
-        _ => network::ideal(),
-    }
-}
-
-fn params_of(job: &JobSpec) -> AppParams {
-    AppParams {
-        class: job.class,
-        iterations: job.iterations,
-        compute_scale: job.compute_scale,
-    }
-}
-
 fn sim_err(e: SimError) -> JobError {
     JobError::fatal(format!("simulation failed: {e}"))
+}
+
+fn spec_err(e: SpecError) -> JobError {
+    JobError::fatal(e.to_string())
 }
 
 /// Resolve the application body for a job, honouring the fault-injection
@@ -251,12 +237,11 @@ fn resolve_app(job: &JobSpec, attempt: u32) -> Result<&'static App, JobError> {
                     "injected transient failure (fault-injection app __flaky__, attempt 1)",
                 ));
             }
-            Ok(registry::lookup("ring").expect("ring is always registered"))
+            JobSpec::new("ring", job.ranks, job.class, &job.network).app()
         }
-        name => {
-            registry::lookup(name).ok_or_else(|| JobError::fatal(format!("unknown app {name}")))
-        }
+        _ => job.app(),
     }
+    .map_err(spec_err)
 }
 
 /// Run one job end to end. This is the unit of fault isolation: anything
@@ -268,7 +253,7 @@ fn run_one(
     telemetry: &Telemetry,
 ) -> Result<JobOutput, JobError> {
     let app = resolve_app(job, attempt)?;
-    let model = model_of(&job.network);
+    let model = job.network_model().map_err(spec_err)?;
     let trace_key = job.trace_key();
 
     // 1. Trace: cache hit, or run the application and fill the cache.
@@ -285,17 +270,7 @@ fn run_one(
             (hit.trace, hit.t_app, true, hit.salvaged)
         }
         None => {
-            if !(app.valid_ranks)(job.ranks) {
-                return Err(JobError::fatal(format!(
-                    "{} cannot run on {} ranks",
-                    app.name, job.ranks
-                )));
-            }
-            let params = params_of(job);
-            let run = app.run;
-            let traced =
-                scalatrace::trace_app(job.ranks, model.clone(), move |ctx| run(ctx, &params))
-                    .map_err(sim_err)?;
+            let traced = job.trace(app, model.clone()).map_err(sim_err)?;
             // Caching is best-effort; a read-only cache dir must not fail
             // the job.
             let _ = cache.store(
@@ -309,29 +284,19 @@ fn run_one(
     };
 
     // 2. Generate the executable specification.
-    let opts = GenOptions {
-        align_collectives: job.align,
-        resolve_wildcards: job.resolve,
-        emit_comments: job.comments,
-        ..GenOptions::default()
-    };
-    let generated =
-        generate(&trace, &opts).map_err(|e| JobError::fatal(format!("generation failed: {e}")))?;
+    let generated = generate(&trace, &job.gen_options())
+        .map_err(|e| JobError::fatal(format!("generation failed: {e}")))?;
 
     // 3. Execute the generated benchmark under an mpiP hook: one run yields
     //    both T_gen and the profile for E1.
-    let program = Arc::new(generated.program);
-    let prog = Arc::clone(&program);
-    let (report, hooks) = World::new(job.ranks)
-        .network(model)
-        .run_hooked(|_| MpiP::new(), move |ctx| run_rank(ctx, &prog))
-        .map_err(sim_err)?;
+    let (report, gen_prof) =
+        execute_profiled(&Arc::new(generated.program), job.ranks, model.clone())
+            .map_err(sim_err)?;
     let t_gen = report.total_time;
 
     // 4. Verify (E1): the generated benchmark's profile must match the
     //    Table-1 image of the original's — reconstructed from the trace, so
     //    cache hits verify without re-running the application.
-    let gen_prof = MpiP::merge_all(hooks.iter());
     let orig_prof = profile_of_trace(&trace);
     let verify_errors = compare_profiles(
         &expected_profile(&orig_prof, job.ranks),
@@ -344,13 +309,12 @@ fn run_one(
     //    (profile drift, failed runs, failed generation) fail the job;
     //    benchmark divergences are recorded per seed in telemetry.
     let chaos_summary = if job.chaos_seeds > 0 {
-        let params = params_of(job);
-        let run = app.run;
+        let (run, params) = (app.run, job.params());
         let plans = chaos::differential_plans(job.chaos_seeds, job.ranks);
         let report = chaos::differential(
             &trace,
             job.ranks,
-            model_of(&job.network),
+            model,
             move |ctx| run(ctx, &params),
             &plans,
         )
@@ -384,11 +348,7 @@ fn run_one(
     };
 
     // 6. Metrics.
-    let err_pct = if t_app.as_nanos() == 0 {
-        0.0
-    } else {
-        (t_gen.as_secs_f64() - t_app.as_secs_f64()).abs() / t_app.as_secs_f64() * 100.0
-    };
+    let err_pct = timing_error_pct(t_app, t_gen);
     let compression = scalatrace::stats::stats(&trace).compression_ratio();
 
     Ok(JobOutput {
@@ -791,6 +751,31 @@ mod tests {
     }
 
     #[test]
+    fn a_mistyped_network_fails_the_job_instead_of_running_on_ideal() {
+        let dir = temp_dir("etherent");
+        let jobs = vec![
+            JobSpec::new("ring", 2, miniapps::Class::S, "etherent"),
+            JobSpec::new("ring", 2, miniapps::Class::S, "ethernet"),
+        ];
+        let fleet = FleetOptions {
+            workers: 1,
+            retries: 0,
+            ..FleetOptions::default()
+        };
+        let cache = TraceCache::open(&dir).unwrap();
+        let report = run_jobs(jobs, Vec::new(), &fleet, cache, Telemetry::sink());
+        match &report.rows[0].outcome {
+            Outcome::Failed { error, cause, .. } => {
+                assert!(error.starts_with("unknown network etherent"), "{error}");
+                assert_eq!(*cause, FailureCause::Fatal);
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(matches!(report.rows[1].outcome, Outcome::Done(_)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn hung_jobs_are_abandoned() {
         let dir = temp_dir("hang");
         let matrix = "
@@ -920,13 +905,9 @@ mod tests {
         // recovered from an interrupted streamed capture, stored under the
         // job's trace key with the salvaged marker.
         let cache = TraceCache::open(&dir).unwrap();
-        let app = resolve_app(&job, 0).unwrap();
-        let params = params_of(&job);
-        let run = app.run;
-        let traced = scalatrace::trace_app(job.ranks, model_of(&job.network), move |ctx| {
-            run(ctx, &params)
-        })
-        .unwrap();
+        let traced = job
+            .trace(job.app().unwrap(), job.network_model().unwrap())
+            .unwrap();
         cache
             .store_salvaged(
                 job.trace_key(),

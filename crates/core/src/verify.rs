@@ -7,11 +7,60 @@
 //! *different* MPI routines; [`expected_profile`] rewrites the original's
 //! profile through Table 1 so the comparison remains exact for counts and
 //! approximate only where the paper's own mapping averages message sizes.
+//!
+//! The two stages every front end shares live here as well, next to the
+//! comparison that consumes their output: one mpiP-hooked run
+//! ([`run_profiled`] for an application body, [`execute_profiled`] for a
+//! generated program) and the §5.3 error metric ([`timing_error_pct`]).
 
+use conceptual::ast::Program;
+use conceptual::interp::run_rank;
+use mpisim::ctx::Ctx;
+use mpisim::error::SimError;
+use mpisim::network::NetworkModel;
 use mpisim::profile::{MpiP, RoutineStats};
+use mpisim::time::SimTime;
+use mpisim::world::{RunReport, World};
 use scalatrace::cursor::{events_for_rank, ConcreteOp};
 use scalatrace::trace::Trace;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// Run `body` on `ranks` ranks with an [`MpiP`] hook on each: one run
+/// yields the simulated time (in the report) and the merged profile.
+pub fn run_profiled<F>(
+    ranks: usize,
+    network: Arc<dyn NetworkModel>,
+    body: F,
+) -> Result<(RunReport, MpiP), SimError>
+where
+    F: Fn(&mut Ctx) + Send + Sync + 'static,
+{
+    let (report, hooks) = World::new(ranks)
+        .network(network)
+        .run_hooked(|_| MpiP::new(), body)?;
+    Ok((report, MpiP::merge_all(hooks.iter())))
+}
+
+/// [`run_profiled`] for a generated program — the pipeline's execute stage.
+pub fn execute_profiled(
+    program: &Arc<Program>,
+    ranks: usize,
+    network: Arc<dyn NetworkModel>,
+) -> Result<(RunReport, MpiP), SimError> {
+    let program = Arc::clone(program);
+    run_profiled(ranks, network, move |ctx| run_rank(ctx, &program))
+}
+
+/// The paper's §5.3 accuracy metric: `|T_gen − T_app| / T_app` in percent
+/// (0 for an application that took no simulated time).
+pub fn timing_error_pct(t_app: SimTime, t_gen: SimTime) -> f64 {
+    if t_app.as_nanos() == 0 {
+        0.0
+    } else {
+        (t_gen.as_secs_f64() - t_app.as_secs_f64()).abs() / t_app.as_secs_f64() * 100.0
+    }
+}
 
 /// Reconstruct the original application's mpiP profile (per-routine counts
 /// and volumes) from its trace, without re-running the application.
@@ -143,7 +192,6 @@ pub fn compare_profiles(expected: &MpiP, generated: &MpiP, tol: f64) -> Vec<Stri
 mod tests {
     use super::*;
     use mpisim::hooks::{Event, EventKind, Hook};
-    use mpisim::time::SimTime;
     use mpisim::types::{CallSite, CollKind};
 
     fn event(kind: EventKind) -> Event {
@@ -243,7 +291,6 @@ mod tests {
     fn trace_profile_matches_live_profile() {
         use miniapps::{registry, AppParams};
         use mpisim::network;
-        use mpisim::world::World;
 
         let app = registry::lookup("ring").unwrap();
         let params = AppParams::quick();
@@ -251,13 +298,18 @@ mod tests {
         let traced =
             scalatrace::trace_app(ranks, network::ideal(), move |ctx| (app.run)(ctx, &params))
                 .unwrap();
-        let (_, hooks) = World::new(ranks)
-            .network(network::ideal())
-            .run_hooked(|_| MpiP::new(), move |ctx| (app.run)(ctx, &params))
-            .unwrap();
-        let live = MpiP::merge_all(hooks.iter());
+        let (_, live) =
+            run_profiled(ranks, network::ideal(), move |ctx| (app.run)(ctx, &params)).unwrap();
         let from_trace = profile_of_trace(&traced.trace);
         assert_eq!(live.diff(&from_trace), Vec::<String>::new());
+    }
+
+    #[test]
+    fn timing_error_is_relative_to_the_application() {
+        let ns = SimTime::from_nanos;
+        assert!((timing_error_pct(ns(1_000), ns(1_100)) - 10.0).abs() < 1e-9);
+        assert!((timing_error_pct(ns(1_000), ns(900)) - 10.0).abs() < 1e-9);
+        assert_eq!(timing_error_pct(ns(0), ns(5)), 0.0);
     }
 
     #[test]

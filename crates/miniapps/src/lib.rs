@@ -72,6 +72,18 @@ impl Class {
     }
 }
 
+/// Inverse of [`Class::name`].
+impl std::str::FromStr for Class {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Class, String> {
+        [Class::S, Class::W, Class::A, Class::B, Class::C]
+            .into_iter()
+            .find(|c| c.name() == s)
+            .ok_or_else(|| format!("unknown class {s} (expected S|W|A|B|C)"))
+    }
+}
+
 /// Run parameters for a skeleton.
 #[derive(Clone, Copy, Debug)]
 pub struct AppParams {
@@ -166,6 +178,17 @@ mod tests {
         }
         assert!(registry::lookup("ring").is_some());
         assert!(registry::lookup("nope").is_none());
+    }
+
+    #[test]
+    fn class_letters_parse_back_and_nothing_else_does() {
+        for class in [Class::S, Class::W, Class::A, Class::B, Class::C] {
+            assert_eq!(class.name().parse::<Class>(), Ok(class));
+        }
+        for bad in ["Z", "s", "", "AB"] {
+            let err = bad.parse::<Class>().unwrap_err();
+            assert_eq!(err, format!("unknown class {bad} (expected S|W|A|B|C)"));
+        }
     }
 
     #[test]

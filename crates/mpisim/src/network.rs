@@ -321,6 +321,20 @@ pub fn ideal() -> Arc<dyn NetworkModel> {
     Arc::new(IdealNetwork)
 }
 
+/// The names [`by_name`] knows, in the order front ends list them.
+pub const NAMES: &[&str] = &["ideal", "bgl", "ethernet"];
+
+/// The preset called `name`. Every front end resolves network names here,
+/// so an unknown name is `None` for all of them and never a default model.
+pub fn by_name(name: &str) -> Option<Arc<dyn NetworkModel>> {
+    match name {
+        "ideal" => Some(ideal()),
+        "bgl" => Some(blue_gene_l()),
+        "ethernet" => Some(ethernet_cluster()),
+        _ => None,
+    }
+}
+
 /// A decorator scaling an inner model's wire time by a fixed per-link
 /// factor in `[1, 1+skew]`, keyed by `(seed, src, dst)` — the network-level
 /// half of a [`crate::faults::FaultPlan`]'s latency perturbation. The
@@ -388,6 +402,25 @@ pub fn skewed(inner: Arc<dyn NetworkModel>, seed: u64, skew: f64) -> Arc<dyn Net
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn by_name_knows_exactly_the_listed_names() {
+        let presets: Vec<String> = NAMES
+            .iter()
+            .map(|n| by_name(n).expect("listed").name().to_string())
+            .collect();
+        assert_eq!(
+            presets,
+            [
+                ideal().name(),
+                blue_gene_l().name(),
+                ethernet_cluster().name()
+            ]
+        );
+        // A near miss is unknown, not the ideal network.
+        assert!(by_name("etherent").is_none());
+        assert!(by_name("").is_none());
+    }
 
     #[test]
     fn flat_transit_scales_with_bytes() {

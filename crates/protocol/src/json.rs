@@ -110,7 +110,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    Json::Str(k.clone()).write_compact(out);
+                    let _ = write_str(out, k);
                     out.push(':');
                     v.write_compact(out);
                 }
@@ -131,19 +131,7 @@ impl Json {
                     write!(f, "{x}")
                 }
             }
-            Json::Str(s) => {
-                write!(f, "\"")?;
-                for c in s.chars() {
-                    match c {
-                        '"' => write!(f, "\\\"")?,
-                        '\\' => write!(f, "\\\\")?,
-                        '\n' => write!(f, "\\n")?,
-                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                        c => write!(f, "{c}")?,
-                    }
-                }
-                write!(f, "\"")
-            }
+            Json::Str(s) => write_str(f, s),
             Json::Arr(items) => {
                 if items.is_empty() {
                     return write!(f, "[]");
@@ -162,7 +150,9 @@ impl Json {
                 }
                 writeln!(f, "{{")?;
                 for (i, (k, v)) in members.iter().enumerate() {
-                    write!(f, "{pad}  \"{k}\": ")?;
+                    write!(f, "{pad}  ")?;
+                    write_str(f, k)?;
+                    write!(f, ": ")?;
                     v.write(f, indent + 1)?;
                     writeln!(f, "{}", if i + 1 < members.len() { "," } else { "" })?;
                 }
@@ -170,6 +160,22 @@ impl Json {
             }
         }
     }
+}
+
+/// The one string writer: every string value and every object key, in
+/// both renderings, is quoted and escaped here.
+fn write_str(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
+        }
+    }
+    out.write_char('"')
 }
 
 impl fmt::Display for Json {
@@ -367,6 +373,10 @@ mod tests {
     fn escapes_survive_a_roundtrip() {
         let v = Json::Str("a \"quoted\" \\ line\nbreak".into());
         assert_eq!(parse(&v.to_string()).unwrap(), v);
+        // Keys are strings too, in both renderings.
+        let keyed = Json::Obj(vec![("a\"b\\c\nd".into(), Json::Null)]);
+        assert_eq!(parse(&keyed.to_string()).unwrap(), keyed);
+        assert_eq!(parse(&keyed.to_compact()).unwrap(), keyed);
     }
 
     #[test]

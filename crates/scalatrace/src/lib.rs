@@ -64,8 +64,8 @@ pub use snapshot::{
     trace_world_checkpointed, trace_world_resumed, CheckpointConfig, SnapshotError,
 };
 pub use stream::{
-    fsck_dir, salvage_dir, trace_world_streamed, RankSalvage, SalvageReport, SegmentCursor,
-    StreamConfig, StreamCounters, StreamFsckReport, StreamedRun, StreamingTracer,
+    fsck_dir, salvage_dir, trace_world_streamed, RankSalvage, SalvageReport, StreamConfig,
+    StreamCounters, StreamFsckReport, StreamedRun, StreamingTracer,
 };
 pub use timestats::TimeStats;
 pub use trace::{CommTable, OpTemplate, Prsd, Rsd, Trace, TraceNode};

@@ -828,79 +828,6 @@ pub fn salvage_dir(dir: &Path) -> Result<(Trace, SalvageReport), SnapshotError> 
     Ok((trace, SalvageReport { nranks, ranks }))
 }
 
-// ----------------------------------------------------------------- cursor
-
-/// Lazy reader over one rank's segment chain: yields the chain's trace
-/// nodes while holding at most one decoded segment in memory, so a consumer
-/// can walk a capture far larger than RAM. Stops cleanly at the first
-/// missing index; a corrupt segment surfaces as an `Err` item (and ends the
-/// iteration), never as silently wrong nodes.
-pub struct SegmentCursor {
-    dir: PathBuf,
-    rank: usize,
-    next_index: u64,
-    current: std::vec::IntoIter<TraceNode>,
-    done: bool,
-}
-
-impl SegmentCursor {
-    /// A cursor over `rank`'s chain inside `dir`.
-    pub fn open(dir: impl Into<PathBuf>, rank: usize) -> SegmentCursor {
-        SegmentCursor {
-            dir: dir.into(),
-            rank,
-            next_index: 0,
-            current: Vec::new().into_iter(),
-            done: false,
-        }
-    }
-
-    /// Segments fully consumed so far.
-    pub fn segments_read(&self) -> u64 {
-        self.next_index
-    }
-}
-
-impl Iterator for SegmentCursor {
-    type Item = Result<TraceNode, SnapshotError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(n) = self.current.next() {
-                return Some(Ok(n));
-            }
-            if self.done {
-                return None;
-            }
-            let path = self.dir.join(segment_name(self.rank, self.next_index));
-            let bytes = match std::fs::read(&path) {
-                Ok(b) => b,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    self.done = true;
-                    return None;
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(SnapshotError::Io(e)));
-                }
-            };
-            match segment_from_bytes(&bytes) {
-                Ok(seg) => {
-                    self.next_index += 1;
-                    if seg.last {
-                        self.done = true;
-                    }
-                    self.current = seg.nodes.into_iter();
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-            }
-        }
-    }
-}
-
 // ------------------------------------------------------------------- fsck
 
 /// What a stream-directory fsck found and did.
@@ -1211,22 +1138,6 @@ mod tests {
             .exists());
         // rank 0 is untouched and still complete
         assert!(report.ranks[0].complete);
-    }
-
-    #[test]
-    fn cursor_streams_the_same_nodes_salvage_collects() {
-        let dir = temp_dir("cursor");
-        let run = streamed_unfoldable(&dir, 12, 30, 2);
-        for rank in 0..2 {
-            let from_cursor: Vec<TraceNode> = SegmentCursor::open(&dir, rank)
-                .collect::<Result<_, _>>()
-                .expect("clean chain");
-            let concrete: u64 = from_cursor
-                .iter()
-                .map(TraceNode::concrete_event_count)
-                .sum();
-            assert_eq!(concrete, run.salvage.ranks[rank].events);
-        }
     }
 
     #[test]

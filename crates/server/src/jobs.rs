@@ -7,20 +7,16 @@
 //! id and serves the recorded result instead of re-executing.
 //!
 //! Execution calls the exact library functions the batch CLI calls
-//! (`scalatrace::trace_app`, `benchgen::generate`,
-//! `conceptual::printer::print`, `World::run_hooked` with an [`MpiP`]
-//! hook), so every artifact — folded trace text, program text, mpiP
-//! profile — is byte-identical to `commgen`'s output for the same inputs.
+//! ([`JobSpec::trace`], `benchgen::generate`, `conceptual::printer::print`,
+//! `benchgen::verify::execute_profiled`), so every artifact — folded trace
+//! text, program text, mpiP profile — is byte-identical to `commgen`'s
+//! output for the same inputs.
 
 use crate::memcache::TraceMemCache;
+use benchgen::verify::{execute_profiled, timing_error_pct};
 use campaign::hash;
-use campaign::matrix::{parse_class, CampaignSpec, JobSpec, NETWORKS};
+use campaign::matrix::{CampaignSpec, JobSpec};
 use campaign::{run_campaign, Telemetry, TraceCache};
-use conceptual::interp::run_rank;
-use miniapps::registry;
-use mpisim::network::{self, NetworkModel};
-use mpisim::profile::MpiP;
-use mpisim::world::World;
 use protocol::{Artifact, JobParams, JobResult};
 use std::sync::Arc;
 
@@ -60,50 +56,24 @@ impl JobKind {
     }
 }
 
-fn model_of(name: &str) -> Arc<dyn NetworkModel> {
-    match name {
-        "bgl" => network::blue_gene_l(),
-        "ethernet" => network::ethernet_cluster(),
-        _ => network::ideal(),
-    }
-}
-
 /// Validate wire parameters into a concrete [`JobSpec`]. The spec carries
 /// batch defaults for the knobs the wire protocol does not expose
 /// (`compute_scale`, `chaos_seeds`, `pipeline_threads`), so its
 /// `trace_key` matches the one a `commbench` campaign over the same
 /// configuration would use — the two front ends share cache entries.
 pub fn spec_of(p: &JobParams) -> Result<JobSpec, String> {
-    let app = registry::lookup(&p.app).ok_or_else(|| {
-        let names: Vec<&str> = registry::all().iter().map(|a| a.name).collect();
-        format!("unknown app {}; available: {}", p.app, names.join(", "))
-    })?;
     if p.ranks == 0 {
         return Err("ranks must be at least 1".to_string());
     }
-    if !(app.valid_ranks)(p.ranks as usize) {
-        return Err(format!("{} cannot run on {} ranks", p.app, p.ranks));
-    }
-    if !NETWORKS.contains(&p.network.as_str()) {
-        return Err(format!(
-            "unknown network {} (expected one of {})",
-            p.network,
-            NETWORKS.join("|")
-        ));
-    }
-    Ok(JobSpec {
-        app: p.app.clone(),
-        ranks: p.ranks as usize,
-        class: parse_class(&p.class)?,
-        network: p.network.clone(),
+    let spec = JobSpec {
         align: p.align,
         resolve: p.resolve,
         comments: p.comments,
-        compute_scale: 1.0,
         iterations: p.iterations.map(|i| i as usize),
-        chaos_seeds: 0,
-        pipeline_threads: 1,
-    })
+        ..JobSpec::new(&p.app, p.ranks as usize, p.class.parse()?, &p.network)
+    };
+    spec.validate()?;
+    Ok(spec)
 }
 
 /// Deterministic id of a single-pipeline job: kind label plus the hash of
@@ -141,7 +111,7 @@ pub struct Executed {
 /// Run a trace / generate / simulate job. `spec` must come from
 /// [`spec_of`] (so the app and rank count are already validated).
 pub fn run_single(kind: JobKind, spec: &JobSpec, mem: &TraceMemCache) -> Result<Executed, String> {
-    let model = model_of(&spec.network);
+    let model = spec.network_model()?;
     let key = spec.trace_key();
     let mut evictions = 0;
 
@@ -149,16 +119,9 @@ pub fn run_single(kind: JobKind, spec: &JobSpec, mem: &TraceMemCache) -> Result<
     let (trace, trace_text, t_app, cached) = match mem.load(key) {
         Some(hit) => (hit.trace, hit.text, hit.t_app, true),
         None => {
-            let app = registry::lookup(&spec.app).ok_or("app vanished from registry")?;
-            let params = miniapps::AppParams {
-                class: spec.class,
-                iterations: spec.iterations,
-                compute_scale: spec.compute_scale,
-            };
-            let run = app.run;
-            let traced =
-                scalatrace::trace_app(spec.ranks, model.clone(), move |ctx| run(ctx, &params))
-                    .map_err(|e| format!("tracing failed: {e}"))?;
+            let traced = spec
+                .trace(spec.app()?, model.clone())
+                .map_err(|e| format!("tracing failed: {e}"))?;
             let t_app = traced.report.total_time;
             let (text, evicted) = mem.store(key, &traced.trace, t_app, &spec.trace_pairs());
             evictions += evicted;
@@ -180,14 +143,8 @@ pub fn run_single(kind: JobKind, spec: &JobSpec, mem: &TraceMemCache) -> Result<
     }
 
     // 2. Generate the executable specification.
-    let opts = benchgen::GenOptions {
-        align_collectives: spec.align,
-        resolve_wildcards: spec.resolve,
-        emit_comments: spec.comments,
-        ..benchgen::GenOptions::default()
-    };
-    let generated =
-        benchgen::generate(&trace, &opts).map_err(|e| format!("generation failed: {e}"))?;
+    let generated = benchgen::generate(&trace, &spec.gen_options())
+        .map_err(|e| format!("generation failed: {e}"))?;
     let program_text = conceptual::printer::print(&generated.program);
     if kind == JobKind::Generate {
         result
@@ -197,21 +154,12 @@ pub fn run_single(kind: JobKind, spec: &JobSpec, mem: &TraceMemCache) -> Result<
     }
 
     // 3. Execute under an mpiP hook: one run yields T_gen and the profile.
-    let program = Arc::new(generated.program);
-    let prog = Arc::clone(&program);
-    let (report, hooks) = World::new(spec.ranks)
-        .network(model)
-        .run_hooked(|_| MpiP::new(), move |ctx| run_rank(ctx, &prog))
+    let (report, profile) = execute_profiled(&Arc::new(generated.program), spec.ranks, model)
         .map_err(|e| format!("generated benchmark failed: {e}"))?;
     let t_gen = report.total_time;
-    let profile_text = MpiP::merge_all(hooks.iter()).to_string();
 
     result.t_gen_ns = Some(t_gen.as_nanos());
-    result.err_pct = Some(if t_app.as_nanos() == 0 {
-        0.0
-    } else {
-        (t_gen.as_secs_f64() - t_app.as_secs_f64()).abs() / t_app.as_secs_f64() * 100.0
-    });
+    result.err_pct = Some(timing_error_pct(t_app, t_gen));
     result
         .artifacts
         .push(artifact("trace.st", (*trace_text).clone()));
@@ -220,7 +168,7 @@ pub fn run_single(kind: JobKind, spec: &JobSpec, mem: &TraceMemCache) -> Result<
         .push(artifact("program.ncptl", program_text));
     result
         .artifacts
-        .push(artifact("profile.mpip", profile_text));
+        .push(artifact("profile.mpip", profile.to_string()));
     Ok(Executed { result, evictions })
 }
 

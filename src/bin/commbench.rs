@@ -75,8 +75,9 @@
 
 use campaign::{
     resume_campaign, run_campaign, run_jobs, CampaignSpec, FleetOptions, JobSpec, Journal,
-    Telemetry, TraceCache,
+    SpecError, Telemetry, TraceCache,
 };
+use commspec::cli::Argv;
 use commspec::perf::{self, PerfConfig};
 use miniapps::{registry, Class};
 use std::path::{Path, PathBuf};
@@ -139,6 +140,16 @@ struct CaptureArgs {
     network: String,
     event_delay_us: u64,
     out: Option<PathBuf>,
+}
+
+impl CaptureArgs {
+    /// The job these flags describe; captures run class S.
+    fn job(&self) -> JobSpec {
+        JobSpec {
+            iterations: self.iterations,
+            ..JobSpec::new(&self.app, self.ranks, Class::S, &self.network)
+        }
+    }
 }
 
 struct SalvageArgs {
@@ -205,65 +216,138 @@ fn parse_args() -> Result<Cmd, String> {
     parse_argv(std::env::args().skip(1).collect())
 }
 
-/// Parse a flag shared by both modes; returns false if `argv[i]` is not one.
-fn parse_common(common: &mut Common, argv: &[String], i: &mut usize) -> Result<bool, String> {
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
-    };
-    match argv[*i].as_str() {
-        "--cache" => common.cache_dir = PathBuf::from(value(i)?),
-        "--log" => common.log = PathBuf::from(value(i)?),
-        "--workers" => {
-            common.workers = Some(
-                value(i)?
-                    .parse()
-                    .map_err(|e| format!("bad --workers: {e}"))?,
-            )
-        }
-        "--timeout" => {
-            common.timeout_secs = Some(
-                value(i)?
-                    .parse()
-                    .map_err(|e| format!("bad --timeout: {e}"))?,
-            )
-        }
-        "--retries" => {
-            common.retries = Some(
-                value(i)?
-                    .parse()
-                    .map_err(|e| format!("bad --retries: {e}"))?,
-            )
-        }
-        _ => return Ok(false),
+/// One subcommand: the word [`parse_argv`] dispatches on, its usage line —
+/// what its own `--help` and the top-level help both print — and its
+/// parser.
+struct Verb {
+    name: &'static str,
+    usage: &'static str,
+    parse: fn(&[String]) -> Result<Cmd, String>,
+}
+
+const MATRIX_USAGE: &str = "commbench --matrix FILE [--print-matrix] [--cache DIR] \
+     [--log FILE.jsonl] [--workers N] [--timeout SECS] [--retries N]";
+const SERVE_USAGE: &str = "commbench serve [--stdio | --addr HOST:PORT] [--state DIR] \
+     [--workers N] [--mem-mb N] [--rate PER_SEC] [--burst N] [--inflight N] \
+     [--lease-ttl-ms MS] [--reassign-backoff-ms MS] [--poison N]";
+const CLIENT_USAGE: &str = "commbench client --addr HOST:PORT [--name ID] \
+     [--submit trace|generate|simulate [--app A] [--ranks N] [--class S|W|A|B|C] \
+     [--network ideal|bgl|ethernet] [--iterations N] [--tag T] [--out DIR]] \
+     [--matrix FILE] [--stats] [--shutdown] [--connect-retries N] \
+     [--connect-backoff-ms MS]";
+const WORKER_USAGE: &str = "commbench worker (--connect HOST:PORT | --stdio) [--name ID] \
+     [--state DIR] [--connect-retries N] [--connect-backoff-ms MS]";
+const CHAOS_USAGE: &str = "commbench chaos [--seeds N] [--apps A,B] [--ranks N] \
+     [--network ideal|bgl|ethernet] [--iterations N] [--cache DIR] [--log FILE.jsonl] \
+     [--workers N] [--timeout SECS] [--retries N]";
+const PERF_USAGE: &str = "commbench perf [--smoke] [--reps N] [--warmup N] [--cache DIR] \
+     [--out FILE.json] [--check BASELINE.json] [--threads N]";
+const RESUME_USAGE: &str = "commbench resume --matrix FILE [--cache DIR] [--log FILE.jsonl] \
+     [--workers N] [--timeout SECS] [--retries N]";
+const FSCK_USAGE: &str = "commbench fsck [--cache DIR | --stream SEGMENT_DIR]";
+const CONVERT_USAGE: &str = "commbench convert INPUT OUTPUT \
+     (formats inferred from extensions: .st text, .stbs binary)";
+const CAPTURE_USAGE: &str = "commbench capture --app NAME [--ranks N] [--iterations N] \
+     [--dir DIR] [--budget NODES] [--max-window N] [--network ideal|bgl|ethernet] \
+     [--event-delay-us N] [--out TRACE.st|.stbs]";
+const SALVAGE_USAGE: &str = "commbench salvage [--dir SEGMENT_DIR] [--out TRACE.st|.stbs]";
+
+const VERBS: &[Verb] = &[
+    Verb {
+        name: "serve",
+        usage: SERVE_USAGE,
+        parse: |argv| parse_serve(argv).map(Cmd::Serve),
+    },
+    Verb {
+        name: "client",
+        usage: CLIENT_USAGE,
+        parse: |argv| parse_client(argv).map(Cmd::Client),
+    },
+    Verb {
+        name: "worker",
+        usage: WORKER_USAGE,
+        parse: |argv| parse_worker(argv).map(Cmd::Worker),
+    },
+    Verb {
+        name: "chaos",
+        usage: CHAOS_USAGE,
+        parse: |argv| parse_chaos(argv).map(Cmd::Chaos),
+    },
+    Verb {
+        name: "perf",
+        usage: PERF_USAGE,
+        parse: |argv| parse_perf(argv).map(Cmd::Perf),
+    },
+    Verb {
+        name: "resume",
+        usage: RESUME_USAGE,
+        parse: |argv| parse_matrix(argv).map(Cmd::Resume),
+    },
+    Verb {
+        name: "fsck",
+        usage: FSCK_USAGE,
+        parse: |argv| parse_fsck(argv).map(Cmd::Fsck),
+    },
+    Verb {
+        name: "convert",
+        usage: CONVERT_USAGE,
+        parse: |argv| parse_convert(argv).map(Cmd::Convert),
+    },
+    Verb {
+        name: "capture",
+        usage: CAPTURE_USAGE,
+        parse: |argv| parse_capture(argv).map(Cmd::Capture),
+    },
+    Verb {
+        name: "salvage",
+        usage: SALVAGE_USAGE,
+        parse: |argv| parse_salvage(argv).map(Cmd::Salvage),
+    },
+];
+
+/// `commbench --help`: matrix mode, then every verb's own usage line.
+fn help() -> String {
+    let mut text = format!("usage: {MATRIX_USAGE}");
+    for verb in VERBS {
+        text.push_str("\nor:    ");
+        text.push_str(verb.usage);
     }
-    Ok(true)
+    text
 }
 
 fn parse_argv(argv: Vec<String>) -> Result<Cmd, String> {
     match argv.first().map(String::as_str) {
-        Some("chaos") => parse_chaos(&argv[1..]).map(Cmd::Chaos),
-        Some("perf") => parse_perf(&argv[1..]).map(Cmd::Perf),
-        Some("resume") => parse_matrix(&argv[1..]).map(Cmd::Resume),
-        Some("fsck") => parse_fsck(&argv[1..]).map(Cmd::Fsck),
-        Some("convert") => parse_convert(&argv[1..]).map(Cmd::Convert),
-        Some("capture") => parse_capture(&argv[1..]).map(Cmd::Capture),
-        Some("salvage") => parse_salvage(&argv[1..]).map(Cmd::Salvage),
-        Some("serve") => parse_serve(&argv[1..]).map(Cmd::Serve),
-        Some("client") => parse_client(&argv[1..]).map(Cmd::Client),
-        Some("worker") => parse_worker(&argv[1..]).map(Cmd::Worker),
-        // A word that is not a flag is a misspelled subcommand: reject it
-        // with a usage pointer instead of silently treating it as matrix
-        // mode (which would report the confusing "--matrix is required").
-        Some(other) if !other.starts_with('-') => Err(format!(
-            "unknown subcommand {other} (expected serve, client, worker, chaos, \
-             perf, resume, fsck, convert, capture, or salvage, or --matrix to \
-             run a campaign; try --help)"
-        )),
+        // A word that is not a flag is a subcommand. A misspelled one is
+        // rejected with a usage pointer instead of silently treated as
+        // matrix mode (which would report the confusing "--matrix is
+        // required").
+        Some(word) if !word.starts_with('-') => match VERBS.iter().find(|v| v.name == word) {
+            Some(verb) => (verb.parse)(&argv[1..]),
+            None => {
+                let names: Vec<&str> = VERBS.iter().map(|v| v.name).collect();
+                let (last, rest) = names.split_last().expect("there are verbs");
+                Err(format!(
+                    "unknown subcommand {word} (expected {}, or {last}, or --matrix to \
+                     run a campaign; try --help)",
+                    rest.join(", ")
+                ))
+            }
+        },
         _ => parse_matrix(&argv).map(Cmd::Matrix),
     }
+}
+
+/// Parse a flag shared by both modes; returns false if `flag` is not one.
+fn parse_common(common: &mut Common, flag: &str, argv: &mut Argv) -> Result<bool, String> {
+    match flag {
+        "--cache" => common.cache_dir = argv.path()?,
+        "--log" => common.log = argv.path()?,
+        "--workers" => common.workers = Some(argv.parsed()?),
+        "--timeout" => common.timeout_secs = Some(argv.parsed()?),
+        "--retries" => common.retries = Some(argv.parsed()?),
+        _ => return Ok(false),
+    }
+    Ok(true)
 }
 
 fn parse_serve(argv: &[String]) -> Result<ServeArgs, String> {
@@ -280,70 +364,23 @@ fn parse_serve(argv: &[String]) -> Result<ServeArgs, String> {
         reassign_backoff_ms: 100,
         poison: 3,
     };
-    let mut i = 0;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
+    let mut argv = Argv::new(argv);
+    while let Some(flag) = argv.flag() {
+        match flag {
             "--stdio" => args.stdio = true,
-            "--addr" => args.addr = value(&mut i)?,
-            "--state" => args.state_dir = PathBuf::from(value(&mut i)?),
-            "--workers" => {
-                args.workers = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --workers: {e}"))?
-            }
-            "--mem-mb" => {
-                args.mem_mb = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --mem-mb: {e}"))?
-            }
-            "--rate" => {
-                args.rate = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --rate: {e}"))?
-            }
-            "--burst" => {
-                args.burst = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --burst: {e}"))?
-            }
-            "--inflight" => {
-                args.inflight = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --inflight: {e}"))?
-            }
-            "--lease-ttl-ms" => {
-                args.lease_ttl_ms = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --lease-ttl-ms: {e}"))?
-            }
-            "--reassign-backoff-ms" => {
-                args.reassign_backoff_ms = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --reassign-backoff-ms: {e}"))?
-            }
-            "--poison" => {
-                args.poison = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --poison: {e}"))?
-            }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: commbench serve [--stdio | --addr HOST:PORT] [--state DIR] \
-                            [--workers N] [--mem-mb N] [--rate PER_SEC] [--burst N] \
-                            [--inflight N] [--lease-ttl-ms MS] [--reassign-backoff-ms MS] \
-                            [--poison N]"
-                        .to_string(),
-                )
-            }
-            other => return Err(format!("unknown argument {other} (try --help)")),
+            "--addr" => args.addr = argv.value()?,
+            "--state" => args.state_dir = argv.path()?,
+            "--workers" => args.workers = argv.parsed()?,
+            "--mem-mb" => args.mem_mb = argv.parsed()?,
+            "--rate" => args.rate = argv.parsed()?,
+            "--burst" => args.burst = argv.parsed()?,
+            "--inflight" => args.inflight = argv.parsed()?,
+            "--lease-ttl-ms" => args.lease_ttl_ms = argv.parsed()?,
+            "--reassign-backoff-ms" => args.reassign_backoff_ms = argv.parsed()?,
+            "--poison" => args.poison = argv.parsed()?,
+            "--help" | "-h" => return Err(format!("usage: {SERVE_USAGE}")),
+            _ => return Err(argv.unknown()),
         }
-        i += 1;
     }
     if args.workers == 0 {
         return Err("--workers must be at least 1".to_string());
@@ -369,39 +406,18 @@ fn parse_worker(argv: &[String]) -> Result<WorkerArgs, String> {
         connect_retries: 5,
         connect_backoff_ms: 100,
     };
-    let mut i = 0;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
+    let mut argv = Argv::new(argv);
+    while let Some(flag) = argv.flag() {
+        match flag {
             "--stdio" => args.stdio = true,
-            "--connect" => args.addr = Some(value(&mut i)?),
-            "--name" => args.name = Some(value(&mut i)?),
-            "--state" => args.state_dir = PathBuf::from(value(&mut i)?),
-            "--connect-retries" => {
-                args.connect_retries = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --connect-retries: {e}"))?
-            }
-            "--connect-backoff-ms" => {
-                args.connect_backoff_ms = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --connect-backoff-ms: {e}"))?
-            }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: commbench worker (--connect HOST:PORT | --stdio) [--name ID] \
-                            [--state DIR] [--connect-retries N] [--connect-backoff-ms MS]"
-                        .to_string(),
-                )
-            }
-            other => return Err(format!("unknown argument {other} (try --help)")),
+            "--connect" => args.addr = Some(argv.value()?),
+            "--name" => args.name = Some(argv.value()?),
+            "--state" => args.state_dir = argv.path()?,
+            "--connect-retries" => args.connect_retries = argv.parsed()?,
+            "--connect-backoff-ms" => args.connect_backoff_ms = argv.parsed()?,
+            "--help" | "-h" => return Err(format!("usage: {WORKER_USAGE}")),
+            _ => return Err(argv.unknown()),
         }
-        i += 1;
     }
     if args.stdio == args.addr.is_some() {
         return Err("exactly one of --connect or --stdio is required (try --help)".to_string());
@@ -430,60 +446,27 @@ fn parse_client(argv: &[String]) -> Result<ClientArgs, String> {
         connect_retries: 1,
         connect_backoff_ms: 100,
     };
-    let mut i = 0;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => args.addr = value(&mut i)?,
-            "--name" => args.name = value(&mut i)?,
-            "--submit" => args.submit = Some(value(&mut i)?),
-            "--app" => args.app = value(&mut i)?,
-            "--ranks" => {
-                args.ranks = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --ranks: {e}"))?
-            }
-            "--class" => args.class = value(&mut i)?,
-            "--network" => args.network = value(&mut i)?,
-            "--iterations" => {
-                args.iterations = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("bad --iterations: {e}"))?,
-                )
-            }
-            "--matrix" => args.matrix = Some(value(&mut i)?),
-            "--tag" => args.tag = Some(value(&mut i)?),
-            "--out" => args.out = Some(PathBuf::from(value(&mut i)?)),
+    let mut argv = Argv::new(argv);
+    while let Some(flag) = argv.flag() {
+        match flag {
+            "--addr" => args.addr = argv.value()?,
+            "--name" => args.name = argv.value()?,
+            "--submit" => args.submit = Some(argv.value()?),
+            "--app" => args.app = argv.value()?,
+            "--ranks" => args.ranks = argv.parsed()?,
+            "--class" => args.class = argv.value()?,
+            "--network" => args.network = argv.value()?,
+            "--iterations" => args.iterations = Some(argv.parsed()?),
+            "--matrix" => args.matrix = Some(argv.value()?),
+            "--tag" => args.tag = Some(argv.value()?),
+            "--out" => args.out = Some(argv.path()?),
             "--stats" => args.stats = true,
             "--shutdown" => args.shutdown = true,
-            "--connect-retries" => {
-                args.connect_retries = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --connect-retries: {e}"))?
-            }
-            "--connect-backoff-ms" => {
-                args.connect_backoff_ms = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --connect-backoff-ms: {e}"))?
-            }
-            "--help" | "-h" => {
-                return Err("usage: commbench client --addr HOST:PORT [--name ID] \
-                            [--submit trace|generate|simulate [--app A] [--ranks N] \
-                            [--class S|W|A|B] [--network ideal|bgl|ethernet] \
-                            [--iterations N] [--tag T] [--out DIR]] \
-                            [--matrix FILE] [--stats] [--shutdown] \
-                            [--connect-retries N] [--connect-backoff-ms MS]"
-                    .to_string())
-            }
-            other => return Err(format!("unknown argument {other} (try --help)")),
+            "--connect-retries" => args.connect_retries = argv.parsed()?,
+            "--connect-backoff-ms" => args.connect_backoff_ms = argv.parsed()?,
+            "--help" | "-h" => return Err(format!("usage: {CLIENT_USAGE}")),
+            _ => return Err(argv.unknown()),
         }
-        i += 1;
     }
     if args.addr.is_empty() {
         return Err("--addr is required (try --help)".to_string());
@@ -509,53 +492,30 @@ fn parse_fsck(argv: &[String]) -> Result<FsckArgs, String> {
         cache_dir: PathBuf::from(".commbench-cache"),
         stream_dir: None,
     };
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--cache" => {
-                i += 1;
-                args.cache_dir =
-                    PathBuf::from(argv.get(i).cloned().ok_or("missing value for --cache")?);
-            }
-            "--stream" => {
-                i += 1;
-                args.stream_dir = Some(PathBuf::from(
-                    argv.get(i).cloned().ok_or("missing value for --stream")?,
-                ));
-            }
-            "--help" | "-h" => {
-                return Err("usage: commbench fsck [--cache DIR | --stream SEGMENT_DIR]".to_string())
-            }
-            other => return Err(format!("unknown argument {other} (try --help)")),
+    let mut argv = Argv::new(argv);
+    while let Some(flag) = argv.flag() {
+        match flag {
+            "--cache" => args.cache_dir = argv.path()?,
+            "--stream" => args.stream_dir = Some(argv.path()?),
+            "--help" | "-h" => return Err(format!("usage: {FSCK_USAGE}")),
+            _ => return Err(argv.unknown()),
         }
-        i += 1;
     }
     Ok(args)
 }
 
 fn parse_convert(argv: &[String]) -> Result<ConvertArgs, String> {
-    const USAGE: &str = "usage: commbench convert INPUT OUTPUT \
-                         (formats inferred from extensions: .st text, .stbs binary)";
     let mut paths = Vec::new();
-    for a in argv {
-        match a.as_str() {
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown argument {other} (try --help)"))
-            }
-            _ => paths.push(PathBuf::from(a)),
+    let mut argv = Argv::new(argv);
+    while let Some(arg) = argv.flag() {
+        match arg {
+            "--help" | "-h" => return Err(format!("usage: {CONVERT_USAGE}")),
+            flag if flag.starts_with('-') => return Err(argv.unknown()),
+            path => paths.push(trace_path(PathBuf::from(path))?),
         }
     }
     let [input, output] = <[PathBuf; 2]>::try_from(paths)
-        .map_err(|_| format!("convert takes exactly two paths; {USAGE}"))?;
-    for p in [&input, &output] {
-        if trace_format_of(p).is_none() {
-            return Err(format!(
-                "cannot infer trace format of {} (expected a .st or .stbs extension)",
-                p.display()
-            ));
-        }
-    }
+        .map_err(|_| format!("convert takes exactly two paths; usage: {CONVERT_USAGE}"))?;
     Ok(ConvertArgs { input, output })
 }
 
@@ -567,6 +527,17 @@ fn trace_format_of(path: &Path) -> Option<TraceFormat> {
         "stbs" => Some(TraceFormat::Binary),
         _ => None,
     }
+}
+
+/// `path`, provided its extension names a trace format.
+fn trace_path(path: PathBuf) -> Result<PathBuf, String> {
+    if trace_format_of(&path).is_none() {
+        return Err(format!(
+            "cannot infer trace format of {} (expected a .st or .stbs extension)",
+            path.display()
+        ));
+    }
+    Ok(path)
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -587,95 +558,32 @@ fn parse_capture(argv: &[String]) -> Result<CaptureArgs, String> {
         event_delay_us: 0,
         out: None,
     };
-    let mut i = 0;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--app" => args.app = value(&mut i)?,
-            "--ranks" => {
-                args.ranks = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --ranks: {e}"))?
-            }
-            "--iterations" => {
-                args.iterations = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("bad --iterations: {e}"))?,
-                )
-            }
-            "--dir" => args.dir = PathBuf::from(value(&mut i)?),
-            "--budget" => {
-                args.budget = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --budget: {e}"))?
-            }
-            "--max-window" => {
-                args.max_window = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("bad --max-window: {e}"))?,
-                )
-            }
-            "--network" => args.network = value(&mut i)?,
-            "--event-delay-us" => {
-                args.event_delay_us = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --event-delay-us: {e}"))?
-            }
-            "--out" => args.out = Some(PathBuf::from(value(&mut i)?)),
-            "--help" | "-h" => {
-                return Err(
-                    "usage: commbench capture --app NAME [--ranks N] [--iterations N] \
-                     [--dir DIR] [--budget NODES] [--max-window N] \
-                     [--network ideal|bgl|ethernet] [--event-delay-us N] \
-                     [--out TRACE.st|.stbs]"
-                        .to_string(),
-                )
-            }
-            other => return Err(format!("unknown argument {other} (try --help)")),
+    let mut argv = Argv::new(argv);
+    while let Some(flag) = argv.flag() {
+        match flag {
+            "--app" => args.app = argv.value()?,
+            "--ranks" => args.ranks = argv.parsed()?,
+            "--iterations" => args.iterations = Some(argv.parsed()?),
+            "--dir" => args.dir = argv.path()?,
+            "--budget" => args.budget = argv.parsed()?,
+            "--max-window" => args.max_window = Some(argv.parsed()?),
+            "--network" => args.network = argv.value()?,
+            "--event-delay-us" => args.event_delay_us = argv.parsed()?,
+            "--out" => args.out = Some(trace_path(argv.path()?)?),
+            "--help" | "-h" => return Err(format!("usage: {CAPTURE_USAGE}")),
+            _ => return Err(argv.unknown()),
         }
-        i += 1;
     }
     if args.app.is_empty() {
         return Err("--app is required (try --help)".to_string());
     }
-    let Some(entry) = registry::lookup(&args.app) else {
-        let names: Vec<&str> = registry::all().iter().map(|a| a.name).collect();
-        return Err(format!(
-            "unknown app {}; available: {}",
-            args.app,
-            names.join(", ")
-        ));
-    };
     if args.ranks == 0 {
         return Err("--ranks must be at least 1".to_string());
     }
     if args.max_window == Some(0) {
         return Err("--max-window must be at least 1".to_string());
     }
-    if !(entry.valid_ranks)(args.ranks) {
-        return Err(format!("{} cannot run on {} ranks", args.app, args.ranks));
-    }
-    if !["ideal", "bgl", "ethernet"].contains(&args.network.as_str()) {
-        return Err(format!(
-            "unknown network {} (expected ideal, bgl, or ethernet)",
-            args.network
-        ));
-    }
-    if let Some(out) = &args.out {
-        if trace_format_of(out).is_none() {
-            return Err(format!(
-                "cannot infer trace format of {} (expected a .st or .stbs extension)",
-                out.display()
-            ));
-        }
-    }
+    args.job().validate()?;
     Ok(args)
 }
 
@@ -684,33 +592,13 @@ fn parse_salvage(argv: &[String]) -> Result<SalvageArgs, String> {
         dir: PathBuf::from(".commbench-stream"),
         out: None,
     };
-    let mut i = 0;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--dir" => args.dir = PathBuf::from(value(&mut i)?),
-            "--out" => args.out = Some(PathBuf::from(value(&mut i)?)),
-            "--help" | "-h" => {
-                return Err(
-                    "usage: commbench salvage [--dir SEGMENT_DIR] [--out TRACE.st|.stbs]"
-                        .to_string(),
-                )
-            }
-            other => return Err(format!("unknown argument {other} (try --help)")),
-        }
-        i += 1;
-    }
-    if let Some(out) = &args.out {
-        if trace_format_of(out).is_none() {
-            return Err(format!(
-                "cannot infer trace format of {} (expected a .st or .stbs extension)",
-                out.display()
-            ));
+    let mut argv = Argv::new(argv);
+    while let Some(flag) = argv.flag() {
+        match flag {
+            "--dir" => args.dir = argv.path()?,
+            "--out" => args.out = Some(trace_path(argv.path()?)?),
+            "--help" | "-h" => return Err(format!("usage: {SALVAGE_USAGE}")),
+            _ => return Err(argv.unknown()),
         }
     }
     Ok(args)
@@ -723,40 +611,17 @@ fn parse_matrix(argv: &[String]) -> Result<Args, String> {
         print_matrix: false,
         common: Common::new(),
     };
-    let mut i = 0;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
-    };
-    while i < argv.len() {
-        if parse_common(&mut args.common, argv, &mut i)? {
-            i += 1;
+    let mut argv = Argv::new(argv);
+    while let Some(flag) = argv.flag() {
+        if parse_common(&mut args.common, flag, &mut argv)? {
             continue;
         }
-        match argv[i].as_str() {
-            "--matrix" => matrix = Some(value(&mut i)?),
+        match flag {
+            "--matrix" => matrix = Some(argv.value()?),
             "--print-matrix" => args.print_matrix = true,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: commbench --matrix FILE [--print-matrix] [--cache DIR] \
-                            [--log FILE.jsonl] [--workers N] [--timeout SECS] [--retries N]\n\
-                     or:    commbench resume --matrix FILE [common flags]   \
-                            # restart an interrupted campaign from its log\n\
-                     or:    commbench chaos [--seeds N] [--apps A,B] [--ranks N] \
-                            [--network ideal|bgl|ethernet] [--iterations N] [common flags]\n\
-                     or:    commbench perf [--smoke] [--reps N] [--warmup N] \
-                            [--cache DIR] [--out FILE.json] [--check BASELINE.json] \
-                            [--threads N] [--parallel-suites]\n\
-                     or:    commbench fsck [--cache DIR]   \
-                            # verify + quarantine corrupt cache entries"
-                        .to_string(),
-                )
-            }
-            other => return Err(format!("unknown argument {other} (try --help)")),
+            "--help" | "-h" => return Err(help()),
+            _ => return Err(argv.unknown()),
         }
-        i += 1;
     }
     args.matrix = matrix.ok_or("--matrix is required (try --help)")?;
     if args.common.workers == Some(0) {
@@ -776,54 +641,28 @@ fn parse_chaos(argv: &[String]) -> Result<ChaosArgs, String> {
         iterations: 3,
         common: Common::new(),
     };
-    let mut i = 0;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
-    };
-    while i < argv.len() {
-        if parse_common(&mut args.common, argv, &mut i)? {
-            i += 1;
+    let mut argv = Argv::new(argv);
+    while let Some(flag) = argv.flag() {
+        if parse_common(&mut args.common, flag, &mut argv)? {
             continue;
         }
-        match argv[i].as_str() {
-            "--seeds" => {
-                args.seeds = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --seeds: {e}"))?
-            }
+        match flag {
+            "--seeds" => args.seeds = argv.parsed()?,
             "--apps" => {
-                args.apps = value(&mut i)?
+                args.apps = argv
+                    .value()?
                     .split(',')
                     .map(str::trim)
                     .filter(|s| !s.is_empty())
                     .map(str::to_string)
                     .collect()
             }
-            "--ranks" => {
-                args.ranks = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --ranks: {e}"))?
-            }
-            "--network" => args.network = value(&mut i)?,
-            "--iterations" => {
-                args.iterations = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --iterations: {e}"))?
-            }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: commbench chaos [--seeds N] [--apps A,B] [--ranks N] \
-                            [--network ideal|bgl|ethernet] [--iterations N] [--cache DIR] \
-                            [--log FILE.jsonl] [--workers N] [--timeout SECS] [--retries N]"
-                        .to_string(),
-                )
-            }
-            other => return Err(format!("unknown argument {other} (try --help)")),
+            "--ranks" => args.ranks = argv.parsed()?,
+            "--network" => args.network = argv.value()?,
+            "--iterations" => args.iterations = argv.parsed()?,
+            "--help" | "-h" => return Err(format!("usage: {CHAOS_USAGE}")),
+            _ => return Err(argv.unknown()),
         }
-        i += 1;
     }
     if args.seeds == 0 {
         return Err("--seeds must be at least 1".to_string());
@@ -831,105 +670,63 @@ fn parse_chaos(argv: &[String]) -> Result<ChaosArgs, String> {
     if args.ranks == 0 {
         return Err("--ranks must be at least 1".to_string());
     }
-    if !campaign::matrix::NETWORKS.contains(&args.network.as_str()) {
-        return Err(format!(
-            "unknown network {} (expected one of {})",
-            args.network,
-            campaign::matrix::NETWORKS.join("|")
-        ));
-    }
-    for app in &args.apps {
-        if registry::lookup(app).is_none() {
-            let names: Vec<&str> = registry::all().iter().map(|a| a.name).collect();
-            return Err(format!(
-                "unknown app {app}; available: {}",
-                names.join(", ")
-            ));
+    // A rank count one app rejects only skips that app (see `chaos_jobs`);
+    // anything else wrong with a job is wrong with the invocation.
+    for job in chaos_candidates(&args) {
+        match job.validate() {
+            Ok(()) | Err(SpecError::InvalidRanks { .. }) => {}
+            Err(e) => return Err(e.into()),
         }
     }
     Ok(args)
 }
 
-/// Build the chaos job list: every requested app (default: the whole
-/// registry) at the requested rank count, with the chaos differential step
-/// enabled. Apps whose decomposition rejects the rank count are skipped.
-fn chaos_jobs(args: &ChaosArgs) -> (Vec<JobSpec>, Vec<String>) {
-    let apps: Vec<String> = if args.apps.is_empty() {
-        registry::all().iter().map(|a| a.name.to_string()).collect()
+/// One job per requested app (default: the whole registry) at the
+/// requested rank count, with the chaos differential step enabled.
+fn chaos_candidates(args: &ChaosArgs) -> Vec<JobSpec> {
+    let apps: Vec<&str> = if args.apps.is_empty() {
+        registry::all().iter().map(|a| a.name).collect()
     } else {
-        args.apps.clone()
+        args.apps.iter().map(String::as_str).collect()
     };
-    let mut jobs = Vec::new();
-    let mut skipped = Vec::new();
-    for app in apps {
-        let entry = registry::lookup(&app).expect("validated at parse time");
-        if !(entry.valid_ranks)(args.ranks) {
-            skipped.push(format!("{app} cannot run on {} ranks", args.ranks));
-            continue;
-        }
-        jobs.push(JobSpec {
-            app,
-            ranks: args.ranks,
-            class: Class::S,
-            network: args.network.clone(),
-            align: true,
-            resolve: true,
-            comments: false,
-            compute_scale: 1.0,
+    apps.into_iter()
+        .map(|app| JobSpec {
             iterations: Some(args.iterations),
             chaos_seeds: args.seeds,
-            pipeline_threads: 1,
-        });
+            ..JobSpec::new(app, args.ranks, Class::S, &args.network)
+        })
+        .collect()
+}
+
+/// Build the chaos job list. Apps whose decomposition rejects the rank
+/// count are skipped.
+fn chaos_jobs(args: &ChaosArgs) -> (Vec<JobSpec>, Vec<String>) {
+    let mut jobs = Vec::new();
+    let mut skipped = Vec::new();
+    for job in chaos_candidates(args) {
+        match job.validate() {
+            Ok(()) => jobs.push(job),
+            Err(e) => skipped.push(e.into()),
+        }
     }
     (jobs, skipped)
 }
 
 fn parse_perf(argv: &[String]) -> Result<PerfConfig, String> {
     let mut cfg = PerfConfig::new();
-    let mut i = 0;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
+    let mut argv = Argv::new(argv);
+    while let Some(flag) = argv.flag() {
+        match flag {
             "--smoke" => cfg.smoke = true,
-            "--reps" => {
-                cfg.reps = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("bad --reps: {e}"))?,
-                )
-            }
-            "--warmup" => {
-                cfg.warmup = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("bad --warmup: {e}"))?,
-                )
-            }
-            "--cache" => cfg.cache_dir = PathBuf::from(value(&mut i)?),
-            "--out" => cfg.out = PathBuf::from(value(&mut i)?),
-            "--check" => cfg.check = Some(PathBuf::from(value(&mut i)?)),
-            "--threads" => {
-                cfg.threads = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("bad --threads: {e}"))?,
-                )
-            }
-            "--parallel-suites" => cfg.parallel_suites = true,
-            "--help" | "-h" => {
-                return Err("usage: commbench perf [--smoke] [--reps N] [--warmup N] \
-                            [--cache DIR] [--out FILE.json] [--check BASELINE.json] \
-                            [--threads N] [--parallel-suites]"
-                    .to_string())
-            }
-            other => return Err(format!("unknown argument {other} (try --help)")),
+            "--reps" => cfg.reps = Some(argv.parsed()?),
+            "--warmup" => cfg.warmup = Some(argv.parsed()?),
+            "--cache" => cfg.cache_dir = argv.path()?,
+            "--out" => cfg.out = argv.path()?,
+            "--check" => cfg.check = Some(argv.path()?),
+            "--threads" => cfg.threads = Some(argv.parsed()?),
+            "--help" | "-h" => return Err(format!("usage: {PERF_USAGE}")),
+            _ => return Err(argv.unknown()),
         }
-        i += 1;
     }
     if cfg.reps == Some(0) {
         return Err("--reps must be at least 1".to_string());
@@ -940,73 +737,28 @@ fn parse_perf(argv: &[String]) -> Result<PerfConfig, String> {
     Ok(cfg)
 }
 
-fn main_perf(cfg: PerfConfig) -> ExitCode {
-    let report = match perf::run(&cfg) {
-        Ok(r) => r,
-        Err(msg) => {
-            eprintln!("perf suite failed: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", report.table());
-    let text = format!("{}\n", report.to_json());
-    if let Err(e) = std::fs::write(&cfg.out, &text) {
-        eprintln!("cannot write {}: {e}", cfg.out.display());
-        return ExitCode::FAILURE;
-    }
-    eprintln!("perf: wrote {}", cfg.out.display());
-    if let Some(baseline_path) = &cfg.check {
-        let committed = match std::fs::read_to_string(baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let committed = match perf::parse_json(&committed) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("bad baseline {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let errors = perf::check_regressions(&report, &committed);
-        for e in &errors {
-            eprintln!("perf check: {e}");
-        }
-        if !errors.is_empty() {
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "perf: no counter rose and no ratio rose >{:.0}% vs {}",
-            perf::CHECK_TOLERANCE * 100.0,
-            baseline_path.display()
-        );
-    }
-    ExitCode::SUCCESS
-}
-
-fn open_cache_and_log(common: &Common) -> Result<(TraceCache, Telemetry), String> {
-    let cache = TraceCache::open(&common.cache_dir)
-        .map_err(|e| format!("cannot open cache {}: {e}", common.cache_dir.display()))?;
-    let telemetry = Telemetry::to_file(&common.log)
-        .map_err(|e| format!("cannot open log {}: {e}", common.log.display()))?;
-    Ok((cache, telemetry))
-}
+/// What a verb made of its invocation. `Ok(false)`: it ran and its own
+/// output says what is wrong (a failed job, a quarantined file). `Err`: it
+/// could not; `main` prints the message.
+type Verdict = Result<bool, String>;
 
 fn main() -> ExitCode {
-    match parse_args() {
-        Ok(Cmd::Matrix(args)) => main_matrix(args),
-        Ok(Cmd::Resume(args)) => main_resume(args),
-        Ok(Cmd::Chaos(args)) => main_chaos(args),
-        Ok(Cmd::Perf(cfg)) => main_perf(cfg),
-        Ok(Cmd::Fsck(args)) => main_fsck(args),
-        Ok(Cmd::Convert(args)) => main_convert(args),
-        Ok(Cmd::Capture(args)) => main_capture(args),
-        Ok(Cmd::Salvage(args)) => main_salvage(args),
-        Ok(Cmd::Serve(args)) => main_serve(args),
-        Ok(Cmd::Client(args)) => main_client(args),
-        Ok(Cmd::Worker(args)) => main_worker(args),
+    let verdict = parse_args().and_then(|cmd| match cmd {
+        Cmd::Matrix(args) => main_matrix(args),
+        Cmd::Resume(args) => main_resume(args),
+        Cmd::Chaos(args) => main_chaos(args),
+        Cmd::Perf(cfg) => main_perf(cfg),
+        Cmd::Fsck(args) => main_fsck(args),
+        Cmd::Convert(args) => main_convert(args),
+        Cmd::Capture(args) => main_capture(args),
+        Cmd::Salvage(args) => main_salvage(args),
+        Cmd::Serve(args) => main_serve(args),
+        Cmd::Client(args) => main_client(args),
+        Cmd::Worker(args) => main_worker(args),
+    });
+    match verdict {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
         Err(msg) => {
             eprintln!("{msg}");
             ExitCode::FAILURE
@@ -1014,7 +766,46 @@ fn main() -> ExitCode {
     }
 }
 
-fn main_serve(args: ServeArgs) -> ExitCode {
+fn main_perf(cfg: PerfConfig) -> Verdict {
+    let report = perf::run(&cfg).map_err(|msg| format!("perf suite failed: {msg}"))?;
+    print!("{}", report.table());
+    let text = format!("{}\n", report.to_json());
+    std::fs::write(&cfg.out, &text)
+        .map_err(|e| format!("cannot write {}: {e}", cfg.out.display()))?;
+    eprintln!("perf: wrote {}", cfg.out.display());
+    if let Some(baseline_path) = &cfg.check {
+        let committed = std::fs::read_to_string(baseline_path)
+            .map_err(|e| format!("cannot read {}: {e}", baseline_path.display()))?;
+        let committed = perf::parse_json(&committed)
+            .map_err(|e| format!("bad baseline {}: {e}", baseline_path.display()))?;
+        let errors = perf::check_regressions(&report, &committed);
+        for e in &errors {
+            eprintln!("perf check: {e}");
+        }
+        if !errors.is_empty() {
+            return Ok(false);
+        }
+        eprintln!(
+            "perf: no counter rose and no ratio rose >{:.0}% vs {}",
+            perf::CHECK_TOLERANCE * 100.0,
+            baseline_path.display()
+        );
+    }
+    Ok(true)
+}
+
+fn open_cache(dir: &Path) -> Result<TraceCache, String> {
+    TraceCache::open(dir).map_err(|e| format!("cannot open cache {}: {e}", dir.display()))
+}
+
+fn open_cache_and_log(common: &Common) -> Result<(TraceCache, Telemetry), String> {
+    let cache = open_cache(&common.cache_dir)?;
+    let telemetry = Telemetry::to_file(&common.log)
+        .map_err(|e| format!("cannot open log {}: {e}", common.log.display()))?;
+    Ok((cache, telemetry))
+}
+
+fn main_serve(args: ServeArgs) -> Verdict {
     let opts = server::ServerOptions {
         state_dir: args.state_dir.clone(),
         workers: args.workers,
@@ -1032,13 +823,8 @@ fn main_serve(args: ServeArgs) -> ExitCode {
             ..server::FleetConfig::default()
         },
     };
-    let (srv, restored) = match server::Server::start(opts) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("cannot start server in {}: {e}", args.state_dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
+    let (srv, restored) = server::Server::start(opts)
+        .map_err(|e| format!("cannot start server in {}: {e}", args.state_dir.display()))?;
     if restored > 0 {
         eprintln!(
             "serve: restored {restored} journaled job(s) from {}",
@@ -1047,188 +833,150 @@ fn main_serve(args: ServeArgs) -> ExitCode {
     }
     if args.stdio {
         srv.serve_stdio();
-        ExitCode::SUCCESS
     } else {
-        match srv.serve_tcp(&args.addr) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("serve failed on {}: {e}", args.addr);
-                ExitCode::FAILURE
-            }
+        srv.serve_tcp(&args.addr)
+            .map_err(|e| format!("serve failed on {}: {e}", args.addr))?;
+    }
+    Ok(true)
+}
+
+fn unexpected(reply: &protocol::Response) -> String {
+    format!("unexpected reply: {}", reply.type_name())
+}
+
+/// Wait for `job` and print its result, or write its artifacts under `out`.
+fn wait_and_report(client: &mut server::Client, job: &str, out: &Option<PathBuf>) -> Verdict {
+    let (state, error, result) = match client.wait(job)? {
+        protocol::Response::JobStatus {
+            state,
+            error,
+            result,
+            ..
+        } => (state, error, result),
+        other => return Err(unexpected(&other)),
+    };
+    if let Some(e) = error {
+        return Err(format!("{job}: {state}: {e}"));
+    }
+    let Some(r) = result else {
+        eprintln!("{job}: {state}");
+        return Ok(state == "done");
+    };
+    println!("{job}: {state} (cached: {})", r.cached);
+    for a in &r.artifacts {
+        let Some(dir) = out else {
+            println!("  {} fnv {} ({} bytes)", a.name, a.fnv, a.text.len());
+            continue;
+        };
+        let path = dir.join(&a.name);
+        std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&path, &a.text))
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        eprintln!("wrote {}", path.display());
+    }
+    Ok(state == "done")
+}
+
+fn client_submit(client: &mut server::Client, args: &ClientArgs, kind: &str) -> Verdict {
+    let mut params = protocol::JobParams::new(&args.app, args.ranks);
+    params.class = args.class.clone();
+    params.network = args.network.clone();
+    params.iterations = args.iterations;
+    let (job, replayed) = client.submit(kind, params, args.tag.clone())?;
+    eprintln!(
+        "submitted {job}{}",
+        if replayed { " (replayed)" } else { "" }
+    );
+    wait_and_report(client, &job, &args.out)
+}
+
+fn client_campaign(client: &mut server::Client, args: &ClientArgs, path: &str) -> Verdict {
+    use protocol::{Request, Response};
+    let matrix = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let tag = args.tag.clone();
+    match client.request(&Request::Campaign { matrix, tag })? {
+        Response::Submitted { job, replayed, .. } => {
+            eprintln!(
+                "submitted {job}{}",
+                if replayed { " (replayed)" } else { "" }
+            );
+            wait_and_report(client, &job, &args.out)
         }
+        Response::Error { code, message } => Err(format!("{code}: {message}")),
+        other => Err(unexpected(&other)),
     }
 }
 
-fn main_client(args: ClientArgs) -> ExitCode {
-    use protocol::{JobParams, Request, Response};
-    let mut client = match server::Client::connect_with(
+fn client_stats(client: &mut server::Client) -> Verdict {
+    let s = match client.request(&protocol::Request::Stats)? {
+        protocol::Response::Stats(s) => s,
+        other => return Err(unexpected(&other)),
+    };
+    println!(
+        "jobs: {} queued, {} running, {} done, {} failed, {} cancelled, {} replayed",
+        s.jobs_queued,
+        s.jobs_running,
+        s.jobs_done,
+        s.jobs_failed,
+        s.jobs_cancelled,
+        s.jobs_replayed
+    );
+    println!(
+        "cache: {} mem hits, {} misses, {} disk hits, {} evictions, {} entries ({} bytes)",
+        s.mem_hits, s.mem_misses, s.disk_hits, s.evictions, s.mem_entries, s.mem_bytes
+    );
+    println!(
+        "fleet: {} workers ({} live), {} leases granted, {} renewed, \
+         {} expired, {} reassigned, {} quarantined, {} dup completions discarded",
+        s.fleet.workers_seen,
+        s.fleet.workers_live,
+        s.fleet.leases_granted,
+        s.fleet.leases_renewed,
+        s.fleet.leases_expired,
+        s.fleet.leases_reassigned,
+        s.fleet.jobs_quarantined,
+        s.fleet.completions_discarded
+    );
+    for c in &s.clients {
+        let counters: Vec<String> = c.counters.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        println!("client {}: {}", c.client, counters.join(" "));
+    }
+    Ok(true)
+}
+
+fn main_client(args: ClientArgs) -> Verdict {
+    let mut client = server::Client::connect_with(
         &args.addr,
         &args.name,
         args.connect_retries,
         Duration::from_millis(args.connect_backoff_ms),
-    ) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    )?;
     eprintln!("connected to {}", client.server);
 
-    let wait_and_report = |client: &mut server::Client, job: &str, out: &Option<PathBuf>| -> bool {
-        match client.wait(job) {
-            Ok(Response::JobStatus {
-                state,
-                error,
-                result,
-                ..
-            }) => {
-                if let Some(e) = error {
-                    eprintln!("{job}: {state}: {e}");
-                    return false;
-                }
-                if let Some(r) = result {
-                    println!("{job}: {state} (cached: {})", r.cached);
-                    for a in &r.artifacts {
-                        if let Some(dir) = out {
-                            if let Err(e) = std::fs::create_dir_all(dir)
-                                .and_then(|()| std::fs::write(dir.join(&a.name), &a.text))
-                            {
-                                eprintln!("cannot write {}: {e}", dir.join(&a.name).display());
-                                return false;
-                            }
-                            eprintln!("wrote {}", dir.join(&a.name).display());
-                        } else {
-                            println!("  {} fnv {} ({} bytes)", a.name, a.fnv, a.text.len());
-                        }
-                    }
-                    state == "done"
-                } else {
-                    eprintln!("{job}: {state}");
-                    state == "done"
-                }
-            }
-            Ok(other) => {
-                eprintln!("unexpected reply: {}", other.type_name());
-                false
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                false
-            }
-        }
+    // Every requested action runs, whatever became of the one before it.
+    let settle = |step: Verdict| {
+        step.unwrap_or_else(|e| {
+            eprintln!("{e}");
+            false
+        })
     };
-
     let mut ok = true;
     if let Some(kind) = &args.submit {
-        let mut params = JobParams::new(&args.app, args.ranks);
-        params.class = args.class.clone();
-        params.network = args.network.clone();
-        params.iterations = args.iterations;
-        match client.submit(kind, params, args.tag.clone()) {
-            Ok((job, replayed)) => {
-                eprintln!(
-                    "submitted {job}{}",
-                    if replayed { " (replayed)" } else { "" }
-                );
-                ok &= wait_and_report(&mut client, &job, &args.out);
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                ok = false;
-            }
-        }
+        ok &= settle(client_submit(&mut client, &args, kind));
     }
     if let Some(path) = &args.matrix {
-        match std::fs::read_to_string(path) {
-            Ok(matrix) => match client.request(&Request::Campaign {
-                matrix,
-                tag: args.tag.clone(),
-            }) {
-                Ok(Response::Submitted { job, replayed, .. }) => {
-                    eprintln!(
-                        "submitted {job}{}",
-                        if replayed { " (replayed)" } else { "" }
-                    );
-                    ok &= wait_and_report(&mut client, &job, &args.out);
-                }
-                Ok(Response::Error { code, message }) => {
-                    eprintln!("{code}: {message}");
-                    ok = false;
-                }
-                Ok(other) => {
-                    eprintln!("unexpected reply: {}", other.type_name());
-                    ok = false;
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ok = false;
-                }
-            },
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                ok = false;
-            }
-        }
+        ok &= settle(client_campaign(&mut client, &args, path));
     }
     if args.stats {
-        match client.request(&Request::Stats) {
-            Ok(Response::Stats(s)) => {
-                println!(
-                    "jobs: {} queued, {} running, {} done, {} failed, {} cancelled, {} replayed",
-                    s.jobs_queued,
-                    s.jobs_running,
-                    s.jobs_done,
-                    s.jobs_failed,
-                    s.jobs_cancelled,
-                    s.jobs_replayed
-                );
-                println!(
-                    "cache: {} mem hits, {} misses, {} disk hits, {} evictions, {} entries ({} bytes)",
-                    s.mem_hits, s.mem_misses, s.disk_hits, s.evictions, s.mem_entries, s.mem_bytes
-                );
-                println!(
-                    "fleet: {} workers ({} live), {} leases granted, {} renewed, \
-                     {} expired, {} reassigned, {} quarantined, {} dup completions discarded",
-                    s.fleet.workers_seen,
-                    s.fleet.workers_live,
-                    s.fleet.leases_granted,
-                    s.fleet.leases_renewed,
-                    s.fleet.leases_expired,
-                    s.fleet.leases_reassigned,
-                    s.fleet.jobs_quarantined,
-                    s.fleet.completions_discarded
-                );
-                for c in &s.clients {
-                    let counters: Vec<String> =
-                        c.counters.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                    println!("client {}: {}", c.client, counters.join(" "));
-                }
-            }
-            Ok(other) => {
-                eprintln!("unexpected reply: {}", other.type_name());
-                ok = false;
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                ok = false;
-            }
-        }
+        ok &= settle(client_stats(&mut client));
     }
     if args.shutdown {
-        if let Err(e) = client.shutdown() {
-            eprintln!("{e}");
-            ok = false;
-        }
+        ok &= settle(client.shutdown().map(|()| true));
     }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(ok)
 }
 
-fn main_worker(args: WorkerArgs) -> ExitCode {
+fn main_worker(args: WorkerArgs) -> Verdict {
     let defaults = server::WorkerOptions::default();
     let opts = server::WorkerOptions {
         addr: args.addr,
@@ -1237,16 +985,9 @@ fn main_worker(args: WorkerArgs) -> ExitCode {
         connect_retries: args.connect_retries,
         connect_backoff: Duration::from_millis(args.connect_backoff_ms),
     };
-    match server::run_worker(opts) {
-        Ok(done) => {
-            eprintln!("worker exiting after {done} job(s)");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("worker failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let done = server::run_worker(opts).map_err(|e| format!("worker failed: {e}"))?;
+    eprintln!("worker exiting after {done} job(s)");
+    Ok(true)
 }
 
 /// Read, parse, and flag-override the campaign spec named by `args`.
@@ -1267,15 +1008,15 @@ fn load_spec(args: &Args) -> Result<CampaignSpec, String> {
     Ok(spec)
 }
 
-fn main_matrix(args: Args) -> ExitCode {
-    let spec = match load_spec(&args) {
-        Ok(s) => s,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// `why`, then one `skipped:` line per skip.
+fn nothing_to_run(why: String, skipped: &[String]) -> String {
+    skipped
+        .iter()
+        .fold(why, |msg, s| format!("{msg}\nskipped: {s}"))
+}
 
+fn main_matrix(args: Args) -> Verdict {
+    let spec = load_spec(&args)?;
     let (jobs, skipped) = spec.expand();
     if args.print_matrix {
         for job in &jobs {
@@ -1284,24 +1025,15 @@ fn main_matrix(args: Args) -> ExitCode {
         for s in &skipped {
             eprintln!("skipped: {s}");
         }
-        return ExitCode::SUCCESS;
+        return Ok(true);
     }
     if jobs.is_empty() {
-        eprintln!("matrix expands to no jobs (all combinations skipped)");
-        for s in &skipped {
-            eprintln!("skipped: {s}");
-        }
-        return ExitCode::FAILURE;
+        return Err(nothing_to_run(
+            "matrix expands to no jobs (all combinations skipped)".to_string(),
+            &skipped,
+        ));
     }
-
-    let (cache, telemetry) = match open_cache_and_log(&args.common) {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
+    let (cache, telemetry) = open_cache_and_log(&args.common)?;
     eprintln!(
         "campaign: {} jobs on {} workers (cache {}, log {})",
         jobs.len(),
@@ -1311,47 +1043,23 @@ fn main_matrix(args: Args) -> ExitCode {
     );
     let report = run_campaign(&spec, cache, telemetry);
     print!("{report}");
-    if report.all_ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(report.all_ok())
 }
 
-fn main_resume(args: Args) -> ExitCode {
-    let spec = match load_spec(&args) {
-        Ok(s) => s,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let journal = match Journal::load(&args.common.log) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!(
-                "cannot read journal {}: {e}\n\
-                 (resume needs the JSONL log of the interrupted run — pass it with --log)",
-                args.common.log.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let cache = match TraceCache::open(&args.common.cache_dir) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot open cache {}: {e}", args.common.cache_dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
+fn main_resume(args: Args) -> Verdict {
+    let spec = load_spec(&args)?;
+    let log = &args.common.log;
+    let journal = Journal::load(log).map_err(|e| {
+        format!(
+            "cannot read journal {}: {e}\n\
+             (resume needs the JSONL log of the interrupted run — pass it with --log)",
+            log.display()
+        )
+    })?;
+    let cache = open_cache(&args.common.cache_dir)?;
     // Append, don't truncate: the log on disk is the journal being resumed.
-    let telemetry = match Telemetry::append_file(&args.common.log) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot append to log {}: {e}", args.common.log.display());
-            return ExitCode::FAILURE;
-        }
-    };
+    let telemetry = Telemetry::append_file(log)
+        .map_err(|e| format!("cannot append to log {}: {e}", log.display()))?;
 
     eprintln!(
         "resume: {} journaled outcome(s){} in {}",
@@ -1361,65 +1069,35 @@ fn main_resume(args: Args) -> ExitCode {
         } else {
             String::new()
         },
-        args.common.log.display()
+        log.display()
     );
     let report = resume_campaign(&spec, cache, telemetry, &journal);
     print!("{report}");
-    if report.all_ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(report.all_ok())
 }
 
-fn main_fsck(args: FsckArgs) -> ExitCode {
+/// A sweep that condemned something exits non-zero so scripts notice; the
+/// condemned files are already quarantined and regenerate on the next run.
+fn main_fsck(args: FsckArgs) -> Verdict {
     if let Some(stream_dir) = &args.stream_dir {
-        match scalatrace::stream::fsck_dir(stream_dir) {
-            Ok(report) => {
-                println!(
-                    "fsck {}: {} segment(s) ok, {} file(s) quarantined",
-                    stream_dir.display(),
-                    report.ok,
-                    report.quarantined.len()
-                );
-                for (path, reason) in &report.quarantined {
-                    println!("quarantined {}: {reason}", path.display());
-                }
-                return if report.clean() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                };
-            }
-            Err(e) => {
-                eprintln!("fsck failed on {}: {e}", stream_dir.display());
-                return ExitCode::FAILURE;
-            }
+        let report = scalatrace::stream::fsck_dir(stream_dir)
+            .map_err(|e| format!("fsck failed on {}: {e}", stream_dir.display()))?;
+        println!(
+            "fsck {}: {} segment(s) ok, {} file(s) quarantined",
+            stream_dir.display(),
+            report.ok,
+            report.quarantined.len()
+        );
+        for (path, reason) in &report.quarantined {
+            println!("quarantined {}: {reason}", path.display());
         }
+        return Ok(report.clean());
     }
-    let cache = match TraceCache::open(&args.cache_dir) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot open cache {}: {e}", args.cache_dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    match cache.fsck() {
-        Ok(report) => {
-            print!("fsck {}: {report}", args.cache_dir.display());
-            if report.clean() {
-                ExitCode::SUCCESS
-            } else {
-                // Non-zero so scripts notice; the condemned entries are
-                // already quarantined and will regenerate on the next run.
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("fsck failed on {}: {e}", args.cache_dir.display());
-            ExitCode::FAILURE
-        }
-    }
+    let report = open_cache(&args.cache_dir)?
+        .fsck()
+        .map_err(|e| format!("fsck failed on {}: {e}", args.cache_dir.display()))?;
+    print!("fsck {}: {report}", args.cache_dir.display());
+    Ok(report.clean())
 }
 
 /// Read a whole trace in the format its extension names.
@@ -1449,18 +1127,20 @@ fn write_trace(path: &Path, trace: &scalatrace::Trace) -> Result<(), String> {
     std::fs::write(path, bytes).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
-fn main_convert(args: ConvertArgs) -> ExitCode {
-    let trace = match read_trace(&args.input) {
-        Ok(t) => t,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(msg) = write_trace(&args.output, &trace) {
-        eprintln!("{msg}");
-        return ExitCode::FAILURE;
+/// Commit a recovered trace before its report touches stdout: if the
+/// report's reader has gone away (`capture ... | head` closing the pipe
+/// kills us), the trace must already be on disk.
+fn write_recovered(out: &Option<PathBuf>, trace: &scalatrace::Trace) -> Result<(), String> {
+    if let Some(out) = out {
+        write_trace(out, trace)?;
+        eprintln!("wrote {}", out.display());
     }
+    Ok(())
+}
+
+fn main_convert(args: ConvertArgs) -> Verdict {
+    let trace = read_trace(&args.input)?;
+    write_trace(&args.output, &trace)?;
     eprintln!(
         "converted {} -> {} ({} ranks, {} events)",
         args.input.display(),
@@ -1468,24 +1148,12 @@ fn main_convert(args: ConvertArgs) -> ExitCode {
         trace.nranks,
         trace.concrete_event_count()
     );
-    ExitCode::SUCCESS
+    Ok(true)
 }
 
-fn capture_network(name: &str) -> std::sync::Arc<dyn mpisim::network::NetworkModel> {
-    match name {
-        "bgl" => mpisim::network::blue_gene_l(),
-        "ethernet" => mpisim::network::ethernet_cluster(),
-        _ => mpisim::network::ideal(),
-    }
-}
-
-fn main_capture(args: CaptureArgs) -> ExitCode {
-    let entry = registry::lookup(&args.app).expect("validated at parse time");
-    let params = miniapps::AppParams {
-        class: Class::S,
-        iterations: args.iterations,
-        compute_scale: 1.0,
-    };
+fn main_capture(args: CaptureArgs) -> Verdict {
+    let job = args.job();
+    let (run_fn, params) = (job.app()?.run, job.params());
     let mut cfg = scalatrace::StreamConfig::new(&args.dir, args.budget);
     if let Some(w) = args.max_window {
         cfg = cfg.with_max_window(w);
@@ -1493,27 +1161,11 @@ fn main_capture(args: CaptureArgs) -> ExitCode {
     if args.event_delay_us > 0 {
         cfg = cfg.with_event_delay(Duration::from_micros(args.event_delay_us));
     }
-    let world = mpisim::world::World::new(args.ranks).network(capture_network(&args.network));
-    let run_fn = entry.run;
-    let streamed = match scalatrace::trace_world_streamed(world, args.ranks, &cfg, move |ctx| {
-        run_fn(ctx, &params)
-    }) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("capture failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Commit the artifact before touching stdout: if the report's reader
-    // has gone away (`capture ... | head` closing the pipe kills us), the
-    // recovered trace must already be on disk.
-    if let Some(out) = &args.out {
-        if let Err(msg) = write_trace(out, &streamed.run.trace) {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {}", out.display());
-    }
+    let world = mpisim::world::World::new(args.ranks).network(job.network_model()?);
+    let streamed =
+        scalatrace::trace_world_streamed(world, args.ranks, &cfg, move |ctx| run_fn(ctx, &params))
+            .map_err(|e| format!("capture failed: {e}"))?;
+    write_recovered(&args.out, &streamed.run.trace)?;
     let mut total = scalatrace::StreamCounters::default();
     for c in &streamed.counters {
         total.absorb(c);
@@ -1535,53 +1187,28 @@ fn main_capture(args: CaptureArgs) -> ExitCode {
     if let Some(err) = &streamed.run.error {
         eprintln!("run ended early: {err}");
     }
-    let ok = streamed.run.error.is_none() && streamed.salvage.complete() && total.seal_errors == 0;
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(streamed.run.error.is_none() && streamed.salvage.complete() && total.seal_errors == 0)
 }
 
-fn main_salvage(args: SalvageArgs) -> ExitCode {
-    let (trace, report) = match scalatrace::salvage_dir(&args.dir) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("salvage failed on {}: {e}", args.dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    // Artifact before report (see main_capture): a reader closing stdout
-    // must not cost us the recovered trace.
-    if let Some(out) = &args.out {
-        if let Err(msg) = write_trace(out, &trace) {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {}", out.display());
-    }
+fn main_salvage(args: SalvageArgs) -> Verdict {
+    let (trace, report) = scalatrace::salvage_dir(&args.dir)
+        .map_err(|e| format!("salvage failed on {}: {e}", args.dir.display()))?;
+    write_recovered(&args.out, &trace)?;
     print!("{report}");
     // A partial prefix is still a successful salvage: the report says
     // which ranks stopped short, and the recovered trace is verified.
-    ExitCode::SUCCESS
+    Ok(true)
 }
 
-fn main_chaos(args: ChaosArgs) -> ExitCode {
+fn main_chaos(args: ChaosArgs) -> Verdict {
     let (jobs, skipped) = chaos_jobs(&args);
     if jobs.is_empty() {
-        eprintln!("no chaos jobs: every app rejected {} ranks", args.ranks);
-        for s in &skipped {
-            eprintln!("skipped: {s}");
-        }
-        return ExitCode::FAILURE;
+        return Err(nothing_to_run(
+            format!("no chaos jobs: every app rejected {} ranks", args.ranks),
+            &skipped,
+        ));
     }
-    let (cache, telemetry) = match open_cache_and_log(&args.common) {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (cache, telemetry) = open_cache_and_log(&args.common)?;
 
     let fleet = FleetOptions {
         workers: args.common.workers.unwrap_or(4),
@@ -1599,11 +1226,7 @@ fn main_chaos(args: ChaosArgs) -> ExitCode {
     );
     let report = run_jobs(jobs, skipped, &fleet, cache, telemetry);
     print!("{report}");
-    if report.all_ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(report.all_ok())
 }
 
 #[cfg(test)]
@@ -1817,7 +1440,7 @@ mod tests {
 
         let cfg = perf(
             "perf --smoke --reps 7 --warmup 3 --cache /tmp/c \
-             --out o.json --check BENCH_pipeline.json --threads 4 --parallel-suites",
+             --out o.json --check BENCH_pipeline.json --threads 4",
         );
         assert!(cfg.smoke);
         assert_eq!(cfg.reps, Some(7));
@@ -1826,13 +1449,13 @@ mod tests {
         assert_eq!(cfg.out, PathBuf::from("o.json"));
         assert_eq!(cfg.check, Some(PathBuf::from("BENCH_pipeline.json")));
         assert_eq!(cfg.threads, Some(4));
-        assert!(cfg.parallel_suites);
 
         assert!(parse_argv(argv("perf --reps 0")).is_err());
         assert!(parse_argv(argv("perf --reps lots")).is_err());
         assert!(parse_argv(argv("perf --threads 0")).is_err());
         assert!(parse_argv(argv("perf --threads many")).is_err());
         assert!(parse_argv(argv("perf --baseline")).is_err());
+        assert!(parse_argv(argv("perf --parallel-suites")).is_err());
         assert!(parse_argv(argv("perf --matrix m.txt")).is_err());
         assert!(parse_argv(argv("perf --help")).is_err());
     }
@@ -1856,6 +1479,43 @@ mod tests {
             parse_argv(argv("--matrix m.txt")),
             Ok(Cmd::Matrix(_))
         ));
+    }
+
+    #[test]
+    fn top_level_help_carries_every_verbs_own_usage() {
+        let err_of = |s: &str| parse_argv(argv(s)).err().expect("help is an error");
+        let help = err_of("--help");
+        assert!(
+            help.starts_with(&format!("usage: {MATRIX_USAGE}")),
+            "{help}"
+        );
+        let unknown = err_of("frobnicate");
+        for verb in VERBS {
+            assert!(
+                verb.usage.starts_with(&format!("commbench {} ", verb.name)),
+                "{}",
+                verb.usage
+            );
+            assert!(
+                help.contains(verb.usage),
+                "{} missing from --help",
+                verb.name
+            );
+            // The verb's own --help is the same line, reached through the
+            // same table parse_argv dispatches on.
+            let own = err_of(&format!("{} --help", verb.name));
+            assert!(own.contains(verb.usage), "{}: {own}", verb.name);
+            assert!(unknown.contains(verb.name), "{unknown}");
+            // What usage says of names and class letters is what parses.
+            if verb.usage.contains("--network") {
+                let names = campaign::matrix::NETWORKS.join("|");
+                assert!(verb.usage.contains(&names), "{}", verb.usage);
+            }
+            if verb.usage.contains("--class") {
+                assert!(verb.usage.contains("S|W|A|B|C"), "{}", verb.usage);
+            }
+        }
+        assert!(FSCK_USAGE.contains("--stream"));
     }
 
     #[test]

@@ -13,11 +13,14 @@
 //! commgen --app ring --ranks 8 --extrapolate 512   # ScalaExtrap-style scaling
 //! ```
 
-use benchgen::{generate, GenOptions};
-use miniapps::{registry, AppParams, Class};
+use benchgen::generate;
+use benchgen::verify::execute_profiled;
+use campaign::JobSpec;
+use commspec::cli::Argv;
+use miniapps::Class;
 use mpisim::network;
-use scalatrace::trace_app;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 #[derive(Debug)]
 struct Args {
@@ -36,6 +39,24 @@ struct Args {
     backend: String,
     machine: String,
     extrapolate: Option<usize>,
+}
+
+impl Args {
+    /// The pipeline run these flags describe. With `--trace` the file
+    /// stands in for stage one and `app` is empty.
+    fn job(&self) -> JobSpec {
+        JobSpec {
+            align: !self.no_align,
+            resolve: !self.no_resolve,
+            comments: self.comments,
+            ..JobSpec::new(
+                self.app.as_deref().unwrap_or(""),
+                self.ranks,
+                self.class,
+                &self.machine,
+            )
+        }
+    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -60,61 +81,37 @@ fn parse_argv(argv: Vec<String>) -> Result<Args, String> {
         machine: "bgl".to_string(),
         extrapolate: None,
     };
-    let mut i = 0;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--app" => args.app = Some(value(&mut i)?),
-            "--trace" => args.trace_file = Some(value(&mut i)?),
-            "--ranks" => {
-                args.ranks = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("bad --ranks: {e}"))?
-            }
-            "--class" => {
-                args.class = match value(&mut i)?.as_str() {
-                    "S" => Class::S,
-                    "W" => Class::W,
-                    "A" => Class::A,
-                    "B" => Class::B,
-                    "C" => Class::C,
-                    other => return Err(format!("unknown class {other}")),
-                }
-            }
-            "-o" | "--output" => args.output = Some(value(&mut i)?),
-            "--emit-trace" => args.emit_trace = Some(value(&mut i)?),
-            "--profile" => args.profile = Some(value(&mut i)?),
+    let mut argv = Argv::new(&argv);
+    while let Some(flag) = argv.flag() {
+        match flag {
+            "--app" => args.app = Some(argv.value()?),
+            "--trace" => args.trace_file = Some(argv.value()?),
+            "--ranks" => args.ranks = argv.parsed()?,
+            "--class" => args.class = argv.value()?.parse()?,
+            "-o" | "--output" => args.output = Some(argv.value()?),
+            "--emit-trace" => args.emit_trace = Some(argv.value()?),
+            "--profile" => args.profile = Some(argv.value()?),
             "--run" => args.run = true,
             "--stats" => args.stats = true,
             "--no-align" => args.no_align = true,
             "--no-resolve" => args.no_resolve = true,
             "--comments" => args.comments = true,
-            "--backend" => args.backend = value(&mut i)?,
-            "--extrapolate" => {
-                args.extrapolate = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("bad --extrapolate: {e}"))?,
-                )
-            }
-            "--machine" => args.machine = value(&mut i)?,
+            "--backend" => args.backend = argv.value()?,
+            "--extrapolate" => args.extrapolate = Some(argv.parsed()?),
+            "--machine" => args.machine = argv.value()?,
             "--help" | "-h" => {
-                return Err("usage: commgen (--app NAME | --trace FILE) [--ranks N] \
-                            [--class S|W|A|B|C] [-o FILE] [--emit-trace FILE] \
-                            [--profile FILE] [--run] \
-                            [--backend conceptual|c] [--machine bgl|ethernet] \
-                            [--extrapolate N] [--stats] [--no-align] [--no-resolve] \
-                            [--comments]"
-                    .to_string())
+                return Err(format!(
+                    "usage: commgen (--app NAME | --trace FILE) [--ranks N] \
+                     [--class S|W|A|B|C] [-o FILE] [--emit-trace FILE] \
+                     [--profile FILE] [--run] \
+                     [--backend conceptual|c] [--machine {}] \
+                     [--extrapolate N] [--stats] [--no-align] [--no-resolve] \
+                     [--comments]",
+                    network::NAMES.join("|")
+                ))
             }
-            other => return Err(format!("unknown argument {other} (try --help)")),
+            _ => return Err(argv.unknown()),
         }
-        i += 1;
     }
     if args.app.is_none() && args.trace_file.is_none() {
         return Err("one of --app or --trace is required (try --help)".to_string());
@@ -131,10 +128,11 @@ fn parse_argv(argv: Vec<String>) -> Result<Args, String> {
             args.backend
         ));
     }
-    if !matches!(args.machine.as_str(), "bgl" | "ethernet") {
+    if network::by_name(&args.machine).is_none() {
         return Err(format!(
-            "unknown machine {} (expected bgl|ethernet)",
-            args.machine
+            "unknown machine {} (expected {})",
+            args.machine,
+            network::NAMES.join("|")
         ));
     }
     if args.extrapolate == Some(0) {
@@ -144,57 +142,34 @@ fn parse_argv(argv: Vec<String>) -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    match parse_args().and_then(|args| run(&args)) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    let machine = match args.machine.as_str() {
-        "ethernet" => network::ethernet_cluster(),
-        _ => network::blue_gene_l(),
-    };
+    }
+}
+
+fn write(path: &str, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+fn run(args: &Args) -> Result<(), String> {
+    let job = args.job();
+    let machine = job.network_model()?;
 
     // 1. Obtain a trace: run a bundled application or load a trace file.
     let trace = if let Some(file) = &args.trace_file {
-        let text = match std::fs::read_to_string(file) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {file}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match scalatrace::text::from_text(&text) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot parse trace {file}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+        scalatrace::text::from_text(&text).map_err(|e| format!("cannot parse trace {file}: {e}"))?
     } else {
-        let name = args.app.as_deref().unwrap();
-        let Some(app) = registry::lookup(name) else {
-            let names: Vec<&str> = registry::all().iter().map(|a| a.name).collect();
-            eprintln!("unknown app {name}; available: {}", names.join(", "));
-            return ExitCode::FAILURE;
-        };
-        if !(app.valid_ranks)(args.ranks) {
-            eprintln!("{name} cannot run on {} ranks", args.ranks);
-            return ExitCode::FAILURE;
-        }
-        let params = AppParams::class(args.class);
-        let traced = match trace_app(args.ranks, machine.clone(), move |ctx| {
-            (app.run)(ctx, &params)
-        }) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("tracing failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let traced = job
+            .trace(job.app()?, machine.clone())
+            .map_err(|e| format!("tracing failed: {e}"))?;
         eprintln!(
-            "traced {name}: {} events -> {} trace nodes; T_app = {}",
+            "traced {}: {} events -> {} trace nodes; T_app = {}",
+            job.app,
             traced.trace.concrete_event_count(),
             traced.trace.node_count(),
             traced.report.total_time
@@ -203,16 +178,11 @@ fn main() -> ExitCode {
     };
 
     let trace = match args.extrapolate {
-        Some(new_n) => match scalatrace::extrap::extrapolate(&trace, new_n) {
-            Ok(t) => {
-                eprintln!("trace extrapolated from {} to {new_n} ranks", trace.nranks);
-                t
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(new_n) => {
+            let t = scalatrace::extrap::extrapolate(&trace, new_n).map_err(|e| e.to_string())?;
+            eprintln!("trace extrapolated from {} to {new_n} ranks", trace.nranks);
+            t
+        }
         None => trace,
     };
 
@@ -221,27 +191,13 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &args.emit_trace {
-        if let Err(e) = std::fs::write(path, scalatrace::text::to_text(&trace)) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write(path, &scalatrace::text::to_text(&trace))?;
         eprintln!("trace written to {path}");
     }
 
     // 2. Generate.
-    let opts = GenOptions {
-        align_collectives: !args.no_align,
-        resolve_wildcards: !args.no_resolve,
-        emit_comments: args.comments,
-        ..GenOptions::default()
-    };
-    let generated = match generate(&trace, &opts) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("generation failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let generated =
+        generate(&trace, &job.gen_options()).map_err(|e| format!("generation failed: {e}"))?;
     if generated.aligned {
         eprintln!("note: collectives aligned across call sites (Algorithm 1)");
     }
@@ -263,10 +219,7 @@ fn main() -> ExitCode {
     };
     match &args.output {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            write(path, &text)?;
             eprintln!("benchmark written to {path}");
         }
         None => print!("{text}"),
@@ -275,45 +228,24 @@ fn main() -> ExitCode {
     // 4. Optionally execute the generated benchmark under mpiP hooks and
     //    write the merged profile — the artifact the paper's E1 verification
     //    (and the commspec server's `simulate` job) consumes.
+    let program = Arc::new(generated.program);
     if let Some(path) = &args.profile {
-        let program = std::sync::Arc::new(generated.program.clone());
-        let prog = std::sync::Arc::clone(&program);
-        let result = mpisim::world::World::new(trace.nranks)
-            .network(machine.clone())
-            .run_hooked(
-                |_| mpisim::profile::MpiP::new(),
-                move |ctx| conceptual::interp::run_rank(ctx, &prog),
-            );
-        match result {
-            Ok((_, hooks)) => {
-                let profile = mpisim::profile::MpiP::merge_all(hooks.iter()).to_string();
-                if let Err(e) = std::fs::write(path, profile) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("mpiP profile written to {path}");
-            }
-            Err(e) => {
-                eprintln!("generated benchmark failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let (_, profile) = execute_profiled(&program, trace.nranks, machine.clone())
+            .map_err(|e| format!("generated benchmark failed: {e}"))?;
+        write(path, &profile.to_string())?;
+        eprintln!("mpiP profile written to {path}");
     }
 
     // 5. Optionally execute the generated benchmark.
     if args.run {
-        match conceptual::interp::run_program(&generated.program, trace.nranks, machine) {
-            Ok(outcome) => eprintln!(
-                "T_gen = {} ({} simulated ops in {} rank/engine crossings)",
-                outcome.total_time, outcome.report.stats.operations, outcome.report.crossings
-            ),
-            Err(e) => {
-                eprintln!("generated benchmark failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let outcome = conceptual::interp::run_program(&program, trace.nranks, machine)
+            .map_err(|e| format!("generated benchmark failed: {e}"))?;
+        eprintln!(
+            "T_gen = {} ({} simulated ops in {} rank/engine crossings)",
+            outcome.total_time, outcome.report.stats.operations, outcome.report.crossings
+        );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 #[cfg(test)]

@@ -48,6 +48,7 @@ pub use miniapps;
 pub use mpisim;
 pub use scalatrace;
 
+pub mod cli;
 pub mod perf;
 
 /// Convenient glob imports for the full pipeline.

@@ -52,15 +52,13 @@
 //!
 //! [`TailCompressor`]: scalatrace::TailCompressor
 
+use benchgen::verify::execute_profiled;
 use campaign::hash;
-use campaign::TraceCache;
-use conceptual::ast::Program;
-use conceptual::interp::run_rank;
-use miniapps::{registry, App, AppParams, Class};
+use campaign::{JobSpec, TraceCache};
+use miniapps::{registry, App, Class};
 use mpisim::network;
-use mpisim::profile::MpiP;
 use mpisim::time::SimDuration;
-use mpisim::world::{RunReport, World};
+use mpisim::world::World;
 use scalatrace::compress::{append_compressed, DEFAULT_MAX_WINDOW};
 use scalatrace::merge::merge_sequences_stats;
 use scalatrace::params::{CommParam, RankParam, ValParam};
@@ -148,8 +146,7 @@ pub const SCHEMA: &str = "commspec-perf/v3";
 /// pipeline app set instead.
 const COMPRESS_ITERS: usize = 150;
 
-/// Per-app iteration override for the pipeline and stream suites. Same in
-/// both modes, for the same comparability reason as [`COMPRESS_ITERS`].
+/// Per-app iteration override for the pipeline and stream suites.
 const PIPELINE_ITERS: usize = 30;
 
 /// Configuration of one `commbench perf` invocation.
@@ -170,11 +167,6 @@ pub struct PerfConfig {
     /// Pool width for the parallel legs (`None` = [`par::threads`], i.e.
     /// `COMMSPEC_THREADS` or the core count).
     pub threads: Option<usize>,
-    /// Run independent pipeline suites concurrently on the pool. Off by
-    /// default: concurrent suites contend for cores and perturb each
-    /// other's timings, so this is for quick exploratory runs, not for
-    /// regenerating the committed report.
-    pub parallel_suites: bool,
 }
 
 impl PerfConfig {
@@ -188,7 +180,6 @@ impl PerfConfig {
             out: PathBuf::from("BENCH_pipeline.json"),
             check: None,
             threads: None,
-            parallel_suites: false,
         }
     }
 
@@ -694,21 +685,30 @@ fn ratio(num_ns: u64, den_ns: u64) -> f64 {
     }
 }
 
+/// The job a pipeline row runs for `app`. Same in both modes, for the same
+/// comparability reason as [`COMPRESS_ITERS`].
+fn pipeline_job(app: &App) -> JobSpec {
+    JobSpec {
+        iterations: Some(PIPELINE_ITERS),
+        ..JobSpec::new(app.name, PIPELINE_RANKS, Class::S, "ideal")
+    }
+}
+
 /// One full pipeline pass: trace (or cache load) → generate → execute
 /// under an mpiP hook. The cache key decides cold vs warm. Returns the
 /// counts of the generated program's run.
 fn pipeline_once(
-    app: &'static App,
-    params: AppParams,
+    job: &JobSpec,
+    app: &App,
     cache: &TraceCache,
     key: u64,
 ) -> Result<SimCounts, String> {
-    let n = PIPELINE_RANKS;
+    let model = job.network_model()?;
     let trace = match cache.load(key) {
         Some(hit) => hit.trace,
         None => {
-            let run = app.run;
-            let traced = scalatrace::trace_app(n, network::ideal(), move |ctx| run(ctx, &params))
+            let traced = job
+                .trace(app, model.clone())
                 .map_err(|e| format!("{}: trace failed: {e}", app.name))?;
             cache
                 .store(key, &traced.trace, traced.report.total_time, &[])
@@ -716,43 +716,28 @@ fn pipeline_once(
             traced.trace
         }
     };
-    let generated = benchgen::generate(&trace, &benchgen::GenOptions::default())
+    let generated = benchgen::generate(&trace, &job.gen_options())
         .map_err(|e| format!("{}: generation failed: {e}", app.name))?;
-    let report = execute_profiled(app, &Arc::new(generated.program))?;
+    let (report, profile) = execute_profiled(&Arc::new(generated.program), job.ranks, model)
+        .map_err(|e| format!("{}: execution failed: {e}", app.name))?;
+    black_box(profile.total_calls());
     Ok(SimCounts {
         ops: report.stats.operations,
         crossings: report.crossings,
     })
 }
 
-/// Execute a generated program under an mpiP hook, as the pipeline's last
-/// stage does.
-fn execute_profiled(app: &App, prog: &Arc<Program>) -> Result<RunReport, String> {
-    let p = Arc::clone(prog);
-    let (report, hooks) = World::new(PIPELINE_RANKS)
-        .network(network::ideal())
-        .run_hooked(|_| MpiP::new(), move |ctx| run_rank(ctx, &p))
-        .map_err(|e| format!("{}: execution failed: {e}", app.name))?;
-    black_box(MpiP::merge_all(hooks.iter()).total_calls());
-    Ok(report)
-}
-
-const PIPELINE_PARAMS: AppParams = AppParams {
-    class: Class::S,
-    iterations: Some(PIPELINE_ITERS),
-    compute_scale: 1.0,
-};
-
 /// Host time of the generated program's run under the mpiP hook over that
 /// of a plain run of the application.
 fn interp_ratio(cfg: &PerfConfig, app: &'static App) -> Result<f64, String> {
-    let n = PIPELINE_RANKS;
-    let run = app.run;
-    let traced = scalatrace::trace_app(n, network::ideal(), move |ctx| run(ctx, &PIPELINE_PARAMS))
+    let job = pipeline_job(app);
+    let traced = job
+        .trace(app, network::ideal())
         .map_err(|e| format!("{}: trace failed: {e}", app.name))?;
-    let generated = benchgen::generate(&traced.trace, &benchgen::GenOptions::default())
+    let generated = benchgen::generate(&traced.trace, &job.gen_options())
         .map_err(|e| format!("{}: generation failed: {e}", app.name))?;
     let prog = Arc::new(generated.program);
+    let (n, run, params) = (job.ranks, app.run, job.params());
     // Both legs just ran once to get here, so a failure now is a bug.
     let (app_ns, interp_ns) = time_median_pair(
         cfg.warmup(),
@@ -760,11 +745,11 @@ fn interp_ratio(cfg: &PerfConfig, app: &'static App) -> Result<f64, String> {
         || {
             World::new(n)
                 .network(network::ideal())
-                .run(move |ctx| run(ctx, &PIPELINE_PARAMS))
+                .run(move |ctx| run(ctx, &params))
                 .expect("the application ran when it was traced")
                 .total_time
         },
-        || execute_profiled(app, &prog).expect("the generated program runs"),
+        || execute_profiled(&prog, n, network::ideal()).expect("the generated program runs"),
     );
     Ok(ratio(interp_ns, app_ns))
 }
@@ -788,10 +773,11 @@ fn pipeline_suite(
     app: &'static App,
     cache: &TraceCache,
 ) -> Result<Suite, String> {
+    let job = pipeline_job(app);
     for w in 0..cfg.warmup() {
         let key = pipeline_key(app.name, "warmup", w);
-        pipeline_once(app, PIPELINE_PARAMS, cache, key)?;
-        pipeline_once(app, PIPELINE_PARAMS, cache, key)?;
+        pipeline_once(&job, app, cache, key)?;
+        pipeline_once(&job, app, cache, key)?;
     }
     let mut cold = Vec::with_capacity(cfg.reps());
     let mut warm = Vec::with_capacity(cfg.reps());
@@ -799,10 +785,10 @@ fn pipeline_suite(
     for rep in 0..cfg.reps() {
         let key = pipeline_key(app.name, "rep", rep);
         let t0 = Instant::now();
-        pipeline_once(app, PIPELINE_PARAMS, cache, key)?;
+        pipeline_once(&job, app, cache, key)?;
         cold.push(t0.elapsed().as_nanos() as u64);
         let t1 = Instant::now();
-        sim = Some(pipeline_once(app, PIPELINE_PARAMS, cache, key)?);
+        sim = Some(pipeline_once(&job, app, cache, key)?);
         warm.push(t1.elapsed().as_nanos() as u64);
     }
     Ok(Suite {
@@ -824,8 +810,8 @@ fn pipeline_suite(
 /// and the capture counters, on the measured record.
 fn stream_suite(cfg: &PerfConfig) -> Result<Suite, String> {
     let app = registry::lookup("ring").expect("ring is registered");
-    let run_fn = app.run;
-    let body = move |ctx: &mut mpisim::Ctx| run_fn(ctx, &PIPELINE_PARAMS);
+    let (run_fn, params) = (app.run, pipeline_job(app).params());
+    let body = move |ctx: &mut mpisim::Ctx| run_fn(ctx, &params);
     let world = || World::new(STREAM_RANKS).network(network::ideal());
     let dir = cfg.cache_dir.join("perf-stream");
     let stream_cfg = StreamConfig::new(&dir, STREAM_BUDGET).with_max_window(1);
@@ -945,25 +931,10 @@ pub fn run(cfg: &PerfConfig) -> Result<PerfReport, String> {
     let cache = TraceCache::open(&perf_cache_dir)
         .map_err(|e| format!("cannot open cache {}: {e}", perf_cache_dir.display()))?;
 
-    let apps = pipeline_apps(cfg);
-    let results: Vec<Result<Suite, String>> = if cfg.parallel_suites && cfg.threads() > 1 {
-        eprintln!(
-            "perf: pipeline suites for {} apps on {} workers ...",
-            apps.len(),
-            cfg.threads()
-        );
-        par::par_map(cfg.threads(), apps, |app| pipeline_suite(cfg, app, &cache))
-    } else {
-        apps.into_iter()
-            .map(|app| {
-                eprintln!("perf: pipeline {} at {PIPELINE_RANKS} ranks ...", app.name);
-                pipeline_suite(cfg, app, &cache)
-            })
-            .collect()
-    };
     let mut total = 0u64;
-    for suite in results {
-        let suite = suite?;
+    for app in pipeline_apps(cfg) {
+        eprintln!("perf: pipeline {} at {PIPELINE_RANKS} ranks ...", app.name);
+        let suite = pipeline_suite(cfg, app, &cache)?;
         total += suite.median_ns;
         suites.push(suite);
     }
@@ -1269,12 +1240,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cache = TraceCache::open(&dir).unwrap();
         let app = registry::lookup("ring").unwrap();
-        let params = AppParams::quick();
+        let job = JobSpec {
+            iterations: Some(3),
+            ..pipeline_job(app)
+        };
         let key = pipeline_key("ring", "test", 0);
         assert!(cache.load(key).is_none());
-        pipeline_once(app, params, &cache, key).unwrap();
+        pipeline_once(&job, app, &cache, key).unwrap();
         assert!(cache.load(key).is_some(), "cold pass fills the cache");
-        pipeline_once(app, params, &cache, key).unwrap();
+        pipeline_once(&job, app, &cache, key).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,8 +1,9 @@
 //! End-to-end tests of `commbench serve --stdio`: a scripted wire session
-//! drives trace → generate → simulate over the registry's smallest
-//! miniapp and the artifacts must be byte-identical to what the batch
-//! CLI (`commgen`) produces for the same configuration — the server is a
-//! cache and a queue, never a different pipeline.
+//! drives trace → generate → simulate, and for every registry app the
+//! artifacts must be byte-identical to what the batch CLI (`commgen`)
+//! produces for the same configuration and the timing metrics equal to
+//! what a `commbench --matrix` campaign journals — the server is a cache
+//! and a queue, never a different pipeline.
 
 use protocol::{JobParams, JobRef, Request, Response};
 use std::io::Write;
@@ -83,78 +84,109 @@ fn artifact<'a>(resp: &'a Response, name: &str) -> &'a protocol::Artifact {
 #[test]
 fn served_artifacts_are_byte_identical_to_the_batch_cli() {
     let dir = temp_dir("bytes");
+    // Every registry app at its smallest world of at least 4 ranks, with
+    // the class and network the server defaults to.
+    let configs: Vec<(&str, usize)> = miniapps::registry::all()
+        .iter()
+        .map(|app| (app.name, (4..).find(|&n| (app.valid_ranks)(n)).unwrap()))
+        .collect();
 
-    // Batch reference: commgen with the same app/ranks/class/network the
-    // server defaults to, dumping all three artifacts.
-    let trace_path = dir.join("batch-trace.st");
-    let prog_path = dir.join("batch-program.ncptl");
-    let prof_path = dir.join("batch-profile.mpip");
-    let out = Command::new(env!("CARGO_BIN_EXE_commgen"))
-        .args([
-            "--app",
-            "ring",
-            "--ranks",
-            "4",
-            "--class",
-            "S",
-            "--machine",
-            "bgl",
-            "--emit-trace",
-            trace_path.to_str().unwrap(),
-            "-o",
-            prog_path.to_str().unwrap(),
-            "--profile",
-            prof_path.to_str().unwrap(),
-        ])
-        .output()
-        .expect("commgen spawns");
-    assert!(out.status.success(), "{}", stderr(&out));
-    let batch_trace = std::fs::read_to_string(&trace_path).unwrap();
-    let batch_prog = std::fs::read_to_string(&prog_path).unwrap();
-    let batch_prof = std::fs::read_to_string(&prof_path).unwrap();
-
-    // Server session: one simulate job returns all three artifacts.
-    let responses = serve_script(
-        &dir.join("state"),
-        &[],
-        &[
-            hello(),
-            Request::Simulate {
-                params: JobParams::new("ring", 4),
-                tag: Some("s".into()),
-            },
-            Request::Status {
-                job: JobRef::Tag("s".into()),
-                wait: true,
-            },
-            Request::Shutdown,
-        ],
-    );
-    assert!(matches!(responses[0], Response::HelloOk { .. }));
-    assert!(matches!(
-        responses[1],
-        Response::Submitted {
-            replayed: false,
-            ..
-        }
-    ));
-    let status = &responses[2];
-
-    for (name, batch) in [
-        ("trace.st", &batch_trace),
-        ("program.ncptl", &batch_prog),
-        ("profile.mpip", &batch_prof),
-    ] {
-        let served = artifact(status, name);
-        assert_eq!(
-            &served.text, batch,
-            "served {name} must be byte-identical to the batch CLI's"
-        );
-        // And the advertised checksum must actually cover those bytes.
-        let fnv = campaign::hash::hex(campaign::hash::fnv1a(served.text.as_bytes()));
-        assert_eq!(served.fnv, fnv, "{name} checksum");
+    // Server session: one simulate job per app returns all three artifacts
+    // and the timing metrics.
+    let mut script = vec![hello()];
+    for &(app, ranks) in &configs {
+        script.push(Request::Simulate {
+            params: JobParams::new(app, ranks as u32),
+            tag: Some(app.into()),
+        });
+        script.push(Request::Status {
+            job: JobRef::Tag(app.into()),
+            wait: true,
+        });
     }
-    assert!(matches!(responses[3], Response::Bye));
+    script.push(Request::Shutdown);
+    let responses = serve_script(&dir.join("state"), &[], &script);
+    assert!(matches!(responses[0], Response::HelloOk { .. }));
+    assert!(matches!(responses.last(), Some(Response::Bye)));
+
+    for (i, &(app, ranks)) in configs.iter().enumerate() {
+        assert!(
+            matches!(
+                responses[1 + 2 * i],
+                Response::Submitted {
+                    replayed: false,
+                    ..
+                }
+            ),
+            "{app}"
+        );
+        let status = &responses[2 + 2 * i];
+
+        // Batch reference: commgen dumping all three artifacts.
+        let trace_path = dir.join(format!("{app}-trace.st"));
+        let prog_path = dir.join(format!("{app}-program.ncptl"));
+        let prof_path = dir.join(format!("{app}-profile.mpip"));
+        let out = Command::new(env!("CARGO_BIN_EXE_commgen"))
+            .args(["--app", app, "--ranks", &ranks.to_string()])
+            .args(["--class", "S", "--machine", "bgl", "--emit-trace"])
+            .arg(&trace_path)
+            .arg("-o")
+            .arg(&prog_path)
+            .arg("--profile")
+            .arg(&prof_path)
+            .output()
+            .expect("commgen spawns");
+        assert!(out.status.success(), "{}", stderr(&out));
+        for (name, path) in [
+            ("trace.st", &trace_path),
+            ("program.ncptl", &prog_path),
+            ("profile.mpip", &prof_path),
+        ] {
+            let served = artifact(status, name);
+            assert_eq!(
+                served.text,
+                std::fs::read_to_string(path).unwrap(),
+                "served {app} {name} must be byte-identical to the batch CLI's"
+            );
+            // And the advertised checksum must actually cover those bytes.
+            let fnv = campaign::hash::hex(campaign::hash::fnv1a(served.text.as_bytes()));
+            assert_eq!(served.fnv, fnv, "{app} {name} checksum");
+        }
+
+        // Campaign reference: the `finished` line a one-job matrix
+        // journals for the same configuration carries the same metrics.
+        let matrix = format!("apps = {app}\nranks = {ranks}\nclasses = S\nnetworks = bgl\n");
+        let matrix_path = dir.join(format!("{app}.matrix"));
+        let log_path = dir.join(format!("{app}.jsonl"));
+        std::fs::write(&matrix_path, &matrix).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_commbench"))
+            .arg("--matrix")
+            .arg(&matrix_path)
+            .arg("--cache")
+            .arg(dir.join("campaign-cache"))
+            .arg("--log")
+            .arg(&log_path)
+            .output()
+            .expect("commbench spawns");
+        assert!(out.status.success(), "{}", stderr(&out));
+        let job = campaign::CampaignSpec::parse(&matrix).unwrap().expand().0;
+        let journal = campaign::Journal::load(&log_path).unwrap();
+        let finished = journal.get(&job[0].id()).expect("journaled");
+        let Response::JobStatus {
+            result: Some(served),
+            ..
+        } = status
+        else {
+            panic!("{status:?}");
+        };
+        assert_eq!(served.t_app_ns, finished.u64("t_app_ns"), "{app} T_app");
+        assert_eq!(served.t_gen_ns, finished.u64("t_gen_ns"), "{app} T_gen");
+        assert_eq!(
+            served.err_pct.map(f64::to_bits),
+            finished.f64("err_pct").map(f64::to_bits),
+            "{app} err_pct"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
