@@ -9,8 +9,10 @@
 //! ```
 //!
 //! The STBS file is the authoritative copy: self-checksummed, lossless
-//! (timing histograms survive verbatim where the text view summarises them
-//! to count × mean), and what [`TraceCache::load`] decodes. The text file
+//! (timing histograms survive exactly where the text view summarises them
+//! to count × mean), smaller than the text view, and what
+//! [`TraceCache::load`] decodes — at whichever format version the entry
+//! was stored; [`TraceCache::store`] writes the newest. The text file
 //! is the human-readable view of the same trace, kept in lockstep so
 //! `less <key>.st` always shows what the binary holds. The sidecar records
 //! the traced application's simulated wall-clock time (`t_app_ns`) plus
@@ -474,6 +476,38 @@ mod tests {
         assert_eq!(
             scalatrace::stream::trace_to_bytes(&hit.trace),
             std::fs::read(cache.stbs_path(9)).unwrap()
+        );
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn a_v1_entry_still_loads_and_the_next_store_upgrades_it() {
+        // What `store` left on disk at the last commit whose STBS writer
+        // emitted v1 (fixed-width integers, 64 dense histogram bins).
+        let frozen =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../scalatrace/tests/fixtures/v1/cache");
+        let cache = TraceCache::open(temp_dir("v1-entry")).unwrap();
+        for entry in std::fs::read_dir(&frozen).expect("v1 cache entry is checked in") {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), cache.dir().join(entry.file_name())).unwrap();
+        }
+        let key = 0x18;
+        let v1 = std::fs::read(cache.stbs_path(key)).unwrap();
+        assert_eq!(scalatrace::frame::peek_version(&v1), Some(1));
+        let hit = cache.load(key).expect("v1 entry loads");
+        let view = std::fs::read_to_string(cache.trace_path(key)).unwrap();
+        assert_eq!(scalatrace::text::to_text(&hit.trace), view);
+        assert_eq!(hit.t_app, SimTime::from_nanos(159_392));
+        assert!(!hit.salvaged);
+        assert!(cache.fsck().unwrap().clean());
+
+        cache.store(key, &hit.trace, hit.t_app, &[]).unwrap();
+        let v2 = std::fs::read(cache.stbs_path(key)).unwrap();
+        assert_eq!(scalatrace::frame::peek_version(&v2), Some(2));
+        assert!(v2.len() < view.len() && view.len() < v1.len());
+        assert_eq!(
+            cache.load(key).expect("upgraded entry loads").trace,
+            hit.trace
         );
         let _ = std::fs::remove_dir_all(cache.dir());
     }

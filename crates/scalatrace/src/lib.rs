@@ -42,6 +42,7 @@ pub mod compress;
 pub mod cursor;
 pub mod extrap;
 pub mod fingerprint;
+pub mod frame;
 pub mod merge;
 pub mod params;
 pub mod rankset;

@@ -802,7 +802,11 @@ impl ValParam {
     pub fn eval(&self, rank: Rank) -> u64 {
         match self {
             ValParam::Const(c) => *c,
-            ValParam::Linear { base, slope } => (base + slope * rank as i64) as u64,
+            // wrapping: a decoded file may carry any `i64` pair, and a
+            // table re-fit tries candidates that need not fit at all
+            ValParam::Linear { base, slope } => {
+                base.wrapping_add(slope.wrapping_mul(rank as i64)) as u64
+            }
             ValParam::PerRank(m) => *m.get(&rank).expect("rank present in table"),
             ValParam::Piecewise(ps) => {
                 ps.iter()
@@ -940,13 +944,13 @@ fn fit_val_table(table: &BTreeMap<Rank, u64>) -> ValParam {
 /// non-zero (a zero slope is a constant, handled elsewhere).
 fn linear_candidate(r0: Rank, v0: u64, r1: Rank, v1: u64) -> Option<ValParam> {
     let dr = r1 as i64 - r0 as i64;
-    let dv = v1 as i64 - v0 as i64;
+    let dv = (v1 as i64).wrapping_sub(v0 as i64);
     if dr == 0 || dv % dr != 0 || dv == 0 {
         return None;
     }
     let slope = dv / dr;
     Some(ValParam::Linear {
-        base: v0 as i64 - slope * r0 as i64,
+        base: (v0 as i64).wrapping_sub(slope.wrapping_mul(r0 as i64)),
         slope,
     })
 }

@@ -328,12 +328,39 @@ impl RankSet {
         &self.runs
     }
 
-    /// Rebuild a set from runs captured by [`RankSet::runs`] — the exact
-    /// inverse the checkpoint codec needs. The runs are re-interned, so
-    /// canonical shapes regain their shared storage (and pointer-equality
-    /// fast paths) after a restore.
-    pub fn from_runs(runs: Vec<Run>) -> RankSet {
-        RankSet { runs: intern(runs) }
+    /// Rebuild a set from runs captured by [`RankSet::runs`] — the inverse
+    /// the binary decoders need, for runs that arrive from a file and are
+    /// trusted with nothing. Every run must be non-empty with a positive
+    /// stride, end (in checked arithmetic) below `nranks`, and start past
+    /// the previous run's end; and the runs must be exactly the ones
+    /// [`RankSet::from_ranks`] builds over the same members, because
+    /// equality, interning and the run-wise set algebra all assume that
+    /// canonical form. The accepted runs are re-interned, so canonical
+    /// shapes regain their shared storage after a restore.
+    pub fn from_runs(runs: Vec<Run>, nranks: usize) -> Result<RankSet, &'static str> {
+        let mut floor = 0;
+        for run in &runs {
+            if run.count == 0 || run.stride == 0 {
+                return Err("rank run with zero count or stride");
+            }
+            let last = (run.count - 1)
+                .checked_mul(run.stride)
+                .and_then(|span| run.start.checked_add(span))
+                .filter(|&last| last < nranks)
+                .ok_or("rank run reaches past the world size")?;
+            if run.start < floor {
+                return Err("rank runs out of order or overlapping");
+            }
+            floor = last + 1;
+        }
+        let canonical = match runs.as_slice() {
+            [run] => run.count > 1 || run.stride == 1,
+            _ => *RankSet::from_fragments(runs.clone()).runs == *runs,
+        };
+        if !canonical {
+            return Err("rank set is not in canonical run form");
+        }
+        Ok(RankSet { runs: intern(runs) })
     }
 
     /// Smallest member without iterating elements.

@@ -4,15 +4,17 @@
 //! A checkpoint freezes everything a [`Tracer`] knows: the compressed node
 //! sequence (with exact timing histograms — the text rendering is lossy,
 //! checkpoints are not), the communicator table, the last-exit clock, and
-//! the event count. The file format is std-only binary:
+//! the event count. The file is a [`crate::frame`] frame, std-only binary:
 //!
 //! ```text
 //! magic "STCP" · version u32 · payload · FNV-1a checksum u64
 //! ```
 //!
-//! every integer little-endian, the checksum covering magic, version, and
-//! payload. A truncated, bit-flipped, or wrong-version file decodes to
-//! [`SnapshotError::Corrupt`], never to a silently wrong tracer.
+//! written at the newest version (varint integers, sparse statistics) and
+//! read at every version ever written. A truncated, bit-flipped, or
+//! unknown-version file decodes to [`SnapshotError::Corrupt`], never to a
+//! silently wrong tracer. This module also owns the node codec the STBS
+//! files ([`crate::stream`]) share.
 //!
 //! # Deterministic re-entry
 //!
@@ -30,28 +32,32 @@
 
 use crate::collect::{PartialTracedRun, Tracer};
 use crate::compress::TailCompressor;
+use crate::frame::{dec_comms, dec_nranks, enc_comms, write_atomic, Dec, Enc, V1};
 use crate::merge::merge_tracers;
 use crate::params::{CommParam, RankFn, RankParam, SrcParam, ValParam};
 use crate::rankset::{RankSet, Run};
 use crate::timestats::TimeStats;
-use crate::trace::{CommTable, OpTemplate, Prsd, Rsd, TraceNode};
+use crate::trace::{OpTemplate, Prsd, Rsd, TraceNode};
 use mpisim::ctx::Ctx;
 use mpisim::hooks::{Event, Hook};
 use mpisim::time::{SimDuration, SimTime};
-use mpisim::types::{CollKind, Fnv1a, TagSel};
+use mpisim::types::{CollKind, TagSel};
 use mpisim::world::World;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// File magic of a tracer checkpoint ("ScalaTrace CheckPoint").
 pub const MAGIC: [u8; 4] = *b"STCP";
 
-/// Current checkpoint format version.
-pub const VERSION: u32 = 1;
-
 /// Maximum loop-nesting depth the decoder accepts (a corruption guard, far
 /// above anything tail folding produces).
 const MAX_DEPTH: usize = 256;
+
+/// Largest fold window the decoder accepts: the compressor allocates a
+/// table of this many entries up front, so a crafted value must not reach
+/// it (the default window is 32).
+const MAX_WINDOW: usize = 1 << 20;
 
 /// Why a checkpoint could not be read, written, or decoded.
 #[derive(Debug)]
@@ -86,112 +92,57 @@ pub(crate) fn corrupt(why: impl Into<String>) -> SnapshotError {
 
 // ------------------------------------------------------------------ codec
 
-#[derive(Default)]
-pub(crate) struct Enc(pub(crate) Vec<u8>);
-
-impl Enc {
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    pub(crate) fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn u128(&mut self, v: u128) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn i64(&mut self, v: i64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-}
-
-pub(crate) struct Dec<'a> {
-    pub(crate) buf: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.buf.len() - self.pos < n {
-            return Err(corrupt("truncated payload"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    pub(crate) fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-    pub(crate) fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(corrupt(format!("bad bool byte {b}"))),
-        }
-    }
-    pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    pub(crate) fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    pub(crate) fn u128(&mut self) -> Result<u128, SnapshotError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-    pub(crate) fn i64(&mut self) -> Result<i64, SnapshotError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    pub(crate) fn usize(&mut self) -> Result<usize, SnapshotError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| corrupt("length overflows usize"))
-    }
-    /// A length that is about to drive a loop of ≥1-byte items; bounding it
-    /// by the remaining bytes turns "absurd length from corruption" into an
-    /// immediate error instead of a giant allocation.
-    pub(crate) fn len(&mut self) -> Result<usize, SnapshotError> {
-        let n = self.usize()?;
-        if n > self.buf.len() - self.pos {
-            return Err(corrupt("length exceeds payload"));
-        }
-        Ok(n)
-    }
-}
-
-/// Bytes of the 64 fixed-width bin counts in the v1 statistics layout.
-const BIN_BYTES: usize = 64 * 8;
+/// Bins of a [`TimeStats`] histogram; a record can list no more.
+const BINS: usize = 64;
 
 fn enc_stats(e: &mut Enc, s: &TimeStats) {
     let (count, sum_ns, min_ns, max_ns, bins) = s.raw();
-    e.0.reserve(8 + 16 + 8 + 8 + BIN_BYTES);
     e.u64(count);
     e.u128(sum_ns);
     e.u64(min_ns);
     e.u64(max_ns);
-    let base = e.0.len();
-    e.0.resize(base + BIN_BYTES, 0);
+    e.usize(s.non_empty_bins().count());
     for (bin, n) in bins {
-        e.0[base + bin * 8..][..8].copy_from_slice(&n.to_le_bytes());
+        e.usize(bin);
+        e.u64(n);
     }
 }
 
+/// v2 lists the non-empty bins as strictly ascending `(bin, count)` pairs;
+/// v1 wrote all 64 counts at fixed width.
 fn dec_stats(d: &mut Dec) -> Result<TimeStats, SnapshotError> {
     let count = d.u64()?;
     let sum_ns = d.u128()?;
     let min_ns = d.u64()?;
     let max_ns = d.u64()?;
-    let bins = d
-        .take(BIN_BYTES)?
-        .chunks_exact(8)
-        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-        .enumerate();
+    if d.version() == V1 {
+        let bins = d
+            .take(BINS * 8)?
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("eight bytes")))
+            .enumerate();
+        return Ok(TimeStats::from_raw(count, sum_ns, min_ns, max_ns, bins));
+    }
+    let nbins = d.len()?;
+    if nbins > BINS {
+        return Err(corrupt(format!("histogram lists {nbins} bins")));
+    }
+    let mut bins = [(0, 0); BINS];
+    let mut floor = 0;
+    for slot in &mut bins[..nbins] {
+        let (bin, n) = (d.usize()?, d.u64()?);
+        if bin < floor || bin >= BINS {
+            return Err(corrupt(format!(
+                "histogram bin {bin} out of order or out of range"
+            )));
+        }
+        if n == 0 {
+            return Err(corrupt(format!("histogram bin {bin} listed empty")));
+        }
+        floor = bin + 1;
+        *slot = (bin, n);
+    }
+    let bins = bins[..nbins].iter().copied();
     Ok(TimeStats::from_raw(count, sum_ns, min_ns, max_ns, bins))
 }
 
@@ -204,7 +155,10 @@ fn enc_ranks(e: &mut Enc, ranks: &RankSet) {
     }
 }
 
-fn dec_ranks(d: &mut Dec) -> Result<RankSet, SnapshotError> {
+/// Every decoder below takes the world size its ranks must stay under:
+/// rank sets, `PerRank` keys and piecewise domains index per-rank state
+/// downstream, and a checksum-valid file is still untrusted.
+fn dec_ranks(d: &mut Dec, nranks: usize) -> Result<RankSet, SnapshotError> {
     let n = d.len()?;
     let mut runs = Vec::with_capacity(n);
     for _ in 0..n {
@@ -214,7 +168,30 @@ fn dec_ranks(d: &mut Dec) -> Result<RankSet, SnapshotError> {
             count: d.usize()?,
         });
     }
-    Ok(RankSet::from_runs(runs))
+    RankSet::from_runs(runs, nranks).map_err(corrupt)
+}
+
+fn dec_rank(d: &mut Dec, nranks: usize) -> Result<usize, SnapshotError> {
+    let r = d.usize()?;
+    if r >= nranks {
+        return Err(corrupt(format!("rank {r} out of range for {nranks}")));
+    }
+    Ok(r)
+}
+
+/// A dense `rank -> value` table.
+fn dec_table<T>(
+    d: &mut Dec,
+    nranks: usize,
+    mut value: impl FnMut(&mut Dec) -> Result<T, SnapshotError>,
+) -> Result<BTreeMap<usize, T>, SnapshotError> {
+    let n = d.len()?;
+    let mut m = BTreeMap::new();
+    for _ in 0..n {
+        let r = dec_rank(d, nranks)?;
+        m.insert(r, value(d)?);
+    }
+    Ok(m)
 }
 
 fn enc_rank_param(e: &mut Enc, p: &RankParam) {
@@ -292,6 +269,7 @@ fn dec_rank_fn(d: &mut Dec) -> Result<RankFn, SnapshotError> {
 /// corrupt payload cannot smuggle in an ambiguous parameter.
 fn dec_pieces<T>(
     d: &mut Dec,
+    nranks: usize,
     mut item: impl FnMut(&mut Dec) -> Result<T, SnapshotError>,
 ) -> Result<Vec<(RankSet, T)>, SnapshotError> {
     let n = d.len()?;
@@ -300,7 +278,7 @@ fn dec_pieces<T>(
     }
     let mut pieces = Vec::with_capacity(n);
     for _ in 0..n {
-        let s = dec_ranks(d)?;
+        let s = dec_ranks(d, nranks)?;
         if s.is_empty() {
             return Err(corrupt("empty piecewise domain"));
         }
@@ -315,7 +293,7 @@ fn dec_pieces<T>(
     Ok(pieces)
 }
 
-fn dec_rank_param(d: &mut Dec) -> Result<RankParam, SnapshotError> {
+fn dec_rank_param(d: &mut Dec, nranks: usize) -> Result<RankParam, SnapshotError> {
     Ok(match d.u8()? {
         1 => RankParam::Const(d.usize()?),
         2 => RankParam::Offset(d.i64()?),
@@ -324,16 +302,8 @@ fn dec_rank_param(d: &mut Dec) -> Result<RankParam, SnapshotError> {
             modulus: d.usize()?,
         },
         4 => RankParam::Xor(d.usize()?),
-        5 => {
-            let n = d.len()?;
-            let mut m = std::collections::BTreeMap::new();
-            for _ in 0..n {
-                let r = d.usize()?;
-                m.insert(r, d.usize()?);
-            }
-            RankParam::PerRank(m)
-        }
-        6 => RankParam::Piecewise(dec_pieces(d, dec_rank_fn)?),
+        5 => RankParam::PerRank(dec_table(d, nranks, |d| dec_rank(d, nranks))?),
+        6 => RankParam::Piecewise(dec_pieces(d, nranks, dec_rank_fn)?),
         t => return Err(corrupt(format!("bad RankParam tag {t}"))),
     })
 }
@@ -368,23 +338,15 @@ fn enc_val_param(e: &mut Enc, p: &ValParam) {
     }
 }
 
-fn dec_val_param(d: &mut Dec) -> Result<ValParam, SnapshotError> {
+fn dec_val_param(d: &mut Dec, nranks: usize) -> Result<ValParam, SnapshotError> {
     Ok(match d.u8()? {
         1 => ValParam::Const(d.u64()?),
-        2 => {
-            let n = d.len()?;
-            let mut m = std::collections::BTreeMap::new();
-            for _ in 0..n {
-                let r = d.usize()?;
-                m.insert(r, d.u64()?);
-            }
-            ValParam::PerRank(m)
-        }
+        2 => ValParam::PerRank(dec_table(d, nranks, |d| d.u64())?),
         3 => ValParam::Linear {
             base: d.i64()?,
             slope: d.i64()?,
         },
-        4 => ValParam::Piecewise(dec_pieces(d, |d| d.u64())?),
+        4 => ValParam::Piecewise(dec_pieces(d, nranks, |d| d.u64())?),
         t => return Err(corrupt(format!("bad ValParam tag {t}"))),
     })
 }
@@ -414,19 +376,11 @@ fn enc_comm_param(e: &mut Enc, p: &CommParam) {
     }
 }
 
-fn dec_comm_param(d: &mut Dec) -> Result<CommParam, SnapshotError> {
+fn dec_comm_param(d: &mut Dec, nranks: usize) -> Result<CommParam, SnapshotError> {
     Ok(match d.u8()? {
         1 => CommParam::Const(d.u32()?),
-        2 => {
-            let n = d.len()?;
-            let mut m = std::collections::BTreeMap::new();
-            for _ in 0..n {
-                let r = d.usize()?;
-                m.insert(r, d.u32()?);
-            }
-            CommParam::PerRank(m)
-        }
-        3 => CommParam::Piecewise(dec_pieces(d, |d| d.u32())?),
+        2 => CommParam::PerRank(dec_table(d, nranks, |d| d.u32())?),
+        3 => CommParam::Piecewise(dec_pieces(d, nranks, |d| d.u32())?),
         t => return Err(corrupt(format!("bad CommParam tag {t}"))),
     })
 }
@@ -508,19 +462,19 @@ fn dec_tag(v: i64) -> Result<i32, SnapshotError> {
     i32::try_from(v).map_err(|_| corrupt("tag out of range"))
 }
 
-fn dec_op(d: &mut Dec) -> Result<OpTemplate, SnapshotError> {
+fn dec_op(d: &mut Dec, nranks: usize) -> Result<OpTemplate, SnapshotError> {
     Ok(match d.u8()? {
         0 => OpTemplate::Send {
-            to: dec_rank_param(d)?,
+            to: dec_rank_param(d, nranks)?,
             tag: dec_tag(d.i64()?)?,
-            bytes: dec_val_param(d)?,
-            comm: dec_comm_param(d)?,
+            bytes: dec_val_param(d, nranks)?,
+            comm: dec_comm_param(d, nranks)?,
             blocking: d.bool()?,
         },
         1 => {
             let from = match d.u8()? {
                 0 => SrcParam::Any,
-                1 => SrcParam::Rank(dec_rank_param(d)?),
+                1 => SrcParam::Rank(dec_rank_param(d, nranks)?),
                 t => return Err(corrupt(format!("bad SrcParam tag {t}"))),
             };
             let tag = match d.u8()? {
@@ -531,13 +485,13 @@ fn dec_op(d: &mut Dec) -> Result<OpTemplate, SnapshotError> {
             OpTemplate::Recv {
                 from,
                 tag,
-                bytes: dec_val_param(d)?,
-                comm: dec_comm_param(d)?,
+                bytes: dec_val_param(d, nranks)?,
+                comm: dec_comm_param(d, nranks)?,
                 blocking: d.bool()?,
             }
         }
         2 => OpTemplate::Wait {
-            count: dec_val_param(d)?,
+            count: dec_val_param(d, nranks)?,
         },
         3 => {
             let idx = d.u8()? as usize;
@@ -546,14 +500,14 @@ fn dec_op(d: &mut Dec) -> Result<OpTemplate, SnapshotError> {
                 .ok_or_else(|| corrupt(format!("bad CollKind index {idx}")))?;
             let root = match d.u8()? {
                 0 => None,
-                1 => Some(dec_rank_param(d)?),
+                1 => Some(dec_rank_param(d, nranks)?),
                 t => return Err(corrupt(format!("bad root tag {t}"))),
             };
             OpTemplate::Coll {
                 kind,
                 root,
-                bytes: dec_val_param(d)?,
-                comm: dec_comm_param(d)?,
+                bytes: dec_val_param(d, nranks)?,
+                comm: dec_comm_param(d, nranks)?,
             }
         }
         4 => OpTemplate::CommSplit {
@@ -564,48 +518,78 @@ fn dec_op(d: &mut Dec) -> Result<OpTemplate, SnapshotError> {
     })
 }
 
-pub(crate) fn enc_node(e: &mut Enc, node: &TraceNode) {
+fn enc_node(e: &mut Enc, node: &TraceNode) {
     match node {
         TraceNode::Event(r) => {
             e.u8(0);
             enc_ranks(e, &r.ranks);
-            e.u64(r.sig);
+            e.fixed64(r.sig);
             enc_op(e, &r.op);
             enc_stats(e, &r.compute);
         }
         TraceNode::Loop(p) => {
             e.u8(1);
             e.u64(p.count);
-            e.usize(p.body.len());
-            for n in &p.body {
-                enc_node(e, n);
-            }
+            enc_nodes(e, &p.body);
         }
     }
 }
 
-pub(crate) fn dec_node(d: &mut Dec, depth: usize) -> Result<TraceNode, SnapshotError> {
+/// A counted node sequence: a loop body, or a payload's top level.
+pub(crate) fn enc_nodes(e: &mut Enc, nodes: &[TraceNode]) {
+    e.usize(nodes.len());
+    for n in nodes {
+        enc_node(e, n);
+    }
+}
+
+/// One node and the concrete events it expands to, counted in checked
+/// arithmetic so no accessor downstream can overflow on a crafted loop.
+fn dec_node(d: &mut Dec, nranks: usize, depth: usize) -> Result<(TraceNode, u64), SnapshotError> {
     if depth > MAX_DEPTH {
         return Err(corrupt("loop nesting too deep"));
     }
     Ok(match d.u8()? {
-        0 => TraceNode::Event(Rsd {
-            ranks: dec_ranks(d)?,
-            sig: d.u64()?,
-            op: dec_op(d)?,
-            compute: dec_stats(d)?,
-        }),
+        0 => {
+            let r = Rsd {
+                ranks: dec_ranks(d, nranks)?,
+                sig: d.fixed64()?,
+                op: dec_op(d, nranks)?,
+                compute: dec_stats(d)?,
+            };
+            let events = r.ranks.len() as u64;
+            (TraceNode::Event(r), events)
+        }
         1 => {
             let count = d.u64()?;
-            let n = d.len()?;
-            let mut body = Vec::with_capacity(n);
-            for _ in 0..n {
-                body.push(dec_node(d, depth + 1)?);
-            }
-            TraceNode::Loop(Prsd { count, body })
+            let (body, events) = dec_nodes(d, nranks, depth + 1)?;
+            let events = count
+                .checked_mul(events)
+                .ok_or_else(|| corrupt("loop expands past u64 events"))?;
+            (TraceNode::Loop(Prsd { count, body }), events)
         }
         t => return Err(corrupt(format!("bad TraceNode tag {t}"))),
     })
+}
+
+/// A counted node sequence (`depth` 0 for a payload's top level) with its
+/// concrete event count, every rank in it below `nranks`.
+pub(crate) fn dec_nodes(
+    d: &mut Dec,
+    nranks: usize,
+    depth: usize,
+) -> Result<(Vec<TraceNode>, u64), SnapshotError> {
+    let n = d.len()?;
+    let mut nodes = Vec::with_capacity(n);
+    let mut events = 0u64;
+    for _ in 0..n {
+        let (node, e) = dec_node(d, nranks, depth)?;
+        events = events
+            .checked_add(e)
+            .ok_or_else(|| corrupt("sequence expands past u64 events"))?;
+        nodes.push(node);
+    }
+    Ok((nodes, events))
 }
 
 // ----------------------------------------------------------- tracer frame
@@ -613,100 +597,46 @@ pub(crate) fn dec_node(d: &mut Dec, depth: usize) -> Result<TraceNode, SnapshotE
 /// Serialise a tracer's full capture state into a framed, checksummed
 /// checkpoint (the exact inverse of [`tracer_from_checkpoint`]).
 pub fn checkpoint_bytes(t: &Tracer) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.0.extend_from_slice(&MAGIC);
-    e.u32(VERSION);
+    let mut e = Enc::open(MAGIC);
     e.usize(t.rank());
     e.usize(t.nranks());
     e.u64(t.events_seen);
     e.u64(t.last_exit().as_nanos());
-    let seq = t.compressor();
-    e.usize(seq.max_window());
-    // The v1 layout's fold-strategy byte: 0 = fingerprint, the one compressor.
-    e.u8(0);
-    let comms = t.comms_ref();
-    let ids: Vec<u32> = comms.ids().collect();
-    e.usize(ids.len());
-    for id in ids {
-        e.u32(id);
-        let members = comms.members(id);
-        e.usize(members.len());
-        for &m in members {
-            e.usize(m);
-        }
-    }
-    e.usize(t.nodes().len());
-    for n in t.nodes() {
-        enc_node(&mut e, n);
-    }
-    let mut h = Fnv1a::new();
-    h.write(&e.0);
-    let sum = h.finish();
-    e.u64(sum);
-    e.0
+    e.usize(t.compressor().max_window());
+    enc_comms(&mut e, t.comms_ref());
+    enc_nodes(&mut e, t.nodes());
+    e.seal()
 }
 
-/// Decode a checkpoint produced by [`checkpoint_bytes`], verifying frame,
-/// version, and checksum. The returned tracer is in resume mode: it will
-/// skip its first `events_seen` observed events (see the module docs).
+/// Decode a checkpoint produced by [`checkpoint_bytes`] at any format
+/// version, verifying frame and checksum. The returned tracer is in resume
+/// mode: it will skip its first `events_seen` observed events (see the
+/// module docs).
 pub fn tracer_from_checkpoint(bytes: &[u8]) -> Result<Tracer, SnapshotError> {
-    if bytes.len() < MAGIC.len() + 4 + 8 {
-        return Err(corrupt("file shorter than frame"));
-    }
-    let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-    let mut h = Fnv1a::new();
-    h.write(body);
-    if h.finish() != stored {
-        return Err(corrupt("checksum mismatch"));
-    }
-    if body[..MAGIC.len()] != MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let mut d = Dec {
-        buf: body,
-        pos: MAGIC.len(),
-    };
-    let version = d.u32()?;
-    if version != VERSION {
-        return Err(corrupt(format!("unsupported version {version}")));
-    }
+    let mut d = Dec::open(bytes, MAGIC)?;
     let rank = d.usize()?;
-    let nranks = d.usize()?;
-    if nranks == 0 || rank >= nranks {
+    let nranks = dec_nranks(&mut d)?;
+    if rank >= nranks {
         return Err(corrupt(format!("rank {rank} out of range for {nranks}")));
     }
     let events_seen = d.u64()?;
     let last_exit = SimTime::ZERO + SimDuration::from_nanos(d.u64()?);
     let max_window = d.usize()?;
-    if max_window == 0 {
-        return Err(corrupt("zero fold window"));
+    if max_window == 0 || max_window > MAX_WINDOW {
+        return Err(corrupt(format!("implausible fold window {max_window}")));
     }
-    // Both v1 tags restore into the one compressor: the structural-era
-    // fold (`1`) produced the same nodes byte for byte.
-    match d.u8()? {
-        0 | 1 => {}
-        t => return Err(corrupt(format!("bad strategy tag {t}"))),
-    }
-    let mut comms = CommTable::world(nranks);
-    let ncomms = d.len()?;
-    for _ in 0..ncomms {
-        let id = d.u32()?;
-        let n = d.len()?;
-        let mut members = Vec::with_capacity(n);
-        for _ in 0..n {
-            members.push(d.usize()?);
+    // v1 named the compressor's fold strategy here. Both tags it ever wrote
+    // restore into the one compressor: the structural-era fold (`1`)
+    // produced the same nodes byte for byte.
+    if d.version() == V1 {
+        match d.u8()? {
+            0 | 1 => {}
+            t => return Err(corrupt(format!("bad strategy tag {t}"))),
         }
-        comms.insert(id, members);
     }
-    let nnodes = d.len()?;
-    let mut nodes = Vec::with_capacity(nnodes);
-    for _ in 0..nnodes {
-        nodes.push(dec_node(&mut d, 0)?);
-    }
-    if d.pos != d.buf.len() {
-        return Err(corrupt("trailing bytes after payload"));
-    }
+    let comms = dec_comms(&mut d, nranks)?;
+    let (nodes, _) = dec_nodes(&mut d, nranks, 0)?;
+    d.finish()?;
     let seq = TailCompressor::from_nodes(max_window, nodes);
     Ok(Tracer::restore(
         rank,
@@ -757,11 +687,7 @@ impl CheckpointConfig {
 /// so a crash mid-write leaves the previous checkpoint intact, never a
 /// truncated one).
 pub fn write_checkpoint(cfg: &CheckpointConfig, tracer: &Tracer) -> Result<(), SnapshotError> {
-    let path = cfg.rank_path(tracer.rank());
-    let tmp = path.with_extension("ckpt.tmp");
-    std::fs::write(&tmp, checkpoint_bytes(tracer))?;
-    std::fs::rename(&tmp, &path)?;
-    Ok(())
+    write_atomic(&cfg.rank_path(tracer.rank()), &checkpoint_bytes(tracer))
 }
 
 /// Load `rank`'s checkpoint under `cfg`. `Ok(None)` when no checkpoint
@@ -914,6 +840,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::CommTable;
 
     fn sample_tracer() -> Tracer {
         // Drive nodes through the real compressor so loops, histograms, and
@@ -996,18 +923,59 @@ mod tests {
     #[test]
     fn wrong_version_is_rejected() {
         let t = sample_tracer();
-        let mut bytes = checkpoint_bytes(&t);
-        bytes[4] = 99; // version lives right after the 4-byte magic
-                       // fix up the checksum so only the version is wrong
-        let body_len = bytes.len() - 8;
-        let mut h = Fnv1a::new();
-        h.write(&bytes[..body_len]);
-        let sum = h.finish().to_le_bytes();
-        bytes[body_len..].copy_from_slice(&sum);
-        let err = match tracer_from_checkpoint(&bytes) {
-            Err(e) => e,
-            Ok(_) => panic!("wrong version must not decode"),
+        for version in [0u8, 3, 99] {
+            let mut bytes = checkpoint_bytes(&t);
+            bytes[4] = version; // version lives right after the 4-byte magic
+            crate::frame::refresh_checksum(&mut bytes);
+            let err = match tracer_from_checkpoint(&bytes) {
+                Err(e) => e,
+                Ok(_) => panic!("wrong version must not decode"),
+            };
+            let want = format!("unsupported version {version}");
+            assert!(err.to_string().contains(&want), "{err}");
+        }
+    }
+
+    #[test]
+    fn statistics_records_obey_the_histogram_invariants() {
+        // One event whose statistics are the payload's last bytes, so a
+        // hand-written record can replace them.
+        let mut c = TailCompressor::new(crate::compress::DEFAULT_MAX_WINDOW);
+        c.push(TraceNode::Event(Rsd {
+            ranks: RankSet::single(0),
+            sig: 1,
+            op: OpTemplate::Wait {
+                count: ValParam::Const(1),
+            },
+            compute: TimeStats::of(SimDuration::from_nanos(5)),
+        }));
+        let t = Tracer::restore(0, 1, c, CommTable::world(1), SimTime::ZERO, 1);
+        let good = checkpoint_bytes(&t);
+        // count 1 · sum 5 · min 5 · max 5 · nbins 1 · (bin 3, count 1)
+        let record = [1, 5, 5, 5, 1, 3, 1];
+        let at = good.len() - 8 - record.len();
+        assert_eq!(good[at..good.len() - 8], record);
+        let with = |record: &[u8]| {
+            let mut bytes = good[..at].to_vec();
+            bytes.extend_from_slice(record);
+            bytes.extend_from_slice(&[0; 8]);
+            crate::frame::refresh_checksum(&mut bytes);
+            tracer_from_checkpoint(&bytes).map(|t| t.nodes().to_vec())
         };
-        assert!(err.to_string().contains("version"), "{err}");
+        assert_eq!(with(&record).unwrap(), t.nodes());
+        for (bad, why) in [
+            (&[1, 5, 5, 5, 1, 64, 1][..], "bin 64 out of"),
+            (&[2, 10, 5, 5, 2, 3, 1, 3, 1][..], "bin 3 out of"),
+            (&[2, 10, 5, 5, 2, 3, 1, 2, 1][..], "bin 2 out of"),
+            (&[1, 5, 5, 5, 1, 3, 0][..], "listed empty"),
+            (&[1, 5, 5, 5, 65][..], "length exceeds payload"),
+        ] {
+            let err = with(bad).expect_err(why).to_string();
+            assert!(err.contains(why), "{bad:?}: {err}");
+        }
+        let mut many = vec![1, 5, 5, 5, 65];
+        many.extend((0..65).flat_map(|b| [b, 1]));
+        let err = with(&many).expect_err("65 bins").to_string();
+        assert!(err.contains("lists 65 bins"), "{err}");
     }
 }

@@ -12,7 +12,7 @@
 //! verified prefix trace in the same [`PartialTracedRun`] shape rank crashes
 //! already produce.
 //!
-//! Every file shares the STCP framing, little-endian throughout:
+//! Every file is a [`crate::frame`] frame, the one STCP checkpoints use:
 //!
 //! ```text
 //! magic "STBS" · version u32 · kind u8 · payload · FNV-1a checksum u64
@@ -23,9 +23,10 @@
 //! the campaign cache) and a capture segment (`kind 1`, carrying rank,
 //! world size, segment index, cumulative event count, the rank's
 //! communicator table as of sealing, the sealed nodes, and a `last` flag
-//! marking clean completion). A truncated, bit-flipped, or wrong-version
-//! file decodes to [`SnapshotError::Corrupt`], never to a silently wrong
-//! trace.
+//! marking clean completion). Files are written at the newest format
+//! version and read at every version ever written — a stream directory may
+//! mix them. A truncated, bit-flipped, or unknown-version file decodes to
+//! [`SnapshotError::Corrupt`], never to a silently wrong trace.
 //!
 //! # Seal/reload and byte-identity
 //!
@@ -53,12 +54,12 @@
 
 use crate::collect::{PartialTracedRun, Tracer};
 use crate::compress::DEFAULT_MAX_WINDOW;
+use crate::frame::{dec_comms, dec_nranks, enc_comms, write_atomic, Dec, Enc};
 use crate::merge::merge_sequences;
-use crate::snapshot::{corrupt, dec_node, enc_node, Dec, Enc, SnapshotError};
+use crate::snapshot::{corrupt, dec_nodes, enc_nodes, SnapshotError};
 use crate::trace::{CommTable, Trace, TraceNode};
 use mpisim::ctx::Ctx;
 use mpisim::hooks::{Event, Hook};
-use mpisim::types::Fnv1a;
 use mpisim::world::World;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -66,128 +67,45 @@ use std::time::Duration;
 /// File magic of an STBS file ("ScalaTrace Binary Segments").
 pub const MAGIC: [u8; 4] = *b"STBS";
 
-/// Current STBS format version.
-pub const VERSION: u32 = 1;
-
 /// Payload kind: a whole merged trace (the binary twin of the text format).
 const KIND_TRACE: u8 = 0;
 /// Payload kind: one sealed capture segment of one rank.
 const KIND_SEGMENT: u8 = 1;
 
-/// Sanity cap on the world size a decoded file may claim. The checksum
-/// already rejects accidental corruption; this bounds the allocation a
-/// deliberately crafted file can trigger.
-const MAX_NRANKS: usize = 1 << 24;
-
-// ------------------------------------------------------------------ framing
-
-fn finish_frame(mut e: Enc) -> Vec<u8> {
-    let mut h = Fnv1a::new();
-    h.write(&e.0);
-    let sum = h.finish();
-    e.u64(sum);
-    e.0
-}
-
-fn open_frame(bytes: &[u8]) -> Result<(u8, Dec<'_>), SnapshotError> {
-    if bytes.len() < MAGIC.len() + 4 + 1 + 8 {
-        return Err(corrupt("file shorter than frame"));
-    }
-    let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-    let mut h = Fnv1a::new();
-    h.write(body);
-    if h.finish() != stored {
-        return Err(corrupt("checksum mismatch"));
-    }
-    if body[..MAGIC.len()] != MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let mut d = Dec {
-        buf: body,
-        pos: MAGIC.len(),
-    };
-    let version = d.u32()?;
-    if version != VERSION {
-        return Err(corrupt(format!("unsupported version {version}")));
-    }
+/// Open an STBS frame of the given payload kind.
+fn open_kind<'a>(bytes: &'a [u8], want: u8, what: &str) -> Result<Dec<'a>, SnapshotError> {
+    let mut d = Dec::open(bytes, MAGIC)?;
     let kind = d.u8()?;
-    Ok((kind, d))
-}
-
-fn enc_comms(e: &mut Enc, comms: &CommTable) {
-    let ids: Vec<u32> = comms.ids().collect();
-    e.usize(ids.len());
-    for id in ids {
-        e.u32(id);
-        let members = comms.members(id);
-        e.usize(members.len());
-        for &m in members {
-            e.usize(m);
-        }
+    if kind != want {
+        return Err(corrupt(format!(
+            "expected {what} payload, found kind {kind}"
+        )));
     }
-}
-
-fn dec_comms(d: &mut Dec, nranks: usize) -> Result<CommTable, SnapshotError> {
-    let mut comms = CommTable::world(nranks);
-    let ncomms = d.len()?;
-    for _ in 0..ncomms {
-        let id = d.u32()?;
-        let n = d.len()?;
-        let mut members = Vec::with_capacity(n);
-        for _ in 0..n {
-            members.push(d.usize()?);
-        }
-        comms.insert(id, members);
-    }
-    Ok(comms)
-}
-
-fn dec_nranks(d: &mut Dec) -> Result<usize, SnapshotError> {
-    let nranks = d.usize()?;
-    if nranks == 0 || nranks > MAX_NRANKS {
-        return Err(corrupt(format!("implausible world size {nranks}")));
-    }
-    Ok(nranks)
+    Ok(d)
 }
 
 // -------------------------------------------------------------- whole trace
 
 /// Serialise a merged trace as a whole-trace STBS file (the checksummed
 /// binary twin of [`crate::text::to_text`], but lossless: timing histograms
-/// are stored verbatim, not summarised to count × mean).
+/// are stored exactly, not summarised to count × mean).
 pub fn trace_to_bytes(trace: &Trace) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.0.extend_from_slice(&MAGIC);
-    e.u32(VERSION);
+    let mut e = Enc::open(MAGIC);
     e.u8(KIND_TRACE);
     e.usize(trace.nranks);
     enc_comms(&mut e, &trace.comms);
-    e.usize(trace.nodes.len());
-    for n in &trace.nodes {
-        enc_node(&mut e, n);
-    }
-    finish_frame(e)
+    enc_nodes(&mut e, &trace.nodes);
+    e.seal()
 }
 
-/// Decode a whole-trace STBS file, verifying frame, version, and checksum.
+/// Decode a whole-trace STBS file of any format version, verifying frame
+/// and checksum.
 pub fn trace_from_bytes(bytes: &[u8]) -> Result<Trace, SnapshotError> {
-    let (kind, mut d) = open_frame(bytes)?;
-    if kind != KIND_TRACE {
-        return Err(corrupt(format!(
-            "expected whole-trace payload, found kind {kind}"
-        )));
-    }
+    let mut d = open_kind(bytes, KIND_TRACE, "whole-trace")?;
     let nranks = dec_nranks(&mut d)?;
     let comms = dec_comms(&mut d, nranks)?;
-    let nnodes = d.len()?;
-    let mut nodes = Vec::with_capacity(nnodes);
-    for _ in 0..nnodes {
-        nodes.push(dec_node(&mut d, 0)?);
-    }
-    if d.pos != d.buf.len() {
-        return Err(corrupt("trailing bytes after payload"));
-    }
+    let (nodes, _) = dec_nodes(&mut d, nranks, 0)?;
+    d.finish()?;
     Ok(Trace {
         nranks,
         nodes,
@@ -218,33 +136,51 @@ pub struct Segment {
     pub nodes: Vec<TraceNode>,
 }
 
-/// Serialise one capture segment.
-pub fn segment_to_bytes(seg: &Segment) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.0.extend_from_slice(&MAGIC);
-    e.u32(VERSION);
-    e.u8(KIND_SEGMENT);
-    e.usize(seg.rank);
-    e.usize(seg.nranks);
-    e.u64(seg.index);
-    e.u64(seg.events_end);
-    e.bool(seg.last);
-    enc_comms(&mut e, &seg.comms);
-    e.usize(seg.nodes.len());
-    for n in &seg.nodes {
-        enc_node(&mut e, n);
-    }
-    finish_frame(e)
+/// A segment's fields, borrowed: what sealing encodes from, so the capture
+/// hook clones neither its nodes nor its communicator table.
+struct SegmentRef<'a> {
+    rank: usize,
+    nranks: usize,
+    index: u64,
+    events_end: u64,
+    last: bool,
+    comms: &'a CommTable,
+    nodes: &'a [TraceNode],
 }
 
-/// Decode one capture segment, verifying frame, version, and checksum.
-pub fn segment_from_bytes(bytes: &[u8]) -> Result<Segment, SnapshotError> {
-    let (kind, mut d) = open_frame(bytes)?;
-    if kind != KIND_SEGMENT {
-        return Err(corrupt(format!(
-            "expected segment payload, found kind {kind}"
-        )));
+impl SegmentRef<'_> {
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut e = Enc::open(MAGIC);
+        e.u8(KIND_SEGMENT);
+        e.usize(self.rank);
+        e.usize(self.nranks);
+        e.u64(self.index);
+        e.u64(self.events_end);
+        e.bool(self.last);
+        enc_comms(&mut e, self.comms);
+        enc_nodes(&mut e, self.nodes);
+        e.seal()
     }
+}
+
+/// Serialise one capture segment.
+pub fn segment_to_bytes(seg: &Segment) -> Vec<u8> {
+    SegmentRef {
+        rank: seg.rank,
+        nranks: seg.nranks,
+        index: seg.index,
+        events_end: seg.events_end,
+        last: seg.last,
+        comms: &seg.comms,
+        nodes: &seg.nodes,
+    }
+    .to_bytes()
+}
+
+/// Decode one capture segment of any format version, verifying frame and
+/// checksum.
+pub fn segment_from_bytes(bytes: &[u8]) -> Result<Segment, SnapshotError> {
+    let mut d = open_kind(bytes, KIND_SEGMENT, "segment")?;
     let rank = d.usize()?;
     let nranks = dec_nranks(&mut d)?;
     if rank >= nranks {
@@ -254,14 +190,8 @@ pub fn segment_from_bytes(bytes: &[u8]) -> Result<Segment, SnapshotError> {
     let events_end = d.u64()?;
     let last = d.bool()?;
     let comms = dec_comms(&mut d, nranks)?;
-    let nnodes = d.len()?;
-    let mut nodes = Vec::with_capacity(nnodes);
-    for _ in 0..nnodes {
-        nodes.push(dec_node(&mut d, 0)?);
-    }
-    if d.pos != d.buf.len() {
-        return Err(corrupt("trailing bytes after payload"));
-    }
+    let (nodes, _) = dec_nodes(&mut d, nranks, 0)?;
+    d.finish()?;
     Ok(Segment {
         rank,
         nranks,
@@ -271,6 +201,10 @@ pub fn segment_from_bytes(bytes: &[u8]) -> Result<Segment, SnapshotError> {
         comms,
         nodes,
     })
+}
+
+fn read_segment(path: &Path) -> Result<Segment, SnapshotError> {
+    segment_from_bytes(&std::fs::read(path)?)
 }
 
 /// File name of `rank`'s segment `index` inside a stream directory.
@@ -443,15 +377,12 @@ impl StreamingTracer {
     fn reload_last(&mut self) {
         let index = self.next_index - 1;
         let path = self.cfg.rank_segment_path(self.inner.rank(), index);
-        let seg = std::fs::read(&path)
-            .map_err(SnapshotError::Io)
-            .and_then(|b| segment_from_bytes(&b))
-            .unwrap_or_else(|e| {
-                panic!(
-                    "stream capture: cannot reload sealed segment {}: {e}",
-                    path.display()
-                )
-            });
+        let seg = read_segment(&path).unwrap_or_else(|e| {
+            panic!(
+                "stream capture: cannot reload sealed segment {}: {e}",
+                path.display()
+            )
+        });
         // The segment is about to be re-folded together with newer events,
         // so its on-disk version is stale. Remove it before mutating
         // in-memory state: a crash right after the remove salvages one
@@ -483,22 +414,22 @@ impl StreamingTracer {
             return Ok(());
         }
         let k = len - keep;
-        let sealed_nodes = self.inner.compressor().nodes()[..k].to_vec();
+        let sealed_nodes = &self.inner.compressor().nodes()[..k];
         let sealed_events: u64 = sealed_nodes
             .iter()
             .map(TraceNode::concrete_event_count)
             .sum();
-        let seg = Segment {
+        let seg = SegmentRef {
             rank: self.inner.rank(),
             nranks: self.inner.nranks(),
             index: self.next_index,
             events_end: self.events_sealed + sealed_events,
             last,
-            comms: self.inner.comms_ref().clone(),
+            comms: self.inner.comms_ref(),
             nodes: sealed_nodes,
         };
         let path = self.cfg.rank_segment_path(seg.rank, seg.index);
-        match write_segment_atomic(&path, &segment_to_bytes(&seg)) {
+        match write_atomic(&path, &seg.to_bytes()) {
             Ok(()) => {
                 self.inner.compressor_mut().drop_prefix(k);
                 self.events_sealed += sealed_events;
@@ -552,22 +483,6 @@ impl Hook for StreamingTracer {
             let _ = self.seal(false);
         }
     }
-}
-
-fn write_segment_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
-    let tmp = tmp_sibling(path);
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
-fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    name.push_str(".tmp");
-    path.with_file_name(name)
 }
 
 // ------------------------------------------------------------- run entry
@@ -744,17 +659,14 @@ pub fn salvage_dir(dir: &Path) -> Result<(Trace, SalvageReport), SnapshotError> 
         }
     }
     names.sort();
-    let mut nranks = None;
-    for name in &names {
-        if let Ok(seg) = std::fs::read(dir.join(name))
-            .map_err(SnapshotError::Io)
-            .and_then(|b| segment_from_bytes(&b))
-        {
-            nranks = Some(seg.nranks);
-            break;
-        }
-    }
-    let Some(nranks) = nranks else {
+    // The first intact segment names the world size; its decoded form is
+    // kept for the chain walk below, which would otherwise decode it again.
+    let mut first = names.iter().find_map(|name| {
+        let path = dir.join(name);
+        let seg = read_segment(&path).ok()?;
+        Some((path, seg))
+    });
+    let Some(nranks) = first.as_ref().map(|(_, seg)| seg.nranks) else {
         return Err(corrupt(format!(
             "nothing to salvage in {}: no intact segment",
             dir.display()
@@ -775,17 +687,17 @@ pub fn salvage_dir(dir: &Path) -> Result<(Trace, SalvageReport), SnapshotError> 
         let mut nodes: Vec<TraceNode> = Vec::new();
         for index in 0.. {
             let path = dir.join(segment_name(rank, index));
-            let bytes = match std::fs::read(&path) {
-                Ok(b) => b,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
-                Err(e) => return Err(SnapshotError::Io(e)),
-            };
-            let seg = match segment_from_bytes(&bytes) {
-                Ok(seg) => seg,
-                Err(e) => {
-                    r.quarantined.push((quarantine_file(&path), e.to_string()));
-                    break;
-                }
+            let seg = match first.take_if(|(p, _)| *p == path) {
+                Some((_, seg)) => seg,
+                None => match read_segment(&path) {
+                    Ok(seg) => seg,
+                    Err(SnapshotError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => break,
+                    Err(SnapshotError::Io(e)) => return Err(SnapshotError::Io(e)),
+                    Err(e) => {
+                        r.quarantined.push((quarantine_file(&path), e.to_string()));
+                        break;
+                    }
+                },
             };
             if seg.rank != rank || seg.index != index || seg.nranks != nranks {
                 r.quarantined.push((
@@ -797,11 +709,13 @@ pub fn salvage_dir(dir: &Path) -> Result<(Trace, SalvageReport), SnapshotError> 
                 ));
                 break;
             }
-            let before = nodes.len();
-            nodes.extend(seg.nodes);
-            let concrete: u64 = nodes.iter().map(TraceNode::concrete_event_count).sum();
-            if concrete != seg.events_end {
-                nodes.truncate(before);
+            // A running count: the chain so far is already verified, so only
+            // the new segment's events are added (the decoder proved each
+            // segment's own count fits in u64; the chain's is held to it
+            // by the comparison).
+            let added: u64 = seg.nodes.iter().map(TraceNode::concrete_event_count).sum();
+            let concrete = r.events as u128 + added as u128;
+            if concrete != seg.events_end as u128 {
                 r.quarantined.push((
                     quarantine_file(&path),
                     format!(
@@ -811,9 +725,10 @@ pub fn salvage_dir(dir: &Path) -> Result<(Trace, SalvageReport), SnapshotError> 
                 ));
                 break;
             }
+            nodes.extend(seg.nodes);
             comms.merge(&seg.comms);
             r.segments += 1;
-            r.events = concrete;
+            r.events = seg.events_end;
             r.complete = seg.last;
         }
         chains.push(nodes);
@@ -871,10 +786,7 @@ pub fn fsck_dir(dir: &Path) -> Result<StreamFsckReport, SnapshotError> {
         let Some((rank, index)) = parse_segment_name(&name) else {
             continue;
         };
-        match std::fs::read(&path)
-            .map_err(SnapshotError::Io)
-            .and_then(|b| segment_from_bytes(&b))
-        {
+        match read_segment(&path) {
             Ok(seg) if seg.rank != rank || seg.index != index => {
                 report.quarantined.push((
                     quarantine_file(&path),
@@ -1180,5 +1092,80 @@ mod tests {
         assert!(run.salvage.complete());
         assert_eq!(run.salvage.events(), 0);
         assert_eq!(run.run.trace.concrete_event_count(), 0);
+    }
+
+    #[test]
+    fn a_long_chain_salvages_exactly_and_an_events_end_lie_stops_it_there() {
+        // window 1 under the smallest budget: nothing folds, every third
+        // node seals a segment, and 200 iterations leave 200-file chains
+        let dir = temp_dir("long");
+        let cfg = StreamConfig::new(&dir, 0).with_max_window(1);
+        let world = || World::new(2).network(network::ideal());
+        let run = trace_world_streamed(world(), 2, &cfg, unfoldable_app(200)).expect("streamed");
+        let full = trace_world(world(), 2, unfoldable_app(200)).unwrap().trace;
+        let (trace, report) = salvage_dir(&dir).expect("salvage");
+        assert_eq!(trace, full, "the salvaged chain is the unbounded capture");
+        assert_eq!(trace, run.run.trace);
+        assert_eq!(report.to_string(), run.salvage.to_string());
+        assert!(report.complete());
+        assert_eq!(report.events(), full.concrete_event_count());
+        for r in &report.ranks {
+            assert!(
+                r.segments >= 200,
+                "rank {}: {} segments",
+                r.rank,
+                r.segments
+            );
+            assert_eq!(r.events, 601);
+        }
+
+        // rank 1's segment 120 overstates the chain's events by one
+        let victim = dir.join(segment_name(1, 120));
+        let mut seg = read_segment(&victim).unwrap();
+        let honest = seg.events_end;
+        seg.events_end += 1;
+        std::fs::write(&victim, segment_to_bytes(&seg)).unwrap();
+        let (trace, lied) = salvage_dir(&dir).expect("salvage");
+        assert_eq!(lied.ranks[1].segments, 120, "the chain stops at the lie");
+        assert!(!lied.ranks[1].complete);
+        let prefix = read_segment(&dir.join(segment_name(1, 119))).unwrap();
+        assert_eq!(lied.ranks[1].events, prefix.events_end);
+        let (path, why) = &lied.ranks[1].quarantined[0];
+        assert_eq!(
+            *why,
+            format!(
+                "event-count mismatch: chain holds {honest}, segment declares {}",
+                honest + 1
+            )
+        );
+        assert!(path.ends_with(format!("{}.quarantined", segment_name(1, 120))));
+        assert!(path.exists() && !victim.exists());
+        // rank 0 is untouched, and the trace is the verified prefix
+        assert_eq!(lied.ranks[0].segments, report.ranks[0].segments);
+        assert!(lied.ranks[0].complete);
+        assert_eq!(trace.concrete_event_count(), lied.events());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unknown_versions_are_a_structured_error_for_traces_and_segments() {
+        let dir = temp_dir("version");
+        streamed_unfoldable(&dir, 12, 10, 2);
+        let segment = std::fs::read(dir.join(segment_name(0, 0))).unwrap();
+        let trace = trace_to_bytes(&salvage_dir(&dir).unwrap().0);
+        for version in [0u32, 3, 99] {
+            let want = format!("unsupported version {version}");
+            let mut bytes = segment.clone();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            crate::frame::refresh_checksum(&mut bytes);
+            let err = segment_from_bytes(&bytes).expect_err("unknown version");
+            assert!(err.to_string().contains(&want), "{err}");
+            let mut bytes = trace.clone();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            crate::frame::refresh_checksum(&mut bytes);
+            let err = trace_from_bytes(&bytes).expect_err("unknown version");
+            assert!(err.to_string().contains(&want), "{err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

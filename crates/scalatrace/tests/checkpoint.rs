@@ -258,58 +258,76 @@ fn checkpoints_are_written_atomically_no_tmp_left_behind() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Overwrite the v1 fold-strategy byte of every rank's checkpoint and fix
-/// up the trailing FNV-1a checksum, so only the tag differs.
-fn patch_strategy_tag(cfg: &CheckpointConfig, n: usize, tag: u8) {
+/// The frozen v1 checkpoints (`fixtures/v1/checkpoints`, written by the
+/// last commit whose writer emitted v1) and the application they were
+/// captured from.
+#[path = "fixtures/v1/apps.rs"]
+mod v1;
+
+/// A scratch copy of the v1 checkpoints with every file's fold-strategy
+/// byte overwritten and the trailing FNV-1a checksum fixed up, so only the
+/// tag differs from what the v1 writer produced.
+fn v1_checkpoints_with_strategy_tag(tag: u8) -> CheckpointConfig {
     // magic · version u32 · rank · nranks · events_seen · last_exit ·
-    // max_window (u64 each), then the tag.
+    // max_window (u64 each in v1), then the tag.
     const TAG_AT: usize = 4 + 4 + 5 * 8;
-    for r in 0..n {
-        let path = cfg.rank_path(r);
-        let mut bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes[TAG_AT], 0, "the writer emits the fingerprint tag");
+    let cfg = CheckpointConfig::new(temp_dir("v1-tag"), v1::CKPT_EVERY);
+    std::fs::create_dir_all(cfg.dir()).unwrap();
+    let frozen =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1/checkpoints");
+    for r in 0..v1::CKPT_RANKS {
+        let name = cfg.rank_path(r);
+        let mut bytes = std::fs::read(frozen.join(name.file_name().unwrap())).unwrap();
+        assert_eq!(bytes[4..8], 1u32.to_le_bytes(), "the fixtures are v1 files");
+        assert_eq!(
+            bytes[TAG_AT], 0,
+            "the v1 writer emitted the fingerprint tag"
+        );
         bytes[TAG_AT] = tag;
         let body_len = bytes.len() - 8;
         let mut h = mpisim::types::Fnv1a::new();
         h.write(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&h.finish().to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
+        std::fs::write(&name, &bytes).unwrap();
     }
+    cfg
 }
 
 #[test]
 fn structural_era_checkpoints_resume_and_unknown_tags_are_refused() {
-    const N: usize = 4;
-    let full = trace_world(World::new(N), N, app(7, 256)).unwrap();
+    const N: usize = v1::CKPT_RANKS;
+    let app = || v1::ring_app(v1::CKPT_ITERS, v1::CKPT_BYTES);
+    let full = trace_world(World::new(N), N, app()).unwrap();
 
-    let dir = temp_dir("tag");
-    let cfg = CheckpointConfig::new(&dir, 3);
-    let crashed = trace_world_checkpointed(
-        World::new(N).faults(FaultPlan::seeded(5).crash_rank(2, 11)),
-        N,
-        &cfg,
-        app(7, 256),
-    )
-    .unwrap();
-    assert!(!crashed.completed());
+    // The fixtures are what the run crashing rank 2 at event 11 left behind.
+    // Tag 0 is what v1 wrote; tag 1 was the compressor's structural-fold
+    // mode. Both restore into the one compressor and finish with the
+    // uninterrupted run's bytes.
+    for tag in [0, 1] {
+        let cfg = v1_checkpoints_with_strategy_tag(tag);
+        let resumed = trace_world_resumed(World::new(N), N, &cfg, app()).unwrap();
+        assert!(resumed.completed());
+        assert_eq!(
+            scalatrace::stream::trace_to_bytes(&resumed.trace),
+            scalatrace::stream::trace_to_bytes(&full.trace)
+        );
+        assert_eq!(text::to_text(&resumed.trace), text::to_text(&full.trace));
+        // The completed resume rewrote every checkpoint at the current
+        // version, which has no strategy byte at all.
+        for r in 0..N {
+            let bytes = std::fs::read(cfg.rank_path(r)).unwrap();
+            assert_eq!(
+                scalatrace::frame::peek_version(&bytes),
+                Some(scalatrace::frame::VERSION)
+            );
+        }
+        let _ = std::fs::remove_dir_all(cfg.dir());
+    }
 
-    // Tag 1 was the compressor's structural-fold mode: it restores into the
-    // one compressor and finishes with the uninterrupted run's bytes.
-    patch_strategy_tag(&cfg, N, 1);
-    let resumed = trace_world_resumed(World::new(N), N, &cfg, app(7, 256)).unwrap();
-    assert!(resumed.completed());
-    assert_eq!(
-        scalatrace::stream::trace_to_bytes(&resumed.trace),
-        scalatrace::stream::trace_to_bytes(&full.trace)
-    );
-    assert_eq!(text::to_text(&resumed.trace), text::to_text(&full.trace));
-
-    // The completed resume rewrote the checkpoints with tag 0; anything
-    // past 1 is a structured error, not a panic.
-    patch_strategy_tag(&cfg, N, 2);
-    let err = trace_world_resumed(World::new(N), N, &cfg, app(7, 256))
+    // Anything past 1 is a structured error, not a panic.
+    let cfg = v1_checkpoints_with_strategy_tag(2);
+    let err = trace_world_resumed(World::new(N), N, &cfg, app())
         .expect_err("an unknown strategy tag must be rejected");
     assert!(err.to_string().contains("bad strategy tag 2"), "{err}");
-
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(cfg.dir());
 }

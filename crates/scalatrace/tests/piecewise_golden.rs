@@ -2,14 +2,17 @@
 //!
 //! The fixtures under `tests/fixtures/` pin the on-disk contract:
 //!
-//! * `piecewise_v1.txt` / `piecewise_v1.stbs` — text and binary encodings
+//! * `piecewise_v1.txt` / `piecewise_v2.stbs` — text and binary encodings
 //!   of a trace exercising every symbolic form (piecewise peers, linear
 //!   and piecewise sizes, piecewise communicators, plus the dense
 //!   per-rank escape hatch). Both must round-trip byte-identically.
+//! * `piecewise_v1.stbs` — the same trace as STBS v1 wrote it (fixed-width
+//!   integers, 64 dense histogram bins). Nothing writes v1 any more, so
+//!   this file is read-only: it must decode forever, to the same trace.
 //! * `dense_legacy_v1.txt` — a pre-piecewise trace using only the legacy
 //!   tags (`c`/`o`/`m`/`x`/`p`). Old traces must keep parsing forever.
 //!
-//! Regenerate after an intentional format change with:
+//! Regenerate the written formats after an intentional format change with:
 //!
 //! ```text
 //! PIECEWISE_GOLDEN_REGEN=1 cargo test -p scalatrace --test piecewise_golden
@@ -173,7 +176,7 @@ fn piecewise_text_encoding_is_pinned_and_roundtrips() {
 fn piecewise_binary_encoding_is_pinned_and_roundtrips() {
     let t = piecewise_trace();
     let bytes = trace_to_bytes(&t);
-    check_golden("piecewise_v1.stbs", &bytes);
+    check_golden("piecewise_v2.stbs", &bytes);
 
     let back = trace_from_bytes(&bytes).expect("pinned STBS parses");
     assert_eq!(
@@ -182,6 +185,25 @@ fn piecewise_binary_encoding_is_pinned_and_roundtrips() {
         "binary round-trip is not byte-identical"
     );
     scalatrace::semantically_equal(&t, &back).expect("decoded trace is semantically identical");
+}
+
+#[test]
+fn the_v1_binary_encoding_still_decodes_and_upgrades_to_v2() {
+    let v1 = std::fs::read(fixture_path("piecewise_v1.stbs")).expect("v1 fixture is checked in");
+    assert_eq!(scalatrace::frame::peek_version(&v1), Some(1));
+    let t = trace_from_bytes(&v1).expect("v1 STBS parses");
+    assert_eq!(
+        t,
+        piecewise_trace(),
+        "v1 decodes to the trace it was written from"
+    );
+    // re-encoding a v1 file yields the v2 bytes of the same trace
+    let v2 = trace_to_bytes(&t);
+    assert_eq!(scalatrace::frame::peek_version(&v2), Some(2));
+    assert_eq!(v2, trace_to_bytes(&piecewise_trace()));
+    // the lossless form is the smaller one now, by a wide margin
+    assert!(v2.len() * 6 < v1.len(), "{} vs {}", v2.len(), v1.len());
+    assert!(v2.len() < to_text(&t).len());
 }
 
 #[test]

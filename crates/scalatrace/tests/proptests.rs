@@ -34,6 +34,33 @@ proptest! {
         }
     }
 
+    /// The binary decoders rebuild sets from stored runs: every set the
+    /// crate builds must be accepted back as itself, and only inside a
+    /// world that holds its largest member.
+    #[test]
+    fn rankset_runs_are_accepted_back_exactly_and_only_inside_the_world(
+        ranks in proptest::collection::vec(0usize..512, 0..64),
+    ) {
+        let set = RankSet::from_ranks(ranks);
+        let world = set.max_rank().map_or(0, |m| m + 1);
+        prop_assert_eq!(RankSet::from_runs(set.runs().to_vec(), world), Ok(set.clone()));
+        if world > 0 {
+            prop_assert!(RankSet::from_runs(set.runs().to_vec(), world - 1).is_err());
+        }
+        // the same members split into other runs are not the same value
+        if let Some(first) = set.runs().first().filter(|r| r.count > 2) {
+            let mut split = set.runs().to_vec();
+            split[0].count = 1;
+            split[0].stride = 1;
+            split.insert(1, scalatrace::rankset::Run {
+                start: first.start + first.stride,
+                stride: first.stride,
+                count: first.count - 1,
+            });
+            prop_assert!(RankSet::from_runs(split, world).is_err());
+        }
+    }
+
     #[test]
     fn rankset_union_is_set_union(
         a in proptest::collection::btree_set(0usize..256, 0..40),
@@ -1024,6 +1051,34 @@ impl DenseStats {
     }
 }
 
+/// The STBS v1 file of a one-event trace — rank 0 of 1 issuing `wait 1`
+/// from call site 1 — around a v1 statistics record, assembled by hand: v1
+/// wrote every integer little-endian at full width.
+fn v1_frame_around(record: &[u8]) -> Vec<u8> {
+    let mut out = b"STBS".to_vec();
+    out.extend_from_slice(&1u32.to_le_bytes()); // version
+    out.push(0); // kind: whole trace
+    let u64s = |out: &mut Vec<u8>, vs: &[u64]| {
+        for v in vs {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    };
+    u64s(&mut out, &[1, 1]); // nranks, one communicator:
+    out.extend_from_slice(&0u32.to_le_bytes()); // the world,
+    u64s(&mut out, &[1, 0]); // of one member, rank 0
+    u64s(&mut out, &[1]); // one node:
+    out.push(0); // an event
+    u64s(&mut out, &[1, 0, 1, 1]); // on one run, 0:1:1,
+    u64s(&mut out, &[1]); // with signature 1,
+    out.extend_from_slice(&[2, 1]); // a wait whose count is the constant
+    u64s(&mut out, &[1]); // 1,
+    out.extend_from_slice(record); // and its compute-time statistics
+    let mut h = mpisim::types::Fnv1a::new();
+    h.write(&out);
+    out.extend_from_slice(&h.finish().to_le_bytes());
+    out
+}
+
 #[derive(Clone, Debug)]
 enum StatsOp {
     Record(u64),
@@ -1133,7 +1188,8 @@ proptest! {
         );
         prop_assert_eq!(&direct, &t);
 
-        // on disk it is the v1 record of the dense histogram, byte for byte
+        // on disk: the v2 record round-trips both the inline and the
+        // spilled form, byte-identically ...
         let trace = Trace {
             nranks: 1,
             nodes: vec![TraceNode::Event(Rsd {
@@ -1145,8 +1201,12 @@ proptest! {
             comms: CommTable::world(1),
         };
         let bytes = scalatrace::stream::trace_to_bytes(&trace);
-        let record = d.encoded();
-        prop_assert_eq!(&bytes[bytes.len() - 8 - record.len()..bytes.len() - 8], &record[..]);
-        prop_assert_eq!(scalatrace::stream::trace_from_bytes(&bytes).unwrap(), trace);
+        let back = scalatrace::stream::trace_from_bytes(&bytes).unwrap();
+        prop_assert_eq!(&back, &trace);
+        prop_assert_eq!(scalatrace::stream::trace_to_bytes(&back), bytes);
+        // ... and the v1 record of the dense histogram, which nothing
+        // writes any more, still decodes to the same statistics
+        let v1 = v1_frame_around(&d.encoded());
+        prop_assert_eq!(scalatrace::stream::trace_from_bytes(&v1).unwrap(), trace);
     }
 }

@@ -246,7 +246,8 @@ const RESUME_USAGE: &str = "commbench resume --matrix FILE [--cache DIR] [--log 
      [--workers N] [--timeout SECS] [--retries N]";
 const FSCK_USAGE: &str = "commbench fsck [--cache DIR | --stream SEGMENT_DIR]";
 const CONVERT_USAGE: &str = "commbench convert INPUT OUTPUT \
-     (formats inferred from extensions: .st text, .stbs binary)";
+     (formats inferred from extensions: .st text, .stbs binary; \
+     any STBS version is read, the newest is written)";
 const CAPTURE_USAGE: &str = "commbench capture --app NAME [--ranks N] [--iterations N] \
      [--dir DIR] [--budget NODES] [--max-window N] [--network ideal|bgl|ethernet] \
      [--event-delay-us N] [--out TRACE.st|.stbs]";
@@ -1100,31 +1101,40 @@ fn main_fsck(args: FsckArgs) -> Verdict {
     Ok(report.clean())
 }
 
-/// Read a whole trace in the format its extension names.
-fn read_trace(path: &Path) -> Result<scalatrace::Trace, String> {
-    match trace_format_of(path).expect("validated at parse time") {
-        TraceFormat::Text => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            scalatrace::text::from_text(&text)
-                .map_err(|e| format!("cannot parse {}: {e}", path.display()))
-        }
-        TraceFormat::Binary => {
-            let bytes =
-                std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            scalatrace::stream::trace_from_bytes(&bytes)
-                .map_err(|e| format!("cannot decode {}: {e}", path.display()))
-        }
-    }
+/// `a.stbs (STBS v1, 3027 B)`: a trace file, its format and its size.
+fn describe(path: &Path, bytes: &[u8]) -> String {
+    let format = match trace_format_of(path).expect("validated at parse time") {
+        TraceFormat::Text => "text".to_string(),
+        TraceFormat::Binary => match scalatrace::frame::peek_version(bytes) {
+            Some(v) => format!("STBS v{v}"),
+            None => "STBS".to_string(),
+        },
+    };
+    format!("{} ({format}, {} B)", path.display(), bytes.len())
 }
 
-/// Write a whole trace in the format the extension names.
-fn write_trace(path: &Path, trace: &scalatrace::Trace) -> Result<(), String> {
+/// Read a whole trace in the format its extension names — any version of
+/// the binary one — and say what the file was.
+fn read_trace(path: &Path) -> Result<(scalatrace::Trace, String), String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let trace = match trace_format_of(path).expect("validated at parse time") {
+        TraceFormat::Text => scalatrace::text::from_text(&String::from_utf8_lossy(&bytes))
+            .map_err(|e| format!("cannot parse {}: {e}", path.display()))?,
+        TraceFormat::Binary => scalatrace::stream::trace_from_bytes(&bytes)
+            .map_err(|e| format!("cannot decode {}: {e}", path.display()))?,
+    };
+    Ok((trace, describe(path, &bytes)))
+}
+
+/// Write a whole trace in the format the extension names — the newest
+/// version of the binary one — and say what the file is.
+fn write_trace(path: &Path, trace: &scalatrace::Trace) -> Result<String, String> {
     let bytes = match trace_format_of(path).expect("validated at parse time") {
         TraceFormat::Text => scalatrace::text::to_text(trace).into_bytes(),
         TraceFormat::Binary => scalatrace::stream::trace_to_bytes(trace),
     };
-    std::fs::write(path, bytes).map_err(|e| format!("cannot write {}: {e}", path.display()))
+    std::fs::write(path, &bytes).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    Ok(describe(path, &bytes))
 }
 
 /// Commit a recovered trace before its report touches stdout: if the
@@ -1138,13 +1148,13 @@ fn write_recovered(out: &Option<PathBuf>, trace: &scalatrace::Trace) -> Result<(
     Ok(())
 }
 
+/// Converting is also the upgrade path of the binary format: any version
+/// is read, the newest is written, and both sides' sizes are reported.
 fn main_convert(args: ConvertArgs) -> Verdict {
-    let trace = read_trace(&args.input)?;
-    write_trace(&args.output, &trace)?;
+    let (trace, from) = read_trace(&args.input)?;
+    let to = write_trace(&args.output, &trace)?;
     eprintln!(
-        "converted {} -> {} ({} ranks, {} events)",
-        args.input.display(),
-        args.output.display(),
+        "converted {from} -> {to} ({} ranks, {} events)",
         trace.nranks,
         trace.concrete_event_count()
     );

@@ -35,8 +35,9 @@
 //! 1. **Exact counters may not rise** — they repeat run to run, so any
 //!    rise is a change in the algorithm, not noise: `crossings`; merge
 //!    `classes` / `rep_merges` / `lcs_cells` (at the committed pool width
-//!    only); stream `segments_sealed` / `segments_reloaded`; and the fresh
-//!    stream row must hold `peak_resident <= budget`.
+//!    only); stream `segments_sealed` / `segments_reloaded` /
+//!    `segment_bytes` (what the capture left on disk); and the fresh stream
+//!    row must hold `peak_resident <= budget`.
 //! 2. **Same-run ratios between two production paths may not rise more
 //!    than [`CHECK_TOLERANCE`]** — both legs alternate rep by rep in one
 //!    process, so the machine's speed cancels: `fold_ratio`,
@@ -295,6 +296,8 @@ pub struct StreamSuiteStats {
     pub budget: usize,
     /// Pooled per-rank counters (events/seals sum, peak takes the max).
     pub counters: StreamCounters,
+    /// Bytes of segment files the capture left on disk.
+    pub segment_bytes: u64,
 }
 
 /// A completed perf run.
@@ -820,11 +823,15 @@ fn stream_suite(cfg: &PerfConfig) -> Result<Suite, String> {
         scalatrace::trace_world_streamed(world(), STREAM_RANKS, &stream_cfg, body)
             .map_err(|e| format!("stream suite capture failed: {e}"))
     };
-    // The counters are deterministic; one untimed pass records them.
+    // The counters are deterministic; one untimed pass records them, and
+    // the size of what it sealed.
     let mut counters = StreamCounters::default();
     for c in &streamed()?.counters {
         counters.absorb(c);
     }
+    let segment_bytes = std::fs::read_dir(&dir)
+        .and_then(|entries| entries.map(|e| Ok(e?.metadata()?.len())).sum())
+        .map_err(|e| format!("stream suite cannot size {}: {e}", dir.display()))?;
     let (streamed_ns, unbounded_ns) = time_median_pair(
         cfg.warmup(),
         cfg.reps(),
@@ -844,6 +851,7 @@ fn stream_suite(cfg: &PerfConfig) -> Result<Suite, String> {
         stream_stats: Some(StreamSuiteStats {
             budget: stream_cfg.budget(),
             counters,
+            segment_bytes,
         }),
         ..Suite::new(
             format!("stream_capture_r{STREAM_RANKS}"),
@@ -998,6 +1006,7 @@ impl Suite {
             obj.push(("peak_resident".into(), num(c.peak_resident as u64)));
             obj.push(("segments_sealed".into(), num(c.segments_sealed)));
             obj.push(("segments_reloaded".into(), num(c.segments_reloaded)));
+            obj.push(("segment_bytes".into(), num(st.segment_bytes)));
             obj.push(("stream_events".into(), num(c.events)));
             obj.push(("seal_errors".into(), num(c.seal_errors)));
         }
@@ -1019,6 +1028,7 @@ impl Suite {
         if let Some(st) = &self.stream_stats {
             out.push(("segments_sealed", st.counters.segments_sealed));
             out.push(("segments_reloaded", st.counters.segments_reloaded));
+            out.push(("segment_bytes", st.segment_bytes));
         }
         out
     }
@@ -1454,7 +1464,7 @@ mod tests {
         assert!(errors[0].contains("interp_ratio 1.510"), "{}", errors[0]);
     }
 
-    fn stream_row(peak_resident: usize, sealed: u64, reloaded: u64) -> Suite {
+    fn stream_row(peak_resident: usize, sealed: u64, reloaded: u64, bytes: u64) -> Suite {
         let mut s = suite("stream_capture_r8", "stream", None);
         s.stream_stats = Some(StreamSuiteStats {
             budget: 192,
@@ -1465,19 +1475,23 @@ mod tests {
                 segments_reloaded: reloaded,
                 seal_errors: 0,
             },
+            segment_bytes: bytes,
         });
         s
     }
 
     #[test]
     fn check_gates_the_stream_counters_and_the_memory_bound() {
-        let old = committed(&report(vec![stream_row(190, 72, 0)]));
-        assert!(check_regressions(&report(vec![stream_row(192, 72, 0)]), &old).is_empty());
-        assert!(check_regressions(&report(vec![stream_row(100, 70, 0)]), &old).is_empty());
+        let old = committed(&report(vec![stream_row(190, 72, 0, 6000)]));
+        assert!(check_regressions(&report(vec![stream_row(192, 72, 0, 6000)]), &old).is_empty());
+        assert!(check_regressions(&report(vec![stream_row(100, 70, 0, 6000)]), &old).is_empty());
+        let smaller = stream_row(190, 72, 0, 5999);
+        assert!(check_regressions(&report(vec![smaller]), &old).is_empty());
         for (row, what) in [
-            (stream_row(190, 73, 0), "segments_sealed rose to 73"),
-            (stream_row(190, 72, 1), "segments_reloaded rose to 1"),
-            (stream_row(193, 72, 0), "broke its memory bound"),
+            (stream_row(190, 73, 0, 6000), "segments_sealed rose to 73"),
+            (stream_row(190, 72, 1, 6000), "segments_reloaded rose to 1"),
+            (stream_row(190, 72, 0, 6001), "segment_bytes rose to 6001"),
+            (stream_row(193, 72, 0, 6000), "broke its memory bound"),
         ] {
             let errors = check_regressions(&report(vec![row]), &old);
             assert_eq!(errors.len(), 1, "{errors:?}");
@@ -1586,12 +1600,13 @@ mod tests {
 
     #[test]
     fn stream_suite_json_carries_capture_counters() {
-        let json = parse_json(&stream_row(190, 72, 0).to_json().to_string()).unwrap();
+        let json = parse_json(&stream_row(190, 72, 0, 6000).to_json().to_string()).unwrap();
         for (key, want) in [
             ("budget", 192.0),
             ("peak_resident", 190.0),
             ("segments_sealed", 72.0),
             ("segments_reloaded", 0.0),
+            ("segment_bytes", 6000.0),
             ("stream_events", 2408.0),
             ("seal_errors", 0.0),
         ] {

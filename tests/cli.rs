@@ -377,6 +377,18 @@ fn commbench_convert_roundtrips_between_text_and_binary() {
         bin_path.to_str().unwrap(),
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
+    // Both sides are reported with format and size; the binary is written
+    // at the newest version and is the smaller file.
+    let sizes = format!(
+        "trace.st (text, {} B) -> {} (STBS v2, {} B)",
+        std::fs::metadata(&text_path).unwrap().len(),
+        bin_path.display(),
+        std::fs::metadata(&bin_path).unwrap().len()
+    );
+    assert!(stderr(&out).contains(&sizes), "{}", stderr(&out));
+    assert!(
+        std::fs::metadata(&bin_path).unwrap().len() < std::fs::metadata(&text_path).unwrap().len()
+    );
     let out = commbench(&[
         "convert",
         bin_path.to_str().unwrap(),
@@ -387,6 +399,24 @@ fn commbench_convert_roundtrips_between_text_and_binary() {
         std::fs::read(&text_path).unwrap(),
         std::fs::read(&back_path).unwrap(),
         "text -> stbs -> text is not byte-identical"
+    );
+
+    // Converting is the upgrade path: a v1 file is read and said to be one.
+    let v1 = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/scalatrace/tests/fixtures/piecewise_v1.stbs"
+    );
+    let upgraded = dir.join("upgraded.stbs");
+    let out = commbench(&["convert", v1, upgraded.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("piecewise_v1.stbs (STBS v1, 3027 B) -> "),
+        "{}",
+        stderr(&out)
+    );
+    assert_eq!(
+        std::fs::read(&upgraded).unwrap(),
+        std::fs::read(v1.replace("_v1.stbs", "_v2.stbs")).unwrap()
     );
 
     // binary -> text -> binary likewise (the trace is text-canonical

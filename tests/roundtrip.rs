@@ -88,6 +88,14 @@ fn every_registry_app_roundtrips_through_the_binary_format() {
         // text, and binary -> text -> binary on text-canonical traces
         // (`commbench convert` both directions).
         let text = to_text(&traced.trace);
+        // The lossless form may never again be the bigger one.
+        assert!(
+            bytes.len() < text.len(),
+            "{}: {} B of STBS for {} B of text",
+            app.name,
+            bytes.len(),
+            text.len()
+        );
         let via_binary = to_text(&trace_from_bytes(&trace_to_bytes(&traced.trace)).unwrap());
         assert_eq!(
             text, via_binary,
