@@ -99,15 +99,31 @@ impl JobError {
             cause: FailureCause::Fatal,
         }
     }
+}
 
-    /// A caught panic (constructed by the executor itself).
-    fn panic(message: impl Into<String>) -> JobError {
-        JobError {
-            message: message.into(),
+/// The isolation boundary every job body runs behind, here and in the
+/// server: a panic inside `f` becomes a [`FailureCause::Panic`] error
+/// whose message is `panic: <payload>`, never an unwinding worker.
+pub fn isolate<T>(f: impl FnOnce() -> Result<T, JobError>) -> Result<T, JobError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        let what = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("<non-string payload>");
+        Err(JobError {
+            message: format!("panic: {what}"),
             transient: false,
             cause: FailureCause::Panic,
-        }
-    }
+        })
+    })
+}
+
+/// Capped exponential backoff: the wait before attempt `attempt + 1` is
+/// `base * 2^(attempt - 1)`, at most `cap`. Attempts count from 1.
+pub fn backoff_delay(base: Duration, attempt: u32, cap: Duration) -> Duration {
+    let doublings = attempt.saturating_sub(1).min(31);
+    base.saturating_mul(1 << doublings).min(cap)
 }
 
 /// Final disposition of one job.
@@ -165,16 +181,6 @@ enum Attempt<R> {
     Hung,
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("panic: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("panic: {s}")
-    } else {
-        "panic: <non-string payload>".to_string()
-    }
-}
-
 /// Run one attempt on a dedicated thread so a hang cannot block the worker.
 fn run_attempt<J, R, W>(
     jobs: &Arc<Vec<J>>,
@@ -192,14 +198,13 @@ where
     let jobs = Arc::clone(jobs);
     let work = Arc::clone(work);
     std::thread::spawn(move || {
-        let result = catch_unwind(AssertUnwindSafe(|| work(&jobs[index], attempt)));
+        let result = isolate(|| work(&jobs[index], attempt));
         // The receiver is gone iff the watchdog already gave up on us.
         let _ = tx.send(result);
     });
     match rx.recv_timeout(budget) {
-        Ok(Ok(Ok(r))) => Attempt::Success(r),
-        Ok(Ok(Err(e))) => Attempt::Error(e),
-        Ok(Err(payload)) => Attempt::Error(JobError::panic(panic_message(payload))),
+        Ok(Ok(r)) => Attempt::Success(r),
+        Ok(Err(e)) => Attempt::Error(e),
         Err(_) => Attempt::Hung,
     }
 }
@@ -250,8 +255,7 @@ where
                             }
                         }
                         Attempt::Error(e) if e.transient && attempt <= opts.retries => {
-                            let exp = opts.backoff.saturating_mul(1u32 << (attempt - 1).min(16));
-                            let delay = exp.min(opts.backoff_cap);
+                            let delay = backoff_delay(opts.backoff, attempt, opts.backoff_cap);
                             observe(
                                 index,
                                 ExecEvent::Retried {
@@ -378,6 +382,18 @@ mod tests {
         let retries = events.into_inner().unwrap();
         assert_eq!(retries.len(), 2);
         assert!(retries[1].1 >= retries[0].1, "backoff grows");
+    }
+
+    #[test]
+    fn backoff_delay_doubles_from_the_base_and_never_overflows() {
+        let (base, cap) = (Duration::from_millis(100), Duration::from_secs(5));
+        assert_eq!(backoff_delay(base, 1, cap), base);
+        assert_eq!(backoff_delay(base, 2, cap), 2 * base);
+        assert_eq!(backoff_delay(base, 17, cap), cap);
+        assert_eq!(backoff_delay(base, 64, cap), cap);
+        // Uncapped, attempt 17 is the 16th doubling; attempt 0 is attempt 1.
+        assert_eq!(backoff_delay(base, 17, Duration::MAX), base * (1 << 16));
+        assert_eq!(backoff_delay(base, 0, cap), base);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod telemetry;
 pub use cache::{CachedTrace, FsckReport, TraceCache};
 pub use executor::{FailureCause, FleetOptions, JobError, Outcome};
 pub use journal::{Journal, ResumeAction};
-pub use matrix::{CampaignSpec, JobSpec, SpecError};
+pub use matrix::{CampaignSpec, JobSpec, JobTrace, SpecError};
 pub use runner::{
     resume_campaign, run_campaign, run_jobs, CampaignReport, ChaosSummary, JobOutput, JobRow,
 };

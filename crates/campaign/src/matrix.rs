@@ -22,11 +22,14 @@
 //! dropping combinations the application's domain decomposition cannot run
 //! (e.g. BT on a non-square rank count) and reporting them as skips.
 
+use crate::cache::TraceCache;
 use crate::hash;
 use benchgen::GenOptions;
 use miniapps::{registry, App, AppParams, Class};
 use mpisim::network::{self, NetworkModel};
+use mpisim::time::SimTime;
 use mpisim::SimError;
+use scalatrace::trace::Trace;
 use scalatrace::TracedRun;
 use std::fmt;
 use std::str::FromStr;
@@ -106,6 +109,21 @@ fn runnable_app(name: &str, ranks: usize) -> Result<&'static App, SpecError> {
 
 fn lookup_network(name: &str) -> Result<Arc<dyn NetworkModel>, SpecError> {
     network::by_name(name).ok_or_else(|| SpecError::UnknownNetwork(name.to_string()))
+}
+
+/// The trace a pipeline run starts from, and where it came from: what
+/// [`JobSpec::trace_cached`] returns.
+#[derive(Clone, Debug)]
+pub struct JobTrace {
+    /// The application's trace.
+    pub trace: Trace,
+    /// Simulated wall-clock time of the traced run.
+    pub t_app: SimTime,
+    /// Did the trace come from the cache (no application run)?
+    pub cached: bool,
+    /// Is it a salvaged prefix (see [`TraceCache::store_salvaged`])? Only
+    /// a cache entry can be.
+    pub salvaged: bool,
 }
 
 /// One fully concrete experiment: everything needed to trace an
@@ -204,6 +222,37 @@ impl JobSpec {
     pub fn trace(&self, app: &App, model: Arc<dyn NetworkModel>) -> Result<TracedRun, SimError> {
         let (run, params) = (app.run, self.params());
         scalatrace::trace_app(self.ranks, model, move |ctx| run(ctx, &params))
+    }
+
+    /// Stage one behind the trace cache, for every caller that has one:
+    /// the entry under `key` if it loads, else [`Self::trace`] and a
+    /// best-effort store (a read-only cache directory must not fail the
+    /// job). A hit never writes. `key` is [`Self::trace_key`] unless the
+    /// caller needs entries of its own.
+    pub fn trace_cached(
+        &self,
+        cache: &TraceCache,
+        key: u64,
+        app: &App,
+        model: Arc<dyn NetworkModel>,
+    ) -> Result<JobTrace, SimError> {
+        if let Some(hit) = cache.load(key) {
+            return Ok(JobTrace {
+                trace: hit.trace,
+                t_app: hit.t_app,
+                cached: true,
+                salvaged: hit.salvaged,
+            });
+        }
+        let traced = self.trace(app, model)?;
+        let t_app = traced.report.total_time;
+        let _ = cache.store(key, &traced.trace, t_app, &self.trace_pairs());
+        Ok(JobTrace {
+            trace: traced.trace,
+            t_app,
+            cached: false,
+            salvaged: false,
+        })
     }
 
     /// `key=value` pairs that determine the *trace* — the fields the traced
@@ -568,6 +617,33 @@ mod tests {
             .trace(job.app().unwrap(), job.network_model().unwrap())
             .unwrap();
         assert_eq!(traced.trace.nranks, 4);
+    }
+
+    #[test]
+    fn trace_cached_traces_once_and_a_hit_never_writes() {
+        let dir = std::env::temp_dir().join(format!("campaign-matrix-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = TraceCache::open(&dir).unwrap();
+        let job = JobSpec::new("ring", 2, Class::S, "ideal");
+        let (app, model) = (job.app().unwrap(), job.network_model().unwrap());
+        let key = job.trace_key();
+
+        let cold = job.trace_cached(&cache, key, app, model.clone()).unwrap();
+        assert!(!cold.cached && !cold.salvaged);
+        let warm = job.trace_cached(&cache, key, app, model.clone()).unwrap();
+        assert!(warm.cached && !warm.salvaged);
+        assert_eq!((warm.trace, warm.t_app), (cold.trace.clone(), cold.t_app));
+
+        // A salvaged prefix is served and reported as one — runner resume
+        // reruns on that flag — and stays one: a store on the hit would
+        // have replaced the marker with a complete capture's sidecar.
+        cache
+            .store_salvaged(key, &cold.trace, cold.t_app, &job.trace_pairs())
+            .unwrap();
+        let hit = job.trace_cached(&cache, key, app, model).unwrap();
+        assert!(hit.cached && hit.salvaged);
+        assert!(cache.load(key).unwrap().salvaged);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

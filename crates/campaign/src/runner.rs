@@ -6,7 +6,7 @@ use crate::cache::TraceCache;
 use crate::executor::{self, ExecEvent, FailureCause, FleetOptions, JobError, Outcome};
 use crate::hash;
 use crate::journal::{JobRecord, Journal, ResumeAction};
-use crate::matrix::{CampaignSpec, JobSpec, SpecError};
+use crate::matrix::{CampaignSpec, JobSpec, JobTrace, SpecError};
 use crate::telemetry::{Telemetry, Value};
 use benchgen::chaos;
 use benchgen::generate;
@@ -257,31 +257,24 @@ fn run_one(
     let trace_key = job.trace_key();
 
     // 1. Trace: cache hit, or run the application and fill the cache.
-    let (trace, t_app, cached, salvaged) = match cache.load(trace_key) {
-        Some(hit) => {
-            telemetry.emit(
-                "cached",
-                &[
-                    ("job", job.id().into()),
-                    ("trace_key", hash::hex(trace_key).into()),
-                    ("salvaged", Value::B(hit.salvaged)),
-                ],
-            );
-            (hit.trace, hit.t_app, true, hit.salvaged)
-        }
-        None => {
-            let traced = job.trace(app, model.clone()).map_err(sim_err)?;
-            // Caching is best-effort; a read-only cache dir must not fail
-            // the job.
-            let _ = cache.store(
-                trace_key,
-                &traced.trace,
-                traced.report.total_time,
-                &job.trace_pairs(),
-            );
-            (traced.trace, traced.report.total_time, false, false)
-        }
-    };
+    let JobTrace {
+        trace,
+        t_app,
+        cached,
+        salvaged,
+    } = job
+        .trace_cached(cache, trace_key, app, model.clone())
+        .map_err(sim_err)?;
+    if cached {
+        telemetry.emit(
+            "cached",
+            &[
+                ("job", job.id().into()),
+                ("trace_key", hash::hex(trace_key).into()),
+                ("salvaged", Value::B(salvaged)),
+            ],
+        );
+    }
 
     // 2. Generate the executable specification.
     let generated = generate(&trace, &job.gen_options())

@@ -144,8 +144,8 @@ impl Telemetry {
 }
 
 /// Thread-safe per-client counter registry, used by long-running services
-/// (the commspec server) to account requests, rejections, and cache
-/// evictions per tenant. Counter and client names are free-form;
+/// (the commspec server) to account requests, rejections and replays
+/// per tenant. Counter and client names are free-form;
 /// [`Counters::snapshot`] returns everything name-sorted, so reports are
 /// deterministic regardless of arrival order.
 #[derive(Default)]

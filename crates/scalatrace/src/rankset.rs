@@ -318,6 +318,30 @@ impl RankSet {
         })
     }
 
+    /// How many ranks the two sets share, run-wise like
+    /// [`RankSet::intersects`] and without building the intersection.
+    pub fn overlap_len(&self, other: &RankSet) -> usize {
+        if Arc::ptr_eq(&self.runs, &other.runs) {
+            return self.len();
+        }
+        // Runs of one set are disjoint, so no shared rank is counted twice.
+        self.runs
+            .iter()
+            .flat_map(|a| other.runs.iter().map(move |b| (a, b)))
+            .filter_map(|(a, b)| run_intersection(a, b))
+            .map(|r| r.count)
+            .sum()
+    }
+
+    /// Does any member fall in `lo..hi`? O(runs).
+    pub fn meets_range(&self, lo: usize, hi: usize) -> bool {
+        self.runs.iter().any(|r| {
+            // index of the run's first member at or past `lo`
+            let i = lo.saturating_sub(r.start).div_ceil(r.stride.max(1));
+            i < r.count && r.nth(i) < hi
+        })
+    }
+
     /// Number of stored runs (the compressed size).
     pub fn run_count(&self) -> usize {
         self.runs.len()
@@ -597,6 +621,28 @@ mod tests {
         assert_eq!(s.len(), 1024);
         assert_eq!(s.run_count(), 1);
         assert!(s.contains(0) && s.contains(1023) && !s.contains(1024));
+    }
+
+    #[test]
+    fn overlap_len_and_meets_range_agree_with_the_elements() {
+        let sets = [
+            RankSet::all(40),
+            RankSet::from_ranks((0..40).step_by(3)),
+            RankSet::from_ranks((5..40).step_by(4).chain([6, 7, 38])),
+            RankSet::single(17),
+            RankSet::empty(),
+        ];
+        for a in &sets {
+            for b in &sets {
+                assert_eq!(a.overlap_len(b), a.intersect(b).len(), "{a} & {b}");
+            }
+            for lo in 0..44 {
+                for hi in lo..44 {
+                    let expect = a.iter().any(|r| (lo..hi).contains(&r));
+                    assert_eq!(a.meets_range(lo, hi), expect, "{a} in {lo}..{hi}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::merge::merge_tracers;
 use crate::params::{CommParam, RankFn, RankParam, SrcParam, ValParam};
 use crate::rankset::{RankSet, Run};
 use crate::timestats::TimeStats;
-use crate::trace::{OpTemplate, Prsd, Rsd, TraceNode};
+use crate::trace::{check_well_formed, OpTemplate, Prsd, Rsd, TraceNode, MAX_LOOP_DEPTH};
 use mpisim::ctx::Ctx;
 use mpisim::hooks::{Event, Hook};
 use mpisim::time::{SimDuration, SimTime};
@@ -49,10 +49,6 @@ use std::path::{Path, PathBuf};
 
 /// File magic of a tracer checkpoint ("ScalaTrace CheckPoint").
 pub const MAGIC: [u8; 4] = *b"STCP";
-
-/// Maximum loop-nesting depth the decoder accepts (a corruption guard, far
-/// above anything tail folding produces).
-const MAX_DEPTH: usize = 256;
 
 /// Largest fold window the decoder accepts: the compressor allocates a
 /// table of this many entries up front, so a crafted value must not reach
@@ -543,53 +539,38 @@ pub(crate) fn enc_nodes(e: &mut Enc, nodes: &[TraceNode]) {
     }
 }
 
-/// One node and the concrete events it expands to, counted in checked
-/// arithmetic so no accessor downstream can overflow on a crafted loop.
-fn dec_node(d: &mut Dec, nranks: usize, depth: usize) -> Result<(TraceNode, u64), SnapshotError> {
-    if depth > MAX_DEPTH {
+fn dec_node(d: &mut Dec, nranks: usize, depth: usize) -> Result<TraceNode, SnapshotError> {
+    if depth > MAX_LOOP_DEPTH {
         return Err(corrupt("loop nesting too deep"));
     }
     Ok(match d.u8()? {
-        0 => {
-            let r = Rsd {
-                ranks: dec_ranks(d, nranks)?,
-                sig: d.fixed64()?,
-                op: dec_op(d, nranks)?,
-                compute: dec_stats(d)?,
-            };
-            let events = r.ranks.len() as u64;
-            (TraceNode::Event(r), events)
-        }
-        1 => {
-            let count = d.u64()?;
-            let (body, events) = dec_nodes(d, nranks, depth + 1)?;
-            let events = count
-                .checked_mul(events)
-                .ok_or_else(|| corrupt("loop expands past u64 events"))?;
-            (TraceNode::Loop(Prsd { count, body }), events)
-        }
+        0 => TraceNode::Event(Rsd {
+            ranks: dec_ranks(d, nranks)?,
+            sig: d.fixed64()?,
+            op: dec_op(d, nranks)?,
+            compute: dec_stats(d)?,
+        }),
+        1 => TraceNode::Loop(Prsd {
+            count: d.u64()?,
+            body: dec_nodes(d, nranks, depth + 1)?,
+        }),
         t => return Err(corrupt(format!("bad TraceNode tag {t}"))),
     })
 }
 
-/// A counted node sequence (`depth` 0 for a payload's top level) with its
-/// concrete event count, every rank in it below `nranks`.
+/// A counted node sequence (`depth` 0 for a payload's top level), every
+/// rank in it below `nranks`. Callers finish with [`check_well_formed`].
 pub(crate) fn dec_nodes(
     d: &mut Dec,
     nranks: usize,
     depth: usize,
-) -> Result<(Vec<TraceNode>, u64), SnapshotError> {
+) -> Result<Vec<TraceNode>, SnapshotError> {
     let n = d.len()?;
     let mut nodes = Vec::with_capacity(n);
-    let mut events = 0u64;
     for _ in 0..n {
-        let (node, e) = dec_node(d, nranks, depth)?;
-        events = events
-            .checked_add(e)
-            .ok_or_else(|| corrupt("sequence expands past u64 events"))?;
-        nodes.push(node);
+        nodes.push(dec_node(d, nranks, depth)?);
     }
-    Ok((nodes, events))
+    Ok(nodes)
 }
 
 // ----------------------------------------------------------- tracer frame
@@ -635,8 +616,9 @@ pub fn tracer_from_checkpoint(bytes: &[u8]) -> Result<Tracer, SnapshotError> {
         }
     }
     let comms = dec_comms(&mut d, nranks)?;
-    let (nodes, _) = dec_nodes(&mut d, nranks, 0)?;
+    let nodes = dec_nodes(&mut d, nranks, 0)?;
     d.finish()?;
+    check_well_formed(nranks, &comms, &nodes).map_err(corrupt)?;
     let seq = TailCompressor::from_nodes(max_window, nodes);
     Ok(Tracer::restore(
         rank,

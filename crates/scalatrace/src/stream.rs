@@ -57,7 +57,7 @@ use crate::compress::DEFAULT_MAX_WINDOW;
 use crate::frame::{dec_comms, dec_nranks, enc_comms, write_atomic, Dec, Enc};
 use crate::merge::merge_sequences;
 use crate::snapshot::{corrupt, dec_nodes, enc_nodes, SnapshotError};
-use crate::trace::{CommTable, Trace, TraceNode};
+use crate::trace::{check_well_formed, CommTable, Trace, TraceNode};
 use mpisim::ctx::Ctx;
 use mpisim::hooks::{Event, Hook};
 use mpisim::world::World;
@@ -104,8 +104,9 @@ pub fn trace_from_bytes(bytes: &[u8]) -> Result<Trace, SnapshotError> {
     let mut d = open_kind(bytes, KIND_TRACE, "whole-trace")?;
     let nranks = dec_nranks(&mut d)?;
     let comms = dec_comms(&mut d, nranks)?;
-    let (nodes, _) = dec_nodes(&mut d, nranks, 0)?;
+    let nodes = dec_nodes(&mut d, nranks, 0)?;
     d.finish()?;
+    check_well_formed(nranks, &comms, &nodes).map_err(corrupt)?;
     Ok(Trace {
         nranks,
         nodes,
@@ -190,8 +191,9 @@ pub fn segment_from_bytes(bytes: &[u8]) -> Result<Segment, SnapshotError> {
     let events_end = d.u64()?;
     let last = d.bool()?;
     let comms = dec_comms(&mut d, nranks)?;
-    let (nodes, _) = dec_nodes(&mut d, nranks, 0)?;
+    let nodes = dec_nodes(&mut d, nranks, 0)?;
     d.finish()?;
+    check_well_formed(nranks, &comms, &nodes).map_err(corrupt)?;
     Ok(Segment {
         rank,
         nranks,

@@ -6,7 +6,7 @@
 use crate::params::{CommParam, RankParam, SrcParam, ValParam};
 use crate::rankset::RankSet;
 use crate::timestats::TimeStats;
-use crate::trace::{OpTemplate, Prsd, Rsd, Trace, TraceNode};
+use crate::trace::{check_well_formed, OpTemplate, Prsd, Rsd, Trace, TraceNode, MAX_LOOP_DEPTH};
 use mpisim::time::SimDuration;
 use mpisim::types::{CollKind, TagSel};
 use std::collections::BTreeMap;
@@ -347,6 +347,9 @@ pub fn from_text(s: &str) -> Result<Trace, String> {
                 .ok_or("bad loop line")?
                 .parse()
                 .map_err(|e| format!("bad loop count: {e}"))?;
+            if counts.len() >= MAX_LOOP_DEPTH {
+                return Err("loop nesting too deep".into());
+            }
             counts.push(count);
             stack.push(Vec::new());
         } else if line == "}" {
@@ -369,6 +372,7 @@ pub fn from_text(s: &str) -> Result<Trace, String> {
         return Err("unbalanced loop braces".into());
     }
     trace.nodes = stack.pop().ok_or("empty parse stack")?;
+    check_well_formed(trace.nranks, &trace.comms, &trace.nodes)?;
     Ok(trace)
 }
 

@@ -6,7 +6,7 @@
 //! recursively nests a sequence of nodes inside a loop. A [`Trace`] is a
 //! sequence of nodes plus the communicator table.
 
-use crate::params::{CommParam, RankParam, SrcParam, ValParam};
+use crate::params::{CommParam, RankFn, RankParam, SrcParam, ValParam};
 use crate::rankset::RankSet;
 use crate::timestats::TimeStats;
 use mpisim::comm::CommId;
@@ -404,6 +404,226 @@ impl Trace {
     }
 }
 
+/// Deepest loop nesting a reader accepts (a corruption guard, far above
+/// anything tail folding produces): every walker below a reader recurses
+/// per level, dropping the nodes included.
+pub(crate) const MAX_LOOP_DEPTH: usize = 256;
+
+/// What every reader of an untrusted trace — text, whole-trace binary,
+/// segment, checkpoint — finishes with: the properties each accessor and
+/// the generator assume of `nodes` over `nranks` ranks and `comms`, so a
+/// crafted file ends in an error naming the field and never in a panic or
+/// a program. Linear in nodes × pieces (× table entries), never in the
+/// rank count; piecewise domains are disjoint by the time they get here.
+pub fn check_well_formed(
+    nranks: usize,
+    comms: &CommTable,
+    nodes: &[TraceNode],
+) -> Result<(), String> {
+    for id in comms.ids() {
+        if let Some(m) = comms.members(id).iter().find(|&&m| m >= nranks) {
+            return Err(format!(
+                "comm {id}: member {m} out of range for {nranks} ranks"
+            ));
+        }
+    }
+    check_nodes(nranks, comms, nodes).map(drop)
+}
+
+/// Checks a sequence and returns the concrete events it expands to.
+fn check_nodes(nranks: usize, comms: &CommTable, nodes: &[TraceNode]) -> Result<u64, String> {
+    let mut events = 0u64;
+    for node in nodes {
+        let expands = match node {
+            TraceNode::Event(r) => {
+                check_rsd(nranks, comms, r)?;
+                Some(r.ranks.len() as u64)
+            }
+            // The generated program counts repetitions in an i64.
+            TraceNode::Loop(p) if p.count > i64::MAX as u64 => {
+                return Err(format!("loop count {} exceeds {}", p.count, i64::MAX));
+            }
+            TraceNode::Loop(p) => p.count.checked_mul(check_nodes(nranks, comms, &p.body)?),
+        };
+        events = expands
+            .and_then(|e| events.checked_add(e))
+            .ok_or("loops expand past u64 events")?;
+    }
+    Ok(events)
+}
+
+fn check_rsd(nranks: usize, comms: &CommTable, r: &Rsd) -> Result<(), String> {
+    let ranks = &r.ranks;
+    if let Some(m) = ranks.max_rank().filter(|&m| m >= nranks) {
+        return Err(format!("ranks: rank {m} out of range for {nranks} ranks"));
+    }
+    let known = |field: &str, id: CommId| match comms.contains(id) {
+        true => Ok(()),
+        false => Err(format!("{field}: communicator {id} is not in the table")),
+    };
+    let peer = |field: &str, p: &RankParam| match p {
+        RankParam::PerRank(t) => {
+            check_table(field, t, ranks, nranks)?;
+            match t.values().find(|&&v| v >= nranks) {
+                Some(v) => Err(format!("{field}: rank {v} out of range for {nranks} ranks")),
+                None => Ok(()),
+            }
+        }
+        RankParam::Piecewise(ps) => {
+            check_pieces(field, ps, ranks, nranks)?;
+            ps.iter()
+                .try_for_each(|(domain, f)| check_rank_fn(field, *f, domain, nranks))
+        }
+        plain => check_rank_fn(field, plain.as_fn().expect("a closed form"), ranks, nranks),
+    };
+    let val = |field: &str, v: &ValParam| match v {
+        ValParam::Const(_) | ValParam::Linear { .. } => Ok(()),
+        ValParam::PerRank(t) => check_table(field, t, ranks, nranks),
+        ValParam::Piecewise(ps) => check_pieces(field, ps, ranks, nranks),
+    };
+    let comm = |c: &CommParam| match c {
+        CommParam::Const(id) => known("comm", *id),
+        CommParam::PerRank(t) => {
+            check_table("comm", t, ranks, nranks)?;
+            t.values().try_for_each(|id| known("comm", *id))
+        }
+        CommParam::Piecewise(ps) => {
+            check_pieces("comm", ps, ranks, nranks)?;
+            ps.iter().try_for_each(|(_, id)| known("comm", *id))
+        }
+    };
+    match &r.op {
+        OpTemplate::Send {
+            to, bytes, comm: c, ..
+        } => {
+            peer("to", to)?;
+            val("bytes", bytes)?;
+            comm(c)
+        }
+        OpTemplate::Recv {
+            from,
+            bytes,
+            comm: c,
+            ..
+        } => {
+            if let SrcParam::Rank(p) = from {
+                peer("from", p)?;
+            }
+            val("bytes", bytes)?;
+            comm(c)
+        }
+        OpTemplate::Wait { count } => val("count", count),
+        OpTemplate::Coll {
+            root,
+            bytes,
+            comm: c,
+            ..
+        } => {
+            if let Some(p) = root {
+                peer("root", p)?;
+            }
+            val("bytes", bytes)?;
+            comm(c)
+        }
+        OpTemplate::CommSplit { parent, result } => {
+            known("parent", *parent)?;
+            known("result", *result)
+        }
+    }
+}
+
+/// A per-rank table has no key past the world and one for every rank of
+/// its node.
+fn check_table<V>(
+    field: &str,
+    table: &BTreeMap<Rank, V>,
+    ranks: &RankSet,
+    nranks: usize,
+) -> Result<(), String> {
+    if let Some(k) = table.keys().next_back().filter(|&&k| k >= nranks) {
+        return Err(format!(
+            "{field}: table key {k} out of range for {nranks} ranks"
+        ));
+    }
+    if table.keys().filter(|&&k| ranks.contains(k)).count() != ranks.len() {
+        return Err(format!("{field}: table does not cover ranks {ranks}"));
+    }
+    Ok(())
+}
+
+/// Piecewise domains stay inside the world and together cover every rank
+/// of their node.
+fn check_pieces<V>(
+    field: &str,
+    pieces: &[(RankSet, V)],
+    ranks: &RankSet,
+    nranks: usize,
+) -> Result<(), String> {
+    let mut covered = 0;
+    for (domain, _) in pieces {
+        if let Some(m) = domain.max_rank().filter(|&m| m >= nranks) {
+            return Err(format!(
+                "{field}: piece domain reaches rank {m}, out of range for {nranks} ranks"
+            ));
+        }
+        covered += domain.overlap_len(ranks);
+    }
+    if covered != ranks.len() {
+        return Err(format!("{field}: pieces do not cover ranks {ranks}"));
+    }
+    Ok(())
+}
+
+/// A closed form yields a rank below `nranks`, without overflowing, for
+/// every rank of `domain` (themselves below `nranks`).
+fn check_rank_fn(field: &str, f: RankFn, domain: &RankSet, nranks: usize) -> Result<(), String> {
+    let (Some(lo), Some(hi)) = (domain.min_rank(), domain.max_rank()) else {
+        return Ok(());
+    };
+    let shifted = |rank: usize, by: i64| (rank as i64).checked_add(by);
+    let ok = match f {
+        RankFn::Const(c) => c < nranks,
+        RankFn::Offset(d) => {
+            shifted(lo, d).is_some_and(|p| p >= 0)
+                && shifted(hi, d).is_some_and(|p| p < nranks as i64)
+        }
+        // The result is below the modulus; collected and extrapolated
+        // traces only ever use the world size.
+        RankFn::OffsetMod { offset, modulus } => {
+            (1..=nranks).contains(&modulus)
+                && shifted(lo, offset).is_some()
+                && shifted(hi, offset).is_some()
+        }
+        RankFn::Xor(mask) => xor_stays_below(domain, mask, nranks),
+    };
+    match ok {
+        true => Ok(()),
+        false => Err(format!(
+            "{field}: {f} is not a rank below {nranks} for every rank of {domain}"
+        )),
+    }
+}
+
+/// Is `rank ^ mask < nranks` for every rank of `domain`? Exact in
+/// O(runs × log nranks): the ranks that fail are `mask ^ nranks..top`, one
+/// aligned block per aligned power-of-two block of that interval.
+fn xor_stays_below(domain: &RankSet, mask: usize, nranks: usize) -> bool {
+    let top = nranks.next_power_of_two();
+    if mask >= top {
+        return false;
+    }
+    let mut block = nranks;
+    while block < top {
+        let size = 1 << block.trailing_zeros();
+        let lo = (block ^ mask) & !(size - 1);
+        if domain.meets_range(lo, lo + size) {
+            return false;
+        }
+        block += size;
+    }
+    true
+}
+
 impl fmt::Display for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fn node(n: &TraceNode, indent: usize, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -572,6 +792,77 @@ mod tests {
             compute: TimeStats::new(),
         }));
         assert!(!t.has_unaligned_collectives());
+    }
+
+    #[test]
+    fn the_xor_check_agrees_with_evaluating_every_rank() {
+        for nranks in 1..=20usize {
+            let domains = [
+                RankSet::all(nranks),
+                RankSet::from_ranks((0..nranks).step_by(2)),
+                RankSet::from_ranks((0..nranks).filter(|r| r % 3 != 1)),
+                RankSet::from_ranks(nranks / 2..nranks),
+                RankSet::single(nranks - 1),
+            ];
+            for domain in &domains {
+                for mask in 0..40 {
+                    assert_eq!(
+                        xor_stays_below(domain, mask, nranks),
+                        domain.iter().all(|r| r ^ mask < nranks),
+                        "{domain} ^ {mask} in a world of {nranks}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn well_formedness_names_the_field_that_breaks_it() {
+        let with_to = |to: RankParam| {
+            let mut rsd = send_rsd(0, 1, 64, 1);
+            rsd.ranks = RankSet::all(4);
+            if let OpTemplate::Send { to: slot, .. } = &mut rsd.op {
+                *slot = to;
+            }
+            let nodes = [TraceNode::Event(rsd)];
+            check_well_formed(4, &CommTable::world(4), &nodes)
+        };
+        assert_eq!(with_to(RankParam::Xor(3)), Ok(()));
+        assert_eq!(
+            with_to(RankParam::OffsetMod {
+                offset: -1,
+                modulus: 4
+            }),
+            Ok(())
+        );
+        let short = RankParam::PerRank(BTreeMap::from([(0, 1), (1, 2), (2, 3)]));
+        for (to, why) in [
+            (short, "to: table does not cover"),
+            (RankParam::Const(4), "to: 4 is not a rank below 4"),
+            (RankParam::Offset(1), "to: rank+1 is not a rank below 4"),
+            (RankParam::Xor(4), "to: rank^4 is not a rank below 4"),
+            (
+                RankParam::Piecewise(vec![(RankSet::from_ranks([0, 1, 2]), RankFn::Offset(1))]),
+                "to: pieces do not cover",
+            ),
+        ] {
+            let err = with_to(to).unwrap_err();
+            assert!(err.starts_with(why), "{err}");
+        }
+
+        // Loop counts: past i64, and a product past u64.
+        let looped = |outer: u64, inner: u64| {
+            let body = vec![TraceNode::Event(send_rsd(0, 1, 64, 1))];
+            let inner = TraceNode::Loop(Prsd { count: inner, body });
+            let nodes = [TraceNode::Loop(Prsd {
+                count: outer,
+                body: vec![inner],
+            })];
+            check_well_formed(4, &CommTable::world(4), &nodes)
+        };
+        assert_eq!(looped(1 << 31, 1 << 31), Ok(()));
+        assert!(looped(1 << 40, 1 << 40).unwrap_err().contains("u64 events"));
+        assert!(looped(1 << 63, 1).unwrap_err().contains("loop count"));
     }
 
     #[test]

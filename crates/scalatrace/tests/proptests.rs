@@ -725,8 +725,16 @@ proptest! {
     fn text_round_trip(ops in proptest::collection::vec((arb_op(), 0u64..1000), 1..30)) {
         let mut trace = Trace::new(8);
         for (op, sig) in ops {
+            // a shifted peer only on the ranks it keeps inside the world:
+            // the reader refuses anything else
+            let ranks = match &op {
+                OpTemplate::Send { to: RankParam::Offset(d), .. } => {
+                    RankSet::from_ranks((0..8).filter(|&r| (0..8).contains(&(r as i64 + d))))
+                }
+                _ => RankSet::all(8),
+            };
             trace.nodes.push(TraceNode::Event(Rsd {
-                ranks: RankSet::all(8),
+                ranks,
                 sig,
                 op,
                 compute: TimeStats::of(SimDuration::from_nanos(sig)),

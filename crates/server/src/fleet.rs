@@ -36,6 +36,7 @@
 //! owned by a newer lease.
 
 use crate::queue::QueuedJob;
+use campaign::executor::backoff_delay;
 use campaign::telemetry::{Telemetry, Value};
 use protocol::FleetStats;
 use std::collections::{BTreeMap, BTreeSet};
@@ -469,10 +470,8 @@ impl Fleet {
     /// reassign in lockstep.
     fn backoff(&self, inner: &mut Inner, attempt: u64) -> Duration {
         let base = self.cfg.reassign_backoff.max(Duration::from_millis(1));
-        let exp = attempt.saturating_sub(1).min(16) as u32;
-        let raw = base
-            .saturating_mul(1u32 << exp.min(16))
-            .min(self.cfg.backoff_cap);
+        let attempt = u32::try_from(attempt).unwrap_or(u32::MAX);
+        let raw = backoff_delay(base, attempt, self.cfg.backoff_cap);
         // xorshift64: deterministic per-process jitter without a clock.
         inner.rng ^= inner.rng << 13;
         inner.rng ^= inner.rng >> 7;

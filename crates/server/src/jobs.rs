@@ -12,8 +12,8 @@
 //! text, program text, mpiP profile — is byte-identical to `commgen`'s
 //! output for the same inputs.
 
-use crate::memcache::TraceMemCache;
 use benchgen::verify::{execute_profiled, timing_error_pct};
+use campaign::executor::{isolate, JobError};
 use campaign::hash;
 use campaign::matrix::{CampaignSpec, JobSpec};
 use campaign::{run_campaign, Telemetry, TraceCache};
@@ -98,59 +98,66 @@ pub fn artifact(name: &str, text: String) -> Artifact {
     }
 }
 
-/// Outcome of executing a job body: the wire-level result plus how many
-/// memory-cache evictions the execution forced (accounted to the
-/// submitting client by the server).
-pub struct Executed {
-    /// The result shipped to clients and journaled to disk.
-    pub result: JobResult,
-    /// LRU evictions this execution caused.
-    pub evictions: u64,
+/// What a worker — a thread of the in-process pool or a fleet process —
+/// needs to execute a job: exactly what a `lease_grant` ships.
+#[derive(Clone, Debug)]
+pub enum JobBody {
+    /// A trace / generate / simulate job with its wire parameters.
+    Single(JobKind, JobParams),
+    /// A campaign job with its matrix document.
+    Campaign(String),
+}
+
+/// Execute a job body behind the panic-isolation boundary: a panicking
+/// job fails the job, not the pool thread or the worker process running
+/// it. `campaign_log` opens the per-job telemetry of a campaign job.
+pub fn execute(
+    body: &JobBody,
+    cache: &TraceCache,
+    campaign_log: impl FnOnce() -> Telemetry,
+) -> Result<JobResult, JobError> {
+    isolate(|| {
+        match body {
+            JobBody::Single(kind, params) => {
+                spec_of(params).and_then(|spec| run_single(*kind, &spec, cache))
+            }
+            JobBody::Campaign(matrix) => run_campaign_job(matrix, cache.clone(), campaign_log()),
+        }
+        .map_err(JobError::fatal)
+    })
 }
 
 /// Run a trace / generate / simulate job. `spec` must come from
 /// [`spec_of`] (so the app and rank count are already validated).
-pub fn run_single(kind: JobKind, spec: &JobSpec, mem: &TraceMemCache) -> Result<Executed, String> {
+pub fn run_single(kind: JobKind, spec: &JobSpec, cache: &TraceCache) -> Result<JobResult, String> {
     let model = spec.network_model()?;
-    let key = spec.trace_key();
-    let mut evictions = 0;
 
-    // 1. Trace: memory, disk, or a fresh application run.
-    let (trace, trace_text, t_app, cached) = match mem.load(key) {
-        Some(hit) => (hit.trace, hit.text, hit.t_app, true),
-        None => {
-            let traced = spec
-                .trace(spec.app()?, model.clone())
-                .map_err(|e| format!("tracing failed: {e}"))?;
-            let t_app = traced.report.total_time;
-            let (text, evicted) = mem.store(key, &traced.trace, t_app, &spec.trace_pairs());
-            evictions += evicted;
-            (traced.trace, text, t_app, false)
-        }
-    };
+    // 1. Trace: the shared cache, or a fresh application run.
+    let src = spec
+        .trace_cached(cache, spec.trace_key(), spec.app()?, model.clone())
+        .map_err(|e| format!("tracing failed: {e}"))?;
+    let trace_st = || artifact("trace.st", scalatrace::text::to_text(&src.trace));
 
     let mut result = JobResult {
         kind: kind.label().to_string(),
-        cached,
-        t_app_ns: Some(t_app.as_nanos()),
+        cached: src.cached,
+        t_app_ns: Some(src.t_app.as_nanos()),
         ..JobResult::default()
     };
     if kind == JobKind::Trace {
-        result
-            .artifacts
-            .push(artifact("trace.st", (*trace_text).clone()));
-        return Ok(Executed { result, evictions });
+        result.artifacts.push(trace_st());
+        return Ok(result);
     }
 
     // 2. Generate the executable specification.
-    let generated = benchgen::generate(&trace, &spec.gen_options())
+    let generated = benchgen::generate(&src.trace, &spec.gen_options())
         .map_err(|e| format!("generation failed: {e}"))?;
     let program_text = conceptual::printer::print(&generated.program);
     if kind == JobKind::Generate {
         result
             .artifacts
             .push(artifact("program.ncptl", program_text));
-        return Ok(Executed { result, evictions });
+        return Ok(result);
     }
 
     // 3. Execute under an mpiP hook: one run yields T_gen and the profile.
@@ -159,30 +166,28 @@ pub fn run_single(kind: JobKind, spec: &JobSpec, mem: &TraceMemCache) -> Result<
     let t_gen = report.total_time;
 
     result.t_gen_ns = Some(t_gen.as_nanos());
-    result.err_pct = Some(timing_error_pct(t_app, t_gen));
-    result
-        .artifacts
-        .push(artifact("trace.st", (*trace_text).clone()));
+    result.err_pct = Some(timing_error_pct(src.t_app, t_gen));
+    result.artifacts.push(trace_st());
     result
         .artifacts
         .push(artifact("program.ncptl", program_text));
     result
         .artifacts
         .push(artifact("profile.mpip", profile.to_string()));
-    Ok(Executed { result, evictions })
+    Ok(result)
 }
 
-/// Run a campaign job over a matrix document. The campaign runner gets
-/// its own handle on the shared *disk* cache (its workers bypass the
-/// memory layer) and journals its per-job telemetry to `telemetry`.
+/// Run a campaign job over a matrix document. The campaign runner works
+/// on the same cache the single jobs use and journals its per-job
+/// telemetry to `telemetry`.
 pub fn run_campaign_job(
     matrix: &str,
-    disk: TraceCache,
+    cache: TraceCache,
     telemetry: Telemetry,
-) -> Result<Executed, String> {
+) -> Result<JobResult, String> {
     let spec = CampaignSpec::parse(matrix).map_err(|e| format!("bad matrix: {e}"))?;
-    let report = run_campaign(&spec, disk, telemetry);
-    let result = JobResult {
+    let report = run_campaign(&spec, cache, telemetry);
+    Ok(JobResult {
         kind: JobKind::Campaign.label().to_string(),
         cached: false,
         ok: Some(report.ok() as u64),
@@ -191,10 +196,6 @@ pub fn run_campaign_job(
         mape: Some(report.mape()),
         artifacts: vec![artifact("report.txt", report.to_string())],
         ..JobResult::default()
-    };
-    Ok(Executed {
-        result,
-        evictions: 0,
     })
 }
 
@@ -216,8 +217,8 @@ mod tests {
         dir
     }
 
-    fn mem(tag: &str) -> TraceMemCache {
-        TraceMemCache::new(TraceCache::open(temp_dir(tag)).unwrap(), 4, 1 << 24)
+    fn cache(tag: &str) -> TraceCache {
+        TraceCache::open(temp_dir(tag)).unwrap()
     }
 
     #[test]
@@ -264,46 +265,59 @@ mod tests {
 
     #[test]
     fn trace_generate_simulate_share_one_cache_entry() {
-        let mem = mem("pipeline");
+        let cache = cache("pipeline");
         let spec = spec_of(&JobParams::new("ring", 4)).unwrap();
 
-        let traced = run_single(JobKind::Trace, &spec, &mem).unwrap();
-        assert!(!traced.result.cached, "first touch traces the app");
-        assert_eq!(traced.result.artifacts.len(), 1);
-        assert_eq!(traced.result.artifacts[0].name, "trace.st");
+        let traced = run_single(JobKind::Trace, &spec, &cache).unwrap();
+        assert!(!traced.cached, "first touch traces the app");
+        assert_eq!(traced.artifacts.len(), 1);
+        assert_eq!(traced.artifacts[0].name, "trace.st");
 
-        let generated = run_single(JobKind::Generate, &spec, &mem).unwrap();
-        assert!(generated.result.cached, "trace came from memory");
-        assert_eq!(generated.result.artifacts[0].name, "program.ncptl");
-        assert!(!generated.result.artifacts[0].text.is_empty());
+        let generated = run_single(JobKind::Generate, &spec, &cache).unwrap();
+        assert!(generated.cached, "trace came from the cache");
+        assert_eq!(generated.artifacts[0].name, "program.ncptl");
+        assert!(!generated.artifacts[0].text.is_empty());
 
-        let simulated = run_single(JobKind::Simulate, &spec, &mem).unwrap();
-        assert!(simulated.result.cached);
+        let simulated = run_single(JobKind::Simulate, &spec, &cache).unwrap();
+        assert!(simulated.cached);
         let names: Vec<&str> = simulated
-            .result
             .artifacts
             .iter()
             .map(|a| a.name.as_str())
             .collect();
         assert_eq!(names, vec!["trace.st", "program.ncptl", "profile.mpip"]);
-        assert!(simulated.result.t_gen_ns.is_some());
-        assert!(simulated.result.err_pct.is_some());
+        assert!(simulated.t_gen_ns.is_some());
+        assert!(simulated.err_pct.is_some());
 
         // The simulate job's trace and program artifacts are byte-identical
         // to the dedicated jobs' (one pipeline, one truth).
-        assert_eq!(
-            simulated.result.artifacts[0].text,
-            traced.result.artifacts[0].text
-        );
-        assert_eq!(
-            simulated.result.artifacts[1].text,
-            generated.result.artifacts[1 - 1].text
-        );
+        assert_eq!(simulated.artifacts[0].text, traced.artifacts[0].text);
+        assert_eq!(simulated.artifacts[1].text, generated.artifacts[1 - 1].text);
         // And every artifact checksum verifies.
-        for a in &simulated.result.artifacts {
+        for a in &simulated.artifacts {
             assert_eq!(a.fnv, hash::hex(hash::fnv1a(a.text.as_bytes())));
         }
-        let _ = std::fs::remove_dir_all(mem.disk().dir());
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn execute_runs_either_body_and_reports_failures_as_job_errors() {
+        let cache = cache("execute");
+        let body = JobBody::Single(JobKind::Trace, JobParams::new("ring", 4));
+        let ok = execute(&body, &cache, Telemetry::sink).unwrap();
+        assert_eq!(ok.artifacts[0].name, "trace.st");
+
+        // A worker re-validates what the lease shipped.
+        let body = JobBody::Single(JobKind::Trace, JobParams::new("nosuch", 4));
+        let e = execute(&body, &cache, Telemetry::sink).unwrap_err();
+        assert!(e.message.contains("unknown app") && !e.transient, "{e:?}");
+        let e = execute(&JobBody::Campaign("nonsense ===".into()), &cache, || {
+            panic!("telemetry blew up")
+        })
+        .unwrap_err();
+        assert_eq!(e.message, "panic: telemetry blew up");
+        assert_eq!(e.cause, campaign::FailureCause::Panic);
+        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]
@@ -316,10 +330,10 @@ mod tests {
             Telemetry::sink(),
         )
         .unwrap();
-        assert_eq!(out.result.ok, Some(1));
-        assert_eq!(out.result.failed, Some(0));
-        assert_eq!(out.result.artifacts[0].name, "report.txt");
-        assert!(out.result.artifacts[0].text.contains("1 ok"));
+        assert_eq!(out.ok, Some(1));
+        assert_eq!(out.failed, Some(0));
+        assert_eq!(out.artifacts[0].name, "report.txt");
+        assert!(out.artifacts[0].text.contains("1 ok"));
         assert!(run_campaign_job(
             "nonsense ===",
             TraceCache::open(&dir).unwrap(),

@@ -5,10 +5,10 @@
 //! every invocation. This crate fronts the same library calls with a
 //! daemon: a versioned line-delimited JSON protocol ([`protocol`]), a
 //! multi-tenant FIFO job queue with per-client admission control
-//! ([`queue`]), a sharded in-memory trace cache layered over the
-//! campaign's disk cache ([`memcache`]), async job handles, and a JSONL
-//! journal as the durability layer ([`server`]): a killed server replays
-//! completed jobs on restart instead of rerunning them. On top of that
+//! ([`queue`]), the campaign's trace cache shared by every job kind
+//! ([`jobs`]), async job handles, and a JSONL journal as the durability
+//! layer ([`server`]): a killed server replays completed jobs on restart
+//! instead of rerunning them. On top of that
 //! sits the distributed campaign fleet: a lease-based coordinator
 //! ([`fleet`]) hands jobs to standalone worker processes ([`worker`])
 //! over the same wire protocol, detects dead workers by missed
@@ -25,7 +25,6 @@
 pub mod client;
 pub mod fleet;
 pub mod jobs;
-pub mod memcache;
 pub mod queue;
 pub mod server;
 pub mod sync;
@@ -34,7 +33,6 @@ pub mod worker;
 pub use client::Client;
 pub use fleet::{Fleet, FleetConfig};
 pub use jobs::JobKind;
-pub use memcache::{CacheSource, CacheStats, TraceMemCache};
 pub use queue::{JobQueue, QueueLimits, Reject};
 pub use server::{Server, ServerOptions};
 pub use worker::{run_worker, WorkerOptions};

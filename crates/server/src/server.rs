@@ -21,8 +21,7 @@
 //! result, with no pipeline execution.
 
 use crate::fleet::{Actions, Completion, FailVerdict, Fleet, FleetConfig};
-use crate::jobs::{self, Executed, JobKind};
-use crate::memcache::TraceMemCache;
+use crate::jobs::{self, JobBody, JobKind};
 use crate::queue::{JobQueue, PopResult, QueueLimits, QueuedJob};
 use campaign::journal::{parse_line, write_atomic, Journal};
 use campaign::telemetry::{Counters, Value};
@@ -49,10 +48,6 @@ pub struct ServerOptions {
     pub state_dir: PathBuf,
     /// Worker threads executing jobs.
     pub workers: usize,
-    /// In-memory trace cache capacity in bytes.
-    pub mem_bytes: usize,
-    /// Memory cache shard count.
-    pub shards: usize,
     /// Per-client admission limits.
     pub limits: QueueLimits,
     /// Fleet coordinator tuning (lease TTL, backoff, poison threshold).
@@ -64,8 +59,6 @@ impl Default for ServerOptions {
         ServerOptions {
             state_dir: PathBuf::from(".commspec-server"),
             workers: 2,
-            mem_bytes: 64 << 20,
-            shards: 8,
             limits: QueueLimits::default(),
             fleet: FleetConfig::default(),
         }
@@ -99,17 +92,6 @@ impl JobState {
             JobState::Done(_) | JobState::Failed(_) | JobState::Cancelled
         )
     }
-}
-
-/// What a worker needs to execute the job. Single jobs carry both the
-/// validated spec (the in-process pool runs it directly) and the original
-/// wire params (a `lease_grant` ships them to remote workers, which
-/// re-validate — the validation is deterministic, so both derive the same
-/// spec).
-#[derive(Clone)]
-enum JobBody {
-    Single(JobKind, campaign::JobSpec, JobParams),
-    Campaign(String),
 }
 
 struct JobEntry {
@@ -151,11 +133,13 @@ struct ServerStats {
     failed: AtomicU64,
     cancelled: AtomicU64,
     replayed: AtomicU64,
+    /// Jobs this process ran on a trace loaded from the cache.
+    cache_hits: AtomicU64,
 }
 
 struct State {
     opts: ServerOptions,
-    mem: TraceMemCache,
+    cache: TraceCache,
     queue: JobQueue,
     table: Mutex<JobTable>,
     table_cv: Condvar,
@@ -342,11 +326,9 @@ impl Server {
             }
         }
 
-        let disk = TraceCache::open(opts.state_dir.join("cache"))?;
-        let mem = TraceMemCache::new(disk, opts.shards, opts.mem_bytes);
         let state = Arc::new(State {
             queue: JobQueue::new(opts.limits),
-            mem,
+            cache: TraceCache::open(opts.state_dir.join("cache"))?,
             table: Mutex::new(table),
             table_cv: Condvar::new(),
             counters: Counters::new(),
@@ -536,43 +518,23 @@ fn worker_loop(state: &State) {
             continue;
         };
 
-        // Fault isolation: a panicking job fails the job, not the server.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match body {
-            JobBody::Single(kind, spec, _params) => jobs::run_single(kind, &spec, &state.mem),
-            JobBody::Campaign(matrix) => {
-                let disk = TraceCache::open(state.mem.disk().dir())
-                    .map_err(|e| format!("cannot open cache: {e}"))?;
-                let telemetry =
-                    Telemetry::to_file(&state.opts.state_dir.join(format!("{id}.campaign.jsonl")))
-                        .unwrap_or_else(|_| Telemetry::sink());
-                jobs::run_campaign_job(&matrix, disk, telemetry)
-            }
-        }));
-        let outcome = match outcome {
-            Ok(r) => r,
-            Err(p) => {
-                let msg = p
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| p.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "job panicked".to_string());
-                Err(format!("panic: {msg}"))
-            }
-        };
-
+        let outcome = jobs::execute(&body, &state.cache, || {
+            Telemetry::to_file(&state.opts.state_dir.join(format!("{id}.campaign.jsonl")))
+                .unwrap_or_else(|_| Telemetry::sink())
+        });
         match outcome {
-            Ok(Executed { result, evictions }) => {
-                if evictions > 0 {
-                    state.counters.add(&client, "evictions", evictions);
+            Ok(result) => {
+                if result.cached {
+                    state.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
                 }
                 state.persist_done(&id, kind, &result);
                 state.stats.done.fetch_add(1, Ordering::Relaxed);
                 state.finish(&id, &client, JobState::Done(result));
             }
-            Err(error) => {
-                state.persist_failed(&id, kind, &error);
+            Err(e) => {
+                state.persist_failed(&id, kind, &e.message);
                 state.stats.failed.fetch_add(1, Ordering::Relaxed);
-                state.finish(&id, &client, JobState::Failed(error));
+                state.finish(&id, &client, JobState::Failed(e.message));
             }
         }
     }
@@ -829,7 +791,7 @@ fn grant_lease(state: &Arc<State>, worker: &str) -> Response {
             .fleet
             .grant(worker, queued, Instant::now(), &state.journal);
         let (params, matrix) = match body {
-            JobBody::Single(_, _, params) => (Some(params), None),
+            JobBody::Single(_, params) => (Some(params), None),
             JobBody::Campaign(matrix) => (None, Some(matrix)),
         };
         return Response::LeaseGrant {
@@ -1068,7 +1030,7 @@ fn submit_single(
         client,
         job_id,
         kind,
-        JobBody::Single(kind, spec, params),
+        JobBody::Single(kind, params),
         tag,
     )
 }
@@ -1189,7 +1151,8 @@ fn stats(state: &Arc<State>) -> StatsReport {
             .count() as u64;
         (queued, running)
     };
-    let cache = state.mem.stats();
+    // The wire format keeps the counters of the memory layer that used to
+    // sit in front of the trace cache; there is one cache now.
     StatsReport {
         jobs_queued: queued,
         jobs_running: running,
@@ -1197,12 +1160,12 @@ fn stats(state: &Arc<State>) -> StatsReport {
         jobs_failed: state.stats.failed.load(Ordering::Relaxed),
         jobs_cancelled: state.stats.cancelled.load(Ordering::Relaxed),
         jobs_replayed: state.stats.replayed.load(Ordering::Relaxed),
-        mem_hits: cache.mem_hits,
-        mem_misses: cache.mem_misses,
-        disk_hits: cache.disk_hits,
-        evictions: cache.evictions,
-        mem_entries: cache.entries,
-        mem_bytes: cache.bytes,
+        mem_hits: 0,
+        mem_misses: 0,
+        disk_hits: state.stats.cache_hits.load(Ordering::Relaxed),
+        evictions: 0,
+        mem_entries: 0,
+        mem_bytes: 0,
         fleet: state.fleet.snapshot(Instant::now()),
         clients: state
             .counters

@@ -1,7 +1,7 @@
 //! Poison-recovering synchronization wrappers.
 //!
-//! Every shared structure in this crate (job table, queue, memcache
-//! shards, fleet lease table) is guarded by a `Mutex`. The std mutex
+//! Every shared structure in this crate (job table, queue, fleet
+//! lease table) is guarded by a `Mutex`. The std mutex
 //! poisons itself when a holder panics, and `lock().unwrap()` then
 //! propagates that panic to every *other* thread that touches the lock —
 //! one crashed connection handler used to take the whole daemon down

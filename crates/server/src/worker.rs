@@ -25,8 +25,8 @@
 //! - `COMMSPEC_WORKER_DUP_COMPLETE=1`: send every successful completion
 //!   twice; the duplicate must come back `accepted: false`.
 
-use crate::jobs::{self, JobKind};
-use crate::memcache::TraceMemCache;
+use crate::jobs::{self, JobBody, JobKind};
+use campaign::executor::{backoff_delay, JobError};
 use campaign::journal::write_atomic;
 use campaign::{Telemetry, TraceCache};
 use protocol::{JobResult, Request, Response, PROTO_VERSION};
@@ -49,7 +49,7 @@ pub struct WorkerOptions {
     pub state_dir: PathBuf,
     /// Connection attempts before giving up.
     pub connect_retries: u32,
-    /// Base delay between attempts (doubles, capped at ~5s).
+    /// Base delay between attempts (doubles, capped at 5s).
     pub connect_backoff: Duration,
 }
 
@@ -79,10 +79,7 @@ pub fn connect_with_retries(
             Err(e) => last = e.to_string(),
         }
         if attempt + 1 < retries.max(1) {
-            let delay = backoff
-                .saturating_mul(1u32 << attempt.min(6))
-                .min(Duration::from_secs(5));
-            std::thread::sleep(delay);
+            std::thread::sleep(backoff_delay(backoff, attempt + 1, Duration::from_secs(5)));
         }
     }
     Err(format!(
@@ -191,9 +188,8 @@ pub fn run_worker(opts: WorkerOptions) -> Result<u64, String> {
     };
     eprintln!("worker {} registered (lease ttl {ttl_ms} ms)", opts.name);
 
-    let disk = TraceCache::open(opts.state_dir.join("cache"))
+    let cache = TraceCache::open(opts.state_dir.join("cache"))
         .map_err(|e| format!("cannot open worker cache: {e}"))?;
-    let mem = TraceMemCache::new(disk, 4, 32 << 20);
 
     let held: Arc<Mutex<BTreeSet<String>>> = Arc::new(Mutex::new(BTreeSet::new()));
     let lost: Arc<Mutex<BTreeSet<String>>> = Arc::new(Mutex::new(BTreeSet::new()));
@@ -251,7 +247,7 @@ pub fn run_worker(opts: WorkerOptions) -> Result<u64, String> {
             }) => {
                 crate::sync::lock(&held).insert(lease.clone());
                 eprintln!("worker {}: lease {lease} job {job}", opts.name);
-                let result = execute(&kind, params, matrix, &mem, &opts.state_dir);
+                let result = execute(&kind, params, matrix, &cache);
                 crate::sync::lock(&held).remove(&lease);
                 done += 1;
                 let known_lost = crate::sync::lock(&lost).remove(&lease);
@@ -272,12 +268,12 @@ pub fn run_worker(opts: WorkerOptions) -> Result<u64, String> {
                             result,
                         }
                     }
-                    Err((error, transient)) => Request::JobFail {
+                    Err(e) => Request::JobFail {
                         worker: opts.name.clone(),
                         lease: lease.clone(),
                         job: job.clone(),
-                        error,
-                        transient,
+                        error: e.message,
+                        transient: e.transient,
                     },
                 };
                 match call(&conn, &report) {
@@ -329,51 +325,27 @@ pub fn run_worker(opts: WorkerOptions) -> Result<u64, String> {
     outcome
 }
 
-/// Execute one leased job with the same panic isolation the in-process
-/// pool applies. `Err((message, transient))`.
+/// Execute one leased job exactly as the in-process pool would.
 fn execute(
     kind: &str,
     params: Option<protocol::JobParams>,
     matrix: Option<String>,
-    mem: &TraceMemCache,
-    state_dir: &std::path::Path,
-) -> Result<JobResult, (String, bool)> {
+    cache: &TraceCache,
+) -> Result<JobResult, JobError> {
     if let Some(delay) = env_ms("COMMSPEC_WORKER_JOB_DELAY_MS") {
         std::thread::sleep(delay);
     }
-    let kind =
-        JobKind::from_label(kind).ok_or_else(|| (format!("unknown job kind {kind}"), false))?;
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-        || -> Result<JobResult, (String, bool)> {
-            match kind {
-                JobKind::Campaign => {
-                    let matrix = matrix.ok_or(("lease_grant missing matrix".to_string(), false))?;
-                    let disk = TraceCache::open(state_dir.join("cache"))
-                        .map_err(|e| (format!("cannot open cache: {e}"), true))?;
-                    let out = jobs::run_campaign_job(&matrix, disk, Telemetry::sink())
-                        .map_err(|e| (e, false))?;
-                    Ok(out.result)
-                }
-                _ => {
-                    let params = params.ok_or(("lease_grant missing params".to_string(), false))?;
-                    let spec = jobs::spec_of(&params).map_err(|e| (e, false))?;
-                    let out = jobs::run_single(kind, &spec, mem).map_err(|e| (e, false))?;
-                    Ok(out.result)
-                }
-            }
-        },
-    ));
-    match run {
-        Ok(r) => r,
-        Err(p) => {
-            let msg = p
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| p.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "job panicked".to_string());
-            Err((format!("panic: {msg}"), false))
+    let body = match JobKind::from_label(kind) {
+        None => return Err(JobError::fatal(format!("unknown job kind {kind}"))),
+        Some(JobKind::Campaign) => {
+            JobBody::Campaign(matrix.ok_or_else(|| JobError::fatal("lease_grant missing matrix"))?)
         }
-    }
+        Some(kind) => JobBody::Single(
+            kind,
+            params.ok_or_else(|| JobError::fatal("lease_grant missing params"))?,
+        ),
+    };
+    jobs::execute(&body, cache, Telemetry::sink)
 }
 
 /// Commit the result's artifacts to the worker-local scratch dir,

@@ -74,8 +74,8 @@ fn main() {
     // 6. Per-client counters and cache statistics, then an orderly stop.
     if let Response::Stats(stats) = client.request(&Request::Stats).expect("stats") {
         println!(
-            "== stats: done {}, replayed {}, mem hits {}, misses {} ==",
-            stats.jobs_done, stats.jobs_replayed, stats.mem_hits, stats.mem_misses
+            "== stats: done {}, replayed {}, cache hits {} ==",
+            stats.jobs_done, stats.jobs_replayed, stats.disk_hits
         );
     }
     client.shutdown().expect("shutdown");

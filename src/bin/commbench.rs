@@ -162,7 +162,6 @@ struct ServeArgs {
     addr: String,
     state_dir: PathBuf,
     workers: usize,
-    mem_mb: usize,
     rate: f64,
     burst: f64,
     inflight: usize,
@@ -228,7 +227,7 @@ struct Verb {
 const MATRIX_USAGE: &str = "commbench --matrix FILE [--print-matrix] [--cache DIR] \
      [--log FILE.jsonl] [--workers N] [--timeout SECS] [--retries N]";
 const SERVE_USAGE: &str = "commbench serve [--stdio | --addr HOST:PORT] [--state DIR] \
-     [--workers N] [--mem-mb N] [--rate PER_SEC] [--burst N] [--inflight N] \
+     [--workers N] [--rate PER_SEC] [--burst N] [--inflight N] \
      [--lease-ttl-ms MS] [--reassign-backoff-ms MS] [--poison N]";
 const CLIENT_USAGE: &str = "commbench client --addr HOST:PORT [--name ID] \
      [--submit trace|generate|simulate [--app A] [--ranks N] [--class S|W|A|B|C] \
@@ -357,7 +356,6 @@ fn parse_serve(argv: &[String]) -> Result<ServeArgs, String> {
         addr: "127.0.0.1:0".to_string(),
         state_dir: PathBuf::from(".commspec-server"),
         workers: 2,
-        mem_mb: 64,
         rate: 50.0,
         burst: 100.0,
         inflight: 16,
@@ -372,7 +370,6 @@ fn parse_serve(argv: &[String]) -> Result<ServeArgs, String> {
             "--addr" => args.addr = argv.value()?,
             "--state" => args.state_dir = argv.path()?,
             "--workers" => args.workers = argv.parsed()?,
-            "--mem-mb" => args.mem_mb = argv.parsed()?,
             "--rate" => args.rate = argv.parsed()?,
             "--burst" => args.burst = argv.parsed()?,
             "--inflight" => args.inflight = argv.parsed()?,
@@ -810,8 +807,6 @@ fn main_serve(args: ServeArgs) -> Verdict {
     let opts = server::ServerOptions {
         state_dir: args.state_dir.clone(),
         workers: args.workers,
-        mem_bytes: args.mem_mb << 20,
-        shards: 8,
         limits: server::QueueLimits {
             max_inflight: args.inflight,
             rate_per_sec: args.rate,
@@ -922,10 +917,7 @@ fn client_stats(client: &mut server::Client) -> Verdict {
         s.jobs_cancelled,
         s.jobs_replayed
     );
-    println!(
-        "cache: {} mem hits, {} misses, {} disk hits, {} evictions, {} entries ({} bytes)",
-        s.mem_hits, s.mem_misses, s.disk_hits, s.evictions, s.mem_entries, s.mem_bytes
-    );
+    println!("cache: {} hits", s.disk_hits);
     println!(
         "fleet: {} workers ({} live), {} leases granted, {} renewed, \
          {} expired, {} reassigned, {} quarantined, {} dup completions discarded",
@@ -1537,10 +1529,9 @@ mod tests {
         assert!(a.stdio);
         assert_eq!(a.state_dir, PathBuf::from("/tmp/s"));
         assert_eq!(a.workers, 3);
-        assert_eq!(a.mem_mb, 64);
 
         let a = match parse_argv(argv(
-            "serve --addr 127.0.0.1:7777 --mem-mb 8 --rate 5 --burst 10 --inflight 2",
+            "serve --addr 127.0.0.1:7777 --rate 5 --burst 10 --inflight 2",
         ))
         .unwrap()
         {
@@ -1549,7 +1540,6 @@ mod tests {
         };
         assert!(!a.stdio);
         assert_eq!(a.addr, "127.0.0.1:7777");
-        assert_eq!(a.mem_mb, 8);
         assert_eq!(a.rate, 5.0);
         assert_eq!(a.burst, 10.0);
         assert_eq!(a.inflight, 2);

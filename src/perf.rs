@@ -2,8 +2,10 @@
 //!
 //! Runs a fixed, std-only benchmark suite with warmup + median-of-N timing
 //! and writes `BENCH_pipeline.json` at the repo root in a stable schema
-//! (`commspec-perf/v3`). Every row is `name, kind, ranks, median_ns` plus
-//! the counters and same-run ratios of its family:
+//! (`commspec-perf/v3`). Every row is `name, kind, ranks` plus the counters
+//! and same-run ratios of its family; wall-time medians are printed in the
+//! table and never written, so the committed file does not churn with the
+//! host it was measured on:
 //!
 //! * **compression** — the ScalaTrace tail-folding microbench at 8/32/64
 //!   ranks: synthetic per-rank event streams (nested loops, flat bursts,
@@ -218,9 +220,11 @@ pub struct Suite {
     /// World size.
     pub ranks: usize,
     /// Median wall time of the row's production path, in ns (pipeline: the
-    /// cold pass). Recorded, never gated.
+    /// cold pass). Printed by [`PerfReport::table`]; never written, never
+    /// gated against a committed value.
     pub median_ns: u64,
     /// Median warm (cache-hit) pipeline time — pipeline suites only.
+    /// Printed, never written.
     pub warm_ns: Option<u64>,
     /// Same-run time ratio of the row's path over its production reference
     /// (see the module docs), stored under [`ratio_key`]'s name: the
@@ -698,36 +702,29 @@ fn pipeline_job(app: &App) -> JobSpec {
 }
 
 /// One full pipeline pass: trace (or cache load) → generate → execute
-/// under an mpiP hook. The cache key decides cold vs warm. Returns the
-/// counts of the generated program's run.
+/// under an mpiP hook. The cache key decides cold vs warm. Returns whether
+/// the trace came from the cache and the counts of the generated
+/// program's run.
 fn pipeline_once(
     job: &JobSpec,
     app: &App,
     cache: &TraceCache,
     key: u64,
-) -> Result<SimCounts, String> {
+) -> Result<(bool, SimCounts), String> {
     let model = job.network_model()?;
-    let trace = match cache.load(key) {
-        Some(hit) => hit.trace,
-        None => {
-            let traced = job
-                .trace(app, model.clone())
-                .map_err(|e| format!("{}: trace failed: {e}", app.name))?;
-            cache
-                .store(key, &traced.trace, traced.report.total_time, &[])
-                .map_err(|e| format!("{}: cache store failed: {e}", app.name))?;
-            traced.trace
-        }
-    };
-    let generated = benchgen::generate(&trace, &job.gen_options())
+    let src = job
+        .trace_cached(cache, key, app, model.clone())
+        .map_err(|e| format!("{}: trace failed: {e}", app.name))?;
+    let generated = benchgen::generate(&src.trace, &job.gen_options())
         .map_err(|e| format!("{}: generation failed: {e}", app.name))?;
     let (report, profile) = execute_profiled(&Arc::new(generated.program), job.ranks, model)
         .map_err(|e| format!("{}: execution failed: {e}", app.name))?;
     black_box(profile.total_calls());
-    Ok(SimCounts {
+    let counts = SimCounts {
         ops: report.stats.operations,
         crossings: report.crossings,
-    })
+    };
+    Ok((src.cached, counts))
 }
 
 /// Host time of the generated program's run under the mpiP hook over that
@@ -791,8 +788,18 @@ fn pipeline_suite(
         pipeline_once(&job, app, cache, key)?;
         cold.push(t0.elapsed().as_nanos() as u64);
         let t1 = Instant::now();
-        sim = Some(pipeline_once(&job, app, cache, key)?);
+        let (hit, counts) = pipeline_once(&job, app, cache, key)?;
         warm.push(t1.elapsed().as_nanos() as u64);
+        // The shared cache-or-trace step stores best-effort; a warm leg
+        // that traced again would be a cold median under the wrong name.
+        if !hit {
+            return Err(format!(
+                "{}: the warm pass missed the cache in {}",
+                app.name,
+                cache.dir().display()
+            ));
+        }
+        sim = Some(counts);
     }
     Ok(Suite {
         warm_ns: Some(median(warm)),
@@ -970,11 +977,7 @@ impl Suite {
             ("name".into(), Json::Str(self.name.clone())),
             ("kind".into(), Json::Str(self.kind.into())),
             ("ranks".into(), num(self.ranks as u64)),
-            ("median_ns".into(), num(self.median_ns)),
         ];
-        if let Some(w) = self.warm_ns {
-            obj.push(("warm_ns".into(), num(w)));
-        }
         if let (Some(key), Some(r)) = (ratio_key(self.kind), self.ratio) {
             obj.push((key.into(), Json::Num(round3(r))));
         }
@@ -1050,7 +1053,14 @@ impl PerfReport {
             ("cores".into(), Json::Num(self.cores as f64)),
             (
                 "suites".into(),
-                Json::Arr(self.suites.iter().map(Suite::to_json).collect()),
+                // An aggregate row is a sum of medians: a table line only.
+                Json::Arr(
+                    self.suites
+                        .iter()
+                        .filter(|s| s.kind != "aggregate")
+                        .map(Suite::to_json)
+                        .collect(),
+                ),
             ),
         ])
     }
@@ -1256,9 +1266,12 @@ mod tests {
         };
         let key = pipeline_key("ring", "test", 0);
         assert!(cache.load(key).is_none());
-        pipeline_once(&job, app, &cache, key).unwrap();
+        let (hit, cold) = pipeline_once(&job, app, &cache, key).unwrap();
+        assert!(!hit);
         assert!(cache.load(key).is_some(), "cold pass fills the cache");
-        pipeline_once(&job, app, &cache, key).unwrap();
+        let (hit, warm) = pipeline_once(&job, app, &cache, key).unwrap();
+        assert!(hit, "warm pass loads what the cold pass stored");
+        assert_eq!((cold.ops, cold.crossings), (warm.ops, warm.crossings));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1301,7 +1314,7 @@ mod tests {
         assert_eq!(parsed.get("threads").and_then(Json::as_num), Some(8.0));
         assert_eq!(parsed.get("cores").and_then(Json::as_num), Some(8.0));
         let row = &parsed.get("suites").and_then(Json::as_arr).unwrap()[0];
-        assert_eq!(row.get("median_ns").and_then(Json::as_num), Some(1000.0));
+        assert_eq!(row.get("ranks").and_then(Json::as_num), Some(64.0));
         assert_eq!(row.get("fold_ratio").and_then(Json::as_num), Some(0.2));
         assert!(check_regressions(&report, &parsed).is_empty());
 
@@ -1310,6 +1323,37 @@ mod tests {
         let mut slower = report.clone();
         slower.suites[0].median_ns *= 10;
         assert!(check_regressions(&slower, &parsed).is_empty());
+    }
+
+    #[test]
+    fn wall_times_are_printed_and_never_written_or_read() {
+        let mut pipeline = with_ratio("pipeline_ring_r4", "pipeline", 1.5);
+        pipeline.warm_ns = Some(700);
+        let total = Suite::new("pipeline_registry".into(), "aggregate", 4, 1_000);
+        let report = report(vec![pipeline, total]);
+
+        let text = report.to_json().to_string();
+        assert!(!text.contains("median_ns") && !text.contains("warm_ns"));
+        assert!(!text.contains("pipeline_registry"), "{text}");
+        assert!(report.table().contains("pipeline_registry"));
+        assert!(check_regressions(&report, &parse_json(&text).unwrap()).is_empty());
+
+        // A v3 file from before the trim — medians in every row, the
+        // aggregate row present — gates exactly the same things.
+        let untrimmed = r#"{
+            "schema": "commspec-perf/v3",
+            "mode": "smoke", "reps": 3, "warmup": 1, "threads": 8, "cores": 8,
+            "suites": [
+                {"name": "pipeline_ring_r4", "kind": "pipeline", "ranks": 4,
+                 "median_ns": 5, "warm_ns": 3, "interp_ratio": 1.5},
+                {"name": "pipeline_registry", "kind": "aggregate", "ranks": 4, "median_ns": 5}
+            ]
+        }"#;
+        let untrimmed = parse_json(untrimmed).unwrap();
+        assert!(check_regressions(&report, &untrimmed).is_empty());
+        let mut drifted = report.clone();
+        drifted.suites[0].ratio = Some(1.5 * (1.0 + CHECK_TOLERANCE) + 0.01);
+        assert_eq!(check_regressions(&drifted, &untrimmed).len(), 1);
     }
 
     #[test]

@@ -329,6 +329,20 @@ fn commbench_chaos_rejects_bad_flags() {
 }
 
 #[test]
+fn commbench_serve_has_no_memory_cache_flag() {
+    let out = commbench(&["serve", "--mem-mb", "8"]);
+    assert!(!out.status.success());
+    assert!(
+        stderr(&out).contains("unknown argument --mem-mb (try --help)"),
+        "{}",
+        stderr(&out)
+    );
+    let usage = commbench(&["serve", "--help"]);
+    assert!(stderr(&usage).contains("commbench serve [--stdio"));
+    assert!(!stderr(&usage).contains("--mem-mb"), "{}", stderr(&usage));
+}
+
+#[test]
 fn commbench_rejects_missing_and_malformed_matrices() {
     let out = commbench(&["--matrix", "/nonexistent/m.txt"]);
     assert!(!out.status.success());

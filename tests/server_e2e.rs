@@ -226,7 +226,7 @@ fn trace_generate_simulate_reuse_one_cache_entry() {
             Request::Shutdown,
         ],
     );
-    // trace misses (fills the cache); generate and simulate hit memory.
+    // trace misses (fills the cache); generate and simulate load from it.
     let trace_st = artifact(&responses[2], "trace.st").text.clone();
     let program = artifact(&responses[4], "program.ncptl").text.clone();
     assert_eq!(artifact(&responses[6], "trace.st").text, trace_st);
@@ -251,8 +251,8 @@ fn trace_generate_simulate_reuse_one_cache_entry() {
     match &responses[7] {
         Response::Stats(stats) => {
             assert_eq!(stats.jobs_done, 3);
-            assert_eq!(stats.mem_misses, 1, "one cold lookup");
-            assert_eq!(stats.mem_hits, 2, "generate and simulate hit memory");
+            assert_eq!(stats.disk_hits, 2, "generate and simulate hit the cache");
+            assert_eq!(stats.mem_hits, 0, "there is no memory layer to hit");
             let e2e = stats.clients.iter().find(|c| c.client == "e2e").unwrap();
             let get = |name: &str| {
                 e2e.counters
@@ -266,6 +266,212 @@ fn trace_generate_simulate_reuse_one_cache_entry() {
         }
         other => panic!("expected stats, got {other:?}"),
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A done job's result, as a `status` reply carries it.
+fn done(resp: &Response) -> &protocol::JobResult {
+    match resp {
+        Response::JobStatus {
+            state,
+            result: Some(r),
+            ..
+        } if state == "done" => r,
+        other => panic!("expected a done job_status, got {other:?}"),
+    }
+}
+
+#[test]
+fn artifacts_are_identical_cold_warm_and_warm_after_a_restart_without_the_journal() {
+    const APPS: [&str; 4] = ["ring", "is", "lu", "cg"];
+    const ARTIFACTS: [&str; 3] = ["trace.st", "program.ncptl", "profile.mpip"];
+    let dir = temp_dir("warm");
+    let state = dir.join("state");
+    let submit_and_wait = |script: &mut Vec<Request>, req: Request, tag: String| {
+        script.push(req);
+        script.push(Request::Status {
+            job: JobRef::Tag(tag),
+            wait: true,
+        });
+    };
+
+    // First process: `simulate` traces each app (cold); `trace` and
+    // `generate` of the same spec then load what it stored (warm).
+    let mut script = vec![hello()];
+    for app in APPS {
+        let params = JobParams::new(app, 4);
+        for (kind, req) in [
+            (
+                "s",
+                Request::Simulate {
+                    params: params.clone(),
+                    tag: Some(format!("s-{app}")),
+                },
+            ),
+            (
+                "t",
+                Request::Trace {
+                    params: params.clone(),
+                    tag: Some(format!("t-{app}")),
+                },
+            ),
+            (
+                "g",
+                Request::Generate {
+                    params: params.clone(),
+                    tag: Some(format!("g-{app}")),
+                },
+            ),
+        ] {
+            submit_and_wait(&mut script, req, format!("{kind}-{app}"));
+        }
+    }
+    script.push(Request::Stats);
+    script.push(Request::Shutdown);
+    let first = serve_script(&state, &[], &script);
+    let mut cold = Vec::new();
+    for (i, app) in APPS.iter().enumerate() {
+        let [s, t, g] = [2, 4, 6].map(|k| &first[6 * i + k]);
+        assert!(!done(s).cached, "{app}: the first job traces");
+        assert!(done(t).cached && done(g).cached, "{app}: the rest load");
+        assert_eq!(
+            artifact(t, "trace.st").text,
+            artifact(s, "trace.st").text,
+            "{app}"
+        );
+        assert_eq!(
+            artifact(g, "program.ncptl").text,
+            artifact(s, "program.ncptl").text,
+            "{app}"
+        );
+        cold.push(ARTIFACTS.map(|name| artifact(s, name).text.clone()));
+    }
+    match &first[first.len() - 2] {
+        Response::Stats(stats) => {
+            assert_eq!(stats.jobs_done, 12);
+            assert_eq!(stats.disk_hits, 8, "two warm jobs an app");
+            assert_eq!((stats.mem_hits, stats.mem_misses), (0, 0));
+        }
+        other => panic!("expected stats, got {other:?}"),
+    }
+
+    // Second process over the same state directory, journal gone: nothing
+    // can be replayed, so `simulate` runs again — on the cached trace.
+    std::fs::remove_file(state.join("server.jsonl")).unwrap();
+    let mut script = vec![hello()];
+    for app in APPS {
+        let req = Request::Simulate {
+            params: JobParams::new(app, 4),
+            tag: Some(app.to_string()),
+        };
+        submit_and_wait(&mut script, req, app.to_string());
+    }
+    script.push(Request::Stats);
+    script.push(Request::Shutdown);
+    let second = serve_script(&state, &[], &script);
+    for (i, app) in APPS.iter().enumerate() {
+        assert!(
+            matches!(
+                second[1 + 2 * i],
+                Response::Submitted {
+                    replayed: false,
+                    ..
+                }
+            ),
+            "{app}: served by the cache, not the journal"
+        );
+        let status = &second[2 + 2 * i];
+        assert!(done(status).cached, "{app}");
+        for (name, before) in ARTIFACTS.iter().zip(&cold[i]) {
+            assert_eq!(&artifact(status, name).text, before, "{app} {name}");
+        }
+    }
+    match &second[second.len() - 2] {
+        Response::Stats(stats) => {
+            assert_eq!((stats.jobs_done, stats.jobs_replayed), (4, 0));
+            assert_eq!(stats.disk_hits, 4);
+        }
+        other => panic!("expected stats, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn two_clients_racing_on_one_uncached_trace_leave_one_sound_cache_entry() {
+    use std::sync::Barrier;
+
+    let dir = temp_dir("race");
+    let opts = server::ServerOptions {
+        state_dir: dir.join("state"),
+        ..server::ServerOptions::default()
+    };
+    let (srv, restored) = server::Server::start(opts).expect("server starts");
+    assert_eq!(restored, 0);
+
+    // Same spec, two job kinds: two jobs on the two pool threads, each
+    // finding the cache empty unless the other already filled it.
+    let params = JobParams::new("lu", 4);
+    let scripts = ["sim", "gen"].map(|tag| {
+        let hello = Request::Hello {
+            proto_version: protocol::PROTO_VERSION,
+            client: format!("client-{tag}"),
+        };
+        let (params, tagged) = (params.clone(), Some(tag.to_string()));
+        let submit = match tag {
+            "sim" => Request::Simulate {
+                params,
+                tag: tagged,
+            },
+            _ => Request::Generate {
+                params,
+                tag: tagged,
+            },
+        };
+        let wait = Request::Status {
+            job: JobRef::Tag(tag.into()),
+            wait: true,
+        };
+        [hello, submit, wait].map(|r| r.to_line() + "\n").concat()
+    });
+    let start = Barrier::new(2);
+    let replies: Vec<Vec<Response>> = std::thread::scope(|scope| {
+        let sessions: Vec<_> = scripts
+            .iter()
+            .map(|script| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
+                    start.wait();
+                    srv.handle(script.as_bytes(), &mut out);
+                    String::from_utf8(out)
+                        .unwrap()
+                        .lines()
+                        .map(|l| Response::from_line(l).unwrap())
+                        .collect()
+                })
+            })
+            .collect();
+        sessions.into_iter().map(|s| s.join().unwrap()).collect()
+    });
+    srv.shutdown();
+
+    // `artifact` insists on a `done` job; the simulate job carries the
+    // program the generate job is all about.
+    let programs: Vec<&str> = replies
+        .iter()
+        .map(|r| artifact(&r[2], "program.ncptl").text.as_str())
+        .collect();
+    assert_eq!(programs[0], programs[1]);
+
+    let cache = campaign::TraceCache::open(dir.join("state/cache")).unwrap();
+    assert_eq!(cache.len(), 1, "one spec, one entry");
+    let key = server::jobs::spec_of(&params).unwrap().trace_key();
+    assert!(cache.load(key).is_some(), "and it loads");
+    let stray: Vec<_> = std::fs::read_dir(cache.dir())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.ends_with(".tmp"))
+        .collect();
+    assert!(stray.is_empty(), "{stray:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
