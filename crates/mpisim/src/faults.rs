@@ -270,9 +270,10 @@ impl FaultPlan {
 
     /// This plan minus every crash action (op-count and collective-entry
     /// alike), with all timing perturbations kept. This is the plan a
-    /// checkpoint *resume* runs under: the re-entry invariant needs the same
-    /// jitter/skew/straggle draws as the crashed run, but the recovered rank
-    /// must live this time.
+    /// *re-trace* after a crash runs under: the same jitter/skew/straggle
+    /// draws as the crashed run, but the lost rank lives this time, so the
+    /// deterministic engine reproduces the run that never crashed, byte
+    /// for byte.
     pub fn without_crashes(mut self) -> FaultPlan {
         self.crashes.clear();
         self.coll_crashes.clear();

@@ -27,11 +27,6 @@ pub struct Tracer {
     last_exit: SimTime,
     /// Number of MPI events this rank recorded.
     pub events_seen: u64,
-    /// Events still to ignore after a checkpoint restore: the resumed
-    /// simulation re-runs from virtual t=0 and deterministically reproduces
-    /// the events the checkpoint already captured, so the first
-    /// `resume_skip` deliveries are dropped instead of re-recorded.
-    resume_skip: u64,
 }
 
 impl Tracer {
@@ -50,30 +45,6 @@ impl Tracer {
             comms: CommTable::world(nranks),
             last_exit: SimTime::ZERO,
             events_seen: 0,
-            resume_skip: 0,
-        }
-    }
-
-    /// Rebuild a tracer from checkpointed state (see [`crate::snapshot`]).
-    /// The restored tracer starts in resume mode: its first `events_seen`
-    /// observed events are skipped, because they are the deterministic
-    /// re-simulation of what the checkpoint already holds.
-    pub(crate) fn restore(
-        rank: usize,
-        nranks: usize,
-        seq: TailCompressor,
-        comms: CommTable,
-        last_exit: SimTime,
-        events_seen: u64,
-    ) -> Tracer {
-        Tracer {
-            rank,
-            nranks,
-            seq,
-            comms,
-            last_exit,
-            events_seen,
-            resume_skip: events_seen,
         }
     }
 
@@ -87,10 +58,6 @@ impl Tracer {
 
     pub(crate) fn comms_ref(&self) -> &CommTable {
         &self.comms
-    }
-
-    pub(crate) fn last_exit(&self) -> SimTime {
-        self.last_exit
     }
 
     /// The rank this tracer observes.
@@ -180,44 +147,27 @@ impl Tracer {
 impl Tracer {
     /// Translate one interposed event into its single-rank RSD node,
     /// updating the clock, communicator table, and event count — everything
-    /// [`Hook::on_event`] does except appending to the compressor. `None`
-    /// while the tracer is replaying through already-captured events after a
-    /// restore. Factored out so the streaming capture (`crate::stream`) can
-    /// interpose its seal/reload logic between observation and append.
-    pub(crate) fn observe(&mut self, event: &Event) -> Option<TraceNode> {
-        if self.resume_skip > 0 {
-            // Already captured before the checkpoint; the deterministic
-            // re-run reproduces it bit-for-bit (communicators included —
-            // the CommTable was restored, so the CommSplit insert is
-            // already present). Drop it — but track its exit time: the
-            // crash that ended the original run can shift the *completion*
-            // of the frontier event (e.g. a send to the dead rank draining
-            // early), so the checkpointed `last_exit` is an absolute time
-            // from the crashed timeline. The replayed event carries the
-            // uncrashed timeline's exit, which is what the next recorded
-            // compute interval must be measured from.
-            self.last_exit = event.t_exit;
-            self.resume_skip -= 1;
-            return None;
-        }
+    /// [`Hook::on_event`] does except appending to the compressor. Factored
+    /// out so the streaming capture (`crate::stream`) can interpose its
+    /// seal/reload logic between observation and append.
+    pub(crate) fn observe(&mut self, event: &Event) -> TraceNode {
         let compute = event.t_enter.since(self.last_exit);
         self.last_exit = event.t_exit;
         let op = self.template_of(&event.kind);
         self.events_seen += 1;
-        Some(TraceNode::Event(Rsd {
+        TraceNode::Event(Rsd {
             ranks: RankSet::single(self.rank),
             sig: event.stack_sig,
             op,
             compute: TimeStats::of(compute),
-        }))
+        })
     }
 }
 
 impl Hook for Tracer {
     fn on_event(&mut self, event: &Event) {
-        if let Some(node) = self.observe(event) {
-            self.seq.push(node);
-        }
+        let node = self.observe(event);
+        self.seq.push(node);
     }
 }
 

@@ -19,7 +19,7 @@
 //! the reference every differential test compares against.
 //! [`TailCompressor`] is what capture runs: the same fold decisions found
 //! through rolling fingerprints, with the incremental state streaming
-//! capture and checkpoints need.
+//! capture needs.
 
 use crate::fingerprint::{self, POLY_BASE};
 use crate::trace::{Prsd, TraceNode};
@@ -146,25 +146,6 @@ impl TailCompressor {
     /// The configured fold window.
     pub fn max_window(&self) -> usize {
         self.max_window
-    }
-
-    /// Rebuild a compressor around a previously compressed sequence (a
-    /// checkpoint restore).
-    ///
-    /// The sequence is adopted verbatim — no fold is attempted, because the
-    /// checkpointed state is by construction a fold fixpoint and restoring
-    /// must be byte-exact. The fingerprint records and prefix hashes are
-    /// recomputed from the node structure; this reproduces the incrementally
-    /// maintained values exactly: fingerprints are timing-blind (so
-    /// histogram absorption during folding never changed them) and a
-    /// Case-A-bumped loop's fingerprint is re-derived from its count and
-    /// body hash via the same [`fingerprint::loop_fp`] identity the
-    /// incremental path uses.
-    pub fn from_nodes(max_window: usize, nodes: Vec<TraceNode>) -> TailCompressor {
-        let mut c = TailCompressor::new(max_window);
-        c.seq = nodes;
-        c.rebuild_index();
-        c
     }
 
     /// The compressed sequence so far.
@@ -347,8 +328,12 @@ impl TailCompressor {
         self.rebuild_index();
     }
 
-    /// Recompute `recs`/`pref` from the node structure (the byte-exactness
-    /// argument is on [`TailCompressor::from_nodes`]).
+    /// Recompute `recs`/`pref` from the node structure. This reproduces
+    /// the incrementally maintained values exactly: fingerprints are
+    /// timing-blind (so histogram absorption during folding never changed
+    /// them) and a Case-A-bumped loop's fingerprint is re-derived from its
+    /// count and body hash via the same [`fingerprint::loop_fp`] identity
+    /// the incremental path uses.
     fn rebuild_index(&mut self) {
         let recs: Vec<NodeRec> = self.seq.iter().map(|n| self.record_of(n)).collect();
         self.recs.clear();
@@ -556,10 +541,11 @@ mod tests {
     }
 
     #[test]
-    fn from_nodes_continuation_matches_uninterrupted_run() {
-        // Split a stream at every prefix length, restore a compressor from
-        // the checkpointed nodes, feed the remainder — the result must be
-        // byte-identical to the uninterrupted run.
+    fn rebuilt_index_continuation_matches_uninterrupted_run() {
+        // Split a stream at every prefix length, re-attach the folded prefix
+        // to an empty compressor (its index rebuilt from the nodes alone),
+        // feed the remainder — the result must be byte-identical to the
+        // uninterrupted run.
         let stream: Vec<TraceNode> = (0..120)
             .map(|i| ev(if i == 60 { 99 } else { 1 + (i % 4) }, 64, 1 + (i % 3)))
             .collect();
@@ -572,8 +558,8 @@ mod tests {
             for n in &stream[..cut] {
                 first.push(n.clone());
             }
-            let snapshot = first.into_nodes();
-            let mut second = TailCompressor::from_nodes(DEFAULT_MAX_WINDOW, snapshot);
+            let mut second = TailCompressor::new(DEFAULT_MAX_WINDOW);
+            second.prepend_nodes(first.into_nodes());
             for n in &stream[cut..] {
                 second.push(n.clone());
             }

@@ -1,6 +1,6 @@
-//! The one checksummed frame both binary file families share — STCP
-//! checkpoints ([`crate::snapshot`]) and STBS traces and segments
-//! ([`crate::stream`]) — and the integer codec inside it.
+//! The checksummed frame of the binary file family — STBS whole traces and
+//! capture segments ([`crate::stream`]), the campaign cache's entries
+//! among them — and the integer codec inside it.
 //!
 //! ```text
 //! magic[4] · version u32 LE · payload · FNV-1a u64 LE
@@ -18,7 +18,9 @@
 //! **Write the newest version, read every version.** `Enc` has no v1
 //! mode; `Dec` learns the version from the header once and its integer
 //! readers switch width on it, so the `dec_*` functions built on top are
-//! shared between versions. An unknown version is a structured error.
+//! shared between versions. An unknown version is a structured error. The
+//! promise covers the files something can still use: v1 traces, segments
+//! and cache entries read forever.
 //!
 //! The decoder treats a checksum-valid file as untrusted — FNV-1a is
 //! recomputable by anyone. A varint that overflows its type, is longer

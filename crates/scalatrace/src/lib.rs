@@ -61,9 +61,7 @@ pub use compress::TailCompressor;
 pub use cursor::{events_for_rank, semantically_equal, ConcreteEvent, ConcreteOp, Cursor};
 pub use merge::{MergeStats, MergeStrategy};
 pub use rankset::RankSet;
-pub use snapshot::{
-    trace_world_checkpointed, trace_world_resumed, CheckpointConfig, SnapshotError,
-};
+pub use snapshot::SnapshotError;
 pub use stream::{
     fsck_dir, salvage_dir, trace_world_streamed, RankSalvage, SalvageReport, StreamConfig,
     StreamCounters, StreamFsckReport, StreamedRun, StreamingTracer,

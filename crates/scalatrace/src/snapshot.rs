@@ -1,66 +1,29 @@
-//! Versioned, checksummed binary checkpoints of per-rank trace-capture
-//! state, and run entry points that resume tracing from them.
+//! The node codec both STBS payload kinds ([`crate::stream`]) share —
+//! whole traces and capture segments — and the one error every binary
+//! reader returns.
 //!
-//! A checkpoint freezes everything a [`Tracer`] knows: the compressed node
-//! sequence (with exact timing histograms — the text rendering is lossy,
-//! checkpoints are not), the communicator table, the last-exit clock, and
-//! the event count. The file is a [`crate::frame`] frame, std-only binary:
-//!
-//! ```text
-//! magic "STCP" · version u32 · payload · FNV-1a checksum u64
-//! ```
-//!
-//! written at the newest version (varint integers, sparse statistics) and
-//! read at every version ever written. A truncated, bit-flipped, or
-//! unknown-version file decodes to [`SnapshotError::Corrupt`], never to a
-//! silently wrong tracer. This module also owns the node codec the STBS
-//! files ([`crate::stream`]) share.
-//!
-//! # Deterministic re-entry
-//!
-//! Restoring does **not** fast-forward the simulator — virtual time costs
-//! nothing to re-run. Instead, a resumed run re-executes the application
-//! from virtual t=0 under the bit-deterministic engine; the restored tracer
-//! skips its first `events_seen` deliveries (they are exactly the events
-//! the checkpoint already captured, reproduced with identical payloads and
-//! virtual timestamps) and then continues appending where the checkpoint
-//! left off. This is message-logging-style recovery with the simulator as
-//! the log: the *expensive* state — compressed trace structure and
-//! histograms — is never recomputed, and the result is provably
-//! byte-identical to an uninterrupted run (`tests/checkpoint.rs` checks
-//! this differentially across random programs and seeded fault plans).
+//! Everything here sits inside a [`crate::frame`] frame: `enc_*` writes the
+//! newest version, `dec_*` reads every version a frame can declare. Node
+//! timing is exact (the full [`TimeStats`] histogram, where the text view
+//! keeps count × mean), so the binary file is the lossless one. A
+//! truncated, bit-flipped, unknown-version or structurally malformed file
+//! decodes to [`SnapshotError::Corrupt`], never to a silently wrong trace.
 
-use crate::collect::{PartialTracedRun, Tracer};
-use crate::compress::TailCompressor;
-use crate::frame::{dec_comms, dec_nranks, enc_comms, write_atomic, Dec, Enc, V1};
-use crate::merge::merge_tracers;
+use crate::frame::{Dec, Enc, V1};
 use crate::params::{CommParam, RankFn, RankParam, SrcParam, ValParam};
 use crate::rankset::{RankSet, Run};
 use crate::timestats::TimeStats;
-use crate::trace::{check_well_formed, OpTemplate, Prsd, Rsd, TraceNode, MAX_LOOP_DEPTH};
-use mpisim::ctx::Ctx;
-use mpisim::hooks::{Event, Hook};
-use mpisim::time::{SimDuration, SimTime};
+use crate::trace::{OpTemplate, Prsd, Rsd, TraceNode, MAX_LOOP_DEPTH};
 use mpisim::types::{CollKind, TagSel};
-use mpisim::world::World;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
 
-/// File magic of a tracer checkpoint ("ScalaTrace CheckPoint").
-pub const MAGIC: [u8; 4] = *b"STCP";
-
-/// Largest fold window the decoder accepts: the compressor allocates a
-/// table of this many entries up front, so a crafted value must not reach
-/// it (the default window is 32).
-const MAX_WINDOW: usize = 1 << 20;
-
-/// Why a checkpoint could not be read, written, or decoded.
+/// Why an STBS file could not be read, written, or decoded.
 #[derive(Debug)]
 pub enum SnapshotError {
-    /// The checkpoint file could not be read or written.
+    /// The file could not be read or written.
     Io(std::io::Error),
-    /// The bytes are not a valid checkpoint: truncated, checksum mismatch,
+    /// The bytes are not a valid STBS file: truncated, checksum mismatch,
     /// wrong magic/version, or structurally malformed.
     Corrupt(String),
 }
@@ -68,8 +31,8 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
-            SnapshotError::Corrupt(why) => write!(f, "corrupt checkpoint: {why}"),
+            SnapshotError::Io(e) => write!(f, "I/O error: {e}"),
+            SnapshotError::Corrupt(why) => write!(f, "corrupt STBS file: {why}"),
         }
     }
 }
@@ -559,7 +522,8 @@ fn dec_node(d: &mut Dec, nranks: usize, depth: usize) -> Result<TraceNode, Snaps
 }
 
 /// A counted node sequence (`depth` 0 for a payload's top level), every
-/// rank in it below `nranks`. Callers finish with [`check_well_formed`].
+/// rank in it below `nranks`. Callers finish with
+/// [`crate::trace::check_well_formed`].
 pub(crate) fn dec_nodes(
     d: &mut Dec,
     nranks: usize,
@@ -573,261 +537,21 @@ pub(crate) fn dec_nodes(
     Ok(nodes)
 }
 
-// ----------------------------------------------------------- tracer frame
-
-/// Serialise a tracer's full capture state into a framed, checksummed
-/// checkpoint (the exact inverse of [`tracer_from_checkpoint`]).
-pub fn checkpoint_bytes(t: &Tracer) -> Vec<u8> {
-    let mut e = Enc::open(MAGIC);
-    e.usize(t.rank());
-    e.usize(t.nranks());
-    e.u64(t.events_seen);
-    e.u64(t.last_exit().as_nanos());
-    e.usize(t.compressor().max_window());
-    enc_comms(&mut e, t.comms_ref());
-    enc_nodes(&mut e, t.nodes());
-    e.seal()
-}
-
-/// Decode a checkpoint produced by [`checkpoint_bytes`] at any format
-/// version, verifying frame and checksum. The returned tracer is in resume
-/// mode: it will skip its first `events_seen` observed events (see the
-/// module docs).
-pub fn tracer_from_checkpoint(bytes: &[u8]) -> Result<Tracer, SnapshotError> {
-    let mut d = Dec::open(bytes, MAGIC)?;
-    let rank = d.usize()?;
-    let nranks = dec_nranks(&mut d)?;
-    if rank >= nranks {
-        return Err(corrupt(format!("rank {rank} out of range for {nranks}")));
-    }
-    let events_seen = d.u64()?;
-    let last_exit = SimTime::ZERO + SimDuration::from_nanos(d.u64()?);
-    let max_window = d.usize()?;
-    if max_window == 0 || max_window > MAX_WINDOW {
-        return Err(corrupt(format!("implausible fold window {max_window}")));
-    }
-    // v1 named the compressor's fold strategy here. Both tags it ever wrote
-    // restore into the one compressor: the structural-era fold (`1`)
-    // produced the same nodes byte for byte.
-    if d.version() == V1 {
-        match d.u8()? {
-            0 | 1 => {}
-            t => return Err(corrupt(format!("bad strategy tag {t}"))),
-        }
-    }
-    let comms = dec_comms(&mut d, nranks)?;
-    let nodes = dec_nodes(&mut d, nranks, 0)?;
-    d.finish()?;
-    check_well_formed(nranks, &comms, &nodes).map_err(corrupt)?;
-    let seq = TailCompressor::from_nodes(max_window, nodes);
-    Ok(Tracer::restore(
-        rank,
-        nranks,
-        seq,
-        comms,
-        last_exit,
-        events_seen,
-    ))
-}
-
-// ------------------------------------------------------------ checkpointing
-
-/// Where and how often a run checkpoints its tracers.
-#[derive(Clone, Debug)]
-pub struct CheckpointConfig {
-    dir: PathBuf,
-    every: u64,
-}
-
-impl CheckpointConfig {
-    /// Checkpoint into `dir`, writing each rank's snapshot after every
-    /// `every` recorded events (`every` is clamped to at least 1).
-    pub fn new(dir: impl Into<PathBuf>, every: u64) -> CheckpointConfig {
-        CheckpointConfig {
-            dir: dir.into(),
-            every: every.max(1),
-        }
-    }
-
-    /// The checkpoint directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Checkpoint cadence in recorded events per rank.
-    pub fn every(&self) -> u64 {
-        self.every
-    }
-
-    /// Path of `rank`'s checkpoint file.
-    pub fn rank_path(&self, rank: usize) -> PathBuf {
-        self.dir.join(format!("rank{rank}.ckpt"))
-    }
-}
-
-/// Atomically write `tracer`'s checkpoint under `cfg` (tmp file + rename,
-/// so a crash mid-write leaves the previous checkpoint intact, never a
-/// truncated one).
-pub fn write_checkpoint(cfg: &CheckpointConfig, tracer: &Tracer) -> Result<(), SnapshotError> {
-    write_atomic(&cfg.rank_path(tracer.rank()), &checkpoint_bytes(tracer))
-}
-
-/// Load `rank`'s checkpoint under `cfg`. `Ok(None)` when no checkpoint
-/// exists (a fresh rank); `Err` when one exists but cannot be decoded.
-pub fn read_checkpoint(
-    cfg: &CheckpointConfig,
-    rank: usize,
-) -> Result<Option<Tracer>, SnapshotError> {
-    let path = cfg.rank_path(rank);
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(SnapshotError::Io(e)),
-    };
-    tracer_from_checkpoint(&bytes).map(Some)
-}
-
-/// A [`Tracer`] that checkpoints itself every [`CheckpointConfig::every`]
-/// recorded events. Checkpoint writes are best-effort: a full disk must not
-/// kill the traced run, it only widens the window a later resume replays.
-pub struct CheckpointingTracer {
-    inner: Tracer,
-    cfg: CheckpointConfig,
-}
-
-impl CheckpointingTracer {
-    /// Wrap `inner`, checkpointing under `cfg`.
-    pub fn new(inner: Tracer, cfg: CheckpointConfig) -> CheckpointingTracer {
-        CheckpointingTracer { inner, cfg }
-    }
-
-    /// Unwrap the tracer (for merging after the run).
-    pub fn into_inner(self) -> Tracer {
-        self.inner
-    }
-}
-
-impl Hook for CheckpointingTracer {
-    fn on_event(&mut self, event: &Event) {
-        let before = self.inner.events_seen;
-        self.inner.on_event(event);
-        // `events_seen` does not advance while the tracer is skipping
-        // already-checkpointed events on a resume, so no re-writes happen
-        // during replay.
-        if self.inner.events_seen != before && self.inner.events_seen.is_multiple_of(self.cfg.every)
-        {
-            let _ = write_checkpoint(&self.cfg, &self.inner);
-        }
-    }
-}
-
-fn run_and_salvage<F>(
-    world: World,
-    n: usize,
-    cfg: &CheckpointConfig,
-    mut restored: Vec<Option<Tracer>>,
-    body: F,
-) -> PartialTracedRun
-where
-    F: Fn(&mut Ctx) + Send + Sync + 'static,
-{
-    let cfg_hook = cfg.clone();
-    let (result, hooks) = world.run_hooked_partial(
-        move |r| {
-            let t = restored
-                .get_mut(r)
-                .and_then(Option::take)
-                .unwrap_or_else(|| Tracer::new(r, n));
-            CheckpointingTracer::new(t, cfg_hook.clone())
-        },
-        body,
-    );
-    // Final salvage: whatever each rank saw last — including the tail
-    // between the last cadence checkpoint and a crash — becomes the new
-    // checkpoint, so a subsequent resume replays nothing twice.
-    let mut tracers = Vec::with_capacity(hooks.len());
-    for h in hooks {
-        let _ = write_checkpoint(cfg, &h.inner);
-        tracers.push(h.into_inner());
-    }
-    let trace = merge_tracers(tracers);
-    match result {
-        Ok(report) => PartialTracedRun {
-            trace,
-            report: Some(report),
-            error: None,
-        },
-        Err(err) => PartialTracedRun {
-            trace,
-            report: None,
-            error: Some(err),
-        },
-    }
-}
-
-/// As [`crate::trace_world_partial`], but every rank checkpoints its capture
-/// state under `cfg` (every N events, plus a final salvage write when the
-/// run ends — normally or by a fault). A failed run therefore leaves on disk
-/// exactly the state [`trace_world_resumed`] needs.
-pub fn trace_world_checkpointed<F>(
-    world: World,
-    n: usize,
-    cfg: &CheckpointConfig,
-    body: F,
-) -> Result<PartialTracedRun, SnapshotError>
-where
-    F: Fn(&mut Ctx) + Send + Sync + 'static,
-{
-    std::fs::create_dir_all(cfg.dir())?;
-    Ok(run_and_salvage(world, n, cfg, Vec::new(), body))
-}
-
-/// Resume a (crashed or interrupted) traced run from the checkpoints under
-/// `cfg`: each rank with a checkpoint is restored and replays through the
-/// already-captured prefix without re-recording it; ranks without one start
-/// fresh. The world must re-run the same application deterministically —
-/// same ranks, same body, same network/match policy, and a fault plan
-/// without the crash being recovered from (see
-/// [`mpisim::faults::FaultPlan::without_crashes`]).
-///
-/// Corrupt checkpoints are an error (the caller decides whether to delete
-/// and restart); missing ones are not.
-pub fn trace_world_resumed<F>(
-    world: World,
-    n: usize,
-    cfg: &CheckpointConfig,
-    body: F,
-) -> Result<PartialTracedRun, SnapshotError>
-where
-    F: Fn(&mut Ctx) + Send + Sync + 'static,
-{
-    std::fs::create_dir_all(cfg.dir())?;
-    let mut restored = Vec::with_capacity(n);
-    for r in 0..n {
-        let t = read_checkpoint(cfg, r)?;
-        if let Some(t) = &t {
-            if t.rank() != r || t.nranks() != n {
-                return Err(corrupt(format!(
-                    "checkpoint for rank {r} of {n} actually holds rank {} of {}",
-                    t.rank(),
-                    t.nranks()
-                )));
-            }
-        }
-        restored.push(t);
-    }
-    Ok(run_and_salvage(world, n, cfg, restored, body))
-}
-
 #[cfg(test)]
 mod tests {
+    //! The codec through its one front door: whole-trace STBS bytes
+    //! ([`crate::stream::trace_to_bytes`] / [`crate::stream::trace_from_bytes`]).
     use super::*;
-    use crate::trace::CommTable;
+    use crate::compress::{TailCompressor, DEFAULT_MAX_WINDOW};
+    use crate::frame::refresh_checksum;
+    use crate::stream::{trace_from_bytes, trace_to_bytes};
+    use crate::trace::{CommTable, Trace};
+    use mpisim::time::SimDuration;
 
-    fn sample_tracer() -> Tracer {
-        // Drive nodes through the real compressor so loops, histograms, and
-        // fingerprint state all exist in the checkpointed sequence.
-        let mut c = TailCompressor::new(crate::compress::DEFAULT_MAX_WINDOW);
+    fn sample_trace() -> Trace {
+        // Drive nodes through the real compressor so loops and pooled
+        // histograms exist in the encoded sequence.
+        let mut c = TailCompressor::new(DEFAULT_MAX_WINDOW);
         for i in 0..40u64 {
             c.push(TraceNode::Event(Rsd {
                 ranks: RankSet::single(1),
@@ -844,13 +568,16 @@ mod tests {
         }
         let mut comms = CommTable::world(4);
         comms.insert(1, vec![0, 2]);
-        let last_exit = SimTime::ZERO + SimDuration::from_usecs(123);
-        Tracer::restore(1, 4, c, comms, last_exit, 40)
+        Trace {
+            nranks: 4,
+            nodes: c.into_nodes(),
+            comms,
+        }
     }
 
     #[test]
     fn round_trip_is_exact() {
-        let t = sample_tracer();
+        let t = sample_trace();
         // the folded loop bodies pool enough distinct times to hold both
         // histogram forms: a few bins inline, and the boxed dense spill
         fn occupancy(nodes: &[TraceNode], out: &mut Vec<usize>) {
@@ -862,26 +589,22 @@ mod tests {
             }
         }
         let mut bins = Vec::new();
-        occupancy(t.nodes(), &mut bins);
+        occupancy(&t.nodes, &mut bins);
         assert!(bins.iter().any(|&b| b > 3), "no spilled histogram");
         assert!(bins.iter().any(|&b| b <= 3), "no inline histogram");
-        let bytes = checkpoint_bytes(&t);
-        let back = tracer_from_checkpoint(&bytes).expect("decodes");
-        assert_eq!(back.rank(), t.rank());
-        assert_eq!(back.nranks(), t.nranks());
-        assert_eq!(back.events_seen, t.events_seen);
-        assert_eq!(back.last_exit(), t.last_exit());
-        assert_eq!(back.nodes(), t.nodes());
-        // re-encoding the decoded tracer is byte-identical
-        assert_eq!(checkpoint_bytes(&back), bytes);
+        let bytes = trace_to_bytes(&t);
+        let back = trace_from_bytes(&bytes).expect("decodes");
+        assert_eq!(back, t);
+        // re-encoding the decoded trace is byte-identical
+        assert_eq!(trace_to_bytes(&back), bytes);
     }
 
     #[test]
     fn every_truncation_is_detected() {
-        let bytes = checkpoint_bytes(&sample_tracer());
+        let bytes = trace_to_bytes(&sample_trace());
         for cut in 0..bytes.len() {
             assert!(
-                tracer_from_checkpoint(&bytes[..cut]).is_err(),
+                trace_from_bytes(&bytes[..cut]).is_err(),
                 "truncation at {cut} must not decode"
             );
         }
@@ -889,14 +612,14 @@ mod tests {
 
     #[test]
     fn every_single_bitflip_is_detected() {
-        let bytes = checkpoint_bytes(&sample_tracer());
+        let bytes = trace_to_bytes(&sample_trace());
         // Flip one bit per byte position; the checksum (or a structural
         // check) must catch every one of them.
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 1 << (i % 8);
             assert!(
-                tracer_from_checkpoint(&bad).is_err(),
+                trace_from_bytes(&bad).is_err(),
                 "bit flip at byte {i} must not decode"
             );
         }
@@ -904,15 +627,12 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        let t = sample_tracer();
+        let t = sample_trace();
         for version in [0u8, 3, 99] {
-            let mut bytes = checkpoint_bytes(&t);
+            let mut bytes = trace_to_bytes(&t);
             bytes[4] = version; // version lives right after the 4-byte magic
-            crate::frame::refresh_checksum(&mut bytes);
-            let err = match tracer_from_checkpoint(&bytes) {
-                Err(e) => e,
-                Ok(_) => panic!("wrong version must not decode"),
-            };
+            refresh_checksum(&mut bytes);
+            let err = trace_from_bytes(&bytes).expect_err("wrong version must not decode");
             let want = format!("unsupported version {version}");
             assert!(err.to_string().contains(&want), "{err}");
         }
@@ -922,17 +642,19 @@ mod tests {
     fn statistics_records_obey_the_histogram_invariants() {
         // One event whose statistics are the payload's last bytes, so a
         // hand-written record can replace them.
-        let mut c = TailCompressor::new(crate::compress::DEFAULT_MAX_WINDOW);
-        c.push(TraceNode::Event(Rsd {
-            ranks: RankSet::single(0),
-            sig: 1,
-            op: OpTemplate::Wait {
-                count: ValParam::Const(1),
-            },
-            compute: TimeStats::of(SimDuration::from_nanos(5)),
-        }));
-        let t = Tracer::restore(0, 1, c, CommTable::world(1), SimTime::ZERO, 1);
-        let good = checkpoint_bytes(&t);
+        let t = Trace {
+            nranks: 1,
+            nodes: vec![TraceNode::Event(Rsd {
+                ranks: RankSet::single(0),
+                sig: 1,
+                op: OpTemplate::Wait {
+                    count: ValParam::Const(1),
+                },
+                compute: TimeStats::of(SimDuration::from_nanos(5)),
+            })],
+            comms: CommTable::world(1),
+        };
+        let good = trace_to_bytes(&t);
         // count 1 · sum 5 · min 5 · max 5 · nbins 1 · (bin 3, count 1)
         let record = [1, 5, 5, 5, 1, 3, 1];
         let at = good.len() - 8 - record.len();
@@ -941,10 +663,10 @@ mod tests {
             let mut bytes = good[..at].to_vec();
             bytes.extend_from_slice(record);
             bytes.extend_from_slice(&[0; 8]);
-            crate::frame::refresh_checksum(&mut bytes);
-            tracer_from_checkpoint(&bytes).map(|t| t.nodes().to_vec())
+            refresh_checksum(&mut bytes);
+            trace_from_bytes(&bytes)
         };
-        assert_eq!(with(&record).unwrap(), t.nodes());
+        assert_eq!(with(&record).unwrap(), t);
         for (bad, why) in [
             (&[1, 5, 5, 5, 1, 64, 1][..], "bin 64 out of"),
             (&[2, 10, 5, 5, 2, 3, 1, 3, 1][..], "bin 3 out of"),

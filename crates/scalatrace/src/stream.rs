@@ -1,18 +1,18 @@
 //! STBS ("ScalaTrace Binary Segments"): a crash-safe streaming binary trace
 //! format with bounded-memory capture and segment salvage.
 //!
-//! The STCP checkpoint format (see [`crate::snapshot`]) freezes a tracer's
-//! whole state in one file — it still assumes the compressed trace fits in
-//! RAM and that the process survives to write it. STBS removes both
-//! assumptions: during capture, whenever a rank's resident node tail
-//! outgrows a configurable budget, the frozen prefix is *sealed* into an
-//! append-only, checksummed segment file (atomic tmp + rename) and evicted
-//! from memory. A SIGKILL or torn write loses at most the unsealed tail;
-//! [`salvage_dir`] recovers every intact segment afterwards and yields a
-//! verified prefix trace in the same [`PartialTracedRun`] shape rank crashes
-//! already produce.
+//! This is the capture layer's one crash story. During capture, whenever a
+//! rank's resident node tail outgrows a configurable budget, the frozen
+//! prefix is *sealed* into an append-only, checksummed segment file (atomic
+//! tmp + rename) and evicted from memory. A SIGKILL or torn write loses at
+//! most the unsealed tail; [`salvage_dir`] recovers every intact segment
+//! afterwards and yields a verified prefix trace in the same
+//! [`PartialTracedRun`] shape rank crashes already produce. Whoever needs
+//! the whole trace instead re-traces: the simulator is bit-deterministic, so
+//! the re-run under [`mpisim::faults::FaultPlan::without_crashes`] *is* the
+//! run that never crashed.
 //!
-//! Every file is a [`crate::frame`] frame, the one STCP checkpoints use:
+//! Every file is a [`crate::frame`] frame:
 //!
 //! ```text
 //! magic "STBS" · version u32 · kind u8 · payload · FNV-1a checksum u64
@@ -292,7 +292,7 @@ impl StreamConfig {
 /// [`StreamedRun`] and the perf v2 report.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StreamCounters {
-    /// Concrete events recorded (post resume-skip).
+    /// Concrete events recorded.
     pub events: u64,
     /// High-water mark of resident (in-memory) trace nodes. Stays within
     /// the effective budget unless a seal failed.
@@ -462,9 +462,7 @@ impl Hook for StreamingTracer {
         if let Some(d) = self.cfg.event_delay {
             std::thread::sleep(d);
         }
-        let Some(node) = self.inner.observe(event) else {
-            return;
-        };
+        let node = self.inner.observe(event);
         self.counters.events += 1;
         self.inner.compressor_mut().push_raw(node);
         self.note_resident();

@@ -292,8 +292,8 @@ impl TimeStats {
     /// the bins as [`TimeStats::non_empty_bins`].
     ///
     /// The text rendering of a histogram is lossy (it keeps only count and
-    /// mean); checkpoints are not allowed to be, so the snapshot codec
-    /// serialises these fields verbatim and rebuilds via
+    /// mean); the binary STBS file is not allowed to be, so the snapshot
+    /// codec serialises these fields verbatim and rebuilds via
     /// [`TimeStats::from_raw`].
     pub fn raw(&self) -> (u64, u128, u64, u64, NonEmptyBins<'_>) {
         (

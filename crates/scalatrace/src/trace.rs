@@ -410,11 +410,11 @@ impl Trace {
 pub(crate) const MAX_LOOP_DEPTH: usize = 256;
 
 /// What every reader of an untrusted trace — text, whole-trace binary,
-/// segment, checkpoint — finishes with: the properties each accessor and
-/// the generator assume of `nodes` over `nranks` ranks and `comms`, so a
-/// crafted file ends in an error naming the field and never in a panic or
-/// a program. Linear in nodes × pieces (× table entries), never in the
-/// rank count; piecewise domains are disjoint by the time they get here.
+/// segment — finishes with: the properties each accessor and the generator
+/// assume of `nodes` over `nranks` ranks and `comms`, so a crafted file ends
+/// in an error naming the field and never in a panic or a program. Linear
+/// in nodes × pieces (× table entries), never in the rank count; piecewise
+/// domains are disjoint by the time they get here.
 pub fn check_well_formed(
     nranks: usize,
     comms: &CommTable,

@@ -30,7 +30,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// Ring exchange + periodic sub-communicator allreduce + closing barrier
-/// (the same shape the checkpoint differentials use): point-to-point,
+/// (the shape of `fixtures/v1/apps.rs`'s `ring_app`): point-to-point,
 /// collectives, and CommSplit all flow through the streaming hook.
 fn app(iters: usize, bytes: u64) -> impl Fn(&mut mpisim::Ctx) + Send + Sync + 'static {
     move |ctx| {

@@ -77,7 +77,7 @@ use campaign::{
     resume_campaign, run_campaign, run_jobs, CampaignSpec, FleetOptions, JobSpec, Journal,
     SpecError, Telemetry, TraceCache,
 };
-use commspec::cli::Argv;
+use commspec::cli::{read_trace, trace_path, write_trace, Argv};
 use commspec::perf::{self, PerfConfig};
 use miniapps::{registry, Class};
 use std::path::{Path, PathBuf};
@@ -515,33 +515,6 @@ fn parse_convert(argv: &[String]) -> Result<ConvertArgs, String> {
     let [input, output] = <[PathBuf; 2]>::try_from(paths)
         .map_err(|_| format!("convert takes exactly two paths; usage: {CONVERT_USAGE}"))?;
     Ok(ConvertArgs { input, output })
-}
-
-/// `.st` is the text format, `.stbs` the binary one; anything else is
-/// ambiguous and rejected at parse time.
-fn trace_format_of(path: &Path) -> Option<TraceFormat> {
-    match path.extension()?.to_str()? {
-        "st" => Some(TraceFormat::Text),
-        "stbs" => Some(TraceFormat::Binary),
-        _ => None,
-    }
-}
-
-/// `path`, provided its extension names a trace format.
-fn trace_path(path: PathBuf) -> Result<PathBuf, String> {
-    if trace_format_of(&path).is_none() {
-        return Err(format!(
-            "cannot infer trace format of {} (expected a .st or .stbs extension)",
-            path.display()
-        ));
-    }
-    Ok(path)
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum TraceFormat {
-    Text,
-    Binary,
 }
 
 fn parse_capture(argv: &[String]) -> Result<CaptureArgs, String> {
@@ -1093,42 +1066,6 @@ fn main_fsck(args: FsckArgs) -> Verdict {
     Ok(report.clean())
 }
 
-/// `a.stbs (STBS v1, 3027 B)`: a trace file, its format and its size.
-fn describe(path: &Path, bytes: &[u8]) -> String {
-    let format = match trace_format_of(path).expect("validated at parse time") {
-        TraceFormat::Text => "text".to_string(),
-        TraceFormat::Binary => match scalatrace::frame::peek_version(bytes) {
-            Some(v) => format!("STBS v{v}"),
-            None => "STBS".to_string(),
-        },
-    };
-    format!("{} ({format}, {} B)", path.display(), bytes.len())
-}
-
-/// Read a whole trace in the format its extension names — any version of
-/// the binary one — and say what the file was.
-fn read_trace(path: &Path) -> Result<(scalatrace::Trace, String), String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let trace = match trace_format_of(path).expect("validated at parse time") {
-        TraceFormat::Text => scalatrace::text::from_text(&String::from_utf8_lossy(&bytes))
-            .map_err(|e| format!("cannot parse {}: {e}", path.display()))?,
-        TraceFormat::Binary => scalatrace::stream::trace_from_bytes(&bytes)
-            .map_err(|e| format!("cannot decode {}: {e}", path.display()))?,
-    };
-    Ok((trace, describe(path, &bytes)))
-}
-
-/// Write a whole trace in the format the extension names — the newest
-/// version of the binary one — and say what the file is.
-fn write_trace(path: &Path, trace: &scalatrace::Trace) -> Result<String, String> {
-    let bytes = match trace_format_of(path).expect("validated at parse time") {
-        TraceFormat::Text => scalatrace::text::to_text(trace).into_bytes(),
-        TraceFormat::Binary => scalatrace::stream::trace_to_bytes(trace),
-    };
-    std::fs::write(path, &bytes).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    Ok(describe(path, &bytes))
-}
-
 /// Commit a recovered trace before its report touches stdout: if the
 /// report's reader has gone away (`capture ... | head` closing the pipe
 /// kills us), the trace must already be on disk.
@@ -1333,8 +1270,8 @@ mod tests {
             Cmd::Convert(c) => c,
             _ => panic!("expected convert mode"),
         };
-        assert_eq!(trace_format_of(&c.input), Some(TraceFormat::Binary));
-        assert_eq!(trace_format_of(&c.output), Some(TraceFormat::Text));
+        assert_eq!(c.input, PathBuf::from("a.stbs"));
+        assert_eq!(c.output, PathBuf::from("b.st"));
         assert!(parse_argv(argv("convert")).is_err(), "two paths required");
         assert!(parse_argv(argv("convert only.st")).is_err());
         assert!(parse_argv(argv("convert a.st b.st c.st")).is_err());

@@ -1,13 +1,15 @@
 //! `commgen` — command-line front end for the benchmark generator.
 //!
-//! Traces a bundled application (or reads a ScalaTrace-style text trace)
-//! and emits the generated executable communication specification.
+//! Traces a bundled application (or reads a trace file, text `.st` or
+//! binary `.stbs`) and emits the generated executable communication
+//! specification.
 //!
 //! ```text
 //! commgen --app lu --ranks 16 --class A            # trace + generate, print to stdout
 //! commgen --app bt --ranks 36 -o bt.ncptl          # write the program text
 //! commgen --app cg --ranks 16 --emit-trace cg.st   # also dump the trace file
 //! commgen --trace cg.st                            # generate from a trace file
+//! commgen --trace cg.stbs                          # ... or its binary twin
 //! commgen --app ft --ranks 16 --run                # also execute the benchmark
 //! commgen --app sp --ranks 16 --backend c          # pseudo-C+MPI backend
 //! commgen --app ring --ranks 8 --extrapolate 512   # ScalaExtrap-style scaling
@@ -16,20 +18,21 @@
 use benchgen::generate;
 use benchgen::verify::execute_profiled;
 use campaign::JobSpec;
-use commspec::cli::Argv;
+use commspec::cli::{read_trace, trace_path, write_trace, Argv};
 use miniapps::Class;
 use mpisim::network;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 #[derive(Debug)]
 struct Args {
     app: Option<String>,
-    trace_file: Option<String>,
+    trace_file: Option<PathBuf>,
     ranks: usize,
     class: Class,
     output: Option<String>,
-    emit_trace: Option<String>,
+    emit_trace: Option<PathBuf>,
     profile: Option<String>,
     run: bool,
     stats: bool,
@@ -85,11 +88,11 @@ fn parse_argv(argv: Vec<String>) -> Result<Args, String> {
     while let Some(flag) = argv.flag() {
         match flag {
             "--app" => args.app = Some(argv.value()?),
-            "--trace" => args.trace_file = Some(argv.value()?),
+            "--trace" => args.trace_file = Some(trace_path(argv.path()?)?),
             "--ranks" => args.ranks = argv.parsed()?,
             "--class" => args.class = argv.value()?.parse()?,
             "-o" | "--output" => args.output = Some(argv.value()?),
-            "--emit-trace" => args.emit_trace = Some(argv.value()?),
+            "--emit-trace" => args.emit_trace = Some(trace_path(argv.path()?)?),
             "--profile" => args.profile = Some(argv.value()?),
             "--run" => args.run = true,
             "--stats" => args.stats = true,
@@ -161,8 +164,7 @@ fn run(args: &Args) -> Result<(), String> {
 
     // 1. Obtain a trace: run a bundled application or load a trace file.
     let trace = if let Some(file) = &args.trace_file {
-        let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-        scalatrace::text::from_text(&text).map_err(|e| format!("cannot parse trace {file}: {e}"))?
+        read_trace(file)?.0
     } else {
         let traced = job
             .trace(job.app()?, machine.clone())
@@ -191,8 +193,8 @@ fn run(args: &Args) -> Result<(), String> {
     }
 
     if let Some(path) = &args.emit_trace {
-        write(path, &scalatrace::text::to_text(&trace))?;
-        eprintln!("trace written to {path}");
+        write_trace(path, &trace)?;
+        eprintln!("trace written to {}", path.display());
     }
 
     // 2. Generate.
@@ -266,7 +268,7 @@ mod tests {
         assert!(!a.no_align && !a.no_resolve);
 
         let a = parse_argv(argv("--trace t.st -o out.ncptl --backend c")).unwrap();
-        assert_eq!(a.trace_file.as_deref(), Some("t.st"));
+        assert_eq!(a.trace_file, Some(PathBuf::from("t.st")));
         assert_eq!(a.output.as_deref(), Some("out.ncptl"));
         assert_eq!(a.backend, "c");
 
@@ -285,6 +287,7 @@ mod tests {
         assert!(parse_argv(argv("--app x --ranks nope")).is_err());
         assert!(parse_argv(argv("--app x --class Z")).is_err());
         assert!(parse_argv(argv("--frobnicate")).is_err());
+        assert!(parse_argv(argv("--trace t.json")).is_err(), "no format");
         assert!(
             parse_argv(argv("--help")).is_err(),
             "help is surfaced as a message"

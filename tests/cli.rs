@@ -119,23 +119,71 @@ fn commgen_rejects_invalid_rank_counts_for_an_app() {
 #[test]
 fn commgen_trace_file_roundtrip_through_the_cli() {
     let dir = temp_dir("emit-trace");
-    let st = dir.join("ring.st");
-    let out = commgen(&[
-        "--app",
-        "ring",
-        "--ranks",
-        "4",
-        "--class",
-        "S",
-        "--emit-trace",
-        st.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let direct = stdout(&out);
+    let direct = commgen(&["--app", "ring", "--ranks", "4", "--class", "S"]);
+    assert!(direct.status.success(), "{}", stderr(&direct));
+    // Either format the extension names: the text view, and the binary file
+    // a salvage or a convert leaves behind.
+    for name in ["ring.st", "ring.stbs"] {
+        let path = dir.join(name);
+        let path = path.to_str().unwrap();
+        let emitted = commgen(&[
+            "--app",
+            "ring",
+            "--ranks",
+            "4",
+            "--class",
+            "S",
+            "--emit-trace",
+            path,
+        ]);
+        assert!(emitted.status.success(), "{name}: {}", stderr(&emitted));
+        assert_eq!(stdout(&direct), stdout(&emitted), "{name}");
 
-    let out2 = commgen(&["--trace", st.to_str().unwrap()]);
-    assert!(out2.status.success(), "{}", stderr(&out2));
-    assert_eq!(direct, stdout(&out2), "trace file reproduces the program");
+        let read = commgen(&["--trace", path]);
+        assert!(read.status.success(), "{name}: {}", stderr(&read));
+        assert_eq!(
+            stdout(&direct),
+            stdout(&read),
+            "{name}: trace file reproduces the program"
+        );
+    }
+    let out = commgen(&["--app", "ring", "--emit-trace", "ring.json"]);
+    assert!(!out.status.success());
+    assert!(
+        stderr(&out).contains("cannot infer trace format"),
+        "{}",
+        stderr(&out)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn binary_trace_errors_name_what_was_read_not_a_checkpoint() {
+    let dir = temp_dir("stbs-errors");
+    let bad = dir.join("bad.stbs");
+    std::fs::write(&bad, b"short").unwrap();
+    let (bad, out_st) = (bad.to_str().unwrap(), dir.join("out.st"));
+    let missing = dir.join("missing");
+    let decode = "cannot decode trace";
+    let short = "corrupt STBS file: file shorter than frame";
+    for (out, wants) in [
+        (
+            commbench(&["convert", bad, out_st.to_str().unwrap()]),
+            [decode, short],
+        ),
+        (commgen(&["--trace", bad]), [decode, short]),
+        (
+            commbench(&["salvage", "--dir", missing.to_str().unwrap()]),
+            ["salvage failed on", "I/O error: "],
+        ),
+    ] {
+        let err = stderr(&out);
+        assert!(!out.status.success(), "{err}");
+        assert!(!err.contains("checkpoint"), "{err}");
+        for want in wants {
+            assert!(err.contains(want), "{want}: {err}");
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,8 +1,8 @@
 //! Crash/recovery end-to-end tests: SIGKILL a live campaign and prove that
 //! `commbench resume` converges to the uninterrupted run's outcomes, that
 //! `commbench fsck` quarantines cache corruption which the next run then
-//! regenerates, and that checkpoint-resumed traces carry the same mpiP
-//! profile as never-crashed ones.
+//! regenerates, and that re-tracing a crashed run reproduces the run that
+//! never crashed, mpiP profile included.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -552,18 +552,20 @@ fn server_restart_honors_the_last_finished_record() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The deferred half of the checkpoint round-trip property: beyond
-/// byte-identical trace text (proven in scalatrace's own tests), the
-/// resumed trace must induce the *same mpiP profile* — the artifact the
-/// paper's E1 verification consumes.
+/// A crashed trace needs no checkpoint to be recovered whole: the simulator
+/// is bit-deterministic, so re-tracing under the crashed run's fault plan
+/// stripped of its crash (`FaultPlan::without_crashes`) *is* the run that
+/// never crashed — the same trace text and STBS bytes, the same per-rank
+/// virtual times, and the same mpiP profile (the artifact the paper's E1
+/// verification consumes).
 #[test]
-fn checkpoint_resume_preserves_the_mpip_profile() {
+fn retrace_after_a_crash_equals_the_uncrashed_run() {
     use benchgen::verify::profile_of_trace;
     use mpisim::faults::FaultPlan;
+    use mpisim::network;
     use mpisim::world::World;
-    use scalatrace::{
-        trace_world, trace_world_checkpointed, trace_world_resumed, CheckpointConfig,
-    };
+    use scalatrace::stream::trace_to_bytes;
+    use scalatrace::{text, trace_world, trace_world_partial};
 
     const N: usize = 4;
     let app = |ctx: &mut mpisim::Ctx| {
@@ -582,26 +584,29 @@ fn checkpoint_resume_preserves_the_mpip_profile() {
             ctx.allreduce(128, &w);
         }
     };
+    // Seeded jitter, skew and stragglers: every virtual time depends on the
+    // plan, so the re-trace must reproduce its draws, not just the events.
+    let timing = FaultPlan::differential(3, N);
+    let world = |plan: FaultPlan| {
+        World::new(N)
+            .network(network::ethernet_cluster())
+            .faults(plan)
+    };
+    let full = trace_world(world(timing.clone()), N, app).unwrap();
 
-    let full = trace_world(World::new(N), N, app).unwrap();
-
-    let dir = temp_dir("profile").join("ckpt");
-    let cfg = CheckpointConfig::new(&dir, 3);
-    let crashed = trace_world_checkpointed(
-        World::new(N).faults(FaultPlan::seeded(3).crash_rank(1, 9)),
-        N,
-        &cfg,
-        app,
-    )
-    .unwrap();
+    let crashing = timing.crash_rank(1, 9);
+    let crashed = trace_world_partial(world(crashing.clone()), N, app);
     assert!(!crashed.completed(), "the crash must fire");
+    assert!(crashed.trace.concrete_event_count() < full.trace.concrete_event_count());
 
-    let resumed = trace_world_resumed(World::new(N), N, &cfg, app).unwrap();
-    assert!(resumed.completed());
+    let retraced = trace_world(world(crashing.without_crashes()), N, app).unwrap();
+    assert_eq!(text::to_text(&retraced.trace), text::to_text(&full.trace));
+    assert_eq!(trace_to_bytes(&retraced.trace), trace_to_bytes(&full.trace));
+    assert_eq!(retraced.report.total_time, full.report.total_time);
+    assert_eq!(retraced.report.per_rank_time, full.report.per_rank_time);
 
     let prof_full: Vec<_> = profile_of_trace(&full.trace).routines().collect();
-    let prof_resumed: Vec<_> = profile_of_trace(&resumed.trace).routines().collect();
-    assert_eq!(prof_full, prof_resumed, "mpiP profiles must be identical");
+    let prof_retraced: Vec<_> = profile_of_trace(&retraced.trace).routines().collect();
+    assert_eq!(prof_full, prof_retraced, "mpiP profiles must be identical");
     assert!(!prof_full.is_empty());
-    let _ = std::fs::remove_dir_all(dir.parent().unwrap());
 }
