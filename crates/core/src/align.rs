@@ -89,7 +89,11 @@ pub fn align_collectives(trace: &Trace) -> Result<Trace, GenError> {
             }
         }
 
-        // Complete every collective whose full communicator has arrived.
+        // Complete every collective whose full communicator has arrived. A
+        // completion unblocks its ranks only for the next sweep, so this
+        // sweep's completions cover disjoint ranks and go to the rebuilder
+        // as one batch.
+        let mut completed: Vec<Vec<(usize, ConcreteEvent)>> = Vec::new();
         let comm_ids: Vec<u32> = trace.comms.ids().collect();
         for comm in comm_ids {
             let members = trace.comms.members(comm).to_vec();
@@ -136,7 +140,10 @@ pub fn align_collectives(trace: &Trace) -> Result<Trace, GenError> {
                     (m, ev)
                 })
                 .collect();
-            rb.collective(&events);
+            completed.push(events);
+        }
+        if !completed.is_empty() {
+            rb.collectives(&completed);
             progressed = true;
         }
 

@@ -11,9 +11,15 @@
 //! per-rank events accumulate in per-rank buffers (tail-compressed into
 //! loops as ScalaTrace does intra-node); when a collective completes, the
 //! participating buffers are structurally merged across ranks (the
-//! inter-node merge) and flushed to the global queue ahead of the single
-//! collective RSD, and the global queue is tail-compressed so identical
-//! epochs fold into loops.
+//! inter-node merge) ahead of the single collective RSD, and the global
+//! queue is tail-compressed so identical epochs fold into loops.
+//!
+//! The traversals hand over every collective one sweep completed at once
+//! ([`SegmentedRebuilder::collectives`]). Their blocks cover disjoint ranks
+//! (a rank blocks on at most one collective), so they are merged across
+//! ranks too before they reach the queue: sibling communicators' collectives
+//! (a grid's √P row reduces) become one RSD with a piecewise communicator,
+//! and one iteration stays one short epoch however many rows the grid has.
 
 use mpisim::types::Src;
 use scalatrace::compress::{append_compressed, DEFAULT_MAX_WINDOW};
@@ -24,10 +30,12 @@ use scalatrace::rankset::RankSet;
 use scalatrace::timestats::TimeStats;
 use scalatrace::trace::{CommTable, OpTemplate, Rsd, Trace, TraceNode};
 
-/// Window for the global output queue: must span one "epoch" (the merged
-/// inter-collective segment plus the collective) for iteration structure to
-/// re-fold. Segments are rank-class-sized after merging, so a generous
-/// constant suffices.
+/// Window for the global output queue: must span one iteration's epochs
+/// (each sweep's merged segment plus its collectives) for iteration
+/// structure to re-fold. Segments are rank-class-sized after merging and
+/// sibling communicators share one, so what still grows with a grid is only
+/// a peer without a closed form (cg's transpose: its whole program is 118
+/// statements at 16×16, 218 at 32×32, until ROADMAP item 8).
 const GLOBAL_WINDOW: usize = 256;
 
 /// Convert a concrete event back into a single-rank op template.
@@ -119,17 +127,34 @@ impl SegmentedRebuilder {
         );
     }
 
-    /// Append one completed collective: `events` holds every participant's
-    /// event (the same logical operation). Participant buffers are merged
-    /// and flushed first, then the collective is emitted as a single RSD —
-    /// or, for `MPI_Comm_split`, one RSD per result group.
-    pub fn collective(&mut self, events: &[(usize, ConcreteEvent)]) {
+    /// Append the collectives one traversal sweep completed: each entry
+    /// holds every participant's event of one logical operation. A rank
+    /// blocks on at most one collective, so the entries cover pairwise
+    /// disjoint ranks. Each becomes a block — its members' merged buffers,
+    /// then the collective as a single RSD (for `MPI_Comm_split`, one RSD
+    /// per result group) — and two or more blocks are merged across ranks
+    /// before they reach the global queue, so sibling communicators' rows
+    /// share one segment and one RSD per collective.
+    pub fn collectives(&mut self, batch: &[Vec<(usize, ConcreteEvent)>]) {
+        let mut blocks: Vec<Vec<TraceNode>> = batch.iter().map(|ev| self.block(ev)).collect();
+        let nodes = if blocks.len() == 1 {
+            blocks.pop().expect("one block")
+        } else {
+            merge_sequences(blocks, self.nranks)
+        };
+        self.append(nodes);
+    }
+
+    /// One completed collective's block: the participants' merged buffers,
+    /// then its RSD(s), each unified in one flat pass (a pairwise fold
+    /// re-unifies a growing rank set per member).
+    fn block(&mut self, events: &[(usize, ConcreteEvent)]) -> Vec<TraceNode> {
         assert!(!events.is_empty());
         let mut members: Vec<usize> = events.iter().map(|&(r, _)| r).collect();
         members.sort_unstable();
-        self.flush_merged(&members);
+        let mut block = self.take_merged(&members);
 
-        if let ConcreteOp::CommSplit { .. } = events[0].1.op {
+        let groups: Vec<Vec<Rsd>> = if let ConcreteOp::CommSplit { .. } = events[0].1.op {
             // One RSD per result communicator, in ascending result order.
             let mut by_result: std::collections::BTreeMap<u32, Vec<Rsd>> =
                 std::collections::BTreeMap::new();
@@ -139,33 +164,34 @@ impl SegmentedRebuilder {
                 };
                 by_result.entry(result).or_default().push(rsd_of(*rank, ev));
             }
-            for (_, group) in by_result {
-                self.emit_merged_rsd(group);
-            }
+            by_result.into_values().collect()
         } else {
-            self.emit_merged_rsd(events.iter().map(|(r, ev)| rsd_of(*r, ev)).collect());
-        }
+            vec![events.iter().map(|(r, ev)| rsd_of(*r, ev)).collect()]
+        };
+        block.extend(
+            groups
+                .into_iter()
+                .map(|g| TraceNode::Event(collapse_rsds(g, self.nranks))),
+        );
+        block
     }
 
-    /// Emit one collective's members as a single RSD, unified in one flat
-    /// pass (a pairwise fold re-unifies a growing rank set per member).
-    fn emit_merged_rsd(&mut self, members: Vec<Rsd>) {
-        let merged = collapse_rsds(members, self.nranks);
-        append_compressed(&mut self.out, TraceNode::Event(merged), GLOBAL_WINDOW);
-    }
-
-    /// Merge the listed ranks' buffers structurally and flush them to the
-    /// global queue.
-    fn flush_merged(&mut self, members: &[usize]) {
+    /// Take the listed ranks' buffers, merged structurally across ranks.
+    fn take_merged(&mut self, members: &[usize]) -> Vec<TraceNode> {
         let seqs: Vec<Vec<TraceNode>> = members
             .iter()
             .map(|&m| std::mem::take(&mut self.bufs[m]))
             .filter(|s| !s.is_empty())
             .collect();
         if seqs.is_empty() {
-            return;
+            return Vec::new();
         }
-        for node in merge_sequences(seqs, self.nranks) {
+        merge_sequences(seqs, self.nranks)
+    }
+
+    /// Append nodes to the global queue, tail-compressing after each.
+    fn append(&mut self, nodes: Vec<TraceNode>) {
+        for node in nodes {
             append_compressed(&mut self.out, node, GLOBAL_WINDOW);
         }
     }
@@ -173,7 +199,8 @@ impl SegmentedRebuilder {
     /// Flush all remaining buffers and produce the trace.
     pub fn finish(mut self, comms: CommTable) -> Trace {
         let all: Vec<usize> = (0..self.nranks).collect();
-        self.flush_merged(&all);
+        let rest = self.take_merged(&all);
+        self.append(rest);
         Trace {
             nranks: self.nranks,
             nodes: self.out,
@@ -194,8 +221,9 @@ pub enum Emission {
         /// Index within that stream.
         idx: usize,
     },
-    /// One collective completion over `(rank, idx)` participants.
-    Collective(Vec<(usize, usize)>),
+    /// The collective completions of one traversal sweep, each over its
+    /// `(rank, idx)` participants (see [`SegmentedRebuilder::collectives`]).
+    Collectives(Vec<Vec<(usize, usize)>>),
 }
 
 /// Rebuild a trace from complete per-rank streams and an emission log.
@@ -209,12 +237,17 @@ pub fn rebuild_from_log(
     for entry in log {
         match entry {
             Emission::Rank { rank, idx } => rb.rank_event(*rank, &streams[*rank][*idx]),
-            Emission::Collective(parts) => {
-                let events: Vec<(usize, ConcreteEvent)> = parts
+            Emission::Collectives(batch) => {
+                let events: Vec<Vec<(usize, ConcreteEvent)>> = batch
                     .iter()
-                    .map(|&(r, i)| (r, streams[r][i].clone()))
+                    .map(|parts| {
+                        parts
+                            .iter()
+                            .map(|&(r, i)| (r, streams[r][i].clone()))
+                            .collect()
+                    })
                     .collect();
-                rb.collective(&events);
+                rb.collectives(&events);
             }
         }
     }
@@ -284,7 +317,7 @@ mod tests {
             rb.rank_event(1, &send_ev(0));
             rb.rank_event(2, &send_ev(0));
             let parts: Vec<(usize, ConcreteEvent)> = (0..n).map(|r| (r, barrier_ev())).collect();
-            rb.collective(&parts);
+            rb.collectives(&[parts]);
         }
         let trace = rb.finish(CommTable::world(n));
         // every barrier RSD covers all ranks
@@ -330,7 +363,7 @@ mod tests {
             })
             .collect();
         let mut rb = SegmentedRebuilder::new(n);
-        rb.collective(&barrier);
+        rb.collectives(std::slice::from_ref(&barrier));
         let trace = rb.finish(CommTable::world(n));
         assert_eq!(trace.nodes, [folded(&barrier, n)]);
 
@@ -351,7 +384,7 @@ mod tests {
             })
             .collect();
         let mut rb = SegmentedRebuilder::new(n);
-        rb.collective(&split);
+        rb.collectives(std::slice::from_ref(&split));
         let trace = rb.finish(CommTable::world(n));
         let groups: Vec<TraceNode> = [1, 2, 3]
             .iter()
@@ -377,7 +410,7 @@ mod tests {
         let log = vec![
             Emission::Rank { rank: 0, idx: 0 },
             Emission::Rank { rank: 1, idx: 0 },
-            Emission::Collective(vec![(0, 1), (1, 1)]),
+            Emission::Collectives(vec![vec![(0, 1), (1, 1)]]),
             Emission::Rank { rank: 0, idx: 2 },
             Emission::Rank { rank: 1, idx: 2 },
         ];
@@ -390,5 +423,104 @@ mod tests {
                 assert_eq!(g.op, e.op);
             }
         }
+    }
+
+    #[test]
+    fn a_grids_row_and_column_reduces_fold_to_one_loop() {
+        // a 4x4 grid as Algorithm 1 sees it: the world split into rows
+        // (comms 1-4) and columns (5-8), then per iteration a send along
+        // the row, the four row reduces (one sweep), a send down the column
+        // and the four column reduces (one sweep)
+        let (n, iters) = (16, 12);
+        let coll = |op| ConcreteEvent {
+            op,
+            sig: 11,
+            compute: SimDuration::ZERO,
+        };
+        let split = |result| coll(ConcreteOp::CommSplit { parent: 0, result });
+        let reduce = |comm| {
+            coll(ConcreteOp::Coll {
+                kind: CollKind::Allreduce,
+                root: None,
+                bytes: 8,
+                comm,
+            })
+        };
+        let streams: Vec<Vec<ConcreteEvent>> = (0..n)
+            .map(|r| {
+                let (row, col) = (1 + (r / 4) as u32, 5 + (r % 4) as u32);
+                let mut s = vec![split(row), split(col)];
+                for _ in 0..iters {
+                    let (right, down) = (r / 4 * 4 + (r + 1) % 4, (r + 4) % n);
+                    s.extend([send_ev(right), reduce(row), send_ev(down), reduce(col)]);
+                }
+                s
+            })
+            .collect();
+        let sweep = |groups: &[Vec<usize>], idx: usize| {
+            Emission::Collectives(
+                groups
+                    .iter()
+                    .map(|g| g.iter().map(|&r| (r, idx)).collect())
+                    .collect(),
+            )
+        };
+        let world: Vec<Vec<usize>> = vec![(0..n).collect()];
+        let rows: Vec<Vec<usize>> = (0..4).map(|i| (4 * i..4 * i + 4).collect()).collect();
+        let cols: Vec<Vec<usize>> = (0..4).map(|j| (j..n).step_by(4).collect()).collect();
+        let mut log = vec![sweep(&world, 0), sweep(&world, 1)];
+        for k in 0..iters {
+            let at = 2 + 4 * k;
+            log.extend((0..n).map(|rank| Emission::Rank { rank, idx: at }));
+            log.push(sweep(&rows, at + 1));
+            log.extend((0..n).map(|rank| Emission::Rank { rank, idx: at + 2 }));
+            log.push(sweep(&cols, at + 3));
+        }
+        let trace = rebuild_from_log(&streams, &log, n, CommTable::world(n));
+
+        let loops: Vec<&scalatrace::trace::Prsd> = trace
+            .nodes
+            .iter()
+            .filter_map(|nd| match nd {
+                TraceNode::Loop(p) => Some(p),
+                TraceNode::Event(_) => None,
+            })
+            .collect();
+        assert_eq!(loops.len(), 1, "{trace}");
+        assert_eq!(loops[0].count, iters as u64, "{trace}");
+        for nd in &loops[0].body {
+            let TraceNode::Event(rsd) = nd else {
+                panic!("nested loop in the grid iteration:\n{trace}")
+            };
+            assert_eq!(rsd.ranks.len(), n, "one RSD per statement:\n{trace}");
+        }
+        assert_eq!(loops[0].body.len(), 4, "{trace}");
+        for (r, s) in streams.iter().enumerate() {
+            let got: Vec<ConcreteOp> = events_for_rank(&trace, r)
+                .into_iter()
+                .map(|e| e.op)
+                .collect();
+            let want: Vec<ConcreteOp> = s.iter().map(|e| e.op.clone()).collect();
+            assert_eq!(got, want, "rank {r}");
+        }
+    }
+
+    #[test]
+    fn a_batch_of_one_appends_its_block_unchanged() {
+        // the block is the members' merged buffers, then the folded RSD
+        let n = 4;
+        let mut rb = SegmentedRebuilder::new(n);
+        let barrier: Vec<(usize, ConcreteEvent)> = (0..n).map(|r| (r, barrier_ev())).collect();
+        for r in 0..n {
+            rb.rank_event(r, &send_ev((r + 1) % n));
+        }
+        rb.collectives(std::slice::from_ref(&barrier));
+        let trace = rb.finish(CommTable::world(n));
+        let bufs: Vec<Vec<TraceNode>> = (0..n)
+            .map(|r| vec![TraceNode::Event(rsd_of(r, &send_ev((r + 1) % n)))])
+            .collect();
+        let mut want = merge_sequences(bufs, n);
+        want.push(folded(&barrier, n));
+        assert_eq!(trace.nodes, want);
     }
 }

@@ -235,6 +235,8 @@ pub fn resolve_wildcards(trace: &Trace) -> Result<WildcardOutcome, GenError> {
 
         // Collective completion: every member of a communicator blocked at
         // a collective on it (kinds verified by Algorithm 1 / the runtime).
+        // One sweep's completions cover disjoint ranks: one log entry.
+        let mut completed = Vec::new();
         for comm in trace.comms.ids().collect::<Vec<_>>() {
             let members = trace.comms.members(comm).to_vec();
             if members.is_empty() {
@@ -254,7 +256,10 @@ pub fn resolve_wildcards(trace: &Trace) -> Result<WildcardOutcome, GenError> {
                 ranks[mem].out.push(ev);
                 parts.push((mem, ranks[mem].out.len() - 1));
             }
-            log.push(Emission::Collective(parts));
+            completed.push(parts);
+        }
+        if !completed.is_empty() {
+            log.push(Emission::Collectives(completed));
             progressed = true;
         }
 

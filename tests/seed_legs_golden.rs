@@ -23,6 +23,13 @@
 //! which rewrites the file from the window-of-one run (after checking that
 //! production agrees with it) — and say in the PR that the file no longer
 //! descends from the seed legs.
+//!
+//! One half-line already does not: cg's `gen[...]`. PR 26 merged the
+//! collectives one Algorithm 1 sweep completes across ranks, so cg's row
+//! (and column) blocks became one segment and a `COMPUTE` mean now spans
+//! all rows instead of one. The generated program's total moved from
+//! 12 412 637 to 12 411 152 ns (T_app 12 422 255); every `app[...]` and
+//! the other nine lines are the seed legs' bytes.
 
 use benchgen::{generate, GenOptions};
 use conceptual::interp::run_rank;
