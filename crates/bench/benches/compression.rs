@@ -1,7 +1,9 @@
 //! Ablation for DESIGN.md decision 2: the on-the-fly tail-compression
-//! window. Larger windows discover longer loop bodies (better compression)
-//! at higher per-append cost; this bench quantifies the trade-off, plus the
-//! binary-tree inter-rank merge cost (decision 5).
+//! window. Larger windows discover longer loop bodies. The structural fold
+//! pays for them per append; the capture's indexed `TailCompressor` visits
+//! only the widths a fold could succeed at and does not. This bench
+//! measures both at each window, plus the binary-tree inter-rank merge cost
+//! (decision 5).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mpisim::time::SimDuration;
@@ -11,6 +13,7 @@ use scalatrace::params::{CommParam, RankParam, ValParam};
 use scalatrace::rankset::RankSet;
 use scalatrace::timestats::TimeStats;
 use scalatrace::trace::{OpTemplate, Rsd, TraceNode};
+use scalatrace::TailCompressor;
 
 fn event(sig: u64, rank: usize) -> TraceNode {
     TraceNode::Event(Rsd {
@@ -37,14 +40,23 @@ fn bench_window(c: &mut Criterion) {
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_millis(500));
     g.measurement_time(std::time::Duration::from_secs(2));
-    for window in [4usize, 8, 16, 32, 64] {
-        g.bench_with_input(BenchmarkId::from_parameter(window), &window, |b, &w| {
+    for window in [4usize, 8, 16, 32, 64, 256] {
+        g.bench_with_input(BenchmarkId::new("structural", window), &window, |b, &w| {
             b.iter(|| {
                 let mut seq = Vec::new();
                 for ev in stream(5_000, 6) {
                     append_compressed(&mut seq, ev, w);
                 }
                 seq.len()
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("indexed", window), &window, |b, &w| {
+            b.iter(|| {
+                let mut c = TailCompressor::new(w);
+                for ev in stream(5_000, 6) {
+                    c.push(ev);
+                }
+                c.nodes().len()
             })
         });
     }

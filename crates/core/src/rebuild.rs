@@ -22,7 +22,7 @@
 //! and one iteration stays one short epoch however many rows the grid has.
 
 use mpisim::types::Src;
-use scalatrace::compress::{append_compressed, DEFAULT_MAX_WINDOW};
+use scalatrace::compress::append_compressed;
 use scalatrace::cursor::{ConcreteEvent, ConcreteOp};
 use scalatrace::merge::{collapse_rsds, merge_sequences};
 use scalatrace::params::{CommParam, RankParam, SrcParam, ValParam};
@@ -37,6 +37,13 @@ use scalatrace::trace::{CommTable, OpTemplate, Rsd, Trace, TraceNode};
 /// a peer without a closed form (cg's transpose: its whole program is 118
 /// statements at 16×16, 218 at 32×32, until ROADMAP item 8).
 const GLOBAL_WINDOW: usize = 256;
+
+/// Window for the per-rank buffers. A buffer holds one inter-collective
+/// epoch of one rank, so this stays below the capture's window: the
+/// structural fold's cost grows with its window (at 256, generating cg
+/// r256 takes nearly twice as long), and on every registry app and large
+/// cell the output is the same at 32 (DESIGN.md §10).
+const RANK_WINDOW: usize = 32;
 
 /// Convert a concrete event back into a single-rank op template.
 fn template_of(op: &ConcreteOp) -> OpTemplate {
@@ -123,7 +130,7 @@ impl SegmentedRebuilder {
         append_compressed(
             &mut self.bufs[rank],
             TraceNode::Event(rsd_of(rank, ev)),
-            DEFAULT_MAX_WINDOW,
+            RANK_WINDOW,
         );
     }
 

@@ -20,13 +20,42 @@
 //! [`TailCompressor`] is what capture runs: the same fold decisions found
 //! through rolling fingerprints, with the incremental state streaming
 //! capture needs.
+//!
+//! The structural scan tries every width `1..=max_window` per append, so
+//! its cost grows with the window. The compressor visits only the widths a
+//! fold could succeed at — a loop whose body is as long as the tail after
+//! it, or an earlier node with the last node's fingerprint — so its cost
+//! does not, and the default window is wide enough for an MG V-cycle (125
+//! nodes per iteration at class A).
 
 use crate::fingerprint::{self, POLY_BASE};
 use crate::trace::{Prsd, TraceNode};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Default window: the longest loop body (in trace nodes) that folding will
 /// discover. Exposed for the compression ablation bench.
-pub const DEFAULT_MAX_WINDOW: usize = 32;
+pub const DEFAULT_MAX_WINDOW: usize = 256;
+
+/// `POLY_BASE^k` for `k ≤ DEFAULT_MAX_WINDOW`, one table for every
+/// compressor (a capture holds one per rank).
+static POW: [u64; DEFAULT_MAX_WINDOW + 1] = {
+    let mut t = [1u64; DEFAULT_MAX_WINDOW + 1];
+    let mut k = 1;
+    while k < t.len() {
+        t[k] = t[k - 1].wrapping_mul(POLY_BASE);
+        k += 1;
+    }
+    t
+};
+
+/// `POLY_BASE^k`: from the table, or computed for a window wider than the
+/// default.
+fn poly_pow(k: usize) -> u64 {
+    POW.get(k).copied().unwrap_or_else(|| {
+        POLY_BASE.wrapping_pow(u32::try_from(k).expect("a window spans fewer than 2^32 nodes"))
+    })
+}
 
 /// Append `node` and re-establish maximal tail compression by structural
 /// comparison (O(W) node compares per window) — see the module docs.
@@ -91,6 +120,36 @@ struct NodeRec {
     fp: u64,
     body_hash: u64,
     body_len: usize,
+    /// The last earlier position with the same fingerprint.
+    prev: Option<usize>,
+}
+
+/// Hashes a fingerprint to itself: fingerprints are already
+/// splitmix-finalised, so hashing them again only costs time. The keys are
+/// fingerprints the compressor computes, not input to guard against.
+#[derive(Default)]
+struct FpHasher(u64);
+
+impl Hasher for FpHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only u64 fingerprints are hashed")
+    }
+
+    fn write_u64(&mut self, fp: u64) {
+        self.0 = fp;
+    }
+}
+
+/// A fold the search found, by width.
+enum Fold {
+    /// Case A: the tail repeats the body of the loop before it.
+    Extend(usize),
+    /// Case B: two adjacent equal windows become a new loop.
+    New(usize),
 }
 
 /// Incremental tail compressor with fingerprint-indexed fold search.
@@ -101,13 +160,25 @@ struct NodeRec {
 /// of `w` recursive structural comparisons. Every hash hit is confirmed
 /// structurally before folding, so the output is byte-identical to
 /// [`append_compressed`] regardless of collisions.
+///
+/// The widths worth checking are indexed too. Foldable nodes have equal
+/// fingerprints, so a Case-B fold at width `w` needs
+/// `fp(seq[len-1-w]) == fp(seq[len-1])`: the candidates are the chain of
+/// `prev` links from the last node. A Case-A fold at width `w` needs a loop
+/// at `len-1-w` whose body is `w` long: the candidates are the loop
+/// positions within the window. Visiting both in ascending width, Case A
+/// first at equal width, finds the fold the full scan would. Every fold
+/// truncates a suffix and pushes one node, so popping position `k`
+/// restores `last[fp_k] = prev[k]` and the index stays exact.
 pub struct TailCompressor {
     seq: Vec<TraceNode>,
     recs: Vec<NodeRec>,
     /// `pref[i]` = polynomial hash of `fp(seq[0..i])`; `pref.len() == seq.len()+1`.
     pref: Vec<u64>,
-    /// `pow[k]` = `POLY_BASE^k`, precomputed up to `max_window`.
-    pow: Vec<u64>,
+    /// Fingerprint → its last position.
+    last: HashMap<u64, usize, BuildHasherDefault<FpHasher>>,
+    /// Positions of the loops with a non-empty body, ascending.
+    loops: Vec<usize>,
     max_window: usize,
     /// Test hook: fingerprint every node as 0, forcing every window compare
     /// through the structural confirm (exercises the collision path).
@@ -117,17 +188,12 @@ pub struct TailCompressor {
 impl TailCompressor {
     /// An empty compressor folding loop bodies of up to `max_window` nodes.
     pub fn new(max_window: usize) -> TailCompressor {
-        let mut pow = Vec::with_capacity(max_window + 1);
-        let mut p = 1u64;
-        for _ in 0..=max_window {
-            pow.push(p);
-            p = p.wrapping_mul(POLY_BASE);
-        }
         TailCompressor {
             seq: Vec::new(),
             recs: Vec::new(),
             pref: vec![0],
-            pow,
+            last: HashMap::default(),
+            loops: Vec::new(),
             max_window,
             degraded: false,
         }
@@ -174,6 +240,7 @@ impl TailCompressor {
                 },
                 body_hash: 0,
                 body_len: 0,
+                prev: None,
             },
             TraceNode::Loop(p) => {
                 let body_hash = if self.degraded {
@@ -185,6 +252,7 @@ impl TailCompressor {
                     fp: self.mk_loop_fp(p.count, p.body.len(), body_hash),
                     body_hash,
                     body_len: p.body.len(),
+                    prev: None,
                 }
             }
         }
@@ -198,78 +266,151 @@ impl TailCompressor {
         }
     }
 
-    fn push_pref(&mut self, fp: u64) {
-        let last = *self.pref.last().unwrap();
+    /// Record the node just pushed onto `seq` and link it into the index.
+    fn push_rec(&mut self, mut rec: NodeRec) {
+        let k = self.recs.len();
+        rec.prev = self.last.insert(rec.fp, k);
+        if rec.body_len > 0 {
+            self.loops.push(k);
+        }
+        self.recs.push(rec);
+        let last = *self.pref.last().expect("pref holds the empty prefix");
         self.pref
-            .push(last.wrapping_mul(POLY_BASE).wrapping_add(fp));
+            .push(last.wrapping_mul(POLY_BASE).wrapping_add(rec.fp));
     }
 
-    /// Polynomial hash of the fingerprints of `seq[i..j]` (`j - i` must be
-    /// within the precomputed power table, i.e. ≤ `max_window`).
+    /// Drop the records of positions `n..`, last first, unlinking each from
+    /// the index.
+    fn truncate_recs(&mut self, n: usize) {
+        for rec in self.recs.drain(n..).rev() {
+            match rec.prev {
+                // Position `p` goes too, and its own pop sets the entry.
+                Some(p) if p >= n => {}
+                Some(p) => {
+                    self.last.insert(rec.fp, p);
+                }
+                None => {
+                    self.last.remove(&rec.fp);
+                }
+            }
+            if rec.body_len > 0 {
+                self.loops.pop();
+            }
+        }
+        self.pref.truncate(n + 1);
+    }
+
+    /// Polynomial hash of the fingerprints of `seq[i..j]`.
     fn win_hash(&self, i: usize, j: usize) -> u64 {
-        self.pref[j].wrapping_sub(self.pref[i].wrapping_mul(self.pow[j - i]))
+        self.pref[j].wrapping_sub(self.pref[i].wrapping_mul(poly_pow(j - i)))
     }
 
     /// Attempt exactly one tail fold; `true` if a fold was applied.
     pub(crate) fn try_fold_once(&mut self) -> bool {
+        match self.find_fold() {
+            Some(Fold::Extend(w)) => self.extend_loop(w),
+            Some(Fold::New(w)) => self.new_loop(w),
+            None => return false,
+        }
+        true
+    }
+
+    /// The fold a scan over `w = 1..=max_window` (Case A before Case B at
+    /// each width) would apply, found by visiting only the indexed
+    /// candidates, in the same order.
+    fn find_fold(&self) -> Option<Fold> {
         let len = self.seq.len();
-        for w in 1..=self.max_window {
-            // Case A: the `w` tail nodes repeat the body of the loop that
-            // immediately precedes them → bump the loop's iteration count.
-            if len > w {
-                let rec = self.recs[len - w - 1];
-                if rec.body_len == w
-                    && matches!(self.seq[len - w - 1], TraceNode::Loop(_))
-                    && rec.body_hash == self.win_hash(len - w, len)
-                    && self.confirm_case_a(len, w)
-                {
-                    let tail: Vec<TraceNode> = self.seq.drain(len - w..).collect();
-                    let TraceNode::Loop(p) = self.seq.last_mut().unwrap() else {
-                        unreachable!()
-                    };
-                    for (body, t) in p.body.iter_mut().zip(&tail) {
-                        body.absorb_times(t);
-                    }
-                    p.count += 1;
-                    let count = p.count;
-                    // The loop's fingerprint depends on its count; its body
-                    // hash is timing-blind and thus unchanged by the absorb.
-                    let fp = self.mk_loop_fp(count, rec.body_len, rec.body_hash);
-                    self.recs.truncate(len - w);
-                    self.recs[len - w - 1].fp = fp;
-                    self.pref.truncate(len - w);
-                    self.push_pref(fp);
-                    return true;
+        let tail = len.checked_sub(1)?;
+        // Case A: loops before the tail, nearest first.
+        let mut extend = self
+            .loops
+            .iter()
+            .rev()
+            .map(|&p| tail - p)
+            .skip_while(|&w| w == 0)
+            .take_while(|&w| w <= self.max_window)
+            .peekable();
+        // Case B: earlier nodes with the last node's fingerprint.
+        let mut new = std::iter::successors(self.recs[tail].prev, |&q| self.recs[q].prev)
+            .map(|q| tail - q)
+            .take_while(|&w| w <= self.max_window && 2 * w <= len)
+            .peekable();
+        loop {
+            let case_a_first = match (extend.peek(), new.peek()) {
+                (None, None) => return None,
+                (Some(wa), Some(wb)) => wa <= wb,
+                (a, _) => a.is_some(),
+            };
+            if case_a_first {
+                let w = extend.next()?;
+                if self.can_extend(len, w) {
+                    return Some(Fold::Extend(w));
                 }
-            }
-            // Case B: two adjacent identical windows of length `w` → new loop.
-            if len >= 2 * w {
-                let first = len - 2 * w;
-                let second = len - w;
-                if self.win_hash(first, second) == self.win_hash(second, len)
-                    && (0..w).all(|i| self.seq[first + i].foldable_with(&self.seq[second + i]))
-                {
-                    let body_hash = self.win_hash(first, second);
-                    let tail: Vec<TraceNode> = self.seq.drain(second..).collect();
-                    let mut body: Vec<TraceNode> = self.seq.drain(first..).collect();
-                    for (b, t) in body.iter_mut().zip(&tail) {
-                        b.absorb_times(t);
-                    }
-                    let fp = self.mk_loop_fp(2, w, body_hash);
-                    self.seq.push(TraceNode::Loop(Prsd { count: 2, body }));
-                    self.recs.truncate(first);
-                    self.recs.push(NodeRec {
-                        fp,
-                        body_hash,
-                        body_len: w,
-                    });
-                    self.pref.truncate(first + 1);
-                    self.push_pref(fp);
-                    return true;
+            } else {
+                let w = new.next()?;
+                if self.can_fold_new(len, w) {
+                    return Some(Fold::New(w));
                 }
             }
         }
-        false
+    }
+
+    /// Case A: do the `w` tail nodes repeat the body of the loop that
+    /// immediately precedes them?
+    fn can_extend(&self, len: usize, w: usize) -> bool {
+        let rec = self.recs[len - w - 1];
+        rec.body_len == w
+            && rec.body_hash == self.win_hash(len - w, len)
+            && self.confirm_case_a(len, w)
+    }
+
+    /// Case B: are the two adjacent length-`w` tail windows identical?
+    fn can_fold_new(&self, len: usize, w: usize) -> bool {
+        let (first, second) = (len - 2 * w, len - w);
+        self.win_hash(first, second) == self.win_hash(second, len)
+            && (0..w).all(|i| self.seq[first + i].foldable_with(&self.seq[second + i]))
+    }
+
+    /// Apply Case A at width `w`: bump the preceding loop's count.
+    fn extend_loop(&mut self, w: usize) {
+        let len = self.seq.len();
+        let at = len - w - 1;
+        let tail: Vec<TraceNode> = self.seq.drain(len - w..).collect();
+        let TraceNode::Loop(p) = &mut self.seq[at] else {
+            unreachable!()
+        };
+        for (body, t) in p.body.iter_mut().zip(&tail) {
+            body.absorb_times(t);
+        }
+        p.count += 1;
+        let count = p.count;
+        // The loop's fingerprint depends on its count; its body hash is
+        // timing-blind and thus unchanged by the absorb.
+        let rec = self.recs[at];
+        let fp = self.mk_loop_fp(count, rec.body_len, rec.body_hash);
+        self.truncate_recs(at);
+        self.push_rec(NodeRec { fp, ..rec });
+    }
+
+    /// Apply Case B at width `w`: the two tail windows become a 2-loop.
+    fn new_loop(&mut self, w: usize) {
+        let len = self.seq.len();
+        let (first, second) = (len - 2 * w, len - w);
+        let body_hash = self.win_hash(first, second);
+        let tail: Vec<TraceNode> = self.seq.drain(second..).collect();
+        let mut body: Vec<TraceNode> = self.seq.drain(first..).collect();
+        for (b, t) in body.iter_mut().zip(&tail) {
+            b.absorb_times(t);
+        }
+        self.seq.push(TraceNode::Loop(Prsd { count: 2, body }));
+        let fp = self.mk_loop_fp(2, w, body_hash);
+        self.truncate_recs(first);
+        self.push_rec(NodeRec {
+            fp,
+            body_hash,
+            body_len: w,
+            prev: None,
+        });
     }
 
     fn confirm_case_a(&self, len: usize, w: usize) -> bool {
@@ -310,8 +451,7 @@ impl TailCompressor {
     pub(crate) fn push_raw(&mut self, node: TraceNode) {
         let rec = self.record_of(&node);
         self.seq.push(node);
-        self.recs.push(rec);
-        self.push_pref(rec.fp);
+        self.push_rec(rec);
     }
 
     /// Drop the first `k` nodes (sealed to disk by the streaming capture)
@@ -328,20 +468,20 @@ impl TailCompressor {
         self.rebuild_index();
     }
 
-    /// Recompute `recs`/`pref` from the node structure. This reproduces
-    /// the incrementally maintained values exactly: fingerprints are
-    /// timing-blind (so histogram absorption during folding never changed
-    /// them) and a Case-A-bumped loop's fingerprint is re-derived from its
-    /// count and body hash via the same [`fingerprint::loop_fp`] identity
-    /// the incremental path uses.
+    /// Recompute `recs`/`pref` and the candidate index from the node
+    /// structure. This reproduces the incrementally maintained values
+    /// exactly: fingerprints are timing-blind (so histogram absorption
+    /// during folding never changed them) and a Case-A-bumped loop's
+    /// fingerprint is re-derived from its count and body hash via the same
+    /// [`fingerprint::loop_fp`] identity the incremental path uses.
     fn rebuild_index(&mut self) {
         let recs: Vec<NodeRec> = self.seq.iter().map(|n| self.record_of(n)).collect();
         self.recs.clear();
-        self.pref.clear();
-        self.pref.push(0);
+        self.pref.truncate(1);
+        self.last.clear();
+        self.loops.clear();
         for rec in recs {
-            self.recs.push(rec);
-            self.push_pref(rec.fp);
+            self.push_rec(rec);
         }
     }
 }
@@ -431,6 +571,18 @@ mod tests {
             panic!("inner loop expected, got {:?}", outer.body[0])
         };
         assert_eq!(inner.count, 10);
+    }
+
+    #[test]
+    fn index_holds_only_resident_fingerprints() {
+        // A loop's fingerprint changes with every count bump; the index
+        // must drop each old one, or capture memory grows with iterations.
+        let mut c = TailCompressor::new(DEFAULT_MAX_WINDOW);
+        for i in 0..9_999 {
+            c.push(ev(1 + i % 3, 64, 1));
+        }
+        assert_eq!(c.nodes().len(), 1);
+        assert_eq!((c.last.len(), c.loops.len()), (1, 1));
     }
 
     #[test]
@@ -583,33 +735,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn prefix_eviction_with_reload_guard_matches_unbounded() {
-        // The streaming-capture invariant at the unit level: evict prefixes
-        // freely, but reload them before any fold whenever fewer than
-        // `2 * max_window + 1` nodes are resident. Then the concatenation
-        // of evicted prefix and resident tail is byte-identical to the
-        // unbounded structural fold after every single push.
-        let window = 4usize;
+    /// The streaming-capture invariant at the unit level: evict prefixes
+    /// freely, but reload them before any fold whenever fewer than
+    /// `2 * window + 1` nodes are resident. Then the concatenation of
+    /// evicted prefix and resident tail is byte-identical to the unbounded
+    /// structural fold after every single push.
+    fn assert_eviction_matches_unbounded(stream: &[TraceNode], window: usize) {
         let min_resident = 2 * window + 1;
-        let stream: Vec<TraceNode> = (0..400)
-            .map(|i| {
-                ev(
-                    if i % 50 == 0 { 90 + i } else { 1 + (i % 4) },
-                    64,
-                    1 + (i % 2),
-                )
-            })
-            .collect();
         let mut whole = Vec::new();
         let mut churned = TailCompressor::new(window);
         let mut evicted: Vec<TraceNode> = Vec::new();
+        let (mut evictions, mut reloads) = (0, 0);
         for (i, n) in stream.iter().enumerate() {
             append_compressed(&mut whole, n.clone(), window);
             churned.push_raw(n.clone());
             loop {
                 if churned.len() < min_resident && !evicted.is_empty() {
                     churned.prepend_nodes(std::mem::take(&mut evicted));
+                    reloads += 1;
                 }
                 if !churned.try_fold_once() {
                     break;
@@ -619,11 +762,80 @@ mod tests {
                 let k = churned.len() - min_resident;
                 evicted.extend_from_slice(&churned.nodes()[..k]);
                 churned.drop_prefix(k);
+                evictions += 1;
             }
             let mut joined = evicted.clone();
             joined.extend_from_slice(churned.nodes());
             assert_eq!(joined.as_slice(), whole.as_slice(), "after push {i}");
         }
+        assert!(
+            evictions > 0 && reloads > 0,
+            "window {window}: {evictions} evictions, {reloads} reloads"
+        );
+    }
+
+    #[test]
+    fn prefix_eviction_with_reload_guard_matches_unbounded() {
+        let stream: Vec<TraceNode> = (0..400)
+            .map(|i| {
+                ev(
+                    if i % 50 == 0 { 90 + i } else { 1 + (i % 4) },
+                    64,
+                    1 + (i % 2),
+                )
+            })
+            .collect();
+        assert_eviction_matches_unbounded(&stream, 4);
+    }
+
+    /// `reps` repetitions of a `period`-node body whose last node drifts in
+    /// size on every `drift_every`-th repetition, so some repetitions fold
+    /// and the sequence still grows.
+    fn drifting_period(period: u64, reps: u64, drift_every: u64) -> Vec<TraceNode> {
+        (0..reps)
+            .flat_map(|r| {
+                let bytes = if r % drift_every == 0 { 1_000 + r } else { 2 };
+                (0..period)
+                    .map(|s| ev(s, 64, 1 + s % 3))
+                    .chain(std::iter::once(ev(period, bytes, 1)))
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn prefix_eviction_matches_unbounded_at_the_default_window() {
+        // A reload restores `2 * 256 + 1` nodes in front of a tail whose
+        // period-100 loops reach back across the cut.
+        assert_eviction_matches_unbounded(&drifting_period(99, 36, 3), DEFAULT_MAX_WINDOW);
+    }
+
+    #[test]
+    fn period_100_folds_at_the_default_window_and_not_at_32() {
+        let stream = || (0..5).flat_map(|_| (0..100).map(|s| ev(s, 64, 1)));
+        assert_matches_structural(stream(), DEFAULT_MAX_WINDOW);
+        assert_matches_structural(stream(), 32);
+        let folded = |window| {
+            let mut c = TailCompressor::new(window);
+            stream().for_each(|n| c.push(n));
+            c.into_nodes()
+        };
+        let wide = folded(DEFAULT_MAX_WINDOW);
+        assert_eq!(wide.len(), 1);
+        let TraceNode::Loop(p) = &wide[0] else {
+            panic!("expected one loop")
+        };
+        assert_eq!((p.count, p.body.len()), (5, 100));
+        assert_eq!(folded(32).len(), 500);
+    }
+
+    #[test]
+    fn windows_wider_than_the_power_table_fold_like_the_scan() {
+        let stream = || (0..3).flat_map(|_| (0..300).map(|s| ev(s, 64, 1)));
+        assert_matches_structural(stream(), 300);
+        let mut c = TailCompressor::new(300);
+        stream().for_each(|n| c.push(n));
+        assert_eq!(c.nodes().len(), 1);
     }
 
     #[test]

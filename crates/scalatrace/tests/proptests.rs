@@ -398,7 +398,7 @@ proptest! {
     #[test]
     fn fingerprint_folding_matches_structural(
         stream in proptest::collection::vec((0u64..4, 1u64..4), 0..250),
-        window in 1usize..33,
+        window in 1usize..257,
     ) {
         let nodes: Vec<TraceNode> =
             stream.iter().map(|&(s, b)| alpha_ev(s, b)).collect();
@@ -416,12 +416,14 @@ proptest! {
 
     /// Quasi-periodic drift streams — long repeated prefixes with one
     /// drifting parameter — are the structural scan's worst case and the
-    /// fingerprint index's motivating pattern; both must still agree.
+    /// fingerprint index's motivating pattern; both must still agree, at
+    /// periods past the old window of 32 too.
     #[test]
     fn fingerprint_folding_matches_structural_under_drift(
-        period in 2usize..12,
+        period in 2usize..101,
         reps in 2usize..20,
         drift_every in 1usize..5,
+        window in 1usize..257,
     ) {
         let mut nodes = Vec::new();
         for p in 0..reps {
@@ -431,8 +433,8 @@ proptest! {
             let bytes = if p % drift_every == 0 { 1_000 + p as u64 } else { 2 };
             nodes.push(alpha_ev(period as u64, bytes));
         }
-        let fp = fold_fingerprint(&nodes, 32);
-        let st = fold_structural(&nodes, 32);
+        let fp = fold_fingerprint(&nodes, window);
+        let st = fold_structural(&nodes, window);
         prop_assert_eq!(fp, st);
     }
 
@@ -444,7 +446,7 @@ proptest! {
     #[test]
     fn forced_collisions_never_fold_unequal_nodes(
         stream in proptest::collection::vec((0u64..3, 1u64..3), 0..150),
-        window in 1usize..17,
+        window in 1usize..257,
     ) {
         let nodes: Vec<TraceNode> =
             stream.iter().map(|&(s, b)| alpha_ev(s, b)).collect();

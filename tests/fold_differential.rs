@@ -2,12 +2,14 @@
 //! runs: fingerprint-indexed window search) and `compress::append_compressed`
 //! (the structural fold `core::rebuild` runs, and the reference) are fed the
 //! raw per-rank event stream of every registry app at 16 ranks and must
-//! produce the same compressed sequence at every window.
+//! produce the same compressed sequence at every window, the capture's
+//! default among them. At the default, MG's V-cycle (71 nodes per rank and
+//! iteration at class S) folds into one loop.
 
 use miniapps::{registry, AppParams, Class};
 use mpisim::network;
 use mpisim::world::World;
-use scalatrace::compress::append_compressed;
+use scalatrace::compress::{append_compressed, DEFAULT_MAX_WINDOW};
 use scalatrace::{TailCompressor, TraceNode, Tracer};
 
 const RANKS: usize = 16;
@@ -39,7 +41,7 @@ fn raw_streams(app: &miniapps::App) -> Vec<Vec<TraceNode>> {
 fn fingerprint_and_structural_folds_agree_on_every_registry_app() {
     for app in registry::all() {
         for (rank, stream) in raw_streams(app).iter().enumerate() {
-            for window in [1, 16, 32] {
+            for window in [1, 16, 32, DEFAULT_MAX_WINDOW] {
                 let mut fingerprint = TailCompressor::new(window);
                 let mut structural = Vec::new();
                 for node in stream {
@@ -57,6 +59,13 @@ fn fingerprint_and_structural_folds_agree_on_every_registry_app() {
                         structural.len() < stream.len(),
                         "{} rank {rank}: nothing folded",
                         app.name
+                    );
+                }
+                if window == DEFAULT_MAX_WINDOW && app.name == "mg" {
+                    assert!(
+                        structural.len() <= 8,
+                        "mg rank {rank}: {} nodes at window {window}",
+                        structural.len()
                     );
                 }
             }

@@ -24,12 +24,15 @@
 //! production agrees with it) — and say in the PR that the file no longer
 //! descends from the seed legs.
 //!
-//! One half-line already does not: cg's `gen[...]`. PR 26 merged the
-//! collectives one Algorithm 1 sweep completes across ranks, so cg's row
-//! (and column) blocks became one segment and a `COMPUTE` mean now spans
-//! all rows instead of one. The generated program's total moved from
-//! 12 412 637 to 12 411 152 ns (T_app 12 422 255); every `app[...]` and
-//! the other nine lines are the seed legs' bytes.
+//! Two half-lines already do not: cg's and mg's `gen[...]`. The rebuild
+//! merges the collectives one Algorithm 1 sweep completes across ranks, so
+//! cg's row (and column) blocks became one segment and a `COMPUTE` mean now
+//! spans all rows instead of one. The generated program's total moved from
+//! 12 412 637 to 12 411 152 ns (T_app 12 422 255). Then the capture's fold
+//! window grew from 32 to 256 nodes, so mg's V-cycle folds into one loop
+//! and each `COMPUTE` mean spans every iteration: mg's total moved from
+//! 9 594 379 to 9 594 380 ns, with its per-rank times and FNVs. Every
+//! `app[...]` and the other eight lines are the seed legs' bytes.
 
 use benchgen::{generate, GenOptions};
 use conceptual::interp::run_rank;
