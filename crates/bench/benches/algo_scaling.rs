@@ -2,8 +2,11 @@
 //! Algorithm 2 (wildcard resolution), which the paper states are O(p·e)
 //! (ranks × events per rank), with O(r) pre-checks.
 //!
-//! Synthetic traces let `p` and `e` vary independently: sweeping ranks at
-//! fixed per-rank events and vice versa should both scale ~linearly.
+//! Synthetic traces let `p` and `e` vary independently. Both algorithms
+//! walk the compressed trace and skip the periods their state repeats, so
+//! on the looped trace doubling `e` (the loop count) costs next to nothing;
+//! the `events_flat` sweep unrolls the same iterations with no loop, where
+//! nothing repeats, and measures O(p·e) itself.
 
 use benchgen::{align_collectives, resolve_wildcards};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -14,9 +17,28 @@ use scalatrace::timestats::TimeStats;
 use scalatrace::trace::{OpTemplate, Prsd, Rsd, Trace, TraceNode};
 
 /// A trace with `iters` iterations of (wildcard recv + ring send + barrier
-/// from per-parity call sites) on `p` ranks: exercises both algorithms.
+/// from per-parity call sites) on `p` ranks, as one loop: exercises both
+/// algorithms.
 fn synthetic_trace(p: usize, iters: u64) -> Trace {
     let mut t = Trace::new(p);
+    t.nodes.push(TraceNode::Loop(Prsd {
+        count: iters,
+        body: iteration(p),
+    }));
+    t
+}
+
+/// The same iterations unrolled, with no loop to skip.
+fn flat_trace(p: usize, iters: u64) -> Trace {
+    let mut t = Trace::new(p);
+    for _ in 0..iters {
+        t.nodes.extend(iteration(p));
+    }
+    t
+}
+
+/// One iteration of the synthetic trace.
+fn iteration(p: usize) -> Vec<TraceNode> {
     let recv = TraceNode::Event(Rsd {
         ranks: RankSet::all(p),
         sig: 1,
@@ -68,11 +90,7 @@ fn synthetic_trace(p: usize, iters: u64) -> Trace {
             compute: TimeStats::new(),
         })
     };
-    t.nodes.push(TraceNode::Loop(Prsd {
-        count: iters,
-        body: vec![recv, send, wait, barrier(evens, 4), barrier(odds, 5)],
-    }));
-    t
+    vec![recv, send, wait, barrier(evens, 4), barrier(odds, 5)]
 }
 
 fn bench_alignment(c: &mut Criterion) {
@@ -94,6 +112,12 @@ fn bench_alignment(c: &mut Criterion) {
             b.iter(|| align_collectives(t).expect("aligns"))
         });
     }
+    for iters in [10u64, 20, 40] {
+        let trace = flat_trace(16, iters);
+        g.bench_with_input(BenchmarkId::new("events_flat", iters), &trace, |b, t| {
+            b.iter(|| align_collectives(t).expect("aligns"))
+        });
+    }
     g.finish();
 }
 
@@ -111,6 +135,14 @@ fn bench_wildcards(c: &mut Criterion) {
     for iters in [10u64, 20, 40] {
         let trace = align_collectives(&synthetic_trace(16, iters)).expect("aligns");
         g.bench_with_input(BenchmarkId::new("events", iters), &trace, |b, t| {
+            b.iter(|| resolve_wildcards(t).expect("resolves"))
+        });
+    }
+    // Unaligned: the alignment's output is folded into a loop again, and
+    // Algorithm 2 completes a collective from per-parity call sites alike.
+    for iters in [10u64, 20, 40] {
+        let trace = flat_trace(16, iters);
+        g.bench_with_input(BenchmarkId::new("events_flat", iters), &trace, |b, t| {
             b.iter(|| resolve_wildcards(t).expect("resolves"))
         });
     }

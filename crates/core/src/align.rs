@@ -18,13 +18,22 @@
 //! resume. `MPI_Finalize` is treated as a collective over the world so the
 //! traversal only finishes when every rank is exhausted. The output queue
 //! is re-compressed exactly as ScalaTrace compresses traces
-//! ([`crate::rebuild`]). Complexity is O(p·e) in ranks × events, guarded
-//! by the O(r) pre-check [`scalatrace::Trace::has_unaligned_collectives`].
+//! ([`crate::rebuild`]).
+//!
+//! The cursors walk the compressed trace, never an expanded stream, and
+//! every sweep boundary is a cut for the period detector
+//! (`crate::traverse`): once the traversal's state recurs, the rest of a
+//! loop is skipped whole. Complexity is O(p·e) in ranks × events walked,
+//! and the events walked are those of the periods before the state recurs
+//! plus what no period covers — not the iterations. The traversal is
+//! guarded by the O(r) pre-check
+//! [`scalatrace::Trace::has_unaligned_collectives`].
 
 use crate::rebuild::SegmentedRebuilder;
+use crate::traverse::{communicators, Events, PeriodDetector, Walker};
 use crate::GenError;
 use mpisim::types::{CollKind, Fnv1a};
-use scalatrace::cursor::{ConcreteEvent, ConcreteOp, Cursor};
+use scalatrace::cursor::{ConcreteEvent, ConcreteOp};
 use scalatrace::trace::Trace;
 
 /// The collective a rank is currently blocked on.
@@ -32,6 +41,27 @@ struct BlockedColl {
     event: ConcreteEvent,
     kind: CollKind,
     comm: u32,
+}
+
+/// One rank's traversal context.
+struct RankWalk<'t> {
+    events: Events<'t>,
+    blocked: Option<BlockedColl>,
+    done: bool,
+}
+
+impl<'t> Walker<'t> for RankWalk<'t> {
+    fn events(&mut self) -> &mut Events<'t> {
+        &mut self.events
+    }
+
+    fn waiting_at(&self) -> Option<&ConcreteEvent> {
+        self.blocked.as_ref().map(|b| &b.event)
+    }
+
+    fn done(&self) -> bool {
+        self.done
+    }
 }
 
 fn collective_of(ev: &ConcreteEvent) -> Option<(CollKind, u32)> {
@@ -45,47 +75,61 @@ fn collective_of(ev: &ConcreteEvent) -> Option<(CollKind, u32)> {
 /// Run Algorithm 1, producing a trace in which every collective operation
 /// corresponds to exactly one RSD covering its full communicator.
 pub fn align_collectives(trace: &Trace) -> Result<Trace, GenError> {
+    align(trace, false).map(|(aligned, _)| aligned)
+}
+
+/// Algorithm 1 over plainly expanded streams, skipping nothing: the oracle
+/// the cursors and the period skip are tested against.
+#[doc(hidden)]
+pub fn align_collectives_expanded(trace: &Trace) -> Result<Trace, GenError> {
+    align(trace, true).map(|(aligned, _)| aligned)
+}
+
+/// Algorithm 1, and how many events its traversal walked: what a period
+/// skip saves shows here, never in the output.
+#[doc(hidden)]
+pub fn align_collectives_walked(trace: &Trace) -> Result<(Trace, u64), GenError> {
+    align(trace, false)
+}
+
+fn align(trace: &Trace, expanded: bool) -> Result<(Trace, u64), GenError> {
     let n = trace.nranks;
-    // Per-rank traversal fan-out on the shared pool: each rank's compressed
-    // stream expands independently. The alignment loop walks the expanded
-    // streams by index in exactly the order the incremental cursors would
-    // have produced, so the result is identical for every thread count.
-    let streams: Vec<Vec<ConcreteEvent>> =
-        par::par_map_indexed(par::threads(), n, |r| Cursor::new(trace, r).collect_all());
-    let mut pos = vec![0usize; n];
+    let mut ranks: Vec<RankWalk> = (0..n)
+        .map(|r| RankWalk {
+            events: Events::of(trace, r, expanded),
+            blocked: None,
+            done: false,
+        })
+        .collect();
     let mut rb = SegmentedRebuilder::new(n);
-    let mut blocked: Vec<Option<BlockedColl>> = (0..n).map(|_| None).collect();
-    let mut done = vec![false; n];
+    let mut periods = (!expanded).then(|| PeriodDetector::new(&mut rb));
+    let comms = communicators(trace);
+    let mut walked = 0u64;
 
     loop {
         let mut progressed = false;
 
         // Advance every unblocked rank to its next collective (or the end).
-        for r in 0..n {
-            if done[r] || blocked[r].is_some() {
+        for (r, rank) in ranks.iter_mut().enumerate() {
+            if rank.done || rank.blocked.is_some() {
                 continue;
             }
             loop {
-                match streams[r].get(pos[r]).cloned() {
-                    None => {
-                        done[r] = true;
-                        break;
-                    }
-                    Some(ev) => {
-                        pos[r] += 1;
-                        if let Some((kind, comm)) = collective_of(&ev) {
-                            blocked[r] = Some(BlockedColl {
-                                event: ev,
-                                kind,
-                                comm,
-                            });
-                            progressed = true;
-                            break;
-                        }
-                        rb.rank_event(r, &ev);
-                        progressed = true;
-                    }
+                let Some(ev) = rank.events.next() else {
+                    rank.done = true;
+                    break;
+                };
+                walked += 1;
+                progressed = true;
+                if let Some((kind, comm)) = collective_of(&ev) {
+                    rank.blocked = Some(BlockedColl {
+                        event: ev,
+                        kind,
+                        comm,
+                    });
+                    break;
                 }
+                rb.rank_event(r, &ev);
             }
         }
 
@@ -94,26 +138,16 @@ pub fn align_collectives(trace: &Trace) -> Result<Trace, GenError> {
         // sweep's completions cover disjoint ranks and go to the rebuilder
         // as one batch.
         let mut completed: Vec<Vec<(usize, ConcreteEvent)>> = Vec::new();
-        let comm_ids: Vec<u32> = trace.comms.ids().collect();
-        for comm in comm_ids {
-            let members = trace.comms.members(comm).to_vec();
-            if members.is_empty() {
-                continue;
-            }
-            let all_here = members
-                .iter()
-                .all(|&m| blocked[m].as_ref().is_some_and(|b| b.comm == comm));
-            if !all_here {
+        for &(comm, members) in &comms {
+            let blocked = |m: usize| ranks[m].blocked.as_ref().filter(|b| b.comm == comm);
+            if !members.iter().all(|&m| blocked(m).is_some()) {
                 continue;
             }
             // Kinds must agree — mismatched kinds on one communicator means
             // the application's collective usage is invalid.
-            let kind0 = blocked[members[0]].as_ref().unwrap().kind;
-            if let Some(&bad) = members
-                .iter()
-                .find(|&&m| blocked[m].as_ref().unwrap().kind != kind0)
-            {
-                let found = blocked[bad].as_ref().unwrap().kind;
+            let kind0 = blocked(members[0]).unwrap().kind;
+            if let Some(&bad) = members.iter().find(|&&m| blocked(m).unwrap().kind != kind0) {
+                let found = blocked(bad).unwrap().kind;
                 return Err(GenError::UnalignableCollective(format!(
                     "communicator {comm}: rank {} entered {} while rank {bad} entered {found}",
                     members[0], kind0
@@ -122,7 +156,7 @@ pub fn align_collectives(trace: &Trace) -> Result<Trace, GenError> {
             // Unified signature across the contributing call sites.
             let mut sigs: Vec<u64> = members
                 .iter()
-                .map(|&m| blocked[m].as_ref().unwrap().event.sig)
+                .map(|&m| blocked(m).unwrap().event.sig)
                 .collect();
             sigs.sort_unstable();
             sigs.dedup();
@@ -134,7 +168,7 @@ pub fn align_collectives(trace: &Trace) -> Result<Trace, GenError> {
             let events: Vec<(usize, ConcreteEvent)> = members
                 .iter()
                 .map(|&m| {
-                    let b = blocked[m].take().unwrap();
+                    let b = ranks[m].blocked.take().unwrap();
                     let mut ev = b.event;
                     ev.sig = unified_sig;
                     (m, ev)
@@ -147,15 +181,16 @@ pub fn align_collectives(trace: &Trace) -> Result<Trace, GenError> {
             progressed = true;
         }
 
-        if done.iter().all(|&d| d) && blocked.iter().all(Option::is_none) {
+        if ranks.iter().all(|r| r.done && r.blocked.is_none()) {
             break;
         }
         if !progressed {
-            let stuck: Vec<String> = blocked
+            let stuck: Vec<String> = ranks
                 .iter()
                 .enumerate()
-                .filter_map(|(r, b)| {
-                    b.as_ref()
+                .filter_map(|(r, rank)| {
+                    rank.blocked
+                        .as_ref()
                         .map(|b| format!("rank {r} at {} on comm {}", b.kind, b.comm))
                 })
                 .collect();
@@ -164,9 +199,12 @@ pub fn align_collectives(trace: &Trace) -> Result<Trace, GenError> {
                 stuck.join(", ")
             )));
         }
+        if let Some(periods) = &mut periods {
+            periods.cut(&mut ranks, &mut rb, 0);
+        }
     }
 
-    Ok(rb.finish(trace.comms.clone()))
+    Ok((rb.finish(trace.comms.clone()), walked))
 }
 
 #[cfg(test)]

@@ -8,7 +8,9 @@
 //!
 //! 1. **O(r) pre-checks** — [`scalatrace::Trace::has_unaligned_collectives`]
 //!    and [`scalatrace::Trace::has_wildcard_recv`] decide whether the O(p·e)
-//!    algorithms need to run at all (§4.3/§4.4).
+//!    algorithms need to run at all (§4.3/§4.4). Both walk the compressed
+//!    trace and skip every period their state repeats, so `e` counts the
+//!    events walked, not the iterations.
 //! 2. **Algorithm 1** ([`align`]) — merge per-node collective RSDs from
 //!    different call sites into single full-communicator RSDs.
 //! 3. **Algorithm 2** ([`wildcard`]) — replace `MPI_ANY_SOURCE` with
@@ -51,6 +53,7 @@ pub mod codegen;
 pub mod collectives;
 pub mod rebuild;
 pub mod taskset;
+mod traverse;
 pub mod verify;
 pub mod wildcard;
 

@@ -20,6 +20,11 @@
 //! ranks too before they reach the queue: sibling communicators' collectives
 //! (a grid's √P row reduces) become one RSD with a piecewise communicator,
 //! and one iteration stays one short epoch however many rows the grid has.
+//!
+//! When a traversal finds a period it can skip (`crate::traverse`), it
+//! has the rebuilder append that period's global-queue nodes again
+//! (`SegmentedRebuilder::repeat`): the appends walking would make, so the
+//! queue folds exactly as it would have.
 
 use mpisim::types::Src;
 use scalatrace::compress::append_compressed;
@@ -98,9 +103,9 @@ fn template_of(op: &ConcreteOp) -> OpTemplate {
     }
 }
 
-fn rsd_of(rank: usize, ev: &ConcreteEvent) -> Rsd {
+fn rsd_of(ranks: &RankSet, ev: &ConcreteEvent) -> Rsd {
     Rsd {
-        ranks: RankSet::single(rank),
+        ranks: ranks.clone(),
         sig: ev.sig,
         op: template_of(&ev.op),
         compute: TimeStats::of(ev.compute),
@@ -111,8 +116,16 @@ fn rsd_of(rank: usize, ev: &ConcreteEvent) -> Rsd {
 /// between collectives.
 pub struct SegmentedRebuilder {
     nranks: usize,
+    /// `{r}` for every rank `r`, built once: one allocation shared by every
+    /// event of the rank, and equality a pointer compare.
+    singles: Vec<RankSet>,
     bufs: Vec<Vec<TraceNode>>,
     out: Vec<TraceNode>,
+    /// Nodes appended to `out` so far.
+    appended: usize,
+    /// The most recent of them, uncompressed, while a period detector
+    /// records (`crate::traverse`): the last `recent.len()` of `appended`.
+    recent: Option<Vec<TraceNode>>,
 }
 
 impl SegmentedRebuilder {
@@ -120,16 +133,64 @@ impl SegmentedRebuilder {
     pub fn new(nranks: usize) -> SegmentedRebuilder {
         SegmentedRebuilder {
             nranks,
+            singles: (0..nranks).map(RankSet::single).collect(),
             bufs: vec![Vec::new(); nranks],
             out: Vec::new(),
+            appended: 0,
+            recent: None,
         }
+    }
+
+    /// Keep the nodes appended from now on, for [`Self::repeat`].
+    pub(crate) fn record(&mut self) {
+        self.recent = Some(Vec::new());
+    }
+
+    /// Nodes appended to the global queue so far: the clock
+    /// [`Self::repeat`] and [`Self::forget_before`] read.
+    pub(crate) fn appended(&self) -> usize {
+        self.appended
+    }
+
+    /// One rank's buffer: its events since its last collective.
+    pub(crate) fn buffer(&self, rank: usize) -> &[TraceNode] {
+        &self.bufs[rank]
+    }
+
+    fn recent(&self) -> &[TraceNode] {
+        self.recent.as_deref().expect("the rebuilder records")
+    }
+
+    /// Stop keeping the nodes appended before `at`.
+    pub(crate) fn forget_before(&mut self, at: usize) {
+        let first = self.appended - self.recent().len();
+        let recent = self.recent.as_mut().expect("the rebuilder records");
+        recent.drain(..at - first);
+    }
+
+    /// Append again, `times` more times over, the nodes appended between
+    /// `from` and `to`: what walking that stretch again would append. The
+    /// record starts afresh after them.
+    pub(crate) fn repeat(&mut self, from: usize, to: usize, times: u64) {
+        let first = self.appended - self.recent().len();
+        let period = self
+            .recent
+            .replace(Vec::new())
+            .expect("the rebuilder records");
+        let period = &period[from - first..to - first];
+        for _ in 0..times {
+            for node in period {
+                append_compressed(&mut self.out, node.clone(), GLOBAL_WINDOW);
+            }
+        }
+        self.appended += period.len() * times as usize;
     }
 
     /// Append a non-collective event for one rank.
     pub fn rank_event(&mut self, rank: usize, ev: &ConcreteEvent) {
         append_compressed(
             &mut self.bufs[rank],
-            TraceNode::Event(rsd_of(rank, ev)),
+            TraceNode::Event(rsd_of(&self.singles[rank], ev)),
             RANK_WINDOW,
         );
     }
@@ -169,11 +230,17 @@ impl SegmentedRebuilder {
                 let ConcreteOp::CommSplit { result, .. } = ev.op else {
                     panic!("mixed split/non-split collective completion")
                 };
-                by_result.entry(result).or_default().push(rsd_of(*rank, ev));
+                by_result
+                    .entry(result)
+                    .or_default()
+                    .push(rsd_of(&self.singles[*rank], ev));
             }
             by_result.into_values().collect()
         } else {
-            vec![events.iter().map(|(r, ev)| rsd_of(*r, ev)).collect()]
+            vec![events
+                .iter()
+                .map(|(r, ev)| rsd_of(&self.singles[*r], ev))
+                .collect()]
         };
         block.extend(
             groups
@@ -198,6 +265,10 @@ impl SegmentedRebuilder {
 
     /// Append nodes to the global queue, tail-compressing after each.
     fn append(&mut self, nodes: Vec<TraceNode>) {
+        self.appended += nodes.len();
+        if let Some(recent) = &mut self.recent {
+            recent.extend(nodes.iter().cloned());
+        }
         for node in nodes {
             append_compressed(&mut self.out, node, GLOBAL_WINDOW);
         }
@@ -216,10 +287,11 @@ impl SegmentedRebuilder {
     }
 }
 
-/// Rebuild from complete per-rank streams plus an emission log describing
-/// which events were collective completions (used by Algorithm 2, which
-/// patches receive events *after* emitting them and therefore cannot stream
-/// into the rebuilder directly).
+/// One entry of an emission log: which per-rank events reach the rebuilder
+/// in which order, and which of them were collective completions. Algorithm
+/// 2 patches receive events *after* emitting them, so it logs its emissions
+/// and replays them ([`SegmentedRebuilder::replay`]) once no receive is
+/// left unmatched.
 pub enum Emission {
     /// `streams[rank][idx]` is an ordinary event.
     Rank {
@@ -233,32 +305,27 @@ pub enum Emission {
     Collectives(Vec<Vec<(usize, usize)>>),
 }
 
-/// Rebuild a trace from complete per-rank streams and an emission log.
-pub fn rebuild_from_log(
-    streams: &[Vec<ConcreteEvent>],
-    log: &[Emission],
-    nranks: usize,
-    comms: CommTable,
-) -> Trace {
-    let mut rb = SegmentedRebuilder::new(nranks);
-    for entry in log {
-        match entry {
-            Emission::Rank { rank, idx } => rb.rank_event(*rank, &streams[*rank][*idx]),
-            Emission::Collectives(batch) => {
-                let events: Vec<Vec<(usize, ConcreteEvent)>> = batch
-                    .iter()
-                    .map(|parts| {
-                        parts
-                            .iter()
-                            .map(|&(r, i)| (r, streams[r][i].clone()))
-                            .collect()
-                    })
-                    .collect();
-                rb.collectives(&events);
+impl SegmentedRebuilder {
+    /// Feed the events of per-rank `streams` in the order `log` gives.
+    pub fn replay(&mut self, streams: &[Vec<ConcreteEvent>], log: &[Emission]) {
+        for entry in log {
+            match entry {
+                Emission::Rank { rank, idx } => self.rank_event(*rank, &streams[*rank][*idx]),
+                Emission::Collectives(batch) => {
+                    let events: Vec<Vec<(usize, ConcreteEvent)>> = batch
+                        .iter()
+                        .map(|parts| {
+                            parts
+                                .iter()
+                                .map(|&(r, i)| (r, streams[r][i].clone()))
+                                .collect()
+                        })
+                        .collect();
+                    self.collectives(&events);
+                }
             }
         }
     }
-    rb.finish(comms)
 }
 
 #[cfg(test)]
@@ -281,6 +348,12 @@ mod tests {
             sig: 42,
             compute: SimDuration::from_usecs(10),
         }
+    }
+
+    fn rebuild_from_log(streams: &[Vec<ConcreteEvent>], log: &[Emission], n: usize) -> Trace {
+        let mut rb = SegmentedRebuilder::new(n);
+        rb.replay(streams, log);
+        rb.finish(CommTable::world(n))
     }
 
     fn barrier_ev() -> ConcreteEvent {
@@ -352,7 +425,9 @@ mod tests {
     /// The pairwise reference: `merge_rsds` folded over the members in
     /// completion order.
     fn folded(events: &[(usize, ConcreteEvent)], n: usize) -> TraceNode {
-        let mut members = events.iter().map(|(r, ev)| rsd_of(*r, ev));
+        let mut members = events
+            .iter()
+            .map(|(r, ev)| rsd_of(&RankSet::single(*r), ev));
         let first = members.next().unwrap();
         TraceNode::Event(members.fold(first, |acc, m| merge_rsds(acc, m, n)))
     }
@@ -421,7 +496,7 @@ mod tests {
             Emission::Rank { rank: 0, idx: 2 },
             Emission::Rank { rank: 1, idx: 2 },
         ];
-        let trace = rebuild_from_log(&streams, &log, n, CommTable::world(n));
+        let trace = rebuild_from_log(&streams, &log, n);
         assert_eq!(trace.concrete_event_count(), 6);
         for (r, s) in streams.iter().enumerate() {
             let got = events_for_rank(&trace, r);
@@ -483,7 +558,7 @@ mod tests {
             log.extend((0..n).map(|rank| Emission::Rank { rank, idx: at + 2 }));
             log.push(sweep(&cols, at + 3));
         }
-        let trace = rebuild_from_log(&streams, &log, n, CommTable::world(n));
+        let trace = rebuild_from_log(&streams, &log, n);
 
         let loops: Vec<&scalatrace::trace::Prsd> = trace
             .nodes
@@ -524,7 +599,12 @@ mod tests {
         rb.collectives(std::slice::from_ref(&barrier));
         let trace = rb.finish(CommTable::world(n));
         let bufs: Vec<Vec<TraceNode>> = (0..n)
-            .map(|r| vec![TraceNode::Event(rsd_of(r, &send_ev((r + 1) % n)))])
+            .map(|r| {
+                vec![TraceNode::Event(rsd_of(
+                    &RankSet::single(r),
+                    &send_ev((r + 1) % n),
+                ))]
+            })
             .collect();
         let mut want = merge_sequences(bufs, n);
         want.push(folded(&barrier, n));

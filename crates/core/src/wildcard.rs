@@ -22,12 +22,23 @@
 //! when all occurrences agree the output recompresses to the same size,
 //! and when they differ the paper's first-match substitution could emit a
 //! benchmark that deadlocks, which per-occurrence resolution avoids.
+//!
+//! The traversal contexts are lazy cursors over the compressed trace. A
+//! receive is patched after it is emitted, so emissions are logged and
+//! replayed into the rebuilder at each *quiescent cut*: a sweep boundary
+//! with no pending send or receive, no outstanding request, and no rank
+//! blocked except at a collective. Each such cut is also where the period
+//! detector looks for a repeated state (`crate::traverse`); a skipped
+//! period resolves its wildcards exactly as the walked one did. The cost is
+//! O(p·e) in ranks × events walked, where the events walked stop growing
+//! with iterations once a quiescent state recurs.
 
-use crate::rebuild::{rebuild_from_log, Emission};
+use crate::rebuild::{Emission, SegmentedRebuilder};
+use crate::traverse::{communicators, Events, PeriodDetector, Walker};
 use crate::GenError;
 use mpisim::comm::CommId;
 use mpisim::types::{CollKind, Src, Tag, TagSel};
-use scalatrace::cursor::{ConcreteEvent, ConcreteOp, Cursor};
+use scalatrace::cursor::{ConcreteEvent, ConcreteOp};
 use scalatrace::trace::Trace;
 use std::collections::VecDeque;
 
@@ -73,12 +84,30 @@ enum Block {
     Coll(ConcreteEvent, CollKind, CommId),
 }
 
-struct RankCtx {
-    events: Vec<ConcreteEvent>,
-    idx: usize,
+struct RankCtx<'t> {
+    events: Events<'t>,
+    exhausted: bool,
+    /// Emitted since the last quiescent cut, receives patched in place.
     out: Vec<ConcreteEvent>,
     outstanding: VecDeque<Op>,
     blocked: Option<Block>,
+}
+
+impl<'t> Walker<'t> for RankCtx<'t> {
+    fn events(&mut self) -> &mut Events<'t> {
+        &mut self.events
+    }
+
+    fn waiting_at(&self) -> Option<&ConcreteEvent> {
+        match &self.blocked {
+            Some(Block::Coll(ev, ..)) => Some(ev),
+            _ => None,
+        }
+    }
+
+    fn done(&self) -> bool {
+        self.exhausted
+    }
 }
 
 /// Push an event to a rank's output stream and record it in the emission
@@ -97,10 +126,23 @@ struct Matcher {
     pending_sends: Vec<VecDeque<(usize, usize, Tag, CommId)>>,
     /// per owner: unmatched posted receives in post order
     pending_recvs: Vec<VecDeque<usize>>,
+    /// Entries in the two pending lists.
+    pending: usize,
     resolved: usize,
 }
 
 impl Matcher {
+    fn new(n: usize) -> Matcher {
+        Matcher {
+            sends: Vec::new(),
+            recvs: Vec::new(),
+            pending_sends: (0..n).map(|_| VecDeque::new()).collect(),
+            pending_recvs: (0..n).map(|_| VecDeque::new()).collect(),
+            pending: 0,
+            resolved: 0,
+        }
+    }
+
     fn issue_send(
         &mut self,
         src: usize,
@@ -119,9 +161,13 @@ impl Matcher {
         match pos {
             Some(p) => {
                 let rid = self.pending_recvs[dst].remove(p).unwrap();
+                self.pending -= 1;
                 self.complete_match(id, rid, src, ranks);
             }
-            None => self.pending_sends[dst].push_back((id, src, tag, comm)),
+            None => {
+                self.pending_sends[dst].push_back((id, src, tag, comm));
+                self.pending += 1;
+            }
         }
         id
     }
@@ -151,9 +197,13 @@ impl Matcher {
         match pos {
             Some(p) => {
                 let (sid, src, _, _) = self.pending_sends[owner].remove(p).unwrap();
+                self.pending -= 1;
                 self.complete_match(sid, rid, src, ranks);
             }
-            None => self.pending_recvs[owner].push_back(rid),
+            None => {
+                self.pending_recvs[owner].push_back(rid);
+                self.pending += 1;
+            }
         }
         rid
     }
@@ -184,30 +234,40 @@ impl Matcher {
 /// Run Algorithm 2 on `trace`; `Err` reports a potential deadlock in the
 /// *original application* (the trace is a witness of unsafe MPI usage).
 pub fn resolve_wildcards(trace: &Trace) -> Result<WildcardOutcome, GenError> {
+    resolve(trace, false).map(|(outcome, _)| outcome)
+}
+
+/// Algorithm 2 over plainly expanded streams, skipping nothing: the oracle
+/// the cursors and the period skip are tested against.
+#[doc(hidden)]
+pub fn resolve_wildcards_expanded(trace: &Trace) -> Result<WildcardOutcome, GenError> {
+    resolve(trace, true).map(|(outcome, _)| outcome)
+}
+
+/// Algorithm 2, and how many events its traversal walked: what a period
+/// skip saves shows here, never in the output.
+#[doc(hidden)]
+pub fn resolve_wildcards_walked(trace: &Trace) -> Result<(WildcardOutcome, u64), GenError> {
+    resolve(trace, false)
+}
+
+fn resolve(trace: &Trace, expanded: bool) -> Result<(WildcardOutcome, u64), GenError> {
     let n = trace.nranks;
-    // Per-rank traversal fan-out: expanding each rank's compressed stream is
-    // independent work, run on the shared pool. The matching loop below
-    // stays sequential — resolution order is part of the algorithm's
-    // contract — so the outcome is identical for every thread count.
-    let streams = par::par_map_indexed(par::threads(), n, |r| Cursor::new(trace, r).collect_all());
-    let mut ranks: Vec<RankCtx> = streams
-        .into_iter()
-        .map(|events| RankCtx {
-            events,
-            idx: 0,
+    let mut ranks: Vec<RankCtx> = (0..n)
+        .map(|r| RankCtx {
+            events: Events::of(trace, r, expanded),
+            exhausted: false,
             out: Vec::new(),
             outstanding: VecDeque::new(),
             blocked: None,
         })
         .collect();
     let mut log: Vec<Emission> = Vec::new();
-    let mut m = Matcher {
-        sends: Vec::new(),
-        recvs: Vec::new(),
-        pending_sends: (0..n).map(|_| VecDeque::new()).collect(),
-        pending_recvs: (0..n).map(|_| VecDeque::new()).collect(),
-        resolved: 0,
-    };
+    let mut m = Matcher::new(n);
+    let mut rb = SegmentedRebuilder::new(n);
+    let mut periods = (!expanded).then(|| PeriodDetector::new(&mut rb));
+    let comms = communicators(trace);
+    let mut walked = 0u64;
 
     loop {
         let mut progressed = false;
@@ -230,18 +290,16 @@ pub fn resolve_wildcards(trace: &Trace) -> Result<WildcardOutcome, GenError> {
             } else if ranks[r].blocked.take().is_some() {
                 progressed = true;
             }
-            progressed |= advance(r, &mut ranks, &mut m, &mut log);
+            let n = advance(r, &mut ranks, &mut m, &mut log);
+            walked += n;
+            progressed |= n > 0;
         }
 
         // Collective completion: every member of a communicator blocked at
         // a collective on it (kinds verified by Algorithm 1 / the runtime).
         // One sweep's completions cover disjoint ranks: one log entry.
         let mut completed = Vec::new();
-        for comm in trace.comms.ids().collect::<Vec<_>>() {
-            let members = trace.comms.members(comm).to_vec();
-            if members.is_empty() {
-                continue;
-            }
+        for &(comm, members) in &comms {
             let ready = members.iter().all(
                 |&mem| matches!(&ranks[mem].blocked, Some(Block::Coll(_, _, c)) if *c == comm),
             );
@@ -249,7 +307,7 @@ pub fn resolve_wildcards(trace: &Trace) -> Result<WildcardOutcome, GenError> {
                 continue;
             }
             let mut parts = Vec::with_capacity(members.len());
-            for &mem in &members {
+            for &mem in members {
                 let Some(Block::Coll(ev, _, _)) = ranks[mem].blocked.take() else {
                     unreachable!()
                 };
@@ -263,10 +321,7 @@ pub fn resolve_wildcards(trace: &Trace) -> Result<WildcardOutcome, GenError> {
             progressed = true;
         }
 
-        let all_done = ranks
-            .iter()
-            .all(|rc| rc.blocked.is_none() && rc.idx >= rc.events.len());
-        if all_done {
+        if ranks.iter().all(|rc| rc.blocked.is_none() && rc.exhausted) {
             break;
         }
         if !progressed {
@@ -295,26 +350,53 @@ pub fn resolve_wildcards(trace: &Trace) -> Result<WildcardOutcome, GenError> {
                 .collect();
             return Err(GenError::PotentialDeadlock { blocked });
         }
+
+        let quiescent = m.pending == 0
+            && ranks.iter().all(|rc| {
+                rc.outstanding.is_empty() && matches!(rc.blocked, None | Some(Block::Coll(..)))
+            });
+        if quiescent {
+            // Every emitted receive is matched: replay the log, and forget
+            // the matched operations (nothing refers to them any more).
+            flush(&mut ranks, &mut log, &mut rb);
+            m.sends.clear();
+            m.recvs.clear();
+            if let Some(periods) = &mut periods {
+                if let Some(skip) = periods.cut(&mut ranks, &mut rb, m.resolved as u64) {
+                    m.resolved += (skip.periods * skip.tally) as usize;
+                }
+            }
+        }
     }
 
-    let streams: Vec<Vec<ConcreteEvent>> = ranks.into_iter().map(|rc| rc.out).collect();
-    Ok(WildcardOutcome {
-        trace: rebuild_from_log(&streams, &log, n, trace.comms.clone()),
+    flush(&mut ranks, &mut log, &mut rb);
+    let outcome = WildcardOutcome {
+        trace: rb.finish(trace.comms.clone()),
         resolved: m.resolved,
-    })
+    };
+    Ok((outcome, walked))
 }
 
-/// Advance one rank until it blocks or exhausts its stream. Returns whether
-/// any event was processed.
-fn advance(r: usize, ranks: &mut [RankCtx], m: &mut Matcher, log: &mut Vec<Emission>) -> bool {
-    let mut progressed = false;
+/// Replay the emission log into the rebuilder and start both afresh.
+fn flush(ranks: &mut [RankCtx], log: &mut Vec<Emission>, rb: &mut SegmentedRebuilder) {
+    let streams: Vec<Vec<ConcreteEvent>> = ranks
+        .iter_mut()
+        .map(|rc| std::mem::take(&mut rc.out))
+        .collect();
+    rb.replay(&streams, log);
+    log.clear();
+}
+
+/// Advance one rank until it blocks or exhausts its stream. Returns how
+/// many events it walked.
+fn advance(r: usize, ranks: &mut [RankCtx], m: &mut Matcher, log: &mut Vec<Emission>) -> u64 {
+    let mut walked = 0;
     loop {
-        if ranks[r].idx >= ranks[r].events.len() {
-            return progressed;
-        }
-        let ev = ranks[r].events[ranks[r].idx].clone();
-        ranks[r].idx += 1;
-        progressed = true;
+        let Some(ev) = ranks[r].events.next() else {
+            ranks[r].exhausted = true;
+            return walked;
+        };
+        walked += 1;
         match &ev.op {
             ConcreteOp::Send {
                 to,
@@ -329,7 +411,7 @@ fn advance(r: usize, ranks: &mut [RankCtx], m: &mut Matcher, log: &mut Vec<Emiss
                 if blocking {
                     if !m.sends[sid].matched {
                         ranks[r].blocked = Some(Block::Send(sid));
-                        return progressed;
+                        return walked;
                     }
                 } else {
                     ranks[r].outstanding.push_back(Op::Send(sid));
@@ -348,7 +430,7 @@ fn advance(r: usize, ranks: &mut [RankCtx], m: &mut Matcher, log: &mut Vec<Emiss
                 if blocking {
                     if m.recvs[rid].matched.is_none() {
                         ranks[r].blocked = Some(Block::Recv(rid));
-                        return progressed;
+                        return walked;
                     }
                 } else {
                     ranks[r].outstanding.push_back(Op::Recv(rid));
@@ -361,18 +443,18 @@ fn advance(r: usize, ranks: &mut [RankCtx], m: &mut Matcher, log: &mut Vec<Emiss
                     emit(ranks, log, r, ev);
                 } else {
                     ranks[r].blocked = Some(Block::Wait { event: ev, covered });
-                    return progressed;
+                    return walked;
                 }
             }
             ConcreteOp::Coll { kind, comm, .. } => {
                 let (kind, comm) = (*kind, *comm);
                 ranks[r].blocked = Some(Block::Coll(ev, kind, comm));
-                return progressed;
+                return walked;
             }
             ConcreteOp::CommSplit { parent, .. } => {
                 let parent = *parent;
                 ranks[r].blocked = Some(Block::Coll(ev, CollKind::CommSplit, parent));
-                return progressed;
+                return walked;
             }
         }
     }

@@ -1,8 +1,8 @@
 //! Std-only parallel execution layer for the commspec workspace.
 //!
 //! The pipeline's reduction stages — the inter-rank binary-tree merge, the
-//! per-rank traversal fan-outs of Algorithms 1 and 2, and the bench harness
-//! itself — are embarrassingly parallel *within a step* but must produce
+//! campaign runner, and the bench harness itself — are embarrassingly
+//! parallel *within a step* but must produce
 //! output that is independent of the thread count. This crate provides the
 //! three primitives they share:
 //!

@@ -5,6 +5,14 @@
 //! materialising the uncompressed trace. It is the "traversal context"
 //! (current RSD + loop stack + iteration counts) of the paper's
 //! Algorithms 1 and 2, and the driver for replay.
+//!
+//! Every iteration of a loop walks the same nodes, and whether a node
+//! yields depends only on the rank, so a loop iteration that yielded
+//! nothing for this rank is followed by more of the same: the cursor leaves
+//! the loop after it instead of stepping through the rest. A traversal that
+//! finds its whole state repeating can also move a cursor on by whole
+//! periods at once ([`Cursor::position`], [`Position::repeats_after`],
+//! [`Cursor::skip`]).
 
 use crate::trace::{OpTemplate, Trace, TraceNode};
 use mpisim::comm::CommId;
@@ -82,6 +90,96 @@ struct Frame<'t> {
     idx: usize,
     iter: u64,
     count: u64,
+    /// Did the current iteration yield an event for this rank?
+    yielded: bool,
+    /// Which push of the cursor made this frame: tells a loop that kept
+    /// iterating from one that was left and entered again.
+    serial: u64,
+}
+
+/// Where a cursor stands: its loop stack and the events it has yielded.
+///
+/// Two positions are at the same *place* when their stacks hold the same
+/// loops at the same nodes, whatever iteration each loop is on
+/// ([`Position::same_place`]).
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Position {
+    frames: Vec<FrameAt>,
+    events: u64,
+    pushes: u64,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct FrameAt {
+    /// The frame's node sequence, by address: one loop body is one place.
+    nodes: usize,
+    idx: usize,
+    count: u64,
+    yielded: bool,
+    iter: u64,
+    serial: u64,
+}
+
+impl FrameAt {
+    fn place(&self) -> (usize, usize, u64, bool) {
+        (self.nodes, self.idx, self.count, self.yielded)
+    }
+}
+
+impl Position {
+    /// Events the cursor had yielded.
+    pub fn events(&self) -> u64 {
+        self.events
+    }
+
+    /// Same loops at the same nodes, iteration counters aside.
+    pub fn same_place(&self, other: &Position) -> bool {
+        self.frames.len() == other.frames.len()
+            && self
+                .frames
+                .iter()
+                .zip(&other.frames)
+                .all(|(a, b)| a.place() == b.place())
+    }
+
+    /// A hash of the place: positions at the same place hash equal.
+    pub fn place_hash(&self) -> u64 {
+        let mut h = mpisim::types::Fnv1a::new();
+        for f in &self.frames {
+            h.write_u64(f.nodes as u64);
+            h.write_u64(f.idx as u64);
+            h.write_u64(u64::from(f.yielded));
+        }
+        h.finish()
+    }
+
+    /// How many more times the walk from `earlier` to `self` fits before a
+    /// loop it advanced runs out, if it is a period at all.
+    ///
+    /// It is one when both stand at the same place and every loop on the
+    /// stack either kept iterating (the same frame, its counter advanced by
+    /// some `d ≥ 0`) or was left and entered again at the same iteration.
+    /// Walking on from `self` then repeats the walk from `earlier` exactly
+    /// while each advanced counter stays below its count: `(count − 1 −
+    /// iter) / d` more times for the tightest. `u64::MAX` means no counter
+    /// advanced. `None` means the walk is not a period.
+    pub fn repeats_after(&self, earlier: &Position) -> Option<u64> {
+        if !self.same_place(earlier) {
+            return None;
+        }
+        let mut fit = u64::MAX;
+        for (now, then) in self.frames.iter().zip(&earlier.frames) {
+            if now.serial == then.serial {
+                let d = now.iter.checked_sub(then.iter)?;
+                if let Some(more) = (now.count - 1 - now.iter).checked_div(d) {
+                    fit = fit.min(more);
+                }
+            } else if now.iter != then.iter {
+                return None;
+            }
+        }
+        Some(fit)
+    }
 }
 
 /// How a cursor resolves the computation time preceding each event.
@@ -101,6 +199,7 @@ pub struct Cursor<'t> {
     frames: Vec<Frame<'t>>,
     timing: TimingMode,
     event_counter: u64,
+    pushes: u64,
 }
 
 impl<'t> Cursor<'t> {
@@ -125,15 +224,23 @@ impl<'t> Cursor<'t> {
                 idx: 0,
                 iter: 0,
                 count: 1,
+                yielded: false,
+                serial: 0,
             }],
             timing: TimingMode::Mean,
             event_counter: 0,
+            pushes: 1,
         }
     }
 
     /// The rank this cursor resolves for.
     pub fn rank(&self) -> Rank {
         self.rank
+    }
+
+    /// Events yielded so far.
+    pub fn events(&self) -> u64 {
+        self.event_counter
     }
 
     /// Resolve the next event for this rank, if any.
@@ -143,38 +250,86 @@ impl<'t> Cursor<'t> {
             let frame = self.frames.last_mut()?;
             if frame.idx >= frame.nodes.len() {
                 frame.iter += 1;
-                if frame.iter < frame.count {
+                // An iteration that yielded nothing says the rest would not
+                // either: leave the loop.
+                if frame.yielded && frame.iter < frame.count {
                     frame.idx = 0;
+                    frame.yielded = false;
                     continue;
                 }
+                let yielded = frame.yielded;
                 self.frames.pop();
-                if self.frames.is_empty() {
-                    return None;
-                }
+                self.frames.last_mut()?.yielded |= yielded;
                 continue;
             }
             match &frame.nodes[frame.idx] {
                 TraceNode::Loop(p) => {
                     frame.idx += 1;
                     if p.count > 0 {
-                        let body = &p.body;
                         self.frames.push(Frame {
-                            nodes: body,
+                            nodes: &p.body,
                             idx: 0,
                             iter: 0,
                             count: p.count,
+                            yielded: false,
+                            serial: self.pushes,
                         });
+                        self.pushes += 1;
                     }
                 }
                 TraceNode::Event(rsd) => {
                     frame.idx += 1;
                     if rsd.ranks.contains(self.rank) {
+                        frame.yielded = true;
                         self.event_counter += 1;
                         return Some(concretise(rsd, self.rank, self.timing, self.event_counter));
                     }
                 }
             }
         }
+    }
+
+    /// Where the cursor stands now.
+    pub fn position(&self) -> Position {
+        Position {
+            frames: self
+                .frames
+                .iter()
+                .map(|f| FrameAt {
+                    nodes: f.nodes.as_ptr() as usize,
+                    idx: f.idx,
+                    count: f.count,
+                    yielded: f.yielded,
+                    iter: f.iter,
+                    serial: f.serial,
+                })
+                .collect(),
+            events: self.event_counter,
+            pushes: self.pushes,
+        }
+    }
+
+    /// Move on as if the walk from `earlier` to here were taken `periods`
+    /// more times, ending in the state walking would: every loop counter
+    /// that walk advanced moves on by `periods` times its advance, and so
+    /// do the event count (which seeds sampled times) and the frame serials
+    /// it handed out. `periods` must not exceed
+    /// `self.position().repeats_after(earlier)`.
+    pub fn skip(&mut self, earlier: &Position, periods: u64) {
+        debug_assert!(self
+            .position()
+            .repeats_after(earlier)
+            .is_some_and(|fit| fit >= periods));
+        let pushed = periods * (self.pushes - earlier.pushes);
+        for (f, then) in self.frames.iter_mut().zip(&earlier.frames) {
+            if f.serial == then.serial {
+                f.iter += periods * (f.iter - then.iter);
+            } else {
+                f.serial += pushed;
+            }
+        }
+        self.pushes += pushed;
+        self.event_counter += periods * (self.event_counter - earlier.events);
     }
 
     /// Drain all remaining events.
@@ -262,6 +417,32 @@ fn concretise(
 /// The concrete event stream of one rank (convenience wrapper).
 pub fn events_for_rank(trace: &Trace, rank: Rank) -> Vec<ConcreteEvent> {
     Cursor::new(trace, rank).collect_all()
+}
+
+/// The concrete event stream of one rank by plain recursive expansion:
+/// every iteration of every loop is stepped through. The reference the
+/// cursor's early loop exit and period skip are tested against.
+#[doc(hidden)]
+pub fn expand_plain(trace: &Trace, rank: Rank) -> Vec<ConcreteEvent> {
+    fn walk(nodes: &[TraceNode], rank: Rank, out: &mut Vec<ConcreteEvent>) {
+        for node in nodes {
+            match node {
+                TraceNode::Event(rsd) if rsd.ranks.contains(rank) => {
+                    let counter = out.len() as u64 + 1;
+                    out.push(concretise(rsd, rank, TimingMode::Mean, counter));
+                }
+                TraceNode::Event(_) => {}
+                TraceNode::Loop(p) => {
+                    for _ in 0..p.count {
+                        walk(&p.body, rank, out);
+                    }
+                }
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(&trace.nodes, rank, &mut out);
+    out
 }
 
 /// Semantic equality of two traces: every rank's concrete operation stream
@@ -408,6 +589,107 @@ mod tests {
             })],
         }));
         assert!(events_for_rank(&t, 0).is_empty());
+    }
+
+    fn wait_on(ranks: RankSet, sig: u64) -> TraceNode {
+        TraceNode::Event(Rsd {
+            ranks,
+            sig,
+            op: OpTemplate::Wait {
+                count: ValParam::Const(sig),
+            },
+            compute: TimeStats::of(SimDuration::from_usecs(sig)),
+        })
+    }
+
+    /// Ranks 0-1 loop over `A` then an inner `B x3`; rank 2 has a loop of
+    /// its own that ranks 0-1 never yield from, nested inside theirs.
+    fn split_loops() -> Trace {
+        let mut t = Trace::new(3);
+        let (pair, two) = (RankSet::from_ranks([0, 1]), RankSet::single(2));
+        t.nodes.push(TraceNode::Loop(Prsd {
+            count: 10,
+            body: vec![
+                wait_on(pair.clone(), 1),
+                TraceNode::Loop(Prsd {
+                    count: 7,
+                    body: vec![wait_on(two.clone(), 5)],
+                }),
+                TraceNode::Loop(Prsd {
+                    count: 3,
+                    body: vec![wait_on(pair.clone(), 2)],
+                }),
+            ],
+        }));
+        t.nodes.push(wait_on(RankSet::all(3), 3));
+        t
+    }
+
+    #[test]
+    fn early_loop_exit_yields_what_plain_stepping_does() {
+        let t = split_loops();
+        for r in 0..3 {
+            assert_eq!(events_for_rank(&t, r), expand_plain(&t, r), "rank {r}");
+        }
+        assert_eq!(events_for_rank(&t, 0).len(), 10 * 4 + 1);
+        assert_eq!(events_for_rank(&t, 2).len(), 10 * 7 + 1);
+    }
+
+    fn sampled(t: &Trace, rank: Rank) -> Cursor<'_> {
+        Cursor::with_timing(t, rank, TimingMode::Sampled(7))
+    }
+
+    #[test]
+    fn a_skip_lands_where_walking_does() {
+        let t = split_loops();
+        let mut walked = sampled(&t, 0);
+        let mut skipping = sampled(&t, 0);
+        // the place after the second B, in outer iterations 1 and 2
+        for _ in 0..7 {
+            walked.next();
+            skipping.next();
+        }
+        let earlier = skipping.position();
+        for _ in 0..4 {
+            walked.next();
+            skipping.next();
+        }
+        let now = skipping.position();
+        assert!(now.same_place(&earlier));
+        // outer counter 1 -> 2 of 10: seven more periods fit
+        assert_eq!(now.repeats_after(&earlier), Some(7));
+        skipping.skip(&earlier, 7);
+        for _ in 0..7 * 4 {
+            walked.next();
+        }
+        assert_eq!(skipping.position(), walked.position());
+        let rest = |c: &mut Cursor| std::iter::from_fn(|| c.next()).collect::<Vec<_>>();
+        assert_eq!(rest(&mut skipping), rest(&mut walked));
+    }
+
+    #[test]
+    fn an_inner_loop_entered_again_must_restart_at_the_same_iteration() {
+        let t = split_loops();
+        let mut c = Cursor::new(&t, 0);
+        // after the first B of outer iteration 0, then after the third B
+        c.next();
+        c.next();
+        let first_b = c.position();
+        c.next();
+        c.next();
+        let third_b = c.position();
+        // the inner loop advanced by two and has no third period left
+        assert_eq!(third_b.repeats_after(&first_b), Some(0));
+        // after A of iteration 1 the inner loop is gone from the stack;
+        // after its first B it was entered again, at iteration 0, where
+        // `first_b` had it too: one outer iteration is a period
+        c.next();
+        c.next();
+        let again = c.position();
+        assert!(again.same_place(&first_b));
+        assert_eq!(again.repeats_after(&first_b), Some(8));
+        // and against the third B it restarted at another iteration
+        assert_eq!(again.repeats_after(&third_b), None);
     }
 
     #[test]
