@@ -1,36 +1,42 @@
 //! Disk cache of application traces, keyed by trace-config hash.
 //!
-//! Layout (one triple of files per entry, names are the 16-hex-digit key):
+//! Layout (two files per entry, names are the 16-hex-digit key):
 //!
 //! ```text
-//! <dir>/<key>.stbs   STBS binary trace (scalatrace::stream) — authoritative
-//! <dir>/<key>.st     ScalaTrace-style text view (scalatrace::text)
-//! <dir>/<key>.meta   key=value sidecar: stbs_fnv, trace_fnv, t_app_ns, …
+//! <dir>/<key>.stbs   STBS binary trace (scalatrace::stream)
+//! <dir>/<key>.meta   key=value sidecar: stbs_fnv, t_app_ns, [salvaged=true], config pairs
 //! ```
 //!
-//! The STBS file is the authoritative copy: self-checksummed, lossless
-//! (timing histograms survive exactly where the text view summarises them
-//! to count × mean), smaller than the text view, and what
-//! [`TraceCache::load`] decodes — at whichever format version the entry
-//! was stored; [`TraceCache::store`] writes the newest. The text file
-//! is the human-readable view of the same trace, kept in lockstep so
-//! `less <key>.st` always shows what the binary holds. The sidecar records
-//! the traced application's simulated wall-clock time (`t_app_ns`) plus
-//! FNV-1a checksums of both representations, so silent corruption is
-//! detected rather than replayed. All files are written atomically
-//! (tmp + rename) and the sidecar last, so a crash mid-store leaves a
-//! miss, not a lie. Corrupt or partially written entries are treated as
-//! misses on load; [`TraceCache::fsck`] goes further and quarantines them
-//! (including stranded `*.stbs.*.tmp` partial writes) so the wreckage is
-//! visible and the next campaign run regenerates the entry. Entries from
-//! before the binary format (text + sidecar only) still load.
+//! The STBS file is the trace: self-checksummed, lossless (timing
+//! histograms survive exactly), and what [`TraceCache::load`] decodes — at
+//! whichever format version the entry was stored; [`TraceCache::store`]
+//! writes the newest. To read one, `commbench convert <key>.stbs x.st`.
+//! The sidecar records the traced application's simulated wall-clock time
+//! (`t_app_ns`) and the binary's FNV-1a (`stbs_fnv`), which ties the binary
+//! to its entry: a binary swapped in from another entry passes its own
+//! frame checksum but not this one. Both files are written atomically
+//! (tmp + rename), the sidecar last, so a crash mid-store leaves a miss,
+//! not a lie.
+//!
+//! One private function, `read_entry`, judges an entry:
+//! [`TraceCache::load`] serves what it accepts and misses on the rest;
+//! [`TraceCache::fsck`] quarantines exactly the rest with its refusal as
+//! the reason (and moves stranded `*.stbs.*.tmp` partial writes aside), so
+//! the wreckage is visible and the next campaign run regenerates the entry. Older builds also wrote a
+//! `<key>.st` text view: such an entry still loads, the view is moved or
+//! removed with the entry, and the next store of its key deletes it.
 
 use crate::hash;
-use crate::journal::write_atomic;
 use mpisim::time::SimTime;
+use scalatrace::frame::write_atomic;
 use scalatrace::trace::Trace;
+use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// Every file an entry may own: its two, then the text view older builds
+/// wrote beside them.
+const ENTRY_FILES: [&str; 3] = ["stbs", "meta", "st"];
 
 /// A trace cache rooted at one directory.
 #[derive(Clone, Debug)]
@@ -114,59 +120,21 @@ impl TraceCache {
         &self.dir
     }
 
-    fn trace_path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{}.st", hash::hex(key)))
+    fn file(&self, stem: &str, ext: &str) -> PathBuf {
+        self.dir.join(format!("{stem}.{ext}"))
     }
 
-    fn stbs_path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{}.stbs", hash::hex(key)))
-    }
-
-    fn meta_path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{}.meta", hash::hex(key)))
-    }
-
-    /// Look up a trace by key. Any read, parse, or integrity failure —
-    /// missing files, truncated trace, malformed sidecar, checksum
-    /// mismatch — is a miss. The STBS binary is authoritative when
-    /// present (lossless timing histograms); entries from before the
-    /// binary format fall back to the checksummed text view.
+    /// Look up a trace by key. Anything [`TraceCache::fsck`] would
+    /// quarantine — missing files, malformed sidecar, checksum mismatch,
+    /// corrupt binary — is a miss.
     pub fn load(&self, key: u64) -> Option<CachedTrace> {
-        let meta = std::fs::read_to_string(self.meta_path(key)).ok()?;
-        let (fnv, t_app_ns) = parse_meta(&meta)?;
-        let t_app = SimTime::from_nanos(t_app_ns);
-        if let Ok(bytes) = std::fs::read(self.stbs_path(key)) {
-            // Sidecar cross-check on top of the file's internal checksum:
-            // a swapped or stale .stbs file hashes clean internally but
-            // not against its own entry's sidecar.
-            let stbs_fnv = parse_meta_key(&meta, "stbs_fnv")?;
-            if stbs_fnv != hash::fnv1a(&bytes) {
-                return None;
-            }
-            let trace = scalatrace::stream::trace_from_bytes(&bytes).ok()?;
-            return Some(CachedTrace {
-                trace,
-                t_app,
-                salvaged: meta_is_salvaged(&meta),
-            });
-        }
-        let text = std::fs::read_to_string(self.trace_path(key)).ok()?;
-        if fnv != hash::fnv1a(text.as_bytes()) {
-            return None;
-        }
-        let trace = scalatrace::text::from_text(&text).ok()?;
-        Some(CachedTrace {
-            trace,
-            t_app,
-            salvaged: meta_is_salvaged(&meta),
-        })
+        self.read_entry(&hash::hex(key)).ok()
     }
 
     /// Store a trace under `key`. `pairs` (the job's trace config) is
-    /// recorded in the sidecar for human inspection. All files go through
-    /// tmp + rename — binary first, text view, then the checksum-bearing
-    /// sidecar last — so no interleaving of a crash with this call can
-    /// produce a loadable lie.
+    /// recorded in the sidecar for human inspection. Both files go through
+    /// tmp + rename — binary first, then the checksum-bearing sidecar — so
+    /// no interleaving of a crash with this call can produce a loadable lie.
     pub fn store(
         &self,
         key: u64,
@@ -200,48 +168,45 @@ impl TraceCache {
         pairs: &[(String, String)],
         salvaged: bool,
     ) -> io::Result<()> {
+        let stem = hash::hex(key);
+        // A text view an older build left would describe the binary this
+        // store replaces.
+        let _ = std::fs::remove_file(self.file(&stem, "st"));
         let bytes = scalatrace::stream::trace_to_bytes(trace);
-        let text = scalatrace::text::to_text(trace);
-        write_atomic(&self.stbs_path(key), &bytes)?;
-        write_atomic(&self.trace_path(key), text.as_bytes())?;
-        let mut meta = String::from("format=stbs\n");
-        meta.push_str(&format!("stbs_fnv={}\n", hash::hex(hash::fnv1a(&bytes))));
-        meta.push_str(&format!(
-            "trace_fnv={}\n",
-            hash::hex(hash::fnv1a(text.as_bytes()))
-        ));
-        meta.push_str(&format!("t_app_ns={}\n", t_app.as_nanos()));
+        write_atomic(&self.file(&stem, "stbs"), &bytes)?;
+        let mut meta = format!(
+            "stbs_fnv={}\nt_app_ns={}\n",
+            hash::hex(hash::fnv1a(&bytes)),
+            t_app.as_nanos()
+        );
         if salvaged {
             meta.push_str("salvaged=true\n");
         }
         for (k, v) in pairs {
             meta.push_str(&format!("{k}={v}\n"));
         }
-        write_atomic(&self.meta_path(key), meta.as_bytes())
+        write_atomic(&self.file(&stem, "meta"), meta.as_bytes())
     }
 
-    /// Remove an entry (all three files) from the cache. Missing files
+    /// Remove an entry (every file it owns) from the cache. Missing files
     /// are fine — evicting a partial or absent entry is a no-op, not an
     /// error. Used by campaign resume to drop a salvaged prefix so the
     /// rerun re-traces the application and stores the complete capture.
     pub fn evict(&self, key: u64) {
-        for path in [
-            self.stbs_path(key),
-            self.trace_path(key),
-            self.meta_path(key),
-        ] {
-            let _ = std::fs::remove_file(path);
+        let stem = hash::hex(key);
+        for ext in ENTRY_FILES {
+            let _ = std::fs::remove_file(self.file(&stem, ext));
         }
     }
 
-    /// Number of complete entries currently in the cache.
+    /// Number of entries currently in the cache (sidecars on disk).
     pub fn len(&self) -> usize {
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return 0;
         };
         entries
             .filter_map(|e| e.ok())
-            .filter(|e| e.path().extension().is_some_and(|x| x == "st"))
+            .filter(|e| e.path().extension().is_some_and(|x| x == "meta"))
             .count()
     }
 
@@ -250,16 +215,14 @@ impl TraceCache {
         self.len() == 0
     }
 
-    /// Integrity sweep: verify every entry's checksums (the STBS binary's
-    /// internal frame, the sidecar's hashes of both representations, and
-    /// the text view's syntax); rename corrupt entries to `*.quarantined`
-    /// (making them invisible to [`TraceCache::load`], so the next run
-    /// regenerates them); delete stranded generic `.tmp` files from
-    /// interrupted writes and quarantine torn `*.stbs.*.tmp` binary
-    /// writes.
+    /// Integrity sweep: every entry [`TraceCache::load`] would refuse is
+    /// renamed to `*.quarantined` (so the next run regenerates it), with
+    /// the refusal as its reason; stranded generic `.tmp` files from
+    /// interrupted writes are deleted and torn `*.stbs.*.tmp` binary
+    /// writes quarantined.
     pub fn fsck(&self) -> io::Result<FsckReport> {
         let mut report = FsckReport::default();
-        let mut stems: Vec<String> = Vec::new();
+        let mut stems = BTreeSet::new();
         for entry in std::fs::read_dir(&self.dir)? {
             let path = entry?.path();
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
@@ -275,25 +238,16 @@ impl TraceCache {
                     std::fs::remove_file(&path)?;
                     report.tmp_removed += 1;
                 }
-            } else if let Some(stem) = name.strip_suffix(".stbs") {
-                stems.push(stem.to_string());
-            } else if let Some(stem) = name.strip_suffix(".st") {
-                stems.push(stem.to_string());
-            } else if let Some(stem) = name.strip_suffix(".meta") {
-                // An orphaned sidecar (trace gone) is condemned below when
-                // its stem has no trace partner.
-                if !self.dir.join(format!("{stem}.st")).exists()
-                    && !self.dir.join(format!("{stem}.stbs")).exists()
-                {
-                    stems.push(stem.to_string());
-                }
+            } else if let Some(stem) = ENTRY_FILES
+                .iter()
+                .find_map(|ext| name.strip_suffix(ext)?.strip_suffix('.'))
+            {
+                stems.insert(stem.to_string());
             }
         }
-        stems.sort();
-        stems.dedup();
         for stem in stems {
-            match self.check_entry(&stem) {
-                Ok(()) => report.ok += 1,
+            match self.read_entry(&stem) {
+                Ok(_) => report.ok += 1,
                 Err(reason) => {
                     self.quarantine(&stem)?;
                     report
@@ -305,87 +259,53 @@ impl TraceCache {
         Ok(report)
     }
 
-    /// Every invariant `load` relies on, as a named verdict.
-    fn check_entry(&self, stem: &str) -> Result<(), String> {
-        let trace_path = self.dir.join(format!("{stem}.st"));
-        let stbs_path = self.dir.join(format!("{stem}.stbs"));
-        let meta_path = self.dir.join(format!("{stem}.meta"));
-        let text =
-            std::fs::read_to_string(&trace_path).map_err(|e| format!("unreadable trace: {e}"))?;
-        let meta = std::fs::read_to_string(&meta_path)
+    /// The one verdict on an entry, shared by `load` and `fsck`: the
+    /// sidecar and binary are readable, the sidecar names the binary's
+    /// checksum and the traced run's time, and the binary decodes.
+    fn read_entry(&self, stem: &str) -> Result<CachedTrace, String> {
+        let meta = std::fs::read_to_string(self.file(stem, "meta"))
             .map_err(|e| format!("missing or unreadable sidecar: {e}"))?;
-        let (fnv, _) = parse_meta(&meta).ok_or("sidecar lacks trace_fnv/t_app_ns")?;
-        if fnv != hash::fnv1a(text.as_bytes()) {
+        let bytes = std::fs::read(self.file(stem, "stbs"))
+            .map_err(|e| format!("missing or unreadable binary trace: {e}"))?;
+        let field = |key: &str| {
+            meta.lines()
+                .find_map(|l| l.strip_prefix(key)?.strip_prefix('='))
+                .map(str::trim)
+        };
+        let t_app_ns = field("t_app_ns")
+            .and_then(|v| v.parse().ok())
+            .ok_or("sidecar lacks t_app_ns")?;
+        let stbs_fnv = field("stbs_fnv")
+            .and_then(|v| u64::from_str_radix(v, 16).ok())
+            .ok_or("sidecar lacks stbs_fnv")?;
+        let fnv = hash::fnv1a(&bytes);
+        if fnv != stbs_fnv {
             return Err(format!(
-                "checksum mismatch: sidecar says {}, trace hashes to {}",
-                hash::hex(fnv),
-                hash::hex(hash::fnv1a(text.as_bytes()))
+                "binary checksum mismatch: sidecar says {}, file hashes to {}",
+                hash::hex(stbs_fnv),
+                hash::hex(fnv)
             ));
         }
-        let parsed =
-            scalatrace::text::from_text(&text).map_err(|e| format!("unparsable trace: {e}"))?;
-        if stbs_path.exists() {
-            let bytes =
-                std::fs::read(&stbs_path).map_err(|e| format!("unreadable binary trace: {e}"))?;
-            let stbs_fnv =
-                parse_meta_key(&meta, "stbs_fnv").ok_or("sidecar lacks stbs_fnv for binary")?;
-            if stbs_fnv != hash::fnv1a(&bytes) {
-                return Err(format!(
-                    "binary checksum mismatch: sidecar says {}, file hashes to {}",
-                    hash::hex(stbs_fnv),
-                    hash::hex(hash::fnv1a(&bytes))
-                ));
-            }
-            let trace = scalatrace::stream::trace_from_bytes(&bytes)
-                .map_err(|e| format!("corrupt binary trace: {e}"))?;
-            // The text file is a *view* of the binary; the two drifting
-            // apart means one of them lies about the entry's contents.
-            if scalatrace::text::to_text(&trace) != text {
-                return Err("text view disagrees with binary trace".into());
-            }
-            let _ = parsed; // binary is authoritative; text already verified
-        } else if parse_meta_key(&meta, "stbs_fnv").is_some() {
-            return Err("sidecar names a binary trace but the .stbs file is missing".into());
-        }
-        Ok(())
+        let trace = scalatrace::stream::trace_from_bytes(&bytes)
+            .map_err(|e| format!("corrupt binary trace: {e}"))?;
+        Ok(CachedTrace {
+            trace,
+            t_app: SimTime::from_nanos(t_app_ns),
+            salvaged: field("salvaged") == Some("true"),
+        })
     }
 
     /// Move all files of an entry aside (best-effort: any may already
     /// be missing, which is part of why it was condemned).
     fn quarantine(&self, stem: &str) -> io::Result<()> {
-        for ext in ["stbs", "st", "meta"] {
-            let from = self.dir.join(format!("{stem}.{ext}"));
+        for ext in ENTRY_FILES {
+            let from = self.file(stem, ext);
             if from.exists() {
-                std::fs::rename(&from, self.dir.join(format!("{stem}.{ext}.quarantined")))?;
+                std::fs::rename(&from, self.file(stem, &format!("{ext}.quarantined")))?;
             }
         }
         Ok(())
     }
-}
-
-/// Extract one hex-valued sidecar key.
-/// Does the sidecar mark this entry as a salvaged prefix?
-fn meta_is_salvaged(meta: &str) -> bool {
-    meta.lines().any(|l| l.trim() == "salvaged=true")
-}
-
-fn parse_meta_key(meta: &str, key: &str) -> Option<u64> {
-    meta.lines()
-        .find_map(|l| l.strip_prefix(key)?.strip_prefix('='))
-        .and_then(|v| u64::from_str_radix(v.trim(), 16).ok())
-}
-
-/// Extract `(trace_fnv, t_app_ns)` from sidecar text.
-fn parse_meta(meta: &str) -> Option<(u64, u64)> {
-    let fnv = meta
-        .lines()
-        .find_map(|l| l.strip_prefix("trace_fnv="))
-        .and_then(|v| u64::from_str_radix(v.trim(), 16).ok())?;
-    let t_app_ns = meta
-        .lines()
-        .find_map(|l| l.strip_prefix("t_app_ns="))
-        .and_then(|v| v.trim().parse().ok())?;
-    Some((fnv, t_app_ns))
 }
 
 #[cfg(test)]
@@ -415,6 +335,83 @@ mod tests {
         (traced.trace, traced.report.total_time)
     }
 
+    /// `<dir>/<key>.<ext>`.
+    fn path(cache: &TraceCache, key: u64, ext: &str) -> PathBuf {
+        cache.file(&hash::hex(key), ext)
+    }
+
+    /// Rewrite an entry's sidecar line by line (`None` drops the line).
+    fn edit_meta(cache: &TraceCache, key: u64, f: impl Fn(&str) -> Option<String>) {
+        let meta = std::fs::read_to_string(path(cache, key, "meta")).unwrap();
+        let edited: String = meta.lines().filter_map(f).map(|l| l + "\n").collect();
+        std::fs::write(path(cache, key, "meta"), edited).unwrap();
+    }
+
+    /// Point `stbs_fnv` at whatever the binary now holds, as a hand repair
+    /// would: only the frame itself can still object.
+    fn rebless(cache: &TraceCache, key: u64) {
+        let bytes = std::fs::read(path(cache, key, "stbs")).unwrap();
+        let fnv = hash::hex(hash::fnv1a(&bytes));
+        edit_meta(cache, key, |l| {
+            Some(if l.starts_with("stbs_fnv=") {
+                format!("stbs_fnv={fnv}")
+            } else {
+                l.to_string()
+            })
+        });
+    }
+
+    fn strip_stbs_fnv(cache: &TraceCache, key: u64) {
+        edit_meta(cache, key, |l| {
+            (!l.starts_with("stbs_fnv=")).then(|| l.into())
+        });
+    }
+
+    fn flip_mid_byte(file: &Path) {
+        let mut bytes = std::fs::read(file).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x04;
+        std::fs::write(file, &bytes).unwrap();
+    }
+
+    /// The entry `store` left on disk at the last commit whose STBS writer
+    /// emitted v1 (fixed-width integers, 64 dense histogram bins) — binary,
+    /// text view and a sidecar with both checksums.
+    const FROZEN_KEY: u64 = 0x18;
+
+    fn frozen_file(ext: &str) -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../scalatrace/tests/fixtures/v1/cache")
+            .join(format!("{}.{ext}", hash::hex(FROZEN_KEY)))
+    }
+
+    /// Copy the frozen entry's files into `cache` under `key`.
+    fn plant_frozen(cache: &TraceCache, key: u64) {
+        for ext in ENTRY_FILES {
+            std::fs::copy(frozen_file(ext), path(cache, key, ext)).unwrap();
+        }
+    }
+
+    /// An entry as written before the binary format existed: the frozen
+    /// text view and a sidecar naming only its checksum.
+    fn plant_text_only(cache: &TraceCache, key: u64) {
+        for ext in ["st", "meta"] {
+            std::fs::copy(frozen_file(ext), path(cache, key, ext)).unwrap();
+        }
+        edit_meta(cache, key, |l| {
+            (!l.starts_with("stbs_fnv=") && !l.starts_with("format=")).then(|| l.into())
+        });
+    }
+
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn salvaged_marker_roundtrips_and_eviction_clears_the_entry() {
         let cache = TraceCache::open(temp_dir("salvaged")).unwrap();
@@ -428,7 +425,7 @@ mod tests {
         cache.store(8, &trace, t_app, &[]).unwrap();
         assert!(!cache.load(8).unwrap().salvaged);
         assert!(cache.fsck().unwrap().clean());
-        // Eviction removes all three files; evicting again is a no-op.
+        // Eviction removes both files; evicting again is a no-op.
         cache.evict(7);
         assert!(cache.load(7).is_none());
         cache.evict(7);
@@ -449,6 +446,11 @@ mod tests {
         assert_eq!(hit.t_app, t_app);
         scalatrace::semantically_equal(&trace, &hit.trace).unwrap();
         assert_eq!(cache.len(), 1);
+        assert_eq!(
+            names(cache.dir()),
+            ["000000000000002a.meta", "000000000000002a.stbs"],
+            "an entry is exactly two files"
+        );
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -475,40 +477,125 @@ mod tests {
         assert_eq!(hit.trace, trace);
         assert_eq!(
             scalatrace::stream::trace_to_bytes(&hit.trace),
-            std::fs::read(cache.stbs_path(9)).unwrap()
+            std::fs::read(path(&cache, 9, "stbs")).unwrap()
         );
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]
     fn a_v1_entry_still_loads_and_the_next_store_upgrades_it() {
-        // What `store` left on disk at the last commit whose STBS writer
-        // emitted v1 (fixed-width integers, 64 dense histogram bins).
-        let frozen =
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("../scalatrace/tests/fixtures/v1/cache");
         let cache = TraceCache::open(temp_dir("v1-entry")).unwrap();
-        for entry in std::fs::read_dir(&frozen).expect("v1 cache entry is checked in") {
-            let entry = entry.unwrap();
-            std::fs::copy(entry.path(), cache.dir().join(entry.file_name())).unwrap();
-        }
-        let key = 0x18;
-        let v1 = std::fs::read(cache.stbs_path(key)).unwrap();
+        plant_frozen(&cache, FROZEN_KEY);
+        let key = FROZEN_KEY;
+        let v1 = std::fs::read(path(&cache, key, "stbs")).unwrap();
         assert_eq!(scalatrace::frame::peek_version(&v1), Some(1));
         let hit = cache.load(key).expect("v1 entry loads");
-        let view = std::fs::read_to_string(cache.trace_path(key)).unwrap();
-        assert_eq!(scalatrace::text::to_text(&hit.trace), view);
         assert_eq!(hit.t_app, SimTime::from_nanos(159_392));
         assert!(!hit.salvaged);
-        assert!(cache.fsck().unwrap().clean());
+        // Its text view is a file the entry owns, not one fsck judges.
+        let report = cache.fsck().unwrap();
+        assert!(report.clean() && report.ok == 1, "{report}");
+        let view_len = std::fs::metadata(path(&cache, key, "st")).unwrap().len() as usize;
 
         cache.store(key, &hit.trace, hit.t_app, &[]).unwrap();
-        let v2 = std::fs::read(cache.stbs_path(key)).unwrap();
+        let v2 = std::fs::read(path(&cache, key, "stbs")).unwrap();
         assert_eq!(scalatrace::frame::peek_version(&v2), Some(2));
-        assert!(v2.len() < view.len() && view.len() < v1.len());
+        assert!(v2.len() < view_len && view_len < v1.len());
         assert_eq!(
             cache.load(key).expect("upgraded entry loads").trace,
             hit.trace
         );
+        // The stale view went with the binary it described.
+        assert_eq!(
+            names(cache.dir()),
+            ["0000000000000018.meta", "0000000000000018.stbs"]
+        );
+
+        // Evicting a three-file entry leaves nothing behind.
+        plant_frozen(&cache, key);
+        cache.evict(key);
+        assert!(names(cache.dir()).is_empty(), "{:?}", names(cache.dir()));
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// Every way an entry can go wrong that a test in this module builds,
+    /// applied to a freshly stored entry, and whether what is left loads.
+    const CASES: [(&str, bool); 13] = [
+        ("intact", true),
+        ("flipped binary byte", false),
+        ("flipped binary byte, sidecar re-blessed", false),
+        ("binary swapped in from another entry", false),
+        ("truncated binary", false),
+        ("missing binary", false),
+        ("mangled sidecar", false),
+        ("missing sidecar", false),
+        ("checksum-less sidecar", false),
+        ("text-only entry from before STBS", false),
+        ("orphaned text view", false),
+        ("entry an older build wrote", true),
+        ("entry an older build wrote, view deleted", true),
+    ];
+
+    fn damage(case: &str, cache: &TraceCache, key: u64, foreign: &[u8]) {
+        let stbs = path(cache, key, "stbs");
+        match case {
+            "intact" => {}
+            "flipped binary byte" => flip_mid_byte(&stbs),
+            "flipped binary byte, sidecar re-blessed" => {
+                flip_mid_byte(&stbs);
+                rebless(cache, key);
+            }
+            "binary swapped in from another entry" => std::fs::write(&stbs, foreign).unwrap(),
+            "truncated binary" => {
+                let bytes = std::fs::read(&stbs).unwrap();
+                std::fs::write(&stbs, &bytes[..bytes.len() / 2]).unwrap();
+            }
+            "missing binary" => std::fs::remove_file(&stbs).unwrap(),
+            "mangled sidecar" => std::fs::write(path(cache, key, "meta"), "t_app_ns=x\n").unwrap(),
+            "missing sidecar" => std::fs::remove_file(path(cache, key, "meta")).unwrap(),
+            "checksum-less sidecar" => strip_stbs_fnv(cache, key),
+            "text-only entry from before STBS" => {
+                cache.evict(key);
+                plant_text_only(cache, key);
+            }
+            "orphaned text view" => {
+                cache.evict(key);
+                std::fs::copy(frozen_file("st"), path(cache, key, "st")).unwrap();
+            }
+            "entry an older build wrote" => plant_frozen(cache, key),
+            "entry an older build wrote, view deleted" => {
+                plant_frozen(cache, key);
+                std::fs::remove_file(path(cache, key, "st")).unwrap();
+            }
+            other => unreachable!("{other}"),
+        }
+    }
+
+    #[test]
+    fn load_and_fsck_agree_on_every_entry() {
+        let cache = TraceCache::open(temp_dir("agree")).unwrap();
+        let (trace, t_app) = sample_trace();
+        let mut other = trace.clone();
+        other.nodes.truncate(other.nodes.len().saturating_sub(1));
+        let foreign = scalatrace::stream::trace_to_bytes(&other);
+        for (i, &(case, loads)) in CASES.iter().enumerate() {
+            let key = i as u64 + 1;
+            cache.store(key, &trace, t_app, &[]).unwrap();
+            damage(case, &cache, key, &foreign);
+            assert_eq!(cache.load(key).is_some(), loads, "{case}: load");
+        }
+        let report = cache.fsck().unwrap();
+        for (i, &(case, loads)) in CASES.iter().enumerate() {
+            let key = i as u64 + 1;
+            let quarantined = report.quarantined.iter().any(|q| q.key == hash::hex(key));
+            assert_eq!(
+                quarantined, !loads,
+                "{case}: fsck must quarantine exactly what load refuses\n{report}"
+            );
+            assert_eq!(cache.load(key).is_some(), loads, "{case}: after fsck");
+        }
+        let ok = CASES.iter().filter(|(_, loads)| *loads).count();
+        assert_eq!(report.ok, ok, "{report}");
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -518,24 +605,21 @@ mod tests {
         let (trace, t_app) = sample_trace();
         cache.store(7, &trace, t_app, &[]).unwrap();
 
-        // Truncated binary trace (the frame checksum catches it).
-        std::fs::write(cache.stbs_path(7), b"STBS-but-not-really").unwrap();
+        // Not a binary trace at all: the sidecar cross-check refuses it.
+        std::fs::write(path(&cache, 7, "stbs"), b"STBS-but-not-really").unwrap();
+        assert!(cache.load(7).is_none());
+        // Re-blessed to match: the frame decoder refuses it.
+        rebless(&cache, 7);
         assert!(cache.load(7).is_none());
 
-        // Valid traces, mangled sidecar.
+        // Valid trace, mangled sidecar.
         cache.store(7, &trace, t_app, &[]).unwrap();
-        std::fs::write(cache.meta_path(7), "t_app_ns=notanumber\n").unwrap();
+        std::fs::write(path(&cache, 7, "meta"), "t_app_ns=notanumber\n").unwrap();
         assert!(cache.load(7).is_none());
 
-        // Valid traces, missing sidecar.
+        // Valid trace, missing sidecar.
         cache.store(7, &trace, t_app, &[]).unwrap();
-        std::fs::remove_file(cache.meta_path(7)).unwrap();
-        assert!(cache.load(7).is_none());
-
-        // Legacy path (no binary): garbage text is a miss.
-        cache.store(7, &trace, t_app, &[]).unwrap();
-        std::fs::remove_file(cache.stbs_path(7)).unwrap();
-        std::fs::write(cache.trace_path(7), "nranks 4\ngarbage").unwrap();
+        std::fs::remove_file(path(&cache, 7, "meta")).unwrap();
         assert!(cache.load(7).is_none());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
@@ -545,26 +629,19 @@ mod tests {
         let cache = TraceCache::open(temp_dir("bitflip")).unwrap();
         let (trace, t_app) = sample_trace();
         cache.store(9, &trace, t_app, &[]).unwrap();
-        // Flip one byte mid-payload in the authoritative binary: only the
-        // checksum can tell it is not the trace that was stored.
-        let mut bytes = std::fs::read(cache.stbs_path(9)).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x04;
-        std::fs::write(cache.stbs_path(9), &bytes).unwrap();
+        // Flip one byte mid-payload in the binary: only a checksum can tell
+        // it is not the trace that was stored — the sidecar's first...
+        flip_mid_byte(&path(&cache, 9, "stbs"));
         assert!(cache.load(9).is_none(), "corrupt entry must not load");
-
-        // Same property on the legacy text-only path: flip a numeric digit
-        // (still parses as a trace, so only the sidecar hash catches it).
-        cache.store(9, &trace, t_app, &[]).unwrap();
-        std::fs::remove_file(cache.stbs_path(9)).unwrap();
-        let mut bytes = std::fs::read(cache.trace_path(9)).unwrap();
-        let pos = bytes
-            .iter()
-            .position(|b| b.is_ascii_digit())
-            .expect("traces contain numbers");
-        bytes[pos] = if bytes[pos] == b'9' { b'8' } else { b'9' };
-        std::fs::write(cache.trace_path(9), &bytes).unwrap();
+        // ...and the frame's own once the sidecar is patched to match.
+        rebless(&cache, 9);
         assert!(cache.load(9).is_none(), "corrupt entry must not load");
+        let report = cache.fsck().unwrap();
+        assert_eq!(report.quarantined.len(), 1, "{report}");
+        assert!(
+            report.quarantined[0].reason.contains("checksum"),
+            "{report}"
+        );
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -578,34 +655,33 @@ mod tests {
         other.nodes.truncate(other.nodes.len().saturating_sub(1));
         cache.store(1, &trace, t_app, &[]).unwrap();
         cache.store(2, &other, t_app, &[]).unwrap();
-        let a = std::fs::read(cache.stbs_path(1)).unwrap();
-        let b = std::fs::read(cache.stbs_path(2)).unwrap();
-        std::fs::write(cache.stbs_path(1), &b).unwrap();
-        std::fs::write(cache.stbs_path(2), &a).unwrap();
+        let a = std::fs::read(path(&cache, 1, "stbs")).unwrap();
+        let b = std::fs::read(path(&cache, 2, "stbs")).unwrap();
+        std::fs::write(path(&cache, 1, "stbs"), &b).unwrap();
+        std::fs::write(path(&cache, 2, "stbs"), &a).unwrap();
         assert!(cache.load(1).is_none(), "swapped binary must not load");
         assert!(cache.load(2).is_none(), "swapped binary must not load");
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]
-    fn legacy_text_only_entries_still_load() {
-        let cache = TraceCache::open(temp_dir("legacy-load")).unwrap();
+    fn a_text_only_entry_is_a_miss_until_the_next_store_replaces_it() {
+        let cache = TraceCache::open(temp_dir("text-only")).unwrap();
+        plant_text_only(&cache, 4);
+        assert!(cache.load(4).is_none(), "nothing reads the text view");
+        let report = cache.fsck().unwrap();
+        assert_eq!(report.quarantined.len(), 1, "{report}");
+        assert!(
+            report.quarantined[0].reason.contains("binary trace"),
+            "{report}"
+        );
+
+        // The campaign re-traces and stores: a hit from then on.
         let (trace, t_app) = sample_trace();
         cache.store(4, &trace, t_app, &[]).unwrap();
-        // Simulate an entry written before the binary format existed.
-        std::fs::remove_file(cache.stbs_path(4)).unwrap();
-        let meta = std::fs::read_to_string(cache.meta_path(4)).unwrap();
-        let stripped: String = meta
-            .lines()
-            .filter(|l| !l.starts_with("stbs_fnv=") && !l.starts_with("format="))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        std::fs::write(cache.meta_path(4), stripped).unwrap();
-        let hit = cache.load(4).expect("legacy entry loads");
-        assert_eq!(hit.t_app, t_app);
-        scalatrace::semantically_equal(&trace, &hit.trace).unwrap();
+        assert_eq!(cache.load(4).expect("re-stored entry loads").trace, trace);
         let report = cache.fsck().unwrap();
-        assert!(report.clean(), "{report}");
+        assert!(report.clean() && report.ok == 1, "{report}");
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -624,8 +700,7 @@ mod tests {
         let cache = TraceCache::open(temp_dir("atomic")).unwrap();
         let (trace, t_app) = sample_trace();
         cache.store(3, &trace, t_app, &[]).unwrap();
-        for entry in std::fs::read_dir(cache.dir()).unwrap() {
-            let name = entry.unwrap().file_name().into_string().unwrap();
+        for name in names(cache.dir()) {
             assert!(!name.ends_with(".tmp"), "tmp residue: {name}");
         }
         let _ = std::fs::remove_dir_all(cache.dir());
@@ -641,12 +716,9 @@ mod tests {
 
         // Entry 2: flip a byte. Entry 3: orphan the sidecar. Plus a
         // stranded tmp file from a hypothetical crash mid-write.
-        let mut bytes = std::fs::read(cache.trace_path(2)).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x20;
-        std::fs::write(cache.trace_path(2), &bytes).unwrap();
-        std::fs::remove_file(cache.trace_path(3)).unwrap();
-        std::fs::write(cache.dir().join("0000.st.12345.tmp"), "partial").unwrap();
+        flip_mid_byte(&path(&cache, 2, "stbs"));
+        std::fs::remove_file(path(&cache, 3, "stbs")).unwrap();
+        std::fs::write(cache.dir().join("0000.meta.12345.tmp"), "partial").unwrap();
 
         let report = cache.fsck().unwrap();
         assert!(!report.clean());
@@ -655,6 +727,8 @@ mod tests {
         let keys: Vec<&str> = report.quarantined.iter().map(|q| q.key.as_str()).collect();
         assert_eq!(keys, vec![hash::hex(2).as_str(), hash::hex(3).as_str()]);
         assert!(report.quarantined[0].reason.contains("checksum"));
+        assert!(report.quarantined[1].reason.contains("binary trace"));
+        assert!(path(&cache, 2, "stbs.quarantined").exists());
 
         // Quarantined entries are invisible: the campaign regenerates.
         assert!(cache.load(2).is_none());
@@ -681,30 +755,13 @@ mod tests {
         // (kept for forensics), not deleted like generic tmp files.
         let torn = cache.dir().join("0001.stbs.4242.tmp");
         std::fs::write(&torn, b"half a frame").unwrap();
-        // Entry 2: flip one byte mid-payload in the binary. The text view
-        // and its checksum stay pristine, so only the binary checks see it.
-        let mut bytes = std::fs::read(cache.stbs_path(2)).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x08;
-        std::fs::write(cache.stbs_path(2), &bytes).unwrap();
-        // Entry 3: text view drifts from the binary (both individually
-        // checksum-clean — regenerate the sidecar to match the new text).
-        let mut other = trace.clone();
-        other.nodes.truncate(other.nodes.len().saturating_sub(1));
-        let drifted = scalatrace::text::to_text(&other);
-        std::fs::write(cache.trace_path(3), &drifted).unwrap();
-        let meta = std::fs::read_to_string(cache.meta_path(3)).unwrap();
-        let patched: String = meta
-            .lines()
-            .map(|l| {
-                if l.starts_with("trace_fnv=") {
-                    format!("trace_fnv={}\n", hash::hex(hash::fnv1a(drifted.as_bytes())))
-                } else {
-                    format!("{l}\n")
-                }
-            })
-            .collect();
-        std::fs::write(cache.meta_path(3), patched).unwrap();
+        // Entry 2: flip one byte mid-payload in the binary.
+        flip_mid_byte(&path(&cache, 2, "stbs"));
+        // Entry 3: truncate the binary and patch the sidecar to match, so
+        // only the frame decoder can object.
+        let bytes = std::fs::read(path(&cache, 3, "stbs")).unwrap();
+        std::fs::write(path(&cache, 3, "stbs"), &bytes[..bytes.len() - 1]).unwrap();
+        rebless(&cache, 3);
 
         let report = cache.fsck().unwrap();
         assert_eq!(report.tmp_quarantined, 1, "{report}");
@@ -718,7 +775,7 @@ mod tests {
         let keys: Vec<&str> = report.quarantined.iter().map(|q| q.key.as_str()).collect();
         assert_eq!(keys, vec![hash::hex(2).as_str(), hash::hex(3).as_str()]);
         assert!(report.quarantined[0].reason.contains("binary checksum"));
-        assert!(report.quarantined[1].reason.contains("disagrees"));
+        assert!(report.quarantined[1].reason.contains("corrupt binary"));
         assert!(cache.load(2).is_none());
         assert!(cache.load(3).is_none());
         assert!(cache.load(1).is_some(), "healthy entry survives");
@@ -732,21 +789,16 @@ mod tests {
 
     #[test]
     fn entries_without_checksum_are_not_trusted() {
-        // A sidecar from before checksums (or hand-edited) must not load.
+        // A sidecar that does not name the binary's checksum (hand-edited,
+        // or from before checksums) must not load.
         let cache = TraceCache::open(temp_dir("legacy")).unwrap();
         let (trace, t_app) = sample_trace();
         cache.store(5, &trace, t_app, &[]).unwrap();
-        let meta = std::fs::read_to_string(cache.meta_path(5)).unwrap();
-        let stripped: String = meta
-            .lines()
-            .filter(|l| !l.starts_with("trace_fnv="))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        std::fs::write(cache.meta_path(5), stripped).unwrap();
+        strip_stbs_fnv(&cache, 5);
         assert!(cache.load(5).is_none());
         let report = cache.fsck().unwrap();
         assert_eq!(report.quarantined.len(), 1);
-        assert!(report.quarantined[0].reason.contains("trace_fnv"));
+        assert!(report.quarantined[0].reason.contains("stbs_fnv"));
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 }

@@ -1,5 +1,4 @@
-//! Write-ahead journal: crash-safe file helpers plus the resume-time
-//! reader of campaign telemetry.
+//! Write-ahead journal: the resume-time reader of campaign telemetry.
 //!
 //! The campaign's JSONL telemetry stream doubles as its write-ahead
 //! journal: every job's terminal state is a `finished` event appended and
@@ -18,26 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::path::{Path, PathBuf};
-
-/// Atomically replace `path` with `contents`: write a `.tmp` sibling, then
-/// rename it over the target. A crash at any point leaves either the old
-/// file or the new one on disk, never a torn hybrid (the stranded `.tmp`
-/// is swept by `fsck`).
-pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
-    let tmp = tmp_sibling(path);
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path)
-}
-
-/// `<name>.<pid>.tmp` next to `path`: pid-qualified so concurrent
-/// campaigns sharing a cache directory never clobber each other's
-/// in-flight writes.
-fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(format!(".{}.tmp", std::process::id()));
-    path.with_file_name(name)
-}
+use std::path::Path;
 
 /// What a resumed campaign should do with a journaled job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -257,6 +237,7 @@ mod tests {
     use super::*;
     use crate::telemetry::{Telemetry, Value};
     use std::io::Write;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
 
@@ -421,25 +402,6 @@ mod tests {
             ResumeAction::Rerun,
             "a salvaged prefix must be upgraded to a complete trace on resume"
         );
-    }
-
-    #[test]
-    fn write_atomic_replaces_and_leaves_no_tmp() {
-        let path = temp_path("atomic");
-        write_atomic(&path, b"first").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"first");
-        write_atomic(&path, b"second").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"second");
-        let dir = path.parent().unwrap();
-        let stem = path.file_name().unwrap().to_str().unwrap().to_string();
-        for entry in std::fs::read_dir(dir).unwrap() {
-            let name = entry.unwrap().file_name().into_string().unwrap();
-            assert!(
-                !(name.starts_with(&stem) && name.ends_with(".tmp")),
-                "tmp residue: {name}"
-            );
-        }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

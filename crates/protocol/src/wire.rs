@@ -223,7 +223,8 @@ pub enum Request {
 /// integrity (`fnv` is the 16-hex-digit FNV-1a of `text`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Artifact {
-    /// Artifact name (`trace.st`, `program.ncptl`, `profile.mpip`).
+    /// Artifact name (`trace.st`, `program.ncptl`, `profile.mpip`): a
+    /// plain file name, which decoding enforces.
     pub name: String,
     /// FNV-1a checksum of `text`, 16 lowercase hex digits.
     pub fnv: String,
@@ -870,7 +871,7 @@ fn decode_result(v: &Json) -> Result<JobResult, WireError> {
     if let Some(items) = v.get("artifacts").and_then(Json::as_arr) {
         for a in items {
             artifacts.push(Artifact {
-                name: req_str(a, "name")?,
+                name: plain_file_name(req_str(a, "name")?)?,
                 fnv: req_str(a, "fnv")?,
                 text: req_str(a, "text")?,
             });
@@ -888,6 +889,18 @@ fn decode_result(v: &Json) -> Result<JobResult, WireError> {
         mape: opt_f64(v, "mape")?,
         artifacts,
     })
+}
+
+/// Both ends write an artifact to `dir.join(name)`, and the name comes from
+/// the peer: anything but a plain file name could land outside `dir`.
+fn plain_file_name(name: String) -> Result<String, WireError> {
+    if name.is_empty() || name == "." || name == ".." || name.contains(['/', '\\', '\0']) {
+        return Err(WireError::Bad(
+            "name",
+            format!("{name:?} is not a plain file name"),
+        ));
+    }
+    Ok(name)
 }
 
 fn encode_stats(m: &mut Vec<(&str, Json)>, r: &StatsReport) {
@@ -1387,6 +1400,61 @@ mod tests {
                 assert!(tag.is_none());
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn artifact_names_must_be_plain_file_names() {
+        let result = |name: &str| JobResult {
+            kind: "trace".into(),
+            artifacts: vec![Artifact {
+                name: name.into(),
+                fnv: "0000000000000000".into(),
+                text: String::new(),
+            }],
+            ..JobResult::default()
+        };
+        // What a worker sends the server, and what the server sends a client.
+        let complete = |name: &str| Request::JobComplete {
+            worker: "w".into(),
+            lease: "lease.1".into(),
+            job: "trace.1".into(),
+            result: result(name),
+        };
+        let status = |name: &str| Response::JobStatus {
+            job: "trace.1".into(),
+            state: "done".into(),
+            tag: None,
+            error: None,
+            result: Some(result(name)),
+        };
+        for name in [
+            "",
+            ".",
+            "..",
+            "../escape",
+            "../../x",
+            "/abs/path",
+            "a/b",
+            "..\\escape",
+            "nul\0byte",
+        ] {
+            // Encoding does not judge; the receiving end does, both ways.
+            let err = Request::from_line(&complete(name).to_line()).unwrap_err();
+            assert_eq!(err.code(), "bad-field", "{name:?}");
+            assert!(err.to_string().contains("plain file name"), "{err}");
+            let err = Response::from_line(&status(name).to_line()).unwrap_err();
+            assert!(matches!(err, WireError::Bad("name", _)), "{name:?}: {err}");
+        }
+        for name in ["trace.st", "program.ncptl", "profile.mpip", "..st", "a..b"] {
+            assert_eq!(
+                Request::from_line(&complete(name).to_line()).unwrap(),
+                complete(name)
+            );
+            assert_eq!(
+                Response::from_line(&status(name).to_line()).unwrap(),
+                status(name)
+            );
         }
     }
 

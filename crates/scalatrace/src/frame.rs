@@ -307,15 +307,17 @@ pub(crate) fn dec_comms(d: &mut Dec, nranks: usize) -> Result<CommTable, Snapsho
 
 // ------------------------------------------------------------------- files
 
-/// Write `bytes` to `path` through a `.tmp` sibling and a rename, so a
-/// crash mid-write leaves the previous file (or none) — never a torn one.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
+/// Write `bytes` to `path` through a `<name>.<pid>.tmp` sibling and a
+/// rename, so a crash mid-write leaves the previous file (or none) — never
+/// a torn one. The pid keeps processes that share a directory (two
+/// campaigns on one cache) from clobbering each other's in-flight writes.
+/// Every durable whole-file write in the workspace goes through here.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
+    name.push(format!(".{}.tmp", std::process::id()));
     let tmp = path.with_file_name(name);
     std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    std::fs::rename(&tmp, path)
 }
 
 /// Recompute a framed file's trailing checksum after a test patched its
@@ -508,5 +510,22 @@ mod tests {
         d.finish().unwrap();
         let mut d = Dec::open(&bytes, MAGIC).unwrap();
         assert!(is_corrupt(dec_comms(&mut d, 5), "out of range"));
+    }
+
+    #[test]
+    fn write_atomic_replaces_and_leaves_no_tmp() {
+        let dir = std::env::temp_dir().join(format!("frame-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("file");
+        write_atomic(&path, b"first").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"first");
+        write_atomic(&path, b"second").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(names, ["file"], "tmp residue");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

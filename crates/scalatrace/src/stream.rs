@@ -443,7 +443,7 @@ impl StreamingTracer {
                 // Keep the prefix resident: correctness over the memory
                 // bound. The next budget crossing retries.
                 self.counters.seal_errors += 1;
-                Err(e)
+                Err(e.into())
             }
         }
     }

@@ -23,12 +23,13 @@
 use crate::fleet::{Actions, Completion, FailVerdict, Fleet, FleetConfig};
 use crate::jobs::{self, JobBody, JobKind};
 use crate::queue::{JobQueue, PopResult, QueueLimits, QueuedJob};
-use campaign::journal::{parse_line, write_atomic, Journal};
+use campaign::journal::{parse_line, Journal};
 use campaign::telemetry::{Counters, Value};
 use campaign::{Telemetry, TraceCache};
 use protocol::{
     ClientStats, JobParams, JobRef, JobResult, Request, Response, StatsReport, PROTO_VERSION,
 };
+use scalatrace::frame::write_atomic;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpListener;

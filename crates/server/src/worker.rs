@@ -27,9 +27,9 @@
 
 use crate::jobs::{self, JobBody, JobKind};
 use campaign::executor::{backoff_delay, JobError};
-use campaign::journal::write_atomic;
 use campaign::{Telemetry, TraceCache};
 use protocol::{JobResult, Request, Response, PROTO_VERSION};
+use scalatrace::frame::write_atomic;
 use std::collections::BTreeSet;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;

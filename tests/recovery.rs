@@ -212,7 +212,7 @@ fn fsck_quarantines_corruption_and_the_next_run_regenerates() {
         .unwrap()
         .filter_map(|e| e.ok())
         .map(|e| e.path())
-        .find(|p| p.extension().is_some_and(|x| x == "st"))
+        .find(|p| p.extension().is_some_and(|x| x == "stbs"))
         .expect("campaign stored a trace");
     let mut bytes = std::fs::read(&entry).unwrap();
     let mid = bytes.len() / 2;
@@ -227,7 +227,7 @@ fn fsck_quarantines_corruption_and_the_next_run_regenerates() {
     assert!(report.contains("checksum"), "{report}");
     assert!(!entry.exists(), "corrupt entry moved aside");
     assert!(
-        entry.with_extension("st.quarantined").exists(),
+        entry.with_extension("stbs.quarantined").exists(),
         "wreckage kept for inspection"
     );
 

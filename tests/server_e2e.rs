@@ -775,3 +775,115 @@ fn rate_limits_reject_but_resubmitting_a_known_job_is_free() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_worker_completing_with_an_escaping_artifact_name_is_refused() {
+    use std::io::{BufRead, BufReader};
+
+    let dir = temp_dir("escape");
+    let state = dir.join("state");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_commbench"))
+        .args(["serve", "--stdio", "--state", state.to_str().unwrap()])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("server spawns");
+    let mut stdin = child.stdin.take().unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut ask = |req: Request| {
+        writeln!(stdin, "{}", req.to_line()).unwrap();
+        let mut line = String::new();
+        stdout.read_line(&mut line).unwrap();
+        Response::from_line(&line).unwrap_or_else(|e| panic!("{line}: {e}"))
+    };
+
+    assert!(matches!(ask(hello()), Response::HelloOk { .. }));
+    let worker = || "w".to_string();
+    assert!(matches!(
+        ask(Request::WorkerRegister { worker: worker() }),
+        Response::WorkerOk { .. }
+    ));
+    // The in-process pool leaves the queue to a live worker once it next
+    // polls; a job it took before that runs to completion, and the next
+    // submission is the worker's.
+    let mut leased = None;
+    for ranks in 4..12 {
+        let submitted = ask(Request::Trace {
+            params: JobParams::new("ring", ranks),
+            tag: None,
+        });
+        let Response::Submitted { job, .. } = submitted else {
+            panic!("expected submitted, got {submitted:?}");
+        };
+        match ask(Request::LeaseRequest { worker: worker() }) {
+            Response::LeaseGrant { lease, job, .. } => {
+                leased = Some((lease, job));
+                break;
+            }
+            _ => {
+                ask(Request::Status {
+                    job: JobRef::Id(job),
+                    wait: true,
+                });
+            }
+        }
+    }
+    let (lease, job) = leased.expect("the pool yields the queue to a live worker");
+    let complete = |name: &str| {
+        let text = "trace nranks=4\n".to_string();
+        Request::JobComplete {
+            worker: worker(),
+            lease: lease.clone(),
+            job: job.clone(),
+            result: protocol::JobResult {
+                kind: "trace".into(),
+                artifacts: vec![protocol::Artifact {
+                    name: name.into(),
+                    fnv: campaign::hash::hex(campaign::hash::fnv1a(text.as_bytes())),
+                    text,
+                }],
+                ..protocol::JobResult::default()
+            },
+        }
+    };
+
+    let absolute = dir.join("escape-abs");
+    for name in ["../escape", absolute.to_str().unwrap()] {
+        match ask(complete(name)) {
+            Response::Error { code, message } => {
+                assert_eq!(code, "bad-field", "{message}");
+                assert!(message.contains("plain file name"), "{message}");
+            }
+            other => panic!("{name}: expected an error, got {other:?}"),
+        }
+    }
+    // The lease survives the refusal: a well-named completion lands.
+    assert!(matches!(
+        ask(complete("trace.st")),
+        Response::CompleteOk { accepted: true, .. }
+    ));
+    assert!(matches!(
+        ask(Request::Status {
+            job: JobRef::Id(job.clone()),
+            wait: true,
+        }),
+        Response::JobStatus { state: ref s, .. } if s == "done"
+    ));
+    assert!(matches!(ask(Request::Shutdown), Response::Bye));
+    drop(stdin);
+    assert!(child.wait().unwrap().success());
+
+    assert!(!absolute.exists());
+    let artifacts = state.join("artifacts");
+    for entry in std::fs::read_dir(&artifacts).unwrap() {
+        let entry = entry.unwrap();
+        assert!(entry.path().is_dir(), "{:?} escaped its job", entry.path());
+    }
+    let names: Vec<String> = std::fs::read_dir(artifacts.join(&job))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    assert_eq!(names, ["trace.st"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
