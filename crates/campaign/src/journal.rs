@@ -12,9 +12,12 @@
 //! - `failed` with cause `transient`, `timeout`, or no `finished` line at
 //!   all (the job the crash interrupted) → run it again.
 //!
-//! A torn final line — the signature of a `kill -9` mid-append — is
-//! counted and ignored, never an error: the job it described simply reruns.
+//! Each line is decoded with `protocol::json`, the codec that wrote it. A
+//! line that does not parse as one JSON object — the torn final line a
+//! `kill -9` mid-append leaves, or any other damage — is counted and
+//! ignored, never an error: the job it described simply reruns.
 
+use protocol::json::{self, Json};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
@@ -36,32 +39,38 @@ pub enum ResumeAction {
 pub struct JobRecord {
     /// `ok`, `failed`, or `timeout`.
     pub status: String,
-    /// All fields of the `finished` line, as decoded strings.
-    pub fields: BTreeMap<String, String>,
+    /// The whole decoded `finished` line, a [`Json::Obj`].
+    pub fields: Json,
 }
 
 impl JobRecord {
-    /// A raw field value.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.fields.get(key).map(String::as_str)
+    /// A string field.
+    pub fn str(&self, key: &str) -> Option<&str> {
+        self.fields.get(key)?.as_str().map(String::as_str)
     }
 
-    /// A field parsed as `u64`.
+    /// A whole-number field (see [`Json::as_u64`]).
     pub fn u64(&self, key: &str) -> Option<u64> {
-        self.get(key)?.parse().ok()
+        self.fields.get(key)?.as_u64()
     }
 
-    /// A field parsed as `f64` (`Value::F` renders shortest-roundtrip, so
-    /// this recovers the original bits).
+    /// A number field. The writer renders shortest-roundtrip, so this
+    /// recovers the original bits; a non-finite value was written as
+    /// `null` and reads as `None`.
     pub fn f64(&self, key: &str) -> Option<f64> {
-        self.get(key)?.parse().ok()
+        self.fields.get(key)?.as_num()
+    }
+
+    /// A boolean field.
+    pub fn bool(&self, key: &str) -> Option<bool> {
+        self.fields.get(key)?.as_bool()
     }
 
     /// Was this job's trace recovered by segment salvage rather than
     /// captured to completion? Salvaged prefixes are legitimate `ok`
     /// evidence mid-campaign, but a resume should upgrade them.
     pub fn salvaged(&self) -> bool {
-        self.get("salvaged") == Some("true")
+        self.bool("salvaged").unwrap_or(false)
     }
 
     /// The failure classification driving resume: deterministic outcomes
@@ -73,7 +82,7 @@ impl JobRecord {
         match self.status.as_str() {
             "ok" if self.salvaged() => ResumeAction::Rerun,
             "ok" => ResumeAction::ReplayOk,
-            "failed" => match self.get("cause") {
+            "failed" => match self.str("cause") {
                 Some("transient") => ResumeAction::Rerun,
                 _ => ResumeAction::ReplayFailed,
             },
@@ -98,33 +107,45 @@ impl Journal {
     /// than once (a log already extended by a resume) keeps its *last*
     /// record.
     pub fn load(path: &Path) -> io::Result<Journal> {
-        let text = std::fs::read_to_string(path)?;
-        Ok(Journal::from_text(&text))
+        Journal::load_with(path, |_| {})
+    }
+
+    /// [`Journal::load`], also handing every decoded event to `each` in log
+    /// order, so a reader of other events (the server's lease lines) shares
+    /// the one pass. Bytes that are not UTF-8 — a character torn by the
+    /// crash — are decoded lossily and leave their line torn.
+    pub fn load_with(path: &Path, each: impl FnMut(&Json)) -> io::Result<Journal> {
+        let bytes = std::fs::read(path)?;
+        Ok(Journal::decode(&String::from_utf8_lossy(&bytes), each))
     }
 
     /// Decode journal state from log text (see [`Journal::load`]).
     pub fn from_text(text: &str) -> Journal {
+        Journal::decode(text, |_| {})
+    }
+
+    fn decode(text: &str, mut each: impl FnMut(&Json)) -> Journal {
         let mut journal = Journal::default();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let Some(fields) = parse_line(line) else {
+        for line in text.lines().filter(|l| !l.trim().is_empty()) {
+            let Ok(event @ Json::Obj(_)) = json::parse(line) else {
                 journal.torn += 1;
                 continue;
             };
             journal.lines += 1;
-            if fields.get("event").map(String::as_str) != Some("finished") {
-                continue;
-            }
-            let (Some(job), Some(status)) = (fields.get("job"), fields.get("status")) else {
+            each(&event);
+            let field = |k| event.get(k).and_then(Json::as_str);
+            let (Some("finished"), Some(job), Some(status)) = (
+                field("event").map(String::as_str),
+                field("job").cloned(),
+                field("status").cloned(),
+            ) else {
                 continue;
             };
             journal.jobs.insert(
-                job.clone(),
+                job,
                 JobRecord {
-                    status: status.clone(),
-                    fields: fields.clone(),
+                    status,
+                    fields: event,
                 },
             );
         }
@@ -153,89 +174,10 @@ impl Journal {
     }
 }
 
-/// Parse one flat telemetry line (`{"k":v,...}`, no nesting) into decoded
-/// string fields. Returns `None` — never panics — on anything malformed,
-/// which is how torn tail lines are tolerated.
-pub fn parse_line(line: &str) -> Option<BTreeMap<String, String>> {
-    let inner = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let chars: Vec<char> = inner.chars().collect();
-    let mut fields = BTreeMap::new();
-    let mut i = 0;
-    while i < chars.len() {
-        let (key, after_key) = parse_string(&chars, i)?;
-        i = after_key;
-        if chars.get(i) != Some(&':') {
-            return None;
-        }
-        i += 1;
-        let value = if chars.get(i) == Some(&'"') {
-            let (s, after) = parse_string(&chars, i)?;
-            i = after;
-            s
-        } else {
-            // Bare scalar (number / bool / null): runs to the next comma.
-            let start = i;
-            while i < chars.len() && chars[i] != ',' {
-                i += 1;
-            }
-            if i == start {
-                return None;
-            }
-            chars[start..i].iter().collect()
-        };
-        fields.insert(key, value);
-        match chars.get(i) {
-            None => break,
-            Some(',') => i += 1,
-            Some(_) => return None,
-        }
-    }
-    Some(fields)
-}
-
-/// Decode the JSON string starting at `chars[start]` (which must be `"`);
-/// returns the unescaped text and the index just past the closing quote.
-fn parse_string(chars: &[char], start: usize) -> Option<(String, usize)> {
-    if chars.get(start) != Some(&'"') {
-        return None;
-    }
-    let mut out = String::new();
-    let mut i = start + 1;
-    while i < chars.len() {
-        match chars[i] {
-            '"' => return Some((out, i + 1)),
-            '\\' => {
-                i += 1;
-                match chars.get(i)? {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'u' => {
-                        let hex: String = chars.get(i + 1..i + 5)?.iter().collect();
-                        let code = u32::from_str_radix(&hex, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                        i += 4;
-                    }
-                    _ => return None,
-                }
-                i += 1;
-            }
-            c => {
-                out.push(c);
-                i += 1;
-            }
-        }
-    }
-    None // unterminated string: torn line
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{Telemetry, Value};
+    use crate::telemetry::Telemetry;
     use std::io::Write;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -280,30 +222,55 @@ mod tests {
                 &[
                     ("job", "ring.n4.W.ideal.00000000".into()),
                     ("status", "ok".into()),
-                    ("cached", Value::B(false)),
-                    ("t_app_ns", Value::U(123_456_789)),
-                    ("err_pct", Value::F(1.625)),
-                    ("error", "panic: \"boom\"\nline2\ttab\\\u{1}".into()),
+                    ("cached", false.into()),
+                    ("t_app_ns", 123_456_789u64.into()),
+                    ("err_pct", 1.625.into()),
+                    ("error", "panic: \"boom\"\nline2\ttab\\\u{1}\r".into()),
                 ],
             );
         });
-        let fields = parse_line(text.trim()).expect("parsable");
-        assert_eq!(fields["event"], "finished");
-        assert_eq!(fields["job"], "ring.n4.W.ideal.00000000");
-        assert_eq!(fields["cached"], "false");
-        assert_eq!(fields["t_app_ns"], "123456789");
-        assert_eq!(fields["err_pct"].parse::<f64>().unwrap(), 1.625);
-        assert_eq!(fields["error"], "panic: \"boom\"\nline2\ttab\\\u{1}");
+        let journal = Journal::from_text(&text);
+        let rec = journal.get("ring.n4.W.ideal.00000000").expect("decoded");
+        assert_eq!(rec.str("event"), Some("finished"));
+        assert_eq!(rec.bool("cached"), Some(false));
+        assert_eq!(rec.u64("t_app_ns"), Some(123_456_789));
+        assert_eq!(rec.f64("err_pct"), Some(1.625));
+        assert_eq!(
+            rec.str("error"),
+            Some("panic: \"boom\"\nline2\ttab\\\u{1}\r")
+        );
+        // Typed accessors do not coerce: a bool is not a string.
+        assert_eq!(rec.str("cached"), None);
     }
 
     #[test]
     fn float_fields_roundtrip_exactly() {
-        // Value::F renders shortest-roundtrip; the journal must recover
+        // The writer renders shortest-roundtrip; the journal must recover
         // the original bits for awkward values too.
-        for &f in &[0.1, 1.0 / 3.0, 1e-300, 123456.789012345, f64::MIN_POSITIVE] {
-            let text = captured(|t| t.emit("finished", &[("x", Value::F(f))]));
-            let fields = parse_line(text.trim()).unwrap();
-            assert_eq!(fields["x"].parse::<f64>().unwrap().to_bits(), f.to_bits());
+        for &f in &[
+            0.1,
+            1.0 / 3.0,
+            1e-300,
+            123456.789012345,
+            f64::MIN_POSITIVE,
+            -0.0,
+        ] {
+            let text = captured(|t| {
+                t.emit(
+                    "finished",
+                    &[
+                        ("job", "a".into()),
+                        ("status", "ok".into()),
+                        ("x", f.into()),
+                    ],
+                )
+            });
+            let x = Journal::from_text(&text)
+                .get("a")
+                .unwrap()
+                .f64("x")
+                .unwrap();
+            assert_eq!(x.to_bits(), f.to_bits());
         }
     }
 
@@ -328,10 +295,21 @@ mod tests {
     #[test]
     fn torn_line_ending_inside_a_string_is_rejected() {
         // Cut mid-string but after a brace-looking byte: still unparsable.
-        assert!(parse_line("{\"event\":\"finished\",\"error\":\"bad}").is_none());
-        assert!(parse_line("{\"event\":\"fini").is_none());
-        assert!(parse_line("").is_none());
-        assert!(parse_line("{}").map(|f| f.len()) == Some(0));
+        for torn in [
+            "{\"event\":\"finished\",\"job\":\"a\",\"status\":\"ok\",\"error\":\"bad}",
+            "{\"event\":\"fini",
+            "[\"not\",\"an\",\"object\"]",
+            "17",
+        ] {
+            let journal = Journal::from_text(torn);
+            assert_eq!(
+                (journal.lines, journal.torn, journal.len()),
+                (0, 1, 0),
+                "{torn}"
+            );
+        }
+        let journal = Journal::from_text("{}\n\n");
+        assert_eq!((journal.lines, journal.torn), (1, 0));
     }
 
     #[test]
@@ -355,15 +333,14 @@ mod tests {
 
     #[test]
     fn failure_classification_drives_resume() {
-        let rec = |status: &str, cause: Option<&str>| {
-            let mut fields = BTreeMap::new();
-            if let Some(c) = cause {
-                fields.insert("cause".to_string(), c.to_string());
-            }
-            JobRecord {
-                status: status.to_string(),
-                fields,
-            }
+        let rec = |status: &str, cause: Option<&str>| JobRecord {
+            status: status.to_string(),
+            fields: Json::Obj(
+                cause
+                    .map(|c| ("cause".to_string(), c.into()))
+                    .into_iter()
+                    .collect(),
+            ),
         };
         assert_eq!(rec("ok", None).action(), ResumeAction::ReplayOk);
         assert_eq!(
@@ -384,21 +361,20 @@ mod tests {
 
     #[test]
     fn salvaged_ok_records_rerun_on_resume() {
-        let rec = |salvaged: Option<&str>| {
-            let mut fields = BTreeMap::new();
-            if let Some(v) = salvaged {
-                fields.insert("salvaged".to_string(), v.to_string());
-            }
-            JobRecord {
-                status: "ok".to_string(),
-                fields,
-            }
+        let rec = |salvaged: Option<bool>| JobRecord {
+            status: "ok".to_string(),
+            fields: Json::Obj(
+                salvaged
+                    .map(|v| ("salvaged".to_string(), v.into()))
+                    .into_iter()
+                    .collect(),
+            ),
         };
         assert_eq!(rec(None).action(), ResumeAction::ReplayOk);
-        assert_eq!(rec(Some("false")).action(), ResumeAction::ReplayOk);
-        assert!(rec(Some("true")).salvaged());
+        assert_eq!(rec(Some(false)).action(), ResumeAction::ReplayOk);
+        assert!(rec(Some(true)).salvaged());
         assert_eq!(
-            rec(Some("true")).action(),
+            rec(Some(true)).action(),
             ResumeAction::Rerun,
             "a salvaged prefix must be upgraded to a complete trace on resume"
         );

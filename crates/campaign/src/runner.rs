@@ -7,7 +7,7 @@ use crate::executor::{self, ExecEvent, FailureCause, FleetOptions, JobError, Out
 use crate::hash;
 use crate::journal::{JobRecord, Journal, ResumeAction};
 use crate::matrix::{CampaignSpec, JobSpec, JobTrace, SpecError};
-use crate::telemetry::{Telemetry, Value};
+use crate::telemetry::Telemetry;
 use benchgen::chaos;
 use benchgen::generate;
 use benchgen::verify::{
@@ -16,6 +16,7 @@ use benchgen::verify::{
 use miniapps::App;
 use mpisim::time::SimTime;
 use mpisim::SimError;
+use protocol::json::Json;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -271,7 +272,7 @@ fn run_one(
             &[
                 ("job", job.id().into()),
                 ("trace_key", hash::hex(trace_key).into()),
-                ("salvaged", Value::B(salvaged)),
+                ("salvaged", salvaged.into()),
             ],
         );
     }
@@ -317,7 +318,7 @@ fn run_one(
                 "chaos",
                 &[
                     ("job", job.id().into()),
-                    ("seed", Value::U(o.seed)),
+                    ("seed", o.seed.into()),
                     ("verdict", o.verdict.label().into()),
                     ("detail", o.verdict.detail().into()),
                 ],
@@ -357,11 +358,11 @@ fn run_one(
     })
 }
 
-fn job_fields(job: &JobSpec) -> Vec<(&'static str, Value)> {
+fn job_fields(job: &JobSpec) -> Vec<(&'static str, Json)> {
     vec![
         ("job", job.id().into()),
         ("app", job.app.clone().into()),
-        ("ranks", Value::U(job.ranks as u64)),
+        ("ranks", Json::from(job.ranks as u64)),
         ("class", job.class.name().into()),
         ("network", job.network.clone().into()),
     ]
@@ -401,9 +402,9 @@ fn replay_outcome(rec: &JobRecord) -> Option<Outcome<JobOutput>> {
                 None => None,
             };
             Some(Outcome::Done(JobOutput {
-                cached: rec.get("cached")? == "true",
+                cached: rec.bool("cached")?,
                 salvaged: rec.salvaged(),
-                trace_key: u64::from_str_radix(rec.get("trace_key")?, 16).ok()?,
+                trace_key: u64::from_str_radix(rec.str("trace_key")?, 16).ok()?,
                 t_app: SimTime::from_nanos(rec.u64("t_app_ns")?),
                 t_gen: SimTime::from_nanos(rec.u64("t_gen_ns")?),
                 err_pct: rec.f64("err_pct")?,
@@ -416,9 +417,9 @@ fn replay_outcome(rec: &JobRecord) -> Option<Outcome<JobOutput>> {
             }))
         }
         "failed" => Some(Outcome::Failed {
-            error: rec.get("error")?.to_string(),
+            error: rec.str("error")?.to_string(),
             attempts: rec.u64("attempts")? as u32,
-            cause: match rec.get("cause")? {
+            cause: match rec.str("cause")? {
                 "panic" => FailureCause::Panic,
                 "transient" => FailureCause::Transient,
                 _ => FailureCause::Fatal,
@@ -471,7 +472,7 @@ pub fn resume_campaign(
                                 _ => "failed".into(),
                             },
                         ),
-                        ("replayed", Value::B(true)),
+                        ("replayed", true.into()),
                     ],
                 );
                 replayed.push(JobRow {
@@ -485,9 +486,9 @@ pub fn resume_campaign(
     telemetry.emit(
         "resume",
         &[
-            ("jobs", Value::U(jobs.len() as u64)),
-            ("replayed", Value::U(replayed.len() as u64)),
-            ("rerun", Value::U(to_run.len() as u64)),
+            ("jobs", Json::from(jobs.len() as u64)),
+            ("replayed", Json::from(replayed.len() as u64)),
+            ("rerun", Json::from(to_run.len() as u64)),
         ],
     );
 
@@ -553,9 +554,9 @@ pub fn run_jobs(
             telemetry.emit(
                 "oversubscription",
                 &[
-                    ("workers", Value::U(fleet.workers as u64)),
-                    ("pipeline_threads", Value::U(pipeline_threads as u64)),
-                    ("cores", Value::U(cores as u64)),
+                    ("workers", Json::from(fleet.workers as u64)),
+                    ("pipeline_threads", Json::from(pipeline_threads as u64)),
+                    ("cores", Json::from(cores as u64)),
                     (
                         "hint",
                         "keep workers * pipeline_threads <= 2 * cores".into(),
@@ -581,7 +582,7 @@ pub fn run_jobs(
                     "started",
                     &[
                         ("job", job.id().into()),
-                        ("attempt", Value::U(attempt as u64)),
+                        ("attempt", Json::from(attempt as u64)),
                     ],
                 ),
                 ExecEvent::Retried {
@@ -592,38 +593,39 @@ pub fn run_jobs(
                     "retried",
                     &[
                         ("job", job.id().into()),
-                        ("attempt", Value::U(attempt as u64)),
+                        ("attempt", Json::from(attempt as u64)),
                         ("cause", "transient".into()),
                         ("error", error.into()),
-                        ("delay_ms", Value::U(delay.as_millis() as u64)),
+                        ("delay_ms", Json::from(delay.as_millis() as u64)),
                     ],
                 ),
                 ExecEvent::Finished { outcome, wall } => {
-                    let mut fields = vec![("job", Value::from(job.id()))];
+                    let mut fields = vec![("job", Json::from(job.id()))];
                     let failed = match outcome {
                         Outcome::Done(o) => {
                             fields.push(("status", "ok".into()));
-                            fields.push(("cached", Value::B(o.cached)));
+                            fields.push(("cached", o.cached.into()));
                             if o.salvaged {
                                 // A resume keys off this marker to rerun
                                 // the job rather than replay the prefix.
-                                fields.push(("salvaged", Value::B(true)));
+                                fields.push(("salvaged", true.into()));
                             }
                             fields.push(("trace_key", hash::hex(o.trace_key).into()));
-                            fields.push(("t_app_us", Value::F(o.t_app.as_usecs_f64())));
-                            fields.push(("t_gen_us", Value::F(o.t_gen.as_usecs_f64())));
+                            fields.push(("t_app_us", Json::from(o.t_app.as_usecs_f64())));
+                            fields.push(("t_gen_us", Json::from(o.t_gen.as_usecs_f64())));
                             // Exact integer times alongside the lossy
                             // human-friendly microsecond floats: the resume
                             // journal replays outcomes from these.
-                            fields.push(("t_app_ns", Value::U(o.t_app.as_nanos())));
-                            fields.push(("t_gen_ns", Value::U(o.t_gen.as_nanos())));
-                            fields.push(("err_pct", Value::F(o.err_pct)));
-                            fields.push(("compression", Value::F(o.compression)));
-                            fields.push(("verify_errors", Value::U(o.verify_errors.len() as u64)));
+                            fields.push(("t_app_ns", Json::from(o.t_app.as_nanos())));
+                            fields.push(("t_gen_ns", Json::from(o.t_gen.as_nanos())));
+                            fields.push(("err_pct", o.err_pct.into()));
+                            fields.push(("compression", o.compression.into()));
+                            fields
+                                .push(("verify_errors", Json::from(o.verify_errors.len() as u64)));
                             if let Some(c) = &o.chaos {
-                                fields.push(("chaos_seeds", Value::U(c.seeds as u64)));
-                                fields.push(("chaos_invariant", Value::U(c.invariant as u64)));
-                                fields.push(("chaos_diverged", Value::U(c.diverged as u64)));
+                                fields.push(("chaos_seeds", Json::from(c.seeds as u64)));
+                                fields.push(("chaos_invariant", Json::from(c.invariant as u64)));
+                                fields.push(("chaos_diverged", Json::from(c.diverged as u64)));
                             }
                             false
                         }
@@ -635,17 +637,17 @@ pub fn run_jobs(
                             fields.push(("status", "failed".into()));
                             fields.push(("cause", cause.label().into()));
                             fields.push(("error", error.as_str().into()));
-                            fields.push(("attempts", Value::U(*attempts as u64)));
+                            fields.push(("attempts", Json::from(*attempts as u64)));
                             true
                         }
                         Outcome::TimedOut { budget, attempts } => {
                             fields.push(("status", "timeout".into()));
-                            fields.push(("budget_ms", Value::U(budget.as_millis() as u64)));
-                            fields.push(("attempts", Value::U(*attempts as u64)));
+                            fields.push(("budget_ms", Json::from(budget.as_millis() as u64)));
+                            fields.push(("attempts", Json::from(*attempts as u64)));
                             true
                         }
                     };
-                    fields.push(("wall_ms", Value::U(wall.as_millis() as u64)));
+                    fields.push(("wall_ms", Json::from(wall.as_millis() as u64)));
                     telemetry.emit("finished", &fields);
                     if failed {
                         // The worker is about to return from a caught panic

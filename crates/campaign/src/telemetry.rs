@@ -2,7 +2,8 @@
 //!
 //! One JSON object per line, written as each event happens (the writer
 //! flushes per line, so a killed campaign still leaves a usable log). The
-//! schema is flat — every value is a string, number, or bool:
+//! schema is flat — every value is a string, number, or bool (a non-finite
+//! number is written as `null`):
 //!
 //! ```text
 //! {"t_ms":0,"event":"queued","job":"lu.n8.S.ideal.1a2b3c4d","app":"lu","ranks":8,...}
@@ -16,67 +17,15 @@
 //! {"t_ms":99,"event":"finished","job":"...","status":"timeout","budget_ms":30000,"wall_ms":30001}
 //! ```
 //!
-//! JSON is emitted by hand; no serialization dependency exists offline.
+//! Every line is one [`Json`] object written by `protocol::json`, the
+//! workspace's one JSON codec, and read back through the same codec by
+//! [`crate::journal`].
 
+use protocol::json::Json;
 use std::collections::BTreeMap;
 use std::io::{self, BufWriter, Write};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// A telemetry field value.
-#[derive(Clone, Debug)]
-pub enum Value {
-    /// A string (will be escaped).
-    S(String),
-    /// A signed integer.
-    I(i64),
-    /// An unsigned integer.
-    U(u64),
-    /// A float (non-finite values are emitted as `null`).
-    F(f64),
-    /// A bool.
-    B(bool),
-}
-
-impl From<&str> for Value {
-    fn from(s: &str) -> Value {
-        Value::S(s.to_string())
-    }
-}
-
-impl From<String> for Value {
-    fn from(s: String) -> Value {
-        Value::S(s)
-    }
-}
-
-/// Escape a string for inclusion in a JSON document.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn render(v: &Value) -> String {
-    match v {
-        Value::S(s) => format!("\"{}\"", escape(s)),
-        Value::I(i) => i.to_string(),
-        Value::U(u) => u.to_string(),
-        Value::F(f) if f.is_finite() => format!("{f}"),
-        Value::F(_) => "null".to_string(),
-        Value::B(b) => b.to_string(),
-    }
-}
 
 /// A JSONL event sink shared by the fleet's worker threads.
 pub struct Telemetry {
@@ -116,17 +65,17 @@ impl Telemetry {
         Telemetry::to_writer(Box::new(io::sink()))
     }
 
-    /// Emit one event. `fields` follow the standard `t_ms`/`event` pair.
-    pub fn emit(&self, event: &str, fields: &[(&str, Value)]) {
-        let mut line = format!(
-            "{{\"t_ms\":{},\"event\":\"{}\"",
-            self.start.elapsed().as_millis(),
-            escape(event)
-        );
-        for (k, v) in fields {
-            line.push_str(&format!(",\"{}\":{}", escape(k), render(v)));
-        }
-        line.push('}');
+    /// Emit one event: a single-line object of `t_ms`, `event`, then
+    /// `fields` in order.
+    pub fn emit(&self, event: &str, fields: &[(&str, Json)]) {
+        let mut members = Vec::with_capacity(fields.len() + 2);
+        members.push((
+            "t_ms".to_string(),
+            (self.start.elapsed().as_millis() as u64).into(),
+        ));
+        members.push(("event".to_string(), event.into()));
+        members.extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
+        let line = Json::Obj(members).to_compact();
         let mut out = self.out.lock().expect("telemetry writer poisoned");
         // Telemetry must never take the fleet down; drop the line on error.
         let _ = writeln!(out, "{line}");
@@ -203,9 +152,9 @@ impl Counters {
     /// Emit one `counters` telemetry event per client.
     pub fn emit_to(&self, telemetry: &Telemetry) {
         for (client, counters) in self.snapshot() {
-            let mut fields: Vec<(&str, Value)> = vec![("client", client.as_str().into())];
+            let mut fields: Vec<(&str, Json)> = vec![("client", client.as_str().into())];
             for (k, v) in &counters {
-                fields.push((k.as_str(), Value::U(*v)));
+                fields.push((k.as_str(), (*v).into()));
             }
             telemetry.emit("counters", &fields);
         }
@@ -238,11 +187,8 @@ mod tests {
     #[test]
     fn emits_one_json_object_per_line() {
         let (t, buf) = capture();
-        t.emit("queued", &[("job", "x.n4".into()), ("ranks", Value::U(4))]);
-        t.emit(
-            "finished",
-            &[("ok", Value::B(true)), ("err_pct", Value::F(1.5))],
-        );
+        t.emit("queued", &[("job", "x.n4".into()), ("ranks", 4u64.into())]);
+        t.emit("finished", &[("ok", true.into()), ("err_pct", 1.5.into())]);
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -262,13 +208,12 @@ mod tests {
             "finished",
             &[
                 ("error", "panic: \"boom\"\nline2\ttab\\".into()),
-                ("err_pct", Value::F(f64::NAN)),
+                ("err_pct", f64::NAN.into()),
             ],
         );
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        assert!(text.contains("panic: \\\"boom\\\"\\nline2\\ttab\\\\"));
+        assert!(text.contains("panic: \\\"boom\\\"\\nline2\\u0009tab\\\\"));
         assert!(text.contains("\"err_pct\":null"));
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
     #[test]
@@ -342,12 +287,12 @@ mod tests {
     fn concurrent_emitters_never_interleave_lines() {
         let (t, buf) = capture();
         let t = Arc::new(t);
-        let threads: Vec<_> = (0..8)
+        let threads: Vec<_> = (0..8u64)
             .map(|i| {
                 let t = Arc::clone(&t);
                 std::thread::spawn(move || {
-                    for j in 0..50 {
-                        t.emit("tick", &[("worker", Value::U(i)), ("n", Value::U(j))]);
+                    for j in 0..50u64 {
+                        t.emit("tick", &[("worker", i.into()), ("n", j.into())]);
                     }
                 })
             })

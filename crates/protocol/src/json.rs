@@ -1,13 +1,17 @@
-//! Minimal JSON value, writer, and parser — the repo's one hand-rolled
-//! JSON implementation.
+//! Minimal JSON value, writer, and parser — the repo's one JSON codec.
 //!
-//! The repo is std-only (no serde); this covers exactly the subset the
-//! wire protocol and the `commspec-perf` report schema use — objects,
-//! arrays, strings, finite numbers, booleans, and null. Two writers share
-//! the one value type: [`Json::to_compact`] emits the single-line form the
-//! line-delimited wire protocol requires, while `Display` pretty-prints
-//! for committed reports. Object keys keep insertion order, so both forms
-//! are byte-stable across runs.
+//! The repo is std-only (no serde). Everything the workspace writes or
+//! reads as JSON goes through here: the line-delimited wire protocol, the
+//! `commspec-perf` report, and the campaign's JSONL telemetry, which doubles
+//! as the resume journal and the server's job and lease journal. The value
+//! model is objects, arrays, strings, finite numbers, booleans, and null.
+//! Two renderings share the one value type: [`Json::to_compact`] emits the
+//! single-line form line-delimited logs and the wire protocol require,
+//! while `Display` pretty-prints for committed reports. Object keys keep
+//! insertion order, so both forms are byte-stable across runs.
+//!
+//! The parser refuses documents nested deeper than [`MAX_DEPTH`], so no
+//! input line can exhaust the reading thread's stack.
 
 use std::fmt;
 
@@ -19,7 +23,8 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A finite number.
+    /// A number. Non-finite values render as `null`, the only spelling the
+    /// parser (and JSON) accepts for them.
     Num(f64),
     /// A string.
     Str(String),
@@ -124,13 +129,11 @@ impl Json {
         match self {
             Json::Null => write!(f, "null"),
             Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(x) => {
-                if x.fract() == 0.0 && x.abs() < 9e15 {
-                    write!(f, "{}", *x as i64)
-                } else {
-                    write!(f, "{x}")
-                }
-            }
+            // `Display` for f64 is shortest-roundtrip and never uses an
+            // exponent, so whole numbers print without a fraction and every
+            // finite value parses back to the same bits.
+            Json::Num(x) if x.is_finite() => write!(f, "{x}"),
+            Json::Num(_) => write!(f, "null"),
             Json::Str(s) => write_str(f, s),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -184,11 +187,56 @@ impl fmt::Display for Json {
     }
 }
 
-/// Parse a JSON document. Trailing non-whitespace is an error.
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(x: f64) -> Json {
+        Json::Num(x)
+    }
+}
+
+/// Exact below 2^53; larger values round to the nearest f64, and
+/// [`Json::as_u64`] reads back only whole numbers below 9e15.
+impl From<u64> for Json {
+    fn from(v: u64) -> Json {
+        Json::Num(v as f64)
+    }
+}
+
+/// Exact while the magnitude is below 2^53, as for `u64`.
+impl From<i64> for Json {
+    fn from(v: i64) -> Json {
+        Json::Num(v as f64)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+/// Deepest container nesting [`parse`] accepts. Every document the repo
+/// writes nests fewer than ten levels; the bound keeps the recursive
+/// descent far inside a default 2 MiB thread stack whatever a peer sends.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a JSON document. Trailing non-whitespace is an error, and so is
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -212,11 +260,15 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// `depth` counts the containers enclosing this value.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => parse_str(bytes, pos).map(Json::Str),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -270,13 +322,21 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b't') => out.push('\t'),
                     Some(b'r') => out.push('\r'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        let mut code = hex4(bytes, *pos + 1)
                             .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
                         *pos += 4;
+                        // A high surrogate followed by an escaped low one is
+                        // one character outside the BMP; a lone surrogate
+                        // decodes to U+FFFD.
+                        if (0xd800..0xdc00).contains(&code)
+                            && bytes.get(*pos + 1..*pos + 3) == Some(&b"\\u"[..])
+                        {
+                            if let Some(low @ 0xdc00..=0xdfff) = hex4(bytes, *pos + 3) {
+                                code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                *pos += 6;
+                            }
+                        }
+                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                     }
                     other => return Err(format!("bad escape {other:?} at byte {pos}")),
                 }
@@ -297,7 +357,13 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// The four hex digits at `bytes[at..at + 4]` as a UTF-16 code unit.
+fn hex4(bytes: &[u8], at: usize) -> Option<u32> {
+    let hex = std::str::from_utf8(bytes.get(at..at + 4)?).ok()?;
+    u32::from_str_radix(hex, 16).ok()
+}
+
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -306,7 +372,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -319,7 +385,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -331,7 +397,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         skip_ws(bytes, pos);
         let key = parse_str(bytes, pos)?;
         expect(bytes, pos, b':')?;
-        members.push((key, parse_value(bytes, pos)?));
+        members.push((key, parse_value(bytes, pos, depth)?));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -451,5 +517,80 @@ mod tests {
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(2.5).as_u64(), None);
         assert_eq!(Json::Str("7".into()).as_u64(), None);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // 10^5 levels overflowed a default 2 MiB stack before the bound; run
+        // on a spawned thread so the test sees that stack, not the main one.
+        let deep = format!("{{\"type\":\"trace\",\"app\":{}", "[".repeat(100_000));
+        let err = std::thread::spawn(move || parse(&deep))
+            .join()
+            .expect("parser thread survived")
+            .unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_bound).is_ok());
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&past).is_err());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+    }
+
+    #[test]
+    fn non_finite_numbers_are_written_as_null_in_both_renderings() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let v = Json::Arr(vec![Json::Num(x)]);
+            assert_eq!(v.to_compact(), "[null]");
+            assert_eq!(parse(&v.to_string()).unwrap(), Json::Arr(vec![Json::Null]));
+        }
+    }
+
+    #[test]
+    fn finite_numbers_roundtrip_bit_exact() {
+        for x in [
+            0.1,
+            1.0 / 3.0,
+            1e-300,
+            5e-324,
+            1e21,
+            -0.0,
+            9_007_199_254.0,
+            1e-7,
+        ] {
+            let back = parse(&Json::Num(x).to_compact()).unwrap().as_num().unwrap();
+            assert_eq!(back.to_bits(), x.to_bits(), "{x}");
+        }
+        assert_eq!(Json::from(123_456_789u64).to_compact(), "123456789");
+        assert_eq!(Json::from(-5i64).to_compact(), "-5");
+    }
+
+    #[test]
+    fn surrogate_pair_escapes_decode_to_one_character() {
+        // Python's json.dumps("🦀") spells the crab as a UTF-16 pair.
+        assert_eq!(parse(r#""\ud83e\udd80""#).unwrap(), Json::Str("🦀".into()));
+        assert_eq!(
+            parse(r#""a\ud83d\ude00b""#).unwrap(),
+            Json::Str("a😀b".into())
+        );
+        // Lone surrogates, in either order, stay one U+FFFD each.
+        assert_eq!(parse(r#""\ud83e""#).unwrap(), Json::Str("\u{fffd}".into()));
+        assert_eq!(
+            parse(r#""\udd80x""#).unwrap(),
+            Json::Str("\u{fffd}x".into())
+        );
+        assert_eq!(
+            parse(r#""\ud83eA""#).unwrap(),
+            Json::Str("\u{fffd}A".into())
+        );
+        assert_eq!(
+            parse(r#""\udd80\ud83e""#).unwrap(),
+            Json::Str("\u{fffd}\u{fffd}".into())
+        );
+        assert!(parse(r#""\ud83e\udd8""#).is_err(), "truncated low half");
     }
 }

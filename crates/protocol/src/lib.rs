@@ -1,7 +1,8 @@
 //! The `commspec-server` wire protocol.
 //!
-//! This crate is deliberately dependency-free: it holds the one hand-rolled
-//! JSON implementation the workspace shares ([`json`]) and the typed,
+//! This crate is deliberately dependency-free: it holds the one JSON codec
+//! the workspace shares ([`json`]; the campaign's telemetry and journals
+//! use it too) and the typed,
 //! versioned message vocabulary ([`wire`]) the daemon and its clients speak
 //! over line-delimited JSON. Keeping it leaf-level means a client can link
 //! against the protocol without pulling in the simulator, the generator, or

@@ -37,7 +37,8 @@
 
 use crate::queue::QueuedJob;
 use campaign::executor::backoff_delay;
-use campaign::telemetry::{Telemetry, Value};
+use campaign::telemetry::Telemetry;
+use protocol::json::Json;
 use protocol::FleetStats;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
@@ -522,28 +523,30 @@ impl Fleet {
         }
     }
 
-    /// Replay one journaled `lease` line (a flat field map from
-    /// `campaign::journal::parse_line`) during coordinator restart.
+    /// Replay one journaled `lease` event (decoded by the campaign
+    /// journal's reader) during coordinator restart.
     /// Leases themselves died with the old process — only per-job failure
     /// budgets are rebuilt, so a job that killed workers before the crash
     /// keeps counting toward quarantine after it.
-    pub fn replay(&self, fields: &BTreeMap<String, String>) {
-        let (Some(op), Some(job)) = (fields.get("op"), fields.get("job")) else {
+    pub fn replay(&self, event: &Json) {
+        let field = |k| event.get(k).and_then(Json::as_str);
+        let (Some(op), Some(job)) = (field("op"), field("job")) else {
             return;
         };
+        let attempt = event.get("attempt").and_then(Json::as_u64);
         let mut inner = crate::sync::lock(&self.inner);
         match op.as_str() {
             "expired" => {
                 let health = inner.health.entry(job.clone()).or_default();
-                if let Some(worker) = fields.get("worker") {
+                if let Some(worker) = field("worker") {
                     health.killers.insert(worker.clone());
                 }
-                if let Some(att) = fields.get("attempt").and_then(|a| a.parse().ok()) {
+                if let Some(att) = attempt {
                     health.attempts = health.attempts.max(att);
                 }
             }
             "granted" => {
-                if let Some(att) = fields.get("attempt").and_then(|a| a.parse::<u64>().ok()) {
+                if let Some(att) = attempt {
                     let health = inner.health.entry(job.clone()).or_default();
                     health.attempts = health.attempts.max(att);
                 }
@@ -576,12 +579,12 @@ fn journal_lease(
     attempt: u64,
     cause: Option<&str>,
 ) {
-    let mut fields: Vec<(&str, Value)> = vec![
+    let mut fields: Vec<(&str, Json)> = vec![
         ("op", op.into()),
         ("lease", lease.into()),
         ("job", job.into()),
         ("worker", worker.into()),
-        ("attempt", Value::U(attempt)),
+        ("attempt", attempt.into()),
     ];
     if let Some(c) = cause {
         fields.push(("cause", c.into()));
@@ -592,11 +595,9 @@ fn journal_lease(
 /// A synthetic `JobRecord` carrying just the failure cause, so the fleet
 /// asks the exact same question a resumed campaign asks.
 fn failure_record(cause: &str) -> campaign::journal::JobRecord {
-    let mut fields = BTreeMap::new();
-    fields.insert("cause".to_string(), cause.to_string());
     campaign::journal::JobRecord {
         status: "failed".to_string(),
-        fields,
+        fields: Json::Obj(vec![("cause".to_string(), cause.into())]),
     }
 }
 
@@ -799,12 +800,13 @@ mod tests {
     fn journal_replay_restores_failure_budgets_not_leases() {
         let f = fleet(100, 2);
         let line = |op: &str, worker: &str| {
-            let mut m = BTreeMap::new();
-            m.insert("op".to_string(), op.to_string());
-            m.insert("job".to_string(), "j1".to_string());
-            m.insert("worker".to_string(), worker.to_string());
-            m.insert("attempt".to_string(), "1".to_string());
-            m
+            Json::Obj(vec![
+                ("event".to_string(), "lease".into()),
+                ("op".to_string(), op.into()),
+                ("job".to_string(), "j1".into()),
+                ("worker".to_string(), worker.into()),
+                ("attempt".to_string(), 1u64.into()),
+            ])
         };
         f.replay(&line("granted", "w1"));
         f.replay(&line("expired", "w1"));

@@ -23,9 +23,10 @@
 use crate::fleet::{Actions, Completion, FailVerdict, Fleet, FleetConfig};
 use crate::jobs::{self, JobBody, JobKind};
 use crate::queue::{JobQueue, PopResult, QueueLimits, QueuedJob};
-use campaign::journal::{parse_line, Journal};
-use campaign::telemetry::{Counters, Value};
+use campaign::journal::Journal;
+use campaign::telemetry::Counters;
 use campaign::{Telemetry, TraceCache};
+use protocol::json::Json;
 use protocol::{
     ClientStats, JobParams, JobRef, JobResult, Request, Response, StatsReport, PROTO_VERSION,
 };
@@ -170,11 +171,11 @@ impl State {
             let _ = write_atomic(&dir.join(&a.name), a.text.as_bytes());
         }
         let names: Vec<&str> = result.artifacts.iter().map(|a| a.name.as_str()).collect();
-        let mut fields: Vec<(&str, Value)> = vec![
+        let mut fields: Vec<(&str, Json)> = vec![
             ("job", job_id.into()),
             ("status", "ok".into()),
             ("kind", kind.label().into()),
-            ("cached", Value::B(result.cached)),
+            ("cached", result.cached.into()),
             ("artifacts", names.join(" ").into()),
         ];
         let fnv_keys: Vec<String> = result
@@ -185,23 +186,16 @@ impl State {
         for (key, a) in fnv_keys.iter().zip(&result.artifacts) {
             fields.push((key.as_str(), a.fnv.as_str().into()));
         }
-        let opt_u = |fields: &mut Vec<(&str, Value)>, k: &'static str, v: Option<u64>| {
-            if let Some(v) = v {
-                fields.push((k, Value::U(v)));
-            }
-        };
-        let opt_f = |fields: &mut Vec<(&str, Value)>, k: &'static str, v: Option<f64>| {
-            if let Some(v) = v {
-                fields.push((k, Value::F(v)));
-            }
-        };
-        opt_u(&mut fields, "t_app_ns", result.t_app_ns);
-        opt_u(&mut fields, "t_gen_ns", result.t_gen_ns);
-        opt_f(&mut fields, "err_pct", result.err_pct);
-        opt_u(&mut fields, "jobs_ok", result.ok);
-        opt_u(&mut fields, "jobs_failed", result.failed);
-        opt_u(&mut fields, "jobs_timed_out", result.timed_out);
-        opt_f(&mut fields, "mape", result.mape);
+        let optional = [
+            ("t_app_ns", result.t_app_ns.map(Json::from)),
+            ("t_gen_ns", result.t_gen_ns.map(Json::from)),
+            ("err_pct", result.err_pct.map(Json::from)),
+            ("jobs_ok", result.ok.map(Json::from)),
+            ("jobs_failed", result.failed.map(Json::from)),
+            ("jobs_timed_out", result.timed_out.map(Json::from)),
+            ("mape", result.mape.map(Json::from)),
+        ];
+        fields.extend(optional.into_iter().filter_map(|(k, v)| Some((k, v?))));
         self.journal.emit("finished", &fields);
         self.journal.flush();
     }
@@ -241,7 +235,7 @@ fn replay_record(
     job_id: &str,
     rec: &campaign::journal::JobRecord,
 ) -> Option<JobEntry> {
-    let kind = JobKind::from_label(rec.get("kind")?)?;
+    let kind = JobKind::from_label(rec.str("kind")?)?;
     let entry = |state: JobState| JobEntry {
         kind,
         client: String::new(),
@@ -253,12 +247,12 @@ fn replay_record(
     match rec.status.as_str() {
         "ok" => {
             let mut artifacts = Vec::new();
-            let names = rec.get("artifacts")?;
+            let names = rec.str("artifacts")?;
             let dir = state_dir.join("artifacts").join(job_id);
             for name in names.split(' ').filter(|n| !n.is_empty()) {
                 let text = std::fs::read_to_string(dir.join(name)).ok()?;
                 let fnv = campaign::hash::hex(campaign::hash::fnv1a(text.as_bytes()));
-                if rec.get(&format!("fnv.{name}")) != Some(fnv.as_str()) {
+                if rec.str(&format!("fnv.{name}")) != Some(fnv.as_str()) {
                     return None; // artifact corrupt on disk: rerun
                 }
                 artifacts.push(protocol::Artifact {
@@ -269,7 +263,7 @@ fn replay_record(
             }
             Some(entry(JobState::Done(JobResult {
                 kind: kind.label().to_string(),
-                cached: rec.get("cached") == Some("true"),
+                cached: rec.bool("cached").unwrap_or(false),
                 t_app_ns: rec.u64("t_app_ns"),
                 t_gen_ns: rec.u64("t_gen_ns"),
                 err_pct: rec.f64("err_pct"),
@@ -280,7 +274,7 @@ fn replay_record(
                 artifacts,
             })))
         }
-        "failed" => Some(entry(JobState::Failed(rec.get("error")?.to_string()))),
+        "failed" => Some(entry(JobState::Failed(rec.str("error")?.to_string()))),
         _ => None,
     }
 }
@@ -302,7 +296,21 @@ impl Server {
     pub fn start(opts: ServerOptions) -> io::Result<(Server, usize)> {
         std::fs::create_dir_all(&opts.state_dir)?;
         let journal_path = State::journal_path(&opts);
-        let journal = Journal::load(&journal_path).unwrap_or_default();
+        // One pass over the journal: `finished` records fill the job table
+        // below; `lease` transitions rebuild per-job fleet health (poison
+        // budgets). Leases themselves died with the old process — their
+        // connections are gone — so only the budgets replay.
+        let fleet = Fleet::new(opts.fleet);
+        let journal = Journal::load_with(&journal_path, |event| {
+            if event
+                .get("event")
+                .and_then(Json::as_str)
+                .is_some_and(|e| e == "lease")
+            {
+                fleet.replay(event);
+            }
+        })
+        .unwrap_or_default();
 
         let mut table = JobTable::default();
         let mut restored = 0;
@@ -310,20 +318,6 @@ impl Server {
             if let Some(entry) = replay_record(&opts.state_dir, job_id, rec) {
                 table.jobs.insert(job_id.to_string(), entry);
                 restored += 1;
-            }
-        }
-
-        // Rebuild per-job fleet health (poison budgets) from journaled
-        // lease transitions. Leases themselves died with the old process —
-        // their connections are gone — so only the budgets replay.
-        let fleet = Fleet::new(opts.fleet);
-        if let Ok(text) = std::fs::read_to_string(&journal_path) {
-            for line in text.lines() {
-                if let Some(fields) = parse_line(line) {
-                    if fields.get("event").map(String::as_str) == Some("lease") {
-                        fleet.replay(&fields);
-                    }
-                }
             }
         }
 

@@ -537,6 +537,51 @@ fn protocol_violations_get_structured_errors_and_the_session_survives() {
 }
 
 #[test]
+fn a_request_nested_200_000_deep_is_a_syntax_error_not_an_abort() {
+    let dir = temp_dir("deep");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_commbench"))
+        .args([
+            "serve",
+            "--stdio",
+            "--state",
+            dir.join("state").to_str().unwrap(),
+        ])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("server spawns");
+    {
+        let mut stdin = child.stdin.take().unwrap();
+        writeln!(stdin, "{}", hello().to_line()).unwrap();
+        writeln!(
+            stdin,
+            "{{\"type\":\"trace\",\"app\":{}",
+            "[".repeat(200_000)
+        )
+        .unwrap();
+        writeln!(stdin, "{}", Request::Stats.to_line()).unwrap();
+        writeln!(stdin, "{}", Request::Shutdown.to_line()).unwrap();
+    }
+    let out = child.wait_with_output().expect("server exits");
+    assert!(out.status.success(), "{}", stderr(&out));
+    let responses: Vec<Response> = String::from_utf8(out.stdout)
+        .unwrap()
+        .lines()
+        .map(|l| Response::from_line(l).unwrap())
+        .collect();
+    assert!(matches!(responses[0], Response::HelloOk { .. }));
+    assert!(
+        matches!(&responses[1], Response::Error { code, .. } if code == "syntax"),
+        "{:?}",
+        responses[1]
+    );
+    assert!(matches!(responses[2], Response::Stats(_)));
+    assert!(matches!(responses[3], Response::Bye));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn rejected_submission_leaves_no_dangling_tag() {
     let dir = temp_dir("dangling");
     // Burst of 1: the second (distinct) submission is rate-limited. Its
