@@ -9,7 +9,7 @@
 //! that the benchmark generator uses to distinguish call sites.
 
 use crate::comm::Comm;
-use crate::engine::{Op, Reply, Request};
+use crate::engine::{Handles, Op, Reply, Request};
 use crate::error::SimError;
 use crate::hooks::{Event, EventKind, Hook};
 use crate::time::{SimDuration, SimTime};
@@ -206,7 +206,11 @@ impl Ctx {
         // next value-returning call. The engine replays the batch
         // sequentially, so rendezvous blocking happens at the same virtual
         // time whenever the batch ships.
-        self.defer(Op::Wait { reqs: vec![h.0] }, kind, site, 1);
+        let wait = Op::Wait {
+            reqs: Handles::one(h),
+            status: false,
+        };
+        self.defer(wait, kind, site, 1);
     }
 
     /// Blocking receive; returns the resolved status (absolute source rank).
@@ -228,27 +232,27 @@ impl Ctx {
     /// Wait for one request; `Some(status)` if it was a receive.
     #[track_caller]
     pub fn wait(&mut self, h: ReqHandle) -> Option<MsgInfo> {
-        self.wait_at(vec![h.0], caller(), true)[0]
+        self.wait_at(Handles::one(h), caller(), true)[0]
     }
 
     /// Wait for all listed requests; statuses are returned in request order
     /// (`Some` for receives).
     #[track_caller]
     pub fn waitall(&mut self, hs: &[ReqHandle]) -> Vec<Option<MsgInfo>> {
-        self.wait_at(hs.iter().map(|h| h.0).collect(), caller(), true)
+        self.wait_at(Handles::of(hs), caller(), true)
     }
 
     /// [`Ctx::wait`] without the status (`MPI_STATUS_IGNORE`): deferred.
     #[track_caller]
     pub fn wait_ignore(&mut self, h: ReqHandle) {
-        self.wait_at(vec![h.0], caller(), false);
+        self.wait_at(Handles::one(h), caller(), false);
     }
 
     /// [`Ctx::waitall`] without the statuses (`MPI_STATUSES_IGNORE`):
     /// deferred.
     #[track_caller]
     pub fn waitall_ignore(&mut self, hs: &[ReqHandle]) {
-        self.wait_at(hs.iter().map(|h| h.0).collect(), caller(), false);
+        self.wait_at(Handles::of(hs), caller(), false);
     }
 
     // -- collectives ----------------------------------------------------------
@@ -436,12 +440,12 @@ impl Ctx {
             },
             None,
         ));
-        self.wait_entry(vec![h.0], kind, site, 1, want_status)
+        self.wait_entry(Handles::one(h), kind, site, 1, want_status)
     }
 
     fn wait_at(
         &mut self,
-        reqs: Vec<u64>,
+        reqs: Handles,
         site: CallSite,
         want_status: bool,
     ) -> Vec<Option<MsgInfo>> {
@@ -450,21 +454,26 @@ impl Ctx {
     }
 
     /// Queue a wait: shipped now when the caller wants the statuses,
-    /// deferred when it does not.
+    /// deferred when it does not (the engine then replies with the clock
+    /// alone, and nothing is allocated for statuses nobody reads).
     fn wait_entry(
         &mut self,
-        reqs: Vec<u64>,
+        reqs: Handles,
         kind: EventKind,
         site: CallSite,
         span: usize,
         want_status: bool,
     ) -> Vec<Option<MsgInfo>> {
+        let wait = Op::Wait {
+            reqs,
+            status: want_status,
+        };
         if !want_status {
-            self.defer(Op::Wait { reqs }, kind, site, span);
+            self.defer(wait, kind, site, span);
             return Vec::new();
         }
         let ev = self.mk_ev(kind, site, span);
-        match self.submit(Op::Wait { reqs }, ev) {
+        match self.submit(wait, ev) {
             (Reply::Infos { infos, .. }, _) => infos,
             (other, _) => self.protocol_error("wait", &other),
         }

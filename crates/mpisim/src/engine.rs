@@ -34,8 +34,9 @@ use crate::error::{BlockedOn, Budget, SimError};
 use crate::faults::FaultPlan;
 use crate::network::NetworkModel;
 use crate::time::{SimDuration, SimTime};
-use crate::types::{CollKind, Fnv1a, MsgInfo, Rank, Src, Tag, TagSel};
+use crate::types::{CollKind, Fnv1a, MsgInfo, Rank, ReqHandle, Src, Tag, TagSel};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
@@ -100,7 +101,11 @@ pub(crate) enum Op {
         comm: CommId,
     },
     Wait {
-        reqs: Vec<u64>,
+        reqs: Handles,
+        /// Reply with the statuses (`Reply::Infos`) rather than the clock
+        /// alone (`Reply::Time`): false for the status-ignoring forms and a
+        /// blocking send's wait.
+        status: bool,
     },
     Coll {
         kind: CollKind,
@@ -125,6 +130,77 @@ pub(crate) enum Op {
     Batch(Vec<Op>),
 }
 
+/// The requests one wait completes, in request order.
+#[derive(Debug)]
+pub(crate) enum Handles {
+    /// `len` consecutive handles from `first`: every blocking send and
+    /// receive, every `wait`, and every `waitall` over handles issued back
+    /// to back. Holds no heap memory and cannot name a handle twice.
+    Run { first: u64, len: u64 },
+    /// Any other handles.
+    List(Vec<u64>),
+}
+
+impl Handles {
+    pub(crate) fn one(h: ReqHandle) -> Handles {
+        Handles::Run { first: h.0, len: 1 }
+    }
+
+    /// `hs` as a run when its handles are consecutive, else as a list.
+    pub(crate) fn of(hs: &[ReqHandle]) -> Handles {
+        let first = hs.first().map_or(0, |h| h.0);
+        if hs.iter().zip(first..).all(|(h, want)| h.0 == want) {
+            Handles::Run {
+                first,
+                len: hs.len() as u64,
+            }
+        } else {
+            Handles::List(hs.iter().map(|h| h.0).collect())
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Handles::Run { len, .. } => *len as usize,
+            Handles::List(hs) => hs.len(),
+        }
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        let (run, list) = match self {
+            Handles::Run { first, len } => (*first..first + len, &[][..]),
+            Handles::List(hs) => (0..0, &hs[..]),
+        };
+        run.chain(list.iter().copied())
+    }
+}
+
+/// An Fx-style multiplicative hasher for the engine's sequential request
+/// and message ids. Multiplying spreads a small id into the top bits too,
+/// which hashbrown's control bytes are taken from (an identity hash would
+/// leave them zero); SipHash's DoS resistance buys nothing for ids the
+/// engine hands out itself.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = (self.0.rotate_left(5) ^ id).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+
 #[derive(Debug)]
 pub(crate) enum Reply {
     Time(SimTime),
@@ -132,7 +208,8 @@ pub(crate) enum Reply {
         clock: SimTime,
         handle: u64,
     },
-    /// Wait completion: one entry per waited request, `Some` for receives.
+    /// Completion of a wait that returns statuses: one entry per waited
+    /// request, `Some` for receives. A status-ignoring wait gets `Time`.
     Infos {
         clock: SimTime,
         infos: Vec<Option<MsgInfo>>,
@@ -160,6 +237,9 @@ struct ReqState {
     /// The remote rank this request cannot complete without (`None` for an
     /// unmatched wildcard receive); feeds deadlock wait-for edges.
     peer: Option<Rank>,
+    /// Named by the issued wait. The wait removes the request when it
+    /// completes, so a second sighting is the same wait naming it twice.
+    waited: bool,
 }
 
 #[derive(Debug)]
@@ -196,28 +276,50 @@ struct PostedRecv {
 /// bytes, MPI_Comm_split (color, key) args)`.
 type Arrival = (SimTime, u64, Option<(i64, i64)>);
 
+/// One collective instance some member of its communicator has entered.
 #[derive(Debug)]
 struct CollSlot {
     kind: CollKind,
     root: Option<Rank>,
     seq: u64,
-    arrivals: HashMap<Rank, Arrival>,
+    /// Per communicator rank: its arrival, once it has arrived.
+    arrivals: Vec<Option<Arrival>>,
+    arrived: usize,
 }
 
 struct CommData {
     members: Arc<Vec<Rank>>,
-    /// `is_member[abs]`: membership by absolute rank, so the per-op peer
-    /// check does not scan `members`.
-    is_member: Vec<bool>,
+    /// `index[abs]`: the communicator rank of absolute rank `abs`, if a
+    /// member — so neither the per-op peer check nor a collective arrival
+    /// scans `members`.
+    index: Vec<Option<u32>>,
+    /// Per communicator rank: collectives entered on this communicator.
+    entered: Vec<u64>,
+    /// Collectives entered by some member but not yet by all, by `seq`.
+    open: VecDeque<CollSlot>,
 }
 
 impl CommData {
     fn new(n: usize, members: Arc<Vec<Rank>>) -> CommData {
-        let mut is_member = vec![false; n];
-        for &m in members.iter() {
-            is_member[m] = true;
+        let mut index = vec![None; n];
+        for (rel, &m) in members.iter().enumerate() {
+            index[m] = Some(rel as u32);
         }
-        CommData { members, is_member }
+        CommData {
+            entered: vec![0; members.len()],
+            members,
+            index,
+            open: VecDeque::new(),
+        }
+    }
+
+    /// The communicator rank of absolute rank `abs`, if a member.
+    fn rel(&self, abs: Rank) -> Option<usize> {
+        self.index
+            .get(abs)
+            .copied()
+            .flatten()
+            .map(|rel| rel as usize)
     }
 }
 
@@ -252,12 +354,12 @@ pub(crate) struct Engine {
     /// received).
     running: usize,
 
-    reqs: Vec<HashMap<u64, ReqState>>,
+    reqs: Vec<IdMap<ReqState>>,
     next_req: Vec<u64>,
     /// Ranks parked in an issued `Op::Wait`, ascending.
     waiting: Vec<Rank>,
 
-    msgs: HashMap<u64, Message>,
+    msgs: IdMap<Message>,
     next_msg: u64,
     next_dst_seq: Vec<u64>,
 
@@ -273,9 +375,8 @@ pub(crate) struct Engine {
     /// Per receiver: bytes currently occupying the unexpected buffer.
     unexp_bytes: Vec<u64>,
 
+    /// Indexed by `CommId`; holds each communicator's collective state.
     comms: Vec<CommData>,
-    coll_slots: HashMap<CommId, VecDeque<CollSlot>>,
-    coll_seq: Vec<HashMap<CommId, u64>>,
 
     pub(crate) stats: EngineStats,
     /// Set when a reply was sent in the current scheduling round (progress).
@@ -324,10 +425,10 @@ impl Engine {
             finalized: vec![false; n],
             live: n,
             running: n,
-            reqs: (0..n).map(|_| HashMap::new()).collect(),
+            reqs: (0..n).map(|_| IdMap::default()).collect(),
             next_req: vec![1; n],
             waiting: Vec::new(),
-            msgs: HashMap::new(),
+            msgs: IdMap::default(),
             next_msg: 1,
             next_dst_seq: vec![0; n],
             posted: (0..n).map(|_| Vec::new()).collect(),
@@ -336,8 +437,6 @@ impl Engine {
             stalled: (0..n).map(|_| VecDeque::new()).collect(),
             unexp_bytes: vec![0; n],
             comms: vec![CommData::new(n, Arc::new((0..n).collect()))],
-            coll_slots: HashMap::new(),
-            coll_seq: (0..n).map(|_| HashMap::new()).collect(),
             stats: EngineStats::default(),
             progressed: false,
             order_buf: Vec::with_capacity(n),
@@ -542,16 +641,27 @@ impl Engine {
                     },
                 );
             }
-            Op::Wait { reqs } => {
+            Op::Wait { reqs, status } => {
                 // Validate handles eagerly so bugs surface at the wait site.
-                for &h in &reqs {
-                    if !self.reqs[rank].contains_key(&h) {
-                        return Err(SimError::InvalidHandle(format!(
-                            "rank {rank} waited on unknown or already-completed request {h}"
-                        )));
+                // A run cannot repeat a handle; a list can.
+                let mut twice = None;
+                for h in reqs.iter() {
+                    match self.reqs[rank].get_mut(&h) {
+                        None => {
+                            return Err(SimError::InvalidHandle(format!(
+                                "rank {rank} waited on unknown or already-completed request {h}"
+                            )))
+                        }
+                        Some(rs) if rs.waited => twice = twice.or(Some(h)),
+                        Some(rs) => rs.waited = true,
                     }
                 }
-                self.pending[rank].as_mut().unwrap().op = Op::Wait { reqs };
+                if let Some(h) = twice {
+                    return Err(SimError::InvalidHandle(format!(
+                        "rank {rank} waited on request {h} twice in one call"
+                    )));
+                }
+                self.pending[rank].as_mut().unwrap().op = Op::Wait { reqs, status };
                 // Completion handled by `complete_ready_waits`.
                 let pos = self.waiting.partition_point(|&r| r < rank);
                 self.waiting.insert(pos, rank);
@@ -617,7 +727,7 @@ impl Engine {
 
     fn check_member(&self, abs: Rank, comm: CommId) -> Result<(), SimError> {
         let data = &self.comms[comm as usize];
-        if data.is_member.get(abs).copied().unwrap_or(false) {
+        if data.rel(abs).is_some() {
             Ok(())
         } else {
             Err(SimError::InvalidRank {
@@ -915,7 +1025,7 @@ impl Engine {
 
     fn complete_wait_if_ready(&mut self, rank: Rank) -> bool {
         let Some(Pending {
-            op: Op::Wait { reqs },
+            op: Op::Wait { reqs, .. },
             issued: true,
         }) = &self.pending[rank]
         else {
@@ -923,26 +1033,34 @@ impl Engine {
         };
         if !reqs
             .iter()
-            .all(|h| self.reqs[rank].get(h).and_then(|r| r.complete).is_some())
+            .all(|h| self.reqs[rank].get(&h).and_then(|r| r.complete).is_some())
         {
             return false;
         }
         let Some(Pending {
-            op: Op::Wait { reqs },
+            op: Op::Wait { reqs, status },
             ..
         }) = self.pending[rank].take()
         else {
             unreachable!()
         };
         let mut t = self.clocks[rank];
-        let mut infos = Vec::with_capacity(reqs.len());
-        for h in reqs {
+        // A zero capacity does not allocate: an ignoring wait builds nothing.
+        let mut infos = Vec::with_capacity(if status { reqs.len() } else { 0 });
+        for h in reqs.iter() {
             let rs = self.reqs[rank].remove(&h).expect("validated at issue");
             t = t.max(rs.complete.expect("checked complete"));
-            infos.push(rs.info);
+            if status {
+                infos.push(rs.info);
+            }
         }
         self.clocks[rank] = t;
-        self.reply(rank, Reply::Infos { clock: t, infos });
+        let reply = if status {
+            Reply::Infos { clock: t, infos }
+        } else {
+            Reply::Time(t)
+        };
+        self.reply(rank, reply);
         true
     }
 
@@ -957,6 +1075,10 @@ impl Engine {
         bytes: u64,
         split: Option<(i64, i64)>,
     ) -> Result<(), SimError> {
+        self.check_member(rank, comm)?;
+        let data = &self.comms[comm as usize];
+        let me = data.rel(rank).expect("checked member");
+        let comm_size = data.members.len();
         if let Some(plan) = self.faults.clone() {
             if let Some(at) = plan.crash_at_collective(rank) {
                 if self.colls_entered[rank] >= at {
@@ -972,29 +1094,27 @@ impl Engine {
             // Straggler model: this rank reaches the collective late. A
             // non-negative delay keeps its clock monotone, so the only
             // effect is a later `latest_arrival`.
-            let seq_next = self.coll_seq[rank].get(&comm).copied().unwrap_or(0);
+            let seq_next = self.comms[comm as usize].entered[me];
             self.clocks[rank] += plan.coll_straggle_delay(rank, comm, seq_next);
         }
-        let comm_size = self.comms[comm as usize].members.len();
-        let seq = {
-            let c = self.coll_seq[rank].entry(comm).or_insert(0);
-            let s = *c;
-            *c += 1;
-            s
-        };
-        let slots = self.coll_slots.entry(comm).or_default();
-        let slot = match slots.iter_mut().find(|s| s.seq == seq) {
-            Some(s) => s,
+        let arrival = (self.clocks[rank], bytes, split);
+        let data = &mut self.comms[comm as usize];
+        let seq = data.entered[me];
+        data.entered[me] += 1;
+        let pos = match data.open.iter().position(|s| s.seq == seq) {
+            Some(pos) => pos,
             None => {
-                slots.push_back(CollSlot {
+                data.open.push_back(CollSlot {
                     kind,
                     root,
                     seq,
-                    arrivals: HashMap::new(),
+                    arrivals: vec![None; comm_size],
+                    arrived: 0,
                 });
-                slots.back_mut().unwrap()
+                data.open.len() - 1
             }
         };
+        let slot = &mut data.open[pos];
         if slot.kind != kind || slot.root != root {
             return Err(SimError::CollectiveMismatch {
                 comm,
@@ -1003,8 +1123,9 @@ impl Engine {
                 rank,
             });
         }
-        slot.arrivals
-            .insert(rank, (self.clocks[rank], bytes, split));
+        slot.arrivals[me] = Some(arrival);
+        slot.arrived += 1;
+        let complete = slot.arrived == comm_size;
         // keep the pending op so deadlock diagnostics can describe it
         self.pending[rank].as_mut().unwrap().op = Op::Coll {
             kind,
@@ -1013,62 +1134,51 @@ impl Engine {
             bytes,
             split,
         };
-
-        if slot.arrivals.len() < comm_size {
+        if !complete {
             return Ok(());
         }
 
         // Everyone arrived: the collective completes.
-        let idx = self
-            .coll_slots
-            .get(&comm)
-            .unwrap()
-            .iter()
-            .position(|s| s.seq == seq)
-            .expect("slot exists");
-        let slot = self.coll_slots.get_mut(&comm).unwrap().remove(idx).unwrap();
+        let data = &mut self.comms[comm as usize];
+        let arrivals = data.open.remove(pos).expect("slot exists").arrivals;
+        let members = Arc::clone(&data.members);
         self.stats.collectives += 1;
-        let members: Vec<Rank> = self.comms[comm as usize].members.as_ref().clone();
-        let latest = slot
-            .arrivals
-            .values()
-            .map(|&(t, _, _)| t)
+        let arrived = arrivals.iter().map(|a| a.expect("every member arrived"));
+        let latest = arrived
+            .clone()
+            .map(|(t, _, _)| t)
             .max()
             .unwrap_or(SimTime::ZERO);
-        let total_bytes: u64 = slot.arrivals.values().map(|&(_, b, _)| b).sum();
+        let total_bytes: u64 = arrived.clone().map(|(_, b, _)| b).sum();
         let finish = latest + self.model.collective(kind, comm_size, total_bytes);
 
         if kind == CollKind::CommSplit {
             let entries: Vec<(Rank, i64, i64)> = members
                 .iter()
-                .map(|&r| {
-                    let (_, _, s) = slot.arrivals[&r];
+                .zip(arrived)
+                .map(|(&r, (_, _, s))| {
                     let (color, key) = s.expect("split args present");
                     (r, color, key)
                 })
                 .collect();
-            let groups = split_groups(entries);
-            let mut new_comm_of: HashMap<Rank, Comm> = HashMap::new();
-            for (_color, group) in groups {
+            let mut new_comm_of: Vec<Option<Comm>> = vec![None; self.n];
+            for (_color, group) in split_groups(entries) {
                 let id = self.comms.len() as CommId;
-                let members = Arc::new(group.clone());
-                self.comms.push(CommData::new(self.n, Arc::clone(&members)));
+                let group = Arc::new(group);
+                self.comms.push(CommData::new(self.n, Arc::clone(&group)));
                 for (idx, &r) in group.iter().enumerate() {
-                    new_comm_of.insert(
-                        r,
-                        Comm {
-                            id,
-                            rank: idx,
-                            size: group.len(),
-                            members: Arc::clone(&members),
-                        },
-                    );
+                    new_comm_of[r] = Some(Comm {
+                        id,
+                        rank: idx,
+                        size: group.len(),
+                        members: Arc::clone(&group),
+                    });
                 }
             }
-            for &r in &members {
+            for &r in members.iter() {
                 self.clocks[r] = finish;
                 self.pending[r] = None;
-                let comm = new_comm_of.remove(&r).expect("every rank got a group");
+                let comm = new_comm_of[r].take().expect("every rank got a group");
                 self.reply(
                     r,
                     Reply::CommCreated {
@@ -1079,11 +1189,11 @@ impl Engine {
             }
         } else {
             if kind == CollKind::Finalize {
-                for &r in &members {
+                for &r in members.iter() {
                     self.finalized[r] = true;
                 }
             }
-            for &r in &members {
+            for &r in members.iter() {
                 self.clocks[r] = finish;
                 self.pending[r] = None;
                 self.reply(r, Reply::Time(finish));
@@ -1104,6 +1214,7 @@ impl Engine {
                 info: None,
                 is_recv,
                 peer,
+                waited: false,
             },
         );
         h
@@ -1151,10 +1262,10 @@ impl Engine {
         for r in 0..self.n {
             let Some(p) = &self.pending[r] else { continue };
             let (what, mut waiting_on) = match &p.op {
-                Op::Wait { reqs } => {
+                Op::Wait { reqs, .. } => {
                     let parts: Vec<String> = reqs
                         .iter()
-                        .map(|h| match self.reqs[r].get(h) {
+                        .map(|h| match self.reqs[r].get(&h) {
                             Some(rs) if rs.complete.is_some() => format!("req{h}(done)"),
                             Some(rs) if rs.is_recv => format!("req{h}(recv pending)"),
                             Some(_) => format!("req{h}(send pending)"),
@@ -1165,29 +1276,29 @@ impl Engine {
                     // An unmatched wildcard has no known peer and adds none.
                     let peers: Vec<Rank> = reqs
                         .iter()
-                        .filter_map(|h| self.reqs[r].get(h))
+                        .filter_map(|h| self.reqs[r].get(&h))
                         .filter(|rs| rs.complete.is_none())
                         .filter_map(|rs| rs.peer)
                         .collect();
                     (format!("MPI_Wait[{}]", parts.join(", ")), peers)
                 }
                 Op::Coll { kind, comm, .. } => {
-                    let slot = self.coll_slots.get(comm).and_then(|slots| {
-                        let seq = self.coll_seq[r]
-                            .get(comm)
-                            .copied()
-                            .unwrap_or(1)
-                            .saturating_sub(1);
-                        slots.iter().find(|s| s.seq == seq)
+                    let data = &self.comms[*comm as usize];
+                    let slot = data.rel(r).and_then(|me| {
+                        let seq = data.entered[me].saturating_sub(1);
+                        data.open.iter().find(|s| s.seq == seq)
                     });
-                    let arrived = slot.map(|s| s.arrivals.len()).unwrap_or(0);
-                    let members = &self.comms[*comm as usize].members;
+                    let arrived = slot.map_or(0, |s| s.arrived);
+                    let members = &data.members;
                     // Wait-for edge: the members that have not arrived yet.
-                    let stragglers: Vec<Rank> = members
-                        .iter()
-                        .copied()
-                        .filter(|m| slot.map(|s| !s.arrivals.contains_key(m)).unwrap_or(false))
-                        .collect();
+                    let stragglers: Vec<Rank> = slot.map_or_else(Vec::new, |s| {
+                        members
+                            .iter()
+                            .zip(&s.arrivals)
+                            .filter(|(_, a)| a.is_none())
+                            .map(|(&m, _)| m)
+                            .collect()
+                    });
                     (
                         format!("{kind}(comm {comm}, {arrived}/{} arrived)", members.len()),
                         stragglers,

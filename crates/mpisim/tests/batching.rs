@@ -496,3 +496,161 @@ fn a_body_that_panics_after_deferring_delivers_its_ops_first() {
     assert_eq!(observed.events[1].len(), 2 * (WINDOW + 20));
     assert_legs_agree("panic after deferring", |w| w, body);
 }
+
+// -- wait forms --------------------------------------------------------------
+//
+// A wait names its handles as a run when they were issued back to back and as
+// a list otherwise, and a status-ignoring wait is answered with the clock
+// alone. Neither may show: statuses come back in request order, a status
+// read after ignored ones names the message it matched, and the errors and
+// deadlock diagnostics are worded as they always were.
+
+#[test]
+fn a_waitall_over_scattered_handles_returns_statuses_in_request_order() {
+    for batching in [false, true] {
+        let seen: Arc<Mutex<Vec<Option<MsgInfo>>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        World::new(4)
+            .network(network::ethernet_cluster())
+            .op_batching(batching)
+            .run(move |ctx| {
+                let w = ctx.world();
+                if ctx.rank() == 0 {
+                    let r1 = ctx.irecv(Src::Rank(1), TagSel::Is(1), 100, &w);
+                    let r2 = ctx.irecv(Src::Any, TagSel::Is(2), 200, &w);
+                    let r3 = ctx.irecv(Src::Rank(3), TagSel::Any, 300, &w);
+                    let s = ctx.isend(1, 9, 8, &w);
+                    *sink.lock().unwrap() = ctx.waitall(&[r3, s, r1, r2]);
+                } else {
+                    let r = ctx.rank();
+                    ctx.send(0, r as i32, 100 * r as u64, &w);
+                    if r == 1 {
+                        ctx.recv_ignore(Src::Rank(0), TagSel::Is(9), 8, &w);
+                    }
+                }
+            })
+            .unwrap();
+        let status = |source: usize| {
+            Some(MsgInfo {
+                source,
+                tag: source as i32,
+                bytes: 100 * source as u64,
+            })
+        };
+        assert_eq!(
+            *seen.lock().unwrap(),
+            vec![status(3), None, status(1), status(2)],
+            "batching {batching}"
+        );
+    }
+}
+
+#[test]
+fn a_wildcard_status_after_a_window_of_ignored_receives_names_its_source() {
+    let body = |leg: Leg, seen: Arc<Mutex<Vec<MsgInfo>>>| {
+        move |ctx: &mut Ctx| {
+            let w = ctx.world();
+            let rounds = WINDOW / 2;
+            if ctx.rank() == 0 {
+                for _ in 0..rounds * (ctx.size() - 1) {
+                    ctx.recv_ignore(Src::Any, TagSel::Is(1), 64, &w);
+                }
+                if let Some(info) = recv_on(ctx, leg, Src::Any, TagSel::Any, 64) {
+                    seen.lock().unwrap().push(info);
+                }
+            } else {
+                for _ in 0..rounds {
+                    ctx.compute(SimDuration::from_usecs(ctx.rank() as u64));
+                    ctx.send(0, 1, 64, &w);
+                }
+                if ctx.rank() == 2 {
+                    ctx.send(0, 77, 48, &w);
+                }
+            }
+        }
+    };
+    let seen: Vec<_> = LEGS
+        .iter()
+        .map(|_| Arc::new(Mutex::new(Vec::new())))
+        .collect();
+    assert_legs_agree(
+        "wildcard after ignored receives",
+        |w| w,
+        |leg| body(leg, Arc::clone(&seen[leg as usize])),
+    );
+    let want = vec![MsgInfo {
+        source: 2,
+        tag: 77,
+        bytes: 48,
+    }];
+    assert_eq!(*seen[Leg::Unbatched as usize].lock().unwrap(), want);
+    assert_eq!(*seen[Leg::Status as usize].lock().unwrap(), want);
+}
+
+#[test]
+fn a_run_holding_a_completed_handle_is_still_an_invalid_handle() {
+    let body = |leg: Leg| {
+        move |ctx: &mut Ctx| {
+            let w = ctx.world();
+            match ctx.rank() {
+                0 => {
+                    let a = ctx.isend(1, 0, 8, &w);
+                    let b = ctx.isend(1, 0, 8, &w);
+                    waitall_on(ctx, leg, &[a]);
+                    // `a` and `b` are consecutive: a run naming a request
+                    // the previous wait already completed.
+                    waitall_on(ctx, leg, &[a, b]);
+                }
+                1 => {
+                    for _ in 0..2 {
+                        recv_on(ctx, leg, Src::Rank(0), TagSel::Is(0), 8);
+                    }
+                }
+                _ => {}
+            }
+        }
+    };
+    for leg in LEGS {
+        let (observed, _) = observe(leg, |w| w, body(leg));
+        assert_eq!(
+            observed.outcome,
+            Err(SimError::InvalidHandle(
+                "rank 0 waited on unknown or already-completed request 1".into()
+            )),
+            "{leg:?}"
+        );
+    }
+    assert_legs_agree("completed handle in a run", |w| w, body);
+}
+
+#[test]
+fn a_deadlocked_run_form_wait_is_described_as_before() {
+    let body = |leg: Leg| {
+        move |ctx: &mut Ctx| {
+            let w = ctx.world();
+            let peer = ctx.rank() ^ 1;
+            // Handles 1..=3, issued back to back: a run. Nobody sends tag 5,
+            // nobody receives tag 1 (past the eager limit, so its send
+            // waits for a receive), and tag 2 is eager, so done on issue.
+            let r = ctx.irecv(Src::Rank(peer), TagSel::Is(5), 8, &w);
+            let s1 = ctx.isend(peer, 1, 1 << 20, &w);
+            let s2 = ctx.isend(peer, 2, 8, &w);
+            waitall_on(ctx, leg, &[r, s1, s2]);
+        }
+    };
+    let (observed, _) = observe(Leg::Ignore, |w| w, body(Leg::Ignore));
+    let err = observed.outcome.expect_err("the run deadlocks");
+    assert_eq!(
+        err.to_string(),
+        "deadlock: no rank can make progress\n\
+         \x20 rank 0 @ 10.000us: blocked on MPI_Wait[req1(recv pending), req2(send pending), \
+         req3(done)] (waiting on rank(s) 1)\n\
+         \x20 rank 1 @ 10.000us: blocked on MPI_Wait[req1(recv pending), req2(send pending), \
+         req3(done)] (waiting on rank(s) 0)\n\
+         \x20 rank 2 @ 10.000us: blocked on MPI_Wait[req1(recv pending), req2(send pending), \
+         req3(done)] (waiting on rank(s) 3)\n\
+         \x20 rank 3 @ 10.000us: blocked on MPI_Wait[req1(recv pending), req2(send pending), \
+         req3(done)] (waiting on rank(s) 2)\n"
+    );
+    assert_legs_agree("run-form wait deadlock", |w| w, body);
+}

@@ -2,7 +2,9 @@
 //! self-messaging, nested communicators, timing corner cases, and stats
 //! accounting.
 
+use mpisim::comm::Comm;
 use mpisim::engine::MatchPolicy;
+use mpisim::error::SimError;
 use mpisim::network::{self, FlatNetwork};
 use mpisim::time::SimDuration;
 use mpisim::types::{Src, TagSel};
@@ -64,6 +66,64 @@ fn empty_waitall_is_a_noop() {
         })
         .unwrap();
     assert_eq!(report.total_time.as_nanos(), 0);
+}
+
+#[test]
+fn a_handle_named_twice_in_one_wait_is_an_invalid_handle() {
+    // Validation used to check each handle against the live requests, which
+    // a repeated handle passes; completing the wait then removed it twice
+    // and took the whole process down.
+    for ignore in [false, true] {
+        let err = World::new(2)
+            .run(move |ctx| {
+                let w = ctx.world();
+                let peer = ctx.rank() ^ 1;
+                let r = ctx.irecv(Src::Rank(peer), TagSel::Is(0), 8, &w);
+                let s = ctx.isend(peer, 0, 8, &w);
+                if ignore {
+                    ctx.waitall_ignore(&[r, s, r]);
+                } else {
+                    ctx.waitall(&[s, s]);
+                }
+            })
+            .unwrap_err();
+        let want = if ignore {
+            "rank 0 waited on request 1 twice in one call"
+        } else {
+            "rank 0 waited on request 2 twice in one call"
+        };
+        assert_eq!(err, SimError::InvalidHandle(want.into()), "ignore {ignore}");
+    }
+}
+
+#[test]
+fn a_collective_on_a_communicator_the_rank_is_not_in_is_an_invalid_rank() {
+    let err = World::new(4)
+        .run(|ctx| {
+            let w = ctx.world();
+            let half = ctx.comm_split(&w, (ctx.rank() / 2) as i64, ctx.rank() as i64);
+            if ctx.rank() == 2 {
+                // The other half's communicator, forged from its public fields.
+                let theirs = Comm {
+                    id: half.id - 1,
+                    rank: 0,
+                    size: 2,
+                    members: Arc::new(vec![0, 1]),
+                };
+                ctx.barrier(&theirs);
+            } else {
+                ctx.barrier(&half);
+            }
+        })
+        .unwrap_err();
+    assert_eq!(
+        err,
+        SimError::InvalidRank {
+            rank: 2,
+            comm: 1,
+            size: 2
+        }
+    );
 }
 
 #[test]
