@@ -42,28 +42,33 @@ impl Validator {
                 self.groups.insert(name.clone(), members);
             }
             Stmt::Partition { parent, groups } => {
-                let parent_members: Vec<usize> = match parent {
-                    None => (0..self.n).collect(),
-                    Some(g) => match self.groups.get(g) {
-                        Some(m) => m.clone(),
-                        None => {
-                            self.errors
-                                .push(format!("PARTITION references undeclared group {g}"));
-                            return;
-                        }
-                    },
-                };
-                let mut seen: BTreeSet<usize> = BTreeSet::new();
+                // Per task: is it in the parent, and has a group of this
+                // PARTITION claimed it yet?
+                let mut in_parent = vec![parent.is_none(); self.n];
+                if let Some(g) = parent {
+                    let Some(members) = self.groups.get(g) else {
+                        self.errors
+                            .push(format!("PARTITION references undeclared group {g}"));
+                        return;
+                    };
+                    for &m in members.iter().filter(|&&m| m < self.n) {
+                        in_parent[m] = true;
+                    }
+                }
+                let mut seen = vec![false; self.n];
                 for (name, runs) in groups {
                     let members = expand_runs(runs);
                     for &m in &members {
-                        if !parent_members.contains(&m) {
+                        if !in_parent.get(m).copied().unwrap_or(false) {
                             self.errors
                                 .push(format!("group {name}: task {m} is not in the parent set"));
                         }
-                        if !seen.insert(m) {
-                            self.errors
-                                .push(format!("group {name}: task {m} appears in two groups"));
+                        // A task past the world is reported once above.
+                        if let Some(claimed) = seen.get_mut(m) {
+                            if std::mem::replace(claimed, true) {
+                                self.errors
+                                    .push(format!("group {name}: task {m} appears in two groups"));
+                            }
                         }
                     }
                     self.groups.insert(name.clone(), members);
@@ -73,7 +78,6 @@ impl Validator {
                 // groups of the same original MPI_Comm_split (the benchmark
                 // generator emits one statement per adjacency run of split
                 // RSDs in the trace).
-                let _ = seen;
             }
             Stmt::For { count, body } => {
                 self.expr(count, vars);

@@ -1,51 +1,23 @@
-//! The trace-traversal framework and pluggable code generators.
+//! The trace traversal and the code generator, in one walk.
 //!
 //! "We designed a trace traversal framework that walks through the trace
-//! and invokes a language-dependent code generator for each RSD and PRSD.
-//! A code generator is a pluggable function that conforms to a predefined
-//! interface." (paper §4.1). [`CodeGenerator`] is that interface;
-//! [`ConceptualGenerator`] is the primary backend, and [`CTextGenerator`]
-//! demonstrates pluggability by emitting pseudo-C+MPI.
+//! and invokes a language-dependent code generator for each RSD and PRSD"
+//! (paper §4.1). Here coNCePTuaL is the one language, so the traversal and
+//! the generator are a single recursive walk over the trace: a PRSD becomes
+//! a `FOR` loop around its body's statements, adjacent `MPI_Comm_split`
+//! RSDs of one split become a `PARTITION`, and every other RSD becomes the
+//! statements its operation maps to.
 
 use crate::collectives::map_collective;
-use crate::taskset::{p2p_groups, taskset_of};
+use crate::taskset::{p2p_groups, runs_of, taskset_of};
 use conceptual::ast::{Expr, Program, Stmt, TimeUnit};
 use mpisim::comm::CommId;
 use mpisim::time::SimDuration;
 use mpisim::types::{Tag, TagSel};
-use scalatrace::params::SrcParam;
+use scalatrace::params::{RankParam, SrcParam};
+use scalatrace::rankset::RankSet;
 use scalatrace::trace::{OpTemplate, Rsd, Trace, TraceNode};
-
-/// The pluggable generator interface: the traversal calls these as it walks
-/// RSDs and PRSDs.
-pub trait CodeGenerator {
-    /// Called once before traversal starts.
-    fn begin(&mut self, trace: &Trace);
-    /// A PRSD with `count` iterations opens.
-    fn enter_loop(&mut self, count: u64);
-    /// The innermost open PRSD closes.
-    fn exit_loop(&mut self);
-    /// One RSD, in traversal order.
-    fn event(&mut self, rsd: &Rsd, trace: &Trace);
-}
-
-/// Walk the trace, invoking the generator for each node.
-pub fn traverse<G: CodeGenerator>(trace: &Trace, generator: &mut G) {
-    fn walk<G: CodeGenerator>(nodes: &[TraceNode], trace: &Trace, generator: &mut G) {
-        for n in nodes {
-            match n {
-                TraceNode::Event(rsd) => generator.event(rsd, trace),
-                TraceNode::Loop(p) => {
-                    generator.enter_loop(p.count);
-                    walk(&p.body, trace, generator);
-                    generator.exit_loop();
-                }
-            }
-        }
-    }
-    generator.begin(trace);
-    walk(&trace.nodes, trace, generator);
-}
+use std::collections::BTreeSet;
 
 /// Synthesise an MPI-level tag that keeps (communicator, tag) pairs
 /// distinct: generated programs express all point-to-point traffic over the
@@ -59,60 +31,128 @@ pub fn synth_tag(comm: CommId, tag: Tag) -> Tag {
     }
 }
 
-// ---------------------------------------------------------------------------
-// coNCePTuaL backend
-// ---------------------------------------------------------------------------
-
-/// Generates a [`Program`] from a (aligned, resolved) trace.
-pub struct ConceptualGenerator {
-    /// Statement stack: one frame per open loop.
-    stack: Vec<Vec<Stmt>>,
-    /// Pending `MPI_Comm_split` RSDs being coalesced into one PARTITION.
-    pending_split: Option<PendingSplit>,
-    /// Approximation notes gathered from Table 1 mappings.
-    pub notes: Vec<String>,
-    /// Smallest computation worth a COMPUTE statement.
-    pub compute_threshold: SimDuration,
-    /// Emit a provenance comment (`# MPI_Isend @sig…`) before each
-    /// generated statement group.
-    pub emit_comments: bool,
-    nranks: usize,
+/// Generate a coNCePTuaL program from a trace (which must already be
+/// aligned and wildcard-resolved as requested; [`crate::generate`] wires
+/// the full pipeline and validates its output). Computation at or below
+/// `compute_threshold` emits no `COMPUTE`; `emit_comments` puts a
+/// provenance comment (`# MPI_Isend @sig…`) before each statement group.
+/// Returns the program and the approximation notes of Table 1's mappings.
+pub fn program_of_with(
+    trace: &Trace,
+    compute_threshold: SimDuration,
+    emit_comments: bool,
+) -> (Program, Vec<String>) {
+    let mut walk = Walk {
+        trace,
+        compute_threshold,
+        emit_comments,
+        notes: Vec::new(),
+    };
+    let stmts = walk.block(&trace.nodes);
+    (Program::new(stmts), walk.notes)
 }
 
-struct PendingSplit {
+/// The walk's options and what it gathers on the way.
+struct Walk<'t> {
+    trace: &'t Trace,
+    compute_threshold: SimDuration,
+    emit_comments: bool,
+    /// Approximation notes gathered from Table 1 mappings, deduplicated.
+    notes: Vec<String>,
+}
+
+/// `MPI_Comm_split` RSDs being coalesced into one `PARTITION`.
+struct PendingSplit<'t> {
     parent: CommId,
     sig: u64,
     /// (result comm id, members)
-    groups: Vec<(CommId, Vec<usize>)>,
+    groups: Vec<(CommId, &'t [usize])>,
+    /// Every member of `groups`.
+    covered: BTreeSet<usize>,
 }
 
-impl ConceptualGenerator {
-    /// A generator with default options.
-    pub fn new() -> ConceptualGenerator {
-        ConceptualGenerator {
-            stack: vec![Vec::new()],
-            pending_split: None,
-            notes: Vec::new(),
-            compute_threshold: SimDuration::ZERO,
-            emit_comments: false,
-            nranks: 0,
+impl<'t> PendingSplit<'t> {
+    fn new(parent: CommId, sig: u64) -> PendingSplit<'t> {
+        PendingSplit {
+            parent,
+            sig,
+            groups: Vec::new(),
+            covered: BTreeSet::new(),
         }
     }
 
-    /// Finish generation and return the program.
-    pub fn finish(mut self) -> (Program, Vec<String>) {
-        self.flush_split();
-        assert_eq!(self.stack.len(), 1, "unbalanced loop nesting");
-        let stmts = self.stack.pop().unwrap();
-        (Program::new(stmts), self.notes)
+    /// Does this group belong to the same split? Same call site and parent,
+    /// and disjoint from every group so far: one `MPI_Comm_split`'s groups
+    /// are disjoint, so an overlap proves a second split from that site.
+    fn continued_by(&self, parent: CommId, sig: u64, members: &[usize]) -> bool {
+        self.parent == parent
+            && self.sig == sig
+            && !members.iter().any(|m| self.covered.contains(m))
     }
 
-    fn push(&mut self, s: Stmt) {
-        self.stack.last_mut().expect("stack nonempty").push(s);
+    fn add(&mut self, result: CommId, members: &'t [usize]) {
+        self.covered.extend(members.iter().copied());
+        self.groups.push((result, members));
     }
 
-    fn push_all(&mut self, stmts: Vec<Stmt>) {
-        self.stack.last_mut().expect("stack nonempty").extend(stmts);
+    fn into_stmt(self) -> Stmt {
+        Stmt::Partition {
+            parent: (self.parent != 0).then(|| group_name(self.parent)),
+            groups: self
+                .groups
+                .into_iter()
+                .map(|(id, members)| {
+                    let ranks = RankSet::from_ranks(members.iter().copied());
+                    (group_name(id), runs_of(&ranks))
+                })
+                .collect(),
+        }
+    }
+}
+
+/// The group name used for a recorded communicator.
+fn group_name(comm: CommId) -> String {
+    format!("comm{comm}")
+}
+
+impl<'t> Walk<'t> {
+    /// The statements of one node sequence. A loop flushes the pending
+    /// split, so a `PARTITION` never spans a loop boundary, and its body
+    /// becomes a fresh sequence inside a `FOR` of the PRSD's count.
+    fn block(&mut self, nodes: &'t [TraceNode]) -> Vec<Stmt> {
+        let mut out = Vec::new();
+        let mut split: Option<PendingSplit<'t>> = None;
+        for node in nodes {
+            match node {
+                TraceNode::Loop(p) => {
+                    out.extend(split.take().map(PendingSplit::into_stmt));
+                    let body = self.block(&p.body);
+                    out.push(Stmt::For {
+                        count: Expr::num(p.count as i64),
+                        body,
+                    });
+                }
+                TraceNode::Event(rsd) => match &rsd.op {
+                    OpTemplate::CommSplit { parent, result } => {
+                        let members = self.trace.comms.members(*result);
+                        if !split
+                            .as_ref()
+                            .is_some_and(|s| s.continued_by(*parent, rsd.sig, members))
+                        {
+                            let done = split.replace(PendingSplit::new(*parent, rsd.sig));
+                            out.extend(done.map(PendingSplit::into_stmt));
+                        }
+                        split.as_mut().expect("just set").add(*result, members);
+                    }
+                    _ => {
+                        out.extend(split.take().map(PendingSplit::into_stmt));
+                        self.event(rsd, &mut out);
+                    }
+                },
+            }
+        }
+        out.extend(split.map(PendingSplit::into_stmt));
+        out
     }
 
     fn note(&mut self, note: String) {
@@ -121,88 +161,11 @@ impl ConceptualGenerator {
         }
     }
 
-    /// The group name used for a recorded communicator.
-    pub fn group_name(comm: CommId) -> String {
-        format!("comm{comm}")
-    }
-
-    fn flush_split(&mut self) {
-        let Some(split) = self.pending_split.take() else {
-            return;
-        };
-        let parent = (split.parent != 0).then(|| Self::group_name(split.parent));
-        let groups = split
-            .groups
-            .into_iter()
-            .map(|(id, members)| {
-                let ranks = scalatrace::rankset::RankSet::from_ranks(members);
-                (Self::group_name(id), crate::taskset::runs_of(&ranks))
-            })
-            .collect();
-        self.push(Stmt::Partition { parent, groups });
-    }
-
-    fn emit_compute(&mut self, rsd: &Rsd) {
-        let mean = rsd.compute.mean();
-        if mean > self.compute_threshold && mean > SimDuration::ZERO {
-            self.push(Stmt::Compute {
-                tasks: taskset_of(&rsd.ranks, self.nranks, false),
-                amount: Expr::num(mean.as_nanos() as i64),
-                unit: TimeUnit::Nanoseconds,
-            });
-        }
-    }
-}
-
-impl Default for ConceptualGenerator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CodeGenerator for ConceptualGenerator {
-    fn begin(&mut self, trace: &Trace) {
-        self.nranks = trace.nranks;
-    }
-
-    fn enter_loop(&mut self, _count: u64) {
-        self.flush_split();
-        self.stack.push(Vec::new());
-    }
-
-    fn exit_loop(&mut self) {
-        self.flush_split();
-        let body = self.stack.pop().expect("loop frame");
-        // the count is re-supplied by the caller through a small trick: we
-        // record it when entering; see `traverse_program`
-        self.push(Stmt::For {
-            count: Expr::num(0), // patched by traverse_program
-            body,
-        });
-    }
-
-    fn event(&mut self, rsd: &Rsd, trace: &Trace) {
-        // Coalesce adjacent CommSplit RSDs from one original split.
-        if let OpTemplate::CommSplit { parent, result } = &rsd.op {
-            let members: Vec<usize> = trace.comms.members(*result).to_vec();
-            match &mut self.pending_split {
-                Some(p) if p.parent == *parent && p.sig == rsd.sig => {
-                    p.groups.push((*result, members));
-                }
-                _ => {
-                    self.flush_split();
-                    self.pending_split = Some(PendingSplit {
-                        parent: *parent,
-                        sig: rsd.sig,
-                        groups: vec![(*result, members)],
-                    });
-                }
-            }
-            return;
-        }
-        self.flush_split();
+    /// The statements of one RSD other than a split.
+    fn event(&mut self, rsd: &Rsd, out: &mut Vec<Stmt>) {
+        let n = self.trace.nranks;
         if self.emit_comments {
-            self.push(Stmt::Comment(format!(
+            out.push(Stmt::Comment(format!(
                 "{} @{:08x} ranks {} ({} events)",
                 rsd.op.mpi_name(),
                 rsd.sig >> 32,
@@ -210,7 +173,14 @@ impl CodeGenerator for ConceptualGenerator {
                 rsd.compute.count().max(1),
             )));
         }
-        self.emit_compute(rsd);
+        let mean = rsd.compute.mean();
+        if mean > self.compute_threshold && mean > SimDuration::ZERO {
+            out.push(Stmt::Compute {
+                tasks: taskset_of(&rsd.ranks, n, false),
+                amount: Expr::num(mean.as_nanos() as i64),
+                unit: TimeUnit::Nanoseconds,
+            });
+        }
 
         match &rsd.op {
             OpTemplate::Send {
@@ -222,8 +192,8 @@ impl CodeGenerator for ConceptualGenerator {
             } => {
                 for (comm_id, sub) in comm.groups(&rsd.ranks) {
                     for g in p2p_groups(&sub, Some(to), bytes) {
-                        self.push(Stmt::Send {
-                            src: taskset_of(&g.ranks, self.nranks, true),
+                        out.push(Stmt::Send {
+                            src: taskset_of(&g.ranks, n, true),
                             dst: g.peer.expect("sends have peers"),
                             bytes: g.bytes,
                             tag: synth_tag(comm_id, *tag),
@@ -251,37 +221,24 @@ impl CodeGenerator for ConceptualGenerator {
                             synth_tag(comm_id, 0)
                         }
                     };
-                    match from {
-                        SrcParam::Any => {
-                            for g in p2p_groups(&sub, None, bytes) {
-                                self.push(Stmt::Receive {
-                                    dst: taskset_of(&g.ranks, self.nranks, true),
-                                    src: None,
-                                    bytes: g.bytes,
-                                    tag,
-                                    is_async: !blocking,
-                                });
-                            }
-                        }
-                        SrcParam::Rank(p) => {
-                            for g in p2p_groups(&sub, Some(p), bytes) {
-                                self.push(Stmt::Receive {
-                                    dst: taskset_of(&g.ranks, self.nranks, true),
-                                    src: Some(g.peer.expect("grouped peer")),
-                                    bytes: g.bytes,
-                                    tag,
-                                    is_async: !blocking,
-                                });
-                            }
-                        }
+                    let peer = match from {
+                        SrcParam::Any => None,
+                        SrcParam::Rank(p) => Some(p),
+                    };
+                    for g in p2p_groups(&sub, peer, bytes) {
+                        out.push(Stmt::Receive {
+                            dst: taskset_of(&g.ranks, n, true),
+                            src: peer.map(|_| g.peer.expect("grouped peer")),
+                            bytes: g.bytes,
+                            tag,
+                            is_async: !blocking,
+                        });
                     }
                 }
             }
-            OpTemplate::Wait { .. } => {
-                self.push(Stmt::Await {
-                    tasks: taskset_of(&rsd.ranks, self.nranks, false),
-                });
-            }
+            OpTemplate::Wait { .. } => out.push(Stmt::Await {
+                tasks: taskset_of(&rsd.ranks, n, false),
+            }),
             OpTemplate::Coll {
                 kind,
                 root,
@@ -292,176 +249,28 @@ impl CodeGenerator for ConceptualGenerator {
                 // subcommunicators (e.g. per-column allreduces): emit one
                 // statement per communicator instance.
                 for (comm_id, sub) in comm.groups(&rsd.ranks) {
-                    let group_name;
-                    let group = if comm_id != 0 {
-                        group_name = Self::group_name(comm_id);
-                        Some(group_name.as_str())
-                    } else {
-                        None
-                    };
+                    let name = (comm_id != 0).then(|| group_name(comm_id));
                     // MPI guarantees a single root per communicator; narrow
                     // the (possibly per-rank) root parameter to this one.
                     let narrowed_root = root.as_ref().map(|r| {
-                        scalatrace::params::RankParam::Const(
-                            r.eval(sub.first().expect("nonempty comm group")),
-                        )
+                        RankParam::Const(r.eval(sub.first().expect("nonempty comm group")))
                     });
                     let mapped = map_collective(
                         *kind,
                         &sub,
                         narrowed_root.as_ref(),
                         bytes,
-                        self.nranks,
-                        group,
+                        n,
+                        name.as_deref(),
                     );
                     if let Some(note) = mapped.note {
                         self.note(note);
                     }
-                    self.push_all(mapped.stmts);
+                    out.extend(mapped.stmts);
                 }
             }
-            OpTemplate::CommSplit { .. } => unreachable!("handled above"),
+            OpTemplate::CommSplit { .. } => unreachable!("block() coalesces splits"),
         }
-    }
-}
-
-/// Generate a coNCePTuaL program from a trace (which must already be
-/// aligned and wildcard-resolved as requested; [`crate::generate`] wires
-/// the full pipeline).
-pub fn program_of(trace: &Trace, compute_threshold: SimDuration) -> (Program, Vec<String>) {
-    program_of_with(trace, compute_threshold, false)
-}
-
-/// As [`program_of`], optionally emitting per-statement provenance
-/// comments.
-pub fn program_of_with(
-    trace: &Trace,
-    compute_threshold: SimDuration,
-    emit_comments: bool,
-) -> (Program, Vec<String>) {
-    // Loop counts can't flow through the trait without clutter, so patch
-    // them in a post-pass that mirrors the traversal order.
-    let mut generator = ConceptualGenerator {
-        compute_threshold,
-        emit_comments,
-        ..ConceptualGenerator::new()
-    };
-    traverse(trace, &mut generator);
-    let (mut program, notes) = generator.finish();
-    patch_loop_counts(&mut program.stmts, &trace.nodes);
-    (program, notes)
-}
-
-/// Restore loop iteration counts: the statement tree's FOR nodes are in
-/// one-to-one traversal correspondence with the trace's PRSDs.
-fn patch_loop_counts(stmts: &mut [Stmt], nodes: &[TraceNode]) {
-    let loops: Vec<&scalatrace::trace::Prsd> = nodes
-        .iter()
-        .filter_map(|n| match n {
-            TraceNode::Loop(p) => Some(p),
-            _ => None,
-        })
-        .collect();
-    let fors: Vec<&mut Stmt> = stmts
-        .iter_mut()
-        .filter(|s| matches!(s, Stmt::For { .. }))
-        .collect();
-    assert_eq!(
-        loops.len(),
-        fors.len(),
-        "FOR statements must mirror PRSDs one-to-one"
-    );
-    for (f, p) in fors.into_iter().zip(loops) {
-        let Stmt::For { count, body } = f else {
-            unreachable!()
-        };
-        *count = Expr::num(p.count as i64);
-        patch_loop_counts(body, &p.body);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// C pseudo-code backend (pluggability demonstration)
-// ---------------------------------------------------------------------------
-
-/// A second backend emitting pseudo-C+MPI, demonstrating the pluggable
-/// generator interface of the paper's §4.1.
-pub struct CTextGenerator {
-    out: String,
-    indent: usize,
-    nranks: usize,
-}
-
-impl CTextGenerator {
-    /// An empty pseudo-C emitter.
-    pub fn new() -> CTextGenerator {
-        CTextGenerator {
-            out: String::new(),
-            indent: 1,
-            nranks: 0,
-        }
-    }
-
-    /// The generated pseudo-C source.
-    pub fn finish(self) -> String {
-        format!(
-            "/* auto-generated pseudo-C+MPI (nranks={}) */\nint main() {{\n{}}}\n",
-            self.nranks, self.out
-        )
-    }
-
-    fn line(&mut self, s: &str) {
-        for _ in 0..self.indent {
-            self.out.push_str("  ");
-        }
-        self.out.push_str(s);
-        self.out.push('\n');
-    }
-}
-
-impl Default for CTextGenerator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CodeGenerator for CTextGenerator {
-    fn begin(&mut self, trace: &Trace) {
-        self.nranks = trace.nranks;
-    }
-
-    fn enter_loop(&mut self, count: u64) {
-        self.line(&format!("for (int i = 0; i < {count}; i++) {{"));
-        self.indent += 1;
-    }
-
-    fn exit_loop(&mut self) {
-        self.indent -= 1;
-        self.line("}");
-    }
-
-    fn event(&mut self, rsd: &Rsd, _trace: &Trace) {
-        let guard = format!("if (rank in {}) ", rsd.ranks);
-        let mean = rsd.compute.mean();
-        if mean > SimDuration::ZERO {
-            self.line(&format!("{guard}compute_ns({});", mean.as_nanos()));
-        }
-        let call = match &rsd.op {
-            OpTemplate::Send { to, tag, bytes, .. } => {
-                format!("MPI_Isend(to={to}, tag={tag}, bytes={bytes});")
-            }
-            OpTemplate::Recv {
-                from, tag, bytes, ..
-            } => format!("MPI_Irecv(from={from}, tag={tag}, bytes={bytes});"),
-            OpTemplate::Wait { count } => format!("MPI_Waitall(n={count});"),
-            OpTemplate::Coll {
-                kind, bytes, comm, ..
-            } => format!("{}(bytes={bytes}, comm={comm});", kind.mpi_name()),
-            OpTemplate::CommSplit { parent, result } => {
-                format!("MPI_Comm_split(parent={parent}) /* -> comm {result} */;")
-            }
-        };
-        self.line(&format!("{guard}{call}"));
     }
 }
 
@@ -471,6 +280,10 @@ mod tests {
     use mpisim::network;
     use mpisim::types::Src;
     use scalatrace::trace_app;
+
+    fn plain_program(trace: &Trace) -> Program {
+        program_of_with(trace, SimDuration::ZERO, false).0
+    }
 
     fn ring_trace(n: usize, iters: usize) -> Trace {
         trace_app(n, network::ideal(), move |ctx| {
@@ -492,7 +305,7 @@ mod tests {
     #[test]
     fn ring_generates_compact_readable_program() {
         let trace = ring_trace(8, 500);
-        let (program, _notes) = program_of(&trace, SimDuration::ZERO);
+        let program = plain_program(&trace);
         let text = conceptual::printer::print(&program);
         assert!(text.contains("FOR 500 REPETITIONS {"), "{text}");
         assert!(
@@ -519,21 +332,10 @@ mod tests {
     #[test]
     fn generated_program_round_trips_through_parser() {
         let trace = ring_trace(4, 50);
-        let (program, _) = program_of(&trace, SimDuration::ZERO);
+        let program = plain_program(&trace);
         let text = conceptual::printer::print(&program);
         let back = conceptual::parser::parse(&text).expect("generated text parses");
         assert_eq!(back, program);
-    }
-
-    #[test]
-    fn c_backend_demonstrates_pluggability() {
-        let trace = ring_trace(4, 10);
-        let mut generator = CTextGenerator::new();
-        traverse(&trace, &mut generator);
-        let c = generator.finish();
-        assert!(c.contains("for (int i = 0; i < 10; i++)"));
-        assert!(c.contains("MPI_Isend"));
-        assert!(c.contains("MPI_Waitall"));
     }
 
     #[test]
@@ -545,7 +347,7 @@ mod tests {
             ctx.finalize();
         })
         .unwrap();
-        let (program, _) = program_of(&traced.trace, SimDuration::ZERO);
+        let program = plain_program(&traced.trace);
         let text = conceptual::printer::print(&program);
         // the original split surfaces as (possibly sibling) PARTITIONs
         assert!(text.contains("GROUP comm1 = {0-3}"), "{text}");
@@ -559,27 +361,80 @@ mod tests {
         assert!(outcome.report.stats.collectives > 0);
     }
 
-    #[test]
-    fn nested_loops_patch_counts_correctly() {
-        let trace = trace_app(2, network::ideal(), |ctx| {
-            let w = ctx.world();
-            for _ in 0..4 {
-                for _ in 0..7 {
-                    ctx.allreduce(8, &w);
-                }
-                ctx.barrier(&w);
-            }
+    fn node(ranks: impl IntoIterator<Item = usize>, sig: u64, op: OpTemplate) -> TraceNode {
+        TraceNode::Event(Rsd {
+            ranks: RankSet::from_ranks(ranks),
+            sig,
+            op,
+            compute: scalatrace::timestats::TimeStats::new(),
         })
-        .unwrap()
-        .trace;
-        let (program, _) = program_of(&trace, SimDuration::ZERO);
+    }
+
+    fn world_coll(kind: mpisim::types::CollKind, sig: u64) -> TraceNode {
+        let op = OpTemplate::Coll {
+            kind,
+            root: None,
+            bytes: scalatrace::params::ValParam::Const(8),
+            comm: scalatrace::params::CommParam::Const(0),
+        };
+        node(0..4, sig, op)
+    }
+
+    fn lp(count: u64, body: Vec<TraceNode>) -> TraceNode {
+        TraceNode::Loop(scalatrace::trace::Prsd { count, body })
+    }
+
+    #[test]
+    fn nested_loops_keep_their_counts() {
+        // Three levels, with a split inside the innermost loop: each FOR
+        // carries its own PRSD's count, and the split's PARTITION stays in
+        // the loop whose body holds it.
+        use mpisim::types::CollKind::{Allreduce, Barrier};
+        let mut trace = Trace::new(4);
+        trace.comms.insert(1, vec![0, 1]);
+        trace.comms.insert(2, vec![2, 3]);
+        let split = |result, ranks| node(ranks, 1, OpTemplate::CommSplit { parent: 0, result });
+        let inner = lp(
+            7,
+            vec![split(1, 0..2), split(2, 2..4), world_coll(Barrier, 2)],
+        );
+        let middle = lp(4, vec![inner, world_coll(Allreduce, 3)]);
+        trace.nodes = vec![lp(3, vec![middle, world_coll(Barrier, 4)])];
+        let program = plain_program(&trace);
         let text = conceptual::printer::print(&program);
-        assert!(text.contains("FOR 4 REPETITIONS {"), "{text}");
-        assert!(text.contains("FOR 7 REPETITIONS {"), "{text}");
-        // nesting order: the 7-loop sits inside the 4-loop
-        let outer = text.find("FOR 4").unwrap();
-        let inner = text.find("FOR 7").unwrap();
-        assert!(inner > outer, "{text}");
+        let at = |what: &str| {
+            text.find(what)
+                .unwrap_or_else(|| panic!("{what} missing:\n{text}"))
+        };
+        // nesting order: 3 ⊃ 4 ⊃ 7 ⊃ the split
+        assert!(
+            at("FOR 3 REPETITIONS {") < at("FOR 4 REPETITIONS {"),
+            "{text}"
+        );
+        assert!(
+            at("FOR 4 REPETITIONS {") < at("FOR 7 REPETITIONS {"),
+            "{text}"
+        );
+        assert!(at("FOR 7 REPETITIONS {") < at("PARTITION"), "{text}");
+        let mut level = &program.stmts;
+        for want in [3, 4, 7] {
+            let Some(Stmt::For { count, body }) = level.first() else {
+                panic!("FOR {want} missing at its level:\n{text}")
+            };
+            assert_eq!(*count, Expr::num(want), "{text}");
+            level = body;
+        }
+        // both groups of the one split in one PARTITION, then the barrier
+        assert!(
+            matches!(&level[..], [Stmt::Partition { groups, .. }, Stmt::Sync { .. }] if groups.len() == 2),
+            "{text}"
+        );
+        assert!(
+            conceptual::analyze::validate(&program, 4).is_empty(),
+            "{text}"
+        );
+        let outcome = conceptual::interp::run_program(&program, 4, network::ideal()).expect("runs");
+        assert!(outcome.report.stats.collectives > 0);
     }
 
     #[test]
@@ -600,7 +455,7 @@ mod tests {
         })
         .unwrap()
         .trace;
-        let (program, _) = program_of(&trace, SimDuration::ZERO);
+        let program = plain_program(&trace);
         let text = conceptual::printer::print(&program);
         for sz in [100u64, 400, 900] {
             assert!(

@@ -15,11 +15,13 @@
 //!    different call sites into single full-communicator RSDs.
 //! 3. **Algorithm 2** ([`wildcard`]) — replace `MPI_ANY_SOURCE` with
 //!    arbitrary-but-valid concrete sources; report potential deadlocks.
-//! 4. **Code generation** ([`codegen`]) — the trace-traversal framework
-//!    invokes a pluggable backend per RSD/PRSD; the coNCePTuaL backend maps
+//! 4. **Code generation** ([`codegen`]) — one walk over the trace maps
 //!    point-to-point RSDs to SEND/RECEIVE, computation to COMPUTE, PRSDs to
 //!    FOR loops, communicators to PARTITION groups in absolute ranks
 //!    (§4.2), and collectives per Table 1 ([`collectives`]).
+//! 5. **Validation** — [`conceptual::analyze::validate`] checks the program
+//!    before it is returned, so `generate` never hands out a program the
+//!    interpreter would refuse ([`GenError::InvalidProgram`]).
 //!
 //! ```
 //! use mpisim::{network, time::SimDuration, types::{Src, TagSel}};
@@ -63,7 +65,6 @@ use scalatrace::trace::Trace;
 
 pub use align::align_collectives;
 pub use chaos::{differential_plans, ChaosOutcome, ChaosReport, ChaosVerdict};
-pub use codegen::{program_of, CTextGenerator, CodeGenerator, ConceptualGenerator};
 pub use wildcard::{resolve_wildcards, WildcardOutcome};
 
 /// Generation options.
@@ -78,8 +79,6 @@ pub struct GenOptions {
     /// Emit a provenance comment before each generated statement group
     /// (routine name, call-site signature, rank set, event count).
     pub emit_comments: bool,
-    /// Extra header comment lines for provenance.
-    pub header: Vec<String>,
 }
 
 impl Default for GenOptions {
@@ -89,7 +88,6 @@ impl Default for GenOptions {
             resolve_wildcards: true,
             compute_threshold: SimDuration::ZERO,
             emit_comments: false,
-            header: Vec::new(),
         }
     }
 }
@@ -107,6 +105,9 @@ pub enum GenError {
     /// Algorithm 1 found collectives that cannot be combined (mismatched
     /// kinds on one communicator, or a stalled traversal).
     UnalignableCollective(String),
+    /// The generated program fails [`conceptual::analyze::validate`]; one
+    /// entry per diagnostic.
+    InvalidProgram(Vec<String>),
 }
 
 impl std::fmt::Display for GenError {
@@ -124,6 +125,13 @@ impl std::fmt::Display for GenError {
             }
             GenError::UnalignableCollective(what) => {
                 write!(f, "cannot align collectives: {what}")
+            }
+            GenError::InvalidProgram(errors) => {
+                writeln!(f, "the generated program fails validation:")?;
+                for e in errors {
+                    writeln!(f, "  {e}")?;
+                }
+                Ok(())
             }
         }
     }
@@ -170,7 +178,7 @@ pub fn generate(trace: &Trace, opts: &GenOptions) -> Result<GeneratedBenchmark, 
     let (mut program, notes) =
         codegen::program_of_with(current, opts.compute_threshold, opts.emit_comments);
 
-    program.header = build_header(trace, opts, aligned, wildcards_resolved, &notes);
+    program.header = build_header(trace, aligned, wildcards_resolved, &notes);
     // Canonical form: the text grammar folds leading comment statements
     // into the header, so emit them there to keep parse(print(p)) == p.
     while matches!(
@@ -180,6 +188,10 @@ pub fn generate(trace: &Trace, opts: &GenOptions) -> Result<GeneratedBenchmark, 
         if let conceptual::ast::Stmt::Comment(c) = program.stmts.remove(0) {
             program.header.push(c);
         }
+    }
+    let errors = conceptual::analyze::validate(&program, trace.nranks);
+    if !errors.is_empty() {
+        return Err(GenError::InvalidProgram(errors));
     }
     Ok(GeneratedBenchmark {
         program,
@@ -191,7 +203,6 @@ pub fn generate(trace: &Trace, opts: &GenOptions) -> Result<GeneratedBenchmark, 
 
 fn build_header(
     trace: &Trace,
-    opts: &GenOptions,
     aligned: bool,
     wildcards_resolved: usize,
     notes: &[String],
@@ -216,6 +227,5 @@ fn build_header(
     for n in notes {
         header.push(format!("approximation: {n}"));
     }
-    header.extend(opts.header.iter().cloned());
     header
 }

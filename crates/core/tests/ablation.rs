@@ -3,7 +3,7 @@
 //! threshold trades away. These pin down *why* the pipeline needs each
 //! stage (DESIGN.md §5).
 
-use benchgen::{generate, GenOptions};
+use benchgen::{generate, GenError, GenOptions};
 use conceptual::printer::print;
 use miniapps::{registry, AppParams, Class};
 use mpisim::network;
@@ -20,8 +20,9 @@ fn params() -> AppParams {
 
 /// Without Algorithm 1, Sweep3D's split-call-site collectives remain
 /// separate partial-communicator RSDs, and the generated program stops
-/// being a valid benchmark: either it fails validation or its profile
-/// diverges. With Algorithm 1 the same trace generates cleanly.
+/// being a valid benchmark: some collectives reach it with a single task
+/// as their subject, so `generate` refuses it. With Algorithm 1 the same
+/// trace generates cleanly.
 #[test]
 fn without_algorithm1_split_collectives_stay_partial() {
     let app = registry::lookup("sweep3d").unwrap();
@@ -29,18 +30,26 @@ fn without_algorithm1_split_collectives_stay_partial() {
     let traced = trace_app(8, network::ideal(), move |ctx| (app.run)(ctx, &p)).unwrap();
     assert!(traced.trace.has_unaligned_collectives());
 
-    let without = generate(
+    let refused = generate(
         &traced.trace,
         &GenOptions {
             align_collectives: false,
             ..GenOptions::default()
         },
-    )
-    .expect("generation itself succeeds");
-    assert!(!without.aligned);
-    // the un-aligned program must contain collectives over *partial* task
+    );
+    match refused {
+        Err(GenError::InvalidProgram(errors)) => assert!(
+            errors
+                .iter()
+                .all(|e| e.contains("requires a multi-task subject")),
+            "{errors:?}"
+        ),
+        other => panic!("an unaligned sweep3d must fail validation: {other:?}"),
+    }
+    // the un-aligned program contains collectives over *partial* task
     // sets: SYNCHRONIZE/REDUCE statements with SUCH THAT subjects
-    let text = print(&without.program);
+    let (without, _) = benchgen::codegen::program_of_with(&traced.trace, SimDuration::ZERO, false);
+    let text = print(&without);
     let partial_colls = text
         .lines()
         .filter(|l| (l.contains("SYNCHRONIZE") || l.contains("REDUCE")) && l.contains("SUCH THAT"))
@@ -149,12 +158,10 @@ fn naive_conversion_is_still_printable() {
             resolve_wildcards: false,
             compute_threshold: SimDuration::from_secs(3600),
             emit_comments: true,
-            header: vec!["naive mode".into()],
         },
     )
     .expect("generates");
     let text = print(&naive.program);
-    assert!(text.contains("naive mode"));
     let parsed = conceptual::parser::parse(&text).expect("still parses");
     assert_eq!(parsed, naive.program);
 }

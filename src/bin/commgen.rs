@@ -11,7 +11,6 @@
 //! commgen --trace cg.st                            # generate from a trace file
 //! commgen --trace cg.stbs                          # ... or its binary twin
 //! commgen --app ft --ranks 16 --run                # also execute the benchmark
-//! commgen --app sp --ranks 16 --backend c          # pseudo-C+MPI backend
 //! commgen --app ring --ranks 8 --extrapolate 512   # ScalaExtrap-style scaling
 //! ```
 
@@ -39,7 +38,6 @@ struct Args {
     no_align: bool,
     no_resolve: bool,
     comments: bool,
-    backend: String,
     machine: String,
     extrapolate: Option<usize>,
 }
@@ -80,7 +78,6 @@ fn parse_argv(argv: Vec<String>) -> Result<Args, String> {
         no_align: false,
         no_resolve: false,
         comments: false,
-        backend: "conceptual".to_string(),
         machine: "bgl".to_string(),
         extrapolate: None,
     };
@@ -99,15 +96,13 @@ fn parse_argv(argv: Vec<String>) -> Result<Args, String> {
             "--no-align" => args.no_align = true,
             "--no-resolve" => args.no_resolve = true,
             "--comments" => args.comments = true,
-            "--backend" => args.backend = argv.value()?,
             "--extrapolate" => args.extrapolate = Some(argv.parsed()?),
             "--machine" => args.machine = argv.value()?,
             "--help" | "-h" => {
                 return Err(format!(
                     "usage: commgen (--app NAME | --trace FILE) [--ranks N] \
                      [--class S|W|A|B|C] [-o FILE] [--emit-trace FILE] \
-                     [--profile FILE] [--run] \
-                     [--backend conceptual|c] [--machine {}] \
+                     [--profile FILE] [--run] [--machine {}] \
                      [--extrapolate N] [--stats] [--no-align] [--no-resolve] \
                      [--comments]",
                     network::NAMES.join("|")
@@ -124,12 +119,6 @@ fn parse_argv(argv: Vec<String>) -> Result<Args, String> {
     }
     if args.ranks == 0 {
         return Err("--ranks must be at least 1".to_string());
-    }
-    if !matches!(args.backend.as_str(), "conceptual" | "c") {
-        return Err(format!(
-            "unknown backend {} (expected conceptual|c)",
-            args.backend
-        ));
     }
     if network::by_name(&args.machine).is_none() {
         return Err(format!(
@@ -210,15 +199,8 @@ fn run(args: &Args) -> Result<(), String> {
         );
     }
 
-    // 3. Emit in the selected backend.
-    let text = match args.backend.as_str() {
-        "c" => {
-            let mut g = benchgen::CTextGenerator::new();
-            benchgen::codegen::traverse(&trace, &mut g);
-            g.finish()
-        }
-        _ => conceptual::printer::print(&generated.program),
-    };
+    // 3. Emit the program text.
+    let text = conceptual::printer::print(&generated.program);
     match &args.output {
         Some(path) => {
             write(path, &text)?;
@@ -227,24 +209,25 @@ fn run(args: &Args) -> Result<(), String> {
         None => print!("{text}"),
     }
 
-    // 4. Optionally execute the generated benchmark under mpiP hooks and
-    //    write the merged profile — the artifact the paper's E1 verification
-    //    (and the commspec server's `simulate` job) consumes.
+    // 4. Optionally execute the generated benchmark, once, under mpiP
+    //    hooks: `--profile` writes the merged profile — the artifact the
+    //    paper's E1 verification (and the commspec server's `simulate` job)
+    //    consumes — and `--run` reports the run. `generate` has validated
+    //    the program already.
+    if args.profile.is_none() && !args.run {
+        return Ok(());
+    }
     let program = Arc::new(generated.program);
+    let (report, profile) = execute_profiled(&program, trace.nranks, machine)
+        .map_err(|e| format!("generated benchmark failed: {e}"))?;
     if let Some(path) = &args.profile {
-        let (_, profile) = execute_profiled(&program, trace.nranks, machine.clone())
-            .map_err(|e| format!("generated benchmark failed: {e}"))?;
         write(path, &profile.to_string())?;
         eprintln!("mpiP profile written to {path}");
     }
-
-    // 5. Optionally execute the generated benchmark.
     if args.run {
-        let outcome = conceptual::interp::run_program(&program, trace.nranks, machine)
-            .map_err(|e| format!("generated benchmark failed: {e}"))?;
         eprintln!(
             "T_gen = {} ({} simulated ops in {} rank/engine crossings)",
-            outcome.total_time, outcome.report.stats.operations, outcome.report.crossings
+            report.total_time, report.stats.operations, report.crossings
         );
     }
     Ok(())
@@ -267,10 +250,9 @@ mod tests {
         assert!(a.run && a.stats);
         assert!(!a.no_align && !a.no_resolve);
 
-        let a = parse_argv(argv("--trace t.st -o out.ncptl --backend c")).unwrap();
+        let a = parse_argv(argv("--trace t.st -o out.ncptl")).unwrap();
         assert_eq!(a.trace_file, Some(PathBuf::from("t.st")));
         assert_eq!(a.output.as_deref(), Some("out.ncptl"));
-        assert_eq!(a.backend, "c");
 
         let a = parse_argv(argv("--app ring --extrapolate 512 --no-align --no-resolve")).unwrap();
         assert_eq!(a.extrapolate, Some(512));
@@ -299,13 +281,11 @@ mod tests {
         let err = parse_argv(argv("--app lu --trace t.st")).unwrap_err();
         assert!(err.contains("mutually exclusive"), "{err}");
         assert!(parse_argv(argv("--app lu --ranks 0")).is_err());
-        let err = parse_argv(argv("--app lu --backend fortran")).unwrap_err();
-        assert!(err.contains("unknown backend"), "{err}");
         let err = parse_argv(argv("--app lu --machine cray")).unwrap_err();
         assert!(err.contains("unknown machine"), "{err}");
         assert!(parse_argv(argv("--app lu --extrapolate 0")).is_err());
         // The accepted spellings still parse.
-        assert!(parse_argv(argv("--app lu --backend c --machine ethernet")).is_ok());
-        assert!(parse_argv(argv("--app lu --backend conceptual --machine bgl")).is_ok());
+        assert!(parse_argv(argv("--app lu --machine ethernet")).is_ok());
+        assert!(parse_argv(argv("--app lu --machine bgl")).is_ok());
     }
 }
