@@ -13,25 +13,26 @@
 //!
 //! Usage: `fig6 [--class S|W|A|B|C] [--max-ranks N] [--replay]`
 
-use bench_suite::{mape, measure_accuracy, print_table, AccuracyRow};
+use bench_suite::{mape, measure_accuracy, print_table, read_flags, AccuracyRow};
 use miniapps::{registry, AppParams, Class};
 use mpisim::network;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let class = args
-        .iter()
-        .position(|a| a == "--class")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(Class::A);
-    let max_ranks: usize = args
-        .iter()
-        .position(|a| a == "--max-ranks")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64);
-    let with_replay = args.iter().any(|a| a == "--replay");
+    let mut class = Class::A;
+    let mut max_ranks: usize = 64;
+    let mut with_replay = false;
+    read_flags(
+        "fig6 [--class S|W|A|B|C] [--max-ranks N] [--replay]",
+        |flag, argv| {
+            match flag {
+                "--class" => class = argv.parsed()?,
+                "--max-ranks" => max_ranks = argv.parsed()?,
+                "--replay" => with_replay = true,
+                _ => return Ok(false),
+            }
+            Ok(true)
+        },
+    );
 
     println!("Figure 6 reproduction: time accuracy for generated benchmarks");
     println!("network: BlueGene/L (simulated); class {}\n", class.name());

@@ -11,7 +11,7 @@
 //!
 //! Usage: `fig7 [--ranks N] [--class S|W|A|B|C]`
 
-use bench_suite::{print_table, trace_of};
+use bench_suite::{print_table, read_flags, trace_of};
 use benchgen::{generate, GenOptions};
 use conceptual::interp::run_program;
 use conceptual::transform::scale_compute;
@@ -19,19 +19,16 @@ use miniapps::{registry, AppParams, Class};
 use mpisim::network;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let ranks: usize = args
-        .iter()
-        .position(|a| a == "--ranks")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64);
-    let class = args
-        .iter()
-        .position(|a| a == "--class")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(Class::C);
+    let mut ranks: usize = 64;
+    let mut class = Class::C;
+    read_flags("fig7 [--ranks N] [--class S|W|A|B|C]", |flag, argv| {
+        match flag {
+            "--ranks" => ranks = argv.parsed()?,
+            "--class" => class = argv.parsed()?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    });
 
     println!("Figure 7 reproduction: BT what-if compute scaling on {ranks} ranks");
     println!(

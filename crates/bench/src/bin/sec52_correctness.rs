@@ -6,7 +6,8 @@
 //! equivalent to the original's, after replay-style normalisation.
 //!
 //! The paper reports both checks passing for all NPB codes and Sweep3D
-//! ("results not presented"); this binary presents the table.
+//! ("results not presented"); this binary presents the table, and exits 1
+//! if any app fails either check.
 
 use bench_suite::print_table;
 use benchgen::verify::{compare_profiles, execute_profiled, expected_profile, run_profiled};
@@ -15,12 +16,14 @@ use miniapps::{registry, AppParams, Class};
 use mpisim::network;
 use mpisim::types::CollKind;
 use scalatrace::{trace_app, ConcreteOp};
+use std::process::ExitCode;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> ExitCode {
     let n_default = 16;
     println!("Section 5.2 reproduction: communication correctness\n");
     let mut rows = Vec::new();
+    let mut failed = 0;
     for app in registry::paper_suite() {
         let ranks = [n_default, 16, 9, 8]
             .into_iter()
@@ -64,6 +67,7 @@ fn main() {
             }
         }
 
+        failed += usize::from(!e1.is_empty() || !e2_ok);
         rows.push(vec![
             app.name.to_string(),
             ranks.to_string(),
@@ -97,6 +101,11 @@ fn main() {
         ],
         &rows,
     );
+    if failed > 0 {
+        eprintln!("FAILED: {failed} of {} apps", rows.len());
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
 
 /// Event equivalence: identical, or an `MPI_ANY_SOURCE` receive in the

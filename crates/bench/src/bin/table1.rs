@@ -4,7 +4,7 @@
 //! traced and generated; the table reports which statements the mapping
 //! produced and verifies that the generated benchmark's per-routine MPI
 //! volume matches the Table-1 image of the original's (exactly, or on
-//! average for the v-variants).
+//! average for the v-variants); it exits 1 if any collective's check fails.
 
 use bench_suite::print_table;
 use benchgen::verify::{compare_profiles, execute_profiled, expected_profile, run_profiled};
@@ -15,6 +15,7 @@ use mpisim::network;
 use mpisim::time::SimDuration;
 use mpisim::types::CollKind;
 use scalatrace::trace_app;
+use std::process::ExitCode;
 use std::sync::Arc;
 
 fn stmt_kinds(stmts: &[Stmt]) -> Vec<String> {
@@ -75,10 +76,11 @@ fn issue(ctx: &mut mpisim::ctx::Ctx, kind: CollKind) {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let n = 8;
     println!("Table 1 reproduction: MPI collective -> coNCePTuaL mapping\n");
     let mut rows = Vec::new();
+    let mut failed = 0;
     for &kind in CollKind::ALL {
         if matches!(kind, CollKind::Finalize | CollKind::CommSplit) {
             continue;
@@ -99,6 +101,7 @@ fn main() {
         let (_, genp) = execute_profiled(&program, n, network::ideal()).unwrap();
         let errors = compare_profiles(&expected_profile(&orig, n), &genp, 0.02);
 
+        failed += usize::from(!errors.is_empty());
         rows.push(vec![
             kind.mpi_name().to_string(),
             stmt_kinds(&program.stmts).join(" + "),
@@ -123,4 +126,9 @@ fn main() {
         ],
         &rows,
     );
+    if failed > 0 {
+        eprintln!("FAILED: {failed} of {} collectives", rows.len());
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

@@ -10,18 +10,23 @@
 //! | `fig7`               | Figure 7 — BT what-if compute scaling (E4) |
 //! | `table1`             | Table 1 — collective mapping check (E5) |
 //! | `scalability`        | §2 — trace/benchmark size vs ranks & events (E6) |
-//!
-//! Criterion benches (`cargo bench`) cover E7: O(p·e) scaling of
-//! Algorithms 1 and 2, compression-window cost, and engine throughput.
+//! | `complexity`         | §4.3/§4.4 — events Algorithms 1 and 2 walk vs p·e (E7) |
 
 use benchgen::verify::timing_error_pct;
 use benchgen::{generate, GenOptions, GeneratedBenchmark};
+use commspec::cli::Argv;
 use conceptual::interp::run_program;
 use miniapps::{App, AppParams};
 use mpisim::error::SimError;
 use mpisim::network::NetworkModel;
 use mpisim::time::SimTime;
+use mpisim::types::{CollKind, TagSel};
+use scalatrace::params::{CommParam, RankParam, SrcParam, ValParam};
+use scalatrace::rankset::RankSet;
+use scalatrace::timestats::TimeStats;
+use scalatrace::trace::{OpTemplate, Prsd, Rsd, TraceNode};
 use scalatrace::{trace_app, Trace};
+use std::process::exit;
 use std::sync::Arc;
 
 /// One end-to-end measurement: original application vs generated benchmark
@@ -120,9 +125,107 @@ pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// Read a harness binary's flags with the one argv reader. `apply` sets
+/// one flag from `argv` and says whether it knew it. `--help` prints
+/// `usage` and exits 0; a bad, missing or unknown value prints its
+/// diagnostic and exits 2.
+pub fn read_flags(usage: &str, mut apply: impl FnMut(&str, &mut Argv) -> Result<bool, String>) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut argv = Argv::new(&args);
+    while let Some(flag) = argv.flag() {
+        if matches!(flag, "--help" | "-h") {
+            println!("Usage: {usage}");
+            exit(0);
+        }
+        let refusal = match apply(flag, &mut argv) {
+            Ok(true) => continue,
+            Ok(false) => argv.unknown(),
+            Err(msg) => msg,
+        };
+        eprintln!("{refusal}");
+        exit(2);
+    }
+}
+
+/// E7's cells as `(ranks, iterations)`: iterations 10 … 160 at 16 ranks,
+/// then 8 … 128 ranks at 25 iterations.
+pub fn complexity_cells() -> impl Iterator<Item = (usize, u64)> {
+    let iterations = [10, 20, 40, 80, 160].map(|i| (16, i));
+    let ranks = [8, 16, 32, 64, 128].map(|p| (p, 25));
+    iterations.into_iter().chain(ranks)
+}
+
+/// E7's synthetic trace: `iterations` iterations on `p` ranks of a
+/// wildcard receive, a ring send, a wait and a barrier issued from two
+/// call sites (one per rank parity), so both Algorithm 1 and Algorithm 2
+/// have work. `looped` makes the iterations one loop, whose repeated
+/// periods the algorithms skip; otherwise they are unrolled and nothing
+/// repeats.
+pub fn synthetic_trace(p: usize, iterations: u64, looped: bool) -> Trace {
+    let mut t = Trace::new(p);
+    if looped {
+        t.nodes.push(TraceNode::Loop(Prsd {
+            count: iterations,
+            body: iteration(p),
+        }));
+    } else {
+        for _ in 0..iterations {
+            t.nodes.extend(iteration(p));
+        }
+    }
+    t
+}
+
+/// One iteration of the synthetic trace: four events on every rank.
+fn iteration(p: usize) -> Vec<TraceNode> {
+    let event = |ranks, sig, op| {
+        TraceNode::Event(Rsd {
+            ranks,
+            sig,
+            op,
+            compute: TimeStats::new(),
+        })
+    };
+    let recv = OpTemplate::Recv {
+        from: SrcParam::Any,
+        tag: TagSel::Is(0),
+        bytes: ValParam::Const(512),
+        comm: CommParam::Const(0),
+        blocking: false,
+    };
+    let send = OpTemplate::Send {
+        to: RankParam::OffsetMod {
+            offset: 1,
+            modulus: p,
+        },
+        tag: 0,
+        bytes: ValParam::Const(512),
+        comm: CommParam::Const(0),
+        blocking: false,
+    };
+    let wait = OpTemplate::Wait {
+        count: ValParam::Const(2),
+    };
+    let barrier = OpTemplate::Coll {
+        kind: CollKind::Barrier,
+        root: None,
+        bytes: ValParam::Const(0),
+        comm: CommParam::Const(0),
+    };
+    vec![
+        event(RankSet::all(p), 1, recv),
+        event(RankSet::all(p), 2, send),
+        event(RankSet::all(p), 3, wait),
+        event(RankSet::from_ranks((0..p).step_by(2)), 4, barrier.clone()),
+        event(RankSet::from_ranks((1..p).step_by(2)), 5, barrier),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use benchgen::align::align_collectives_walked;
+    use benchgen::wildcard::resolve_wildcards_walked;
     use miniapps::registry;
     use mpisim::network;
 
@@ -143,6 +246,26 @@ mod tests {
             },
         ];
         assert!((mape(&rows) - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn e7_walks_are_exact() {
+        // Flat, nothing repeats: both algorithms walk every event. Looped,
+        // both stop after two iterations, at any loop count and any p.
+        for (p, iterations) in complexity_cells() {
+            let e = 4 * p as u64 * iterations;
+            for (looped, walked) in [(false, e), (true, 8 * p as u64)] {
+                let trace = synthetic_trace(p, iterations, looped);
+                assert_eq!(trace.concrete_event_count(), e);
+                let (_, align) = align_collectives_walked(&trace).expect("aligns");
+                let (_, resolve) = resolve_wildcards_walked(&trace).expect("resolves");
+                assert_eq!(
+                    (align, resolve),
+                    (walked, walked),
+                    "p {p}, {iterations} iterations, looped {looped}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,19 +14,21 @@
 //! and say in the change why the bytes moved.
 //!
 //! The rest of the file holds the generator to what its own analyzer
-//! accepts: `generate` refuses a program `analyze::validate` rejects, and
-//! two splits from one call site stay two `PARTITION`s, so cg's second
-//! generation (the program generated from a trace of the generated
-//! program) validates, runs and takes gen1's virtual time. Its 256-rank
-//! cell runs only in release: `cargo test --release --test
-//! generated_programs`.
+//! accepts, and to its own fixed point: `generate` refuses a program
+//! `analyze::validate` rejects; two splits from one call site stay two
+//! `PARTITION`s; and for every registry app at {4, 16, 64} ranks the
+//! program generated from a trace of the generated program (gen2) is the
+//! one generated from a trace of gen2 (gen3), makes gen1's MPI calls and
+//! takes gen1's virtual time. The registry's 256-rank cells run only in
+//! release: `cargo test --release --test generated_programs`.
 
+use benchgen::verify::{compare_profiles, execute_profiled, timing_error_pct};
 use benchgen::{generate, GenError, GenOptions};
 use conceptual::ast::{Program, Stmt};
 use conceptual::interp::{run_program, run_rank};
+use conceptual::printer::print;
 use miniapps::{registry, AppParams, Class};
 use mpisim::network;
-use mpisim::time::SimTime;
 use mpisim::types::{CollKind, Fnv1a};
 use scalatrace::params::{CommParam, ValParam};
 use scalatrace::rankset::RankSet;
@@ -62,7 +64,7 @@ fn lines(name: &str, ranks: usize) -> Vec<String> {
             let program = generate(&traced.trace, &opts)
                 .unwrap_or_else(|e| panic!("{name} fails to generate: {e}"))
                 .program;
-            let text = conceptual::printer::print(&program);
+            let text = print(&program);
             let mut fnv = Fnv1a::new();
             fnv.write(text.as_bytes());
             format!(
@@ -205,46 +207,81 @@ fn two_splits_from_one_site_stay_two_partitions() {
     let program = generate(&trace, &GenOptions::default())
         .expect("generates")
         .program;
-    let text = conceptual::printer::print(&program);
+    let text = print(&program);
     assert_eq!(partitions(&program), 2, "{text}");
     let outcome = run_program(&program, 4, network::ideal()).expect("runs");
     // two splits and four reduces
     assert_eq!(outcome.report.stats.collectives, 6, "{text}");
 }
 
-/// Generate cg's program at `ranks` (gen1), trace a run of it, generate
-/// again (gen2): gen2 validates, runs, and takes gen1's virtual time.
-fn cg_second_generation(ranks: usize) {
+/// The generator's fixed point at one cell, class S on ethernet: generate
+/// from the app's trace (gen1), from a trace of gen1 (gen2) and from a
+/// trace of gen2 (gen3). gen2 and gen3 validate and are one program, byte
+/// for byte and in virtual time; gen2 makes gen1's MPI calls under E1's
+/// tolerance and takes gen1's time within 1 %. Returns gen2's printed
+/// length minus gen1's.
+fn fixed_point(name: &str, ranks: usize) -> i64 {
     let ethernet = network::ethernet_cluster;
-    let app = registry::lookup("cg").expect("cg");
+    let app = registry::lookup(name).expect("registry app");
     let params = AppParams::class(Class::S);
     let run = app.run;
-    let traced = trace_app(ranks, ethernet(), move |ctx| run(ctx, &params)).expect("traces");
-    let gen1 = generate(&traced.trace, &GenOptions::default())
-        .expect("gen1")
-        .program;
-    let time = |program: &Program| -> SimTime {
-        run_program(program, ranks, ethernet())
-            .expect("runs")
-            .total_time
+    let cell = format!("{name} r{ranks}");
+    let traced = trace_app(ranks, ethernet(), move |ctx| run(ctx, &params))
+        .unwrap_or_else(|e| panic!("{cell} fails to trace: {e}"));
+    let generate_from = |trace: &Trace, which: &str| -> Arc<Program> {
+        let generated = generate(trace, &GenOptions::default())
+            .unwrap_or_else(|e| panic!("{cell}: {which} must validate: {e}"));
+        Arc::new(generated.program)
     };
-    let program = Arc::new(gen1.clone());
-    let retraced =
-        trace_app(ranks, ethernet(), move |ctx| run_rank(ctx, &program)).expect("re-traces");
-    let gen2 = generate(&retraced.trace, &GenOptions::default())
-        .unwrap_or_else(|e| panic!("cg r{ranks}: gen2 must validate: {e}"))
-        .program;
-    assert_eq!(partitions(&gen2), partitions(&gen1), "cg r{ranks}");
-    assert_eq!(time(&gen2), time(&gen1), "cg r{ranks}: T(gen2) != T(gen1)");
+    let next = |program: &Arc<Program>, which: &str| {
+        let program = Arc::clone(program);
+        let retraced = trace_app(ranks, ethernet(), move |ctx| run_rank(ctx, &program))
+            .unwrap_or_else(|e| panic!("{cell}: {which} fails to re-trace: {e}"));
+        generate_from(&retraced.trace, which)
+    };
+    let profiled = |program: &Arc<Program>| {
+        let (report, mpip) = execute_profiled(program, ranks, ethernet()).expect("runs");
+        (report.total_time, mpip)
+    };
+    let gen1 = generate_from(&traced.trace, "gen1");
+    let gen2 = next(&gen1, "gen2");
+    let gen3 = next(&gen2, "gen3");
+    let (text1, text2) = (print(&gen1), print(&gen2));
+    assert_eq!(text2, print(&gen3), "{cell}: gen3 is not gen2");
+    let ((t1, mpip1), (t2, mpip2), (t3, _)) = (profiled(&gen1), profiled(&gen2), profiled(&gen3));
+    assert_eq!(t3, t2, "{cell}: T(gen3) != T(gen2)");
+    let differences = compare_profiles(&mpip1, &mpip2, 0.02);
+    assert!(
+        differences.is_empty(),
+        "{cell}: mpiP(gen2) differs from mpiP(gen1): {differences:?}"
+    );
+    let error = timing_error_pct(t1, t2);
+    assert!(error <= 1.0, "{cell}: T(gen2) is {error:.3} % off T(gen1)");
+    if name == "cg" {
+        assert_eq!(partitions(&gen2), partitions(&gen1), "{cell}");
+    }
+    text2.len() as i64 - text1.len() as i64
+}
+
+/// [`fixed_point`] over the registry at `sizes`, printing each app's
+/// gen1 → gen2 byte delta.
+fn registry_fixed_points(sizes: &[usize]) {
+    for app in registry::all() {
+        let deltas: Vec<String> = sizes
+            .iter()
+            .map(|&ranks| format!("r{ranks} {:+} B", fixed_point(app.name, ranks)))
+            .collect();
+        println!("{}: gen1 -> gen2 {}", app.name, deltas.join(", "));
+    }
 }
 
 #[test]
-fn cg_second_generation_runs_in_gen1_time() {
-    cg_second_generation(16);
+fn second_generation_is_a_fixed_point() {
+    registry_fixed_points(&[4, 16, 64]);
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release only: cargo test --release")]
-fn cg_second_generation_runs_in_gen1_time_at_256_ranks() {
-    cg_second_generation(256);
+fn second_generation_is_a_fixed_point_at_256_ranks() {
+    registry_fixed_points(&[256]);
 }
