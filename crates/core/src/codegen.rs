@@ -134,15 +134,17 @@ impl<'t> Walk<'t> {
                 }
                 TraceNode::Event(rsd) => match &rsd.op {
                     OpTemplate::CommSplit { parent, result } => {
-                        let members = self.trace.comms.members(*result);
-                        if !split
-                            .as_ref()
-                            .is_some_and(|s| s.continued_by(*parent, rsd.sig, members))
-                        {
-                            let done = split.replace(PendingSplit::new(*parent, rsd.sig));
-                            out.extend(done.map(PendingSplit::into_stmt));
+                        for (id, _) in result.groups(&rsd.ranks) {
+                            let members = self.trace.comms.members(id);
+                            if !split
+                                .as_ref()
+                                .is_some_and(|s| s.continued_by(*parent, rsd.sig, members))
+                            {
+                                let done = split.replace(PendingSplit::new(*parent, rsd.sig));
+                                out.extend(done.map(PendingSplit::into_stmt));
+                            }
+                            split.as_mut().expect("just set").add(id, members);
                         }
-                        split.as_mut().expect("just set").add(*result, members);
                     }
                     _ => {
                         out.extend(split.take().map(PendingSplit::into_stmt));
@@ -393,7 +395,10 @@ mod tests {
         let mut trace = Trace::new(4);
         trace.comms.insert(1, vec![0, 1]);
         trace.comms.insert(2, vec![2, 3]);
-        let split = |result, ranks| node(ranks, 1, OpTemplate::CommSplit { parent: 0, result });
+        let split = |result, ranks| {
+            let result = scalatrace::params::CommParam::Const(result);
+            node(ranks, 1, OpTemplate::CommSplit { parent: 0, result })
+        };
         let inner = lp(
             7,
             vec![split(1, 0..2), split(2, 2..4), world_coll(Barrier, 2)],

@@ -98,7 +98,7 @@ fn template_of(op: &ConcreteOp) -> OpTemplate {
         },
         ConcreteOp::CommSplit { parent, result } => OpTemplate::CommSplit {
             parent: *parent,
-            result: *result,
+            result: CommParam::Const(*result),
         },
     }
 }
@@ -199,10 +199,9 @@ impl SegmentedRebuilder {
     /// holds every participant's event of one logical operation. A rank
     /// blocks on at most one collective, so the entries cover pairwise
     /// disjoint ranks. Each becomes a block — its members' merged buffers,
-    /// then the collective as a single RSD (for `MPI_Comm_split`, one RSD
-    /// per result group) — and two or more blocks are merged across ranks
-    /// before they reach the global queue, so sibling communicators' rows
-    /// share one segment and one RSD per collective.
+    /// then the collective as a single RSD — and two or more blocks are
+    /// merged across ranks before they reach the global queue, so sibling
+    /// communicators' rows share one segment and one RSD per collective.
     pub fn collectives(&mut self, batch: &[Vec<(usize, ConcreteEvent)>]) {
         let mut blocks: Vec<Vec<TraceNode>> = batch.iter().map(|ev| self.block(ev)).collect();
         let nodes = if blocks.len() == 1 {
@@ -214,7 +213,7 @@ impl SegmentedRebuilder {
     }
 
     /// One completed collective's block: the participants' merged buffers,
-    /// then its RSD(s), each unified in one flat pass (a pairwise fold
+    /// then its RSD, unified in one flat pass (a pairwise fold
     /// re-unifies a growing rank set per member).
     fn block(&mut self, events: &[(usize, ConcreteEvent)]) -> Vec<TraceNode> {
         assert!(!events.is_empty());
@@ -222,31 +221,11 @@ impl SegmentedRebuilder {
         members.sort_unstable();
         let mut block = self.take_merged(&members);
 
-        let groups: Vec<Vec<Rsd>> = if let ConcreteOp::CommSplit { .. } = events[0].1.op {
-            // One RSD per result communicator, in ascending result order.
-            let mut by_result: std::collections::BTreeMap<u32, Vec<Rsd>> =
-                std::collections::BTreeMap::new();
-            for (rank, ev) in events {
-                let ConcreteOp::CommSplit { result, .. } = ev.op else {
-                    panic!("mixed split/non-split collective completion")
-                };
-                by_result
-                    .entry(result)
-                    .or_default()
-                    .push(rsd_of(&self.singles[*rank], ev));
-            }
-            by_result.into_values().collect()
-        } else {
-            vec![events
-                .iter()
-                .map(|(r, ev)| rsd_of(&self.singles[*r], ev))
-                .collect()]
-        };
-        block.extend(
-            groups
-                .into_iter()
-                .map(|g| TraceNode::Event(collapse_rsds(g, self.nranks))),
-        );
+        let rsds = events
+            .iter()
+            .map(|(r, ev)| rsd_of(&self.singles[*r], ev))
+            .collect();
+        block.push(TraceNode::Event(collapse_rsds(rsds, self.nranks)));
         block
     }
 
@@ -449,7 +428,8 @@ mod tests {
         let trace = rb.finish(CommTable::world(n));
         assert_eq!(trace.nodes, [folded(&barrier, n)]);
 
-        // a split into three result groups of different sizes
+        // a split into three result groups of different sizes folds into
+        // one RSD, like any other collective
         let n = 12;
         let split: Vec<(usize, ConcreteEvent)> = (0..n)
             .rev()
@@ -468,18 +448,22 @@ mod tests {
         let mut rb = SegmentedRebuilder::new(n);
         rb.collectives(std::slice::from_ref(&split));
         let trace = rb.finish(CommTable::world(n));
-        let groups: Vec<TraceNode> = [1, 2, 3]
-            .iter()
-            .map(|g| {
-                let members: Vec<_> = split
-                    .iter()
-                    .filter(|(_, ev)| matches!(ev.op, ConcreteOp::CommSplit { result, .. } if result == *g))
-                    .cloned()
-                    .collect();
-                folded(&members, n)
-            })
-            .collect();
-        assert_eq!(trace.nodes, groups);
+        assert_eq!(trace.nodes, [folded(&split, n)]);
+        // one RSD whose result maps each rank to its group
+        let [TraceNode::Event(Rsd {
+            op: OpTemplate::CommSplit { result, .. },
+            ranks,
+            ..
+        })] = &trace.nodes[..]
+        else {
+            panic!("one split RSD:\n{trace}")
+        };
+        assert_eq!(ranks, &RankSet::all(n));
+        for r in 0..n {
+            assert_eq!(result.eval(r), [3, 1, 2, 1, 1, 3][r % 6], "rank {r}");
+        }
+        let ids: Vec<u32> = result.groups(ranks).iter().map(|(c, _)| *c).collect();
+        assert_eq!(ids, [1, 2, 3]);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! single-threaded run is byte-for-byte the pre-parallel code path.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Environment variable consulted by [`threads`] when no explicit override
 /// is set.
@@ -35,11 +35,16 @@ pub const THREADS_ENV: &str = "COMMSPEC_THREADS";
 /// Process-wide thread-count override; 0 means "unset".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Number of hardware threads the OS reports for this process.
+/// Number of hardware threads the OS reports for this process, asked once:
+/// the query reads the affinity mask and the cgroup quota files, and
+/// [`threads`] is called per merge.
 pub fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 fn env_threads() -> Option<usize> {

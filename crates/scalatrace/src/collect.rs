@@ -137,7 +137,7 @@ impl Tracer {
                 self.comms.insert(*result, members.as_ref().clone());
                 OpTemplate::CommSplit {
                     parent: *parent,
-                    result: *result,
+                    result: CommParam::Const(*result),
                 }
             }
         }

@@ -394,7 +394,7 @@ fn concretise(
         },
         OpTemplate::CommSplit { parent, result } => ConcreteOp::CommSplit {
             parent: *parent,
-            result: *result,
+            result: result.eval(rank),
         },
     };
     let compute = match timing {

@@ -207,7 +207,7 @@ fn write_op(h: &mut Mix, op: &OpTemplate) {
         OpTemplate::CommSplit { parent, result } => {
             h.word(0x14);
             h.word(*parent as u64);
-            h.word(*result as u64);
+            write_comm_param(h, result);
         }
     }
 }
@@ -267,10 +267,9 @@ fn write_op_shape(h: &mut Mix, op: &OpTemplate) {
             h.word(0x13);
             h.str(kind.mpi_name());
         }
-        OpTemplate::CommSplit { parent, result } => {
+        OpTemplate::CommSplit { parent, .. } => {
             h.word(0x14);
             h.word(*parent as u64);
-            h.word(*result as u64);
         }
     }
 }

@@ -424,9 +424,12 @@ pub fn collapse_rsds(mut rsds: Vec<Rsd>, world: usize) -> Rsd {
                 _ => unreachable!("class confirm checked op shapes"),
             })),
         },
-        OpTemplate::CommSplit { parent, result } => OpTemplate::CommSplit {
+        OpTemplate::CommSplit { parent, .. } => OpTemplate::CommSplit {
             parent: *parent,
-            result: *result,
+            result: CommParam::unify_many(rsds.iter().map(|r| match &r.op {
+                OpTemplate::CommSplit { result, .. } => (result, &r.ranks),
+                _ => unreachable!("class confirm checked op shapes"),
+            })),
         },
     };
     let mut compute = rsds[0].compute.clone();
@@ -680,12 +683,13 @@ pub fn merge_rsds(a: Rsd, b: Rsd, world: usize) -> Rsd {
             bytes: ValParam::unify(b1, &a.ranks, b2, &b.ranks),
             comm: CommParam::unify(c1, &a.ranks, c2, &b.ranks),
         },
-        (OpTemplate::CommSplit { parent, result }, OpTemplate::CommSplit { .. }) => {
-            OpTemplate::CommSplit {
-                parent: *parent,
-                result: *result,
-            }
-        }
+        (
+            OpTemplate::CommSplit { parent, result: r1 },
+            OpTemplate::CommSplit { result: r2, .. },
+        ) => OpTemplate::CommSplit {
+            parent: *parent,
+            result: CommParam::unify(r1, &a.ranks, r2, &b.ranks),
+        },
         _ => unreachable!("same_op_shape checked"),
     };
     let mut compute = a.compute.clone();

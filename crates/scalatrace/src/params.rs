@@ -706,6 +706,7 @@ impl CommParam {
 }
 
 impl PartialEq for CommParam {
+    #[inline]
     fn eq(&self, other: &CommParam) -> bool {
         use CommParam::*;
         match (self, other) {

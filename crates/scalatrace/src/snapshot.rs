@@ -409,11 +409,20 @@ fn enc_op(e: &mut Enc, op: &OpTemplate) {
             enc_val_param(e, bytes);
             enc_comm_param(e, comm);
         }
-        OpTemplate::CommSplit { parent, result } => {
-            e.u8(4);
-            e.u32(*parent);
-            e.u32(*result);
-        }
+        // A constant result keeps the tag-4 layout older readers know; any
+        // other form takes tag 5, which they refuse as corrupt.
+        OpTemplate::CommSplit { parent, result } => match result.canonical() {
+            CommParam::Const(c) => {
+                e.u8(4);
+                e.u32(*parent);
+                e.u32(c);
+            }
+            _ => {
+                e.u8(5);
+                e.u32(*parent);
+                enc_comm_param(e, result);
+            }
+        },
     }
 }
 
@@ -471,7 +480,11 @@ fn dec_op(d: &mut Dec, nranks: usize) -> Result<OpTemplate, SnapshotError> {
         }
         4 => OpTemplate::CommSplit {
             parent: d.u32()?,
-            result: d.u32()?,
+            result: CommParam::Const(d.u32()?),
+        },
+        5 => OpTemplate::CommSplit {
+            parent: d.u32()?,
+            result: dec_comm_param(d, nranks)?,
         },
         t => return Err(corrupt(format!("bad OpTemplate tag {t}"))),
     })
@@ -681,5 +694,77 @@ mod tests {
         many.extend((0..65).flat_map(|b| [b, 1]));
         let err = with(&many).expect_err("65 bins").to_string();
         assert!(err.contains("lists 65 bins"), "{err}");
+    }
+
+    /// One split of the world into comm 1 = {0, 1} and comm 2 = {2, 3},
+    /// over `ranks`.
+    fn split_trace(ranks: RankSet, result: CommParam) -> Trace {
+        let mut comms = CommTable::world(4);
+        comms.insert(1, vec![0, 1]);
+        comms.insert(2, vec![2, 3]);
+        Trace {
+            nranks: 4,
+            nodes: vec![TraceNode::Event(Rsd {
+                ranks,
+                sig: 9,
+                op: OpTemplate::CommSplit { parent: 0, result },
+                compute: TimeStats::of(SimDuration::from_nanos(5)),
+            })],
+            comms,
+        }
+    }
+
+    fn piecewise_split() -> Trace {
+        let result = CommParam::Piecewise(vec![
+            (RankSet::from_ranks([0, 1]), 1),
+            (RankSet::from_ranks([2, 3]), 2),
+        ]);
+        split_trace(RankSet::all(4), result)
+    }
+
+    #[test]
+    fn a_constant_split_result_keeps_the_tag_4_bytes() {
+        // The bytes a reader that knows only tag 4 decodes: op tag 4, then
+        // parent 0 and result 1 as bare ids.
+        let t = split_trace(RankSet::from_ranks([0, 1]), CommParam::Const(1));
+        let hex: String = trace_to_bytes(&t)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "535442530200000000040300040001020301020001020202030100010001020900000000000000040001010505050103010b499105627a586a"
+        );
+        assert_eq!(trace_from_bytes(&trace_to_bytes(&t)).unwrap(), t);
+        // a table that reads as one id is written the same way
+        let table = CommParam::PerRank([(0, 1), (1, 1)].into_iter().collect());
+        let t2 = split_trace(RankSet::from_ranks([0, 1]), table);
+        assert_eq!(trace_to_bytes(&t2), trace_to_bytes(&t));
+    }
+
+    #[test]
+    fn a_per_rank_split_result_round_trips_under_tag_5() {
+        let t = piecewise_split();
+        let bytes = trace_to_bytes(&t);
+        let back = trace_from_bytes(&bytes).expect("decodes");
+        assert_eq!(back, t);
+        assert_eq!(trace_to_bytes(&back), bytes);
+    }
+
+    #[test]
+    fn a_tag_5_payload_cut_short_is_corrupt() {
+        // Each cut keeps a valid checksum, so the node decoder itself must
+        // refuse what is missing.
+        let good = trace_to_bytes(&piecewise_split());
+        let body = good.len() - 8;
+        for cut in 8..body {
+            let mut bytes = good[..cut].to_vec();
+            bytes.extend_from_slice(&[0; 8]);
+            refresh_checksum(&mut bytes);
+            match trace_from_bytes(&bytes) {
+                Err(SnapshotError::Corrupt(_)) => {}
+                other => panic!("cut at {cut}: {other:?}"),
+            }
+        }
     }
 }

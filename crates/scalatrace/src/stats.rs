@@ -98,7 +98,7 @@ fn walk(nodes: &[TraceNode], depth: usize, multiplier: u64, s: &mut TraceStats) 
                             && comm.is_compressed(),
                         Some(bytes),
                     ),
-                    OpTemplate::CommSplit { .. } => (true, None),
+                    OpTemplate::CommSplit { result, .. } => (result.is_compressed(), None),
                 };
                 if compressed {
                     s.fully_compressed_rsds += 1;

@@ -116,6 +116,11 @@ fn write_node(out: &mut String, node: &TraceNode, depth: usize) {
                     .unwrap();
                 }
                 OpTemplate::CommSplit { parent, result } => {
+                    // A constant result keeps the bare id older readers parse.
+                    let result = match result.canonical() {
+                        CommParam::Const(c) => c.to_string(),
+                        _ => encode_comm(result),
+                    };
                     write!(out, " op=split parent={parent} result={result}").unwrap();
                 }
             }
@@ -437,7 +442,10 @@ fn parse_event(rest: &str) -> Result<Rsd, String> {
         },
         "split" => OpTemplate::CommSplit {
             parent: get_comm_id("parent")?,
-            result: get_comm_id("result")?,
+            result: match get_comm_id("result") {
+                Ok(id) => CommParam::Const(id),
+                Err(_) => get_comm("result")?,
+            },
         },
         other => {
             let kind = other
@@ -687,6 +695,40 @@ mod tests {
         // re-serialise: times are summarised to (count, mean); compare via a
         // second round trip which is a fixpoint
         from_text(&to_text(t)).unwrap()
+    }
+
+    #[test]
+    fn a_split_result_is_a_bare_id_when_constant_and_a_comm_param_otherwise() {
+        // sample_trace's split sends even ranks to one group and odd ranks
+        // to the other: one merged RSD with a piecewise result, which
+        // round_trip_preserves_semantics reads back
+        let t = sample_trace();
+        let text = to_text(&t);
+        let split = text.lines().find(|l| l.contains("op=split"));
+        assert!(split.is_some_and(|l| l.contains(" result=w")), "{text}");
+        // a constant result keeps the bare id; the reader also takes the
+        // comm= spelling of it
+        let mut constant = Trace::new(6);
+        constant.comms.insert(1, vec![0, 2, 4]);
+        let op = OpTemplate::CommSplit {
+            parent: 0,
+            result: CommParam::Const(1),
+        };
+        constant.nodes.push(TraceNode::Event(Rsd {
+            ranks: RankSet::from_ranks([0, 2, 4]),
+            sig: 1,
+            op: op.clone(),
+            compute: TimeStats::new(),
+        }));
+        let text = to_text(&constant);
+        assert!(text.contains(" result=1 "), "{text}");
+        for text in [text.clone(), text.replace(" result=1 ", " result=c1 ")] {
+            let back = from_text(&text).expect("parse");
+            assert!(
+                matches!(&back.nodes[..], [TraceNode::Event(r)] if r.op == op),
+                "{text}"
+            );
+        }
     }
 
     #[test]

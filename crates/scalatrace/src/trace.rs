@@ -59,12 +59,12 @@ pub enum OpTemplate {
         /// Communicator per rank.
         comm: CommParam,
     },
-    /// `MPI_Comm_split` producing communicator `result` for these ranks.
+    /// `MPI_Comm_split` of `parent`, producing communicator `result`.
     CommSplit {
         /// The communicator that was split.
         parent: CommId,
-        /// The resulting communicator for this RSD's ranks.
-        result: CommId,
+        /// The resulting communicator per rank.
+        result: CommParam,
     },
 }
 
@@ -148,7 +148,7 @@ impl Rsd {
 
 /// Do two op templates describe the same call shape (mergeable across
 /// ranks)? Parameters may differ — they unify — but the operation, tag,
-/// communicator, blocking-ness, collective kind, and wildcard-ness must
+/// blocking-ness, collective kind, split parent, and wildcard-ness must
 /// match.
 pub fn same_op_shape(a: &OpTemplate, b: &OpTemplate) -> bool {
     use OpTemplate::*;
@@ -181,16 +181,7 @@ pub fn same_op_shape(a: &OpTemplate, b: &OpTemplate) -> bool {
         ) => f1.is_wildcard() == f2.is_wildcard() && t1 == t2 && b1 == b2,
         (Wait { .. }, Wait { .. }) => true,
         (Coll { kind: k1, .. }, Coll { kind: k2, .. }) => k1 == k2,
-        (
-            CommSplit {
-                parent: p1,
-                result: r1,
-            },
-            CommSplit {
-                parent: p2,
-                result: r2,
-            },
-        ) => p1 == p2 && r1 == r2,
+        (CommSplit { parent: p1, .. }, CommSplit { parent: p2, .. }) => p1 == p2,
         _ => false,
     }
 }
@@ -387,14 +378,12 @@ impl Trace {
         fn walk(nodes: &[TraceNode], comms: &CommTable) -> bool {
             nodes.iter().any(|n| match n {
                 TraceNode::Event(r) => match &r.op {
-                    // a split RSD can only ever cover its result group
-                    OpTemplate::CommSplit { result, .. } => {
-                        r.ranks.len() < comms.members(*result).len()
+                    // a split's ranks group by the communicator they produce
+                    OpTemplate::CommSplit { result: comm, .. } | OpTemplate::Coll { comm, .. } => {
+                        comm.groups(&r.ranks)
+                            .iter()
+                            .any(|(c, sub)| sub.len() < comms.members(*c).len())
                     }
-                    OpTemplate::Coll { comm, .. } => comm
-                        .groups(&r.ranks)
-                        .iter()
-                        .any(|(c, sub)| sub.len() < comms.members(*c).len()),
                     _ => false,
                 },
                 TraceNode::Loop(p) => walk(&p.body, comms),
@@ -481,15 +470,15 @@ fn check_rsd(nranks: usize, comms: &CommTable, r: &Rsd) -> Result<(), String> {
         ValParam::PerRank(t) => check_table(field, t, ranks, nranks),
         ValParam::Piecewise(ps) => check_pieces(field, ps, ranks, nranks),
     };
-    let comm = |c: &CommParam| match c {
-        CommParam::Const(id) => known("comm", *id),
+    let comm = |field: &str, c: &CommParam| match c {
+        CommParam::Const(id) => known(field, *id),
         CommParam::PerRank(t) => {
-            check_table("comm", t, ranks, nranks)?;
-            t.values().try_for_each(|id| known("comm", *id))
+            check_table(field, t, ranks, nranks)?;
+            t.values().try_for_each(|id| known(field, *id))
         }
         CommParam::Piecewise(ps) => {
-            check_pieces("comm", ps, ranks, nranks)?;
-            ps.iter().try_for_each(|(_, id)| known("comm", *id))
+            check_pieces(field, ps, ranks, nranks)?;
+            ps.iter().try_for_each(|(_, id)| known(field, *id))
         }
     };
     match &r.op {
@@ -498,7 +487,7 @@ fn check_rsd(nranks: usize, comms: &CommTable, r: &Rsd) -> Result<(), String> {
         } => {
             peer("to", to)?;
             val("bytes", bytes)?;
-            comm(c)
+            comm("comm", c)
         }
         OpTemplate::Recv {
             from,
@@ -510,7 +499,7 @@ fn check_rsd(nranks: usize, comms: &CommTable, r: &Rsd) -> Result<(), String> {
                 peer("from", p)?;
             }
             val("bytes", bytes)?;
-            comm(c)
+            comm("comm", c)
         }
         OpTemplate::Wait { count } => val("count", count),
         OpTemplate::Coll {
@@ -523,11 +512,11 @@ fn check_rsd(nranks: usize, comms: &CommTable, r: &Rsd) -> Result<(), String> {
                 peer("root", p)?;
             }
             val("bytes", bytes)?;
-            comm(c)
+            comm("comm", c)
         }
         OpTemplate::CommSplit { parent, result } => {
             known("parent", *parent)?;
-            known("result", *result)
+            comm("result", result)
         }
     }
 }

@@ -5,7 +5,7 @@
 use mpisim::time::SimDuration;
 use proptest::prelude::*;
 use scalatrace::compress::{append_compressed, compress_tail};
-use scalatrace::cursor::Cursor;
+use scalatrace::cursor::{ConcreteOp, Cursor};
 use scalatrace::merge::{
     merge_pair, merge_sequences, merge_sequences_degraded, merge_sequences_stats,
     merge_sequences_strategy, MergeStrategy,
@@ -525,21 +525,54 @@ fn seed_merge(mut level: Vec<Vec<TraceNode>>, world: usize) -> Vec<TraceNode> {
     level.pop().unwrap_or_default()
 }
 
+/// Signature of the split [`rank_node`] emits; the other signatures send.
+const SPLIT_SIG: u64 = 4;
+
 /// A per-rank send whose volume depends on the rank, so cross-rank merging
-/// exercises real parameter unification rather than trivial set unions.
+/// exercises real parameter unification rather than trivial set unions —
+/// or, at [`SPLIT_SIG`], a split of the world into `bytes` groups by rank
+/// modulo, so ranks of one call site produce different communicators. Two
+/// splits with different `bytes` differ on every rank, so every rank folds
+/// a stream alike, as with the sends.
 fn rank_node(rank: usize, sig: u64, bytes: u64, world: usize) -> TraceNode {
-    TraceNode::Event(Rsd {
-        ranks: RankSet::single(rank),
-        sig,
-        op: OpTemplate::Send {
+    let op = if sig == SPLIT_SIG {
+        OpTemplate::CommSplit {
+            parent: 0,
+            result: CommParam::Const((4 * bytes + rank as u64 % bytes) as u32),
+        }
+    } else {
+        OpTemplate::Send {
             to: RankParam::Const((rank + 1) % world),
             tag: 0,
             bytes: ValParam::Const(64 * bytes + rank as u64),
             comm: CommParam::Const(0),
             blocking: false,
-        },
+        }
+    };
+    TraceNode::Event(Rsd {
+        ranks: RankSet::single(rank),
+        sig,
+        op,
         compute: TimeStats::of(SimDuration::from_usecs(sig + 1)),
     })
+}
+
+/// Each rank's `(sig, op)` stream as a cursor reads it back from `nodes`.
+fn projections(nodes: &[TraceNode], world: usize) -> Vec<Vec<(u64, ConcreteOp)>> {
+    let trace = Trace {
+        nranks: world,
+        nodes: nodes.to_vec(),
+        comms: CommTable::world(world),
+    };
+    (0..world)
+        .map(|rank| {
+            Cursor::new(&trace, rank)
+                .collect_all()
+                .into_iter()
+                .map(|e| (e.sig, e.op))
+                .collect()
+        })
+        .collect()
 }
 
 /// Build ragged per-rank folded sequences from per-rank `(sig, bytes)`
@@ -646,6 +679,50 @@ proptest! {
         prop_assert_eq!(&got, &seed);
         prop_assert_eq!(stats.classes, 1, "SPMD streams are one shape class");
         prop_assert_eq!(stats.rep_merges, 0);
+    }
+
+    /// A split whose result differs per rank does not part the ranks: SPMD
+    /// streams with splits are still one class, collapse to the pairwise
+    /// merge byte for byte, and every rank reads back its own result ids.
+    #[test]
+    fn spmd_splits_with_per_rank_results_collapse_like_pairwise(
+        program in proptest::collection::vec((0u64..5, 1u64..4), 0..32),
+        world in 2usize..12,
+    ) {
+        let streams: Vec<Vec<(u64, u64)>> = vec![program; world];
+        let seqs = ragged_seqs(&streams);
+        let pairwise =
+            merge_sequences_strategy(seqs.clone(), world, 1, MergeStrategy::Pairwise);
+        let (got, stats) =
+            merge_sequences_stats(seqs.clone(), world, 1, MergeStrategy::ClassCollapsed);
+        prop_assert_eq!(&got, &pairwise);
+        prop_assert_eq!(stats.classes, 1, "SPMD streams are one shape class");
+        let want: Vec<_> = seqs
+            .iter()
+            .enumerate()
+            .map(|(rank, seq)| projections(seq, world).swap_remove(rank))
+            .collect();
+        prop_assert_eq!(projections(&got, world), want);
+    }
+
+    /// On ragged streams with per-rank split results, the collapse keeps
+    /// every rank's own events, in order.
+    #[test]
+    fn collapse_with_per_rank_splits_preserves_projections(
+        streams in proptest::collection::vec(
+            proptest::collection::vec((0u64..5, 1u64..4), 0..32),
+            1..10
+        ),
+    ) {
+        let world = streams.len();
+        let seqs = ragged_seqs(&streams);
+        let got = merge_sequences_strategy(seqs.clone(), world, 1, MergeStrategy::ClassCollapsed);
+        let want: Vec<_> = seqs
+            .iter()
+            .enumerate()
+            .map(|(rank, seq)| projections(seq, world).swap_remove(rank))
+            .collect();
+        prop_assert_eq!(projections(&got, world), want);
     }
 
     /// Forced digest collisions (every sequence hashes alike) must leave
@@ -816,7 +893,7 @@ fn fuzz_base_text() -> String {
         5,
         OpTemplate::CommSplit {
             parent: 0,
-            result: 7,
+            result: CommParam::Const(7),
         },
     ));
     to_text(&trace)

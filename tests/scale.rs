@@ -5,7 +5,10 @@ use benchgen::{generate, GenOptions};
 use conceptual::interp::run_program;
 use miniapps::{registry, AppParams, Class};
 use mpisim::network;
-use scalatrace::trace_app;
+use mpisim::world::World;
+use scalatrace::merge::merge_sequences_stats;
+use scalatrace::trace::{check_well_formed, CommTable, Trace};
+use scalatrace::{trace_app, MergeStats, MergeStrategy, Tracer};
 
 #[test]
 fn ring_pipeline_at_256_ranks() {
@@ -80,4 +83,58 @@ fn extrapolated_ring_runs_at_1024_ranks() {
     let outcome =
         run_program(&generated.program, 1024, network::ideal()).expect("runs at 1024 ranks");
     assert_eq!(outcome.report.stats.messages, 1024 * 10);
+}
+
+/// Registry cg's per-rank sequences, as the tracer hands them to the leaf
+/// merge, merged by the class-collapsed strategy. Every rank splits the
+/// world into a row and a column communicator; the split's result is a
+/// per-rank parameter, so no rank is a merge class of its own.
+fn merged_cg(ranks: usize) -> (Trace, MergeStats) {
+    let app = registry::lookup("cg").unwrap();
+    let params = AppParams {
+        class: Class::S,
+        iterations: Some(2),
+        compute_scale: 1.0,
+    };
+    let (_, tracers) = World::new(ranks)
+        .network(network::ideal())
+        .run_hooked(
+            move |r| Tracer::new(r, ranks),
+            move |ctx| (app.run)(ctx, &params),
+        )
+        .expect("cg runs");
+    let mut comms = CommTable::world(ranks);
+    let seqs = tracers
+        .into_iter()
+        .map(|t| {
+            let (seq, c) = t.into_parts();
+            comms.absorb(c);
+            seq
+        })
+        .collect();
+    let (nodes, stats) = merge_sequences_stats(seqs, ranks, 1, MergeStrategy::ClassCollapsed);
+    let trace = Trace {
+        nranks: ranks,
+        nodes,
+        comms,
+    };
+    check_well_formed(trace.nranks, &trace.comms, &trace.nodes).expect("well-formed");
+    (trace, stats)
+}
+
+#[test]
+fn cg_ranks_merge_in_at_most_two_classes() {
+    for ranks in [64, 256] {
+        let (trace, stats) = merged_cg(ranks);
+        assert!(stats.classes <= 2, "r{ranks}: {stats:?}");
+        assert!(trace.node_count() < 64, "r{ranks}:\n{trace}");
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only: cargo test --release")]
+fn cg_ranks_merge_in_at_most_two_classes_at_1024() {
+    let (trace, stats) = merged_cg(1024);
+    assert!(stats.classes <= 2, "{stats:?}");
+    assert!(trace.node_count() < 64, "{trace}");
 }

@@ -31,8 +31,13 @@
 //! 12 412 637 to 12 411 152 ns (T_app 12 422 255). Then the capture's fold
 //! window grew from 32 to 256 nodes, so mg's V-cycle folds into one loop
 //! and each `COMPUTE` mean spans every iteration: mg's total moved from
-//! 9 594 379 to 9 594 380 ns, with its per-rank times and FNVs. Every
-//! `app[...]` and the other eight lines are the seed legs' bytes.
+//! 9 594 379 to 9 594 380 ns, with its per-rank times and FNVs. Later a
+//! split's result became a per-rank parameter, so cg's ranks merge into
+//! two classes instead of one each and a merged trace node spans a class
+//! instead of one rank: a floored integer-ns `COMPUTE` mean moves by
+//! rounding, and cg's generated total moved from 12 411 152 to
+//! 12 411 167 ns, with its per-rank times and FNVs. Every `app[...]` and
+//! the other eight lines are the seed legs' bytes.
 //!
 //! `tests/fixtures/seed_legs_r64.golden` holds the same lines at 64 ranks,
 //! where the class-S registry's unexpected queues are busiest (9 205
