@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! **E7** — the complexity claim of §4.3/§4.4: Algorithms 1 (collective
 //! alignment) and 2 (wildcard resolution) are O(p·e), with O(r)
 //! pre-checks.

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! **Figure 6 (E3)** — time accuracy of generated benchmarks.
 //!
 //! For every application of the paper's suite and every rank count in its

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! **Figure 7 (E4)** — the §5.4 what-if study: communication performance of
 //! BT under scaled computation.
 //!

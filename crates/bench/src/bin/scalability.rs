@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! **E6** — the size-scalability claim of §1/§2: the generated benchmark
 //! grows *sublinearly* in both the number of processes and the number of
 //! communication events, unlike flat trace formats.

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! **§5.2 (E1/E2)** — communication correctness of generated benchmarks.
 //!
 //! E1: per-routine MPI event counts and volumes of the generated benchmark

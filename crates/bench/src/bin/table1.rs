@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! **Table 1 (E5)** — MPI-collective → coNCePTuaL mapping check.
 //!
 //! For every MPI collective, a tiny application issuing that collective is

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # bench-suite — experiment harness
 //!
 //! Shared machinery for the binaries that regenerate the paper's tables and

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # campaign — parallel, fault-isolated experiment fleets
 //!
 //! The paper's evaluation is a *grid* of experiments: applications × rank

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # conceptual — a coNCePTuaL-style DSL for communication benchmarks
 //!
 //! The paper generates benchmarks in coNCePTuaL (Pakin), "a domain-specific

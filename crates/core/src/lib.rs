@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # benchgen — automatic generation of executable communication
 //! specifications from parallel-application traces
 //!

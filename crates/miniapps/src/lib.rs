@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # miniapps — communication skeletons of the paper's evaluation codes
 //!
 //! The paper evaluates on the NAS Parallel Benchmarks 3.3 (BT, CG, EP, FT,

@@ -9,20 +9,19 @@
 //! that the benchmark generator uses to distinguish call sites.
 
 use crate::comm::Comm;
-use crate::engine::{Handles, Op, Reply, Request};
+use crate::engine::{Handles, Mailbox, Op, Reply};
 use crate::error::SimError;
+use crate::fiber::Suspender;
 use crate::hooks::{Event, EventKind, Hook};
 use crate::time::{SimDuration, SimTime};
 use crate::types::{CallSite, CollKind, Fnv1a, MsgInfo, Rank, ReqHandle, Src, Tag, TagSel};
 use std::panic::Location;
-use std::sync::mpsc::{Receiver, Sender};
 
 /// Panic payload used for quiet teardown when the engine aborts a run; the
 /// panic hook installed by [`crate::world::World`] suppresses its output.
-/// Carries the fatal error the engine broadcast, when there was one (e.g.
-/// [`SimError::RankFailed`] for an injected crash), `None` when the engine
-/// side of the channel simply disappeared.
-pub struct SimAbort(pub Option<SimError>);
+/// Carries the fatal error the engine handed the rank (e.g.
+/// [`SimError::RankFailed`] for an injected crash).
+pub struct SimAbort(pub SimError);
 
 /// Deferred-queue length at which a batch ships even though no call needs a
 /// reply yet: bounds per-rank deferred state (and the engine's queued ops
@@ -48,8 +47,8 @@ pub struct Ctx {
     rank: Rank,
     n: usize,
     world: Comm,
-    req_tx: Sender<Request>,
-    reply_rx: Receiver<Vec<Reply>>,
+    /// This rank's side of its coroutine: the mailbox and the yield.
+    link: Suspender<Mailbox>,
     clock: SimTime,
     hook: Option<Box<dyn Hook>>,
     regions: Vec<&'static str>,
@@ -57,7 +56,7 @@ pub struct Ctx {
     /// (nonblocking ops, computes, blocking sends, status-ignoring receives
     /// and waits, void collectives) is deferred here with its pending hook
     /// event, and ships together with the next value-returning op — or
-    /// once `window` entries have piled up — in a single channel handoff.
+    /// once `window` entries have piled up — in a single yield to the engine.
     queue: Vec<(Op, Option<PendingEv>)>,
     /// Queue length at which a call's last entry ships the batch:
     /// [`WINDOW`], or 1 for a world that crosses after every call.
@@ -76,8 +75,7 @@ impl Ctx {
     pub(crate) fn new(
         rank: Rank,
         n: usize,
-        req_tx: Sender<Request>,
-        reply_rx: Receiver<Vec<Reply>>,
+        link: Suspender<Mailbox>,
         hook: Option<Box<dyn Hook>>,
         window: usize,
     ) -> Ctx {
@@ -85,8 +83,7 @@ impl Ctx {
             rank,
             n,
             world: Comm::world(rank, n),
-            req_tx,
-            reply_rx,
+            link,
             clock: SimTime::ZERO,
             hook,
             regions: Vec::new(),
@@ -543,7 +540,7 @@ impl Ctx {
     }
 
     /// Queue `last` behind any deferred ops and ship the whole batch in one
-    /// channel handoff. Returns the final reply and the virtual time at
+    /// yield to the engine. Returns the final reply and the virtual time at
     /// which the final op began (its would-be `t_enter`).
     fn submit(&mut self, last: Op, ev: Option<PendingEv>) -> (Reply, SimTime) {
         self.queue.push((last, ev));
@@ -562,13 +559,17 @@ impl Ctx {
         }
     }
 
-    /// Send the deferred queue (plus a trailing `Op::Exited` if asked) as
-    /// one request and drain one reply per deferred op — updating the clock
-    /// and emitting each deferred hook event with the clocks before and
-    /// after its own op, whatever else rode the batch. The engine hands the
-    /// replies over as one message; only a dying run splits them (replies to
-    /// the ops that completed, then `Fatal`), which ends the drain with
-    /// `Err` after the completed ops' events are emitted.
+    /// Leave the deferred queue (plus a trailing `Op::Exited` if asked) in
+    /// the mailbox as one request and drain one reply per deferred op —
+    /// updating the clock and emitting each deferred hook event with the
+    /// clocks before and after its own op, whatever else rode the batch. The
+    /// rank yields only while it still expects replies, and only if they are
+    /// not already there. The engine hands the replies over in one piece;
+    /// only a dying run splits them (replies to the ops that completed, then
+    /// `Fatal`), which ends the drain with `Err` after the completed ops'
+    /// events are emitted. Replies beyond this request's ops (a `Fatal`
+    /// handed over before the rank took its last replies) stay in the
+    /// mailbox for the next request.
     fn ship(&mut self, trailing_exit: bool) -> Result<Option<(Reply, SimTime)>, SimAbort> {
         let mut ops = Vec::with_capacity(self.queue.len() + 1);
         let mut evs = Vec::with_capacity(self.queue.len());
@@ -584,19 +585,20 @@ impl Ctx {
         } else {
             Op::Batch(ops)
         };
-        let request = Request {
-            rank: self.rank,
-            op,
-        };
-        self.req_tx.send(request).map_err(|_| SimAbort(None))?;
+        self.link.mailbox().request = Some(op);
         let mut t_befores = std::mem::take(&mut self.drain_t);
         t_befores.clear();
         let mut evs = evs.into_iter();
         let mut out = None;
         while evs.len() > 0 {
-            for reply in self.reply_rx.recv().map_err(|_| SimAbort(None))? {
+            if self.link.mailbox().replies.is_empty() {
+                self.link.suspend();
+            }
+            let mut replies = std::mem::take(&mut self.link.mailbox().replies);
+            let take = replies.len().min(evs.len());
+            for reply in replies.drain(..take) {
                 if let Reply::Fatal(err) = reply {
-                    return Err(SimAbort(Some(err)));
+                    return Err(SimAbort(err));
                 }
                 let ev = evs.next().expect("the engine replies once per op");
                 let t_before = self.clock;
@@ -610,6 +612,9 @@ impl Ctx {
                 }
                 out = Some((reply, t_before));
             }
+            // Back into the mailbox: the leftovers, or an empty vector whose
+            // capacity the engine's next hand-over reuses.
+            self.link.mailbox().replies = replies;
         }
         self.drain_t = t_befores;
         Ok(out)
@@ -667,9 +672,8 @@ impl Ctx {
     }
 
     /// The exit paths run outside the body's `catch_unwind`, so they must
-    /// not unwind: a `Fatal` reply or a closed channel just ends the drain.
-    /// Hook events for the deferred ops are still emitted, so partial traces
-    /// stay complete.
+    /// not unwind: a `Fatal` reply just ends the drain. Hook events for the
+    /// deferred ops are still emitted, so partial traces stay complete.
     pub(crate) fn send_exited(&mut self) {
         // Deferred ops and the exit ride one batch.
         let _ = self.ship(true);
@@ -681,14 +685,13 @@ impl Ctx {
         if !self.queue.is_empty() {
             let _ = self.ship(false);
         }
-        let _ = self.req_tx.send(Request {
-            rank: self.rank,
-            op: Op::Panicked(message),
-        });
+        self.link.mailbox().request = Some(Op::Panicked(message));
     }
 
-    pub(crate) fn take_hook(&mut self) -> Option<Box<dyn Hook>> {
-        self.hook.take()
+    /// Leave this rank's hook in the mailbox for the world to collect.
+    pub(crate) fn finish(&mut self) {
+        let hook = self.hook.take();
+        self.link.mailbox().hook = hook;
     }
 }
 

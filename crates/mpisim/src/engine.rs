@@ -1,22 +1,26 @@
 //! The discrete-event engine: a sequential virtual-time scheduler that
-//! processes MPI-level operations submitted by rank threads.
+//! processes MPI-level operations submitted by the ranks.
 //!
 //! ## Execution model
 //!
-//! Every rank runs as an OS thread, but the *simulation* is sequential: a
-//! rank submits each MPI-level operation as a request over a shared
-//! channel and blocks until the engine replies. The engine waits until every
-//! live rank has either submitted its next request or finished
-//! ("quiescence"), then issues the newly arrived operations in ascending
-//! `(virtual clock, rank)` order. Issuing an operation applies its side
-//! effects (posting a receive, injecting a message, joining a collective);
-//! operations that cannot complete yet (waits, collectives, flow-controlled
-//! sends) stay pending until a later issue satisfies them. If quiescence is
-//! reached and nothing can complete, the *application* is deadlocked and the
-//! run aborts with a per-rank diagnostic.
+//! Every rank runs as a coroutine (`fiber.rs`) on the thread that
+//! runs the engine: a rank body executes on a stack of its own until it
+//! ships its next MPI-level operation as a request, then yields to the
+//! engine and waits to be resumed with the replies. The engine resumes
+//! every rank that has replies to take until each has either yielded its
+//! next request or finished ("quiescence"), then issues the newly arrived
+//! operations in ascending `(virtual clock, rank)` order. Issuing an
+//! operation applies its side effects (posting a receive, injecting a
+//! message, joining a collective); operations that cannot complete yet
+//! (waits, collectives, flow-controlled sends) stay pending until a later
+//! issue satisfies them. If quiescence is reached and nothing can complete,
+//! the *application* is deadlocked and the run aborts with a per-rank
+//! diagnostic.
 //!
 //! Because scheduling decisions depend only on virtual clocks and rank ids,
-//! a run is bit-deterministic for a fixed [`MatchPolicy`].
+//! a run is bit-deterministic for a fixed [`MatchPolicy`]. Ranks are resumed
+//! in the order their replies were handed over, so even which of two
+//! panicking ranks is reported is fixed.
 //!
 //! ## Timing model
 //!
@@ -32,12 +36,13 @@
 use crate::comm::{split_groups, Comm, CommId};
 use crate::error::{BlockedOn, Budget, SimError};
 use crate::faults::FaultPlan;
+use crate::fiber::Fiber;
+use crate::hooks::Hook;
 use crate::network::NetworkModel;
 use crate::time::{SimDuration, SimTime};
 use crate::types::{CollKind, Fnv1a, MsgInfo, Rank, ReqHandle, Src, Tag, TagSel};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
 /// How the engine chooses among multiple messages that could match a
@@ -79,10 +84,15 @@ pub struct EngineStats {
 // Requests and replies
 // ---------------------------------------------------------------------------
 
-#[derive(Debug)]
-pub(crate) struct Request {
-    pub rank: Rank,
-    pub op: Op,
+/// What a rank and the engine exchange while the other is suspended.
+#[derive(Default)]
+pub(crate) struct Mailbox {
+    /// The rank's next request, left for the engine when it yields.
+    pub request: Option<Op>,
+    /// The engine's replies, in op order, left for the rank to drain.
+    pub replies: Vec<Reply>,
+    /// The rank's hook, left by the body when it finishes.
+    pub hook: Option<Box<dyn Hook>>,
 }
 
 #[derive(Debug)]
@@ -121,12 +131,12 @@ pub(crate) enum Op {
     Exited,
     /// Rank body panicked; the engine aborts the run.
     Panicked(String),
-    /// A burst of operations submitted in one channel handoff: zero or more
-    /// nonblocking ops, optionally ending with one blocking op (or
+    /// A burst of operations submitted in one yield to the engine: zero or
+    /// more nonblocking ops, optionally ending with one blocking op (or
     /// `Exited`). The engine unpacks the batch at receive time and issues
     /// the ops one per scheduling round — the global schedule is identical
-    /// to submitting them individually; only the thread baton crossings are
-    /// saved. Never nested; never contains `Panicked`.
+    /// to submitting them individually; only the crossings are saved.
+    /// Never nested; never contains `Panicked`.
     Batch(Vec<Op>),
 }
 
@@ -333,13 +343,16 @@ pub(crate) struct Engine {
     policy: MatchPolicy,
     n: usize,
 
-    req_rx: Receiver<Request>,
-    reply_tx: Vec<Sender<Vec<Reply>>>,
+    /// One coroutine per rank; the world drains them after the run.
+    pub(crate) fibers: Vec<Fiber<Mailbox>>,
+    /// Ranks handed replies they have not taken yet, in hand-over order:
+    /// phase 1 resumes them.
+    ready: VecDeque<Rank>,
     /// Per rank: replies held back while the rank still has queued ops, so a
-    /// batch of k ops wakes the rank thread once, not k times. Handed over
-    /// as one message by [`Engine::hand_over`].
+    /// batch of k ops resumes the rank once, not k times. Handed over in one
+    /// piece by [`Engine::hand_over`].
     reply_buf: Vec<Vec<Reply>>,
-    /// Request messages received — the rank→engine baton crossings.
+    /// Requests received — how often a rank yielded to the engine.
     pub(crate) crossings: u64,
 
     clocks: Vec<SimTime>,
@@ -350,9 +363,6 @@ pub(crate) struct Engine {
     finished: Vec<bool>,
     finalized: Vec<bool>,
     live: usize,
-    /// Ranks currently executing user code (reply sent, next request not yet
-    /// received).
-    running: usize,
 
     reqs: Vec<IdMap<ReqState>>,
     next_req: Vec<u64>,
@@ -407,15 +417,14 @@ impl Engine {
         n: usize,
         model: Arc<dyn NetworkModel>,
         policy: MatchPolicy,
-        req_rx: Receiver<Request>,
-        reply_tx: Vec<Sender<Vec<Reply>>>,
+        fibers: Vec<Fiber<Mailbox>>,
     ) -> Engine {
         Engine {
             model,
             policy,
             n,
-            req_rx,
-            reply_tx,
+            fibers,
+            ready: (0..n).collect(),
             reply_buf: (0..n).map(|_| Vec::new()).collect(),
             crossings: 0,
             clocks: vec![SimTime::ZERO; n],
@@ -424,7 +433,6 @@ impl Engine {
             finished: vec![false; n],
             finalized: vec![false; n],
             live: n,
-            running: n,
             reqs: (0..n).map(|_| IdMap::default()).collect(),
             next_req: vec![1; n],
             waiting: Vec::new(),
@@ -465,35 +473,35 @@ impl Engine {
     /// Run the scheduler to completion.
     pub(crate) fn run(&mut self) -> Result<(), SimError> {
         loop {
-            // Phase 1: quiescence — wait for every running rank's next request.
-            while self.running > 0 {
-                let req = self
-                    .req_rx
-                    .recv()
-                    .map_err(|_| SimError::InvalidHandle("request channel closed".into()))?;
-                self.running -= 1;
+            // Phase 1: quiescence — resume every rank holding replies and
+            // take its next request.
+            while let Some(rank) = self.ready.pop_front() {
+                let fiber = &mut self.fibers[rank];
+                fiber.resume();
+                let op = fiber
+                    .mailbox()
+                    .request
+                    .take()
+                    .unwrap_or_else(|| panic!("rank {rank} yielded without a request"));
                 self.crossings += 1;
-                if let Op::Panicked(msg) = req.op {
-                    let err = SimError::RankPanicked {
-                        rank: req.rank,
-                        message: msg,
-                    };
-                    self.broadcast_fatal(&err);
-                    return Err(err);
-                }
-                match req.op {
+                match op {
+                    Op::Panicked(message) => {
+                        let err = SimError::RankPanicked { rank, message };
+                        self.broadcast_fatal(&err);
+                        return Err(err);
+                    }
                     Op::Batch(ops) => {
-                        self.reply_buf[req.rank].reserve(ops.len());
+                        self.reply_buf[rank].reserve(ops.len());
                         let mut it = ops.into_iter();
                         let first = it.next().expect("batches are non-empty");
-                        self.pending[req.rank] = Some(Pending {
+                        self.pending[rank] = Some(Pending {
                             op: first,
                             issued: false,
                         });
-                        self.queued[req.rank].extend(it);
+                        self.queued[rank].extend(it);
                     }
                     op => {
-                        self.pending[req.rank] = Some(Pending { op, issued: false });
+                        self.pending[rank] = Some(Pending { op, issued: false });
                     }
                 }
             }
@@ -521,7 +529,7 @@ impl Engine {
             // Phase 3: complete any waits unblocked by the new issues.
             self.complete_ready_waits();
 
-            if !self.progressed && self.running == 0 && self.live > 0 {
+            if !self.progressed && self.ready.is_empty() && self.live > 0 {
                 let err = match self.final_verdict(self.describe_blocked()) {
                     // No injected failure: a genuine application deadlock.
                     Ok(()) => SimError::Deadlock(self.describe_blocked()),
@@ -690,8 +698,9 @@ impl Engine {
                 self.live -= 1;
                 self.pending[rank] = None;
                 self.progressed = true;
-                // A batch that ended in `Exited`: the rank thread is still
-                // draining the replies of the ops before it.
+                // A batch that ended in `Exited`: the rank still has to
+                // drain the replies of the ops before it. It takes them
+                // after the run, when the world finishes every rank.
                 if !self.reply_buf[rank].is_empty() {
                     self.hand_over(rank);
                 }
@@ -703,10 +712,11 @@ impl Engine {
 
     /// Kill `rank` per the fault plan: it dies *before* the operation it was
     /// about to issue takes effect. The `Fatal` bypasses [`Engine::reply`] —
-    /// the rank will never run user code again, so it must not be counted as
-    /// running — and follows the replies still buffered for the ops the rank
-    /// did complete; the thread unwinds via `SimAbort`, letting the world
-    /// recover its hooks (partial trace) after `catch_unwind`.
+    /// the rank will never run user code again, so it is not queued for
+    /// resumption — and follows the replies still buffered for the ops the
+    /// rank did complete; the world resumes the rank after the run, and it
+    /// unwinds via `SimAbort`, letting the world recover its hook (partial
+    /// trace) after `catch_unwind`.
     fn crash_rank(&mut self, rank: Rank, after_ops: u64) {
         let err = SimError::RankFailed {
             rank,
@@ -1227,22 +1237,27 @@ impl Engine {
             // The rank pre-submitted its next op in a batch: promote it so
             // the next round issues it — exactly when an individually
             // submitted op would have been issued (it would arrive during
-            // the next quiescence phase). The rank thread is not running
-            // user code for it, so `running` stays untouched and its thread
-            // stays parked: the reply waits in `reply_buf`.
+            // the next quiescence phase). The rank runs no user code for it,
+            // so it stays suspended: the reply waits in `reply_buf`.
             Some(op) => self.pending[rank] = Some(Pending { op, issued: false }),
             None => {
-                self.running += 1;
                 self.hand_over(rank);
+                self.ready.push_back(rank);
             }
         }
     }
 
-    /// Send `rank` everything buffered for it as one message — one wake-up
-    /// of its thread. A send failure means the rank thread died; the
-    /// subsequent request drain will surface the problem.
+    /// Leave `rank` everything buffered for it in one piece. The mailbox is
+    /// normally empty, and swapping keeps both vectors' capacity: a crossing
+    /// allocates nothing. Only a `Fatal` can follow replies the rank has not
+    /// taken yet.
     fn hand_over(&mut self, rank: Rank) {
-        let _ = self.reply_tx[rank].send(std::mem::take(&mut self.reply_buf[rank]));
+        let replies = &mut self.fibers[rank].mailbox().replies;
+        if replies.is_empty() {
+            std::mem::swap(replies, &mut self.reply_buf[rank]);
+        } else {
+            replies.append(&mut self.reply_buf[rank]);
+        }
     }
 
     /// End the run for every live rank. Replies to ops that did complete go

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 //! # mpisim — a deterministic discrete-event MPI runtime
 //!
 //! This crate is the hardware/MPI substrate for the benchmark-generation
@@ -62,6 +63,8 @@ pub mod ctx;
 pub mod engine;
 pub mod error;
 pub mod faults;
+#[allow(unsafe_code)]
+mod fiber;
 pub mod hooks;
 pub mod network;
 pub mod profile;

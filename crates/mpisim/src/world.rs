@@ -1,16 +1,16 @@
 //! `World`: configures and launches a simulated run.
 
 use crate::ctx::{Ctx, SimAbort, WINDOW};
-use crate::engine::{Engine, EngineStats, MatchPolicy, Reply, Request};
+use crate::engine::{Engine, EngineStats, MatchPolicy};
 use crate::error::SimError;
 use crate::faults::FaultPlan;
+use crate::fiber::Fiber;
 use crate::hooks::Hook;
 use crate::network::{self, NetworkModel};
 use crate::time::SimTime;
 use crate::types::Rank;
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::sync::{Arc, Once};
 
 /// Outcome of a successful run.
@@ -25,8 +25,8 @@ pub struct RunReport {
     pub per_rank_time: Vec<SimTime>,
     /// Engine counters (messages, stalls, collectives, …).
     pub stats: EngineStats,
-    /// Request messages the engine received: how often a rank thread and
-    /// the engine handed the baton over: one per call under
+    /// Requests the engine received: how often a rank yielded to the
+    /// engine: one per call under
     /// `op_batching(false)` (not one per op — a blocking send is two ops),
     /// about one per window otherwise. Repeats exactly for a given program
     /// and window. Kept out of `stats` because it is the one number the
@@ -86,7 +86,7 @@ impl World {
     }
 
     /// Inject a fault plan. It is validated against the world size before
-    /// any rank is spawned; an invalid plan fails the run with
+    /// any rank starts; an invalid plan fails the run with
     /// [`SimError::InvalidFaultPlan`].
     pub fn faults(mut self, plan: FaultPlan) -> World {
         self.faults = Some(plan);
@@ -111,15 +111,16 @@ impl World {
     /// Choose how far a rank may run ahead of the engine (on by default).
     /// Every call whose reply the rank cannot observe — nonblocking ops,
     /// computes, blocking sends, status-ignoring receives and waits, void
-    /// collectives — is deferred and crosses the rank→engine channel as one
-    /// batch at the next value-returning call or when the window of
-    /// deferred ops fills, and the replies come back as one message. `true`
+    /// collectives — is deferred and crosses to the engine as one batch at
+    /// the next value-returning call or when the window of deferred ops
+    /// fills, and the replies come back in one piece. `true`
     /// is the production window of 128 entries; `false` is the same code
     /// with a window of one call, so a rank crosses after *every* call (a
     /// blocking send or receive still ships its two ops together). Virtual
     /// times, schedules, hook events, and reports are identical either way
-    /// — the differential tests' reference; only host-side synchronisation
-    /// overhead (and [`RunReport::crossings`]) changes.
+    /// — the differential tests' reference; only the host-side cost of
+    /// switching between rank and engine (and [`RunReport::crossings`])
+    /// changes.
     pub fn op_batching(mut self, enabled: bool) -> World {
         self.window = if enabled { WINDOW } else { 1 };
         self
@@ -183,7 +184,7 @@ impl World {
     {
         install_quiet_abort_hook();
         let n = self.n;
-        // Validate and install the fault plan before any rank is spawned.
+        // Validate and install the fault plan before any rank starts.
         let plan = match &self.faults {
             Some(p) => match p.validate(n) {
                 Ok(()) => Some(Arc::new(p.clone())),
@@ -199,23 +200,13 @@ impl World {
         };
         let body = Arc::new(body);
         let window = self.window;
-        let (req_tx, req_rx) = mpsc::channel::<Request>();
-        let mut reply_txs = Vec::with_capacity(n);
-        let mut threads = Vec::with_capacity(n);
-        for rank in 0..n {
-            let (reply_tx, reply_rx) = mpsc::channel::<Vec<Reply>>();
-            reply_txs.push(reply_tx);
-            let hook = mk(rank);
-            let body = Arc::clone(&body);
-            let req_tx = req_tx.clone();
-            let builder = std::thread::Builder::new()
-                .name(format!("rank-{rank}"))
-                .stack_size(512 * 1024);
-            let handle = builder
-                .spawn(move || {
-                    let mut ctx = Ctx::new(rank, n, req_tx, reply_rx, hook, window);
-                    let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-                    match result {
+        let fibers = (0..n)
+            .map(|rank| {
+                let hook = mk(rank);
+                let body = Arc::clone(&body);
+                Fiber::new(Default::default(), move |link| {
+                    let mut ctx = Ctx::new(rank, n, link, hook, window);
+                    match panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
                         Ok(()) => ctx.send_exited(),
                         Err(payload) => {
                             if !payload.is::<SimAbort>() {
@@ -223,27 +214,32 @@ impl World {
                             }
                         }
                     }
-                    ctx.take_hook()
+                    ctx.finish();
                 })
-                .expect("spawn rank thread");
-            threads.push(handle);
-        }
-        drop(req_tx);
+            })
+            .collect();
 
-        let mut engine = Engine::new(n, model.clone(), self.policy, req_rx, reply_txs);
+        let mut engine = Engine::new(n, model.clone(), self.policy, fibers);
         if let Some(p) = plan {
             engine.set_faults(p);
         }
         engine.set_budgets(self.op_budget, self.time_budget);
         let engine_result = engine.run();
 
+        // Two cases leave a rank suspended with replies it has not taken: a
+        // batch that ended in `Exited`, and the `Fatal` the engine handed
+        // every unfinished rank when it gave up. Let each drain them and
+        // finish, so every rank's hook (a partial trace) comes back.
         let mut hooks = Vec::new();
-        for t in threads {
-            match t.join() {
-                Ok(Some(h)) => hooks.push(h),
-                Ok(None) => {}
-                Err(_) => { /* rank aborted; engine_result carries the cause */ }
+        for (rank, fiber) in engine.fibers.iter_mut().enumerate() {
+            while !fiber.is_done() {
+                assert!(
+                    !fiber.mailbox().replies.is_empty(),
+                    "engine bug: rank {rank} is still suspended with no replies after the run"
+                );
+                fiber.resume();
             }
+            hooks.extend(fiber.mailbox().hook.take());
         }
 
         let result = engine_result.map(|()| RunReport {

@@ -6,8 +6,7 @@
 //! crossing at the next value-returning call or full window;
 //! `op_batching(false)` is the same client with a window of one call, so a
 //! rank crosses after every call. These tests pin down the contract: the
-//! window may only change *how often* the rank thread and the engine
-//! synchronise, never *what* the engine observes — reports, mpiP profiles,
+//! window may only change *how often* a rank and the engine switch, never *what* the engine observes — reports, mpiP profiles,
 //! per-channel message order, and wildcard match outcomes are all
 //! byte-identical to the window-of-one reference, including under seeded
 //! fault perturbation. (That reference in turn reproduces the deleted

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Std-only parallel execution layer for the commspec workspace.
 //!
 //! The pipeline's reduction stages — the inter-rank binary-tree merge, the

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # proptest-shim — a dependency-free subset of [proptest](https://docs.rs/proptest)
 //!
 //! This workspace builds with **no network access**, so the real proptest

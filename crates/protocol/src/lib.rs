@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! The `commspec-server` wire protocol.
 //!
 //! This crate is deliberately dependency-free: it holds the one JSON codec

@@ -226,7 +226,7 @@ impl PartialTracedRun {
 
 /// As [`trace_world`], but a failed run still yields the partial trace the
 /// ranks accumulated before the failure — the tracers survive engine errors
-/// because each rank thread hands its hook back even when it is aborted.
+/// because each rank hands its hook back even when it is aborted.
 pub fn trace_world_partial<F>(world: World, n: usize, body: F) -> PartialTracedRun
 where
     F: Fn(&mut Ctx) + Send + Sync + 'static,

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # scalatrace — lossless, structure-aware communication tracing
 //!
 //! A reproduction of the ScalaTrace framework the paper builds on (Noeth,

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `commspec-server`: a long-running trace-and-generation service over
 //! the campaign runner.
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `commbench` — campaign fleet runner: execute a declarative experiment
 //! matrix (apps × ranks × classes × networks) through the full
 //! trace → generate → execute → verify pipeline, in parallel, with trace

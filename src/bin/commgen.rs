@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `commgen` — command-line front end for the benchmark generator.
 //!
 //! Traces a bundled application (or reads a trace file, text `.st` or

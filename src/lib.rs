@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # commspec — automatic generation of executable communication specifications
 //!
 //! Umbrella crate re-exporting the subsystems of this reproduction of

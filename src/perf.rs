@@ -1145,8 +1145,8 @@ pub fn check_regressions(new: &PerfReport, committed: &Json) -> Vec<String> {
             }
         }
         // These repeat exactly, so any rise is a change in how much work the
-        // algorithm does — or how often rank threads and the engine
-        // synchronise — not noise.
+        // algorithm does — or how often ranks and the engine switch — not
+        // noise.
         for (key, now) in fresh.exact_counters() {
             let Some(old) = suite.get(key).and_then(Json::as_num) else {
                 continue;

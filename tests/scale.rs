@@ -70,7 +70,7 @@ fn sweep3d_alignment_at_64_ranks() {
 }
 
 #[test]
-fn extrapolated_ring_runs_at_1024_ranks() {
+fn extrapolated_ring_runs_at_4096_ranks() {
     let app = registry::lookup("ring").unwrap();
     let params = AppParams {
         class: Class::S,
@@ -78,11 +78,26 @@ fn extrapolated_ring_runs_at_1024_ranks() {
         compute_scale: 1.0,
     };
     let traced = trace_app(8, network::ideal(), move |ctx| (app.run)(ctx, &params)).unwrap();
-    let big = scalatrace::extrap::extrapolate(&traced.trace, 1024).expect("extrapolates");
+    let big = scalatrace::extrap::extrapolate(&traced.trace, 4096).expect("extrapolates");
     let generated = generate(&big, &GenOptions::default()).expect("generates");
     let outcome =
-        run_program(&generated.program, 1024, network::ideal()).expect("runs at 1024 ranks");
-    assert_eq!(outcome.report.stats.messages, 1024 * 10);
+        run_program(&generated.program, 4096, network::ideal()).expect("runs at 4096 ranks");
+    assert_eq!(outcome.report.stats.messages, 4096 * 10);
+}
+
+/// MG traced at 16 ranks, extrapolated to 4 096 and executed there: every
+/// rank sends what it sends in the direct traces at 16, 64 and 256 ranks.
+#[test]
+fn extrapolated_mg_runs_at_4096_ranks() {
+    let app = registry::lookup("mg").unwrap();
+    let params = AppParams::class(Class::S);
+    let traced = trace_app(16, network::ideal(), move |ctx| (app.run)(ctx, &params)).unwrap();
+    assert_eq!(traced.report.stats.messages, 96 * 16);
+    let big = scalatrace::extrap::extrapolate(&traced.trace, 4096).expect("extrapolates");
+    let generated = generate(&big, &GenOptions::default()).expect("generates");
+    let outcome =
+        run_program(&generated.program, 4096, network::ideal()).expect("runs at 4096 ranks");
+    assert_eq!(outcome.report.stats.messages, 96 * 4096);
 }
 
 /// Registry cg's per-rank sequences, as the tracer hands them to the leaf
