@@ -23,22 +23,22 @@ use std::panic::Location;
 /// [`SimError::RankFailed`] for an injected crash).
 pub struct SimAbort(pub SimError);
 
-/// Deferred-queue length at which a batch ships even though no call needs a
-/// reply yet: bounds per-rank deferred state (and the engine's queued ops
-/// and buffered replies) however long a run of deferrable calls is.
+/// Queued ops at which a rank yields even though no call needs a reply
+/// yet: bounds per-rank deferred state (the mailbox's ops and replies and
+/// the pending hook events) however long a run of deferrable calls is.
 pub(crate) const WINDOW: usize = 128;
 
 /// A hook event deferred until its operation's reply arrives.
 /// The stack signature is captured at call time — the region stack may have
-/// changed by the time the batch is flushed.
+/// changed by the time the queue is flushed.
 struct PendingEv {
     kind: EventKind,
     callsite: CallSite,
     stack_sig: u64,
-    /// How many queue entries *before this one* the event's enter time
-    /// anchors to: 0 = this op's own submission; 1 = the previous entry's
-    /// (a blocking send/recv is an isend/irecv entry followed by a wait
-    /// entry carrying the combined event).
+    /// How many queued ops *before this one* the event's enter time
+    /// anchors to: 0 = this op's own; 1 = the previous op's (a blocking
+    /// send/recv is an isend/irecv followed by a wait carrying the combined
+    /// event).
     span: usize,
 }
 
@@ -52,14 +52,16 @@ pub struct Ctx {
     clock: SimTime,
     hook: Option<Box<dyn Hook>>,
     regions: Vec<&'static str>,
-    /// Every op whose reply carries nothing the caller observes
-    /// (nonblocking ops, computes, blocking sends, status-ignoring receives
-    /// and waits, void collectives) is deferred here with its pending hook
-    /// event, and ships together with the next value-returning op — or
-    /// once `window` entries have piled up — in a single yield to the engine.
-    queue: Vec<(Op, Option<PendingEv>)>,
-    /// Queue length at which a call's last entry ships the batch:
-    /// [`WINDOW`], or 1 for a world that crosses after every call.
+    /// One entry per op queued in the mailbox whose reply this rank has not
+    /// drained: the op's hook event, or `None` (an op reported by the next
+    /// one's event, or no hook). Every op whose reply carries nothing the
+    /// caller observes (nonblocking ops, computes, blocking sends,
+    /// status-ignoring receives and waits, void collectives) is deferred:
+    /// the rank yields only at the next value-returning op — or once
+    /// `window` ops have piled up — and drains the lot's replies.
+    evs: Vec<Option<PendingEv>>,
+    /// Queued ops at which a call's last op flushes the queue: [`WINDOW`],
+    /// or 1 for a world that crosses after every call.
     window: usize,
     /// Mirror of the engine's per-rank request-handle counter (last handle
     /// handed out): the engine allocates handles sequentially per rank, so
@@ -87,7 +89,7 @@ impl Ctx {
             clock: SimTime::ZERO,
             hook,
             regions: Vec::new(),
-            queue: Vec::new(),
+            evs: Vec::new(),
             window,
             next_handle: 0,
             confirmed_handle: 0,
@@ -123,7 +125,7 @@ impl Ctx {
         if d == SimDuration::ZERO {
             return;
         }
-        self.queue.push((Op::Compute(d), None));
+        self.push_op(Op::Compute(d), None);
         self.close_window();
     }
 
@@ -189,7 +191,7 @@ impl Ctx {
             blocking: true,
         };
         let h = self.predict_handle();
-        self.queue.push((
+        self.push_op(
             Op::ISend {
                 to: abs,
                 tag,
@@ -197,12 +199,12 @@ impl Ctx {
                 comm: comm.id,
             },
             None,
-        ));
-        // The wait returns nothing the caller can observe, so it rides the
-        // batch too: a run of blocking sends crosses the baton once, at the
-        // next value-returning call. The engine replays the batch
-        // sequentially, so rendezvous blocking happens at the same virtual
-        // time whenever the batch ships.
+        );
+        // The wait returns nothing the caller can observe, so it is
+        // deferred too: a run of blocking sends yields once, at the next
+        // value-returning call. The engine issues the queue in order, so
+        // rendezvous blocking happens at the same virtual time whenever the
+        // rank yields.
         let wait = Op::Wait {
             reqs: Handles::one(h),
             status: false,
@@ -220,7 +222,7 @@ impl Ctx {
     /// Blocking receive whose status the caller does not need (the
     /// `MPI_STATUS_IGNORE` analogue). Same operation, event and virtual
     /// time as [`Ctx::recv`], but deferred exactly as a blocking
-    /// [`Ctx::send`] is, instead of ending the batch.
+    /// [`Ctx::send`] is, instead of flushing the queue.
     #[track_caller]
     pub fn recv_ignore(&mut self, from: Src, tag: TagSel, bytes: u64, comm: &Comm) {
         self.recv_at(from, tag, bytes, comm, caller(), false);
@@ -408,8 +410,8 @@ impl Ctx {
     }
 
     /// Blocking receive (irecv + wait, reported as one `MPI_Recv`). Returns
-    /// the statuses if `want_status`, else nothing: then the wait rides the
-    /// batch like a blocking send's.
+    /// the statuses if `want_status`, else nothing: then the wait is
+    /// deferred like a blocking send's.
     fn recv_at(
         &mut self,
         from: Src,
@@ -428,7 +430,7 @@ impl Ctx {
             blocking: true,
         };
         let h = self.predict_handle();
-        self.queue.push((
+        self.push_op(
             Op::IRecv {
                 from: abs_from,
                 tag,
@@ -436,7 +438,7 @@ impl Ctx {
                 comm: comm.id,
             },
             None,
-        ));
+        );
         self.wait_entry(Handles::one(h), kind, site, 1, want_status)
     }
 
@@ -450,7 +452,7 @@ impl Ctx {
         self.wait_entry(reqs, kind, site, 0, want_status)
     }
 
-    /// Queue a wait: shipped now when the caller wants the statuses,
+    /// Queue a wait: flushed now when the caller wants the statuses,
     /// deferred when it does not (the engine then replies with the clock
     /// alone, and nothing is allocated for statuses nobody reads).
     fn wait_entry(
@@ -499,7 +501,7 @@ impl Ctx {
         };
         // Collectives reply with nothing but a clock, so they defer like
         // blocking sends: rank synchronisation is a virtual-time affair the
-        // engine enforces whenever the op ships.
+        // engine enforces whenever the rank yields.
         self.defer(op, ev_kind, site, 0);
     }
 
@@ -511,18 +513,24 @@ impl Ctx {
         ReqHandle(self.next_handle)
     }
 
+    /// Push `op` onto the mailbox's queue and its hook event beside it.
+    fn push_op(&mut self, op: Op, ev: Option<PendingEv>) {
+        self.link.mailbox().ops.push_back(op);
+        self.evs.push(ev);
+    }
+
     /// Queue a nonblocking op together with its deferred hook event.
     fn defer(&mut self, op: Op, kind: EventKind, callsite: CallSite, span: usize) {
         let ev = self.mk_ev(kind, callsite, span);
-        self.queue.push((op, ev));
+        self.push_op(op, ev);
         self.close_window();
     }
 
-    /// Ship the deferred queue once it holds `window` entries. Called only
-    /// after a call's last entry is queued, so an isend/irecv entry and the
-    /// wait entry whose event spans it always travel together.
+    /// Flush the queue once it holds `window` ops. Called only after a
+    /// call's last op is queued, so an isend/irecv and the wait whose event
+    /// spans it are always flushed together.
     fn close_window(&mut self) {
-        if self.queue.len() >= self.window {
+        if self.evs.len() >= self.window {
             let _ = self.flush();
         }
     }
@@ -539,56 +547,41 @@ impl Ctx {
         })
     }
 
-    /// Queue `last` behind any deferred ops and ship the whole batch in one
-    /// yield to the engine. Returns the final reply and the virtual time at
-    /// which the final op began (its would-be `t_enter`).
+    /// Queue `last` behind any deferred ops and flush the queue. Returns
+    /// the final reply and the virtual time at which the final op began
+    /// (its would-be `t_enter`).
     fn submit(&mut self, last: Op, ev: Option<PendingEv>) -> (Reply, SimTime) {
-        self.queue.push((last, ev));
+        self.push_op(last, ev);
         self.flush().expect("queue is non-empty")
     }
 
-    /// Ship the deferred queue, if any, and drain one reply per op. Returns
-    /// the last reply and the virtual time at which its op began.
+    /// Drain one reply per queued op, if any. Returns the last reply and
+    /// the virtual time at which its op began.
     fn flush(&mut self) -> Option<(Reply, SimTime)> {
-        if self.queue.is_empty() {
+        if self.evs.is_empty() {
             return None;
         }
-        match self.ship(false) {
+        match self.drain() {
             Ok(out) => out,
             Err(abort) => std::panic::panic_any(abort),
         }
     }
 
-    /// Leave the deferred queue (plus a trailing `Op::Exited` if asked) in
-    /// the mailbox as one request and drain one reply per deferred op —
-    /// updating the clock and emitting each deferred hook event with the
-    /// clocks before and after its own op, whatever else rode the batch. The
-    /// rank yields only while it still expects replies, and only if they are
-    /// not already there. The engine hands the replies over in one piece;
-    /// only a dying run splits them (replies to the ops that completed, then
-    /// `Fatal`), which ends the drain with `Err` after the completed ops'
-    /// events are emitted. Replies beyond this request's ops (a `Fatal`
-    /// handed over before the rank took its last replies) stay in the
-    /// mailbox for the next request.
-    fn ship(&mut self, trailing_exit: bool) -> Result<Option<(Reply, SimTime)>, SimAbort> {
-        let mut ops = Vec::with_capacity(self.queue.len() + 1);
-        let mut evs = Vec::with_capacity(self.queue.len());
-        for (op, ev) in self.queue.drain(..) {
-            ops.push(op);
-            evs.push(ev);
-        }
-        if trailing_exit {
-            ops.push(Op::Exited);
-        }
-        let op = if ops.len() == 1 {
-            ops.pop().expect("one op")
-        } else {
-            Op::Batch(ops)
-        };
-        self.link.mailbox().request = Some(op);
+    /// Drain one reply per queued op — updating the clock and emitting each
+    /// deferred hook event with the clocks before and after its own op,
+    /// whatever else was queued with it. The rank yields only while it
+    /// still expects replies, and only if they are not already there. The
+    /// engine resumes the rank once every queued op has its reply; only a
+    /// dying run cuts the replies short (replies to the ops that completed,
+    /// then `Fatal`), which ends the drain with `Err` after the completed
+    /// ops' events are emitted. Replies beyond these ops (a `Fatal` given
+    /// before the rank took its last replies) stay in the mailbox for the
+    /// next drain.
+    fn drain(&mut self) -> Result<Option<(Reply, SimTime)>, SimAbort> {
         let mut t_befores = std::mem::take(&mut self.drain_t);
         t_befores.clear();
-        let mut evs = evs.into_iter();
+        let mut queued = std::mem::take(&mut self.evs);
+        let mut evs = queued.drain(..);
         let mut out = None;
         while evs.len() > 0 {
             if self.link.mailbox().replies.is_empty() {
@@ -613,9 +606,11 @@ impl Ctx {
                 out = Some((reply, t_before));
             }
             // Back into the mailbox: the leftovers, or an empty vector whose
-            // capacity the engine's next hand-over reuses.
+            // capacity the engine's next replies reuse.
             self.link.mailbox().replies = replies;
         }
+        drop(evs);
+        self.evs = queued;
         self.drain_t = t_befores;
         Ok(out)
     }
@@ -675,17 +670,19 @@ impl Ctx {
     /// not unwind: a `Fatal` reply just ends the drain. Hook events for the
     /// deferred ops are still emitted, so partial traces stay complete.
     pub(crate) fn send_exited(&mut self) {
-        // Deferred ops and the exit ride one batch.
-        let _ = self.ship(true);
+        // The exit is queued behind the deferred ops.
+        self.link.mailbox().ops.push_back(Op::Exited);
+        let _ = self.drain();
     }
 
     pub(crate) fn send_panicked(&mut self, message: String) {
-        // Deliver any ops deferred before the panic first, so the partial
-        // trace holds every call the body completed.
-        if !self.queue.is_empty() {
-            let _ = self.ship(false);
+        // Drain any ops deferred before the panic first, so the partial
+        // trace holds every call the body completed and the engine finds
+        // the panic at the front of the queue.
+        if !self.evs.is_empty() {
+            let _ = self.drain();
         }
-        self.link.mailbox().request = Some(Op::Panicked(message));
+        self.link.mailbox().ops.push_back(Op::Panicked(message));
     }
 
     /// Leave this rank's hook in the mailbox for the world to collect.

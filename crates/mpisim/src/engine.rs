@@ -4,23 +4,23 @@
 //! ## Execution model
 //!
 //! Every rank runs as a coroutine (`fiber.rs`) on the thread that
-//! runs the engine: a rank body executes on a stack of its own until it
-//! ships its next MPI-level operation as a request, then yields to the
-//! engine and waits to be resumed with the replies. The engine resumes
-//! every rank that has replies to take until each has either yielded its
-//! next request or finished ("quiescence"), then issues the newly arrived
-//! operations in ascending `(virtual clock, rank)` order. Issuing an
-//! operation applies its side effects (posting a receive, injecting a
-//! message, joining a collective); operations that cannot complete yet
-//! (waits, collectives, flow-controlled sends) stay pending until a later
-//! issue satisfies them. If quiescence is reached and nothing can complete,
-//! the *application* is deadlocked and the run aborts with a per-rank
-//! diagnostic.
+//! runs the engine: a rank body pushes each MPI-level operation onto the
+//! queue in its [`Mailbox`] and yields once it needs a reply that is not
+//! there yet. The engine resumes every rank that has replies to take until
+//! each has yielded or finished ("quiescence"), then pops the front op of
+//! each *fresh* rank's queue in ascending `(virtual clock, rank)` order and
+//! issues it, applying its side effects (posting a receive, injecting a
+//! message, joining a collective); a wait or collective that cannot
+//! complete yet stays pending until a later issue satisfies it. A reply
+//! goes straight into the mailbox: the rank is fresh again while it has
+//! ops queued, and is resumed once it has none. If quiescence is reached
+//! and nothing can complete, the *application* is deadlocked and the run
+//! aborts with a per-rank diagnostic.
 //!
 //! Because scheduling decisions depend only on virtual clocks and rank ids,
 //! a run is bit-deterministic for a fixed [`MatchPolicy`]. Ranks are resumed
-//! in the order their replies were handed over, so even which of two
-//! panicking ranks is reported is fixed.
+//! in the order of their last replies, so even which of two panicking
+//! ranks is reported is fixed.
 //!
 //! ## Timing model
 //!
@@ -40,9 +40,8 @@ use crate::fiber::Fiber;
 use crate::hooks::Hook;
 use crate::network::NetworkModel;
 use crate::time::{SimDuration, SimTime};
-use crate::types::{CollKind, Fnv1a, MsgInfo, Rank, ReqHandle, Src, Tag, TagSel};
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use crate::types::{CollKind, Fnv1a, FxMap, MsgInfo, Rank, ReqHandle, Src, Tag, TagSel};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// How the engine chooses among multiple messages that could match a
@@ -87,8 +86,9 @@ pub struct EngineStats {
 /// What a rank and the engine exchange while the other is suspended.
 #[derive(Default)]
 pub(crate) struct Mailbox {
-    /// The rank's next request, left for the engine when it yields.
-    pub request: Option<Op>,
+    /// The rank's ops not issued yet, in call order: the rank pushes at the
+    /// back, the engine pops the front when it issues it.
+    pub ops: VecDeque<Op>,
     /// The engine's replies, in op order, left for the rank to drain.
     pub replies: Vec<Reply>,
     /// The rank's hook, left by the body when it finishes.
@@ -129,15 +129,9 @@ pub(crate) enum Op {
     },
     /// Rank body finished normally.
     Exited,
-    /// Rank body panicked; the engine aborts the run.
+    /// Rank body panicked; the engine aborts the run. Always alone in the
+    /// queue: the rank drains its other ops first.
     Panicked(String),
-    /// A burst of operations submitted in one yield to the engine: zero or
-    /// more nonblocking ops, optionally ending with one blocking op (or
-    /// `Exited`). The engine unpacks the batch at receive time and issues
-    /// the ops one per scheduling round — the global schedule is identical
-    /// to submitting them individually; only the crossings are saved.
-    /// Never nested; never contains `Panicked`.
-    Batch(Vec<Op>),
 }
 
 /// The requests one wait completes, in request order.
@@ -185,31 +179,8 @@ impl Handles {
     }
 }
 
-/// An Fx-style multiplicative hasher for the engine's sequential request
-/// and message ids. Multiplying spreads a small id into the top bits too,
-/// which hashbrown's control bytes are taken from (an identity hash would
-/// leave them zero); SipHash's DoS resistance buys nothing for ids the
-/// engine hands out itself.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        self.0 = (self.0.rotate_left(5) ^ id).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+/// Request and message ids are the engine's own: SipHash buys nothing.
+type IdMap<V> = FxMap<u64, V>;
 
 #[derive(Debug)]
 pub(crate) enum Reply {
@@ -333,33 +304,25 @@ impl CommData {
     }
 }
 
-struct Pending {
-    op: Op,
-    issued: bool,
-}
-
 pub(crate) struct Engine {
     model: Arc<dyn NetworkModel>,
     policy: MatchPolicy,
     n: usize,
 
-    /// One coroutine per rank; the world drains them after the run.
+    /// One coroutine per rank, with the mailbox the engine issues from and
+    /// replies into; the world drains them after the run.
     pub(crate) fibers: Vec<Fiber<Mailbox>>,
-    /// Ranks handed replies they have not taken yet, in hand-over order:
-    /// phase 1 resumes them.
+    /// Ranks with replies to take and no op left queued, in the order they
+    /// got their last reply: phase 1 resumes them.
     ready: VecDeque<Rank>,
-    /// Per rank: replies held back while the rank still has queued ops, so a
-    /// batch of k ops resumes the rank once, not k times. Handed over in one
-    /// piece by [`Engine::hand_over`].
-    reply_buf: Vec<Vec<Reply>>,
-    /// Requests received — how often a rank yielded to the engine.
+    /// Resumes — how often a rank yielded to the engine.
     pub(crate) crossings: u64,
 
     clocks: Vec<SimTime>,
-    pending: Vec<Option<Pending>>,
-    /// Per rank: ops submitted ahead of time via [`Op::Batch`], promoted to
-    /// `pending` one at a time as replies are delivered.
-    queued: Vec<VecDeque<Op>>,
+    /// Per rank: the front op of its mailbox queue is issued next round.
+    fresh: Vec<bool>,
+    /// Per rank: the issued wait or collective it is blocked in.
+    pending: Vec<Option<Op>>,
     finished: Vec<bool>,
     finalized: Vec<bool>,
     live: usize,
@@ -425,11 +388,10 @@ impl Engine {
             n,
             fibers,
             ready: (0..n).collect(),
-            reply_buf: (0..n).map(|_| Vec::new()).collect(),
             crossings: 0,
             clocks: vec![SimTime::ZERO; n],
+            fresh: vec![false; n],
             pending: (0..n).map(|_| None).collect(),
-            queued: (0..n).map(|_| VecDeque::new()).collect(),
             finished: vec![false; n],
             finalized: vec![false; n],
             live: n,
@@ -473,36 +435,21 @@ impl Engine {
     /// Run the scheduler to completion.
     pub(crate) fn run(&mut self) -> Result<(), SimError> {
         loop {
-            // Phase 1: quiescence — resume every rank holding replies and
-            // take its next request.
+            // Phase 1: quiescence — resume every rank holding replies; each
+            // comes back with a fresh op at the front of its queue.
             while let Some(rank) = self.ready.pop_front() {
                 let fiber = &mut self.fibers[rank];
                 fiber.resume();
-                let op = fiber
-                    .mailbox()
-                    .request
-                    .take()
-                    .unwrap_or_else(|| panic!("rank {rank} yielded without a request"));
                 self.crossings += 1;
-                match op {
-                    Op::Panicked(message) => {
+                match fiber.mailbox().ops.front() {
+                    None => panic!("rank {rank} yielded without an op"),
+                    Some(Op::Panicked(message)) => {
+                        let message = message.clone();
                         let err = SimError::RankPanicked { rank, message };
                         self.broadcast_fatal(&err);
                         return Err(err);
                     }
-                    Op::Batch(ops) => {
-                        self.reply_buf[rank].reserve(ops.len());
-                        let mut it = ops.into_iter();
-                        let first = it.next().expect("batches are non-empty");
-                        self.pending[rank] = Some(Pending {
-                            op: first,
-                            issued: false,
-                        });
-                        self.queued[rank].extend(it);
-                    }
-                    op => {
-                        self.pending[rank] = Some(Pending { op, issued: false });
-                    }
+                    Some(_) => self.fresh[rank] = true,
                 }
             }
             if self.live == 0 {
@@ -513,10 +460,7 @@ impl Engine {
             self.progressed = false;
             let mut order = std::mem::take(&mut self.order_buf);
             order.clear();
-            order.extend(
-                (0..self.n)
-                    .filter(|&r| matches!(self.pending[r], Some(Pending { issued: false, .. }))),
-            );
+            order.extend((0..self.n).filter(|&r| self.fresh[r]));
             order.sort_by_key(|&r| (self.clocks[r], r));
             for &r in &order {
                 if let Err(err) = self.issue(r) {
@@ -565,14 +509,17 @@ impl Engine {
 
     // -- issue ---------------------------------------------------------------
 
+    /// Pop and apply the op at the front of `rank`'s queue. A wait or a
+    /// collective that cannot complete yet moves to `pending`.
     fn issue(&mut self, rank: Rank) -> Result<(), SimError> {
-        let pending = self.pending[rank].as_mut().expect("pending op");
-        pending.issued = true;
+        self.fresh[rank] = false;
         self.stats.operations += 1;
-        // Take the op out to appease the borrow checker; blocked ops are put
-        // back by the handlers below.
-        let op = std::mem::replace(&mut self.pending[rank].as_mut().unwrap().op, Op::Exited);
-        if !matches!(op, Op::Exited | Op::Panicked(_)) {
+        let op = self.fibers[rank]
+            .mailbox()
+            .ops
+            .pop_front()
+            .expect("a fresh rank has an op queued");
+        if !matches!(op, Op::Exited) {
             if let Some(limit) = self.op_budget {
                 if self.stats.operations > limit {
                     return Err(SimError::BudgetExceeded {
@@ -669,7 +616,7 @@ impl Engine {
                         "rank {rank} waited on request {h} twice in one call"
                     )));
                 }
-                self.pending[rank].as_mut().unwrap().op = Op::Wait { reqs, status };
+                self.pending[rank] = Some(Op::Wait { reqs, status });
                 // Completion handled by `complete_ready_waits`.
                 let pos = self.waiting.partition_point(|&r| r < rank);
                 self.waiting.insert(pos, rank);
@@ -696,39 +643,36 @@ impl Engine {
                 }
                 self.finished[rank] = true;
                 self.live -= 1;
-                self.pending[rank] = None;
                 self.progressed = true;
-                // A batch that ended in `Exited`: the rank still has to
-                // drain the replies of the ops before it. It takes them
+                // Queued behind other ops, `Exited` leaves the rank
+                // suspended with their replies to drain. It takes them
                 // after the run, when the world finishes every rank.
-                if !self.reply_buf[rank].is_empty() {
-                    self.hand_over(rank);
-                }
             }
-            Op::Panicked(_) | Op::Batch(_) => unreachable!("handled at receive"),
+            Op::Panicked(_) => unreachable!("handled at resume"),
         }
         Ok(())
     }
 
     /// Kill `rank` per the fault plan: it dies *before* the operation it was
-    /// about to issue takes effect. The `Fatal` bypasses [`Engine::reply`] —
-    /// the rank will never run user code again, so it is not queued for
-    /// resumption — and follows the replies still buffered for the ops the
-    /// rank did complete; the world resumes the rank after the run, and it
-    /// unwinds via `SimAbort`, letting the world recover its hook (partial
-    /// trace) after `catch_unwind`.
+    /// about to issue takes effect, and the ops queued behind it are never
+    /// issued. The `Fatal` bypasses [`Engine::reply`] — the rank will never
+    /// run user code again, so it is not queued for resumption — and goes
+    /// behind the replies to the ops the rank did complete; the world
+    /// resumes the rank after the run, and it unwinds via `SimAbort`,
+    /// letting the world recover its hook (partial trace) after
+    /// `catch_unwind`.
     fn crash_rank(&mut self, rank: Rank, after_ops: u64) {
         let err = SimError::RankFailed {
             rank,
             after_ops,
             blocked: Vec::new(),
         };
-        self.reply_buf[rank].push(Reply::Fatal(err));
-        self.hand_over(rank);
+        let mailbox = self.fibers[rank].mailbox();
+        mailbox.ops.clear();
+        mailbox.replies.push(Reply::Fatal(err));
         self.finished[rank] = true;
         self.live -= 1;
         self.pending[rank] = None;
-        self.queued[rank].clear();
         self.failed.push((rank, after_ops));
         // Messages the dead rank already sent stay in flight (survivors may
         // still match them); its posted receives go stale harmlessly.
@@ -1025,8 +969,9 @@ impl Engine {
     // -- waits ----------------------------------------------------------------
 
     /// One ascending pass over the parked waiters. Completing a wait only
-    /// promotes an un-issued op and sets no request's `complete`, so it can
-    /// never make another wait ready: nothing is left for a second pass.
+    /// replies (marking the rank fresh or ready) and sets no request's
+    /// `complete`, so it can never make another wait ready: nothing is left
+    /// for a second pass.
     fn complete_ready_waits(&mut self) {
         let mut waiting = std::mem::take(&mut self.waiting);
         waiting.retain(|&rank| !self.complete_wait_if_ready(rank));
@@ -1034,11 +979,7 @@ impl Engine {
     }
 
     fn complete_wait_if_ready(&mut self, rank: Rank) -> bool {
-        let Some(Pending {
-            op: Op::Wait { reqs, .. },
-            issued: true,
-        }) = &self.pending[rank]
-        else {
+        let Some(Op::Wait { reqs, .. }) = &self.pending[rank] else {
             unreachable!("rank {rank} is listed as waiting")
         };
         if !reqs
@@ -1047,11 +988,7 @@ impl Engine {
         {
             return false;
         }
-        let Some(Pending {
-            op: Op::Wait { reqs, status },
-            ..
-        }) = self.pending[rank].take()
-        else {
+        let Some(Op::Wait { reqs, status }) = self.pending[rank].take() else {
             unreachable!()
         };
         let mut t = self.clocks[rank];
@@ -1135,16 +1072,15 @@ impl Engine {
         }
         slot.arrivals[me] = Some(arrival);
         slot.arrived += 1;
-        let complete = slot.arrived == comm_size;
-        // keep the pending op so deadlock diagnostics can describe it
-        self.pending[rank].as_mut().unwrap().op = Op::Coll {
-            kind,
-            comm,
-            root,
-            bytes,
-            split,
-        };
-        if !complete {
+        if slot.arrived < comm_size {
+            // keep the pending op so deadlock diagnostics can describe it
+            self.pending[rank] = Some(Op::Coll {
+                kind,
+                comm,
+                root,
+                bytes,
+                split,
+            });
             return Ok(());
         }
 
@@ -1232,42 +1168,28 @@ impl Engine {
 
     fn reply(&mut self, rank: Rank, reply: Reply) {
         self.progressed = true;
-        self.reply_buf[rank].push(reply);
-        match self.queued[rank].pop_front() {
-            // The rank pre-submitted its next op in a batch: promote it so
-            // the next round issues it — exactly when an individually
-            // submitted op would have been issued (it would arrive during
-            // the next quiescence phase). The rank runs no user code for it,
-            // so it stays suspended: the reply waits in `reply_buf`.
-            Some(op) => self.pending[rank] = Some(Pending { op, issued: false }),
-            None => {
-                self.hand_over(rank);
-                self.ready.push_back(rank);
-            }
-        }
-    }
-
-    /// Leave `rank` everything buffered for it in one piece. The mailbox is
-    /// normally empty, and swapping keeps both vectors' capacity: a crossing
-    /// allocates nothing. Only a `Fatal` can follow replies the rank has not
-    /// taken yet.
-    fn hand_over(&mut self, rank: Rank) {
-        let replies = &mut self.fibers[rank].mailbox().replies;
-        if replies.is_empty() {
-            std::mem::swap(replies, &mut self.reply_buf[rank]);
+        let mailbox = self.fibers[rank].mailbox();
+        mailbox.replies.push(reply);
+        if mailbox.ops.is_empty() {
+            self.ready.push_back(rank);
         } else {
-            replies.append(&mut self.reply_buf[rank]);
+            // The rank queued its next op before it yielded: the next round
+            // issues it — exactly when that op would have been issued had
+            // the rank yielded after every call (it would arrive during the
+            // next quiescence phase). The rank runs no user code for it, so
+            // it stays suspended and its replies pile up in the mailbox.
+            self.fresh[rank] = true;
         }
     }
 
-    /// End the run for every live rank. Replies to ops that did complete go
-    /// first, `Fatal` last, so each rank records the same events as a run
+    /// End the run for every live rank. `Fatal` goes behind the replies to
+    /// ops that did complete, so each rank records the same events as a run
     /// that received its replies one by one.
     fn broadcast_fatal(&mut self, err: &SimError) {
         for r in 0..self.n {
             if !self.finished[r] {
-                self.reply_buf[r].push(Reply::Fatal(err.clone()));
-                self.hand_over(r);
+                let fatal = Reply::Fatal(err.clone());
+                self.fibers[r].mailbox().replies.push(fatal);
             }
         }
     }
@@ -1275,8 +1197,8 @@ impl Engine {
     fn describe_blocked(&self) -> Vec<BlockedOn> {
         let mut out = Vec::new();
         for r in 0..self.n {
-            let Some(p) = &self.pending[r] else { continue };
-            let (what, mut waiting_on) = match &p.op {
+            let Some(op) = &self.pending[r] else { continue };
+            let (what, mut waiting_on) = match op {
                 Op::Wait { reqs, .. } => {
                     let parts: Vec<String> = reqs
                         .iter()
@@ -1319,7 +1241,7 @@ impl Engine {
                         stragglers,
                     )
                 }
-                other => (format!("{other:?}"), Vec::new()),
+                other => unreachable!("rank {r} is pending in {other:?}"),
             };
             waiting_on.sort_unstable();
             waiting_on.dedup();

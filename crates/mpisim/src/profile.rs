@@ -7,9 +7,12 @@
 //! provides the same check for the simulated pipeline (experiment E1).
 
 use crate::hooks::{Event, Hook};
-use std::collections::BTreeMap;
+use crate::types::FxMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
+use std::ptr;
 
 /// Aggregated statistics for one MPI routine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -20,14 +23,50 @@ pub struct RoutineStats {
     pub bytes: u64,
 }
 
+impl RoutineStats {
+    fn add(&mut self, other: RoutineStats) {
+        self.calls += other.calls;
+        self.bytes += other.bytes;
+    }
+}
+
+/// A call site as [`MpiP::on_event`] meets it, compared and hashed by the
+/// addresses of its strings: a call site's file and a routine's name are
+/// `'static` strings that never move, so recording an event hashes three
+/// words and compares no text. Equal text at two addresses makes two keys;
+/// every read folds them together by text.
+#[derive(Clone, Copy, Debug)]
+struct SiteAddr {
+    file: &'static str,
+    line: u32,
+    name: &'static str,
+}
+
+impl PartialEq for SiteAddr {
+    fn eq(&self, other: &SiteAddr) -> bool {
+        ptr::eq(self.file, other.file) && self.line == other.line && ptr::eq(self.name, other.name)
+    }
+}
+
+impl Eq for SiteAddr {}
+
+impl Hash for SiteAddr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.file.as_ptr() as u64);
+        state.write_u64(self.line as u64);
+        state.write_u64(self.name.as_ptr() as u64);
+    }
+}
+
 /// Per-rank mpiP-style profile: per-routine aggregates plus the
 /// per-call-site breakdown that is mpiP's signature feature.
 #[derive(Clone, Debug, Default)]
 pub struct MpiP {
+    /// What [`MpiP::on_event`] recorded, by call-site address: one probe of
+    /// a small Fx-hashed index per event. Folded by text on every read.
+    by_site: FxMap<SiteAddr, RoutineStats>,
+    /// Per-routine stats added by [`MpiP::absorb_raw`] (no call site).
     by_routine: BTreeMap<&'static str, RoutineStats>,
-    /// `(file, line, routine) -> stats`; rendered as `"file:line"` on read,
-    /// so recording an event allocates nothing.
-    by_callsite: BTreeMap<(&'static str, u32, &'static str), RoutineStats>,
 }
 
 impl MpiP {
@@ -38,25 +77,17 @@ impl MpiP {
 
     /// Merge another profile (e.g. another rank's) into this one.
     pub fn merge(&mut self, other: &MpiP) {
-        for (name, stats) in &other.by_routine {
-            let e = self.by_routine.entry(name).or_default();
-            e.calls += stats.calls;
-            e.bytes += stats.bytes;
+        for (key, &stats) in &other.by_site {
+            self.by_site.entry(*key).or_default().add(stats);
         }
-        for (key, stats) in &other.by_callsite {
-            let e = self.by_callsite.entry(*key).or_default();
-            e.calls += stats.calls;
-            e.bytes += stats.bytes;
-        }
+        self.absorb_raw(other.by_routine.iter().map(|(&name, &stats)| (name, stats)));
     }
 
     /// Insert raw per-routine stats (used when deriving expected profiles
     /// from a mapping rather than from observed events).
     pub fn absorb_raw(&mut self, entries: impl IntoIterator<Item = (&'static str, RoutineStats)>) {
         for (name, stats) in entries {
-            let e = self.by_routine.entry(name).or_default();
-            e.calls += stats.calls;
-            e.bytes += stats.bytes;
+            self.by_routine.entry(name).or_default().add(stats);
         }
     }
 
@@ -69,18 +100,33 @@ impl MpiP {
         total
     }
 
+    /// Every routine's stats, folded by name.
+    fn routine_view(&self) -> BTreeMap<&'static str, RoutineStats> {
+        let mut view = self.by_routine.clone();
+        for (k, &stats) in &self.by_site {
+            view.entry(k.name).or_default().add(stats);
+        }
+        view
+    }
+
     /// Per-routine aggregates in name order.
     pub fn routines(&self) -> impl Iterator<Item = (&'static str, RoutineStats)> + '_ {
-        self.by_routine.iter().map(|(&n, &s)| (n, s))
+        self.routine_view().into_iter()
     }
 
     /// Per-call-site statistics: `(("file:line", routine), stats)`, in
     /// `"file:line"` string order.
     pub fn callsites(&self) -> impl Iterator<Item = ((String, &'static str), RoutineStats)> {
-        let mut v: Vec<_> = self
-            .by_callsite
-            .iter()
-            .map(|(&(file, line, name), &s)| ((format!("{file}:{line}"), name), s))
+        let mut sites = BTreeMap::<_, RoutineStats>::new();
+        for (k, &stats) in &self.by_site {
+            sites
+                .entry((k.file, k.line, k.name))
+                .or_default()
+                .add(stats);
+        }
+        let mut v: Vec<_> = sites
+            .into_iter()
+            .map(|((file, line, name), s)| ((format!("{file}:{line}"), name), s))
             .collect();
         v.sort_by(|a, b| a.0.cmp(&b.0));
         v.into_iter()
@@ -96,28 +142,30 @@ impl MpiP {
 
     /// Stats for one routine (zero if never called).
     pub fn get(&self, routine: &str) -> RoutineStats {
-        self.by_routine.get(routine).copied().unwrap_or_default()
+        self.routine_view()
+            .get(routine)
+            .copied()
+            .unwrap_or_default()
     }
 
     /// Total MPI calls across all routines.
     pub fn total_calls(&self) -> u64 {
-        self.by_routine.values().map(|s| s.calls).sum()
+        self.routines().map(|(_, s)| s.calls).sum()
     }
 
     /// Total bytes moved across all routines.
     pub fn total_bytes(&self) -> u64 {
-        self.by_routine.values().map(|s| s.bytes).sum()
+        self.routines().map(|(_, s)| s.bytes).sum()
     }
 
     /// Compare two profiles; returns a list of human-readable differences
     /// (empty iff the profiles match exactly, the paper's §5.2 criterion).
     pub fn diff(&self, other: &MpiP) -> Vec<String> {
         let mut out = Vec::new();
-        let names: std::collections::BTreeSet<&str> = self
-            .by_routine
-            .keys()
-            .chain(other.by_routine.keys())
-            .copied()
+        let names: BTreeSet<&str> = self
+            .routines()
+            .chain(other.routines())
+            .map(|(name, _)| name)
             .collect();
         for name in names {
             let a = self.get(name);
@@ -135,22 +183,23 @@ impl MpiP {
 
 impl Hook for MpiP {
     fn on_event(&mut self, event: &Event) {
-        let name = event.kind.mpi_name();
-        let bytes = event.kind.local_bytes();
-        let e = self.by_routine.entry(name).or_default();
-        e.calls += 1;
-        e.bytes += bytes;
-        let site = (event.callsite.file, event.callsite.line, name);
-        let c = self.by_callsite.entry(site).or_default();
-        c.calls += 1;
-        c.bytes += bytes;
+        let key = SiteAddr {
+            file: event.callsite.file,
+            line: event.callsite.line,
+            name: event.kind.mpi_name(),
+        };
+        let stats = RoutineStats {
+            calls: 1,
+            bytes: event.kind.local_bytes(),
+        };
+        self.by_site.entry(key).or_default().add(stats);
     }
 }
 
 impl fmt::Display for MpiP {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{:<20} {:>12} {:>16}", "routine", "calls", "bytes")?;
-        for (name, s) in &self.by_routine {
+        for (name, s) in self.routine_view() {
             writeln!(f, "{:<20} {:>12} {:>16}", name, s.calls, s.bytes)?;
         }
         let top = self.top_callsites(10);

@@ -1,7 +1,9 @@
 //! Shared MPI-level vocabulary types: ranks, tags, wildcards, request
 //! handles, message metadata, and collective kinds.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Absolute rank within `MPI_COMM_WORLD`. Communicator-relative ranks are
 /// always translated at the [`crate::ctx::Ctx`] boundary, so the engine and
@@ -262,6 +264,31 @@ impl Default for Fnv1a {
         Self::new()
     }
 }
+
+/// An Fx-style multiplicative hasher for keys the crate makes itself
+/// (sequential ids, string addresses). Multiplying spreads a small key into
+/// the top bits, which hashbrown's control bytes are taken from.
+#[derive(Default)]
+pub(crate) struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` hashed by [`FxHasher`].
+pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -25,8 +25,7 @@ pub struct RunReport {
     pub per_rank_time: Vec<SimTime>,
     /// Engine counters (messages, stalls, collectives, …).
     pub stats: EngineStats,
-    /// Requests the engine received: how often a rank yielded to the
-    /// engine: one per call under
+    /// How often a rank yielded to the engine: one per call under
     /// `op_batching(false)` (not one per op — a blocking send is two ops),
     /// about one per window otherwise. Repeats exactly for a given program
     /// and window. Kept out of `stats` because it is the one number the
@@ -111,12 +110,13 @@ impl World {
     /// Choose how far a rank may run ahead of the engine (on by default).
     /// Every call whose reply the rank cannot observe — nonblocking ops,
     /// computes, blocking sends, status-ignoring receives and waits, void
-    /// collectives — is deferred and crosses to the engine as one batch at
-    /// the next value-returning call or when the window of deferred ops
-    /// fills, and the replies come back in one piece. `true`
+    /// collectives — is deferred: its op waits in the rank's queue, and the
+    /// rank yields to the engine only at the next value-returning call or
+    /// when the window of deferred ops fills, to be resumed once every
+    /// queued op has its reply. `true`
     /// is the production window of 128 entries; `false` is the same code
     /// with a window of one call, so a rank crosses after *every* call (a
-    /// blocking send or receive still ships its two ops together). Virtual
+    /// blocking send or receive still queues its two ops together). Virtual
     /// times, schedules, hook events, and reports are identical either way
     /// — the differential tests' reference; only the host-side cost of
     /// switching between rank and engine (and [`RunReport::crossings`])
@@ -226,8 +226,8 @@ impl World {
         engine.set_budgets(self.op_budget, self.time_budget);
         let engine_result = engine.run();
 
-        // Two cases leave a rank suspended with replies it has not taken: a
-        // batch that ended in `Exited`, and the `Fatal` the engine handed
+        // Two cases leave a rank suspended with replies it has not taken: an
+        // `Exited` queued behind other ops, and the `Fatal` the engine gave
         // every unfinished rank when it gave up. Let each drain them and
         // finish, so every rank's hook (a partial trace) comes back.
         let mut hooks = Vec::new();

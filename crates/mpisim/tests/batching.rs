@@ -496,6 +496,75 @@ fn a_body_that_panics_after_deferring_delivers_its_ops_first() {
     assert_legs_agree("panic after deferring", |w| w, body);
 }
 
+/// A rank the run ends for while ops are still queued behind its completed
+/// ones — in the mailbox at the production window — takes the replies to
+/// every op that completed before its `Fatal`, so its hook holds exactly
+/// those events. Checked at both windows, for a rank killed by the fault
+/// plan and for ranks another rank's panic ends.
+#[test]
+fn a_rank_dying_with_queued_ops_records_every_op_completed_before_its_fatal() {
+    let ring = |ctx: &mut Ctx| {
+        let w = ctx.world();
+        let right = (ctx.rank() + 1) % ctx.size();
+        let left = (ctx.rank() + ctx.size() - 1) % ctx.size();
+        for _ in 0..3 * WINDOW {
+            ctx.send(right, 5, 128, &w);
+            ctx.recv_ignore(Src::Rank(left), TagSel::Is(5), 128, &w);
+        }
+    };
+    // Rank 1 feeds each other rank `fed` messages, then panics; they wait
+    // for a far longer stream from it.
+    let fed = 10;
+    let starved = move |ctx: &mut Ctx| {
+        let w = ctx.world();
+        if ctx.rank() == 1 {
+            for _ in 0..fed {
+                for peer in [0, 2, 3] {
+                    ctx.send(peer, 6, 64, &w);
+                }
+            }
+            let _ = ctx.now();
+            panic!("feeder gave up");
+        }
+        for _ in 0..3 * WINDOW {
+            ctx.recv_ignore(Src::Rank(1), TagSel::Is(6), 64, &w);
+        }
+    };
+    for leg in [Leg::Unbatched, Leg::Ignore] {
+        // 202 ops are 50 send/receive rounds plus one more send: the crash
+        // lands on the 203rd, with the rest of its window still queued.
+        let crash = |w: World| w.faults(FaultPlan::seeded(1).crash_rank(2, 202));
+        let (observed, _) = observe(leg, crash, ring);
+        assert!(
+            matches!(
+                observed.outcome,
+                Err(SimError::RankFailed {
+                    rank: 2,
+                    after_ops: 202,
+                    ..
+                })
+            ),
+            "{leg:?}: {:?}",
+            observed.outcome
+        );
+        assert_eq!(observed.events[2].len(), 101, "{leg:?}: the crashed rank");
+
+        let (observed, _) = observe(leg, |w| w, starved);
+        assert_eq!(
+            observed.outcome,
+            Err(SimError::RankPanicked {
+                rank: 1,
+                message: "feeder gave up".into()
+            }),
+            "{leg:?}"
+        );
+        assert_eq!(observed.events[1].len(), 3 * fed, "{leg:?}: the feeder");
+        for rank in [0, 2, 3] {
+            assert_eq!(observed.events[rank].len(), fed, "{leg:?}: survivor {rank}");
+        }
+    }
+}
+
 // -- wait forms --------------------------------------------------------------
 //
 // A wait names its handles as a run when they were issued back to back and as

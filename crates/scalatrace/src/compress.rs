@@ -82,14 +82,7 @@ fn try_fold_tail(seq: &mut Vec<TraceNode>, max_window: usize) -> bool {
                         .zip(&seq[len - w..])
                         .all(|(a, b)| a.foldable_with(b))
                 {
-                    let tail: Vec<TraceNode> = seq.drain(len - w..).collect();
-                    let TraceNode::Loop(p) = seq.last_mut().unwrap() else {
-                        unreachable!()
-                    };
-                    for (body, t) in p.body.iter_mut().zip(&tail) {
-                        body.absorb_times(t);
-                    }
-                    p.count += 1;
+                    extend_in_place(seq, w);
                     return true;
                 }
             }
@@ -99,17 +92,42 @@ fn try_fold_tail(seq: &mut Vec<TraceNode>, max_window: usize) -> bool {
             let first = len - 2 * w;
             let second = len - w;
             if (0..w).all(|i| seq[first + i].foldable_with(&seq[second + i])) {
-                let tail: Vec<TraceNode> = seq.drain(second..).collect();
-                let mut body: Vec<TraceNode> = seq.drain(first..).collect();
-                for (b, t) in body.iter_mut().zip(&tail) {
-                    b.absorb_times(t);
-                }
+                absorb_window(seq, first, second);
+                let body: Vec<TraceNode> = seq.drain(first..).collect();
                 seq.push(TraceNode::Loop(Prsd { count: 2, body }));
                 return true;
             }
         }
     }
     false
+}
+
+/// Case A in place: the loop just before the `w` tail nodes absorbs their
+/// timings and counts one more iteration; the tail is dropped. Returns the
+/// loop's new count.
+fn extend_in_place(seq: &mut Vec<TraceNode>, w: usize) -> u64 {
+    let len = seq.len();
+    let (head, tail) = seq.split_at_mut(len - w);
+    let TraceNode::Loop(p) = &mut head[len - w - 1] else {
+        unreachable!()
+    };
+    for (body, t) in p.body.iter_mut().zip(&*tail) {
+        body.absorb_times(t);
+    }
+    p.count += 1;
+    let count = p.count;
+    seq.truncate(len - w);
+    count
+}
+
+/// Case B in place: the window `first..second` absorbs the timings of the
+/// equal window `second..` behind it, which is then dropped.
+fn absorb_window(seq: &mut Vec<TraceNode>, first: usize, second: usize) {
+    let (head, tail) = seq.split_at_mut(second);
+    for (b, t) in head[first..].iter_mut().zip(&*tail) {
+        b.absorb_times(t);
+    }
+    seq.truncate(second);
 }
 
 /// Per-node structural summary kept alongside the sequence: the node's
@@ -375,15 +393,7 @@ impl TailCompressor {
     fn extend_loop(&mut self, w: usize) {
         let len = self.seq.len();
         let at = len - w - 1;
-        let tail: Vec<TraceNode> = self.seq.drain(len - w..).collect();
-        let TraceNode::Loop(p) = &mut self.seq[at] else {
-            unreachable!()
-        };
-        for (body, t) in p.body.iter_mut().zip(&tail) {
-            body.absorb_times(t);
-        }
-        p.count += 1;
-        let count = p.count;
+        let count = extend_in_place(&mut self.seq, w);
         // The loop's fingerprint depends on its count; its body hash is
         // timing-blind and thus unchanged by the absorb.
         let rec = self.recs[at];
@@ -397,11 +407,8 @@ impl TailCompressor {
         let len = self.seq.len();
         let (first, second) = (len - 2 * w, len - w);
         let body_hash = self.win_hash(first, second);
-        let tail: Vec<TraceNode> = self.seq.drain(second..).collect();
-        let mut body: Vec<TraceNode> = self.seq.drain(first..).collect();
-        for (b, t) in body.iter_mut().zip(&tail) {
-            b.absorb_times(t);
-        }
+        absorb_window(&mut self.seq, first, second);
+        let body: Vec<TraceNode> = self.seq.drain(first..).collect();
         self.seq.push(TraceNode::Loop(Prsd { count: 2, body }));
         let fp = self.mk_loop_fp(2, w, body_hash);
         self.truncate_recs(first);

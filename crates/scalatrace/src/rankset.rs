@@ -198,29 +198,36 @@ impl RankSet {
         RankSet::default()
     }
 
-    /// The singleton set `{rank}`.
+    /// The singleton set `{rank}`. Served from the intern table without
+    /// allocating below [`INTERN_LIMIT`].
     pub fn single(rank: usize) -> RankSet {
-        RankSet {
-            runs: intern(vec![Run {
+        let runs = if rank < INTERN_LIMIT {
+            single_runs(rank)
+        } else {
+            Arc::from([Run {
                 start: rank,
                 stride: 1,
                 count: 1,
-            }]),
-        }
+            }])
+        };
+        RankSet { runs }
     }
 
-    /// The dense range `0..n`.
+    /// The dense range `0..n`. Served from the intern table without
+    /// allocating up to [`INTERN_LIMIT`].
     pub fn all(n: usize) -> RankSet {
-        if n == 0 {
-            return RankSet::empty();
-        }
-        RankSet {
-            runs: intern(vec![Run {
+        let runs = match n {
+            0 => empty_runs(),
+            // `{0}` interns as a singleton, as `intern` resolves it.
+            1 => single_runs(0),
+            2..=INTERN_LIMIT => all_runs(n),
+            _ => Arc::from([Run {
                 start: 0,
                 stride: 1,
                 count: n,
             }]),
-        }
+        };
+        RankSet { runs }
     }
 
     /// Build from an arbitrary iterator of ranks (deduplicated, sorted,
@@ -721,6 +728,29 @@ mod tests {
         let big = RankSet::single(INTERN_LIMIT + 5);
         assert_eq!(big.len(), 1);
         assert!(big.contains(INTERN_LIMIT + 5));
+    }
+
+    #[test]
+    fn single_and_all_match_built_sets_and_share_interned_storage() {
+        for r in [0, 1, 7, INTERN_LIMIT - 1, INTERN_LIMIT, INTERN_LIMIT + 3] {
+            let built = RankSet::from_ranks([r]);
+            assert_eq!(RankSet::single(r), built);
+            assert_eq!(
+                Arc::ptr_eq(&RankSet::single(r).runs, &built.runs),
+                r < INTERN_LIMIT,
+                "single({r})"
+            );
+        }
+        for n in [0, 1, 2, 64, INTERN_LIMIT, INTERN_LIMIT + 1, 1024] {
+            let built = RankSet::from_ranks(0..n);
+            assert_eq!(RankSet::all(n), built);
+            assert_eq!(RankSet::all(n).len(), n);
+            assert_eq!(
+                Arc::ptr_eq(&RankSet::all(n).runs, &built.runs),
+                n <= INTERN_LIMIT,
+                "all({n})"
+            );
+        }
     }
 
     #[test]
