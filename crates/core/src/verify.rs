@@ -21,8 +21,9 @@ use mpisim::network::NetworkModel;
 use mpisim::profile::{MpiP, RoutineStats};
 use mpisim::time::SimTime;
 use mpisim::world::{RunReport, World};
-use scalatrace::cursor::{events_for_rank, ConcreteOp};
-use scalatrace::trace::Trace;
+use scalatrace::params::ValParam;
+use scalatrace::rankset::RankSet;
+use scalatrace::trace::{OpTemplate, Trace, TraceNode};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -65,45 +66,114 @@ pub fn timing_error_pct(t_app: SimTime, t_gen: SimTime) -> f64 {
 /// Reconstruct the original application's mpiP profile (per-routine counts
 /// and volumes) from its trace, without re-running the application.
 ///
-/// The trace records every MPI event losslessly, so replaying each rank's
-/// concrete operation stream yields exactly the aggregate profile a live
-/// [`mpisim::profile::MpiP`] hook would have collected (call-site
-/// breakdowns are not reconstructed — [`compare_profiles`] only consults
-/// per-routine aggregates). This is what lets a campaign verify a job from
-/// a cached trace.
+/// The trace records every MPI event losslessly, so it holds exactly the
+/// aggregate profile a live [`mpisim::profile::MpiP`] hook would have
+/// collected (call-site breakdowns are not reconstructed —
+/// [`compare_profiles`] only consults per-routine aggregates). This is what
+/// lets a campaign verify a job from a cached trace.
+///
+/// One walk of the compressed trace, never of the events it expands to: an
+/// RSD inside loops whose counts multiply to `m` adds `m·|ranks|` calls and
+/// `m·Σ_{r∈ranks} bytes(r)` bytes to its routine, each rank's value being
+/// what [`scalatrace::cursor::events_for_rank`] would give it. Loop counts
+/// in parsed trace text are attacker-controlled, so every product and sum
+/// saturates at `u64::MAX` instead of wrapping.
 pub fn profile_of_trace(trace: &Trace) -> MpiP {
-    let mut raw: BTreeMap<&'static str, RoutineStats> = BTreeMap::new();
-    let mut add = |name: &'static str, bytes: u64| {
-        let e = raw.entry(name).or_default();
-        e.calls += 1;
-        e.bytes += bytes;
-    };
-    for rank in 0..trace.nranks {
-        for ev in events_for_rank(trace, rank) {
-            // Mirror `EventKind::mpi_name` / `EventKind::local_bytes`.
-            match ev.op {
-                ConcreteOp::Send {
-                    bytes, blocking, ..
-                } => add(if blocking { "MPI_Send" } else { "MPI_Isend" }, bytes),
-                ConcreteOp::Recv {
-                    bytes, blocking, ..
-                } => add(if blocking { "MPI_Recv" } else { "MPI_Irecv" }, bytes),
-                ConcreteOp::Wait { count } => add(
-                    if count == 1 {
-                        "MPI_Wait"
-                    } else {
-                        "MPI_Waitall"
-                    },
-                    0,
-                ),
-                ConcreteOp::Coll { kind, bytes, .. } => add(kind.mpi_name(), bytes),
-                ConcreteOp::CommSplit { .. } => add("MPI_Comm_split", 0),
-            }
-        }
-    }
+    let mut raw = BTreeMap::new();
+    tally(&trace.nodes, 1, &mut raw);
     let mut p = MpiP::new();
     p.absorb_raw(raw);
     p
+}
+
+/// Add the calls and bytes of `nodes`, run `m` times, to `raw`.
+fn tally(nodes: &[TraceNode], m: u64, raw: &mut BTreeMap<&'static str, RoutineStats>) {
+    for node in nodes {
+        let rsd = match node {
+            TraceNode::Event(rsd) => rsd,
+            TraceNode::Loop(p) => {
+                if p.count > 0 {
+                    tally(&p.body, m.saturating_mul(p.count), raw);
+                }
+                continue;
+            }
+        };
+        let ranks = rsd.ranks.len() as u64;
+        // Mirror `EventKind::mpi_name` / `EventKind::local_bytes`.
+        match &rsd.op {
+            OpTemplate::Send { bytes, .. }
+            | OpTemplate::Recv { bytes, .. }
+            | OpTemplate::Coll { bytes, .. } => {
+                let bytes = sum_over(bytes, &rsd.ranks);
+                add(raw, rsd.op.mpi_name(), m, ranks, bytes);
+            }
+            OpTemplate::Wait { count } => {
+                let single = single_waits(count, &rsd.ranks);
+                add(raw, "MPI_Wait", m, single, 0);
+                add(raw, "MPI_Waitall", m, ranks - single, 0);
+            }
+            OpTemplate::CommSplit { .. } => add(raw, "MPI_Comm_split", m, ranks, 0),
+        }
+    }
+}
+
+/// `m` times over, `ranks` calls of `name` moving `bytes` between them. A
+/// routine no rank calls gets no entry, as with a live hook.
+fn add(
+    raw: &mut BTreeMap<&'static str, RoutineStats>,
+    name: &'static str,
+    m: u64,
+    ranks: u64,
+    bytes: u64,
+) {
+    if ranks == 0 {
+        return;
+    }
+    let e = raw.entry(name).or_default();
+    e.calls = e.calls.saturating_add(m.saturating_mul(ranks));
+    e.bytes = e.bytes.saturating_add(m.saturating_mul(bytes));
+}
+
+/// `Σ_{r∈ranks} val(r)`, saturating. Closed-form but for a per-rank table
+/// (the node's own size) and a linear run that leaves `0..=i64::MAX`, where
+/// each rank's value is taken as [`ValParam::eval`] wraps it.
+fn sum_over(val: &ValParam, ranks: &RankSet) -> u64 {
+    let sat = |s: u64, v: u64| s.saturating_add(v);
+    match val {
+        ValParam::Const(c) => c.saturating_mul(ranks.len() as u64),
+        ValParam::Piecewise(pieces) => pieces.iter().fold(0, |s, (domain, v)| {
+            sat(s, v.saturating_mul(domain.overlap_len(ranks) as u64))
+        }),
+        ValParam::Linear { base, slope } => ranks.runs().iter().fold(0, |s, run| {
+            let at = |rank: usize| *base as i128 + *slope as i128 * rank as i128;
+            let (first, last) = (at(run.start), at(run.last()));
+            let exact = 0..=i64::MAX as i128;
+            let sum = if exact.contains(&first) && exact.contains(&last) {
+                // An arithmetic series: count · (first + last) / 2 < 2^128.
+                let sum = run.count as u128 * (first + last) as u128 / 2;
+                u64::try_from(sum).unwrap_or(u64::MAX)
+            } else {
+                (0..run.count).fold(0, |s, k| sat(s, val.eval(run.start + k * run.stride)))
+            };
+            sat(s, sum)
+        }),
+        ValParam::PerRank(_) => ranks.iter().fold(0, |s, r| sat(s, val.eval(r))),
+    }
+}
+
+/// How many ranks of `ranks` wait on exactly one request (`MPI_Wait`; the
+/// others call `MPI_Waitall`).
+fn single_waits(count: &ValParam, ranks: &RankSet) -> u64 {
+    let n = match count {
+        ValParam::Const(c) => usize::from(*c == 1) * ranks.len(),
+        ValParam::Piecewise(pieces) => pieces
+            .iter()
+            .filter(|(_, v)| *v == 1)
+            .map(|(domain, _)| domain.overlap_len(ranks))
+            .sum(),
+        _ => ranks.iter().filter(|&r| count.eval(r) == 1).count(),
+    };
+    n as u64
 }
 
 /// Rewrite an original-application profile into the profile the generated
@@ -113,8 +183,8 @@ pub fn expected_profile(original: &MpiP, nranks: usize) -> MpiP {
     let mut out: BTreeMap<&'static str, RoutineStats> = BTreeMap::new();
     let mut add = |name: &'static str, calls: u64, bytes: u64| {
         let e = out.entry(name).or_default();
-        e.calls += calls;
-        e.bytes += bytes;
+        e.calls = e.calls.saturating_add(calls);
+        e.bytes = e.bytes.saturating_add(bytes);
     };
     for (name, s) in original.routines() {
         match name {
@@ -127,7 +197,7 @@ pub fn expected_profile(original: &MpiP, nranks: usize) -> MpiP {
             "MPI_Alltoallv" => add("MPI_Alltoall", s.calls, s.bytes),
             "MPI_Reduce_scatter" => {
                 // n many-to-one REDUCEs of 1/n volume each
-                add("MPI_Reduce", s.calls * nranks as u64, s.bytes);
+                add("MPI_Reduce", s.calls.saturating_mul(nranks as u64), s.bytes);
             }
             "MPI_Finalize" => add("MPI_Barrier", s.calls, s.bytes),
             "MPI_Send" => add("MPI_Send", s.calls, s.bytes),
@@ -302,6 +372,61 @@ mod tests {
             run_profiled(ranks, network::ideal(), move |ctx| (app.run)(ctx, &params)).unwrap();
         let from_trace = profile_of_trace(&traced.trace);
         assert_eq!(live.diff(&from_trace), Vec::<String>::new());
+    }
+
+    /// Loops whose counts multiply past `u64::MAX` (the expansion would
+    /// never finish) saturate every total instead of wrapping or
+    /// panicking, and so does the Table-1 image built from them.
+    #[test]
+    fn profile_of_a_loop_nest_past_u64_saturates() {
+        use scalatrace::params::CommParam;
+        use scalatrace::timestats::TimeStats;
+        use scalatrace::trace::{Prsd, Rsd};
+
+        let event = |op| {
+            TraceNode::Event(Rsd {
+                ranks: RankSet::all(4),
+                sig: 1,
+                op,
+                compute: TimeStats::new(),
+            })
+        };
+        let body = vec![
+            event(OpTemplate::Coll {
+                kind: CollKind::ReduceScatter,
+                root: None,
+                bytes: ValParam::Const(1 << 40),
+                comm: CommParam::Const(0),
+            }),
+            event(OpTemplate::Wait {
+                count: ValParam::Const(0),
+            }),
+        ];
+        let count = i64::MAX as u64;
+        let mut nest = Prsd { count, body };
+        nest = Prsd {
+            count,
+            body: vec![TraceNode::Loop(nest)],
+        };
+        let mut trace = Trace::new(4);
+        trace.nodes = vec![
+            TraceNode::Loop(nest),
+            event(OpTemplate::Wait {
+                count: ValParam::Const(1),
+            }),
+        ];
+        let p = profile_of_trace(&trace);
+        let max = RoutineStats {
+            calls: u64::MAX,
+            bytes: u64::MAX,
+        };
+        assert_eq!(p.get("MPI_Reduce_scatter"), max);
+        assert_eq!(p.get("MPI_Waitall").calls, u64::MAX);
+        assert_eq!(p.get("MPI_Wait"), RoutineStats { calls: 4, bytes: 0 });
+        assert_eq!(p.total_calls(), u64::MAX);
+        let image = expected_profile(&p, 4);
+        assert_eq!(image.get("MPI_Reduce"), max);
+        assert!(compare_profiles(&image, &image, 0.0).is_empty());
     }
 
     #[test]

@@ -14,8 +14,11 @@ use crate::error::SimError;
 use crate::fiber::Suspender;
 use crate::hooks::{Event, EventKind, Hook};
 use crate::time::{SimDuration, SimTime};
-use crate::types::{CallSite, CollKind, Fnv1a, MsgInfo, Rank, ReqHandle, Src, Tag, TagSel};
+use crate::types::{CallSite, CollKind, Fnv1a, FxMap, MsgInfo, Rank, ReqHandle, Src, Tag, TagSel};
+use std::cell::RefCell;
+use std::hash::{Hash, Hasher};
 use std::panic::Location;
+use std::rc::Rc;
 
 /// Panic payload used for quiet teardown when the engine aborts a run; the
 /// panic hook installed by [`crate::world::World`] suppresses its output.
@@ -42,6 +45,33 @@ struct PendingEv {
     span: usize,
 }
 
+/// What a stack signature is a function of: the FNV-1a state after the
+/// region stack, the call site's file (by address and length: a `'static`
+/// string never changes), line and column — exactly the bytes
+/// [`Ctx::stack_sig_of`] hashes. Hashed as four words.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SigKey {
+    regions: u64,
+    file: usize,
+    len: usize,
+    line_col: u64,
+}
+
+impl Hash for SigKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.regions);
+        state.write_u64(self.file as u64);
+        state.write_u64(self.len as u64);
+        state.write_u64(self.line_col);
+    }
+}
+
+/// Stack signatures already computed, shared by every rank of a run (they
+/// all run on one thread): one entry per call site and region stack, so
+/// an event hashes its call site's path only the first time any rank
+/// meets it.
+pub(crate) type SigMemo = Rc<RefCell<FxMap<SigKey, u64>>>;
+
 /// Per-rank execution context.
 pub struct Ctx {
     rank: Rank,
@@ -51,7 +81,13 @@ pub struct Ctx {
     link: Suspender<Mailbox>,
     clock: SimTime,
     hook: Option<Box<dyn Hook>>,
-    regions: Vec<&'static str>,
+    /// FNV-1a over the names of the regions this rank is in, each followed
+    /// by a NUL: the prefix of every stack signature it makes.
+    region_sig: Fnv1a,
+    /// `region_sig` as it was outside each region still open.
+    outer_sigs: Vec<Fnv1a>,
+    /// The run's stack signatures by region state and call site.
+    sigs: SigMemo,
     /// One entry per op queued in the mailbox whose reply this rank has not
     /// drained: the op's hook event, or `None` (an op reported by the next
     /// one's event, or no hook). Every op whose reply carries nothing the
@@ -80,6 +116,7 @@ impl Ctx {
         link: Suspender<Mailbox>,
         hook: Option<Box<dyn Hook>>,
         window: usize,
+        sigs: SigMemo,
     ) -> Ctx {
         Ctx {
             rank,
@@ -88,7 +125,9 @@ impl Ctx {
             link,
             clock: SimTime::ZERO,
             hook,
-            regions: Vec::new(),
+            region_sig: Fnv1a::new(),
+            outer_sigs: Vec::new(),
+            sigs,
             evs: Vec::new(),
             window,
             next_handle: 0,
@@ -394,9 +433,11 @@ impl Ctx {
     /// signature attached to every event, modelling deeper call paths than
     /// the immediate call site.
     pub fn region<R>(&mut self, name: &'static str, f: impl FnOnce(&mut Ctx) -> R) -> R {
-        self.regions.push(name);
+        self.outer_sigs.push(self.region_sig);
+        self.region_sig.write(name.as_bytes());
+        self.region_sig.write(&[0]);
         let r = f(self);
-        self.regions.pop();
+        self.region_sig = self.outer_sigs.pop().expect("entered above");
         r
     }
 
@@ -638,17 +679,23 @@ impl Ctx {
     }
 
     /// FNV-1a over the region stack plus the call site — the stack
-    /// signature attached to every event.
+    /// signature attached to every event: each region's name and a NUL,
+    /// the file's bytes, then line and column as little-endian `u64`s.
+    /// Hashed once per call site and region stack, then looked up.
     fn stack_sig_of(&self, callsite: &CallSite) -> u64 {
-        let mut h = Fnv1a::new();
-        for r in &self.regions {
-            h.write(r.as_bytes());
-            h.write(&[0]);
-        }
-        h.write(callsite.file.as_bytes());
-        h.write_u64(callsite.line as u64);
-        h.write_u64(callsite.column as u64);
-        h.finish()
+        let key = SigKey {
+            regions: self.region_sig.finish(),
+            file: callsite.file.as_ptr() as usize,
+            len: callsite.file.len(),
+            line_col: (callsite.line as u64) << 32 | callsite.column as u64,
+        };
+        *self.sigs.borrow_mut().entry(key).or_insert_with(|| {
+            let mut h = self.region_sig;
+            h.write(callsite.file.as_bytes());
+            h.write_u64(callsite.line as u64);
+            h.write_u64(callsite.column as u64);
+            h.finish()
+        })
     }
 
     fn emit_raw(&mut self, kind: EventKind, callsite: CallSite, stack_sig: u64, t_enter: SimTime) {

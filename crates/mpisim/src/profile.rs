@@ -24,9 +24,11 @@ pub struct RoutineStats {
 }
 
 impl RoutineStats {
+    /// Saturating: a profile reconstructed from a crafted trace may already
+    /// stand at `u64::MAX`.
     fn add(&mut self, other: RoutineStats) {
-        self.calls += other.calls;
-        self.bytes += other.bytes;
+        self.calls = self.calls.saturating_add(other.calls);
+        self.bytes = self.bytes.saturating_add(other.bytes);
     }
 }
 
@@ -150,12 +152,14 @@ impl MpiP {
 
     /// Total MPI calls across all routines.
     pub fn total_calls(&self) -> u64 {
-        self.routines().map(|(_, s)| s.calls).sum()
+        self.routines()
+            .fold(0, |t, (_, s)| t.saturating_add(s.calls))
     }
 
     /// Total bytes moved across all routines.
     pub fn total_bytes(&self) -> u64 {
-        self.routines().map(|(_, s)| s.bytes).sum()
+        self.routines()
+            .fold(0, |t, (_, s)| t.saturating_add(s.bytes))
     }
 
     /// Compare two profiles; returns a list of human-readable differences

@@ -231,7 +231,9 @@ impl fmt::Display for CallSite {
 }
 
 /// FNV-1a — a small, dependency-free hash used for stack signatures.
-#[derive(Clone)]
+/// `Copy`, so a state can be saved and resumed: [`Fnv1a::finish`] is the
+/// whole state.
+#[derive(Clone, Copy)]
 pub struct Fnv1a(u64);
 
 impl Fnv1a {

@@ -1,6 +1,6 @@
 //! `World`: configures and launches a simulated run.
 
-use crate::ctx::{Ctx, SimAbort, WINDOW};
+use crate::ctx::{Ctx, SigMemo, SimAbort, WINDOW};
 use crate::engine::{Engine, EngineStats, MatchPolicy};
 use crate::error::SimError;
 use crate::faults::FaultPlan;
@@ -200,12 +200,14 @@ impl World {
         };
         let body = Arc::new(body);
         let window = self.window;
+        let sigs = SigMemo::default();
         let fibers = (0..n)
             .map(|rank| {
                 let hook = mk(rank);
                 let body = Arc::clone(&body);
+                let sigs = sigs.clone();
                 Fiber::new(Default::default(), move |link| {
-                    let mut ctx = Ctx::new(rank, n, link, hook, window);
+                    let mut ctx = Ctx::new(rank, n, link, hook, window, sigs);
                     match panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
                         Ok(()) => ctx.send_exited(),
                         Err(payload) => {

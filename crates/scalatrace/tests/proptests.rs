@@ -459,6 +459,72 @@ proptest! {
     }
 }
 
+/// Streams with loops inside loops: a body of symbols from a three-letter
+/// alphabet (with two volumes) and nested blocks, repeated, with now and
+/// then one repetition broken by a changed or an extra symbol.
+struct NestedPeriods;
+
+impl NestedPeriods {
+    fn block(rng: &mut TestRng, depth: u32, out: &mut Vec<(u64, u64)>) {
+        let mut body = Vec::new();
+        for _ in 0..1 + rng.below(4) {
+            if depth > 0 && rng.below(3) == 0 {
+                NestedPeriods::block(rng, depth - 1, &mut body);
+            } else {
+                body.push((rng.below(3), 1 + rng.below(2)));
+            }
+        }
+        let reps = 1 + rng.below(6);
+        let broken = (rng.below(3) == 0).then(|| rng.below(reps));
+        for rep in 0..reps {
+            let start = out.len();
+            out.extend_from_slice(&body);
+            if broken == Some(rep) {
+                let at = start + rng.below(body.len() as u64) as usize;
+                match rng.below(2) {
+                    0 => out[at].0 = 3,
+                    _ => out.insert(at, (rng.below(3), 3)),
+                }
+            }
+        }
+    }
+}
+
+impl Strategy for NestedPeriods {
+    type Value = Vec<(u64, u64)>;
+
+    fn generate(&self, rng: &mut TestRng) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        for _ in 0..1 + rng.below(3) {
+            NestedPeriods::block(rng, 3, &mut out);
+        }
+        out
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Both compressors, fingerprints working and all colliding, fold
+    /// nested periods with random breaks exactly as the structural scan
+    /// does, at the smallest windows, a middling one and the default.
+    #[test]
+    fn compressors_match_structural_on_nested_periods(
+        stream in NestedPeriods,
+        window in prop_oneof![Just(1usize), Just(2), Just(3), Just(8), Just(256)],
+    ) {
+        let nodes: Vec<TraceNode> =
+            stream.iter().map(|&(s, b)| alpha_ev(s, b)).collect();
+        let st = fold_structural(&nodes, window);
+        prop_assert_eq!(&fold_fingerprint(&nodes, window), &st);
+        let mut degraded = scalatrace::TailCompressor::degraded(window);
+        for n in &nodes {
+            degraded.push(n.clone());
+        }
+        prop_assert_eq!(&degraded.into_nodes(), &st);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Inter-rank merge: per-rank projections are preserved
 // ---------------------------------------------------------------------------
