@@ -39,7 +39,7 @@ fn main() -> ExitCode {
         // E1: mpiP profiles
         let (_, orig_prof) = run_profiled(ranks, network::ideal(), body).unwrap();
         let program = Arc::new(generated.program);
-        let (_, gen_prof) = execute_profiled(&program, ranks, network::ideal()).unwrap();
+        let (_, gen_prof) = execute_profiled(&program, &traced.trace, network::ideal()).unwrap();
         let e1 = compare_profiles(&expected_profile(&orig_prof, ranks), &gen_prof, 0.02);
 
         // E2: trace the generated benchmark, compare normalised event

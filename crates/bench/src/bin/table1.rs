@@ -99,7 +99,7 @@ fn main() -> ExitCode {
         // profile original and generated
         let (_, orig) = run_profiled(n, network::ideal(), app).unwrap();
         let program = Arc::new(generated.program);
-        let (_, genp) = execute_profiled(&program, n, network::ideal()).unwrap();
+        let (_, genp) = execute_profiled(&program, &traced.trace, network::ideal()).unwrap();
         let errors = compare_profiles(&expected_profile(&orig, n), &genp, 0.02);
 
         failed += usize::from(!errors.is_empty());

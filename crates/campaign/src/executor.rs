@@ -1,22 +1,21 @@
 //! Fault-isolated parallel fleet executor.
 //!
-//! `run_fleet` drains a job list on a fixed pool of worker threads
-//! (std-only: `std::thread` plus channels). Three failure domains are
-//! isolated per job:
+//! `run_fleet` drains a job list on a fixed pool of scoped worker threads
+//! (std-only). Every attempt of a job runs on the worker that took the
+//! job, and two failure domains are isolated per job:
 //!
-//! * **Panics** — each attempt runs under `catch_unwind`; a panicking job
-//!   becomes a `Failed` outcome and the fleet carries on.
-//! * **Hangs** — each attempt runs on its own thread while the worker waits
-//!   with `recv_timeout`. Rust cannot kill a thread, so an over-budget
-//!   attempt is *abandoned* (the thread is detached and its eventual result
-//!   discarded) and the job reported `TimedOut`. The leak is bounded: one
-//!   thread per timed-out attempt, reclaimed at process exit.
+//! * **Panics** — each attempt runs under `catch_unwind` ([`isolate`]); a
+//!   panicking job becomes a `Failed` outcome and the fleet carries on.
 //! * **Transient errors** — a job may ask for a retry (`JobError::transient`);
 //!   retries are capped and spaced with exponential backoff.
+//!
+//! A job's cost is bounded where it is spent, not here: every simulated
+//! world runs under [`benchgen::OP_BUDGET`], and exceeding it is a
+//! deterministic error the job returns like any other.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Fleet-level execution knobs.
@@ -24,8 +23,6 @@ use std::time::{Duration, Instant};
 pub struct FleetOptions {
     /// Worker threads (clamped to at least 1).
     pub workers: usize,
-    /// Wall-clock budget per attempt.
-    pub timeout: Duration,
     /// Retry budget for transient failures (0 = no retries).
     pub retries: u32,
     /// Base backoff delay; attempt `k` waits `backoff * 2^(k-1)`, capped.
@@ -38,7 +35,6 @@ impl Default for FleetOptions {
     fn default() -> FleetOptions {
         FleetOptions {
             workers: 4,
-            timeout: Duration::from_secs(60),
             retries: 1,
             backoff: Duration::from_millis(100),
             backoff_cap: Duration::from_secs(5),
@@ -140,13 +136,6 @@ pub enum Outcome<R> {
         /// What kind of failure ended the job.
         cause: FailureCause,
     },
-    /// An attempt exceeded the wall-clock budget and was abandoned.
-    TimedOut {
-        /// The per-attempt budget that was exceeded.
-        budget: Duration,
-        /// Attempts consumed (including the one that hung).
-        attempts: u32,
-    },
 }
 
 /// Progress notifications, delivered from worker threads as they happen.
@@ -175,40 +164,6 @@ pub enum ExecEvent<'a, R> {
     },
 }
 
-enum Attempt<R> {
-    Success(R),
-    Error(JobError),
-    Hung,
-}
-
-/// Run one attempt on a dedicated thread so a hang cannot block the worker.
-fn run_attempt<J, R, W>(
-    jobs: &Arc<Vec<J>>,
-    work: &Arc<W>,
-    index: usize,
-    attempt: u32,
-    budget: Duration,
-) -> Attempt<R>
-where
-    J: Send + Sync + 'static,
-    R: Send + 'static,
-    W: Fn(&J, u32) -> Result<R, JobError> + Send + Sync + 'static,
-{
-    let (tx, rx) = mpsc::channel();
-    let jobs = Arc::clone(jobs);
-    let work = Arc::clone(work);
-    std::thread::spawn(move || {
-        let result = isolate(|| work(&jobs[index], attempt));
-        // The receiver is gone iff the watchdog already gave up on us.
-        let _ = tx.send(result);
-    });
-    match rx.recv_timeout(budget) {
-        Ok(Ok(r)) => Attempt::Success(r),
-        Ok(Err(e)) => Attempt::Error(e),
-        Err(_) => Attempt::Hung,
-    }
-}
-
 /// Execute `jobs` with `work` on a worker pool, reporting progress through
 /// `observe` (called from worker threads; index identifies the job). The
 /// returned outcomes are index-aligned with `jobs`.
@@ -219,18 +174,16 @@ pub fn run_fleet<J, R, W, O>(
     observe: O,
 ) -> Vec<Outcome<R>>
 where
-    J: Send + Sync + 'static,
-    R: Send + 'static,
-    W: Fn(&J, u32) -> Result<R, JobError> + Send + Sync + 'static,
-    O: Fn(usize, ExecEvent<'_, R>) + Send + Sync,
+    J: Sync,
+    R: Send,
+    W: Fn(&J, u32) -> Result<R, JobError> + Sync,
+    O: Fn(usize, ExecEvent<'_, R>) + Sync,
 {
     let total = jobs.len();
     if total == 0 {
         return Vec::new();
     }
-    let jobs = Arc::new(jobs);
-    let work = Arc::new(work);
-    let observe = &observe;
+    let (jobs, work, observe) = (&jobs, &work, &observe);
     let next = AtomicUsize::new(0);
     let results: Vec<Mutex<Option<Outcome<R>>>> = (0..total).map(|_| Mutex::new(None)).collect();
 
@@ -246,15 +199,9 @@ where
                 let mut attempt = 1u32;
                 let outcome = loop {
                     observe(index, ExecEvent::Started { attempt });
-                    match run_attempt(&jobs, &work, index, attempt, opts.timeout) {
-                        Attempt::Success(r) => break Outcome::Done(r),
-                        Attempt::Hung => {
-                            break Outcome::TimedOut {
-                                budget: opts.timeout,
-                                attempts: attempt,
-                            }
-                        }
-                        Attempt::Error(e) if e.transient && attempt <= opts.retries => {
+                    match isolate(|| work(&jobs[index], attempt)) {
+                        Ok(r) => break Outcome::Done(r),
+                        Err(e) if e.transient && attempt <= opts.retries => {
                             let delay = backoff_delay(opts.backoff, attempt, opts.backoff_cap);
                             observe(
                                 index,
@@ -267,7 +214,7 @@ where
                             std::thread::sleep(delay);
                             attempt += 1;
                         }
-                        Attempt::Error(e) => {
+                        Err(e) => {
                             break Outcome::Failed {
                                 error: e.message,
                                 attempts: attempt,
@@ -306,7 +253,6 @@ mod tests {
     fn opts() -> FleetOptions {
         FleetOptions {
             workers: 3,
-            timeout: Duration::from_secs(5),
             retries: 2,
             backoff: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(4),
@@ -438,26 +384,33 @@ mod tests {
     }
 
     #[test]
-    fn hung_jobs_time_out_and_the_fleet_finishes() {
-        let o = FleetOptions {
-            timeout: Duration::from_millis(50),
-            ..opts()
-        };
+    fn every_attempt_of_a_job_runs_on_the_worker_that_took_it() {
+        // Each job fails transiently twice, recording the thread of every
+        // attempt: all three attempts share one thread, and it is one of
+        // the fleet's own workers, never a thread spawned per attempt.
+        let threads = Mutex::new(vec![Vec::new(); 6]);
         let out = run_fleet(
-            vec![0u32, 1, 2],
-            &o,
-            |&j, _| {
-                if j == 1 {
-                    // Sleep far beyond the budget; the watchdog abandons us.
-                    std::thread::sleep(Duration::from_secs(30));
+            (0..6usize).collect(),
+            &opts(),
+            |&j, attempt| {
+                threads.lock().unwrap()[j].push(std::thread::current().id());
+                if attempt < 3 {
+                    Err(JobError::transient("again"))
+                } else {
+                    Ok(j)
                 }
-                Ok::<_, JobError>(j)
             },
             |_, _| {},
         );
-        assert!(matches!(out[0], Outcome::Done(0)));
-        assert!(matches!(out[1], Outcome::TimedOut { .. }));
-        assert!(matches!(out[2], Outcome::Done(2)));
+        assert!(out.iter().all(|o| matches!(o, Outcome::Done(_))));
+        let threads = threads.into_inner().unwrap();
+        let mut workers = std::collections::BTreeSet::new();
+        for (j, ids) in threads.iter().enumerate() {
+            assert_eq!(ids.len(), 3, "job {j}");
+            assert!(ids.iter().all(|id| *id == ids[0]), "job {j}: {ids:?}");
+            workers.insert(format!("{:?}", ids[0]));
+        }
+        assert!(workers.len() <= opts().workers, "{workers:?}");
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //! * [`telemetry`] — structured JSONL events (`queued`/`started`/`cached`/
 //!   `retried`/`finished`) for machine consumption.
 //! * [`executor`] — the std-only worker pool with per-job fault isolation:
-//!   panics are caught, hangs are timed out and abandoned, transient
-//!   failures retry with capped exponential backoff.
+//!   panics are caught and transient failures retry with capped
+//!   exponential backoff. Hangs are not its business: every world a job
+//!   builds runs under [`benchgen::OP_BUDGET`], so a job ends, and an
+//!   over-budget one ends in the same permanent error every time.
 //! * [`journal`] — the write-ahead view of the telemetry log: crash-safe
 //!   atomic writes, torn-line-tolerant decoding, and the per-job resume
 //!   classification (replay vs rerun).

@@ -13,9 +13,12 @@
 //! {"t_ms":42,"event":"finished","job":"...","status":"ok","cached":true,
 //!  "t_app_us":123.4,"t_gen_us":125.0,"err_pct":1.3,"compression":41.0,
 //!  "verify_errors":0,"wall_ms":17}
-//! {"t_ms":50,"event":"finished","job":"...","status":"failed","error":"...","wall_ms":3}
-//! {"t_ms":99,"event":"finished","job":"...","status":"timeout","budget_ms":30000,"wall_ms":30001}
+//! {"t_ms":50,"event":"finished","job":"...","status":"failed","cause":"error",
+//!  "error":"simulation failed: operation budget exceeded ...","attempts":1,"wall_ms":3}
 //! ```
+//!
+//! Logs from before the op budget may also hold `"status":"timeout"`
+//! lines; a resume reruns those jobs.
 //!
 //! Every line is one [`Json`] object written by `protocol::json`, the
 //! workspace's one JSON codec, and read back through the same codec by

@@ -241,7 +241,10 @@ fn run_one<F>(
 where
     F: Fn(&mut Ctx) + Send + Sync + 'static,
 {
-    let world = World::new(n).network(model).faults(plan.clone());
+    let world = World::new(n)
+        .network(model)
+        .faults(plan.clone())
+        .op_budget(crate::OP_BUDGET);
     let b = Arc::clone(&body);
     let perturbed = match trace_world(world, n, move |ctx| b(ctx)) {
         Ok(t) => t,

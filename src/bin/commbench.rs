@@ -9,7 +9,7 @@
 //! commbench --matrix sweep.txt --print-matrix       # expand without running
 //! commbench --matrix sweep.txt --cache /tmp/cc      # trace cache location
 //! commbench --matrix sweep.txt --log fleet.jsonl    # telemetry location
-//! commbench --matrix sweep.txt --workers 8 --timeout 120 --retries 2
+//! commbench --matrix sweep.txt --workers 8 --retries 2
 //! ```
 //!
 //! The `chaos` subcommand runs the differential fault-injection campaign
@@ -96,7 +96,6 @@ struct Common {
     cache_dir: PathBuf,
     log: PathBuf,
     workers: Option<usize>,
-    timeout_secs: Option<u64>,
     retries: Option<u32>,
 }
 
@@ -106,7 +105,6 @@ impl Common {
             cache_dir: PathBuf::from(".commbench-cache"),
             log: PathBuf::from("campaign.jsonl"),
             workers: None,
-            timeout_secs: None,
             retries: None,
         }
     }
@@ -226,7 +224,7 @@ struct Verb {
 }
 
 const MATRIX_USAGE: &str = "commbench --matrix FILE [--print-matrix] [--cache DIR] \
-     [--log FILE.jsonl] [--workers N] [--timeout SECS] [--retries N]";
+     [--log FILE.jsonl] [--workers N] [--retries N]";
 const SERVE_USAGE: &str = "commbench serve [--stdio | --addr HOST:PORT] [--state DIR] \
      [--workers N] [--rate PER_SEC] [--burst N] [--inflight N] \
      [--lease-ttl-ms MS] [--reassign-backoff-ms MS] [--poison N]";
@@ -239,11 +237,11 @@ const WORKER_USAGE: &str = "commbench worker (--connect HOST:PORT | --stdio) [--
      [--state DIR] [--connect-retries N] [--connect-backoff-ms MS]";
 const CHAOS_USAGE: &str = "commbench chaos [--seeds N] [--apps A,B] [--ranks N] \
      [--network ideal|bgl|ethernet] [--iterations N] [--cache DIR] [--log FILE.jsonl] \
-     [--workers N] [--timeout SECS] [--retries N]";
+     [--workers N] [--retries N]";
 const PERF_USAGE: &str = "commbench perf [--smoke] [--reps N] [--warmup N] [--cache DIR] \
      [--out FILE.json] [--check BASELINE.json] [--threads N]";
 const RESUME_USAGE: &str = "commbench resume --matrix FILE [--cache DIR] [--log FILE.jsonl] \
-     [--workers N] [--timeout SECS] [--retries N]";
+     [--workers N] [--retries N]";
 const FSCK_USAGE: &str = "commbench fsck [--cache DIR | --stream SEGMENT_DIR]";
 const CONVERT_USAGE: &str = "commbench convert INPUT OUTPUT \
      (formats inferred from extensions: .st text, .stbs binary; \
@@ -344,7 +342,6 @@ fn parse_common(common: &mut Common, flag: &str, argv: &mut Argv) -> Result<bool
         "--cache" => common.cache_dir = argv.path()?,
         "--log" => common.log = argv.path()?,
         "--workers" => common.workers = Some(argv.parsed()?),
-        "--timeout" => common.timeout_secs = Some(argv.parsed()?),
         "--retries" => common.retries = Some(argv.parsed()?),
         _ => return Ok(false),
     }
@@ -966,9 +963,6 @@ fn load_spec(args: &Args) -> Result<CampaignSpec, String> {
     if let Some(w) = args.common.workers {
         spec.workers = w;
     }
-    if let Some(t) = args.common.timeout_secs {
-        spec.timeout_secs = t;
-    }
     if let Some(r) = args.common.retries {
         spec.retries = r;
     }
@@ -1101,7 +1095,9 @@ fn main_capture(args: CaptureArgs) -> Verdict {
     if args.event_delay_us > 0 {
         cfg = cfg.with_event_delay(Duration::from_micros(args.event_delay_us));
     }
-    let world = mpisim::world::World::new(args.ranks).network(job.network_model()?);
+    let world = mpisim::world::World::new(args.ranks)
+        .network(job.network_model()?)
+        .op_budget(benchgen::OP_BUDGET);
     let streamed =
         scalatrace::trace_world_streamed(world, args.ranks, &cfg, move |ctx| run_fn(ctx, &params))
             .map_err(|e| format!("capture failed: {e}"))?;
@@ -1152,7 +1148,6 @@ fn main_chaos(args: ChaosArgs) -> Verdict {
 
     let fleet = FleetOptions {
         workers: args.common.workers.unwrap_or(4),
-        timeout: Duration::from_secs(args.common.timeout_secs.unwrap_or(120)),
         retries: args.common.retries.unwrap_or(1),
         ..FleetOptions::default()
     };
@@ -1198,11 +1193,8 @@ mod tests {
         assert_eq!(a.common.cache_dir, PathBuf::from(".commbench-cache"));
         assert!(!a.print_matrix);
 
-        let a = matrix_args(
-            "--matrix m.txt --cache /tmp/c --log f.jsonl --workers 8 --timeout 120 --retries 2",
-        );
+        let a = matrix_args("--matrix m.txt --cache /tmp/c --log f.jsonl --workers 8 --retries 2");
         assert_eq!(a.common.workers, Some(8));
-        assert_eq!(a.common.timeout_secs, Some(120));
         assert_eq!(a.common.retries, Some(2));
         assert_eq!(a.common.log, PathBuf::from("f.jsonl"));
 
@@ -1214,7 +1206,8 @@ mod tests {
         assert!(parse_argv(argv("")).is_err(), "matrix is required");
         assert!(parse_argv(argv("--matrix")).is_err(), "missing value");
         assert!(parse_argv(argv("--matrix m --workers 0")).is_err());
-        assert!(parse_argv(argv("--matrix m --timeout soon")).is_err());
+        // No wall-clock knob: an op budget bounds every job.
+        assert!(parse_argv(argv("--matrix m --timeout 120")).is_err());
         assert!(parse_argv(argv("--frobnicate")).is_err());
         assert!(
             parse_argv(argv("--help")).is_err(),

@@ -156,6 +156,7 @@ fn run(args: &Args) -> Result<(), String> {
     let trace = if let Some(file) = &args.trace_file {
         read_trace(file)?.0
     } else {
+        job.validate()?;
         let traced = job
             .trace(job.app()?, machine.clone())
             .map_err(|e| format!("tracing failed: {e}"))?;
@@ -219,7 +220,7 @@ fn run(args: &Args) -> Result<(), String> {
         return Ok(());
     }
     let program = Arc::new(generated.program);
-    let (report, profile) = execute_profiled(&program, trace.nranks, machine)
+    let (report, profile) = execute_profiled(&program, &trace, machine)
         .map_err(|e| format!("generated benchmark failed: {e}"))?;
     if let Some(path) = &args.profile {
         write(path, &profile.to_string())?;

@@ -717,7 +717,7 @@ fn pipeline_once(
         .map_err(|e| format!("{}: trace failed: {e}", app.name))?;
     let generated = benchgen::generate(&src.trace, &job.gen_options())
         .map_err(|e| format!("{}: generation failed: {e}", app.name))?;
-    let (report, profile) = execute_profiled(&Arc::new(generated.program), job.ranks, model)
+    let (report, profile) = execute_profiled(&Arc::new(generated.program), &src.trace, model)
         .map_err(|e| format!("{}: execution failed: {e}", app.name))?;
     black_box(profile.total_calls());
     let counts = SimCounts {
@@ -737,7 +737,7 @@ fn interp_ratio(cfg: &PerfConfig, app: &'static App) -> Result<f64, String> {
     let generated = benchgen::generate(&traced.trace, &job.gen_options())
         .map_err(|e| format!("{}: generation failed: {e}", app.name))?;
     let prog = Arc::new(generated.program);
-    let (n, run, params) = (job.ranks, app.run, job.params());
+    let (n, run, params, source) = (job.ranks, app.run, job.params(), &traced.trace);
     // Both legs just ran once to get here, so a failure now is a bug.
     let (app_ns, interp_ns) = time_median_pair(
         cfg.warmup(),
@@ -749,7 +749,7 @@ fn interp_ratio(cfg: &PerfConfig, app: &'static App) -> Result<f64, String> {
                 .expect("the application ran when it was traced")
                 .total_time
         },
-        || execute_profiled(&prog, n, network::ideal()).expect("the generated program runs"),
+        || execute_profiled(&prog, source, network::ideal()).expect("the generated program runs"),
     );
     Ok(ratio(interp_ns, app_ns))
 }

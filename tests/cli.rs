@@ -201,7 +201,6 @@ const ACCEPTANCE_MATRIX: &str = "
     classes  = S
     networks = ideal
     workers  = 4
-    timeout_secs = 120
     retries  = 1
 ";
 

@@ -49,6 +49,13 @@ const CASES: &[Case] = &[
         class: "Z",
         sentence: "unknown class Z (expected S|W|A|B|C)",
     },
+    Case {
+        app: "ring",
+        ranks: 4097,
+        network: "bgl",
+        class: "S",
+        sentence: "4097 ranks exceed the cap of 4096",
+    },
 ];
 
 /// Stderr of a run that must fail.
@@ -91,7 +98,8 @@ fn the_same_bad_input_draws_the_same_sentence_from_every_front_end() {
         assert_eq!(server::jobs::spec_of(&params).unwrap_err(), sentence);
 
         // A matrix document: a rank count an app rejects is a skip, an
-        // error in a list value carries its line number.
+        // error in a list value carries its line number, and a rank count
+        // over the cap refuses the whole matrix.
         let doc = format!("apps = {app}\nranks = {n}\nclasses = {class}\nnetworks = {network}\n");
         let at = match (bad_class, network) {
             (true, _) => "line 3: ",

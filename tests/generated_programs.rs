@@ -223,8 +223,10 @@ fn two_splits_from_one_site_stay_two_partitions() {
 /// from the app's trace (gen1), from a trace of gen1 (gen2) and from a
 /// trace of gen2 (gen3). gen2 and gen3 validate and are one program, byte
 /// for byte and in virtual time; gen2 makes gen1's MPI calls under E1's
-/// tolerance and takes gen1's time within 1 %. Returns gen2's printed
-/// length minus gen1's.
+/// tolerance and takes gen1's time within 1 %. Each generation's run takes
+/// at least as many engine ops as its source trace has events, which is
+/// what lets the execute stage refuse an over-budget trace before it runs.
+/// Returns gen2's printed length minus gen1's.
 fn fixed_point(name: &str, ranks: usize) -> i64 {
     let ethernet = network::ethernet_cluster;
     let app = registry::lookup(name).expect("registry app");
@@ -233,26 +235,29 @@ fn fixed_point(name: &str, ranks: usize) -> i64 {
     let cell = format!("{name} r{ranks}");
     let traced = trace_app(ranks, ethernet(), move |ctx| run(ctx, &params))
         .unwrap_or_else(|e| panic!("{cell} fails to trace: {e}"));
-    let generate_from = |trace: &Trace, which: &str| -> Arc<Program> {
-        let generated = generate(trace, &GenOptions::default())
+    // Each generation with the trace it was generated from.
+    let generate_from = |trace: Trace, which: &str| -> (Arc<Program>, Trace) {
+        let generated = generate(&trace, &GenOptions::default())
             .unwrap_or_else(|e| panic!("{cell}: {which} must validate: {e}"));
-        Arc::new(generated.program)
+        (Arc::new(generated.program), trace)
     };
-    let next = |program: &Arc<Program>, which: &str| {
+    let next = |(program, _): &(Arc<Program>, Trace), which: &str| {
         let program = Arc::clone(program);
         let retraced = trace_app(ranks, ethernet(), move |ctx| run_rank(ctx, &program))
             .unwrap_or_else(|e| panic!("{cell}: {which} fails to re-trace: {e}"));
-        generate_from(&retraced.trace, which)
+        generate_from(retraced.trace, which)
     };
-    let profiled = |program: &Arc<Program>| {
-        let (report, mpip) = execute_profiled(program, ranks, ethernet()).expect("runs");
+    let profiled = |(program, source): &(Arc<Program>, Trace)| {
+        let (report, mpip) = execute_profiled(program, source, ethernet()).expect("runs");
+        let (ops, events) = (report.stats.operations, source.concrete_event_count());
+        assert!(ops >= events, "{cell}: {ops} ops for {events} events");
         (report.total_time, mpip)
     };
-    let gen1 = generate_from(&traced.trace, "gen1");
+    let gen1 = generate_from(traced.trace, "gen1");
     let gen2 = next(&gen1, "gen2");
     let gen3 = next(&gen2, "gen3");
-    let (text1, text2) = (print(&gen1), print(&gen2));
-    assert_eq!(text2, print(&gen3), "{cell}: gen3 is not gen2");
+    let (text1, text2) = (print(&gen1.0), print(&gen2.0));
+    assert_eq!(text2, print(&gen3.0), "{cell}: gen3 is not gen2");
     let ((t1, mpip1), (t2, mpip2), (t3, _)) = (profiled(&gen1), profiled(&gen2), profiled(&gen3));
     assert_eq!(t3, t2, "{cell}: T(gen3) != T(gen2)");
     let differences = compare_profiles(&mpip1, &mpip2, 0.02);
@@ -263,7 +268,7 @@ fn fixed_point(name: &str, ranks: usize) -> i64 {
     let error = timing_error_pct(t1, t2);
     assert!(error <= 1.0, "{cell}: T(gen2) is {error:.3} % off T(gen1)");
     if name == "cg" {
-        assert_eq!(partitions(&gen2), partitions(&gen1), "{cell}");
+        assert_eq!(partitions(&gen2.0), partitions(&gen1.0), "{cell}");
     }
     text2.len() as i64 - text1.len() as i64
 }

@@ -90,7 +90,6 @@ const RECOVERY_MATRIX: &str = "
     classes  = S
     networks = ideal
     workers  = 1
-    timeout_secs = 120
     retries  = 1
 ";
 

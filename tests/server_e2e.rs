@@ -33,6 +33,13 @@ fn stderr(out: &Output) -> String {
 /// front (the pipe buffers it); the server answers in order, blocking on
 /// `status` waits, and exits on `shutdown` or EOF.
 fn serve_script(state: &Path, extra_flags: &[&str], script: &[Request]) -> Vec<Response> {
+    let lines: Vec<String> = script.iter().map(Request::to_line).collect();
+    serve_lines(state, extra_flags, &lines)
+}
+
+/// [`serve_script`] over raw request lines, for requests a typed
+/// [`Request`] cannot express.
+fn serve_lines(state: &Path, extra_flags: &[&str], lines: &[String]) -> Vec<Response> {
     let mut child = Command::new(env!("CARGO_BIN_EXE_commbench"))
         .args(["serve", "--stdio", "--state", state.to_str().unwrap()])
         .args(extra_flags)
@@ -43,8 +50,8 @@ fn serve_script(state: &Path, extra_flags: &[&str], script: &[Request]) -> Vec<R
         .expect("server spawns");
     {
         let mut stdin = child.stdin.take().unwrap();
-        for req in script {
-            writeln!(stdin, "{}", req.to_line()).unwrap();
+        for line in lines {
+            writeln!(stdin, "{line}").unwrap();
         }
         // Dropping stdin closes the pipe: EOF also ends the session.
     }
@@ -472,6 +479,72 @@ fn two_clients_racing_on_one_uncached_trace_leave_one_sound_cache_entry() {
         .filter(|n| n.ends_with(".tmp"))
         .collect();
     assert!(stray.is_empty(), "{stray:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn oversized_jobs_draw_errors_and_the_job_queued_behind_them_completes() {
+    // One worker. Each hostile line once wedged it (10^12 iterations) or
+    // was truncated into a different job (2^32 + 4 ranks ran as 4). Now
+    // each is answered with an error at submission, and the plain ring
+    // behind them runs.
+    let dir = temp_dir("oversized");
+    let simulate = |fields: &str| format!("{{\"type\":\"simulate\",\"app\":\"ring\",{fields}}}");
+    let started = std::time::Instant::now();
+    let responses = serve_lines(
+        &dir.join("state"),
+        &["--workers", "1"],
+        &[
+            hello().to_line(),
+            simulate("\"ranks\":4,\"iterations\":1000000000000"),
+            simulate("\"ranks\":4294967300"),
+            simulate("\"ranks\":4,\"iterations\":4000000000"),
+            simulate("\"ranks\":5000"),
+            Request::Simulate {
+                params: JobParams::new("ring", 4),
+                tag: Some("plain".into()),
+            }
+            .to_line(),
+            Request::Status {
+                job: JobRef::Tag("plain".into()),
+                wait: true,
+            }
+            .to_line(),
+            Request::Shutdown.to_line(),
+        ],
+    );
+    let error = |r: &Response| match r {
+        Response::Error { code, message } => format!("{code}: {message}"),
+        other => panic!("expected an error, got {other:?}"),
+    };
+    assert_eq!(
+        error(&responses[1]),
+        "bad-field: bad field `iterations`: 1000000000000 does not fit in 32 bits"
+    );
+    assert_eq!(
+        error(&responses[2]),
+        "bad-field: bad field `ranks`: 4294967300 does not fit in 32 bits"
+    );
+    assert_eq!(
+        error(&responses[3]),
+        "bad-request: 4000000000 iterations exceed the cap of 8388608"
+    );
+    assert_eq!(
+        error(&responses[4]),
+        "bad-request: 5000 ranks exceed the cap of 4096"
+    );
+    assert!(
+        matches!(responses[5], Response::Submitted { .. }),
+        "{:?}",
+        responses[5]
+    );
+    assert!(done(&responses[6]).t_gen_ns.is_some());
+    assert!(matches!(responses[7], Response::Bye));
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(30),
+        "{:?}",
+        started.elapsed()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
