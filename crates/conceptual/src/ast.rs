@@ -435,22 +435,6 @@ impl Program {
         walk(&self.stmts)
     }
 
-    /// Non-comment statement count (the "code" part of readability metrics).
-    pub fn code_stmt_count(&self) -> usize {
-        fn walk(stmts: &[Stmt]) -> usize {
-            stmts
-                .iter()
-                .map(|s| match s {
-                    Stmt::Comment(_) => 0,
-                    Stmt::For { body, .. } | Stmt::ForEach { body, .. } => 1 + walk(body),
-                    Stmt::If { then_, else_, .. } => 1 + walk(then_) + walk(else_),
-                    _ => 1,
-                })
-                .sum()
-        }
-        walk(&self.stmts)
-    }
-
     /// Does the program contain explicit RECEIVE statements? If so, SEND
     /// statements do *not* auto-post matching receives (the generator always
     /// emits explicit receives for precise posting-order control; see the
