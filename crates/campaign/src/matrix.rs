@@ -55,14 +55,14 @@ pub const MAX_ITERATIONS: usize = benchgen::OP_BUDGET as usize;
 
 /// The widest fleet a matrix may ask for, which is the widest any caller
 /// uses (`commbench --workers 8`). Each worker runs one world at a time,
-/// and mg class S at [`benchgen::MAX_RANKS`] peaks at 524 MB resident, so
-/// a submitted matrix can hold at most 8 × 524 MB ≈ 4.2 GB at once.
+/// and mg class S at [`benchgen::MAX_RANKS`] peaks at 255 MB resident, so
+/// a submitted matrix can hold at most 8 × 255 MB ≈ 2.0 GB at once.
 pub const MAX_WORKERS: usize = 8;
 
 /// The most chaos seeds per matrix job, which is the most any caller uses
 /// (`commbench chaos --seeds 8`). Each seed is one more traced world under
-/// [`benchgen::OP_BUDGET`], which stops within 8.9 s, so one job's chaos
-/// leg ends within 8 × 8.9 s ≈ 71 s.
+/// [`benchgen::OP_BUDGET`], which stops within 6.0 s, so one job's chaos
+/// leg ends within 8 × 6.0 s = 48 s.
 pub const MAX_CHAOS_SEEDS: usize = 8;
 
 /// Why a [`JobSpec`] cannot run. `Display` is the one wording of each

@@ -72,12 +72,13 @@ pub use wildcard::{resolve_wildcards, WildcardOutcome};
 /// going over is the same [`mpisim::SimError::BudgetExceeded`] every run.
 /// Measured (release, 2-vCPU VM): the largest registry job at 256 ranks,
 /// classes S–C, is sp class C at 2 546 560 ops, and 2^23 is 3.3 times that.
-/// A run that exhausts it stops after 1.0–5.3 s untraced, 2.4–8.9 s traced
-/// (ring r4 to mg r4096, 0.11–1.07 µs per op).
+/// A run that exhausts it stops after 0.7–3.6 s untraced, 1.8–6.0 s traced
+/// (ring r4 to mg r4096, 0.09–0.71 µs per op).
 pub const OP_BUDGET: u64 = 1 << 23;
 
 /// The largest world a job may build: each rank maps a 512 KiB stack, and
-/// ring and mg class S at 4 096 ranks peak at 409 and 524 MB resident.
+/// ring and mg class S at 4 096 ranks peak at 142 and 255 MB resident
+/// (`commgen --run`, release, 2-vCPU VM), about 32 KB per rank untraced.
 /// No caller runs more (`tests/scale.rs` runs 4 096).
 pub const MAX_RANKS: usize = 4096;
 

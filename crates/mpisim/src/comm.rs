@@ -28,13 +28,15 @@ pub struct Comm {
 }
 
 impl Comm {
-    /// The world communicator as seen by absolute rank `rank` of `n`.
-    pub fn world(rank: Rank, n: usize) -> Comm {
+    /// The world communicator as seen by absolute rank `rank`, over the
+    /// world's one member list (`0..n`, made once per run by
+    /// [`crate::world::World`]): every rank's handle shares it.
+    pub fn world(rank: Rank, members: &Arc<Vec<Rank>>) -> Comm {
         Comm {
             id: WORLD,
             rank,
-            size: n,
-            members: Arc::new((0..n).collect()),
+            size: members.len(),
+            members: Arc::clone(members),
         }
     }
 
@@ -86,7 +88,7 @@ mod tests {
 
     #[test]
     fn world_translation_is_identity() {
-        let w = Comm::world(3, 8);
+        let w = Comm::world(3, &Arc::new((0..8).collect()));
         assert_eq!(w.translate(5), 5);
         assert_eq!(w.relative_of(5), Some(5));
         assert_eq!(w.rank, 3);
@@ -113,7 +115,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn translate_out_of_range_panics() {
-        let c = Comm::world(0, 4);
+        let c = Comm::world(0, &Arc::new((0..4).collect()));
         c.translate(4);
     }
 

@@ -19,6 +19,7 @@ use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
 use std::panic::Location;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Panic payload used for quiet teardown when the engine aborts a run; the
 /// panic hook installed by [`crate::world::World`] suppresses its output.
@@ -75,7 +76,7 @@ pub(crate) type SigMemo = Rc<RefCell<FxMap<SigKey, u64>>>;
 /// Per-rank execution context.
 pub struct Ctx {
     rank: Rank,
-    n: usize,
+    /// `MPI_COMM_WORLD`, over the member list every rank of the run shares.
     world: Comm,
     /// This rank's side of its coroutine: the mailbox and the yield.
     link: Suspender<Mailbox>,
@@ -112,7 +113,7 @@ pub struct Ctx {
 impl Ctx {
     pub(crate) fn new(
         rank: Rank,
-        n: usize,
+        world: &Arc<Vec<Rank>>,
         link: Suspender<Mailbox>,
         hook: Option<Box<dyn Hook>>,
         window: usize,
@@ -120,8 +121,7 @@ impl Ctx {
     ) -> Ctx {
         Ctx {
             rank,
-            n,
-            world: Comm::world(rank, n),
+            world: Comm::world(rank, world),
             link,
             clock: SimTime::ZERO,
             hook,
@@ -143,7 +143,7 @@ impl Ctx {
 
     /// World size.
     pub fn size(&self) -> usize {
-        self.n
+        self.world.size
     }
 
     /// The world communicator.

@@ -376,12 +376,15 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
+    /// An engine over `world`, the run's one `MPI_COMM_WORLD` member list
+    /// (`0..n`), which every rank's [`crate::ctx::Ctx`] shares too.
     pub(crate) fn new(
-        n: usize,
+        world: Arc<Vec<Rank>>,
         model: Arc<dyn NetworkModel>,
         policy: MatchPolicy,
         fibers: Vec<Fiber<Mailbox>>,
     ) -> Engine {
+        let n = world.len();
         Engine {
             model,
             policy,
@@ -406,7 +409,7 @@ impl Engine {
             rndv: (0..n).map(|_| Vec::new()).collect(),
             stalled: (0..n).map(|_| VecDeque::new()).collect(),
             unexp_bytes: vec![0; n],
-            comms: vec![CommData::new(n, Arc::new((0..n).collect()))],
+            comms: vec![CommData::new(n, world)],
             stats: EngineStats::default(),
             progressed: false,
             order_buf: Vec::with_capacity(n),

@@ -201,13 +201,18 @@ impl World {
         let body = Arc::new(body);
         let window = self.window;
         let sigs = SigMemo::default();
+        // `MPI_COMM_WORLD`'s members, once per run: every rank's world
+        // communicator and the engine's share this one list, so what a rank
+        // holds does not grow with the world.
+        let world: Arc<Vec<Rank>> = Arc::new((0..n).collect());
         let fibers = (0..n)
             .map(|rank| {
                 let hook = mk(rank);
                 let body = Arc::clone(&body);
                 let sigs = sigs.clone();
+                let world = Arc::clone(&world);
                 Fiber::new(Default::default(), move |link| {
-                    let mut ctx = Ctx::new(rank, n, link, hook, window, sigs);
+                    let mut ctx = Ctx::new(rank, &world, link, hook, window, sigs);
                     match panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
                         Ok(()) => ctx.send_exited(),
                         Err(payload) => {
@@ -221,7 +226,7 @@ impl World {
             })
             .collect();
 
-        let mut engine = Engine::new(n, model.clone(), self.policy, fibers);
+        let mut engine = Engine::new(world, model.clone(), self.policy, fibers);
         if let Some(p) = plan {
             engine.set_faults(p);
         }

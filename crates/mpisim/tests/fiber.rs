@@ -36,6 +36,29 @@ fn every_rank_runs_on_the_callers_thread() {
     }
 }
 
+#[test]
+fn every_rank_shares_one_world_member_list() {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let record = Arc::clone(&seen);
+    World::new(8)
+        .run(move |ctx| {
+            let w = ctx.world();
+            assert_eq!((w.rank, w.size), (ctx.rank(), 8));
+            ctx.barrier(&w);
+            record
+                .lock()
+                .expect("no rank panics holding the lock")
+                .push(w.members);
+        })
+        .expect("the run completes");
+    let seen = seen.lock().expect("no rank panicked");
+    assert_eq!(seen.len(), 8);
+    assert_eq!(*seen[0], (0..8).collect::<Vec<_>>());
+    for members in seen.iter() {
+        assert!(Arc::ptr_eq(members, &seen[0]), "a rank holds its own copy");
+    }
+}
+
 #[inline(never)]
 fn body_taking_a_backtrace(ctx: &mut mpisim::Ctx, out: &Mutex<Option<String>>) {
     ctx.barrier(&ctx.world());

@@ -23,6 +23,9 @@ pub struct Tracer {
     rank: usize,
     nranks: usize,
     seq: TailCompressor,
+    /// The communicators this rank created (`MPI_COMM_WORLD` is implied by
+    /// `nranks` and never stored: a table per rank would cost 8·P bytes
+    /// each, 8·P² a world).
     comms: CommTable,
     last_exit: SimTime,
     /// Number of MPI events this rank recorded.
@@ -42,7 +45,7 @@ impl Tracer {
             rank,
             nranks,
             seq: TailCompressor::new(max_window),
-            comms: CommTable::world(nranks),
+            comms: CommTable::default(),
             last_exit: SimTime::ZERO,
             events_seen: 0,
         }
@@ -71,7 +74,11 @@ impl Tracer {
     }
 
     /// The rank-local compressed sequence (consumed by the inter-rank
-    /// merge).
+    /// merge) and the communicators this rank created. The table holds
+    /// only those: `MPI_COMM_WORLD` is not in it, so a consumer starts
+    /// from [`CommTable::world`] over [`Tracer::nranks`] and
+    /// [`CommTable::absorb`]s every rank's table, as
+    /// [`crate::merge::merge_tracers`] does.
     pub fn into_parts(self) -> (Vec<TraceNode>, CommTable) {
         (self.seq.into_nodes(), self.comms)
     }

@@ -19,21 +19,36 @@ use crate::rankset::RankSet;
 use crate::trace::{OpTemplate, Prsd, Trace, TraceNode};
 use std::fmt;
 
+/// The largest world [`extrapolate`] rewrites a trace for. The result's
+/// communicator table lists every target rank (8 bytes each), so the cost
+/// is linear in the target. Measured (release, 2-vCPU VM) as `commgen --app
+/// mg --ranks 16 --extrapolate N -o /dev/null`: N = 2^20 peaks at 13.7 MB
+/// resident in about 10 ms, as small a target does; 2^24 at 132 MB in
+/// 70 ms; 10^9 took 11.6 s, 10.3 s of it in the kernel. 2^20 admits 16
+/// times the 65 536 ranks of the largest scaling target, and an admitted
+/// rewrite stays within a few MB of any other.
+pub const MAX_TARGET_RANKS: usize = 1 << 20;
+
 /// Why a trace could not be extrapolated.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExtrapError(pub String);
 
 impl fmt::Display for ExtrapError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "trace is not regular enough to extrapolate: {}", self.0)
+        write!(f, "cannot extrapolate the trace: {}", self.0)
     }
 }
 
 impl std::error::Error for ExtrapError {}
 
 /// Rewrite `trace` (recorded on `trace.nranks` ranks) for a world of
-/// `new_n` ranks.
+/// `new_n` ranks, at most [`MAX_TARGET_RANKS`].
 pub fn extrapolate(trace: &Trace, new_n: usize) -> Result<Trace, ExtrapError> {
+    if new_n > MAX_TARGET_RANKS {
+        return Err(ExtrapError(format!(
+            "{new_n} ranks exceed the cap of {MAX_TARGET_RANKS}"
+        )));
+    }
     let old_n = trace.nranks;
     if new_n < 2 || old_n < 2 {
         return Err(ExtrapError("need at least 2 ranks on both sides".into()));
@@ -336,6 +351,21 @@ mod tests {
         // the send targets the last rank by constant — ambiguous
         let err = extrapolate(&t, 12).unwrap_err();
         assert!(err.0.contains("ambiguous"), "{err}");
+    }
+
+    #[test]
+    fn targets_past_the_cap_are_refused_before_any_work() {
+        let small = trace_app(8, network::ideal(), ring(2)).unwrap().trace;
+        assert_eq!(extrapolate(&small, 65_536).unwrap().nranks, 65_536);
+        let err = extrapolate(&small, MAX_TARGET_RANKS + 1).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "cannot extrapolate the trace: {} ranks exceed the cap of {MAX_TARGET_RANKS}",
+                MAX_TARGET_RANKS + 1
+            )
+        );
+        assert!(extrapolate(&small, usize::MAX).is_err());
     }
 
     #[test]

@@ -30,6 +30,7 @@
 
 use crate::snapshot::{corrupt, SnapshotError};
 use crate::trace::CommTable;
+use mpisim::comm::WORLD;
 use mpisim::types::Fnv1a;
 use std::path::Path;
 
@@ -272,8 +273,21 @@ pub(crate) fn dec_nranks(d: &mut Dec) -> Result<usize, SnapshotError> {
     Ok(nranks)
 }
 
-pub(crate) fn enc_comms(e: &mut Enc, comms: &CommTable) {
-    e.usize(comms.ids().count());
+/// Encode a communicator table over `nranks` ranks, ids ascending. A table
+/// without `MPI_COMM_WORLD` — a tracer's, which holds only the
+/// communicators its rank created — is written with the world over
+/// `nranks` as its first entry, so a segment sealed from it carries the
+/// same bytes as one whose table held the world.
+pub(crate) fn enc_comms(e: &mut Enc, nranks: usize, comms: &CommTable) {
+    let implied = !comms.contains(WORLD);
+    e.usize(comms.ids().count() + usize::from(implied));
+    if implied {
+        e.u32(WORLD);
+        e.usize(nranks);
+        for m in 0..nranks {
+            e.usize(m);
+        }
+    }
     for id in comms.ids() {
         e.u32(id);
         let members = comms.members(id);
@@ -503,13 +517,20 @@ mod tests {
         let mut comms = CommTable::world(6);
         comms.insert(3, vec![5, 0, 2]);
         let mut e = Enc::open(MAGIC);
-        enc_comms(&mut e, &comms);
+        enc_comms(&mut e, 6, &comms);
         let bytes = e.seal();
         let mut d = Dec::open(&bytes, MAGIC).unwrap();
         assert_eq!(dec_comms(&mut d, 6).unwrap(), comms);
         d.finish().unwrap();
         let mut d = Dec::open(&bytes, MAGIC).unwrap();
         assert!(is_corrupt(dec_comms(&mut d, 5), "out of range"));
+
+        // A table without the world (a tracer's) encodes it from `nranks`.
+        let mut own = CommTable::default();
+        own.insert(3, vec![5, 0, 2]);
+        let mut e = Enc::open(MAGIC);
+        enc_comms(&mut e, 6, &own);
+        assert_eq!(e.seal(), bytes);
     }
 
     #[test]

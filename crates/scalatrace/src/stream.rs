@@ -93,7 +93,7 @@ pub fn trace_to_bytes(trace: &Trace) -> Vec<u8> {
     let mut e = Enc::open(MAGIC);
     e.u8(KIND_TRACE);
     e.usize(trace.nranks);
-    enc_comms(&mut e, &trace.comms);
+    enc_comms(&mut e, trace.nranks, &trace.comms);
     enc_nodes(&mut e, &trace.nodes);
     e.seal()
 }
@@ -158,7 +158,7 @@ impl SegmentRef<'_> {
         e.u64(self.index);
         e.u64(self.events_end);
         e.bool(self.last);
-        enc_comms(&mut e, self.comms);
+        enc_comms(&mut e, self.nranks, self.comms);
         enc_nodes(&mut e, self.nodes);
         e.seal()
     }

@@ -12,8 +12,8 @@ use mpisim::time::SimDuration;
 use mpisim::types::{Src, TagSel};
 use mpisim::world::World;
 use proptest::prelude::*;
-use scalatrace::stream::trace_to_bytes;
-use scalatrace::{text, trace_world_streamed, StreamConfig, Trace, Tracer};
+use scalatrace::stream::{segment_from_bytes, segment_to_bytes, trace_to_bytes};
+use scalatrace::{salvage_dir, text, trace_world_streamed, CommTable, StreamConfig, Trace, Tracer};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -168,4 +168,68 @@ proptest! {
 
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A tracer's table holds only the communicators its rank created, never
+/// `MPI_COMM_WORLD`: empty without a split, the rank's own half with one.
+#[test]
+fn a_tracers_table_holds_only_the_communicators_its_rank_created() {
+    let n = 4;
+    let (_, tracers) = World::new(n)
+        .run_hooked(
+            move |r| Tracer::new(r, n),
+            |ctx| {
+                let w = ctx.world();
+                ctx.allreduce(8, &w);
+                ctx.barrier(&w);
+            },
+        )
+        .expect("the run completes");
+    for t in tracers {
+        assert_eq!(t.into_parts().1, CommTable::default());
+    }
+    let (_, tracers) = World::new(n)
+        .run_hooked(move |r| Tracer::new(r, n), app(2, 64))
+        .expect("the run completes");
+    for t in tracers {
+        let rank = t.rank();
+        let (_, comms) = t.into_parts();
+        let ids: Vec<_> = comms.ids().collect();
+        assert_eq!(ids.len(), 1, "rank {rank}: {comms:?}");
+        let half: Vec<usize> = (rank % 2..n).step_by(2).collect();
+        assert_eq!(comms.members(ids[0]), half.as_slice(), "rank {rank}");
+    }
+}
+
+/// Segments sealed from those tables still carry the world entry, byte for
+/// byte as a table holding it encodes, and salvage still reassembles the
+/// unbounded capture.
+#[test]
+fn streamed_segments_carry_the_world_and_salvage_to_the_unbounded_capture() {
+    let n = 4;
+    let (result, reference) = unbounded_reference(World::new(n), n, 1, app(40, 64));
+    result.expect("reference run completes");
+    let dir = temp_dir("world");
+    let cfg = StreamConfig::new(&dir, 0).with_max_window(1);
+    trace_world_streamed(World::new(n), n, &cfg, app(40, 64)).expect("streamed capture");
+    let world: Vec<usize> = (0..n).collect();
+    let mut segments = 0;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let bytes = std::fs::read(&path).unwrap();
+        let seg = segment_from_bytes(&bytes).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        assert_eq!(seg.comms.members(0), world.as_slice(), "{path:?}");
+        assert_eq!(
+            seg.comms.ids().count(),
+            2,
+            "{path:?}: world and the rank's half"
+        );
+        assert_eq!(segment_to_bytes(&seg), bytes, "{path:?}");
+        segments += 1;
+    }
+    assert!(segments > 2 * n, "{segments} segments");
+    let (salvaged, report) = salvage_dir(&dir).expect("salvages");
+    assert!(report.complete());
+    assert_eq!(trace_to_bytes(&salvaged), trace_to_bytes(&reference));
+    let _ = std::fs::remove_dir_all(&dir);
 }

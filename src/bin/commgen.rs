@@ -286,6 +286,12 @@ mod tests {
         let err = parse_argv(argv("--app lu --machine cray")).unwrap_err();
         assert!(err.contains("unknown machine"), "{err}");
         assert!(parse_argv(argv("--app lu --extrapolate 0")).is_err());
+        // A target past the cap parses, and the run refuses it in one line
+        // before building anything that large.
+        let big = parse_argv(argv("--app ring --ranks 4 --extrapolate 1000000000")).unwrap();
+        let err = run(&big).unwrap_err();
+        assert!(err.contains("exceed the cap of 1048576"), "{err}");
+        assert!(!err.contains('\n'), "{err}");
         // The accepted spellings still parse.
         assert!(parse_argv(argv("--app lu --machine ethernet")).is_ok());
         assert!(parse_argv(argv("--app lu --machine bgl")).is_ok());

@@ -103,8 +103,11 @@ fn extrapolated_mg_runs_at_4096_ranks() {
 /// Registry cg's per-rank sequences, as the tracer hands them to the leaf
 /// merge, merged by the class-collapsed strategy. Every rank splits the
 /// world into a row and a column communicator; the split's result is a
-/// per-rank parameter, so no rank is a merge class of its own.
+/// per-rank parameter, so no rank is a merge class of its own. Each
+/// tracer's table holds just those two (cg's `npcols × nprows` grid), not
+/// the world.
 fn merged_cg(ranks: usize) -> (Trace, MergeStats) {
+    let npcols = 1usize << (ranks.trailing_zeros() as usize).div_ceil(2);
     let app = registry::lookup("cg").unwrap();
     let params = AppParams {
         class: Class::S,
@@ -122,7 +125,13 @@ fn merged_cg(ranks: usize) -> (Trace, MergeStats) {
     let seqs = tracers
         .into_iter()
         .map(|t| {
+            let rank = t.rank();
             let (seq, c) = t.into_parts();
+            let (row, col) = (rank / npcols, rank % npcols);
+            let row_members: Vec<usize> = (row * npcols..(row + 1) * npcols).collect();
+            let col_members: Vec<usize> = (col..ranks).step_by(npcols).collect();
+            let own: Vec<&[usize]> = c.ids().map(|id| c.members(id)).collect();
+            assert_eq!(own, [&row_members[..], &col_members[..]], "rank {rank}");
             comms.absorb(c);
             seq
         })
