@@ -481,19 +481,6 @@ impl Fleet {
         raw + Duration::from_nanos(inner.rng % jitter_ns)
     }
 
-    /// Workers considered alive: connected, or heard from within two TTLs
-    /// (covers `--stdio` workers whose transport the server doesn't own).
-    pub fn live_workers(&self, now: Instant) -> usize {
-        let inner = crate::sync::lock(&self.inner);
-        inner
-            .workers
-            .values()
-            .filter(|w| {
-                w.connected || now.saturating_duration_since(w.last_seen) < 2 * self.cfg.lease_ttl
-            })
-            .count()
-    }
-
     /// Work the fleet still owes the queue: live leases plus penned
     /// reassignments. Shutdown drains until this reaches zero.
     pub fn outstanding(&self) -> usize {
@@ -506,6 +493,7 @@ impl Fleet {
         let inner = crate::sync::lock(&self.inner);
         FleetStats {
             workers_seen: inner.workers.len() as u64,
+            // Connected, or heard from within two TTLs.
             workers_live: inner
                 .workers
                 .values()
@@ -627,7 +615,7 @@ mod tests {
         let t0 = Instant::now();
         let sink = Telemetry::sink();
         f.register("w1", t0);
-        assert_eq!(f.live_workers(t0), 1);
+        assert_eq!(f.snapshot(t0).workers_live, 1);
         let (lease, ttl) = f.grant("w1", job("j1"), t0, &sink);
         assert_eq!(ttl, Duration::from_millis(100));
         assert_eq!(f.outstanding(), 1);
@@ -694,7 +682,7 @@ mod tests {
         // Penned, not yet requeued; worker no longer live.
         assert!(actions.quarantine.is_empty());
         assert_eq!(f.outstanding(), 1);
-        assert_eq!(f.live_workers(t0 + Duration::from_secs(30)), 0);
+        assert_eq!(f.snapshot(t0 + Duration::from_secs(30)).workers_live, 0);
         assert_eq!(f.deaths("j1"), 1);
     }
 

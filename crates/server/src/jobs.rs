@@ -98,8 +98,8 @@ pub fn artifact(name: &str, text: String) -> Artifact {
     }
 }
 
-/// What a worker — a thread of the in-process pool or a fleet process —
-/// needs to execute a job: exactly what a `lease_grant` ships.
+/// What a fleet worker — in-process or a separate process — needs to
+/// execute a job: exactly what a `lease_grant` ships.
 #[derive(Clone, Debug)]
 pub enum JobBody {
     /// A trace / generate / simulate job with its wire parameters.
@@ -109,8 +109,7 @@ pub enum JobBody {
 }
 
 /// Execute a job body behind the panic-isolation boundary: a panicking
-/// job fails the job, not the pool thread or the worker process running
-/// it. `campaign_log` opens the per-job telemetry of a campaign job.
+/// job fails the job, not the worker running it. `campaign_log` opens the per-job telemetry of a campaign job.
 pub fn execute(
     body: &JobBody,
     cache: &TraceCache,

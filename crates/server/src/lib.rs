@@ -9,12 +9,12 @@
 //! ([`queue`]), the campaign's trace cache shared by every job kind
 //! ([`jobs`]), async job handles, and a JSONL journal as the durability
 //! layer ([`server`]): a killed server replays completed jobs on restart
-//! instead of rerunning them. On top of that
-//! sits the distributed campaign fleet: a lease-based coordinator
-//! ([`fleet`]) hands jobs to standalone worker processes ([`worker`])
-//! over the same wire protocol, detects dead workers by missed
-//! heartbeats, and reassigns their jobs with capped backoff — falling
-//! back to in-process execution whenever no workers are registered.
+//! instead of rerunning them. Every job runs under a lease: a
+//! lease-based coordinator ([`fleet`]) hands jobs to fleet workers
+//! ([`worker`]) over the same wire protocol, detects dead workers by
+//! missed heartbeats, and reassigns their jobs with capped backoff. The
+//! server's own workers are fleet workers on in-memory connections;
+//! standalone worker processes join over TCP or stdio.
 //!
 //! Everything a served job produces is byte-identical to what the batch
 //! CLI produces for the same configuration, because both sides call the

@@ -1,6 +1,6 @@
 //! Multi-tenant FIFO job queue: admission control (per-client in-flight
-//! caps and token-bucket rate limits) in front of a blocking FIFO the
-//! worker pool drains.
+//! caps and token-bucket rate limits) in front of a blocking FIFO that
+//! the fleet's lease requests drain.
 //!
 //! Admission is decided at submit time, synchronously, so a rejected
 //! client gets an immediate `error` response instead of a job that later
@@ -117,8 +117,8 @@ struct Inner {
     closed: bool,
 }
 
-/// The shared queue: submitters push through admission control, workers
-/// block on [`JobQueue::pop`].
+/// The shared queue: submitters push through admission control, lease
+/// requests block on [`JobQueue::pop_timeout`].
 pub struct JobQueue {
     limits: QueueLimits,
     inner: Mutex<Inner>,
@@ -166,33 +166,10 @@ impl JobQueue {
         Ok(())
     }
 
-    /// Block until a job is available (FIFO order) or the queue is closed
-    /// and drained; `None` tells the worker to exit.
-    pub fn pop(&self) -> Option<QueuedJob> {
-        let mut inner = crate::sync::lock(&self.inner);
-        loop {
-            if let Some(job) = inner.fifo.pop_front() {
-                return Some(job);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = crate::sync::wait(&self.cv, inner);
-        }
-    }
-
-    /// Non-blocking pop for the fleet coordinator: take the head of the
-    /// FIFO if one is ready, else return immediately. Used on the lease
-    /// path, where a worker polling for work must get `no_work` rather
-    /// than a parked connection.
-    pub fn try_pop(&self) -> Option<QueuedJob> {
-        crate::sync::lock(&self.inner).fifo.pop_front()
-    }
-
-    /// [`JobQueue::pop`] with a deadline: block until a job arrives, the
-    /// queue closes-and-drains, or `dur` elapses. The in-process worker
-    /// pool uses this so it can re-check whether remote fleet workers
-    /// have appeared (and yield the queue to them) without busy-waiting.
+    /// Take the head of the FIFO, blocking until a job arrives, the queue
+    /// closes and drains, or `dur` elapses. An idle worker's
+    /// `lease_request` waits here, so a job starts the moment it is
+    /// queued and the wait is bounded for the worker to ask again.
     pub fn pop_timeout(&self, dur: std::time::Duration) -> PopResult {
         let deadline = Instant::now() + dur;
         let mut inner = crate::sync::lock(&self.inner);
@@ -252,7 +229,7 @@ impl JobQueue {
     }
 
     /// Close the queue: already-accepted jobs still drain, new pops return
-    /// `None` once the FIFO empties, and submissions are refused by the
+    /// [`PopResult::Closed`] once the FIFO empties, and submissions are refused by the
     /// server before they reach here.
     pub fn close(&self) {
         let mut inner = crate::sync::lock(&self.inner);
@@ -272,6 +249,14 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    /// The head of the FIFO if one is ready, without waiting.
+    fn pop(q: &JobQueue) -> Option<QueuedJob> {
+        match q.pop_timeout(Duration::ZERO) {
+            PopResult::Job(job) => Some(job),
+            PopResult::Empty | PopResult::Closed => None,
+        }
+    }
+
     fn limits(max_inflight: usize, rate: f64, burst: f64) -> QueueLimits {
         QueueLimits {
             max_inflight,
@@ -286,9 +271,9 @@ mod tests {
         q.submit("a", "j1").unwrap();
         q.submit("b", "j2").unwrap();
         q.submit("a", "j3").unwrap();
-        assert_eq!(q.pop().unwrap().id, "j1");
-        assert_eq!(q.pop().unwrap().id, "j2");
-        assert_eq!(q.pop().unwrap().id, "j3");
+        assert_eq!(pop(&q).unwrap().id, "j1");
+        assert_eq!(pop(&q).unwrap().id, "j2");
+        assert_eq!(pop(&q).unwrap().id, "j3");
     }
 
     #[test]
@@ -352,7 +337,7 @@ mod tests {
         let q = JobQueue::new(QueueLimits::default());
         q.submit("a", "j1").unwrap();
         q.submit("a", "j2").unwrap();
-        let popped = q.pop().unwrap();
+        let popped = pop(&q).unwrap();
         assert_eq!(popped.id, "j1");
         assert!(q.cancel("j1").is_none(), "already running");
         assert_eq!(q.cancel("j2").unwrap().client, "a");
@@ -361,18 +346,18 @@ mod tests {
     }
 
     #[test]
-    fn try_pop_never_blocks_and_requeue_restores_fifo_head() {
+    fn requeue_restores_the_fifo_head() {
         let q = JobQueue::new(QueueLimits::default());
-        assert!(q.try_pop().is_none());
+        assert!(pop(&q).is_none());
         q.submit("a", "j1").unwrap();
         q.submit("a", "j2").unwrap();
-        let j1 = q.try_pop().unwrap();
+        let j1 = pop(&q).unwrap();
         assert_eq!(j1.id, "j1");
         // A reassigned job goes back to the *front*: it was admitted
         // before j2 and must not lose its place.
         q.requeue(j1);
-        assert_eq!(q.try_pop().unwrap().id, "j1");
-        assert_eq!(q.try_pop().unwrap().id, "j2");
+        assert_eq!(pop(&q).unwrap().id, "j1");
+        assert_eq!(pop(&q).unwrap().id, "j2");
     }
 
     #[test]
@@ -382,7 +367,7 @@ mod tests {
         let q = JobQueue::new(limits(1, 0.0, 1.0));
         let t0 = Instant::now();
         q.submit_at("a", "j1", t0).unwrap();
-        let j = q.try_pop().unwrap();
+        let j = pop(&q).unwrap();
         q.requeue(j);
         assert_eq!(q.queued(), 1);
     }
@@ -409,7 +394,7 @@ mod tests {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
                 let mut seen = Vec::new();
-                while let Some(job) = q.pop() {
+                while let PopResult::Job(job) = q.pop_timeout(Duration::from_secs(60)) {
                     seen.push(job.id);
                 }
                 seen

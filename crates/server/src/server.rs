@@ -1,5 +1,14 @@
 //! The `commspec-server` daemon: connection handling, the job table,
-//! worker pool, and journal-backed durability.
+//! the lease path every job runs through, and journal-backed durability.
+//!
+//! ## One job lifecycle
+//!
+//! Every job is leased to a fleet worker ([`crate::worker`]): granted,
+//! heartbeated, completed or failed, journaled and counted by one path.
+//! The server's own workers are fleet workers on in-memory connections
+//! (`UnixStream::pair`), served by the same `handle_conn` as a remote
+//! one; with [`ServerOptions::workers`] at 0 it is a coordinator that runs
+//! nothing itself.
 //!
 //! ## Durability argument
 //!
@@ -22,10 +31,11 @@
 
 use crate::fleet::{Actions, Completion, FailVerdict, Fleet, FleetConfig};
 use crate::jobs::{self, JobBody, JobKind};
-use crate::queue::{JobQueue, PopResult, QueueLimits, QueuedJob};
+use crate::queue::{JobQueue, PopResult, QueueLimits};
+use crate::worker::{self, WorkerOptions};
 use campaign::journal::Journal;
 use campaign::telemetry::Counters;
-use campaign::{Telemetry, TraceCache};
+use campaign::Telemetry;
 use protocol::json::Json;
 use protocol::{
     ClientStats, JobParams, JobRef, JobResult, Request, Response, StatsReport, PROTO_VERSION,
@@ -34,6 +44,7 @@ use scalatrace::frame::write_atomic;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpListener;
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -48,7 +59,9 @@ pub struct ServerOptions {
     /// State directory: journal, artifact files, trace cache, campaign
     /// telemetry.
     pub state_dir: PathBuf,
-    /// Worker threads executing jobs.
+    /// In-process fleet workers, each on an in-memory connection and
+    /// sharing `state_dir` (and so its trace cache). 0 runs none: the
+    /// server only coordinates remote workers.
     pub workers: usize,
     /// Per-client admission limits.
     pub limits: QueueLimits,
@@ -135,13 +148,12 @@ struct ServerStats {
     failed: AtomicU64,
     cancelled: AtomicU64,
     replayed: AtomicU64,
-    /// Jobs this process ran on a trace loaded from the cache.
+    /// Jobs completed this process on a trace loaded from a cache.
     cache_hits: AtomicU64,
 }
 
 struct State {
     opts: ServerOptions,
-    cache: TraceCache,
     queue: JobQueue,
     table: Mutex<JobTable>,
     table_cv: Condvar,
@@ -279,20 +291,25 @@ fn replay_record(
     }
 }
 
-/// A running server: worker pool plus shared state. Connections are
-/// served by [`Server::serve_stdio`], [`Server::serve_tcp`], or (for
-/// in-process tests) [`Server::handle`].
+/// How long an idle worker's `lease_request` waits on the queue before it
+/// is answered `no_work`: a job submitted meanwhile starts at once.
+const LEASE_WAIT: Duration = Duration::from_secs(1);
+
+/// A running server: its in-process workers plus shared state.
+/// Connections are served by [`Server::serve_stdio`],
+/// [`Server::serve_tcp`], or (for in-process tests) [`Server::handle`].
 pub struct Server {
     state: Arc<State>,
+    /// In-process workers and the connection threads serving them.
     workers: Vec<std::thread::JoinHandle<()>>,
     /// Fleet monitor: lease expiry, reassignment, quarantine.
     monitor: std::thread::JoinHandle<()>,
 }
 
 impl Server {
-    /// Open the state directory, replay the journal, and start the worker
-    /// pool. Returns the server and how many journaled outcomes were
-    /// restored.
+    /// Open the state directory, replay the journal, and start the
+    /// in-process workers. Returns the server and how many journaled
+    /// outcomes were restored.
     pub fn start(opts: ServerOptions) -> io::Result<(Server, usize)> {
         std::fs::create_dir_all(&opts.state_dir)?;
         let journal_path = State::journal_path(&opts);
@@ -323,7 +340,6 @@ impl Server {
 
         let state = Arc::new(State {
             queue: JobQueue::new(opts.limits),
-            cache: TraceCache::open(opts.state_dir.join("cache"))?,
             table: Mutex::new(table),
             table_cv: Condvar::new(),
             counters: Counters::new(),
@@ -334,12 +350,25 @@ impl Server {
             opts,
         });
 
-        let workers = (0..state.opts.workers.max(1))
-            .map(|_| {
-                let state = Arc::clone(&state);
-                std::thread::spawn(move || worker_loop(&state))
-            })
-            .collect();
+        let mut workers = Vec::new();
+        for i in 0..state.opts.workers {
+            let (ours, theirs) = UnixStream::pair()?;
+            let reader = BufReader::new(ours.try_clone()?);
+            let conn_state = Arc::clone(&state);
+            workers.push(std::thread::spawn(move || {
+                handle_conn(&conn_state, reader, ours);
+            }));
+            let opts = WorkerOptions {
+                name: format!("local-{i}"),
+                state_dir: state.opts.state_dir.clone(),
+                ..WorkerOptions::default()
+            };
+            workers.push(std::thread::spawn(move || {
+                // A worker whose connection dies leaves the rest running;
+                // its leases expire and reassign like a remote one's.
+                let _ = worker::run_in_process(theirs, &opts);
+            }));
+        }
         let monitor = {
             let state = Arc::clone(&state);
             std::thread::spawn(move || monitor_loop(&state))
@@ -406,8 +435,8 @@ impl Server {
         handle_conn(&self.state, reader, writer);
     }
 
-    /// Drain the queue (including outstanding fleet leases), stop the
-    /// workers and the monitor, and join them.
+    /// Drain the queue (including outstanding fleet leases), let the
+    /// in-process workers leave, stop the monitor, and join them all.
     pub fn shutdown(self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
         self.state.queue.close();
@@ -464,74 +493,6 @@ fn apply_fleet_actions(state: &Arc<State>, actions: Actions) {
         state.persist_failed(&job.id, kind, &reason);
         state.stats.failed.fetch_add(1, Ordering::Relaxed);
         state.finish(&job.id, &job.client, JobState::Failed(reason));
-    }
-}
-
-fn worker_loop(state: &State) {
-    loop {
-        // Graceful degradation in reverse: while remote fleet workers are
-        // live, the in-process pool yields the queue to them and just
-        // keeps watch. The moment the fleet empties (workers died or
-        // never existed), this loop is today's single-process executor.
-        if state.fleet.live_workers(Instant::now()) > 0 {
-            if state.shutdown.load(Ordering::SeqCst)
-                && state.queue.closed_and_drained()
-                && state.fleet.outstanding() == 0
-            {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-            continue;
-        }
-        let QueuedJob { id, client } = match state.queue.pop_timeout(Duration::from_millis(100)) {
-            PopResult::Job(job) => job,
-            // Re-check the fleet: workers may have appeared.
-            PopResult::Empty => continue,
-            PopResult::Closed => {
-                // Closed and drained — but an expired lease may still
-                // requeue its job here, so only exit once the fleet owes
-                // nothing.
-                if state.fleet.outstanding() == 0 {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        let claimed = {
-            let mut table = crate::sync::lock(&state.table);
-            match table.jobs.get_mut(&id) {
-                Some(entry) if matches!(entry.state, JobState::Queued) => {
-                    entry.state = JobState::Running;
-                    entry.body.clone().map(|b| (entry.kind, b))
-                }
-                // Cancelled (or somehow already terminal): nothing to run.
-                _ => None,
-            }
-        };
-        let Some((kind, body)) = claimed else {
-            continue;
-        };
-
-        let outcome = jobs::execute(&body, &state.cache, || {
-            Telemetry::to_file(&state.opts.state_dir.join(format!("{id}.campaign.jsonl")))
-                .unwrap_or_else(|_| Telemetry::sink())
-        });
-        match outcome {
-            Ok(result) => {
-                if result.cached {
-                    state.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                state.persist_done(&id, kind, &result);
-                state.stats.done.fetch_add(1, Ordering::Relaxed);
-                state.finish(&id, &client, JobState::Done(result));
-            }
-            Err(e) => {
-                state.persist_failed(&id, kind, &e.message);
-                state.stats.failed.fetch_add(1, Ordering::Relaxed);
-                state.finish(&id, &client, JobState::Failed(e.message));
-            }
-        }
     }
 }
 
@@ -757,17 +718,30 @@ fn dispatch(
     }
 }
 
-/// Hand the queue head to a polling worker as a fresh lease.
+/// Hand the queue head to a polling worker as a fresh lease, waiting up to
+/// [`LEASE_WAIT`] for one to arrive.
 fn grant_lease(state: &Arc<State>, worker: &str) -> Response {
     loop {
-        let Some(queued) = state.queue.try_pop() else {
-            return Response::NoWork {
-                retry_ms: 50,
-                draining: state.shutdown.load(Ordering::SeqCst),
-            };
+        let queued = match state.queue.pop_timeout(LEASE_WAIT) {
+            PopResult::Job(job) => job,
+            // The wait already happened: ask again right away.
+            PopResult::Empty => {
+                return Response::NoWork {
+                    retry_ms: 0,
+                    draining: false,
+                }
+            }
+            // Closed and drained. An expiring lease can still requeue a
+            // job, so a worker may leave only once the fleet owes nothing.
+            PopResult::Closed => {
+                return Response::NoWork {
+                    retry_ms: 50,
+                    draining: state.fleet.outstanding() == 0,
+                }
+            }
         };
-        // Claim Queued → Running, exactly like the in-process pool; a job
-        // cancelled while queued has no body and is skipped.
+        // Claim Queued → Running; a job cancelled while queued has no body
+        // and is skipped.
         let claimed = {
             let mut table = crate::sync::lock(&state.table);
             match table.jobs.get_mut(&queued.id) {
@@ -842,6 +816,9 @@ fn worker_complete(
             };
             state.persist_done(job, kind, &result);
             state.stats.done.fetch_add(1, Ordering::Relaxed);
+            if result.cached {
+                state.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+            }
             state.finish(job, &client, JobState::Done(result));
             Response::CompleteOk {
                 job: job.to_string(),

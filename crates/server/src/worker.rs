@@ -1,7 +1,8 @@
-//! The standalone fleet worker: connects to a coordinator (TCP or
-//! stdio), pulls leases, executes jobs through the exact library calls
-//! the in-process pool uses, and streams heartbeats from a background
-//! thread.
+//! The fleet worker: connects to a coordinator, pulls leases, executes
+//! jobs through [`jobs::execute`], and streams heartbeats from a
+//! background thread. A standalone worker process speaks over TCP or
+//! stdio; the server's own workers are threads on in-memory sockets
+//! ([`crate::server::ServerOptions::workers`]). All three run this loop.
 //!
 //! One connection carries everything. Both the main loop and the
 //! heartbeat thread speak strict request/response pairs under a shared
@@ -9,14 +10,17 @@
 //! keep flowing while a long job runs — which is the whole point of a
 //! heartbeat.
 //!
-//! Artifacts are committed locally (atomic tmp+rename, checksums
-//! computed first) before `job_complete` is sent; the coordinator is
-//! still the authority on acceptance, and a completion that races a
-//! lease expiry comes back `accepted: false` and is discarded here
-//! without side effects. Executions are deterministic, so a discarded
-//! duplicate is byte-identical to whatever the winning worker produced.
+//! A worker keeps only its trace cache (and a campaign job's telemetry)
+//! in its state directory. Its result travels with per-artifact
+//! checksums, and the coordinator alone commits it. A completion that
+//! races a lease expiry comes back `accepted: false` and is discarded.
+//! Executions are deterministic, so a discarded duplicate is
+//! byte-identical to whatever the winning worker produced.
 //!
 //! ### Chaos hooks (tests and the CI smoke job)
+//!
+//! These reach every worker of the process, so the in-process workers of
+//! a `serve` started with them set obey them too.
 //!
 //! - `COMMSPEC_WORKER_JOB_DELAY_MS`: sleep inside job execution, opening
 //!   a window to SIGKILL the worker mid-job.
@@ -29,12 +33,12 @@ use crate::jobs::{self, JobBody, JobKind};
 use campaign::executor::{backoff_delay, JobError};
 use campaign::{Telemetry, TraceCache};
 use protocol::{JobResult, Request, Response, PROTO_VERSION};
-use scalatrace::frame::write_atomic;
 use std::collections::BTreeSet;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -45,7 +49,7 @@ pub struct WorkerOptions {
     pub addr: Option<String>,
     /// Worker identity (must be unique across the fleet).
     pub name: String,
-    /// Worker-local scratch: trace cache and committed artifacts.
+    /// Worker-local state: the trace cache and campaign telemetry.
     pub state_dir: PathBuf,
     /// Connection attempts before giving up.
     pub connect_retries: u32,
@@ -88,48 +92,38 @@ pub fn connect_with_retries(
     ))
 }
 
-enum Transport {
-    Tcp(BufReader<TcpStream>, TcpStream),
-    Stdio,
-}
-
-/// One line-delimited connection; every exchange is a strict
-/// request/response pair.
+/// One line-delimited connection — TCP, stdio, or the in-memory socket an
+/// in-process worker shares with its coordinator; every exchange is a
+/// strict request/response pair.
 struct Conn {
-    transport: Transport,
+    reader: Box<dyn BufRead + Send>,
+    writer: Box<dyn Write + Send>,
 }
 
 impl Conn {
+    fn new(reader: impl Read + Send + 'static, writer: impl Write + Send + 'static) -> Conn {
+        Conn {
+            reader: Box::new(BufReader::new(reader)),
+            writer: Box::new(writer),
+        }
+    }
+
     fn call(&mut self, req: &Request) -> Result<Response, String> {
-        let line = req.to_line();
+        writeln!(self.writer, "{}", req.to_line()).map_err(|e| format!("send failed: {e}"))?;
+        self.writer
+            .flush()
+            .map_err(|e| format!("send failed: {e}"))?;
         let mut buf = String::new();
-        match &mut self.transport {
-            Transport::Tcp(reader, writer) => {
-                writeln!(writer, "{line}").map_err(|e| format!("send failed: {e}"))?;
-                writer.flush().map_err(|e| format!("send failed: {e}"))?;
-                match reader.read_line(&mut buf) {
-                    Ok(0) => return Err("coordinator closed the connection".to_string()),
-                    Ok(_) => {}
-                    Err(e) => return Err(format!("receive failed: {e}")),
-                }
-            }
-            Transport::Stdio => {
-                let stdout = io::stdout();
-                let mut out = stdout.lock();
-                writeln!(out, "{line}").map_err(|e| format!("send failed: {e}"))?;
-                out.flush().map_err(|e| format!("send failed: {e}"))?;
-                match io::stdin().read_line(&mut buf) {
-                    Ok(0) => return Err("coordinator closed the connection".to_string()),
-                    Ok(_) => {}
-                    Err(e) => return Err(format!("receive failed: {e}")),
-                }
-            }
+        match self.reader.read_line(&mut buf) {
+            Ok(0) => return Err("coordinator closed the connection".to_string()),
+            Ok(_) => {}
+            Err(e) => return Err(format!("receive failed: {e}")),
         }
         Response::from_line(&buf).map_err(|e| format!("bad response line: {e}"))
     }
 }
 
-fn call(conn: &Arc<Mutex<Conn>>, req: &Request) -> Result<Response, String> {
+fn call(conn: &Mutex<Conn>, req: &Request) -> Result<Response, String> {
     crate::sync::lock(conn).call(req)
 }
 
@@ -147,20 +141,38 @@ fn env_ms(name: &str) -> Option<Duration> {
 /// Run the worker until the coordinator drains it (or the connection
 /// dies). Returns the number of jobs executed.
 pub fn run_worker(opts: WorkerOptions) -> Result<u64, String> {
-    let transport = match &opts.addr {
+    let conn = match &opts.addr {
         Some(addr) => {
             let stream = connect_with_retries(addr, opts.connect_retries, opts.connect_backoff)?;
-            let reader = BufReader::new(
-                stream
-                    .try_clone()
-                    .map_err(|e| format!("cannot clone stream: {e}"))?,
-            );
-            Transport::Tcp(reader, stream)
+            let reader = stream
+                .try_clone()
+                .map_err(|e| format!("cannot clone stream: {e}"))?;
+            Conn::new(reader, stream)
         }
-        None => Transport::Stdio,
+        None => Conn::new(io::stdin(), io::stdout()),
     };
-    let conn = Arc::new(Mutex::new(Conn { transport }));
+    work(conn, &opts, true)
+}
 
+/// Run an in-process worker on its half of an in-memory connection to
+/// the coordinator. It logs nothing: the coordinator's journal and
+/// `stats` already account for every lease it takes.
+pub(crate) fn run_in_process(stream: UnixStream, opts: &WorkerOptions) -> Result<u64, String> {
+    let reader = stream
+        .try_clone()
+        .map_err(|e| format!("cannot clone stream: {e}"))?;
+    work(Conn::new(reader, stream), opts, false)
+}
+
+/// The lease loop over an open connection: hello, register, then lease,
+/// execute and report until the coordinator drains it.
+fn work(conn: Conn, opts: &WorkerOptions, log: bool) -> Result<u64, String> {
+    let conn = Arc::new(Mutex::new(conn));
+    let say = |msg: String| {
+        if log {
+            eprintln!("{msg}");
+        }
+    };
     match call(
         &conn,
         &Request::Hello {
@@ -186,45 +198,47 @@ pub fn run_worker(opts: WorkerOptions) -> Result<u64, String> {
         }
         other => return Err(format!("unexpected register reply: {other:?}")),
     };
-    eprintln!("worker {} registered (lease ttl {ttl_ms} ms)", opts.name);
+    say(format!(
+        "worker {} registered (lease ttl {ttl_ms} ms)",
+        opts.name
+    ));
 
     let cache = TraceCache::open(opts.state_dir.join("cache"))
         .map_err(|e| format!("cannot open worker cache: {e}"))?;
 
     let held: Arc<Mutex<BTreeSet<String>>> = Arc::new(Mutex::new(BTreeSet::new()));
     let lost: Arc<Mutex<BTreeSet<String>>> = Arc::new(Mutex::new(BTreeSet::new()));
-    let stop = Arc::new(AtomicBool::new(false));
+    // Dropping `stop` wakes the heartbeat thread at once, so a drained
+    // worker exits without waiting out a heartbeat interval.
+    let (stop, stopped) = mpsc::channel::<()>();
     let heartbeat = {
         let conn = Arc::clone(&conn);
         let held = Arc::clone(&held);
         let lost = Arc::clone(&lost);
-        let stop = Arc::clone(&stop);
         let worker = opts.name.clone();
         let interval = Duration::from_millis((ttl_ms / 4).max(10));
-        std::thread::spawn(move || loop {
-            std::thread::sleep(interval);
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            if env_flag("COMMSPEC_WORKER_NO_HEARTBEAT") {
-                continue;
-            }
-            let leases: Vec<String> = crate::sync::lock(&held).iter().cloned().collect();
-            match call(
-                &conn,
-                &Request::Heartbeat {
-                    worker: worker.clone(),
-                    leases,
-                },
-            ) {
-                Ok(Response::HeartbeatOk { expired, .. }) => {
-                    if !expired.is_empty() {
-                        crate::sync::lock(&lost).extend(expired);
-                    }
+        std::thread::spawn(move || {
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                if env_flag("COMMSPEC_WORKER_NO_HEARTBEAT") {
+                    continue;
                 }
-                // A dead connection ends the worker; the main loop will
-                // hit the same error on its next call.
-                _ => return,
+                let leases: Vec<String> = crate::sync::lock(&held).iter().cloned().collect();
+                match call(
+                    &conn,
+                    &Request::Heartbeat {
+                        worker: worker.clone(),
+                        leases,
+                    },
+                ) {
+                    Ok(Response::HeartbeatOk { expired, .. }) => {
+                        if !expired.is_empty() {
+                            crate::sync::lock(&lost).extend(expired);
+                        }
+                    }
+                    // A dead connection ends the worker; the main loop will
+                    // hit the same error on its next call.
+                    _ => return,
+                }
             }
         })
     };
@@ -246,28 +260,27 @@ pub fn run_worker(opts: WorkerOptions) -> Result<u64, String> {
                 ttl_ms: _,
             }) => {
                 crate::sync::lock(&held).insert(lease.clone());
-                eprintln!("worker {}: lease {lease} job {job}", opts.name);
-                let result = execute(&kind, params, matrix, &cache);
+                say(format!("worker {}: lease {lease} job {job}", opts.name));
+                let result = execute(&kind, params, matrix, &cache, || {
+                    Telemetry::to_file(&opts.state_dir.join(format!("{job}.campaign.jsonl")))
+                        .unwrap_or_else(|_| Telemetry::sink())
+                });
                 crate::sync::lock(&held).remove(&lease);
                 done += 1;
-                let known_lost = crate::sync::lock(&lost).remove(&lease);
-                if known_lost {
-                    eprintln!(
+                if crate::sync::lock(&lost).remove(&lease) {
+                    say(format!(
                         "worker {}: lease {lease} was expired by the coordinator; \
                          reporting anyway for idempotent discard",
                         opts.name
-                    );
+                    ));
                 }
                 let report = match result {
-                    Ok(result) => {
-                        commit_local(&opts.state_dir, &job, &result);
-                        Request::JobComplete {
-                            worker: opts.name.clone(),
-                            lease: lease.clone(),
-                            job: job.clone(),
-                            result,
-                        }
-                    }
+                    Ok(result) => Request::JobComplete {
+                        worker: opts.name.clone(),
+                        lease: lease.clone(),
+                        job: job.clone(),
+                        result,
+                    },
                     Err(e) => Request::JobFail {
                         worker: opts.name.clone(),
                         lease: lease.clone(),
@@ -279,25 +292,21 @@ pub fn run_worker(opts: WorkerOptions) -> Result<u64, String> {
                 match call(&conn, &report) {
                     Ok(Response::CompleteOk {
                         accepted, reason, ..
-                    }) => {
-                        eprintln!(
-                            "worker {}: job {job} accepted={accepted}{}",
-                            opts.name,
-                            reason.map(|r| format!(" ({r})")).unwrap_or_default()
-                        );
-                    }
+                    }) => say(format!(
+                        "worker {}: job {job} accepted={accepted}{}",
+                        opts.name,
+                        reason.map(|r| format!(" ({r})")).unwrap_or_default()
+                    )),
                     Ok(other) => break Err(format!("unexpected completion reply: {other:?}")),
                     Err(e) => break Err(e),
                 }
                 if env_flag("COMMSPEC_WORKER_DUP_COMPLETE") {
                     if let Request::JobComplete { .. } = &report {
                         match call(&conn, &report) {
-                            Ok(Response::CompleteOk { accepted, .. }) => {
-                                eprintln!(
-                                    "worker {}: job {job} duplicate accepted={accepted}",
-                                    opts.name
-                                );
-                            }
+                            Ok(Response::CompleteOk { accepted, .. }) => say(format!(
+                                "worker {}: job {job} duplicate accepted={accepted}",
+                                opts.name
+                            )),
                             Ok(other) => {
                                 break Err(format!("unexpected duplicate reply: {other:?}"))
                             }
@@ -308,10 +317,15 @@ pub fn run_worker(opts: WorkerOptions) -> Result<u64, String> {
             }
             Ok(Response::NoWork { retry_ms, draining }) => {
                 if draining && crate::sync::lock(&held).is_empty() {
-                    eprintln!("worker {}: coordinator draining; exiting", opts.name);
+                    say(format!(
+                        "worker {}: coordinator draining; exiting",
+                        opts.name
+                    ));
                     break Ok(done);
                 }
-                std::thread::sleep(Duration::from_millis(retry_ms.clamp(10, 1000)));
+                // The coordinator already waited on its queue before
+                // answering, so `retry_ms` may be 0.
+                std::thread::sleep(Duration::from_millis(retry_ms.min(1000)));
             }
             Ok(Response::Error { code, message }) => {
                 break Err(format!("coordinator error ({code}): {message}"))
@@ -320,17 +334,20 @@ pub fn run_worker(opts: WorkerOptions) -> Result<u64, String> {
             Err(e) => break Err(e),
         }
     };
-    stop.store(true, Ordering::SeqCst);
+    drop(stop);
     let _ = heartbeat.join();
     outcome
 }
 
-/// Execute one leased job exactly as the in-process pool would.
+/// Execute one leased job: rebuild the job body the grant ships and run
+/// it through [`jobs::execute`]. `campaign_log` opens a campaign job's
+/// per-job telemetry.
 fn execute(
     kind: &str,
     params: Option<protocol::JobParams>,
     matrix: Option<String>,
     cache: &TraceCache,
+    campaign_log: impl FnOnce() -> Telemetry,
 ) -> Result<JobResult, JobError> {
     if let Some(delay) = env_ms("COMMSPEC_WORKER_JOB_DELAY_MS") {
         std::thread::sleep(delay);
@@ -345,24 +362,5 @@ fn execute(
             params.ok_or_else(|| JobError::fatal("lease_grant missing params"))?,
         ),
     };
-    jobs::execute(&body, cache, Telemetry::sink)
-}
-
-/// Commit the result's artifacts to the worker-local scratch dir,
-/// checksums first, each file an atomic tmp+rename. This happens before
-/// `job_complete` is sent so a worker killed mid-commit leaves either
-/// nothing or complete files — never a torn artifact blessed by a
-/// completion message.
-fn commit_local(state_dir: &std::path::Path, job_id: &str, result: &JobResult) {
-    let dir = state_dir.join("artifacts").join(job_id);
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    for a in &result.artifacts {
-        debug_assert_eq!(
-            a.fnv,
-            campaign::hash::hex(campaign::hash::fnv1a(a.text.as_bytes()))
-        );
-        let _ = write_atomic(&dir.join(&a.name), a.text.as_bytes());
-    }
+    jobs::execute(&body, cache, campaign_log)
 }

@@ -33,7 +33,7 @@
 //!
 //! ```text
 //! commbench perf                                    # full suite
-//! commbench perf --smoke --check BENCH_pipeline.json  # the CI gate
+//! commbench perf --smoke --out /tmp/perf.json --check BENCH_pipeline.json  # the CI gate
 //! ```
 //!
 //! The `resume` subcommand restarts an interrupted campaign from its JSONL
@@ -74,6 +74,7 @@
 //!
 //! Exit status is success iff every expanded job succeeded.
 
+use campaign::matrix::MAX_WORKERS;
 use campaign::{
     resume_campaign, run_campaign, run_jobs, CampaignSpec, FleetOptions, JobSpec, Journal,
     SpecError, Telemetry, TraceCache,
@@ -341,7 +342,14 @@ fn parse_common(common: &mut Common, flag: &str, argv: &mut Argv) -> Result<bool
     match flag {
         "--cache" => common.cache_dir = argv.path()?,
         "--log" => common.log = argv.path()?,
-        "--workers" => common.workers = Some(argv.parsed()?),
+        "--workers" => {
+            let n = argv.parsed()?;
+            // The same range a matrix's `workers` key is held to.
+            if !(1..=MAX_WORKERS).contains(&n) {
+                return Err(format!("--workers must be 1 to {MAX_WORKERS}"));
+            }
+            common.workers = Some(n);
+        }
         "--retries" => common.retries = Some(argv.parsed()?),
         _ => return Ok(false),
     }
@@ -377,9 +385,6 @@ fn parse_serve(argv: &[String]) -> Result<ServeArgs, String> {
             "--help" | "-h" => return Err(format!("usage: {SERVE_USAGE}")),
             _ => return Err(argv.unknown()),
         }
-    }
-    if args.workers == 0 {
-        return Err("--workers must be at least 1".to_string());
     }
     if args.inflight == 0 {
         return Err("--inflight must be at least 1".to_string());
@@ -593,9 +598,6 @@ fn parse_matrix(argv: &[String]) -> Result<Args, String> {
         }
     }
     args.matrix = matrix.ok_or("--matrix is required (try --help)")?;
-    if args.common.workers == Some(0) {
-        return Err("--workers must be at least 1".to_string());
-    }
     Ok(args)
 }
 
@@ -735,18 +737,48 @@ fn main() -> ExitCode {
     }
 }
 
+/// `path` made absolute through its directory, so a file that does not
+/// exist yet still compares equal to the file it would become.
+fn resolve(path: &Path) -> PathBuf {
+    if let Ok(p) = path.canonicalize() {
+        return p;
+    }
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    match (dir.canonicalize(), path.file_name()) {
+        (Ok(dir), Some(name)) => dir.join(name),
+        _ => path.to_path_buf(),
+    }
+}
+
 fn main_perf(cfg: PerfConfig) -> Verdict {
+    // The baseline is read before anything runs, and never from the file
+    // this run writes: a run graded against its own output always passes.
+    let baseline = match &cfg.check {
+        Some(path) if resolve(path) == resolve(&cfg.out) => {
+            return Err(format!(
+                "perf: --check {} is also the --out file; pass --out elsewhere",
+                path.display()
+            ))
+        }
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            let json = perf::parse_json(&text)
+                .map_err(|e| format!("bad baseline {}: {e}", path.display()))?;
+            Some((path, json))
+        }
+        None => None,
+    };
     let report = perf::run(&cfg).map_err(|msg| format!("perf suite failed: {msg}"))?;
     print!("{}", report.table());
     let text = format!("{}\n", report.to_json());
     std::fs::write(&cfg.out, &text)
         .map_err(|e| format!("cannot write {}: {e}", cfg.out.display()))?;
     eprintln!("perf: wrote {}", cfg.out.display());
-    if let Some(baseline_path) = &cfg.check {
-        let committed = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("cannot read {}: {e}", baseline_path.display()))?;
-        let committed = perf::parse_json(&committed)
-            .map_err(|e| format!("bad baseline {}: {e}", baseline_path.display()))?;
+    if let Some((baseline_path, committed)) = baseline {
         let errors = perf::check_regressions(&report, &committed);
         for e in &errors {
             eprintln!("perf check: {e}");
@@ -1206,6 +1238,12 @@ mod tests {
         assert!(parse_argv(argv("")).is_err(), "matrix is required");
         assert!(parse_argv(argv("--matrix")).is_err(), "missing value");
         assert!(parse_argv(argv("--matrix m --workers 0")).is_err());
+        assert!(parse_argv(argv("--matrix m --workers 9")).is_err());
+        assert!(parse_argv(argv("resume --matrix m --workers 9")).is_err());
+        assert_eq!(
+            matrix_args("--matrix m --workers 8").common.workers,
+            Some(8)
+        );
         // No wall-clock knob: an op budget bounds every job.
         assert!(parse_argv(argv("--matrix m --timeout 120")).is_err());
         assert!(parse_argv(argv("--frobnicate")).is_err());
@@ -1353,6 +1391,9 @@ mod tests {
     #[test]
     fn rejects_bad_chaos_invocations() {
         assert!(parse_argv(argv("chaos --seeds 0")).is_err());
+        assert!(parse_argv(argv("chaos --workers 0")).is_err());
+        assert!(parse_argv(argv("chaos --workers 9")).is_err());
+        assert!(parse_argv(argv("chaos --workers 8")).is_ok());
         assert!(parse_argv(argv("chaos --ranks 0")).is_err());
         assert!(parse_argv(argv("chaos --network myrinet")).is_err());
         assert!(parse_argv(argv("chaos --apps nosuchapp")).is_err());
@@ -1475,7 +1516,11 @@ mod tests {
         assert_eq!(a.burst, 10.0);
         assert_eq!(a.inflight, 2);
 
-        assert!(parse_argv(argv("serve --workers 0")).is_err());
+        // A server with no in-process workers is a pure coordinator.
+        assert!(matches!(
+            parse_argv(argv("serve --workers 0")),
+            Ok(Cmd::Serve(ServeArgs { workers: 0, .. }))
+        ));
         assert!(parse_argv(argv("serve --inflight 0")).is_err());
         assert!(parse_argv(argv("serve --frobnicate")).is_err());
         assert!(parse_argv(argv("serve --help")).is_err());

@@ -395,6 +395,58 @@ fn commbench_serve_has_no_memory_cache_flag() {
 }
 
 #[test]
+fn perf_check_refuses_to_grade_a_run_against_the_file_it_writes() {
+    // A baseline no real run can pass: every crossing count planted at 0.
+    let committed =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_pipeline.json"))
+            .unwrap();
+    let planted: String = committed
+        .lines()
+        .map(|line| match line.split_once("\"crossings\":") {
+            Some((indent, rest)) => {
+                let comma = if rest.ends_with(',') { "," } else { "" };
+                format!("{indent}\"crossings\": 0{comma}\n")
+            }
+            None => format!("{line}\n"),
+        })
+        .collect();
+    assert_ne!(planted, committed, "the plant changed the baseline");
+    let dir = temp_dir("perf-self-check");
+    let baseline = dir.join("BENCH_pipeline.json");
+    std::fs::write(&baseline, &planted).unwrap();
+
+    // `--out` omitted defaults to the baseline itself; spelled another way,
+    // it is still the same file.
+    let absolute = baseline.to_str().unwrap();
+    for out_flags in [
+        &[][..],
+        &["--out", "./BENCH_pipeline.json"],
+        &["--out", absolute],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_commbench"))
+            .current_dir(&dir)
+            .args(["perf", "--smoke", "--threads", "1"])
+            .args(out_flags)
+            .args(["--check", "BENCH_pipeline.json"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{out_flags:?} passed against itself");
+        let err = stderr(&out);
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(
+            err.contains("--check BENCH_pipeline.json is also the --out file"),
+            "{err}"
+        );
+        assert_eq!(std::fs::read_to_string(&baseline).unwrap(), planted);
+        assert!(
+            !dir.join(".commbench-cache").exists(),
+            "the suite never started"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn commbench_rejects_missing_and_malformed_matrices() {
     let out = commbench(&["--matrix", "/nonexistent/m.txt"]);
     assert!(!out.status.success());

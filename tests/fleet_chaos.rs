@@ -66,8 +66,9 @@ fn wait_for(buf: &Arc<Mutex<String>>, needle: &str, what: &str) {
     }
 }
 
-/// Start a TCP coordinator and return it with its announced ephemeral
-/// address and a live stderr transcript.
+/// Start a TCP coordinator with no in-process workers, so every job goes
+/// to the test's worker processes, and return it with its announced
+/// ephemeral address and a live stderr transcript.
 fn spawn_coordinator(state: &Path, flags: &[&str]) -> (Child, String, Arc<Mutex<String>>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_commbench"))
         .args([
@@ -76,6 +77,8 @@ fn spawn_coordinator(state: &Path, flags: &[&str]) -> (Child, String, Arc<Mutex<
             "127.0.0.1:0",
             "--state",
             state.to_str().unwrap(),
+            "--workers",
+            "0",
         ])
         .args(flags)
         .stdin(Stdio::null())
@@ -436,6 +439,47 @@ fn coordinator_sigkill_and_restart_replays_the_journal_without_reexecution() {
 
     client.shutdown().expect("shutdown");
     assert!(coord2.wait().expect("coordinator exits").success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_job_a_remote_worker_runs_on_a_cached_trace_counts_as_a_disk_hit() {
+    let dir = temp_dir("disk-hits");
+    let (mut coord, addr, _log) = spawn_coordinator(&dir.join("state"), &[]);
+    let (mut worker, log) = spawn_worker(&addr, "w-cache", &dir.join("w"), &[]);
+    wait_for(&log, "registered", "worker registration");
+
+    let mut client = connect(&addr, "chaos");
+    let mut run = |kind: &str| {
+        let (job, _) = client
+            .submit(kind, protocol::JobParams::new("ring", 4), None)
+            .expect("submit accepted");
+        match client.wait(&job).expect("status reply") {
+            Response::JobStatus {
+                state,
+                result: Some(r),
+                ..
+            } if state == "done" => r.cached,
+            other => panic!("expected a done job_status, got {other:?}"),
+        }
+    };
+    assert!(!run("trace"), "the first trace fills the worker's cache");
+    assert!(
+        run("generate"),
+        "generate loads the trace the worker cached"
+    );
+    match client.request(&protocol::Request::Stats).expect("stats") {
+        Response::Stats(s) => {
+            assert_eq!(s.jobs_done, 2);
+            assert_eq!(s.disk_hits, 1, "the worker's cache hit is counted");
+            assert_eq!(s.fleet.leases_granted, 2);
+        }
+        other => panic!("expected stats, got {other:?}"),
+    }
+
+    client.shutdown().expect("shutdown");
+    assert!(worker.wait().expect("worker exits").success());
+    assert!(coord.wait().expect("coordinator exits").success());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

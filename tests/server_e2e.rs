@@ -276,6 +276,83 @@ fn trace_generate_simulate_reuse_one_cache_entry() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn every_job_runs_under_a_lease_even_with_no_remote_worker() {
+    let dir = temp_dir("leases");
+    let state = dir.join("state");
+    let params = || JobParams::new("ring", 4);
+    let responses = serve_script(
+        &state,
+        &[],
+        &[
+            hello(),
+            Request::Trace {
+                params: params(),
+                tag: Some("t".into()),
+            },
+            Request::Status {
+                job: JobRef::Tag("t".into()),
+                wait: true,
+            },
+            Request::Generate {
+                params: params(),
+                tag: Some("g".into()),
+            },
+            Request::Status {
+                job: JobRef::Tag("g".into()),
+                wait: true,
+            },
+            Request::Simulate {
+                params: params(),
+                tag: Some("s".into()),
+            },
+            Request::Status {
+                job: JobRef::Tag("s".into()),
+                wait: true,
+            },
+            Request::Stats,
+            Request::Shutdown,
+        ],
+    );
+    let jobs: Vec<String> = [&responses[1], &responses[3], &responses[5]]
+        .into_iter()
+        .map(|r| match r {
+            Response::Submitted { job, .. } => job.clone(),
+            other => panic!("expected submitted, got {other:?}"),
+        })
+        .collect();
+    match &responses[7] {
+        Response::Stats(stats) => {
+            assert_eq!(stats.jobs_done, 3);
+            assert_eq!(stats.fleet.leases_granted, 3, "one lease per job");
+            assert_eq!(stats.disk_hits, 2, "generate and simulate hit the cache");
+        }
+        other => panic!("expected stats, got {other:?}"),
+    }
+    let journal = std::fs::read_to_string(state.join("server.jsonl")).unwrap();
+    let leases: Vec<protocol::json::Json> = journal
+        .lines()
+        .map(|l| protocol::json::parse(l).unwrap())
+        .filter(|e| e.get("event").and_then(|v| v.as_str()).map(String::as_str) == Some("lease"))
+        .collect();
+    for job in &jobs {
+        let count = |op: &str| {
+            leases
+                .iter()
+                .filter(|e| {
+                    let is = |k: &str, v: &str| {
+                        e.get(k).and_then(|x| x.as_str()).map(String::as_str) == Some(v)
+                    };
+                    is("job", job) && is("op", op)
+                })
+                .count()
+        };
+        assert_eq!(count("granted"), 1, "{job}: one lease granted");
+        assert_eq!(count("completed"), 1, "{job}: one lease completed");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A done job's result, as a `status` reply carries it.
 fn done(resp: &Response) -> &protocol::JobResult {
     match resp {
@@ -900,8 +977,10 @@ fn a_worker_completing_with_an_escaping_artifact_name_is_refused() {
 
     let dir = temp_dir("escape");
     let state = dir.join("state");
+    // No in-process workers: the test's own worker leases every job.
     let mut child = Command::new(env!("CARGO_BIN_EXE_commbench"))
         .args(["serve", "--stdio", "--state", state.to_str().unwrap()])
+        .args(["--workers", "0"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -922,32 +1001,18 @@ fn a_worker_completing_with_an_escaping_artifact_name_is_refused() {
         ask(Request::WorkerRegister { worker: worker() }),
         Response::WorkerOk { .. }
     ));
-    // The in-process pool leaves the queue to a live worker once it next
-    // polls; a job it took before that runs to completion, and the next
-    // submission is the worker's.
-    let mut leased = None;
-    for ranks in 4..12 {
-        let submitted = ask(Request::Trace {
-            params: JobParams::new("ring", ranks),
-            tag: None,
-        });
-        let Response::Submitted { job, .. } = submitted else {
-            panic!("expected submitted, got {submitted:?}");
-        };
-        match ask(Request::LeaseRequest { worker: worker() }) {
-            Response::LeaseGrant { lease, job, .. } => {
-                leased = Some((lease, job));
-                break;
-            }
-            _ => {
-                ask(Request::Status {
-                    job: JobRef::Id(job),
-                    wait: true,
-                });
-            }
-        }
-    }
-    let (lease, job) = leased.expect("the pool yields the queue to a live worker");
+    let submitted = ask(Request::Trace {
+        params: JobParams::new("ring", 4),
+        tag: None,
+    });
+    assert!(
+        matches!(submitted, Response::Submitted { .. }),
+        "{submitted:?}"
+    );
+    let (lease, job) = match ask(Request::LeaseRequest { worker: worker() }) {
+        Response::LeaseGrant { lease, job, .. } => (lease, job),
+        other => panic!("expected a lease, got {other:?}"),
+    };
     let complete = |name: &str| {
         let text = "trace nranks=4\n".to_string();
         Request::JobComplete {
